@@ -59,55 +59,61 @@ _ASSOC_SAMPLES = 2000
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    The table is validated at construction: row/column 0 must be the identity
-    row, every row and column must be a permutation, and associativity is
-    checked exhaustively up to order 64 (sampled above that).
+    The table (nested sequences or a 2-d array) is validated at construction:
+    row/column 0 must be the identity row, every row and column must be a
+    permutation, and associativity is checked exhaustively up to order 64
+    (sampled above that).  All checks run on an int64 array; only a valid
+    table becomes the ``table`` tuple, whose cells share one int object per
+    element.
     """
 
     __slots__ = ("order", "table", "names", "name", "_np", "_inv")
 
     def __init__(
         self,
-        table: Sequence[Sequence[int]],
+        table: Sequence[Sequence[int]] | np.ndarray,
         names: Sequence[str] | None = None,
         name: str | None = None,
     ):
-        tab = tuple(tuple(int(v) for v in row) for row in table)
-        n = len(tab)
-        if n == 0:
+        try:
+            arr = np.array(table, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GroupError(f"multiplication table is not a square integer table: {exc}") from exc
+        n = len(arr) if arr.ndim else 0
+        if arr.ndim and n == 0:
             raise GroupError("group order must be at least 1")
-        if any(len(row) != n for row in tab):
+        if arr.shape != (n, n):
             raise GroupError("multiplication table is not square")
-        arr = np.array(tab, dtype=np.int64)
         if arr.min() < 0 or arr.max() >= n:
             raise GroupError("table entries out of range")
-        if not (np.array_equal(arr[0], np.arange(n)) and np.array_equal(arr[:, 0], np.arange(n))):
-            raise GroupError("element 0 is not an identity")
         ident = np.arange(n)
-        for i in range(n):
-            if not np.array_equal(np.sort(arr[i]), ident) or not np.array_equal(
-                np.sort(arr[:, i]), ident
-            ):
-                raise GroupError(f"row/column {i} is not a permutation")
+        if not (np.array_equal(arr[0], ident) and np.array_equal(arr[:, 0], ident)):
+            raise GroupError("element 0 is not an identity")
+        bad = ~(
+            (np.sort(arr, axis=1) == ident).all(axis=1)
+            & (np.sort(arr, axis=0) == ident[:, None]).all(axis=0)
+        )
+        if bad.any():
+            raise GroupError(f"row/column {int(np.argmax(bad))} is not a permutation")
         if n <= _ASSOC_EXHAUSTIVE_MAX:
             if not np.array_equal(arr[arr], arr[:, arr]):
                 raise GroupError("multiplication table is not associative")
         else:
             rng = random.Random(0)
-            for _ in range(_ASSOC_SAMPLES):
-                a, b, c = (rng.randrange(n) for _ in range(3))
-                if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
-                    raise GroupError("multiplication table is not associative")
-        inv = [0] * n
-        for a in range(n):
-            row = tab[a]
-            inv[a] = row.index(0)
+            a, b, c = np.array(
+                [rng.randrange(n) for _ in range(3 * _ASSOC_SAMPLES)], dtype=np.int64
+            ).reshape(_ASSOC_SAMPLES, 3).T
+            if not np.array_equal(arr[arr[a, b], c], arr[a, arr[b, c]]):
+                raise GroupError("multiplication table is not associative")
+        shared = np.arange(n).astype(object)
+        tab = tuple(tuple(shared[row].tolist()) for row in arr)
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", tab)
         object.__setattr__(self, "names", tuple(names) if names is not None else None)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_np", arr)
-        object.__setattr__(self, "_inv", tuple(inv))
+        # each row is a permutation, so its minimum 0 sits at the inverse
+        object.__setattr__(self, "_inv", tuple(shared[arr.argmin(axis=1)].tolist()))
 
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("FiniteGroup is immutable")
@@ -836,6 +842,13 @@ class AutomorphismGroup:
 
     ``maps[i]`` realizes group element i; multiplication is composition
     (apply the right factor first); element 0 is the identity map.
+
+    The table is built from one int array of shape |Aut|×N (N the total
+    element count): row i holds ``maps[i]``'s per-sort images concatenated,
+    each offset by its sort's start.  Row i of the table comes from one
+    vectorised composition, ``perms[i][perms]``, whose row j is
+    ``maps[i]`` after ``maps[j]``; each composite row is looked up by its
+    bytes, so the key is the whole row and the closure check is exact.
     """
 
     structure: SortedStructure
@@ -859,11 +872,21 @@ def aut_group(s: SortedStructure, *, max_elements: int | None = None) -> Automor
     ident = tuple(tuple(range(n)) for n in s.sort_sizes)
     if maps[0].key() != ident:
         raise GroupError("canonical order does not start with the identity")
-    n = len(maps)
-    table = [[0] * n for _ in range(n)]
+    n, width = len(maps), s.total_elements
+    offsets = np.repeat(np.cumsum((0,) + s.sort_sizes)[:-1], s.sort_sizes)
+    perms = np.array([m.image_seq() for m in maps], dtype=np.min_scalar_type(width))
+    perms += offsets.astype(perms.dtype)
+    # One bytes key per row; numpy strips trailing NULs from every key
+    # alike, which keeps keys of equal-width rows distinct.
+    as_keys = np.dtype((np.bytes_, width * perms.itemsize))
+    row_of = {key: i for i, key in enumerate(perms.view(as_keys).ravel().tolist())}
+    table = np.empty((n, n), dtype=np.int64)
     for i in range(n):
-        for j in range(n):
-            table[i][j] = index[maps[i].compose(maps[j]).key()]
+        composites = perms[i][perms].view(as_keys).ravel().tolist()
+        try:
+            table[i] = np.fromiter(map(row_of.__getitem__, composites), np.int64, n)
+        except KeyError:
+            raise GroupError("automorphism list is not closed under composition") from None
     group = FiniteGroup(table, name=f"Aut({len(s.sort_sizes)}-sorted,{s.total_elements}el)")
     return AutomorphismGroup(s, group, maps, index)
 

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+
+import numpy as np
 import pytest
 
+from uniconstruct import groups
+from uniconstruct.encode import GroupTriple, encode_three_sorted
 from uniconstruct.errors import GroupError
 from uniconstruct.groups import (
     FiniteGroup,
@@ -31,8 +35,9 @@ from uniconstruct.groups import (
     surjective_homs,
     symmetric,
 )
+from uniconstruct.structures import SortedSignature, SortedStructure
 
-from .conftest import directed_cycle, free_points
+from .conftest import directed_cycle, free_points, two_sorted
 from .oracles import naive_section_census
 
 
@@ -65,6 +70,33 @@ class TestFiniteGroup:
     def test_inverse_table(self):
         g = dihedral(4)
         assert all(g.mul(a, g.inv(a)) == 0 for a in g.elements())
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[0, 1, 2], [1, 2, 0], [2, 0, -1]],
+            [[0, 1, 2], [1, 2, 0], [2, 0, 3]],
+            [[0, 1], [1, 0], [0, 1]],
+            [[0, 1], [1]],
+        ],
+        ids=["negative-entry", "entry-equal-to-order", "non-square", "ragged"],
+    )
+    def test_malformed_tables_rejected(self, table):
+        with pytest.raises(GroupError):
+            FiniteGroup(table)
+
+    def test_array_table_equals_nested_lists(self):
+        lists = [list(row) for row in cyclic(300).table]
+        from_array = FiniteGroup(np.array(lists))
+        from_lists = FiniteGroup(lists)
+        assert from_array == from_lists
+        assert hash(from_array) == hash(from_lists)
+        assert all(type(v) is int for row in from_array.table for v in row)
+
+    def test_table_cells_share_one_int_per_element(self):
+        g = cyclic(300)
+        assert g.table[1][298] is g.table[298][1] is g.table[0][299]
+        assert g.inv(1) is g.table[0][299]
 
 
 class TestCenter:
@@ -321,6 +353,53 @@ class TestAutGroup:
     def test_identity_is_element_zero(self):
         ag = aut_group(free_points(3))
         assert ag.maps[0].maps == ((0, 1, 2),)
+
+    @pytest.mark.parametrize("make, order", [
+        (lambda: free_points(5), 120),
+        # two 2-point blocks over a 2-point apex sort: Aut = C2 wr C2
+        (lambda: two_sorted((4, 2), [("R", (0, 1), [(0, 0), (1, 0), (2, 1), (3, 1)])]), 8),
+        # S4 -> S3 -> C2 encoded on 24 + 6 + 2 = 32 elements: Aut = G3
+        (lambda: encode_three_sorted(_s4_s3_c2()), 24),
+    ], ids=["free5", "two-sorted", "encode3-s4-s3-c2"])
+    def test_table_is_composition(self, make, order):
+        ag = aut_group(make(), max_elements=32)
+        assert ag.group.order == order
+        for i, mi in enumerate(ag.maps):
+            for j, mj in enumerate(ag.maps):
+                assert ag.index_of(mi.compose(mj)) == ag.group.mul(i, j)
+
+    def test_missing_automorphism_raises_group_error(self, monkeypatch):
+        full = groups.automorphisms
+        monkeypatch.setattr(groups, "automorphisms", lambda s, **kw: full(s, **kw)[:-1])
+        with pytest.raises(GroupError, match="not closed"):
+            aut_group(free_points(3))
+
+    def test_four_disjoint_three_cycles_order_against_sympy(self):
+        from sympy.combinatorics import Permutation, PermutationGroup
+
+        sig = SortedSignature(("p",), relations=(("E", (0, 0)),))
+        cycles = [[3 * k, 3 * k + 1, 3 * k + 2] for k in range(4)]
+        s = SortedStructure(
+            sig, (12,), [[(c[i], c[(i + 1) % 3]) for c in cycles for i in range(3)]]
+        )
+        ag = aut_group(s)
+        # generated independently of the search: rotate each cycle, and
+        # permute the cycles as blocks by a transposition and a 4-cycle
+        gens = [Permutation([c], size=12) for c in cycles]
+        gens.append(Permutation([[0, 3], [1, 4], [2, 5]], size=12))
+        gens.append(Permutation([[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]], size=12))
+        oracle = PermutationGroup(gens)
+        assert oracle.order() == ag.group.order == 1944
+        assert len(ag.index) == 1944
+        assert all(oracle.contains(Permutation(list(m.maps[0]))) for m in ag.maps)
+        last = ag.maps[-1]
+        for j, mj in enumerate(ag.maps):
+            assert ag.index_of(last.compose(mj)) == ag.group.mul(1943, j)
+
+
+def _s4_s3_c2() -> GroupTriple:
+    s4, s3, c2 = symmetric(4), symmetric(3), cyclic(2)
+    return GroupTriple(c2, s3, s4, surjective_homs(s3, c2)[0], surjective_homs(s4, s3)[0])
 
 
 class TestSurjectiveHoms:
