@@ -156,14 +156,13 @@ def _cmd_iso(args):
     return 0, doc, [f"{len(maps)} isomorphisms"]
 
 
-def _cmd_split(args, backtracking: bool):
+def _cmd_split(args):
     hom = hom_from_json(_read_json(args.hom))
-    mode = "backtracking" if backtracking else "auto"
-    search = classify_sections(hom, max_candidates=args.max_candidates, mode=mode)
+    search = classify_sections(hom, max_candidates=args.max_candidates)
     doc = {
-        "command": "weak-split" if backtracking else "split",
-        "mode": search.mode,
+        "command": args.command,
         "candidates": search.n_candidates,
+        "nodes": search.nodes,
         "has_splitting": search.has_splitting,
         "has_weak_splitting": search.has_weak_splitting,
         "n_splittings": len(search.splittings),
@@ -502,7 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("split", "weak-split"):
         p = sub.add_parser(name, help="classify sections of a surjective homomorphism")
         p.add_argument("--hom", required=True)
-        p.add_argument("--max-candidates", type=int, default=None)
+        p.add_argument(
+            "--max-candidates", type=int, default=None, help="cap on section-search nodes"
+        )
         common(p)
 
     p = sub.add_parser("ucp-check", help="assemble and check a uni-construction problem")
@@ -573,10 +574,8 @@ def main(argv=None) -> int:
             code, doc, lines = _cmd_aut(args)
         elif args.command == "iso":
             code, doc, lines = _cmd_iso(args)
-        elif args.command == "split":
-            code, doc, lines = _cmd_split(args, backtracking=False)
-        elif args.command == "weak-split":
-            code, doc, lines = _cmd_split(args, backtracking=True)
+        elif args.command in ("split", "weak-split"):
+            code, doc, lines = _cmd_split(args)
         elif args.command == "ucp-check":
             code, doc, lines = _cmd_ucp_check(args)
         elif args.command == "derive-triple":

@@ -28,7 +28,7 @@ def _env_int(name: str, default: int) -> int:
 class Bounds:
     # total element count for exhaustive automorphism / isomorphism search
     aut_elements: int = 12
-    # candidate sections enumerated exhaustively before switching modes
+    # nodes the section search (classify_sections) may visit
     section_candidates: int = 10**6
     # order cap k * |G2|**k for the finite cyclic skew analogue
     cyclic_skew_order: int = 10**4

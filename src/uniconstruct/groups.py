@@ -2,14 +2,14 @@
 
 Identity is always element 0.  Group multiplication for automorphism groups
 is map composition (apply the right factor first).  Everything is exact and
-deterministic: section enumeration is lexicographic by fiber-representative
-choice, so the first witness found is reproducible.
+deterministic: the section search reports its finds in lexicographic order
+of fiber representatives, so the first witness found is reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -168,10 +168,7 @@ class GroupHom:
             raise GroupError("hom map has out-of-range values")
         if m[0] != 0:
             raise GroupError("hom does not fix the identity")
-        arr = np.array(m, dtype=np.int64)
-        lhs = arr[domain._np]
-        rhs = codomain._np[arr[:, None], arr[None, :]]
-        if not np.array_equal(lhs, rhs):
+        if not _hom_law_holds(np.array(m, dtype=np.int64), domain, codomain):
             raise GroupError("map violates the homomorphism law")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
@@ -208,17 +205,17 @@ class GroupHom:
         return hash(self.map)
 
 
+def _hom_law_holds(m: np.ndarray, domain: FiniteGroup, codomain: FiniteGroup) -> bool:
+    """m(ab) == m(a)m(b) for every pair, on the int64 tables; m is in range."""
+    return bool(np.array_equal(m[domain._np], codomain._np[m[:, None], m[None, :]]))
+
+
 def is_hom(mapping: Sequence[int], domain: FiniteGroup, codomain: FiniteGroup) -> bool:
     """Exhaustive check of the homomorphism law for a candidate map."""
     m = tuple(int(v) for v in mapping)
     if len(m) != domain.order or any(v < 0 or v >= codomain.order for v in m):
         return False
-    for a in domain.elements():
-        rowa = domain.table[a]
-        for b in domain.elements():
-            if m[rowa[b]] != codomain.table[m[a]][m[b]]:
-                return False
-    return True
+    return _hom_law_holds(np.array(m, dtype=np.int64), domain, codomain)
 
 
 def is_surjective(h: GroupHom) -> bool:
@@ -305,65 +302,47 @@ class Section:
         return self.classification in (SPLITTING, WEAK_SPLITTING)
 
 
-def _section_checks(phi: GroupHom, sec: Sequence[int]) -> dict[str, bool]:
+def classify_section(phi: GroupHom, sec: Sequence[int]) -> Section:
+    """Classify a candidate section; raises if it is not a section at all.
+
+    Every check runs on the int64 tables at once.
+    """
     h, g = phi.domain, phi.codomain
     m = tuple(int(v) for v in sec)
     if len(m) != g.order or any(v < 0 or v >= h.order for v in m):
-        return {
-            "section": False,
-            "identity": False,
-            "inverses": False,
-            "center_hom": False,
-            "hom": False,
-        }
-    checks = {
-        "section": all(phi.map[m[x]] == x for x in g.elements()),
-        "identity": m[0] == 0,
-        "inverses": all(m[g.inv(x)] == h.inv(m[x]) for x in g.elements()),
-    }
-    z = set(center(h))
-    ok = True
-    for x in g.elements():
-        for y in g.elements():
-            defect = h.mul(h.mul(m[x], m[y]), h.inv(m[g.mul(x, y)]))
-            if defect not in z:
-                ok = False
-                break
-        if not ok:
-            break
-    checks["center_hom"] = ok
-    checks["hom"] = is_hom(m, g, h)
-    return checks
-
-
-def classify_section(phi: GroupHom, sec: Sequence[int]) -> Section:
-    """Classify a candidate section; raises if it is not a section at all."""
-    checks = _section_checks(phi, sec)
-    if not checks["section"]:
         raise GroupError("map is not a section of the given surjection")
-    if checks["hom"]:
-        label = SPLITTING
-    elif checks["identity"] and checks["inverses"] and checks["center_hom"]:
-        label = WEAK_SPLITTING
-    else:
-        label = SECTION_ONLY
-    return Section(phi, tuple(int(v) for v in sec), label)
+    psi = np.array(m, dtype=np.int64)
+    if not np.array_equal(np.array(phi.map)[psi], np.arange(g.order)):
+        raise GroupError("map is not a section of the given surjection")
+    products = h._np[psi[:, None], psi[None, :]]  # psi(x) psi(y)
+    psi_xy = psi[g._np]  # psi(xy)
+    if np.array_equal(products, psi_xy):
+        return Section(phi, m, SPLITTING)
+    h_inv = np.array(h._inv, dtype=np.int64)
+    central = np.zeros(h.order, dtype=bool)
+    central[center(h)] = True
+    weak = (
+        m[0] == 0
+        and np.array_equal(psi[np.array(g._inv)], h_inv[psi])
+        and central[h._np[products, h_inv[psi_xy]]].all()
+    )
+    return Section(phi, m, WEAK_SPLITTING if weak else SECTION_ONLY)
 
 
 @dataclass
 class SectionSearch:
     """Result of classify_sections.
 
-    In exhaustive mode ``sections`` holds every section, classified.  In
-    backtracking mode only candidates satisfying the identity/inverse
-    condition are enumerated (with center-defect pruning), which still finds
-    every weak splitting and every splitting.
+    ``n_candidates`` is the number of sections, the product of the fiber
+    sizes; it is counted, not enumerated.  ``splittings`` holds every
+    splitting and ``weak_splittings`` every other weak splitting, each in
+    lexicographic order.  ``nodes`` is the number of partial assignments the
+    search visited.
     """
 
     phi: GroupHom
-    mode: str
     n_candidates: int
-    sections: list[Section] = field(default_factory=list)
+    nodes: int = 0
     splittings: list[Section] = field(default_factory=list)
     weak_splittings: list[Section] = field(default_factory=list)
 
@@ -377,7 +356,7 @@ class SectionSearch:
 
     def summary(self) -> str:
         parts = [
-            f"{self.n_candidates} candidates ({self.mode})",
+            f"{self.n_candidates} candidates, {self.nodes} search nodes",
             "splitting: " + ("yes" if self.has_splitting else "no"),
             "weak splitting: " + ("yes" if self.has_weak_splitting else "no"),
         ]
@@ -391,88 +370,76 @@ def _fibers(phi: GroupHom) -> list[list[int]]:
     return fibers
 
 
-def classify_sections(
-    phi: GroupHom, *, max_candidates: int | None = None, mode: str = "auto"
-) -> SectionSearch:
-    """Enumerate and classify the sections of a surjective homomorphism.
+def classify_sections(phi: GroupHom, *, max_candidates: int | None = None) -> SectionSearch:
+    """Find every splitting and weak splitting of a surjective homomorphism.
 
-    Exhaustive mode walks the full fiber product (lexicographic by fiber
-    representative).  If that exceeds the candidate bound, a backtracking
-    mode enumerates only maps with psi(1)=1 and psi(x^-1)=psi(x)^-1, pruning
-    on the center-defect condition; that loses the section-only census but
-    still decides splitting/weak-splitting existence exactly.
+    Both kinds fix 1 and commute with inverses, so the search assigns
+    psi(x) and psi(x^-1) = psi(x)^-1 together: one level per inverse pair,
+    led by its smaller element x, whose fiber is tried in increasing order.
+    Position x^-1 comes after x and is fixed by it, so depth-first order is
+    lexicographic order of the whole section.  A node checks the
+    center-defect condition only on the triples (a, b, ab) that contain a
+    newly assigned element, so every complete assignment is a weak
+    splitting; classify_section labels it.  ``max_candidates`` (default
+    ``config.DEFAULT.section_candidates``) caps the nodes visited, and going
+    over it raises BoundExceededError.
     """
     if not is_surjective(phi):
         raise GroupError("classify_sections requires a surjective homomorphism")
     bound = max_candidates if max_candidates is not None else config.DEFAULT.section_candidates
     fibers = _fibers(phi)
-    total = 1
-    for f in fibers:
-        total *= len(f)
+    result = SectionSearch(phi=phi, n_candidates=math.prod(len(f) for f in fibers))
 
     g, h = phi.codomain, phi.domain
-    if mode == "auto":
-        mode = "exhaustive" if total <= bound else "backtracking"
-    if mode == "exhaustive" and total > bound:
-        raise BoundExceededError(f"{total} sections exceed candidate bound {bound}")
-
-    result = SectionSearch(phi=phi, mode=mode, n_candidates=total)
-
-    if mode == "exhaustive":
-        for combo in itertools.product(*fibers):
-            sec = classify_section(phi, combo)
-            result.sections.append(sec)
-            if sec.classification == SPLITTING:
-                result.splittings.append(sec)
-            elif sec.classification == WEAK_SPLITTING:
-                result.weak_splittings.append(sec)
-        return result
-
-    # Backtracking over inverse-closed assignments.
-    z = set(center(h))
-    order_g = g.order
-    pairs: list[tuple[int, int]] = []
-    seen = {0}
-    for x in g.elements():
-        if x in seen:
-            continue
-        xi = g.inv(x)
-        seen.add(x)
-        seen.add(xi)
-        pairs.append((x, xi))
-
-    assign = [-1] * order_g
+    g_mul, g_inv, h_mul, h_inv = g.table, g._inv, h.table, h._inv
+    central = [False] * h.order
+    for z in center(h):
+        central[z] = True
+    leaders = [x for x in g.elements() if 0 < x <= g_inv[x]]
+    assign = [-1] * g.order
     assign[0] = 0
+    assigned = [0]
 
-    def defect_ok() -> bool:
-        assigned = [x for x in g.elements() if assign[x] >= 0]
-        for x in assigned:
-            for y in assigned:
-                xy = g.mul(x, y)
-                if assign[xy] < 0:
-                    continue
-                defect = h.mul(h.mul(assign[x], assign[y]), h.inv(assign[xy]))
-                if defect not in z:
-                    return False
+    def defect_ok(c: int) -> bool:
+        # the triples (a, c), (c, a) and (a, a^-1 c) over every assigned a
+        pc = assign[c]
+        for a in assigned:
+            pa = assign[a]
+            p = assign[g_mul[a][c]]
+            if p >= 0 and not central[h_mul[h_mul[pa][pc]][h_inv[p]]]:
+                return False
+            p = assign[g_mul[c][a]]
+            if p >= 0 and not central[h_mul[h_mul[pc][pa]][h_inv[p]]]:
+                return False
+            p = assign[g_mul[g_inv[a]][c]]
+            if p >= 0 and not central[h_mul[h_mul[pa][p]][h_inv[pc]]]:
+                return False
         return True
 
     def extend(i: int):
-        if i == len(pairs):
+        if i == len(leaders):
             sec = classify_section(phi, assign)
             if sec.classification == SPLITTING:
                 result.splittings.append(sec)
             elif sec.classification == WEAK_SPLITTING:
                 result.weak_splittings.append(sec)
             return
-        x, xi = pairs[i]
+        x = leaders[i]
+        xi = g_inv[x]
+        new = [x] if x == xi else [x, xi]
         for v in fibers[x]:
-            vi = h.inv(v)
+            vi = h_inv[v]
             if x == xi and v != vi:
                 continue
+            result.nodes += 1
+            if result.nodes > bound:
+                raise BoundExceededError(f"section search exceeds node bound {bound}")
             assign[x] = v
             assign[xi] = vi
-            if defect_ok():
+            assigned.extend(new)
+            if all(defect_ok(c) for c in new):
                 extend(i + 1)
+            del assigned[-len(new):]
             assign[x] = -1
             assign[xi] = -1
 
@@ -579,26 +546,53 @@ def _invariant_key(g: FiniteGroup):
     return (g.order, tuple(orders), g.is_abelian(), len(center(g)))
 
 
+def _closure(g: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
+    """The subgroup generated by a non-empty seed."""
+    current = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        items = list(current)
+        for a in items:
+            for b in items:
+                c = g.mul(a, b)
+                if c not in current:
+                    current.add(c)
+                    changed = True
+    return frozenset(current)
+
+
 def _generating_set(g: FiniteGroup) -> list[int]:
     gens: list[int] = []
-    closure = {0}
+    closure = frozenset({0})
     while len(closure) < g.order:
         x = min(a for a in g.elements() if a not in closure)
         gens.append(x)
-        current = set(closure)
-        current.add(x)
-        changed = True
-        while changed:
-            changed = False
-            items = list(current)
-            for a in items:
-                for b in items:
-                    c = g.mul(a, b)
-                    if c not in current:
-                        current.add(c)
-                        changed = True
-        closure = current
+        closure = _closure(g, closure | {x})
     return gens
+
+
+def _close_hom(
+    domain: FiniteGroup, codomain: FiniteGroup, m: dict[int, int]
+) -> dict[int, int] | None:
+    """Extend a partial map, in place, to the subgroup its keys generate by
+    the homomorphism law; None if the law forces two images for one element."""
+    frontier = list(m)
+    while frontier:
+        nxt = []
+        for a in list(m):
+            for b in frontier:
+                for x, y in ((a, b), (b, a)):
+                    c = domain.mul(x, y)
+                    w = codomain.mul(m[x], m[y])
+                    if c in m:
+                        if m[c] != w:
+                            return None
+                    else:
+                        m[c] = w
+                        nxt.append(c)
+        frontier = nxt
+    return m
 
 
 def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None:
@@ -614,27 +608,6 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None
     for a in g2.elements():
         orders2.setdefault(g2.element_order(a), []).append(a)
 
-    def close(mapping: dict[int, int]) -> dict[int, int] | None:
-        m = dict(mapping)
-        frontier = list(m)
-        while frontier:
-            nxt = []
-            for a in list(m):
-                for b in frontier:
-                    for x, y in ((a, b), (b, a)):
-                        c = g1.mul(x, y)
-                        w = g2.mul(m[x], m[y])
-                        if c in m:
-                            if m[c] != w:
-                                return None
-                        else:
-                            m[c] = w
-                            nxt.append(c)
-            frontier = nxt
-        if len(set(m.values())) != len(m):
-            return None
-        return m
-
     def extend(i: int, mapping: dict[int, int]) -> dict[int, int] | None:
         if i == len(gens):
             if len(mapping) == g1.order:
@@ -646,10 +619,8 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None
         for img in orders2[g1.element_order(gen)]:
             if img in mapping.values():
                 continue
-            trial = dict(mapping)
-            trial[gen] = img
-            closed = close(trial)
-            if closed is None:
+            closed = _close_hom(g1, g2, {**mapping, gen: img})
+            if closed is None or len(set(closed.values())) != len(closed):
                 continue
             found = extend(i + 1, closed)
             if found is not None:
@@ -717,21 +688,6 @@ def _factorial(n: int) -> int:
 
 def subgroups(g: FiniteGroup) -> list[frozenset[int]]:
     """All subgroups, discovered by closing generator sets."""
-
-    def close(seed: frozenset[int]) -> frozenset[int]:
-        current = set(seed)
-        changed = True
-        while changed:
-            changed = False
-            items = list(current)
-            for a in items:
-                for b in items:
-                    c = g.mul(a, b)
-                    if c not in current:
-                        current.add(c)
-                        changed = True
-        return frozenset(current)
-
     trivial = frozenset({0})
     found = {trivial}
     queue = [trivial]
@@ -740,7 +696,7 @@ def subgroups(g: FiniteGroup) -> list[frozenset[int]]:
         for x in g.elements():
             if x in h:
                 continue
-            bigger = close(h | {x})
+            bigger = _closure(g, h | {x})
             if bigger not in found:
                 found.add(bigger)
                 queue.append(bigger)
@@ -789,25 +745,6 @@ def surjective_homs(
     gens = _generating_set(domain)
     out: list[GroupHom] = []
 
-    def close(mapping: dict[int, int]) -> dict[int, int] | None:
-        m = dict(mapping)
-        frontier = list(m)
-        while frontier:
-            nxt = []
-            for a in list(m):
-                for b in frontier:
-                    for x, y in ((a, b), (b, a)):
-                        c = domain.mul(x, y)
-                        w = codomain.mul(m[x], m[y])
-                        if c in m:
-                            if m[c] != w:
-                                return None
-                        else:
-                            m[c] = w
-                            nxt.append(c)
-            frontier = nxt
-        return m
-
     def extend(i: int, mapping: dict[int, int]):
         if limit is not None and len(out) >= limit:
             return
@@ -823,9 +760,7 @@ def surjective_homs(
         for img in codomain.elements():
             if gen_order % codomain.element_order(img) != 0:
                 continue
-            trial = dict(mapping)
-            trial[gen] = img
-            closed = close(trial)
+            closed = _close_hom(domain, codomain, {**mapping, gen: img})
             if closed is not None:
                 extend(i + 1, closed)
 
@@ -930,7 +865,3 @@ def hom_from_json(doc: Mapping) -> GroupHom:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupError(f"malformed hom document: {exc}") from exc
-
-
-def dumps_group(g: FiniteGroup) -> str:
-    return json.dumps(group_to_json(g), indent=2) + "\n"

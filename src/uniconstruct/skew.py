@@ -13,7 +13,6 @@ never the identity (normal form), so equality is structural.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -296,7 +295,3 @@ def skew_from_json(base: FiniteGroup, doc: Mapping) -> SkewElement:
         return skew_from_support(base, int(doc["shift"]), support)
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupError(f"malformed skew element document: {exc}") from exc
-
-
-def dumps_skew(a: SkewElement) -> str:
-    return json.dumps(skew_to_json(a), indent=2) + "\n"

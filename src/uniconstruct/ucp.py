@@ -17,7 +17,6 @@ from .groups import (
     AutomorphismGroup,
     GroupHom,
     Section,
-    _section_checks,
     aut_group,
     center,
     classify_section,
@@ -163,11 +162,11 @@ def assemble_ucp(
         report.add("f", True, "no section supplied (weak problem)")
     else:
         sec_map = psi.map if isinstance(psi, Section) else tuple(int(v) for v in psi)
-        checks = _section_checks(phi, sec_map)
-        if not checks["section"]:
+        try:
+            section = classify_section(phi, sec_map)
+        except GroupError:
             report.add("f", False, "supplied map is not a section of the restriction map")
         else:
-            section = classify_section(phi, sec_map)
             report.add(
                 "f",
                 section.is_weak_splitting(),

@@ -101,36 +101,50 @@ def rewrite_mul(a, b):
 # ---------------------------------------------------------------------------
 # Sections by raw fiber products, with first-principles checks
 
-def naive_section_census(phi):
-    """(n_sections, n_splittings, n_weak_splittings) by direct enumeration."""
+def _naive_labelled_sections(phi):
+    """Every section in fiber-product order, with "splitting", "weak" or None."""
     h, g = phi.domain, phi.codomain
     fibers = [[x for x in h.elements() if phi.map[x] == v] for v in g.elements()]
     z = [x for x in h.elements() if all(h.mul(x, y) == h.mul(y, x) for y in h.elements())]
     zset = set(z)
-    n_sections = n_split = n_weak = 0
+    out = []
     for combo in itertools.product(*fibers):
-        n_sections += 1
         hom = all(
             combo[g.mul(x, y)] == h.mul(combo[x], combo[y])
             for x in g.elements()
             for y in g.elements()
         )
         if hom:
-            n_split += 1
-            n_weak += 1
+            out.append((combo, "splitting"))
             continue
-        if combo[0] != 0:
-            continue
-        if any(combo[g.inv(x)] != h.inv(combo[x]) for x in g.elements()):
-            continue
-        central = all(
-            h.mul(h.mul(combo[x], combo[y]), h.inv(combo[g.mul(x, y)])) in zset
-            for x in g.elements()
-            for y in g.elements()
+        central = (
+            combo[0] == 0
+            and all(combo[g.inv(x)] == h.inv(combo[x]) for x in g.elements())
+            and all(
+                h.mul(h.mul(combo[x], combo[y]), h.inv(combo[g.mul(x, y)])) in zset
+                for x in g.elements()
+                for y in g.elements()
+            )
         )
-        if central:
-            n_weak += 1
-    return n_sections, n_split, n_weak
+        out.append((combo, "weak" if central else None))
+    return out
+
+
+def naive_sections(phi):
+    """(splittings, weak splittings that are not splittings), each a list of
+    section maps in fiber-product order."""
+    labelled = _naive_labelled_sections(phi)
+    return (
+        [combo for combo, label in labelled if label == "splitting"],
+        [combo for combo, label in labelled if label == "weak"],
+    )
+
+
+def naive_section_census(phi):
+    """(n_sections, n_splittings, n_weak_splittings) by direct enumeration."""
+    labels = [label for _, label in _naive_labelled_sections(phi)]
+    n_split = labels.count("splitting")
+    return len(labels), n_split, n_split + labels.count("weak")
 
 
 # ---------------------------------------------------------------------------

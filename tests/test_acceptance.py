@@ -51,7 +51,7 @@ from uniconstruct.ucp import compose_solvers, reduct_solver, solver_from_catalog
 from uniconstruct.uniform import build_family, uniform_F, verify_claims
 
 from .conftest import random_structure, two_sorted
-from .oracles import naive_isomorphisms, naive_section_census
+from .oracles import naive_isomorphisms, naive_section_census, naive_sections
 
 
 def report(criterion: str, ok: bool, elapsed: float, detail: str = ""):
@@ -81,24 +81,33 @@ def test_criterion_1_automorphism_oracle_equivalence():
     )
 
 
+def _agrees_with_naive(res) -> bool:
+    split, weak = naive_sections(res.phi)
+    return [s.map for s in res.splittings] == split and [
+        s.map for s in res.weak_splittings
+    ] == weak
+
+
 def test_criterion_2_splitting_classification():
     start = time.time()
     c2 = cyclic(2)
 
     v4 = direct_product(c2, c2)
-    res_v4 = classify_sections(GroupHom(v4, c2, [0, 0, 1, 1]), mode="exhaustive")
+    res_v4 = classify_sections(GroupHom(v4, c2, [0, 0, 1, 1]))
     ok = res_v4.has_splitting
 
-    res_c4 = classify_sections(GroupHom(cyclic(4), c2, [0, 1, 0, 1]), mode="exhaustive")
+    res_c4 = classify_sections(GroupHom(cyclic(4), c2, [0, 1, 0, 1]))
     ok = ok and not res_c4.has_splitting and not res_c4.has_weak_splitting
 
     _, phi_q8 = quotient_by_center(dicyclic(2))
-    res_q8 = classify_sections(phi_q8, mode="exhaustive")
+    res_q8 = classify_sections(phi_q8)
     ok = ok and not res_q8.has_splitting and not res_q8.has_weak_splitting
 
     _, phi_d4 = quotient_by_center(dihedral(4))
-    res_d4 = classify_sections(phi_d4, mode="exhaustive")
+    res_d4 = classify_sections(phi_d4)
     ok = ok and not res_d4.has_splitting
+
+    ok = ok and all(_agrees_with_naive(r) for r in (res_v4, res_c4, res_q8, res_d4))
 
     elapsed = time.time() - start
     report(
@@ -305,13 +314,14 @@ def test_criterion_7_negative_control_honesty():
     for g in catalog(16):
         for nsub in normal_subgroups(g):
             _, phi = quotient_by_subgroup(g, nsub)
-            res = classify_sections(phi, mode="exhaustive")
+            res = classify_sections(phi)
             if res.n_candidates > 256:
                 continue
             n_sections, n_split, n_weak = naive_section_census(phi)
             ok = ok and res.n_candidates == n_sections
             ok = ok and len(res.splittings) == n_split
             ok = ok and len(res.splittings) + len(res.weak_splittings) == n_weak
+            ok = ok and _agrees_with_naive(res)
             checked += 1
 
     elapsed = time.time() - start

@@ -5,7 +5,17 @@ import json
 import pytest
 
 from uniconstruct.cli import main
-from uniconstruct.groups import GroupHom, cyclic, group_to_json, hom_to_json
+from uniconstruct.errors import BoundExceededError
+from uniconstruct.groups import (
+    GroupHom,
+    classify_sections,
+    cyclic,
+    dihedral,
+    direct_product,
+    group_to_json,
+    hom_to_json,
+    quotient_by_center,
+)
 from uniconstruct.structures import dumps, structure_from_json
 
 from .conftest import directed_cycle, two_sorted
@@ -78,14 +88,41 @@ class TestSplitCommands:
         out = capsys.readouterr().out
         assert "splitting: no" in out and "weak splitting: no" in out
 
-    def test_weak_split_backtracking(self, c4toc2_path, tmp_path):
+    def test_weak_split_verdict_fields(self, c4toc2_path, tmp_path):
         out_path = tmp_path / "r.json"
         assert main([
             "weak-split", "--hom", c4toc2_path, "--format", "json", "--out", str(out_path)
         ]) == 0
         doc = json.loads(out_path.read_text())
-        assert doc["mode"] == "backtracking"
+        assert "mode" not in doc
+        assert doc["command"] == "weak-split"
+        assert doc["candidates"] == 4
+        assert doc["has_splitting"] is False
         assert doc["has_weak_splitting"] is False
+        assert doc["n_splittings"] == doc["n_weak_splittings"] == 0
+        assert doc["first_splitting"] is None and doc["first_weak_splitting"] is None
+
+    def test_split_node_bound_exits_1(self, tmp_path, capsys):
+        _, phi = quotient_by_center(dihedral(16))
+        path = write(tmp_path, "d16.json", json.dumps(hom_to_json(phi)))
+        assert main(["split", "--hom", path, "--max-candidates", "3"]) == 1
+        assert "exceeds node bound 3" in capsys.readouterr().err
+        with pytest.raises(BoundExceededError):
+            classify_sections(phi, max_candidates=3)
+
+    def test_weak_split_c2xd8_counts(self, tmp_path):
+        """C2 x D8 -> D8: 4 splittings, 4,096 weak splittings in all."""
+        d8 = dihedral(8)
+        phi = GroupHom(direct_product(cyclic(2), d8), d8, [a % 16 for a in range(32)])
+        path = write(tmp_path, "c2xd8.json", json.dumps(hom_to_json(phi)))
+        out_path = tmp_path / "r.json"
+        assert main([
+            "weak-split", "--hom", path, "--format", "json", "--out", str(out_path)
+        ]) == 0
+        doc = json.loads(out_path.read_text())
+        assert doc["candidates"] == 2**16
+        assert doc["n_splittings"] == 4
+        assert doc["n_weak_splittings"] == 4096
 
 
 class TestUcpCommands:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from uniconstruct import groups
 from uniconstruct.encode import GroupTriple, encode_three_sorted
-from uniconstruct.errors import GroupError
+from uniconstruct.errors import BoundExceededError, GroupError
 from uniconstruct.groups import (
     FiniteGroup,
     GroupHom,
@@ -38,7 +39,7 @@ from uniconstruct.groups import (
 from uniconstruct.structures import SortedSignature, SortedStructure
 
 from .conftest import directed_cycle, free_points, two_sorted
-from .oracles import naive_section_census
+from .oracles import naive_section_census, naive_sections
 
 
 class TestFiniteGroup:
@@ -179,11 +180,12 @@ class TestClassifySections:
     def test_c4_to_c2_has_nothing(self):
         phi = GroupHom(cyclic(4), cyclic(2), [0, 1, 0, 1])
         res = classify_sections(phi)
-        assert res.mode == "exhaustive" and res.n_candidates == 4
+        assert res.n_candidates == 4
         assert not res.has_splitting and not res.has_weak_splitting
-        # the failure is the self-inverse condition on both candidates
-        for sec in res.sections:
-            assert sec.classification == "section-only"
+        assert naive_section_census(phi) == (4, 0, 0)
+        # the failure is the self-inverse condition on every candidate
+        for combo in itertools.product((0, 2), (1, 3)):
+            assert classify_section(phi, combo).classification == "section-only"
 
     def test_q8_to_quotient_has_nothing(self):
         q8 = dicyclic(2)
@@ -197,7 +199,7 @@ class TestClassifySections:
         res = classify_sections(phi)
         assert not res.has_splitting
 
-    def test_backtracking_agrees_with_exhaustive(self):
+    def test_search_agrees_with_naive_sections(self):
         cases = [
             GroupHom(cyclic(4), cyclic(2), [0, 1, 0, 1]),
             GroupHom(direct_product(cyclic(2), cyclic(2)), cyclic(2), [0, 0, 1, 1]),
@@ -206,11 +208,12 @@ class TestClassifySections:
             GroupHom(symmetric(3), cyclic(2), [0, 1, 1, 0, 0, 1]),
         ]
         for phi in cases:
-            full = classify_sections(phi, mode="exhaustive")
-            back = classify_sections(phi, mode="backtracking")
-            assert full.has_splitting == back.has_splitting
-            assert full.has_weak_splitting == back.has_weak_splitting
-            assert {s.map for s in full.splittings} == {s.map for s in back.splittings}
+            res = classify_sections(phi)
+            split, weak = naive_sections(phi)
+            assert [s.map for s in res.splittings] == split
+            assert [s.map for s in res.weak_splittings] == weak
+            assert res.has_splitting == bool(split)
+            assert res.has_weak_splitting == bool(split or weak)
 
     def test_agrees_with_naive_census(self):
         cases = [
@@ -220,9 +223,9 @@ class TestClassifySections:
             GroupHom(cyclic(6), cyclic(3), [0, 1, 2, 0, 1, 2]),
         ]
         for phi in cases:
-            res = classify_sections(phi, mode="exhaustive")
+            res = classify_sections(phi)
             n_sections, n_split, n_weak = naive_section_census(phi)
-            assert res.n_candidates == n_sections == len(res.sections)
+            assert res.n_candidates == n_sections
             assert len(res.splittings) == n_split
             assert len(res.splittings) + len(res.weak_splittings) == n_weak
 
@@ -235,10 +238,45 @@ class TestClassifySections:
             assert checks.classification == "splitting"
 
     def test_deterministic_order(self):
-        phi = GroupHom(cyclic(4), cyclic(2), [0, 1, 0, 1])
-        a = classify_sections(phi)
-        b = classify_sections(phi)
-        assert [s.map for s in a.sections] == [s.map for s in b.sections]
+        for phi in (
+            GroupHom(cyclic(4), cyclic(2), [0, 1, 0, 1]),
+            quotient_by_subgroup(cyclic(9), [0, 3, 6])[1],
+        ):
+            a = classify_sections(phi)
+            b = classify_sections(phi)
+            found = [s.map for s in a.splittings + a.weak_splittings]
+            assert found == [s.map for s in b.splittings + b.weak_splittings]
+            assert found == sum(naive_sections(phi), [])
+
+    def test_lists_equal_naive_on_catalog_8_quotients(self):
+        checked = 0
+        for g in catalog(8):
+            for nsub in normal_subgroups(g):
+                _, phi = quotient_by_subgroup(g, nsub)
+                res = classify_sections(phi)
+                split, weak = naive_sections(phi)
+                assert [s.map for s in res.splittings] == split, (g, nsub)
+                assert [s.map for s in res.weak_splittings] == weak, (g, nsub)
+                checked += 1
+        assert checked > 14
+
+    def test_lists_equal_naive_on_d16_mod_center(self):
+        """65,536 candidate sections, none a splitting of either kind; the
+        search decides that without visiting them."""
+        _, phi = quotient_by_center(dihedral(16))
+        res = classify_sections(phi)
+        assert res.n_candidates == 2**16
+        assert res.nodes < 100
+        assert ([s.map for s in res.splittings], [s.map for s in res.weak_splittings]) == (
+            naive_sections(phi)
+        ) == ([], [])
+
+    def test_node_bound_is_checked_during_search(self):
+        _, phi = quotient_by_center(dihedral(16))
+        nodes = classify_sections(phi).nodes
+        assert classify_sections(phi, max_candidates=nodes).nodes == nodes
+        with pytest.raises(BoundExceededError):
+            classify_sections(phi, max_candidates=nodes - 1)
 
     def test_non_surjective_rejected(self):
         phi = GroupHom(cyclic(2), cyclic(4), [0, 2])
@@ -317,9 +355,10 @@ class TestCatalogSearch:
         and no homomorphic section.  Frozen from the naive census."""
         c9 = cyclic(9)
         _, phi = quotient_by_subgroup(c9, [0, 3, 6])
-        res = classify_sections(phi, mode="exhaustive")
+        res = classify_sections(phi)
         assert res.has_weak_splitting and not res.has_splitting
         assert naive_section_census(phi) == (27, 0, 3)
+        assert [s.map for s in res.weak_splittings] == naive_sections(phi)[1]
 
     def test_search_finds_witnesses_at_order_16(self):
         witnesses = catalog_search_weak_not_strong(16)
