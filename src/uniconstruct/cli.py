@@ -174,12 +174,7 @@ def _cmd_split(args):
             else None
         ),
     }
-    lines = [
-        search.summary(),
-        "splitting: " + ("yes" if search.has_splitting else "no"),
-        "weak splitting: " + ("yes" if search.has_weak_splitting else "no"),
-    ]
-    return 0, doc, lines
+    return 0, doc, [search.summary()]
 
 
 def _cmd_ucp_check(args):

@@ -219,18 +219,30 @@ class TripleSpace:
             isomorphisms(member.A, A, max_elements=max_elements) for member in fam
         ]
         self.iso_inv = [[m.inverse() for m in lst] for lst in self.iso]
-        # isomorphisms B_0 -> B_t grouped by their first-sort component
-        self.biso: list[dict[tuple[int, ...], list[SortedMap]]] = []
+        # isomorphisms B_0 -> B_t, stably sorted by first-sort component, so a
+        # triple's g_idx[t] is a position in biso[t]; biso_range[t] maps each
+        # first-sort component to its [start, stop) slice
+        self.biso: list[list[SortedMap]] = []
+        self.biso_range: list[dict[tuple[int, ...], tuple[int, int]]] = []
         base = fam.members[0]
         for t, member in enumerate(fam.members):
-            grouped: dict[tuple[int, ...], list[SortedMap]] = {}
+            flat: list[SortedMap] = []
             if t != 0:
-                for m in isomorphisms(base.B, member.B, max_elements=max_elements):
-                    grouped.setdefault(m.maps[0], []).append(m)
-            self.biso.append(grouped)
+                flat = sorted(
+                    isomorphisms(base.B, member.B, max_elements=max_elements),
+                    key=lambda m: m.maps[0],
+                )
+            ranges: dict[tuple[int, ...], tuple[int, int]] = {}
+            for pos, m in enumerate(flat):
+                start, _ = ranges.get(m.maps[0], (pos, pos))
+                ranges[m.maps[0]] = (start, pos + 1)
+            self.biso.append(flat)
+            self.biso_range.append(ranges)
         self._psi_tilde_cache: dict[tuple[int, int, int], SortedMap] = {}
         self.triples = self._enumerate(limit)
+        self._cocycle: bool | None = None
         self._classes: tuple[list[int], list[list[int]]] | None = None
+        self._frame_threads: tuple[list[tuple[int, ...]], list[dict[int, tuple]]] | None = None
 
     # -- enumeration ------------------------------------------------------
 
@@ -250,19 +262,11 @@ class TripleSpace:
             pi0 = self.iso[0][pi_idx[0]]
             for t in range(1, n):
                 h0t = self.iso_inv[t][pi_idx[t]].compose(pi0)
-                group = self.biso[t].get(h0t.maps[0])
-                if not group:
+                start, stop = self.biso_range[t].get(h0t.maps[0], (0, 0))
+                if start == stop:
                     feasible = False
                     break
-                all_t = self.biso[t]
-                indexed = []
-                counter = 0
-                for key in sorted(all_t):
-                    for m in all_t[key]:
-                        if key == h0t.maps[0]:
-                            indexed.append((counter, m))
-                        counter += 1
-                ext_choices.append(indexed)
+                ext_choices.append([(k, self.biso[t][k]) for k in range(start, stop)])
             if not feasible:
                 continue
             for combo in itertools.product(*ext_choices):
@@ -281,14 +285,7 @@ class TripleSpace:
         """The base-row isomorphism B_0 -> B_t chosen by the triple."""
         if t == 0 or x.g_idx[t] == -1:
             return identity_map(self.fam.members[0].B)
-        counter = 0
-        grouped = self.biso[t]
-        for key in sorted(grouped):
-            for m in grouped[key]:
-                if counter == x.g_idx[t]:
-                    return m
-                counter += 1
-        raise IndexError("stale triple for this space")
+        return self.biso[t][x.g_idx[t]]
 
     # -- equivalence ------------------------------------------------------
 
@@ -312,10 +309,66 @@ class TripleSpace:
                 return False
         return True
 
+    def cocycle_holds(self) -> bool:
+        """Whether the transports obey the cocycle law, decided exactly.
+
+        Write T_s(i, j) for ``psi_tilde(s, i, j)``.  The law is
+        T_s(j, l) . T_s(i, j) = T_s(i, l) for every member s and every i, j,
+        l.  It is checked for i = 0 and every j, l (|iso_s|^2 compositions
+        per member), which implies it for every i: the i = 0 case gives
+        T_s(j, l) = T_s(0, l) . T_s(0, j)^-1, so T_s(j, l) . T_s(i, j) =
+        T_s(0, l) . T_s(0, i)^-1 = T_s(i, l).
+
+        When it holds, T_s(i, i) is the identity and T_s(j, i) inverts
+        T_s(i, j), so E is an equivalence and x1 E x2 exactly when the
+        frame-0 keys of :meth:`_frame0_keys` agree.
+        """
+        if self._cocycle is None:
+            self._cocycle = all(
+                self.psi_tilde(s, j, l).compose(self.psi_tilde(s, 0, j)).maps
+                == self.psi_tilde(s, 0, l).maps
+                for s, lst in enumerate(self.iso)
+                for j, l in itertools.product(range(len(lst)), repeat=2)
+            )
+        return self._cocycle
+
+    def _frame0_keys(self) -> list[tuple[tuple[int, int], ...]]:
+        """Every triple's thread carried into frame 0: (sort, T_s(pi_s, 0)(b_s))."""
+        to0 = [
+            [self.psi_tilde(s, i, 0).maps for i in range(len(lst))]
+            for s, lst in enumerate(self.iso)
+        ]
+        return [
+            tuple(
+                (sort, to0[s][pi][sort][e])
+                for s, (pi, (sort, e)) in enumerate(zip(x.pi_idx, x.b))
+            )
+            for x in self.triples
+        ]
+
     def classes(self) -> tuple[list[int], list[list[int]]]:
-        """Equivalence classes of e_equiv (pairwise union-find), canonical ids."""
+        """Equivalence classes of e_equiv, numbered by first occurrence.
+
+        When :meth:`cocycle_holds`, classes are the fibres of the frame-0 key,
+        found in one O(|X| n) pass.  Otherwise a pairwise union-find decides
+        them, refused above ``config.DEFAULT.x_pairwise`` triples.  Both
+        number classes by their first triple and list members ascending.
+        """
         if self._classes is not None:
             return self._classes
+        if self.cocycle_holds():
+            ids: dict[tuple, int] = {}
+            class_of = [ids.setdefault(key, len(ids)) for key in self._frame0_keys()]
+        else:
+            class_of = self._pairwise_classes()
+        members: list[list[int]] = [[] for _ in range(max(class_of, default=-1) + 1)]
+        for i, cid in enumerate(class_of):
+            members[cid].append(i)
+        self._classes = (class_of, members)
+        return self._classes
+
+    def _pairwise_classes(self) -> list[int]:
+        """Class ids by pairwise e_equiv and union-find, numbered by first triple."""
         n = len(self.triples)
         if n > config.DEFAULT.x_pairwise:
             raise BoundExceededError(
@@ -335,17 +388,39 @@ class TripleSpace:
                     parent[find(j)] = find(i)
 
         roots: dict[int, int] = {}
-        class_of = [0] * n
-        members: list[list[int]] = []
-        for i in range(n):
-            r = find(i)
-            if r not in roots:
-                roots[r] = len(members)
-                members.append([])
-            class_of[i] = roots[r]
-            members[roots[r]].append(i)
-        self._classes = (class_of, members)
-        return self._classes
+        return [roots.setdefault(find(i), len(roots)) for i in range(n)]
+
+    def frame_threads(self) -> tuple[list[tuple[int, ...]], list[dict[int, tuple]]]:
+        """Per isomorphism-tuple frame, the unique thread of every class.
+
+        Relations on the quotient are evaluated with all coordinates in one
+        frame; descending from triples to classes is sound exactly because a
+        class meets every frame in a single thread (the equivalence twist
+        between two frames is one automorphism per member, the same for every
+        class).  Built once per space from one pass that buckets triples by
+        frame.
+        """
+        if self._frame_threads is not None:
+            return self._frame_threads
+        class_of, members = self.classes()
+        in_frame: dict[tuple[int, ...], list[int]] = {}
+        for i, x in enumerate(self.triples):
+            in_frame.setdefault(x.pi_idx, []).append(i)
+        frames = list(itertools.product(*(range(len(lst)) for lst in self.iso)))
+        by_frame: list[dict[int, tuple]] = []
+        for frame in frames:
+            threads: dict[int, tuple] = {}
+            for i in in_frame.get(frame, ()):
+                b = self.triples[i].b
+                if threads.setdefault(class_of[i], b) != b:
+                    raise VerificationError(
+                        "a class carries two different threads in one frame"
+                    )
+            if len(threads) != len(members):
+                raise VerificationError("a class misses a frame entirely")
+            by_frame.append(threads)
+        self._frame_threads = (frames, by_frame)
+        return self._frame_threads
 
     def k_indices(self, a: int) -> list[int]:
         """Indices of triples whose thread is the first-sort thread of a."""
@@ -429,34 +504,6 @@ class QuotientResult:
     class_label: list[tuple[int, int]] | None = None  # class id -> (sort, element)
 
 
-def _frame_threads(space: TripleSpace) -> tuple[list[tuple[int, ...]], list[dict[int, tuple]]]:
-    """Per isomorphism-tuple frame, the unique thread of every class.
-
-    Relations on the quotient are evaluated with all coordinates in one
-    frame; descending from triples to classes is sound exactly because a
-    class meets every frame in a single thread (the equivalence twist between
-    two frames is one automorphism per member, the same for every class).
-    """
-    class_of, members = space.classes()
-    frames = list(itertools.product(*(range(len(lst)) for lst in space.iso)))
-    by_frame: list[dict[int, tuple]] = []
-    for frame in frames:
-        threads: dict[int, tuple] = {}
-        for i, x in enumerate(space.triples):
-            if x.pi_idx != frame:
-                continue
-            cid = class_of[i]
-            if cid in threads and threads[cid] != x.b:
-                raise VerificationError(
-                    "a class carries two different threads in one frame"
-                )
-            threads[cid] = x.b
-        if len(threads) != len(members):
-            raise VerificationError("a class misses a frame entirely")
-        by_frame.append(threads)
-    return frames, by_frame
-
-
 def _frame_membership(space: TripleSpace, threads: dict[int, tuple], ri: int, ct, rsig):
     """(exists-member, forall-members) verdicts for one class tuple."""
     n_members = len(space.fam.members)
@@ -488,7 +535,7 @@ def _quotient_full(space: TripleSpace) -> QuotientResult:
             raise VerificationError("equivalence class mixes sorts")
         sort_of_class.append(sorts.pop())
 
-    frames, by_frame = _frame_threads(space)
+    frames, by_frame = space.frame_threads()
     ref = by_frame[0]
     n_classes = len(members)
 
@@ -741,21 +788,27 @@ def verify_claims(
     report.add("triple_space_nonempty", n > 0, f"|X|={n}")
     if n == 0:
         return report
-    if n > config.DEFAULT.x_pairwise:
-        raise BoundExceededError(
-            f"|X|={n} exceeds pairwise class bound {config.DEFAULT.x_pairwise}"
+
+    if space.cocycle_holds():
+        verdicts = (True, True, True)
+        detail = (
+            f"proved from the cocycle law, checked exhaustively on "
+            f"{sum(len(lst) ** 2 for lst in space.iso)} transport pairs"
         )
-
-    mat = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = space.e_equiv(xs[i], xs[j])
-    report.add("E_reflexive", bool(mat.diagonal().all()))
-    report.add("E_symmetric", bool((mat == mat.T).all()))
-    closure = (mat.astype(np.uint8) @ mat.astype(np.uint8)) > 0
-    report.add("E_transitive", bool((closure <= mat).all()))
-
-    if not (mat.diagonal().all() and (mat == mat.T).all() and (closure <= mat).all()):
+    else:
+        if n > config.DEFAULT.x_pairwise:
+            raise BoundExceededError(
+                f"|X|={n} exceeds pairwise class bound {config.DEFAULT.x_pairwise}"
+            )
+        mat = np.zeros((n, n), dtype=bool)
+        for i in range(n):
+            for j in range(n):
+                mat[i, j] = space.e_equiv(xs[i], xs[j])
+        verdicts = _relation_verdicts(mat)
+        detail = f"cocycle law fails; decided on all {n}x{n} pairs"
+    for name, ok in zip(("E_reflexive", "E_symmetric", "E_transitive"), verdicts):
+        report.add(name, ok, detail)
+    if not all(verdicts):
         return report
 
     class_of, members = space.classes()
@@ -766,7 +819,7 @@ def verify_claims(
     frames: list = []
     by_frame: list = []
     try:
-        frames, by_frame = _frame_threads(space)
+        frames, by_frame = space.frame_threads()
         frames_detail = f"{len(frames)} frames, one thread per class in each"
     except VerificationError as exc:
         frames_ok = False
@@ -895,6 +948,22 @@ def verify_claims(
         report.add("cla6_quotient_isomorphic_to_member", False, "congruence failed")
         report.add("cla6_explicit_rho_witness", False, "congruence failed")
     return report
+
+
+def _relation_verdicts(mat: np.ndarray) -> tuple[bool, bool, bool]:
+    """(reflexive, symmetric, transitive) of a square boolean relation matrix.
+
+    The two-step paths are counted in float32: a sum of 0/1 products is
+    positive whenever one product is, so unlike an 8-bit count it cannot
+    wrap round to 0 (at 256 paths).
+    """
+    counts = mat.astype(np.float32)
+    closure = (counts @ counts) > 0
+    return (
+        bool(mat.diagonal().all()),
+        bool((mat == mat.T).all()),
+        bool((closure <= mat).all()),
+    )
 
 
 def _rho_witness_is_isomorphism(quot_structure, class_label, rho_values, target) -> bool:

@@ -3,12 +3,15 @@
 These deliberately avoid the library's search code paths: isomorphisms by
 filtering all permutation families, skew multiplication by string rewriting,
 sections by raw fiber products, matched triples by enumerating full
-commutative matrices.  Expected values in the tests are frozen from these.
+commutative matrices, twist-equivalence classes by pairwise comparison.
+Expected values in the tests are frozen from these.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from uniconstruct.structures import SortedStructure, identity_map, isomorphisms
 
@@ -219,3 +222,98 @@ def _commutative(g, n):
                 if g[(s, t)].compose(g[(r, s)]).maps != g[(r, t)].maps:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The twist equivalence on a matched-triple space, decided pairwise
+
+
+def naive_classes(space):
+    """(class_of, members) of e_equiv by pairwise union-find over all triples,
+    classes numbered by their first triple, members ascending."""
+    xs = space.triples
+    parent = list(range(len(xs)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            if find(i) != find(j) and space.e_equiv(xs[i], xs[j]):
+                parent[find(j)] = find(i)
+    roots, class_of, members = {}, [], []
+    for i in range(len(xs)):
+        r = find(i)
+        if r not in roots:
+            roots[r] = len(members)
+            members.append([])
+        class_of.append(roots[r])
+        members[roots[r]].append(i)
+    return class_of, members
+
+
+def naive_e_matrix(space):
+    """The |X| x |X| matrix of x1 E x2, straight from the definition: for every
+    member s, x2.b[s] is psi_tilde(s, x1.pi[s], x2.pi[s]) applied to x1.b[s]."""
+    xs = space.triples
+    mat = np.ones((len(xs), len(xs)), dtype=bool)
+    for s, iso in enumerate(space.iso):
+        sizes = space.fam.members[s].B.sort_sizes
+        offset = [sum(sizes[:k]) for k in range(len(sizes))]
+        # image[i, j, g]: global index of psi_tilde(s, i, j) applied to element g
+        image = np.array([
+            [
+                [offset[k] + v for k, m in enumerate(space.psi_tilde(s, i, j).maps) for v in m]
+                for j in range(len(iso))
+            ]
+            for i in range(len(iso))
+        ])
+        pi = np.array([x.pi_idx[s] for x in xs])
+        g = np.array([offset[x.b[s][0]] + x.b[s][1] for x in xs])
+        mat &= image[pi[:, None], pi[None, :], g[:, None]] == g[None, :]
+    return mat
+
+
+def naive_relation_verdicts(mat):
+    """(reflexive, symmetric, transitive) of a boolean matrix; two-step path
+    counts in float64, exact integers far beyond any |X| here."""
+    counts = mat.astype(np.float64)
+    return (
+        bool(mat.diagonal().all()),
+        bool((mat == mat.T).all()),
+        bool((((counts @ counts) > 0) <= mat).all()),
+    )
+
+
+def naive_cocycle_holds(space):
+    """psi_tilde(s,j,l) . psi_tilde(s,i,j) == psi_tilde(s,i,l) over the whole cube."""
+    return all(
+        space.psi_tilde(s, j, l).compose(space.psi_tilde(s, i, j)).maps
+        == space.psi_tilde(s, i, l).maps
+        for s, iso in enumerate(space.iso)
+        for i, j, l in itertools.product(range(len(iso)), repeat=3)
+    )
+
+
+def naive_frame_threads(space):
+    """Per frame, class id -> thread, by scanning every triple once per frame.
+
+    Returns the error message instead when a class has two threads in a frame
+    or misses one."""
+    class_of, members = space.classes()
+    frames = list(itertools.product(*(range(len(iso)) for iso in space.iso)))
+    by_frame = []
+    for frame in frames:
+        threads = {}
+        for i, x in enumerate(space.triples):
+            if x.pi_idx != frame:
+                continue
+            if class_of[i] in threads and threads[class_of[i]] != x.b:
+                return "a class carries two different threads in one frame"
+            threads[class_of[i]] = x.b
+        if len(threads) != len(members):
+            return "a class misses a frame entirely"
+        by_frame.append(threads)
+    return frames, by_frame

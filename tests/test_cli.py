@@ -88,6 +88,14 @@ class TestSplitCommands:
         out = capsys.readouterr().out
         assert "splitting: no" in out and "weak splitting: no" in out
 
+    @pytest.mark.parametrize("command", ["split", "weak-split"])
+    def test_text_prints_each_verdict_once(self, c4toc2_path, capsys, command):
+        assert main([command, "--hom", c4toc2_path]) == 0
+        out = capsys.readouterr().out
+        assert out.count("weak splitting: no") == 1
+        # "splitting: no" also occurs inside "weak splitting: no"
+        assert out.count("splitting: no") == 2
+
     def test_weak_split_verdict_fields(self, c4toc2_path, tmp_path):
         out_path = tmp_path / "r.json"
         assert main([

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from uniconstruct.errors import StructureError, VerificationError
+from uniconstruct import config
+from uniconstruct.errors import BoundExceededError, StructureError, VerificationError
+from uniconstruct.groups import classify_sections
 from uniconstruct.structures import (
     SortedSignature,
     SortedStructure,
@@ -12,7 +15,10 @@ from uniconstruct.structures import (
     reduct,
     relabel,
 )
+from uniconstruct.ucp import assemble_ucp
 from uniconstruct.uniform import (
+    _relation_verdicts,
+    _space_for,
     build_family,
     build_quotient,
     e_equiv,
@@ -24,7 +30,14 @@ from uniconstruct.uniform import (
 )
 
 from .conftest import two_sorted
-from .oracles import naive_matched_triples
+from .oracles import (
+    naive_classes,
+    naive_cocycle_holds,
+    naive_e_matrix,
+    naive_frame_threads,
+    naive_matched_triples,
+    naive_relation_verdicts,
+)
 
 
 def family_and_target(b, psi, n):
@@ -317,21 +330,7 @@ class TestVerifyClaims:
         assert "E_transitive" not in failed
 
     def test_weak_only_lifting_breaks_transitivity_honestly(self):
-        # 3-cycle under a 6-cycle, positions tied mod 3: restriction C6 -> C3
-        # with kernel C2; one genuine splitting and one weak-only section.
-        b = two_sorted(
-            (3, 6),
-            [
-                ("E", (0, 0), [(i, (i + 1) % 3) for i in range(3)]),
-                ("C", (1, 1), [(i, (i + 1) % 6) for i in range(6)]),
-                ("R", (0, 1), [(i % 3, i) for i in range(6)]),
-            ],
-        )
-        from uniconstruct.groups import classify_sections
-        from uniconstruct.ucp import assemble_ucp
-
-        ucp = assemble_ucp(b)
-        search = classify_sections(ucp.phi)
+        b, search = weak_only_lifting()
         assert len(search.splittings) == 1 and len(search.weak_splittings) == 1
 
         fam_weak = build_family(b, search.weak_splittings[0], 1)
@@ -361,3 +360,117 @@ class TestVerifyClaims:
             "cla6_explicit_rho_witness",
         ):
             assert expected in names
+
+
+# (fixture, weak splitting, family size) on which keyed classes are checked
+KEYED_FIXTURES = [
+    ("b_cycle3", (0, 1, 2), n) for n in range(1, 6)
+] + [
+    ("b_rich", (0, 1, 2), n) for n in range(1, 6)
+] + [
+    ("b_matching", (0, 1), n) for n in range(1, 4)
+] + [
+    ("b_kernel", (0,), n) for n in range(1, 3)
+]
+_FAMILIES: dict = {}
+
+
+@pytest.fixture(params=KEYED_FIXTURES, ids=lambda p: f"{p[0][2:]}-s{p[2]}")
+def keyed_space(request):
+    """A matched-triple space per fixture and size, built once per session."""
+    name, psi, n = request.param
+    if (name, n) not in _FAMILIES:
+        _FAMILIES[name, n] = build_family(request.getfixturevalue(name), psi, n)
+    fam = _FAMILIES[name, n]
+    return fam, _space_for(fam.members[0].A, fam)
+
+
+def weak_only_lifting():
+    """3-cycle under a 6-cycle, positions tied mod 3: restriction C6 -> C3
+    with kernel C2, one genuine splitting and one weak-only section.  Returns
+    the structure and its section search."""
+    b = two_sorted(
+        (3, 6),
+        [
+            ("E", (0, 0), [(i, (i + 1) % 3) for i in range(3)]),
+            ("C", (1, 1), [(i, (i + 1) % 6) for i in range(6)]),
+            ("R", (0, 1), [(i % 3, i) for i in range(6)]),
+        ],
+    )
+    return b, classify_sections(assemble_ucp(b).phi)
+
+
+class TestKeyedClasses:
+    def test_cocycle_law_holds_and_agrees_with_full_cube(self, keyed_space):
+        _, space = keyed_space
+        assert space.cocycle_holds()
+        assert naive_cocycle_holds(space)
+
+    def test_classes_equal_pairwise_union_find(self, keyed_space):
+        _, space = keyed_space
+        assert space.classes() == naive_classes(space)
+
+    def test_e_verdicts_equal_naive_matrix(self, keyed_space):
+        fam, space = keyed_space
+        report = verify_claims(fam.members[0].A, fam)
+        ok = {name: flag for name, flag, _ in report.entries}
+        got = (ok["E_reflexive"], ok["E_symmetric"], ok["E_transitive"])
+        assert got == naive_relation_verdicts(naive_e_matrix(space))
+
+    def test_frame_threads_equal_per_frame_scan(self, keyed_space):
+        _, space = keyed_space
+        try:
+            single_pass = space.frame_threads()
+        except VerificationError as exc:
+            single_pass = str(exc)
+        assert single_pass == naive_frame_threads(space)
+
+    def test_weak_only_lifting_falls_back_to_pairwise(self):
+        b, search = weak_only_lifting()
+        fam = build_family(b, search.weak_splittings[0], 1)
+        space = _space_for(fam.members[0].A, fam)
+        assert not space.cocycle_holds()
+        assert not naive_cocycle_holds(space)
+        assert naive_relation_verdicts(naive_e_matrix(space))[2] is False
+        report = verify_claims(fam.members[0].A, fam)
+        failed = {name for name, ok, _ in report.entries if not ok}
+        assert "E_transitive" in failed
+
+    def test_x_bound_caps_only_the_pairwise_fallback(self, b_cycle3, monkeypatch):
+        b, search = weak_only_lifting()
+        weak = build_family(b, search.weak_splittings[0], 1)
+        keyed, A = family_and_target(b_cycle3, [0, 1, 2], 2)
+        monkeypatch.setattr(config.DEFAULT, "x_pairwise", 10)
+        with pytest.raises(BoundExceededError):
+            verify_claims(weak.members[0].A, weak)
+        assert len(_space_for(A, keyed).triples) > 10
+        assert verify_claims(A, keyed).all_pass
+
+    def test_cycle3_six_copies_beyond_pairwise_bound(self, b_cycle3):
+        fam, A = family_and_target(b_cycle3, [0, 1, 2], 6)
+        space = _space_for(A, fam)
+        assert len(space.triples) == 2916 > config.DEFAULT.x_pairwise
+        report = verify_claims(A, fam)
+        assert report.all_pass, [e for e in report.entries if not e[1]]
+        res = uniform_F(A, fam, mode="full")
+        assert reduct(res.structure, (0,)) == A
+        assert isomorphisms(res.structure, b_cycle3)
+
+
+class TestRelationVerdicts:
+    def test_closure_does_not_wrap_at_256_paths(self):
+        # 0 -> k -> 257 for k = 1..256, but not 0 -> 257: transitivity fails
+        # on 256 two-step paths, which an 8-bit path count wraps to 0
+        mat = np.eye(258, dtype=bool)
+        mat[0, 1:257] = True
+        mat[1:257, 257] = True
+        reflexive, _, transitive = _relation_verdicts(mat)
+        assert reflexive and not transitive
+        assert naive_relation_verdicts(mat)[2] is False
+        wrapped = (mat.astype(np.uint8) @ mat.astype(np.uint8)) > 0
+        assert not wrapped[0, 257]
+
+    def test_equivalence_passes(self):
+        labels = np.array([0, 1, 0, 2, 1])
+        mat = labels[:, None] == labels[None, :]
+        assert _relation_verdicts(mat) == (True, True, True)
