@@ -63,6 +63,7 @@ from .skew import (
     hom_violations,
     phi13,
     phi23,
+    phi23_hom_witness,
     psi0,
     shift_generator,
     skew_from_support,

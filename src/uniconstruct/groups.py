@@ -67,7 +67,7 @@ class FiniteGroup:
     element.
     """
 
-    __slots__ = ("order", "table", "names", "name", "_np", "_inv")
+    __slots__ = ("order", "table", "names", "name", "_np", "_inv", "_center")
 
     def __init__(
         self,
@@ -114,6 +114,7 @@ class FiniteGroup:
         object.__setattr__(self, "_np", arr)
         # each row is a permutation, so its minimum 0 sits at the inverse
         object.__setattr__(self, "_inv", tuple(shared[arr.argmin(axis=1)].tolist()))
+        object.__setattr__(self, "_center", None)  # filled by center() on first use
 
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("FiniteGroup is immutable")
@@ -222,17 +223,13 @@ def is_surjective(h: GroupHom) -> bool:
     return len(set(h.map)) == h.codomain.order
 
 
-_center_cache: dict[tuple, tuple[int, ...]] = {}
-
-
 def center(g: FiniteGroup) -> list[int]:
-    """All elements commuting with the whole group; always contains 0."""
-    cached = _center_cache.get(g.table)
-    if cached is None:
+    """All elements commuting with the whole group; always contains 0.
+    Computed once per group and kept on it."""
+    if g._center is None:
         arr = g._np
-        cached = tuple(int(z) for z in range(g.order) if np.array_equal(arr[z], arr[:, z]))
-        _center_cache[g.table] = cached
-    return list(cached)
+        object.__setattr__(g, "_center", tuple(np.flatnonzero((arr == arr.T).all(axis=1)).tolist()))
+    return list(g._center)
 
 
 def quotient_by_subgroup(g: FiniteGroup, sub: Iterable[int]) -> tuple[FiniteGroup, GroupHom]:

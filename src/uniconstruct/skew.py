@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import config
 from .errors import BoundExceededError, GroupError
 from .groups import FiniteGroup, GroupHom
@@ -30,6 +32,7 @@ __all__ = [
     "skew_pow",
     "shift_generator",
     "phi23",
+    "phi23_hom_witness",
     "psi0",
     "phi13",
     "center_witness",
@@ -131,14 +134,33 @@ def phi23(a: SkewElement) -> int:
     """Project to the base group: the ordered product of support values
     (ascending position), with the shift contributing the identity.
 
-    For an abelian base this is the projection homomorphism; for nonabelian
-    bases it is the same ordered-product function, whose homomorphism defects
-    :func:`hom_violations` detects empirically.
+    It is a homomorphism exactly when the base is abelian;
+    :func:`phi23_hom_witness` decides this and names a breaking pair, and
+    :func:`hom_violations` samples defects as a cross-check.
     """
     out = 0
     for _, v in a.support:
         out = a.base.mul(out, v)
     return out
+
+
+def phi23_hom_witness(base: FiniteGroup) -> tuple[SkewElement, SkewElement] | None:
+    """A pair breaking the homomorphism law of :func:`phi23`, or None.
+
+    None exactly when the base is abelian: then phi23 is the projection
+    homomorphism.  Otherwise take the first non-commuting pair a, b (in
+    element order); x = (0:a) and y = (-1:b) multiply to support
+    (-1:b, 0:a), so phi23(x*y) = b*a while phi23(x)*phi23(y) = a*b.
+    """
+    clash = np.argwhere(base._np != base._np.T)
+    if not len(clash):
+        return None
+    a, b = (int(v) for v in clash[0])
+    x = SkewElement(base, 0, ((0, a),))
+    y = SkewElement(base, 0, ((-1, b),))
+    if phi23(skew_mul(x, y)) == base.mul(phi23(x), phi23(y)):  # pragma: no cover - guarded by proof
+        raise GroupError("internal error: witness pair obeys the homomorphism law")
+    return x, y
 
 
 def psi0(base: FiniteGroup, g: int) -> SkewElement:
@@ -242,6 +264,16 @@ class CyclicSkewGroup:
 
 
 def build_cyclic_skew(k: int, base: FiniteGroup, *, max_order: int | None = None) -> CyclicSkewGroup:
+    """Cayley table of the cyclic analogue, one numpy pass per position.
+
+    Element ``shift * |base|^k + sum_p digits[p] * |base|^(k-1-p)`` is
+    y^shift with value ``digits[p]`` at position p (the layout of
+    :meth:`CyclicSkewGroup.encode`).  The product of x and y has shift
+    ``shift_x + shift_y`` and value ``digits_x[p - shift_y] * digits_y[p]``
+    at p, positions and shifts mod k.  Every temporary uses the smallest
+    unsigned dtype that holds the order, so the build costs a few
+    order-squared arrays of small ints.
+    """
     if k < 1:
         raise GroupError("modulus must be at least 1")
     bound = max_order if max_order is not None else config.DEFAULT.cyclic_skew_order
@@ -250,34 +282,21 @@ def build_cyclic_skew(k: int, base: FiniteGroup, *, max_order: int | None = None
         raise BoundExceededError(f"cyclic skew order {order} exceeds bound {bound}")
 
     n_base = base.order
-
-    def decode(index: int) -> tuple[int, list[int]]:
-        values = []
-        for _ in range(k):
-            index, v = divmod(index, n_base)
-            values.append(v)
-        values.reverse()
-        return index, values
-
-    def encode(shift: int, values: Sequence[int]) -> int:
-        idx = shift % k
-        for v in values:
-            idx = idx * n_base + v
-        return idx
-
-    size = order
-    table = [[0] * size for _ in range(size)]
-    for x in range(size):
-        n, xs = decode(x)
-        for y in range(size):
-            m, ys = decode(y)
-            rotated = [xs[(p - m) % k] for p in range(k)]
-            vals = [base.mul(rotated[p], ys[p]) for p in range(k)]
-            table[x][y] = encode(n + m, vals)
-    names = []
-    for x in range(size):
-        n, xs = decode(x)
-        names.append(f"y^{n}({','.join(base.element_name(v) for v in xs)})")
+    dtype = np.min_scalar_type(order)
+    place = [n_base ** (k - 1 - p) for p in range(k)]
+    index = np.arange(order)
+    shift = index // n_base**k
+    digits = np.stack([index // w % n_base for w in place], axis=1).astype(dtype)
+    base_table = base._np.astype(dtype)
+    pair_shift = shift.astype(np.min_scalar_type(2 * order))
+    table = ((pair_shift[:, None] + pair_shift[None, :]) % k).astype(dtype) * dtype.type(n_base**k)
+    for p, w in enumerate(place):
+        rotated = digits[:, (p - shift) % k]
+        table += base_table[rotated, digits[None, :, p]] * dtype.type(w)
+    names = [
+        f"y^{n}({','.join(base.element_name(v) for v in xs)})"
+        for n, xs in zip(shift.tolist(), digits.tolist())
+    ]
     group = FiniteGroup(table, names=names, name=f"Z{k}skew{base.label()}")
     return CyclicSkewGroup(k=k, base=base, group=group)
 

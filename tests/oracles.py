@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's search code paths: isomorphisms by
 filtering all permutation families, skew multiplication by string rewriting,
-sections by raw fiber products, matched triples by enumerating full
-commutative matrices, twist-equivalence classes by pairwise comparison.
+cyclic skew tables cell by cell, sections by raw fiber products, matched
+triples by enumerating full commutative matrices, twist-equivalence classes
+by pairwise comparison.
 Expected values in the tests are frozen from these.
 """
 
@@ -99,6 +100,38 @@ def rewrite_mul(a, b):
             else:
                 i += 1
     return shift, tuple(gens)
+
+
+def naive_cyclic_skew_table(k, base):
+    """Cayley table of the cyclic skew analogue, cell by cell in pure Python.
+
+    Index ``shift * n^k + sum_p values[p] * n^(k-1-p)`` with n = |base|; the
+    product rotates the left values by the right shift and multiplies per
+    position in the base table."""
+    n_base = base.order
+
+    def decode(index):
+        values = []
+        for _ in range(k):
+            index, v = divmod(index, n_base)
+            values.append(v)
+        values.reverse()
+        return index, values
+
+    def encode(shift, values):
+        idx = shift % k
+        for v in values:
+            idx = idx * n_base + v
+        return idx
+
+    size = k * n_base**k
+    decoded = [decode(x) for x in range(size)]
+    table = [[0] * size for _ in range(size)]
+    for x, (n, xs) in enumerate(decoded):
+        for y, (m, ys) in enumerate(decoded):
+            rotated = [xs[(p - m) % k] for p in range(k)]
+            table[x][y] = encode(n + m, [base.mul(rotated[p], ys[p]) for p in range(k)])
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from uniconstruct import cli
 from uniconstruct.cli import main
 from uniconstruct.errors import BoundExceededError
 from uniconstruct.groups import (
@@ -204,6 +205,24 @@ class TestSkewCommands:
         assert doc["seed"] == 3 and doc["associativity"] is True
         assert doc["hom_violations_found"] > 0
 
+    def test_laws_decide_phi23_hom_exactly(self, tmp_path):
+        docs = {}
+        for base in ("s3", "c4"):
+            out_path = tmp_path / f"{base}.json"
+            assert main([
+                "skew", "--base", base, "--op", "laws", "--samples", "100",
+                "--format", "json", "--out", str(out_path),
+            ]) == 0
+            docs[base] = json.loads(out_path.read_text())
+        assert docs["s3"]["phi23_is_hom"] is False
+        assert docs["s3"]["phi23_hom_witness"] == [
+            {"shift": 0, "support": [[0, 1]]},
+            {"shift": 0, "support": [[-1, 2]]},
+        ]
+        assert docs["c4"]["phi23_is_hom"] is True
+        assert docs["c4"]["phi23_hom_witness"] is None
+        assert docs["c4"]["hom_violations_found"] == 0
+
     def test_cyclic_skew_identifies_catalog_match(self, tmp_path):
         out_path = tmp_path / "cs.json"
         assert main([
@@ -212,6 +231,25 @@ class TestSkewCommands:
         ]) == 0
         doc = json.loads(out_path.read_text())
         assert doc["order"] == 8 and doc["catalog_match"] == "D4"
+
+
+class TestJsonOutput:
+    ARGV = ["cyclic-skew", "--k", "3", "--base", "c2", "--format", "json"]
+
+    def expected(self):
+        args = cli.build_parser().parse_args(self.ARGV)
+        code, doc, _ = cli._cmd_cyclic_skew(args)
+        doc["exit_code"] = code
+        return (json.dumps(doc, indent=2) + "\n").encode()
+
+    def test_out_file_bytes_equal_dumps(self, tmp_path):
+        out_path = tmp_path / "cs.json"
+        assert main([*self.ARGV, "--out", str(out_path)]) == 0
+        assert out_path.read_bytes() == self.expected()
+
+    def test_stdout_bytes_equal_dumps(self, capsysbinary):
+        assert main(self.ARGV) == 0
+        assert capsysbinary.readouterr().out == self.expected()
 
 
 class TestEncodeAttach:
@@ -372,6 +410,29 @@ class TestVerificationExitCode:
         assert main([
             "verify", "--structure", b_path, "--target", a_path, "--copies", "2"
         ]) == 2
+
+    def test_uniformize_kernel_family_keeps_claims_report(self, tmp_path, capsys):
+        b = two_sorted((1, 2), [("Eq", (1, 1), [(0, 0), (1, 1)])])
+        b_path = write(tmp_path, "b.json", dumps(b))
+        a_path = write(tmp_path, "a.json", json.dumps({
+            "sorts": [{"name": "p", "size": 1}],
+            "relations": [],
+            "functions": [],
+            "constants": [],
+        }))
+        out_path = tmp_path / "f.json"
+        assert main([
+            "uniformize", "--structure", b_path, "--target", a_path, "--copies", "2",
+            "--mode", "full", "--format", "json", "--out", str(out_path),
+        ]) == 2
+        doc = json.loads(out_path.read_text())
+        assert doc["claims_all_pass"] is False and doc["exit_code"] == 2
+        assert "structure" not in doc
+        assert any(not c["ok"] for c in doc["claims"])
+        assert main([
+            "uniformize", "--structure", b_path, "--target", a_path, "--copies", "2",
+        ]) == 2
+        assert "no structure emitted" in capsys.readouterr().out
 
 
 class TestCatalogSearch:

@@ -111,6 +111,22 @@ class TestCenter:
         # rotation subgroup encoded as 0..3; r^2 is element 2
         assert center(dihedral(4)) == [0, 2]
 
+    @pytest.mark.parametrize("make", [lambda: dicyclic(2), lambda: dihedral(6),
+                                      lambda: direct_product(cyclic(2), symmetric(3))])
+    def test_matches_definition(self, make):
+        g = make()
+        naive = [z for z in g.elements() if all(g.mul(z, x) == g.mul(x, z) for x in g.elements())]
+        assert center(g) == naive
+
+    def test_kept_on_the_group_and_copied_out(self):
+        g = dicyclic(2)
+        first = center(g)
+        first.append(99)
+        assert center(g) == [0, 2]
+        assert g._center == (0, 2)
+        # an equal group built afresh starts empty and computes its own
+        assert dicyclic(2)._center is None
+
 
 class TestQuotients:
     def test_abelian_by_center_is_trivial(self):

@@ -11,6 +11,7 @@ from uniconstruct.groups import (
     GroupHom,
     center,
     cyclic,
+    dicyclic,
     dihedral,
     direct_product,
     find_isomorphism,
@@ -23,6 +24,7 @@ from uniconstruct.skew import (
     hom_violations,
     phi13,
     phi23,
+    phi23_hom_witness,
     psi0,
     random_skew_element,
     shift_generator,
@@ -35,7 +37,7 @@ from uniconstruct.skew import (
     skew_to_json,
 )
 
-from .oracles import rewrite_mul
+from .oracles import naive_cyclic_skew_table, rewrite_mul
 
 BASES = [cyclic(2), cyclic(3), symmetric(3)]
 
@@ -174,6 +176,30 @@ class TestProjections:
         b = skew_from_support(s3, 0, {0: t})
         assert phi23(skew_mul(a, b)) != s3.mul(phi23(a), phi23(b))
 
+    @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "C4", "C2xC2"])
+    def test_hom_witness_exact(self, name):
+        base = {
+            "S3": symmetric(3),
+            "D4": dihedral(4),
+            "Q8": dicyclic(2),
+            "C4": cyclic(4),
+            "C2xC2": direct_product(cyclic(2), cyclic(2)),
+        }[name]
+        pairs = [(a, b) for a in base.elements() for b in base.elements()
+                 if base.mul(a, b) != base.mul(b, a)]
+        witness = phi23_hom_witness(base)
+        assert (witness is None) == base.is_abelian() == (not pairs)
+        if witness is None:
+            return
+        x, y = witness
+        a, b = pairs[0]
+        assert (x, y) == (skew_from_support(base, 0, {0: a}), skew_from_support(base, 0, {-1: b}))
+        assert phi23(skew_mul(x, y)) != base.mul(phi23(x), phi23(y))
+        # every non-commuting pair breaks the law the same way: b*a != a*b
+        for a, b in pairs:
+            x, y = skew_from_support(base, 0, {0: a}), skew_from_support(base, 0, {-1: b})
+            assert phi23(skew_mul(x, y)) == base.mul(b, a) != base.mul(a, b)
+
     def test_psi0_sections_phi23(self):
         for base in (cyclic(8), symmetric(3), dihedral(4)):
             for g in base.elements():
@@ -291,6 +317,30 @@ class TestCyclicSkew:
     def test_order_bound(self):
         with pytest.raises(BoundExceededError):
             build_cyclic_skew(12, cyclic(2))
+
+    @pytest.mark.parametrize(
+        "k, base",
+        [
+            (1, cyclic(2)),
+            (2, cyclic(1)),
+            (2, cyclic(3)),
+            (3, cyclic(2)),
+            (3, symmetric(3)),
+            (4, cyclic(3)),
+            (5, cyclic(3)),
+        ],
+        ids=["1-C2", "2-C1", "2-C3", "3-C2", "3-S3", "4-C3", "5-C3"],
+    )
+    def test_table_equals_naive_loop(self, k, base):
+        cs = build_cyclic_skew(k, base)
+        naive = naive_cyclic_skew_table(k, base)
+        assert cs.group.order == len(naive) == k * base.order**k
+        assert cs.group.table == tuple(map(tuple, naive))
+        for idx in (0, 1, cs.group.order // 2, cs.group.order - 1):
+            shift, values = cs.decode(idx)
+            assert cs.group.element_name(idx) == (
+                f"y^{shift}({','.join(base.element_name(v) for v in values)})"
+            )
 
     def test_encode_decode_round_trip(self):
         cs = build_cyclic_skew(2, cyclic(2))
