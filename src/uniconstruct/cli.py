@@ -109,13 +109,61 @@ def _load_skew_arg(base: FiniteGroup, raw: str):
     return skew_from_json(base, doc)
 
 
+class _IntText(dict):
+    """The decimal text of each int, made once per distinct value."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = str(value)
+        return text
+
+
+def _write_json(write, obj, int_text, indent: str = "\n") -> None:
+    """Write ``obj`` as ``json.dumps(obj, indent=2)`` writes it, byte for byte.
+
+    Keys and scalars go through ``json.dumps``.  A list of plain ints (bools
+    excluded) is one join over ``int_text`` lookups, so a Cayley table is
+    written one row per call and never exists as one string.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                # json writes such a key as its scalar text, quoted
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                key = json.dumps(key)
+            write(sep + json.dumps(key) + ": ")
+            _write_json(write, value, int_text, inner)
+            sep = "," + inner
+        write(indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+        elif set(map(type, obj)) == {int}:
+            write("[" + inner + ("," + inner).join(map(int_text, obj)) + indent + "]")
+        else:
+            sep = "[" + inner
+            for item in obj:
+                write(sep)
+                _write_json(write, item, int_text, inner)
+                sep = "," + inner
+            write(indent + "]")
+    else:
+        write(json.dumps(obj))
+
+
 def _emit(args, doc: dict, lines: list[str]) -> None:
-    """Write the report to ``--out`` or stdout.  JSON is streamed chunk by
-    chunk (the same bytes as ``json.dumps(doc, indent=2)``), so a large
-    Cayley table never exists as one string."""
+    """Write the report to ``--out`` or stdout; JSON is the bytes of
+    ``json.dumps(doc, indent=2)`` plus a newline, written piece by piece."""
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
         if args.format == "json":
-            json.dump(doc, fh, indent=2)
+            _write_json(fh.write, doc, _IntText().__getitem__)
             fh.write("\n")
         else:
             fh.write("\n".join(lines) + "\n")
@@ -574,37 +622,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_HANDLERS = {
+    "aut": _cmd_aut,
+    "iso": _cmd_iso,
+    "split": _cmd_split,
+    "weak-split": _cmd_split,
+    "ucp-check": _cmd_ucp_check,
+    "derive-triple": _cmd_derive_triple,
+    "skew": _cmd_skew,
+    "cyclic-skew": _cmd_cyclic_skew,
+    "encode3": _cmd_encode3,
+    "attach": _cmd_attach,
+    "uniformize": lambda args: _cmd_uniformize(args, verify_only=False),
+    "verify": lambda args: _cmd_uniformize(args, verify_only=True),
+    "catalog-search": _cmd_catalog_search,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "aut":
-            code, doc, lines = _cmd_aut(args)
-        elif args.command == "iso":
-            code, doc, lines = _cmd_iso(args)
-        elif args.command in ("split", "weak-split"):
-            code, doc, lines = _cmd_split(args)
-        elif args.command == "ucp-check":
-            code, doc, lines = _cmd_ucp_check(args)
-        elif args.command == "derive-triple":
-            code, doc, lines = _cmd_derive_triple(args)
-        elif args.command == "skew":
-            code, doc, lines = _cmd_skew(args)
-        elif args.command == "cyclic-skew":
-            code, doc, lines = _cmd_cyclic_skew(args)
-        elif args.command == "encode3":
-            code, doc, lines = _cmd_encode3(args)
-        elif args.command == "attach":
-            code, doc, lines = _cmd_attach(args)
-        elif args.command == "uniformize":
-            code, doc, lines = _cmd_uniformize(args, verify_only=False)
-        elif args.command == "verify":
-            code, doc, lines = _cmd_uniformize(args, verify_only=True)
-        elif args.command == "catalog-search":
-            code, doc, lines = _cmd_catalog_search(args)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
-            return 1
+        code, doc, lines = _HANDLERS[args.command](args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2

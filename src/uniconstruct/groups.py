@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -52,17 +51,15 @@ __all__ = [
     "hom_from_json",
 ]
 
-_ASSOC_EXHAUSTIVE_MAX = 64
-_ASSOC_SAMPLES = 2000
-
 
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     The table (nested sequences or a 2-d array) is validated at construction:
     row/column 0 must be the identity row, every row and column must be a
-    permutation, and associativity is checked exhaustively up to order 64
-    (sampled above that).  All checks run on an int64 array; only a valid
+    permutation, and associativity is decided exactly by Light's test on a
+    generating set.  All checks run on the int64 array (Light's test on a
+    copy in the smallest unsigned dtype that holds the order); only a valid
     table becomes the ``table`` tuple, whose cells share one int object per
     element.
     """
@@ -95,16 +92,8 @@ class FiniteGroup:
         )
         if bad.any():
             raise GroupError(f"row/column {int(np.argmax(bad))} is not a permutation")
-        if n <= _ASSOC_EXHAUSTIVE_MAX:
-            if not np.array_equal(arr[arr], arr[:, arr]):
-                raise GroupError("multiplication table is not associative")
-        else:
-            rng = random.Random(0)
-            a, b, c = np.array(
-                [rng.randrange(n) for _ in range(3 * _ASSOC_SAMPLES)], dtype=np.int64
-            ).reshape(_ASSOC_SAMPLES, 3).T
-            if not np.array_equal(arr[arr[a, b], c], arr[a, arr[b, c]]):
-                raise GroupError("multiplication table is not associative")
+        if not _is_associative(arr.astype(np.min_scalar_type(n))):
+            raise GroupError("multiplication table is not associative")
         shared = np.arange(n).astype(object)
         tab = tuple(tuple(shared[row].tolist()) for row in arr)
         object.__setattr__(self, "order", n)
@@ -523,18 +512,9 @@ def alternating(n: int) -> FiniteGroup:
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: str | None = None) -> FiniteGroup:
-    n2 = g2.order
-
-    def enc(a, b):
-        return a * n2 + b
-
-    table = [
-        [
-            enc(g1.mul(x // n2, y // n2), g2.mul(x % n2, y % n2))
-            for y in range(g1.order * n2)
-        ]
-        for x in range(g1.order * n2)
-    ]
+    """g1 x g2 with (a, b) encoded as a * |g2| + b."""
+    n = g1.order * g2.order
+    table = (g1._np[:, None, :, None] * g2.order + g2._np[None, :, None, :]).reshape(n, n)
     return FiniteGroup(table, name=name or f"{g1.label()}x{g2.label()}")
 
 
@@ -559,14 +539,33 @@ def _closure(g: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
     return frozenset(current)
 
 
-def _generating_set(g: FiniteGroup) -> list[int]:
+def _generators(arr: np.ndarray) -> list[int]:
+    """Greedy generating set of a table with identity 0: the smallest element
+    not yet reached, then the closure of the reached set under right
+    multiplication by every generator so far.  On a group table each closure
+    is the subgroup the generators so far generate."""
+    reached = np.zeros(len(arr), dtype=bool)
+    reached[0] = True
     gens: list[int] = []
-    closure = frozenset({0})
-    while len(closure) < g.order:
-        x = min(a for a in g.elements() if a not in closure)
-        gens.append(x)
-        closure = _closure(g, closure | {x})
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            step = arr[frontier[:, None], gens].ravel()
+            fresh = np.zeros(len(arr), dtype=bool)
+            fresh[step] = True
+            fresh &= ~reached
+            reached |= fresh
+            frontier = np.flatnonzero(fresh)
     return gens
+
+
+def _is_associative(arr: np.ndarray) -> bool:
+    """Light's test: (x*g)*y == x*(g*y) for every x, y and every g in a
+    generating set.  The elements g that pass are closed under the product
+    (Clifford & Preston, vol. 1, section 1.2), and every element is a product
+    of generators, so the check is exact at O(n^2 |gens|) cost."""
+    return all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]]) for g in _generators(arr))
 
 
 def _close_hom(
@@ -574,14 +573,15 @@ def _close_hom(
 ) -> dict[int, int] | None:
     """Extend a partial map, in place, to the subgroup its keys generate by
     the homomorphism law; None if the law forces two images for one element."""
+    t1, t2 = domain.table, codomain.table
     frontier = list(m)
     while frontier:
         nxt = []
         for a in list(m):
             for b in frontier:
                 for x, y in ((a, b), (b, a)):
-                    c = domain.mul(x, y)
-                    w = codomain.mul(m[x], m[y])
+                    c = t1[x][y]
+                    w = t2[m[x]][m[y]]
                     if c in m:
                         if m[c] != w:
                             return None
@@ -600,7 +600,7 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None
     """
     if _invariant_key(g1) != _invariant_key(g2):
         return None
-    gens = _generating_set(g1)
+    gens = _generators(g1._np)
     orders2: dict[int, list[int]] = {}
     for a in g2.elements():
         orders2.setdefault(g2.element_order(a), []).append(a)
@@ -633,7 +633,8 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None
 def catalog(max_order: int) -> list[FiniteGroup]:
     """Named small groups up to isomorphism: cyclic, symmetric, alternating,
     dihedral, quaternion (dicyclic) families plus the closure under binary
-    direct products, deduplicated by exhaustive isomorphism search."""
+    direct products, deduplicated by exhaustive isomorphism search within
+    buckets of equal isomorphism invariants."""
     if max_order > 32:
         raise BoundExceededError("catalog supports max_order <= 32")
     raw: list[FiniteGroup] = []
@@ -650,28 +651,32 @@ def catalog(max_order: int) -> list[FiniteGroup]:
     raw.extend(dicyclic(k) for k in range(2, max_order // 4 + 1))
 
     kept: list[FiniteGroup] = []
+    buckets: dict[tuple, list[FiniteGroup]] = {}
 
-    def known(g: FiniteGroup) -> bool:
-        return any(find_isomorphism(g, other) is not None for other in kept if other.order == g.order)
-
-    for g in raw:
-        if not known(g):
+    def keep_if_new(g: FiniteGroup) -> None:
+        bucket = buckets.setdefault(_invariant_key(g), [])
+        if not any(find_isomorphism(g, other) is not None for other in bucket):
+            bucket.append(g)
             kept.append(g)
 
-    # close under binary direct products
-    changed = True
-    while changed:
-        changed = False
-        current = list(kept)
-        for g1 in current:
-            for g2 in current:
+    for g in raw:
+        keep_if_new(g)
+
+    # Close under binary direct products.  g1 x g2 is isomorphic to g2 x g1
+    # and a product once known stays known, so each unordered pair is tried
+    # once, in the round where its later factor is first present; the pairs
+    # skipped are exactly those the full ordered sweep would find known.
+    paired = 0  # kept[:paired] have been tried against each other
+    while paired < len(kept):
+        current = len(kept)
+        for i in range(current):
+            for j in range(max(i, paired), current):
+                g1, g2 = kept[i], kept[j]
                 if g1.order * g2.order > max_order or g1.order == 1 or g2.order == 1:
                     continue
                 prod_name = "x".join(sorted([g1.label(), g2.label()]))
-                prod = direct_product(g1, g2, name=prod_name)
-                if not known(prod):
-                    kept.append(prod)
-                    changed = True
+                keep_if_new(direct_product(g1, g2, name=prod_name))
+        paired = current
     kept.sort(key=lambda g: (g.order, g.label()))
     return kept
 
@@ -739,7 +744,7 @@ def surjective_homs(
     """All surjective homomorphisms domain -> codomain (deterministic order)."""
     if codomain.order > domain.order or domain.order % codomain.order != 0:
         return []
-    gens = _generating_set(domain)
+    gens = _generators(domain._np)
     out: list[GroupHom] = []
 
     def extend(i: int, mapping: dict[int, int]):

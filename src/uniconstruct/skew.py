@@ -54,6 +54,16 @@ class SkewElement:
     support: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        # one pass accepts the usual valid support; on a failure the checks
+        # below name the first rule broken
+        order = self.base.order
+        last = None
+        for p, v in self.support:
+            if not 0 < v < order or (last is not None and p <= last):
+                break
+            last = p
+        else:
+            return
         positions = [p for p, _ in self.support]
         if positions != sorted(positions) or len(set(positions)) != len(positions):
             raise GroupError("support positions must be strictly ascending")
@@ -106,7 +116,7 @@ def _pointwise_mul(base: FiniteGroup, left, right) -> tuple[tuple[int, int], ...
 
 
 def skew_mul(a: SkewElement, b: SkewElement) -> SkewElement:
-    if a.base != b.base:
+    if a.base is not b.base and a.base != b.base:
         raise GroupError("skew elements live over different base groups")
     support = _pointwise_mul(a.base, _shift_support(a.support, b.shift), b.support)
     return SkewElement(a.base, a.shift + b.shift, support)

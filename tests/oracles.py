@@ -2,18 +2,30 @@
 
 These deliberately avoid the library's search code paths: isomorphisms by
 filtering all permutation families, skew multiplication by string rewriting,
-cyclic skew tables cell by cell, sections by raw fiber products, matched
-triples by enumerating full commutative matrices, twist-equivalence classes
-by pairwise comparison.
+cyclic skew tables and direct products cell by cell, sections by raw fiber
+products, matched triples by enumerating full commutative matrices,
+twist-equivalence classes by pairwise comparison.  The catalog oracle keeps
+the library's isomorphism search but re-tries every ordered product pair in
+every round.
 Expected values in the tests are frozen from these.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
+from uniconstruct.groups import (
+    FiniteGroup,
+    alternating,
+    cyclic,
+    dicyclic,
+    dihedral,
+    find_isomorphism,
+    symmetric,
+)
 from uniconstruct.structures import SortedStructure, identity_map, isomorphisms
 
 
@@ -132,6 +144,54 @@ def naive_cyclic_skew_table(k, base):
             rotated = [xs[(p - m) % k] for p in range(k)]
             table[x][y] = encode(n + m, [base.mul(rotated[p], ys[p]) for p in range(k)])
     return table
+
+
+# ---------------------------------------------------------------------------
+# Direct products and the catalog by the plain loops
+
+
+def naive_direct_product(g1, g2, name=None):
+    """g1 x g2 cell by cell, the pair (a, b) encoded as a * |g2| + b."""
+    n2 = g2.order
+    n = g1.order * n2
+    table = [
+        [g1.mul(x // n2, y // n2) * n2 + g2.mul(x % n2, y % n2) for y in range(n)]
+        for x in range(n)
+    ]
+    return FiniteGroup(table, name=name or f"{g1.label()}x{g2.label()}")
+
+
+def naive_catalog(max_order):
+    """The catalog by its definition: the named families, deduplicated against
+    every kept group of the same order, then every ordered product pair
+    re-built and re-tested in every round until a round keeps nothing new."""
+    raw = [cyclic(n) for n in range(1, max_order + 1)]
+    raw += [symmetric(n) for n in range(3, 8) if math.factorial(n) <= max_order]
+    raw += [alternating(n) for n in range(3, 8) if math.factorial(n) // 2 <= max_order]
+    raw += [dihedral(k) for k in range(3, max_order // 2 + 1)]
+    raw += [dicyclic(k) for k in range(2, max_order // 4 + 1)]
+    kept = []
+
+    def known(g):
+        return any(find_isomorphism(g, h) is not None for h in kept if h.order == g.order)
+
+    for g in raw:
+        if not known(g):
+            kept.append(g)
+    changed = True
+    while changed:
+        changed = False
+        current = list(kept)
+        for g1 in current:
+            for g2 in current:
+                if g1.order * g2.order > max_order or 1 in (g1.order, g2.order):
+                    continue
+                name = "x".join(sorted([g1.label(), g2.label()]))
+                prod = naive_direct_product(g1, g2, name=name)
+                if not known(prod):
+                    kept.append(prod)
+                    changed = True
+    return sorted(kept, key=lambda g: (g.order, g.label()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import argparse
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uniconstruct import cli
 from uniconstruct.cli import main
@@ -250,6 +254,68 @@ class TestJsonOutput:
     def test_stdout_bytes_equal_dumps(self, capsysbinary):
         assert main(self.ARGV) == 0
         assert capsysbinary.readouterr().out == self.expected()
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),  # non-ASCII, quotes, backslashes and control characters
+)
+_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats())
+_DOCS = st.recursive(
+    st.one_of(_SCALARS, st.lists(st.integers()), st.lists(st.one_of(st.integers(), st.booleans()))),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.tuples(inner, inner),
+        st.dictionaries(_KEYS, inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+def _written(doc) -> list[str]:
+    pieces: list[str] = []
+    cli._write_json(pieces.append, doc, cli._IntText().__getitem__)
+    return pieces
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(_DOCS)
+    def test_equals_dumps_indent_2(self, doc):
+        assert "".join(_written(doc)) == json.dumps(doc, indent=2)
+
+    def test_mixed_document(self):
+        doc = {
+            "ints": [3, -1, 10**20],
+            "flags": [1, True, 0, False],
+            "nested": [[], {}, [[]], {"é\n\"": [None, float("nan"), float("-inf"), 0.5]}],
+            7: {True: None, None: [], 1.5: "\u2028"},
+        }
+        assert "".join(_written(doc)) == json.dumps(doc, indent=2)
+
+    def test_unsupported_key_rejected_like_json(self):
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            _written({(1, 2): 0})
+        with pytest.raises(TypeError):
+            json.dumps({(1, 2): 0}, indent=2)
+
+    def test_table_is_written_one_row_at_a_time(self):
+        table = [list(row) for row in cyclic(200).table]
+        pieces = _written({"group": {"order": 200, "table": table}})
+        # one piece per row: none near the size of the whole table
+        assert len(pieces) > 200
+        assert 100 * max(map(len, pieces)) < sum(map(len, pieces))
+
+
+class TestDispatch:
+    def test_every_subcommand_has_a_handler(self):
+        sub = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(sub.choices) == set(cli._HANDLERS)
 
 
 class TestEncodeAttach:

@@ -39,7 +39,7 @@ from uniconstruct.groups import (
 from uniconstruct.structures import SortedSignature, SortedStructure
 
 from .conftest import directed_cycle, free_points, two_sorted
-from .oracles import naive_section_census, naive_sections
+from .oracles import naive_catalog, naive_direct_product, naive_section_census, naive_sections
 
 
 class TestFiniteGroup:
@@ -98,6 +98,57 @@ class TestFiniteGroup:
         g = cyclic(300)
         assert g.table[1][298] is g.table[298][1] is g.table[0][299]
         assert g.inv(1) is g.table[0][299]
+
+    def test_swapped_intercalate_in_c256_rejected(self):
+        # rows and columns stay permutations, so only associativity can fail;
+        # a check of sampled triples accepts this table
+        table = [list(row) for row in cyclic(256).table]
+        for row in (3, 131):
+            table[row][5], table[row][133] = table[row][133], table[row][5]
+        with pytest.raises(GroupError, match="not associative"):
+            FiniteGroup(table)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_light_test_agrees_with_all_triples(self, n):
+        # every table with identity 0 whose rows and columns are permutations
+        loops = _loop_tables(n)
+        assert len(loops) == {1: 1, 2: 1, 3: 1, 4: 4, 5: 56}[n]
+        for table in loops:
+            arr = np.array(table)
+            exhaustive = np.array_equal(arr[arr], arr[:, arr])
+            assert groups._is_associative(arr.astype(np.uint8)) == exhaustive
+            if not exhaustive:
+                with pytest.raises(GroupError, match="not associative"):
+                    FiniteGroup(table)
+
+    @pytest.mark.parametrize("g", catalog(12), ids=lambda g: g.label())
+    def test_generators_are_the_greedy_generating_set(self, g):
+        gens = groups._generators(g._np)
+        reached = frozenset({0})
+        for x in gens:
+            assert x == min(a for a in g.elements() if a not in reached)
+            reached = groups._closure(g, reached | {x})
+        assert len(reached) == g.order
+
+
+def _loop_tables(n: int) -> list[list[list[int]]]:
+    """All n x n tables with identity 0 whose rows and columns are permutations."""
+    out = []
+    rows = [list(range(n))]
+
+    def extend():
+        i = len(rows)
+        if i == n:
+            out.append([list(r) for r in rows])
+            return
+        for perm in itertools.permutations(range(n)):
+            if perm[0] == i and all(perm[c] != r[c] for r in rows for c in range(n)):
+                rows.append(list(perm))
+                extend()
+                rows.pop()
+
+    extend()
+    return out
 
 
 class TestCenter:
@@ -324,6 +375,39 @@ class TestCatalog:
             for h in cat[i + 1 :]:
                 if g.order == h.order:
                     assert find_isomorphism(g, h) is None
+
+    @pytest.mark.parametrize("max_order", [16, 24])
+    def test_catalog_equals_naive_closure(self, max_order):
+        got, want = catalog(max_order), naive_catalog(max_order)
+        assert [g.label() for g in got] == [g.label() for g in want]
+        assert [g.table for g in got] == [g.table for g in want]
+
+    def test_catalog_builds_each_unordered_product_once(self, monkeypatch):
+        built = []
+        real = groups.direct_product
+
+        def recording(g1, g2, name=None):
+            built.append(frozenset({id(g1), id(g2)}))  # factors are kept groups, alive
+            return real(g1, g2, name=name)
+
+        monkeypatch.setattr(groups, "direct_product", recording)
+        catalog(16)
+        assert built and len(built) == len(set(built))
+
+    @pytest.mark.parametrize(
+        "g1, g2",
+        [
+            (symmetric(3), dihedral(4)),
+            (dicyclic(2), cyclic(3)),
+            (cyclic(1), symmetric(3)),
+            (symmetric(3), cyclic(1)),
+            (cyclic(4), cyclic(6)),
+        ],
+        ids=["S3xD4", "Q8xC3", "C1xS3", "S3xC1", "C4xC6"],
+    )
+    def test_direct_product_equals_naive(self, g1, g2):
+        got, want = direct_product(g1, g2), naive_direct_product(g1, g2)
+        assert got.table == want.table and got.label() == want.label()
 
     def test_iso_search_positive_and_negative(self):
         assert find_isomorphism(dihedral(3), symmetric(3)) is not None

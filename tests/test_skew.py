@@ -55,6 +55,28 @@ class TestNormalForm:
         with pytest.raises(GroupError):
             SkewElement(cyclic(2), 0, ((1, 1), (0, 1)))
 
+    @pytest.mark.parametrize(
+        "support, message",
+        [
+            (((1, 1), (0, 1)), "strictly ascending"),
+            (((0, 1), (0, 2)), "strictly ascending"),
+            (((1, 0), (0, 5)), "strictly ascending"),  # order is checked first
+            (((0, 1), (2, 0)), "non-identity"),
+            (((0, 0), (1, 7)), "non-identity"),  # before the range check
+            (((0, 3),), "out of base-group range"),
+            (((0, 1), (4, -1)), "out of base-group range"),
+        ],
+    )
+    def test_each_rule_keeps_its_message(self, support, message):
+        with pytest.raises(GroupError, match=message):
+            SkewElement(cyclic(3), 0, support)
+
+    def test_equal_bases_built_apart_multiply(self):
+        a = skew_from_support(cyclic(3), 1, {0: 1})
+        b = skew_from_support(cyclic(3), 0, {0: 1, 1: 2})
+        assert a.base is not b.base
+        assert skew_mul(a, b) == skew_from_support(cyclic(3), 1, {0: 2, 1: 2})
+
     def test_from_support_drops_identities(self):
         el = skew_from_support(cyclic(2), 2, {0: 1, 3: 0})
         assert el.support == ((0, 1),)
