@@ -494,8 +494,7 @@ def _cmd_uniformize(args, verify_only: bool):
         # never run the construction past claims that reject it
         lines.append("no structure emitted: the claims fail")
     elif not verify_only:
-        result = uniform_F(target, fam, mode=args.mode, max_elements=args.max_elements)
-        doc["mode"] = result.mode
+        result = uniform_F(target, fam, max_elements=args.max_elements)
         doc["structure"] = structure_to_json(result.structure)
         lines.append(f"emitted structure with sorts {list(result.structure.sort_sizes)}")
     return (0 if claims.all_pass else 2), doc, lines
@@ -605,7 +604,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", help="section map file; first weak splitting found if omitted")
     p.add_argument("--copies", type=int, default=1)
     p.add_argument("--target", required=True)
-    p.add_argument("--mode", choices=("representative", "full"), default="representative")
+    p.add_argument(
+        "--mode", choices=("full",), default="full",
+        help="the only construction; accepted for compatibility",
+    )
     common(p)
 
     p = sub.add_parser("verify", help="run the claims verification standalone")

@@ -12,20 +12,17 @@ symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GroupError, StructureError
 from .groups import AutomorphismGroup, FiniteGroup, GroupHom, aut_group, is_surjective
 from .structures import SortedMap, SortedSignature, SortedStructure, reduct
-from .ucp import TripleDerivation, derive_triple, fused23_blocks_to_pair
+from .ucp import Report, TripleDerivation, derive_triple
 
 __all__ = [
     "GroupTriple",
     "encode_three_sorted",
     "theta",
-    "theta_sort12",
-    "theta_sort1",
-    "ThetaReport",
     "verify_theta_iso",
     "Attachment",
     "attach_skew",
@@ -82,53 +79,34 @@ def encode_three_sorted(t: GroupTriple) -> SortedStructure:
 
 
 def theta(t: GroupTriple, structure: SortedStructure, c: int) -> SortedMap:
-    """Left translation by c on sort 3 and by its projections below."""
-    c2 = t.phi23(c)
-    c1 = t.phi13(c)
-    maps = (
-        tuple(t.g1.mul(c1, b) for b in t.g1.elements()),
-        tuple(t.g2.mul(c2, b) for b in t.g2.elements()),
-        tuple(t.g3.mul(c, b) for b in t.g3.elements()),
+    """Left translation by c on the top sort and by its projections below.
+
+    The level is the structure's sort count: the encoded tower (3, c in G3),
+    its sort-{1,2} reduct (2, c in G2) or its first sort (1, c in G1).
+    """
+    level = len(structure.sort_sizes)
+    if level == 3:
+        elements = (t.phi13(c), t.phi23(c), c)
+    elif level == 2:
+        elements = (t.phi12(c), c)
+    elif level == 1:
+        elements = (c,)
+    else:
+        raise StructureError("theta acts on a 1-, 2- or 3-sorted structure")
+    maps = tuple(
+        tuple(g.mul(x, b) for b in g.elements())
+        for g, x in zip((t.g1, t.g2, t.g3), elements)
     )
     return SortedMap(structure, structure, maps)
 
 
-def theta_sort12(t: GroupTriple, structure12: SortedStructure, d: int) -> SortedMap:
-    """The sort-{1,2} analogue: left translation by d in G2 and its projection."""
-    d1 = t.phi12(d)
-    maps = (
-        tuple(t.g1.mul(d1, b) for b in t.g1.elements()),
-        tuple(t.g2.mul(d, b) for b in t.g2.elements()),
-    )
-    return SortedMap(structure12, structure12, maps)
-
-
-def theta_sort1(t: GroupTriple, structure1: SortedStructure, e: int) -> SortedMap:
-    return SortedMap(structure1, structure1, (tuple(t.g1.mul(e, b) for b in t.g1.elements()),))
-
-
-@dataclass
-class ThetaReport:
-    entries: list[tuple[str, bool, str]] = field(default_factory=list)
-
-    def add(self, name: str, ok: bool, detail: str = ""):
-        self.entries.append((name, bool(ok), detail))
-
-    @property
-    def all_pass(self) -> bool:
-        return all(ok for _, ok, _ in self.entries)
-
-    def to_json(self) -> list[dict]:
-        return [{"check": n, "ok": ok, "detail": d} for n, ok, d in self.entries]
-
-
 def verify_theta_iso(
     t: GroupTriple, *, max_elements: int | None = None, check_ucps: bool = True
-) -> ThetaReport:
+) -> Report:
     """Exhaustively verify that left translation realizes G3 as Aut of the
     encoded structure, and that the derived restriction maps are the
     connecting maps in disguise."""
-    report = ThetaReport()
+    report = Report("check")
     structure = encode_three_sorted(t)
     bound = max_elements if max_elements is not None else max(12, structure.total_elements)
     aut = aut_group(structure, max_elements=bound)
@@ -202,8 +180,8 @@ def _restriction_matches_23(
         fused = d.fused23.fuse_map(m.maps)
         i = d.c23.H.index_of(fused)
         g_val = d.c23.G.maps[d.c23.phi.map[i]]
-        pair = fused23_blocks_to_pair(d.fused23, g_val)
-        if SortedMap(s12, s12, pair) != theta_sort12(t, s12, t.phi23(c)):
+        pair = d.fused23.unfuse_map(g_val)
+        if SortedMap(s12, s12, pair) != theta(t, s12, t.phi23(c)):
             return False
     return True
 
@@ -212,10 +190,10 @@ def _restriction_matches_12(t: GroupTriple, d: TripleDerivation) -> bool:
     B12 = d.c12.B
     s1 = d.c12.A
     for e in t.g2.elements():
-        m = theta_sort12(t, B12, e)
+        m = theta(t, B12, e)
         i = d.c12.H.index_of(m)
         val = d.c12.G.maps[d.c12.phi.map[i]]
-        if val != theta_sort1(t, s1, t.phi12(e)):
+        if val != theta(t, s1, t.phi12(e)):
             return False
     return True
 
@@ -229,7 +207,7 @@ def _restriction_matches_13(
         fused = d.fused13.fuse_map(m.maps)
         i = d.c13.H.index_of(fused)
         val = d.c13.G.maps[d.c13.phi.map[i]]
-        if val != theta_sort1(t, s1, t.phi13(c)):
+        if val != theta(t, s1, t.phi13(c)):
             return False
     return True
 

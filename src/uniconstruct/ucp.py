@@ -32,7 +32,7 @@ from .structures import (
 )
 
 __all__ = [
-    "ClauseReport",
+    "Report",
     "UniConstructionProblem",
     "assemble_ucp",
     "FusedStructure",
@@ -49,19 +49,25 @@ __all__ = [
 
 
 @dataclass
-class ClauseReport:
-    """Pass/fail per defining clause, in clause order (a)-(f)."""
+class Report:
+    """Named pass/fail entries (name, ok, detail), in the order checked.
 
+    ``key`` is the JSON field that carries each entry's name: ``clause`` for
+    problem clauses (a)-(f), ``check`` for tower encodings, ``claim`` for the
+    uniform construction.
+    """
+
+    key: str
     entries: list[tuple[str, bool, str]] = field(default_factory=list)
 
-    def add(self, clause: str, ok: bool, detail: str = ""):
-        self.entries.append((clause, bool(ok), detail))
+    def add(self, name: str, ok: bool, detail: str = ""):
+        self.entries.append((name, bool(ok), detail))
 
-    def ok(self, clause: str) -> bool:
-        for name, good, _ in self.entries:
-            if name == clause:
+    def ok(self, name: str) -> bool:
+        for entry, good, _ in self.entries:
+            if entry == name:
                 return good
-        raise KeyError(clause)
+        raise KeyError(name)
 
     @property
     def all_pass(self) -> bool:
@@ -69,7 +75,7 @@ class ClauseReport:
 
     def to_json(self) -> list[dict]:
         return [
-            {"clause": name, "ok": good, "detail": detail}
+            {self.key: name, "ok": good, "detail": detail}
             for name, good, detail in self.entries
         ]
 
@@ -90,7 +96,7 @@ class UniConstructionProblem:
     phi: GroupHom
     psi: Section | None
     weak_only: bool
-    report: ClauseReport
+    report: Report
 
     @property
     def is_weak_ucp(self) -> bool:
@@ -135,7 +141,7 @@ def assemble_ucp(
     if len(B.sort_sizes) != 2:
         raise StructureError("assemble_ucp requires a 2-sorted structure")
     B.check_valid()
-    report = ClauseReport()
+    report = Report("clause")
     report.add("a", True, "structure is 2-sorted")
 
     A = reduct(B, (0,))
@@ -215,19 +221,23 @@ class FusedStructure:
     def unfuse_map(self, m: SortedMap) -> tuple[tuple[int, ...], ...]:
         """Map on the fused structure -> per-original-sort maps.
 
+        A map on the leading blocks only (such as an automorphism of the
+        reduct to them) gives the maps of those blocks' sorts, in sort order.
         Requires the map to preserve every block (marker relations guarantee
         this for automorphisms).
         """
-        out: list[tuple[int, ...]] = [()] * len(self.original.sort_sizes)
-        for s, size in enumerate(self.original.sort_sizes):
+        covered = sorted(sort for block in self.blocks[: len(m.maps)] for sort in block)
+        out = []
+        for s in covered:
             b, off = self.offsets[s]
+            size = self.original.sort_sizes[s]
             images = []
             for e in range(size):
                 v = m.maps[b][off + e]
                 if v < off or v >= off + size:
                     raise StructureError("map does not preserve the fused blocks")
                 images.append(v - off)
-            out[s] = tuple(images)
+            out.append(tuple(images))
         return tuple(out)
 
 
@@ -331,7 +341,7 @@ def derive_triple(C: SortedStructure, *, max_elements: int | None = None) -> Tri
         fused_map_23 = fused23.fuse_map(per_sort)
         i23 = c23.H.index_of(fused_map_23)
         g23 = c23.G.maps[c23.phi.map[i23]]  # automorphism of fused sorts {0,1}
-        pair = fused23_blocks_to_pair(fused23, g23)
+        pair = fused23.unfuse_map(g23)
         i12 = c12.H.index_of(SortedMap(B12, B12, pair))
         via = c12.phi.map[i12]
         if via != direct:
@@ -346,22 +356,6 @@ def derive_triple(C: SortedStructure, *, max_elements: int | None = None) -> Tri
         fused13=fused13,
         composition_ok=composition_ok,
     )
-
-
-def fused23_blocks_to_pair(fused: FusedStructure, m: SortedMap) -> tuple[tuple[int, ...], ...]:
-    """Split an automorphism of the fused {0,1} block back into two sort maps."""
-    out = []
-    for sort in fused.blocks[0]:
-        _, off = fused.offsets[sort]
-        size = fused.original.sort_sizes[sort]
-        images = []
-        for e in range(size):
-            v = m.maps[0][off + e]
-            if v < off or v >= off + size:
-                raise StructureError("map does not preserve the fused blocks")
-            images.append(v - off)
-        out.append(tuple(images))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +402,7 @@ class Solver:
                 )
         for cat in (self.catalog1, self.catalog2):
             for other in cat[1:]:
-                if not isomorphisms(cat[0], other, max_elements=max_elements):
+                if not isomorphisms(cat[0], other, max_elements=max_elements, limit=1):
                     raise CatalogMismatchError("catalog members are not pairwise isomorphic")
 
 

@@ -38,10 +38,9 @@ from .structures import (
     identity_map,
     isomorphisms,
     reduct,
-    relabel,
     relabel_map,
 )
-from .ucp import restriction_hom
+from .ucp import Report, restriction_hom
 
 __all__ = [
     "LiftedCopy",
@@ -57,7 +56,6 @@ __all__ = [
     "build_quotient",
     "UniformResult",
     "uniform_F",
-    "ClaimsReport",
     "verify_claims",
 ]
 
@@ -173,7 +171,7 @@ def build_family(
 
     fam = Family(tuple(members))
     for member in members[1:]:
-        if not isomorphisms(members[0].B, member.B, max_elements=max_elements):
+        if not isomorphisms(members[0].B, member.B, max_elements=max_elements, limit=1):
             raise StructureError("family members are not pairwise isomorphic")
     return fam
 
@@ -243,6 +241,8 @@ class TripleSpace:
         self._cocycle: bool | None = None
         self._classes: tuple[list[int], list[list[int]]] | None = None
         self._frame_threads: tuple[list[tuple[int, ...]], list[dict[int, tuple]]] | None = None
+        self._membership: list[dict[tuple[int, ...], tuple[tuple[bool, ...], ...]]] | None = None
+        self._quotient: QuotientResult | None = None
 
     # -- enumeration ------------------------------------------------------
 
@@ -422,6 +422,36 @@ class TripleSpace:
         self._frame_threads = (frames, by_frame)
         return self._frame_threads
 
+    def membership(self) -> list[dict[tuple[int, ...], tuple[tuple[bool, ...], ...]]]:
+        """Per relation, every well-sorted class tuple's (exists, forall)
+        verdicts across family members, one entry per frame.
+
+        ``membership()[ri][ct]`` is the pair of tuples ``(exists, forall)``
+        indexed like ``frame_threads()``'s frames; class tuples are listed in
+        product order.  Computed once per space; the quotient and
+        :func:`verify_claims` both read it.
+        """
+        if self._membership is not None:
+            return self._membership
+        _, by_frame = self.frame_threads()
+        _, members = self.classes()
+        sort_of_class = [self.triples[group[0]].b[0][0] for group in members]
+        n_classes = len(members)
+        table = []
+        for ri, (name, rsig) in enumerate(self.fam.members[0].B.signature.relations):
+            if n_classes ** len(rsig) > 10**6:
+                raise BoundExceededError(f"relation {name!r}: membership check too large")
+            rels = [member.B.relations[ri] for member in self.fam.members]
+            verdicts = {}
+            for ct in itertools.product(*(
+                [c for c in range(n_classes) if sort_of_class[c] == sort] for sort in rsig
+            )):
+                exists, forall = zip(*(_frame_membership(rels, threads, ct) for threads in by_frame))
+                verdicts[ct] = (exists, forall)
+            table.append(verdicts)
+        self._membership = table
+        return table
+
     def k_indices(self, a: int) -> list[int]:
         """Indices of triples whose thread is the first-sort thread of a."""
         out = []
@@ -496,21 +526,17 @@ def k_class(
 @dataclass
 class QuotientResult:
     structure: SortedStructure
-    mode: str
-    member: int
-    phi_index: int
-    space: TripleSpace | None = None
-    class_of: list[int] | None = None
-    class_label: list[tuple[int, int]] | None = None  # class id -> (sort, element)
+    space: TripleSpace
+    class_of: list[int]
+    class_label: list[tuple[int, int]]  # class id -> (sort, element)
 
 
-def _frame_membership(space: TripleSpace, threads: dict[int, tuple], ri: int, ct, rsig):
-    """(exists-member, forall-members) verdicts for one class tuple."""
-    n_members = len(space.fam.members)
-    verdicts = []
-    for s in range(n_members):
-        tup = tuple(threads[c][s][1] for c in ct)
-        verdicts.append(tup in space.fam.members[s].B.relations[ri])
+def _frame_membership(rels, threads: dict[int, tuple], ct) -> tuple[bool, bool]:
+    """(exists-member, forall-members) verdicts for one class tuple in one
+    frame; ``rels`` holds one relation's interpretation in every member."""
+    verdicts = [
+        tuple(threads[c][s][1] for c in ct) in rel for s, rel in enumerate(rels)
+    ]
     return any(verdicts), all(verdicts)
 
 
@@ -521,12 +547,14 @@ def _quotient_full(space: TripleSpace) -> QuotientResult:
     exists/forall agreement across family members within the reference
     frame, and frame-independence of relation membership (the congruence
     content).  Failures raise, since they are theorems for coherent
-    families.
+    families.  The result is cached on the space.
     """
+    if space._quotient is not None:
+        return space._quotient
     if not space.triples:
         raise StructureError("no matched triples: target is not isomorphic to the family")
     class_of, members = space.classes()
-    base = space.fam.members[0]
+    relations = space.fam.members[0].B.signature.relations
 
     sort_of_class: list[int] = []
     for group in members:
@@ -535,101 +563,55 @@ def _quotient_full(space: TripleSpace) -> QuotientResult:
             raise VerificationError("equivalence class mixes sorts")
         sort_of_class.append(sorts.pop())
 
-    frames, by_frame = space.frame_threads()
-    ref = by_frame[0]
-    n_classes = len(members)
-
-    memberships: list[dict[tuple[int, ...], bool]] = []
-    for ri, (name, rsig) in enumerate(base.B.signature.relations):
-        arity = len(rsig)
-        if n_classes**arity > 10**6:
-            raise BoundExceededError(f"relation {name!r}: congruence check too large")
-        table: dict[tuple[int, ...], bool] = {}
-        for ct in itertools.product(*(
-            [c for c in range(n_classes) if sort_of_class[c] == rsig[pos]]
-            for pos in range(arity)
-        )):
-            exists, forall = _frame_membership(space, ref, ri, ct, rsig)
-            if exists != forall:
-                raise VerificationError(
-                    f"relation {name!r}: exists/forall agreement fails across members"
-                )
-            table[ct] = exists
-        memberships.append(table)
-
-    # frame-independence: recompute membership in every other frame
-    for fi in range(1, len(frames)):
-        threads = by_frame[fi]
-        for ri, (name, rsig) in enumerate(base.B.signature.relations):
-            for ct, holds in memberships[ri].items():
-                exists, _ = _frame_membership(space, threads, ri, ct, rsig)
-                if exists != holds:
-                    raise VerificationError(
-                        f"relation {name!r}: membership is not constant across frames"
-                    )
+    table = space.membership()
+    for (name, _), verdicts in zip(relations, table):
+        if any(exists[0] != forall[0] for exists, forall in verdicts.values()):
+            raise VerificationError(
+                f"relation {name!r}: exists/forall agreement fails across members"
+            )
+    # name the relation whose membership changes in the earliest frame
+    varying = [
+        (next(f for f, e in enumerate(exists) if e != exists[0]), ri)
+        for ri, verdicts in enumerate(table)
+        for exists, _ in verdicts.values()
+        if len(set(exists)) > 1
+    ]
+    if varying:
+        name = relations[min(varying)[1]][0]
+        raise VerificationError(f"relation {name!r}: membership is not constant across frames")
 
     # canonical labels per sort
-    labels: list[tuple[int, int]] = [(-1, -1)] * n_classes
+    labels: list[tuple[int, int]] = [(-1, -1)] * len(members)
     counters = [0, 0]
-    for cid in range(n_classes):
-        s = sort_of_class[cid]
+    for cid, s in enumerate(sort_of_class):
         labels[cid] = (s, counters[s])
         counters[s] += 1
 
-    quot_rels = []
-    for ri, (name, rsig) in enumerate(base.B.signature.relations):
-        tuples = set()
-        for ct, holds in memberships[ri].items():
-            if holds:
-                tuples.add(tuple(labels[c][1] for c in ct))
-        quot_rels.append(tuples)
-
+    quot_rels = [
+        {tuple(labels[c][1] for c in ct) for ct, (exists, _) in verdicts.items() if exists[0]}
+        for verdicts in table
+    ]
     structure = SortedStructure(
-        base.B.signature, tuple(counters), quot_rels, (), ()
+        space.fam.members[0].B.signature, tuple(counters), quot_rels, (), ()
     )
-    return QuotientResult(
-        structure=structure,
-        mode="full",
-        member=0,
-        phi_index=0,
-        space=space,
-        class_of=class_of,
-        class_label=labels,
+    space._quotient = QuotientResult(
+        structure=structure, space=space, class_of=class_of, class_label=labels
     )
+    return space._quotient
 
 
 def build_quotient(
     A: SortedStructure,
     fam: Family,
     *,
-    mode: str = "representative",
     max_elements: int | None = None,
     space: TripleSpace | None = None,
 ) -> QuotientResult:
     """The quotient structure of matched triples by the twist equivalence.
 
-    Representative mode realizes classes through the members with a fixed
-    first isomorphism, which is just the base member itself; full mode
-    enumerates everything and re-verifies the agreement and congruence
-    claims (hard error on failure).
+    Enumerates every matched triple and re-verifies the agreement and
+    congruence claims (hard error on failure).
     """
-    if mode == "representative":
-        base = fam.members[0]
-        iso = isomorphisms(base.A, A, max_elements=max_elements)
-        if not iso:
-            raise StructureError("target is not isomorphic to the family members")
-        # classes realized through the fixed-isomorphism slice are the base
-        # member's own elements
-        labels = [(s, e) for s in range(2) for e in range(base.B.sort_sizes[s])]
-        return QuotientResult(
-            structure=base.B,
-            mode="representative",
-            member=0,
-            phi_index=0,
-            class_label=labels,
-        )
-    if mode != "full":
-        raise ValueError("mode must be 'representative' or 'full'")
     if space is None:
         space = _space_for(A, fam, max_elements=max_elements)
     return _quotient_full(space)
@@ -638,122 +620,80 @@ def build_quotient(
 @dataclass
 class UniformResult:
     structure: SortedStructure
-    mode: str
     quotient: QuotientResult
-
-    def to_json(self):
-        from .structures import structure_to_json
-
-        return structure_to_json(self.structure)
 
 
 def uniform_F(
     A: SortedStructure,
     fam: Family,
     *,
-    mode: str = "representative",
     max_elements: int | None = None,
     space: TripleSpace | None = None,
 ) -> UniformResult:
     """The uniform construction: a copy of the family structure over A itself.
 
-    Postconditions are always re-checked: the first-sort reduct must equal A
-    element for element, and the result must be isomorphic to the family
-    members.
+    Built from the quotient of the matched triples, with each first-sort
+    class relabelled by the element of A it threads.  Postconditions are
+    always re-checked: the first-sort reduct must equal A element for
+    element, and the result must be isomorphic to the family members.
     """
     base = fam.members[0]
-    if mode == "representative":
-        iso = isomorphisms(base.A, A, max_elements=max_elements)
-        if not iso:
-            raise StructureError("target is not isomorphic to the family members")
-        phi = iso[0]
-        ident = tuple(range(base.B.sort_sizes[1]))
-        structure = relabel(base.B, (phi.maps[0], ident))
-        result = UniformResult(
-            structure=structure,
-            mode=mode,
-            quotient=QuotientResult(
-                structure=base.B, mode="representative", member=0, phi_index=0
-            ),
+    if space is None:
+        space = _space_for(A, fam, max_elements=max_elements)
+    quot = _quotient_full(space)
+    class_of, labels = quot.class_of, quot.class_label
+
+    n_sort0_classes = sum(1 for s, _ in labels if s == 0)
+    if n_sort0_classes != A.sort_sizes[0]:
+        raise VerificationError(
+            "first-sort classes do not match the target element count"
         )
-    elif mode == "full":
-        if space is None:
-            space = _space_for(A, fam, max_elements=max_elements)
-        quot = _quotient_full(space)
-        class_of, members = space.classes()
-        labels = quot.class_label
-        assert labels is not None and class_of is not None
+    a_of_class: dict[int, int] = {}
+    for a in range(A.sort_sizes[0]):
+        idxs = space.k_indices(a)
+        cids = {class_of[i] for i in idxs}
+        if len(cids) != 1:
+            raise VerificationError(f"thread classes of element {a} are not unique")
+        a_of_class[cids.pop()] = a
 
-        n_sort0_classes = sum(1 for s, _ in labels if s == 0)
-        if n_sort0_classes != A.sort_sizes[0]:
-            raise VerificationError(
-                "first-sort classes do not match the target element count"
-            )
-        a_of_class: dict[int, int] = {}
-        for a in range(A.sort_sizes[0]):
-            idxs = space.k_indices(a)
-            cids = {class_of[i] for i in idxs}
-            if len(cids) != 1:
-                raise VerificationError(f"thread classes of element {a} are not unique")
-            a_of_class[cids.pop()] = a
-
-        relabeled: list[tuple[int, int]] = [(-1, -1)] * len(members)
-        for cid, (s, lbl) in enumerate(labels):
-            if s == 0:
-                if cid not in a_of_class:
-                    raise VerificationError(
-                        "a first-sort class is not the thread class of any element"
-                    )
-                relabeled[cid] = (0, a_of_class[cid])
-            else:
-                relabeled[cid] = (1, lbl)
-
-        cid_of_label = {labels[c]: c for c in range(len(labels))}
-        rels = []
-        for ri, (name, rsig) in enumerate(base.B.signature.relations):
-            out = set()
-            for t in quot.structure.relations[ri]:
-                mapped = tuple(
-                    relabeled[cid_of_label[(rsig[pos], lbl)]][1]
-                    for pos, lbl in enumerate(t)
+    relabeled: list[tuple[int, int]] = [(-1, -1)] * len(labels)
+    for cid, (s, lbl) in enumerate(labels):
+        if s == 0:
+            if cid not in a_of_class:
+                raise VerificationError(
+                    "a first-sort class is not the thread class of any element"
                 )
-                out.add(mapped)
-            rels.append(out)
-        structure = SortedStructure(
-            base.B.signature,
-            (A.sort_sizes[0], quot.structure.sort_sizes[1]),
-            rels,
-            (),
-            (),
-        )
-        result = UniformResult(structure=structure, mode=mode, quotient=quot)
-    else:
-        raise ValueError("mode must be 'representative' or 'full'")
+            relabeled[cid] = (0, a_of_class[cid])
+        else:
+            relabeled[cid] = (1, lbl)
 
-    if reduct(result.structure, (0,)) != A:
+    cid_of_label = {labels[c]: c for c in range(len(labels))}
+    rels = []
+    for ri, (name, rsig) in enumerate(base.B.signature.relations):
+        out = set()
+        for t in quot.structure.relations[ri]:
+            mapped = tuple(
+                relabeled[cid_of_label[(rsig[pos], lbl)]][1]
+                for pos, lbl in enumerate(t)
+            )
+            out.add(mapped)
+        rels.append(out)
+    structure = SortedStructure(
+        base.B.signature,
+        (A.sort_sizes[0], quot.structure.sort_sizes[1]),
+        rels,
+        (),
+        (),
+    )
+    if reduct(structure, (0,)) != A:
         raise VerificationError("first-sort reduct of the result does not equal the target")
-    if not isomorphisms(result.structure, base.B, max_elements=max_elements):
+    if not isomorphisms(structure, base.B, max_elements=max_elements, limit=1):
         raise VerificationError("result is not isomorphic to the family structure")
-    return result
+    return UniformResult(structure=structure, quotient=quot)
 
 
 # ---------------------------------------------------------------------------
 # Claims verification
-
-@dataclass
-class ClaimsReport:
-    entries: list[tuple[str, bool, str]] = field(default_factory=list)
-
-    def add(self, name: str, ok: bool, detail: str = ""):
-        self.entries.append((name, bool(ok), detail))
-
-    @property
-    def all_pass(self) -> bool:
-        return all(ok for _, ok, _ in self.entries)
-
-    def to_json(self) -> list[dict]:
-        return [{"claim": n, "ok": ok, "detail": d} for n, ok, d in self.entries]
-
 
 def verify_claims(
     A: SortedStructure,
@@ -761,10 +701,10 @@ def verify_claims(
     *,
     max_elements: int | None = None,
     copy_cap: int | None = None,
-) -> ClaimsReport:
+) -> Report:
     """Re-check every intermediate fact of the uniform construction by full
     enumeration over the matched-triple space."""
-    report = ClaimsReport()
+    report = Report("claim")
     report.add(
         "family_nonempty_weak_liftings",
         all(member.psi.is_weak_splitting() for member in fam),
@@ -816,40 +756,25 @@ def verify_claims(
 
     frames_ok = True
     frames_detail = ""
-    frames: list = []
-    by_frame: list = []
     try:
-        frames, by_frame = space.frame_threads()
+        frames, _ = space.frame_threads()
         frames_detail = f"{len(frames)} frames, one thread per class in each"
     except VerificationError as exc:
         frames_ok = False
         frames_detail = str(exc)
     report.add("classes_have_unique_frame_threads", frames_ok, frames_detail)
 
-    ok_agree = True
     detail_agree = []
-    ok_frames_const = True
     detail_const = []
     if frames_ok:
-        sort_of_class = [space.triples[members[c][0]].b[0][0] for c in range(len(members))]
-        for ri, (name, rsig) in enumerate(base.B.signature.relations):
-            arity = len(rsig)
-            if len(members) ** arity > 10**6:
-                raise BoundExceededError(f"relation {name!r}: claim check too large")
-            for ct in itertools.product(*(
-                [c for c in range(len(members)) if sort_of_class[c] == rsig[pos]]
-                for pos in range(arity)
-            )):
-                verdicts = [
-                    _frame_membership(space, threads, ri, ct, rsig)
-                    for threads in by_frame
-                ]
-                if any(ex != fa for ex, fa in verdicts):
-                    ok_agree = False
+        for (name, _), by_tuple in zip(base.B.signature.relations, space.membership()):
+            for ct, (exists, forall) in by_tuple.items():
+                if exists != forall:
                     detail_agree.append(f"{name}{ct}")
-                if len({ex for ex, _ in verdicts}) > 1:
-                    ok_frames_const = False
+                if len(set(exists)) > 1:
                     detail_const.append(f"{name}{ct}")
+    ok_agree = not detail_agree
+    ok_frames_const = not detail_const
     report.add(
         "cla3_exists_forall_agreement",
         frames_ok and ok_agree,
@@ -927,7 +852,7 @@ def verify_claims(
 
     if quot is not None:
         iso_found = bool(
-            isomorphisms(quot.structure, base.B, max_elements=max_elements)
+            isomorphisms(quot.structure, base.B, max_elements=max_elements, limit=1)
         )
         report.add(
             "cla6_quotient_isomorphic_to_member",
@@ -935,7 +860,7 @@ def verify_claims(
             f"quotient sorts {quot.structure.sort_sizes} vs member {base.B.sort_sizes}",
         )
         witness_ok = rho_const and meets_all and rho_injective
-        if witness_ok and quot.class_label is not None:
+        if witness_ok:
             witness_ok = _rho_witness_is_isomorphism(
                 quot.structure, quot.class_label, rho_values, base.B
             )

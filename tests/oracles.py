@@ -4,9 +4,10 @@ These deliberately avoid the library's search code paths: isomorphisms by
 filtering all permutation families, skew multiplication by string rewriting,
 cyclic skew tables and direct products cell by cell, sections by raw fiber
 products, matched triples by enumerating full commutative matrices,
-twist-equivalence classes by pairwise comparison.  The catalog oracle keeps
-the library's isomorphism search but re-tries every ordered product pair in
-every round.
+twist-equivalence classes by pairwise comparison, the uniform construction's
+output by relabelling the base member along one isomorphism.  The catalog
+oracle keeps the library's isomorphism search but re-tries every ordered
+product pair in every round.
 Expected values in the tests are frozen from these.
 """
 
@@ -26,7 +27,7 @@ from uniconstruct.groups import (
     find_isomorphism,
     symmetric,
 )
-from uniconstruct.structures import SortedStructure, identity_map, isomorphisms
+from uniconstruct.structures import SortedStructure, identity_map, isomorphisms, relabel
 
 
 def naive_isomorphisms(s1: SortedStructure, s2: SortedStructure):
@@ -410,3 +411,13 @@ def naive_frame_threads(space):
             return "a class misses a frame entirely"
         by_frame.append(threads)
     return frames, by_frame
+
+
+def naive_representative_structure(A, fam):
+    """The base member's structure carried onto A: its first sort relabelled
+    by the first isomorphism base.A -> A (lexicographic), its second sort by
+    the identity.  Where the claims pass, the uniform construction must
+    return exactly this."""
+    base = fam.members[0]
+    first = naive_isomorphisms(base.A, A)[0][0]
+    return relabel(base.B, (first, tuple(range(base.B.sort_sizes[1]))))

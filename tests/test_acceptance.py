@@ -227,13 +227,13 @@ def test_criterion_5_uniform_construction(name, b, psi, n):
     ok = claims.all_pass
     detail = "" if ok else str([e for e in claims.entries if not e[1]])
 
-    result = uniform_F(target, fam, mode="full")
+    result = uniform_F(target, fam)
     ok = ok and reduct(result.structure, (0,)) == target
     ok = ok and bool(isomorphisms(result.structure, b))
 
     copies = canonical_copies(target, cap=24)
     for a_copy in copies:
-        res = uniform_F(a_copy, fam, mode="full")
+        res = uniform_F(a_copy, fam)
         ok = ok and reduct(res.structure, (0,)) == a_copy
         ok = ok and bool(isomorphisms(res.structure, b))
 

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
+import sys
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +25,11 @@ from uniconstruct.groups import (
     hom_to_json,
     quotient_by_center,
 )
-from uniconstruct.structures import dumps, structure_from_json
+from uniconstruct.structures import dumps, structure_from_json, structure_to_json
+from uniconstruct.uniform import build_family
 
 from .conftest import directed_cycle, two_sorted
+from .oracles import naive_representative_structure
 
 
 def write(tmp_path, name, text):
@@ -317,6 +323,20 @@ class TestDispatch:
         )
         assert set(sub.choices) == set(cli._HANDLERS)
 
+    def test_every_bench_job_parses(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "bench" / "jobs.py"
+        spec = importlib.util.spec_from_file_location("bench_jobs", path)
+        jobs = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "bench_jobs", jobs)
+        spec.loader.exec_module(jobs)
+        parser = cli.build_parser()
+        # every "@name" input is a file path, except the integer laws seed
+        inputs = defaultdict(lambda: "input.json", laws_seed="0")
+        argvs = [job.argv(inputs) for workload in jobs.WORKLOADS.values() for job in workload]
+        assert any("--mode" in argv for argv in argvs)
+        for argv in argvs:
+            assert parser.parse_args(argv).command == argv[0]
+
 
 class TestEncodeAttach:
     def test_encode3(self, tmp_path):
@@ -404,7 +424,7 @@ class TestUniformize:
             "verify", "--structure", b_path, "--target", a_path, "--copies", "2"
         ]) == 0
 
-    def test_full_mode_agrees_with_representative(self, tmp_path):
+    def test_structure_equals_representative_oracle(self, tmp_path):
         b = two_sorted((2, 1), [("R", (0, 1), [(0, 0), (1, 0)])])
         b_path = write(tmp_path, "b.json", dumps(b))
         a_path = write(
@@ -419,16 +439,18 @@ class TestUniformize:
                 }
             ),
         )
-        docs = []
-        for mode in ("representative", "full"):
-            out_path = tmp_path / f"{mode}.json"
+        fam = build_family(b, [0, 1], 2)
+        want = structure_to_json(naive_representative_structure(fam.members[0].A, fam))
+        for mode in ((), ("--mode", "full")):
+            out_path = tmp_path / "f.json"
             assert main([
                 "uniformize", "--structure", b_path, "--target", a_path,
-                "--copies", "2", "--mode", mode,
+                "--copies", "2", *mode,
                 "--format", "json", "--out", str(out_path),
             ]) == 0
-            docs.append(json.loads(out_path.read_text()))
-        assert docs[0]["structure"] == docs[1]["structure"]
+            doc = json.loads(out_path.read_text())
+            assert "mode" not in doc
+            assert doc["structure"] == want
 
     def test_determinism_byte_identical(self, tmp_path):
         b = two_sorted((2, 1), [("R", (0, 1), [(0, 0), (1, 0)])])

@@ -6,6 +6,7 @@ from uniconstruct.errors import CatalogMismatchError, SignatureMismatchError, St
 from uniconstruct.groups import GroupHom, center, cyclic
 from uniconstruct.encode import GroupTriple, encode_three_sorted
 from uniconstruct.structures import (
+    SortedMap,
     SortedSignature,
     SortedStructure,
     automorphisms,
@@ -133,9 +134,17 @@ class TestFuseSorts:
         t = c2_triple()
         s = encode_three_sorted(t)
         fused = fuse_sorts(s, ((0, 1), (2,)))
+        leading = reduct(fused.structure, (0,))
         for a in automorphisms(s, max_elements=16):
             fused_map = fused.fuse_map(a.maps)
             assert fused.unfuse_map(fused_map) == a.maps
+            # a map on the leading block alone gives the maps of its sorts
+            on_leading = SortedMap(leading, leading, fused_map.maps[:1])
+            assert fused.unfuse_map(on_leading) == a.maps[:2]
+        # sort 0 sent into sort 1's range
+        swap = SortedMap(leading, leading, ((2, 3, 0, 1),))
+        with pytest.raises(StructureError, match="does not preserve the fused blocks"):
+            fused.unfuse_map(swap)
 
     def test_function_graphs_carried(self, b_two_free):
         sig = SortedSignature(("p", "q"), functions=(("f", (0,), 1),))

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from uniconstruct import config
+from uniconstruct import config, uniform
 from uniconstruct.errors import BoundExceededError, StructureError, VerificationError
 from uniconstruct.groups import classify_sections
 from uniconstruct.structures import (
@@ -37,6 +37,7 @@ from .oracles import (
     naive_frame_threads,
     naive_matched_triples,
     naive_relation_verdicts,
+    naive_representative_structure,
 )
 
 
@@ -228,48 +229,89 @@ class TestKClass:
 class TestQuotient:
     def test_singleton_family_quotient_isomorphic(self, b_cycle3):
         fam, A = family_and_target(b_cycle3, [0, 1, 2], 1)
-        quot = build_quotient(A, fam, mode="full")
+        quot = build_quotient(A, fam)
         assert isomorphisms(quot.structure, b_cycle3)
 
     def test_two_member_quotient_isomorphic(self, b_matching):
         fam, A = family_and_target(b_matching, [0, 1], 2)
-        quot = build_quotient(A, fam, mode="full")
+        quot = build_quotient(A, fam)
         assert isomorphisms(quot.structure, b_matching)
 
     def test_empty_relation_stays_empty(self):
         b = two_sorted((2, 1), [("R", (0, 1), []), ("S", (0, 0), [(0, 1), (1, 0)])])
         fam = build_family(b, [0, 1], 1)
-        quot = build_quotient(fam.members[0].A, fam, mode="full")
+        quot = build_quotient(fam.members[0].A, fam)
         assert quot.structure.relations[0] == frozenset()
 
-    def test_representative_mode_is_member(self, b_cycle3):
+    def test_own_reduct_rebuilds_member(self, b_cycle3):
         fam, A = family_and_target(b_cycle3, [0, 1, 2], 2)
-        quot = build_quotient(A, fam)
-        assert quot.structure == b_cycle3
+        assert naive_representative_structure(A, fam) == b_cycle3
+        assert uniform_F(A, fam).structure == b_cycle3
+        assert isomorphisms(build_quotient(A, fam).structure, b_cycle3)
 
     def test_kernel_family_congruence_fails_honestly(self, b_kernel):
         fam, A = family_and_target(b_kernel, [0], 2)
         with pytest.raises(VerificationError):
-            build_quotient(A, fam, mode="full")
+            build_quotient(A, fam)
+
+
+# (fixture, weak splitting, family sizes) on which every claim passes
+CLAIMS_PASS_FIXTURES = [
+    ("b_two_free", (0, 1), (1, 2)),
+    ("b_cycle3", (0, 1, 2), (1, 2, 3)),
+    ("b_matching", (0, 1), (1, 2, 3)),
+    ("b_kernel", (0,), (1,)),
+    ("b_rich", (0, 1, 2), (1, 2, 3)),
+]
 
 
 class TestUniformF:
     def test_reduct_is_target_verbatim(self, b_cycle3):
         fam, A = family_and_target(b_cycle3, [0, 1, 2], 2)
-        for mode in ("representative", "full"):
-            res = uniform_F(A, fam, mode=mode)
-            assert reduct(res.structure, (0,)) == A
+        res = uniform_F(A, fam)
+        assert reduct(res.structure, (0,)) == A
+        assert res.structure == naive_representative_structure(A, fam)
 
     def test_result_isomorphic_to_member(self, b_matching):
         fam, A = family_and_target(b_matching, [0, 1], 2)
-        res = uniform_F(A, fam, mode="full")
+        res = uniform_F(A, fam)
         assert isomorphisms(res.structure, b_matching)
 
-    def test_modes_agree(self, b_two_free):
-        fam, A = family_and_target(b_two_free, [0, 1], 2)
-        assert uniform_F(A, fam, mode="full").structure == uniform_F(
-            A, fam, mode="representative"
-        ).structure
+    @pytest.mark.parametrize(
+        "name,psi,sizes", CLAIMS_PASS_FIXTURES, ids=[f[0][2:] for f in CLAIMS_PASS_FIXTURES]
+    )
+    def test_equals_representative_oracle(self, request, name, psi, sizes):
+        for n in sizes:
+            fam = build_family(request.getfixturevalue(name), psi, n)
+            for A_copy in canonical_copies(fam.members[0].A):
+                assert verify_claims(A_copy, fam).all_pass
+                res = uniform_F(A_copy, fam)
+                assert res.structure == naive_representative_structure(A_copy, fam)
+
+    def test_kernel_pair_raises_where_claims_fail(self, b_kernel):
+        fam, A = family_and_target(b_kernel, [0], 2)
+        assert not verify_claims(A, fam).all_pass
+        with pytest.raises(VerificationError):
+            uniform_F(A, fam)
+
+    def test_membership_pass_runs_once_per_space(self, b_cycle3, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return frame_membership(*args)
+
+        frame_membership = uniform._frame_membership
+        monkeypatch.setattr(uniform, "_frame_membership", counted)
+        fam, A = family_and_target(b_cycle3, [0, 1, 2], 3)
+        assert verify_claims(A, fam).all_pass
+        res = uniform_F(A, fam)
+        assert build_quotient(A, fam) is res.quotient
+        space = res.quotient.space
+        frames, _ = space.frame_threads()
+        n_tuples = sum(len(by_tuple) for by_tuple in space.membership())
+        assert len(frames) == 27 and n_tuples == 12
+        assert len(calls) == len(frames) * n_tuples
 
     def test_deterministic_bytes(self, b_cycle3):
         fam, A = family_and_target(b_cycle3, [0, 1, 2], 2)
@@ -282,7 +324,7 @@ class TestUniformF:
         copies = canonical_copies(fam.members[0].A)
         assert len(copies) == 2
         for A_copy in copies:
-            res = uniform_F(A_copy, fam, mode="full")
+            res = uniform_F(A_copy, fam)
             assert reduct(res.structure, (0,)) == A_copy
 
     def test_isomorphic_targets_give_isomorphic_results(self, b_cycle3):
@@ -309,7 +351,7 @@ class TestVerifyClaims:
         fam, A = family_and_target(b_rich, [0, 1, 2], 2)
         report = verify_claims(A, fam)
         assert report.all_pass, [e for e in report.entries if not e[1]]
-        res = uniform_F(A, fam, mode="full")
+        res = uniform_F(A, fam)
         assert reduct(res.structure, (0,)) == A
         assert isomorphisms(res.structure, b_rich)
         # the ordered second sort survives the round trip
@@ -452,7 +494,7 @@ class TestKeyedClasses:
         assert len(space.triples) == 2916 > config.DEFAULT.x_pairwise
         report = verify_claims(A, fam)
         assert report.all_pass, [e for e in report.entries if not e[1]]
-        res = uniform_F(A, fam, mode="full")
+        res = uniform_F(A, fam)
         assert reduct(res.structure, (0,)) == A
         assert isomorphisms(res.structure, b_cycle3)
 
