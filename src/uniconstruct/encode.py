@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import GroupError, StructureError
 from .groups import AutomorphismGroup, FiniteGroup, GroupHom, aut_group, is_surjective
 from .structures import SortedMap, SortedSignature, SortedStructure, reduct
-from .ucp import Report, TripleDerivation, derive_triple
+from .ucp import FusedStructure, Report, UniConstructionProblem, derive_triple
 
 __all__ = [
     "GroupTriple",
@@ -149,65 +149,47 @@ def verify_theta_iso(
     )
 
     if check_ucps:
-        derivation = derive_triple(structure, max_elements=bound)
+        d = derive_triple(structure, max_elements=bound)
         report.add(
             "derived_weak_ucps",
-            derivation.all_weak,
+            d.all_weak,
             "all three derived restriction problems satisfy clauses (a)-(e)",
         )
-        report.add("derived_composition", derivation.composition_ok)
+        report.add("derived_composition", d.composition_ok)
+        s12 = reduct(structure, (0, 1))
         report.add(
             "restriction_matches_phi23",
-            _restriction_matches_23(t, structure, derivation),
+            _restriction_matches(t, structure, d.c23, t.phi23, d.fused23, unfuse_to=s12),
         )
-        report.add(
-            "restriction_matches_phi12",
-            _restriction_matches_12(t, derivation),
-        )
+        report.add("restriction_matches_phi12", _restriction_matches(t, d.c12.B, d.c12, t.phi12))
         report.add(
             "restriction_matches_phi13",
-            _restriction_matches_13(t, structure, derivation),
+            _restriction_matches(t, structure, d.c13, t.phi13, d.fused13),
         )
     return report
 
 
-def _restriction_matches_23(
-    t: GroupTriple, structure: SortedStructure, d: TripleDerivation
+def _restriction_matches(
+    t: GroupTriple,
+    upper: SortedStructure,
+    problem: UniConstructionProblem,
+    phi: GroupHom,
+    fused: FusedStructure | None = None,
+    unfuse_to: SortedStructure | None = None,
 ) -> bool:
-    s12 = reduct(structure, (0, 1))
-    for c in t.g3.elements():
-        m = theta(t, structure, c)
-        fused = d.fused23.fuse_map(m.maps)
-        i = d.c23.H.index_of(fused)
-        g_val = d.c23.G.maps[d.c23.phi.map[i]]
-        pair = d.fused23.unfuse_map(g_val)
-        if SortedMap(s12, s12, pair) != theta(t, s12, t.phi23(c)):
-            return False
-    return True
-
-
-def _restriction_matches_12(t: GroupTriple, d: TripleDerivation) -> bool:
-    B12 = d.c12.B
-    s1 = d.c12.A
-    for e in t.g2.elements():
-        m = theta(t, B12, e)
-        i = d.c12.H.index_of(m)
-        val = d.c12.G.maps[d.c12.phi.map[i]]
-        if val != theta(t, s1, t.phi12(e)):
-            return False
-    return True
-
-
-def _restriction_matches_13(
-    t: GroupTriple, structure: SortedStructure, d: TripleDerivation
-) -> bool:
-    s1 = d.c13.A
-    for c in t.g3.elements():
-        m = theta(t, structure, c)
-        fused = d.fused13.fuse_map(m.maps)
-        i = d.c13.H.index_of(fused)
-        val = d.c13.G.maps[d.c13.phi.map[i]]
-        if val != theta(t, s1, t.phi13(c)):
+    """Whether the problem's restriction map sends theta(c) on ``upper`` to
+    theta(phi(c)) below, for every c in phi's domain.  ``fused`` carries
+    theta(c) onto the problem's fused structure; ``unfuse_to`` is the lower
+    structure when the problem's own lower structure is fused."""
+    lower = unfuse_to if unfuse_to is not None else problem.A
+    for c in phi.domain.elements():
+        m = theta(t, upper, c)
+        if fused is not None:
+            m = fused.fuse_map(m.maps)
+        val = problem.G.maps[problem.phi.map[problem.H.index_of(m)]]
+        if unfuse_to is not None:
+            val = SortedMap(lower, lower, fused.unfuse_map(val))
+        if val != theta(t, lower, phi(c)):
             return False
     return True
 

@@ -55,16 +55,16 @@ __all__ = [
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    The table (nested sequences or a 2-d array) is validated at construction:
-    row/column 0 must be the identity row, every row and column must be a
-    permutation, and associativity is decided exactly by Light's test on a
-    generating set.  All checks run on the int64 array (Light's test on a
-    copy in the smallest unsigned dtype that holds the order); only a valid
-    table becomes the ``table`` tuple, whose cells share one int object per
-    element.
+    The table (nested sequences or a 2-d array) is copied into a fresh int64
+    array and validated: row/column 0 must be the identity row, every row and
+    column must be a permutation, and associativity is decided exactly by
+    Light's test on a generating set (run on a copy in the smallest unsigned
+    dtype that holds the order).  The group stores that one read-only array
+    as ``table`` and its inverses as a read-only int64 array; ``mul``,
+    ``inv`` and ``element_order`` read them and return plain ints.
     """
 
-    __slots__ = ("order", "table", "names", "name", "_np", "_inv", "_center")
+    __slots__ = ("order", "table", "names", "name", "_inv", "_center")
 
     def __init__(
         self,
@@ -73,7 +73,7 @@ class FiniteGroup:
         name: str | None = None,
     ):
         try:
-            arr = np.array(table, dtype=np.int64)
+            arr = np.array(table, dtype=np.int64)  # a copy: never the caller's array
         except (TypeError, ValueError, OverflowError) as exc:
             raise GroupError(f"multiplication table is not a square integer table: {exc}") from exc
         n = len(arr) if arr.ndim else 0
@@ -94,38 +94,38 @@ class FiniteGroup:
             raise GroupError(f"row/column {int(np.argmax(bad))} is not a permutation")
         if not _is_associative(arr.astype(np.min_scalar_type(n))):
             raise GroupError("multiplication table is not associative")
-        shared = np.arange(n).astype(object)
-        tab = tuple(tuple(shared[row].tolist()) for row in arr)
+        # each row is a permutation, so its minimum 0 sits at the inverse
+        inv = arr.argmin(axis=1).astype(np.int64)
+        arr.flags.writeable = inv.flags.writeable = False
         object.__setattr__(self, "order", n)
-        object.__setattr__(self, "table", tab)
+        object.__setattr__(self, "table", arr)
         object.__setattr__(self, "names", tuple(names) if names is not None else None)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_np", arr)
-        # each row is a permutation, so its minimum 0 sits at the inverse
-        object.__setattr__(self, "_inv", tuple(shared[arr.argmin(axis=1)].tolist()))
+        object.__setattr__(self, "_inv", inv)
         object.__setattr__(self, "_center", None)  # filled by center() on first use
 
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("FiniteGroup is immutable")
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return self.table.item(a, b)
 
     def inv(self, a: int) -> int:
-        return self._inv[a]
+        return self._inv.item(a)
 
     def elements(self) -> range:
         return range(self.order)
 
     def element_order(self, a: int) -> int:
+        item = self.table.item
         x, k = a, 1
         while x != 0:
-            x = self.table[x][a]
+            x = item(x, a)
             k += 1
         return k
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self._np, self._np.T))
+        return bool(np.array_equal(self.table, self.table.T))
 
     def element_name(self, a: int) -> str:
         return self.names[a] if self.names else str(a)
@@ -136,10 +136,10 @@ class FiniteGroup:
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return self.table == other.table
+        return self is other or bool(np.array_equal(self.table, other.table))
 
     def __hash__(self):
-        return hash(self.table)
+        return hash(self.table.tobytes())
 
     def __repr__(self):
         return f"FiniteGroup({self.label()}, order={self.order})"
@@ -197,7 +197,7 @@ class GroupHom:
 
 def _hom_law_holds(m: np.ndarray, domain: FiniteGroup, codomain: FiniteGroup) -> bool:
     """m(ab) == m(a)m(b) for every pair, on the int64 tables; m is in range."""
-    return bool(np.array_equal(m[domain._np], codomain._np[m[:, None], m[None, :]]))
+    return bool(np.array_equal(m[domain.table], codomain.table[m[:, None], m[None, :]]))
 
 
 def is_hom(mapping: Sequence[int], domain: FiniteGroup, codomain: FiniteGroup) -> bool:
@@ -216,7 +216,7 @@ def center(g: FiniteGroup) -> list[int]:
     """All elements commuting with the whole group; always contains 0.
     Computed once per group and kept on it."""
     if g._center is None:
-        arr = g._np
+        arr = g.table
         object.__setattr__(g, "_center", tuple(np.flatnonzero((arr == arr.T).all(axis=1)).tolist()))
     return list(g._center)
 
@@ -228,15 +228,18 @@ def quotient_by_subgroup(g: FiniteGroup, sub: Iterable[int]) -> tuple[FiniteGrou
     element 0 of the quotient.
     """
     n_set = set(int(x) for x in sub)
+    if any(x < 0 or x >= g.order for x in n_set):
+        raise GroupError("subgroup element out of range")
     if 0 not in n_set:
         raise GroupError("subgroup must contain the identity")
+    rows, inv = g.table.tolist(), g._inv.tolist()
     for a in n_set:
         for b in n_set:
-            if g.mul(a, b) not in n_set:
+            if rows[a][b] not in n_set:
                 raise GroupError("subset is not closed under multiplication")
     for x in g.elements():
         for a in n_set:
-            if g.mul(g.mul(x, a), g.inv(x)) not in n_set:
+            if rows[rows[x][a]][inv[x]] not in n_set:
                 raise GroupError("subgroup is not normal")
 
     coset_of = [-1] * g.order
@@ -244,13 +247,13 @@ def quotient_by_subgroup(g: FiniteGroup, sub: Iterable[int]) -> tuple[FiniteGrou
     for x in g.elements():
         if coset_of[x] >= 0:
             continue
-        members = sorted(g.mul(x, a) for a in n_set)
+        members = sorted(rows[x][a] for a in n_set)
         ci = len(reps)
         reps.append(members[0])
         for m in members:
             coset_of[m] = ci
     k = len(reps)
-    table = [[coset_of[g.mul(reps[i], reps[j])] for j in range(k)] for i in range(k)]
+    table = [[coset_of[rows[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
     q = FiniteGroup(table, name=f"{g.label()}/N")
     return q, GroupHom(g, q, coset_of)
 
@@ -300,17 +303,17 @@ def classify_section(phi: GroupHom, sec: Sequence[int]) -> Section:
     psi = np.array(m, dtype=np.int64)
     if not np.array_equal(np.array(phi.map)[psi], np.arange(g.order)):
         raise GroupError("map is not a section of the given surjection")
-    products = h._np[psi[:, None], psi[None, :]]  # psi(x) psi(y)
-    psi_xy = psi[g._np]  # psi(xy)
+    products = h.table[psi[:, None], psi[None, :]]  # psi(x) psi(y)
+    psi_xy = psi[g.table]  # psi(xy)
     if np.array_equal(products, psi_xy):
         return Section(phi, m, SPLITTING)
-    h_inv = np.array(h._inv, dtype=np.int64)
+    h_inv = h._inv
     central = np.zeros(h.order, dtype=bool)
     central[center(h)] = True
     weak = (
         m[0] == 0
-        and np.array_equal(psi[np.array(g._inv)], h_inv[psi])
-        and central[h._np[products, h_inv[psi_xy]]].all()
+        and np.array_equal(psi[g._inv], h_inv[psi])
+        and central[h.table[products, h_inv[psi_xy]]].all()
     )
     return Section(phi, m, WEAK_SPLITTING if weak else SECTION_ONLY)
 
@@ -377,7 +380,8 @@ def classify_sections(phi: GroupHom, *, max_candidates: int | None = None) -> Se
     result = SectionSearch(phi=phi, n_candidates=math.prod(len(f) for f in fibers))
 
     g, h = phi.codomain, phi.domain
-    g_mul, g_inv, h_mul, h_inv = g.table, g._inv, h.table, h._inv
+    g_mul, g_inv = g.table.tolist(), g._inv.tolist()
+    h_mul, h_inv = h.table.tolist(), h._inv.tolist()
     central = [False] * h.order
     for z in center(h):
         central[z] = True
@@ -514,29 +518,13 @@ def alternating(n: int) -> FiniteGroup:
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: str | None = None) -> FiniteGroup:
     """g1 x g2 with (a, b) encoded as a * |g2| + b."""
     n = g1.order * g2.order
-    table = (g1._np[:, None, :, None] * g2.order + g2._np[None, :, None, :]).reshape(n, n)
+    table = (g1.table[:, None, :, None] * g2.order + g2.table[None, :, None, :]).reshape(n, n)
     return FiniteGroup(table, name=name or f"{g1.label()}x{g2.label()}")
 
 
 def _invariant_key(g: FiniteGroup):
     orders = sorted(g.element_order(a) for a in g.elements())
     return (g.order, tuple(orders), g.is_abelian(), len(center(g)))
-
-
-def _closure(g: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
-    """The subgroup generated by a non-empty seed."""
-    current = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        items = list(current)
-        for a in items:
-            for b in items:
-                c = g.mul(a, b)
-                if c not in current:
-                    current.add(c)
-                    changed = True
-    return frozenset(current)
 
 
 def _generators(arr: np.ndarray) -> list[int]:
@@ -569,11 +557,11 @@ def _is_associative(arr: np.ndarray) -> bool:
 
 
 def _close_hom(
-    domain: FiniteGroup, codomain: FiniteGroup, m: dict[int, int]
+    t1: list[list[int]], t2: list[list[int]], m: dict[int, int]
 ) -> dict[int, int] | None:
     """Extend a partial map, in place, to the subgroup its keys generate by
-    the homomorphism law; None if the law forces two images for one element."""
-    t1, t2 = domain.table, codomain.table
+    the homomorphism law of the tables ``t1`` -> ``t2`` (row lists); None if
+    the law forces two images for one element."""
     frontier = list(m)
     while frontier:
         nxt = []
@@ -600,7 +588,8 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None
     """
     if _invariant_key(g1) != _invariant_key(g2):
         return None
-    gens = _generators(g1._np)
+    gens = _generators(g1.table)
+    t1, t2 = g1.table.tolist(), g2.table.tolist()
     orders2: dict[int, list[int]] = {}
     for a in g2.elements():
         orders2.setdefault(g2.element_order(a), []).append(a)
@@ -616,7 +605,7 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None
         for img in orders2[g1.element_order(gen)]:
             if img in mapping.values():
                 continue
-            closed = _close_hom(g1, g2, {**mapping, gen: img})
+            closed = _close_hom(t1, t2, {**mapping, gen: img})
             if closed is None or len(set(closed.values())) != len(closed):
                 continue
             found = extend(i + 1, closed)
@@ -690,6 +679,22 @@ def _factorial(n: int) -> int:
 
 def subgroups(g: FiniteGroup) -> list[frozenset[int]]:
     """All subgroups, discovered by closing generator sets."""
+    rows = g.table.tolist()
+
+    def closure(seed: set[int]) -> frozenset[int]:
+        current = set(seed)
+        changed = True
+        while changed:
+            changed = False
+            items = list(current)
+            for a in items:
+                for b in items:
+                    c = rows[a][b]
+                    if c not in current:
+                        current.add(c)
+                        changed = True
+        return frozenset(current)
+
     trivial = frozenset({0})
     found = {trivial}
     queue = [trivial]
@@ -698,7 +703,7 @@ def subgroups(g: FiniteGroup) -> list[frozenset[int]]:
         for x in g.elements():
             if x in h:
                 continue
-            bigger = _closure(g, h | {x})
+            bigger = closure(h | {x})
             if bigger not in found:
                 found.add(bigger)
                 queue.append(bigger)
@@ -706,9 +711,10 @@ def subgroups(g: FiniteGroup) -> list[frozenset[int]]:
 
 
 def normal_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
+    rows, inv = g.table.tolist(), g._inv.tolist()
     out = []
     for h in subgroups(g):
-        if all(g.mul(g.mul(x, a), g.inv(x)) in h for x in g.elements() for a in h):
+        if all(rows[rows[x][a]][inv[x]] in h for x in g.elements() for a in h):
             out.append(h)
     return out
 
@@ -744,7 +750,8 @@ def surjective_homs(
     """All surjective homomorphisms domain -> codomain (deterministic order)."""
     if codomain.order > domain.order or domain.order % codomain.order != 0:
         return []
-    gens = _generators(domain._np)
+    gens = _generators(domain.table)
+    t1, t2 = domain.table.tolist(), codomain.table.tolist()
     out: list[GroupHom] = []
 
     def extend(i: int, mapping: dict[int, int]):
@@ -762,7 +769,7 @@ def surjective_homs(
         for img in codomain.elements():
             if gen_order % codomain.element_order(img) != 0:
                 continue
-            closed = _close_hom(domain, codomain, {**mapping, gen: img})
+            closed = _close_hom(t1, t2, {**mapping, gen: img})
             if closed is not None:
                 extend(i + 1, closed)
 
@@ -832,7 +839,9 @@ def aut_group(s: SortedStructure, *, max_elements: int | None = None) -> Automor
 # JSON serialization
 
 def group_to_json(g: FiniteGroup) -> dict:
-    doc = {"order": g.order, "table": [list(row) for row in g.table]}
+    # rows hold one shared int object per element, not one per cell
+    shared = np.arange(g.order).astype(object)
+    doc = {"order": g.order, "table": [shared[row].tolist() for row in g.table]}
     if g.names is not None:
         doc["names"] = list(g.names)
     return doc

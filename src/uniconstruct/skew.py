@@ -162,7 +162,7 @@ def phi23_hom_witness(base: FiniteGroup) -> tuple[SkewElement, SkewElement] | No
     element order); x = (0:a) and y = (-1:b) multiply to support
     (-1:b, 0:a), so phi23(x*y) = b*a while phi23(x)*phi23(y) = a*b.
     """
-    clash = np.argwhere(base._np != base._np.T)
+    clash = np.argwhere(base.table != base.table.T)
     if not len(clash):
         return None
     a, b = (int(v) for v in clash[0])
@@ -297,7 +297,7 @@ def build_cyclic_skew(k: int, base: FiniteGroup, *, max_order: int | None = None
     index = np.arange(order)
     shift = index // n_base**k
     digits = np.stack([index // w % n_base for w in place], axis=1).astype(dtype)
-    base_table = base._np.astype(dtype)
+    base_table = base.table.astype(dtype)
     pair_shift = shift.astype(np.min_scalar_type(2 * order))
     table = ((pair_shift[:, None] + pair_shift[None, :]) % k).astype(dtype) * dtype.type(n_base**k)
     for p, w in enumerate(place):

@@ -206,7 +206,6 @@ class TripleSpace:
         A: SortedStructure,
         fam: Family,
         *,
-        limit: int | None = None,
         max_elements: int | None = None,
     ):
         A.check_valid()
@@ -237,7 +236,7 @@ class TripleSpace:
             self.biso.append(flat)
             self.biso_range.append(ranges)
         self._psi_tilde_cache: dict[tuple[int, int, int], SortedMap] = {}
-        self.triples = self._enumerate(limit)
+        self.triples = self._enumerate()
         self._cocycle: bool | None = None
         self._classes: tuple[list[int], list[list[int]]] | None = None
         self._frame_threads: tuple[list[tuple[int, ...]], list[dict[int, tuple]]] | None = None
@@ -246,8 +245,8 @@ class TripleSpace:
 
     # -- enumeration ------------------------------------------------------
 
-    def _enumerate(self, limit: int | None) -> list[MatchedTriple]:
-        bound = limit if limit is not None else config.DEFAULT.matched_triples
+    def _enumerate(self) -> list[MatchedTriple]:
+        bound = config.DEFAULT.matched_triples
         fam = self.fam
         if any(not lst for lst in self.iso):
             return []
@@ -468,16 +467,10 @@ class TripleSpace:
 
 
 def _space_for(
-    A: SortedStructure,
-    fam: Family,
-    *,
-    limit: int | None = None,
-    max_elements: int | None = None,
+    A: SortedStructure, fam: Family, *, max_elements: int | None = None
 ) -> TripleSpace:
     """Cache one enumeration per (family, target) pair on the family."""
     key = A.canonical_key()
-    if limit is not None:
-        return TripleSpace(A, fam, limit=limit, max_elements=max_elements)
     space = fam._spaces.get(key)
     if space is None:
         space = TripleSpace(A, fam, max_elements=max_elements)
@@ -486,14 +479,10 @@ def _space_for(
 
 
 def matched_triples(
-    A: SortedStructure,
-    fam: Family,
-    *,
-    limit: int | None = None,
-    max_elements: int | None = None,
+    A: SortedStructure, fam: Family, *, max_elements: int | None = None
 ) -> list[MatchedTriple]:
     """Every matched triple over the family and target, canonically ordered."""
-    return _space_for(A, fam, limit=limit, max_elements=max_elements).triples
+    return _space_for(A, fam, max_elements=max_elements).triples
 
 
 def e_equiv(x1: MatchedTriple, x2: MatchedTriple) -> bool:
@@ -700,7 +689,6 @@ def verify_claims(
     fam: Family,
     *,
     max_elements: int | None = None,
-    copy_cap: int | None = None,
 ) -> Report:
     """Re-check every intermediate fact of the uniform construction by full
     enumeration over the matched-triple space."""
@@ -711,9 +699,9 @@ def verify_claims(
         f"{len(fam)} members",
     )
 
-    copies0 = {c.canonical_key() for c in canonical_copies(fam.members[0].B, copy_cap)}
+    copies0 = {c.canonical_key() for c in canonical_copies(fam.members[0].B)}
     same = all(
-        {c.canonical_key() for c in canonical_copies(m.B, copy_cap)} == copies0
+        {c.canonical_key() for c in canonical_copies(m.B)} == copies0
         for m in fam.members[1:]
     )
     report.add(

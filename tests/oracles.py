@@ -196,6 +196,49 @@ def naive_catalog(max_order):
 
 
 # ---------------------------------------------------------------------------
+# Subgroups and quotients through g.mul alone
+
+
+def naive_closure(g, seed):
+    """The subgroup generated by a non-empty seed: add products until none is new."""
+    current = set(seed)
+    while True:
+        bigger = current | {g.mul(a, b) for a in current for b in current}
+        if bigger == current:
+            return frozenset(current)
+        current = bigger
+
+
+def naive_subgroups(g):
+    """Every subgroup as a join of cyclic subgroups: start from the cyclic
+    subgroups and close the set under pairwise joins."""
+    found = {naive_closure(g, {x}) for x in g.elements()}
+    while True:
+        joins = {naive_closure(g, h | k) for h in found for k in found}
+        if joins <= found:
+            return sorted(found, key=lambda s: (len(s), sorted(s)))
+        found |= joins
+
+
+def naive_normal_subgroups(g):
+    return [
+        h
+        for h in naive_subgroups(g)
+        if all({g.mul(g.mul(x, a), g.inv(x)) for a in h} == h for x in g.elements())
+    ]
+
+
+def naive_quotient(g, sub):
+    """(table, projection map) of g/N, the cosets xN numbered by their least
+    element and multiplied through their largest elements."""
+    n = frozenset(sub)
+    cosets = sorted({frozenset(g.mul(x, a) for a in n) for x in g.elements()}, key=min)
+    index = {x: i for i, c in enumerate(cosets) for x in c}
+    table = [[index[g.mul(max(c1), max(c2))] for c2 in cosets] for c1 in cosets]
+    return table, tuple(index[x] for x in g.elements())
+
+
+# ---------------------------------------------------------------------------
 # Sections by raw fiber products, with first-principles checks
 
 def _naive_labelled_sections(phi):

@@ -309,7 +309,7 @@ class TestJsonWriter:
             json.dumps({(1, 2): 0}, indent=2)
 
     def test_table_is_written_one_row_at_a_time(self):
-        table = [list(row) for row in cyclic(200).table]
+        table = cyclic(200).table.tolist()
         pieces = _written({"group": {"order": 200, "table": table}})
         # one piece per row: none near the size of the whole table
         assert len(pieces) > 200

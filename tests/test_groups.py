@@ -39,7 +39,16 @@ from uniconstruct.groups import (
 from uniconstruct.structures import SortedSignature, SortedStructure
 
 from .conftest import directed_cycle, free_points, two_sorted
-from .oracles import naive_catalog, naive_direct_product, naive_section_census, naive_sections
+from .oracles import (
+    naive_catalog,
+    naive_closure,
+    naive_direct_product,
+    naive_normal_subgroups,
+    naive_quotient,
+    naive_section_census,
+    naive_sections,
+    naive_subgroups,
+)
 
 
 class TestFiniteGroup:
@@ -87,22 +96,58 @@ class TestFiniteGroup:
             FiniteGroup(table)
 
     def test_array_table_equals_nested_lists(self):
-        lists = [list(row) for row in cyclic(300).table]
+        lists = cyclic(300).table.tolist()
         from_array = FiniteGroup(np.array(lists))
         from_lists = FiniteGroup(lists)
         assert from_array == from_lists
         assert hash(from_array) == hash(from_lists)
-        assert all(type(v) is int for row in from_array.table for v in row)
+        assert from_array.table.dtype == np.int64
+        assert np.array_equal(from_array.table, lists)
 
-    def test_table_cells_share_one_int_per_element(self):
-        g = cyclic(300)
-        assert g.table[1][298] is g.table[298][1] is g.table[0][299]
-        assert g.inv(1) is g.table[0][299]
+    def test_equality_ignores_names(self):
+        g = cyclic(3)
+        named = FiniteGroup(g.table, names=["e", "a", "b"], name="other")
+        assert named == g and hash(named) == hash(g)
+        assert g != cyclic(4) and g != direct_product(cyclic(2), cyclic(2))
+
+    def test_table_and_inverses_are_read_only(self):
+        g = cyclic(4)
+        with pytest.raises(ValueError):
+            g.table[1, 1] = 0
+        with pytest.raises(ValueError):
+            g._inv[1] = 1
+        assert g.mul(1, 1) == 2 and g.inv(1) == 3
+
+    def test_table_does_not_alias_callers_array(self):
+        arr = cyclic(5).table.copy()
+        g = FiniteGroup(arr)
+        assert arr.flags.writeable and not np.shares_memory(arr, g.table)
+        arr[1, 1] = 0
+        assert g.mul(1, 1) == 2
+        assert g == cyclic(5)
+
+    def test_one_table_and_no_tuple_table(self):
+        g = symmetric(3)
+        center(g)  # fill the cached center too
+        tables = [
+            slot for slot in FiniteGroup.__slots__
+            if isinstance(getattr(g, slot), np.ndarray) and getattr(g, slot).ndim == 2
+        ]
+        assert tables == ["table"]
+        for slot in FiniteGroup.__slots__:
+            value = getattr(g, slot)
+            assert not (isinstance(value, tuple) and any(isinstance(v, tuple) for v in value))
+
+    def test_accessors_return_int(self):
+        g = dicyclic(2)
+        for a in g.elements():
+            assert type(g.inv(a)) is int and type(g.element_order(a)) is int
+            assert all(type(g.mul(a, b)) is int for b in g.elements())
 
     def test_swapped_intercalate_in_c256_rejected(self):
         # rows and columns stay permutations, so only associativity can fail;
         # a check of sampled triples accepts this table
-        table = [list(row) for row in cyclic(256).table]
+        table = cyclic(256).table.tolist()
         for row in (3, 131):
             table[row][5], table[row][133] = table[row][133], table[row][5]
         with pytest.raises(GroupError, match="not associative"):
@@ -123,11 +168,11 @@ class TestFiniteGroup:
 
     @pytest.mark.parametrize("g", catalog(12), ids=lambda g: g.label())
     def test_generators_are_the_greedy_generating_set(self, g):
-        gens = groups._generators(g._np)
+        gens = groups._generators(g.table)
         reached = frozenset({0})
         for x in gens:
             assert x == min(a for a in g.elements() if a not in reached)
-            reached = groups._closure(g, reached | {x})
+            reached = naive_closure(g, reached | {x})
         assert len(reached) == g.order
 
 
@@ -209,6 +254,11 @@ class TestQuotients:
         )
         with pytest.raises(GroupError):
             quotient_by_subgroup(s3, reflection)
+
+    @pytest.mark.parametrize("sub", [[0, 2, 7], [0, -2]], ids=["too-large", "negative"])
+    def test_out_of_range_element_rejected(self, sub):
+        with pytest.raises(GroupError, match="out of range"):
+            quotient_by_subgroup(cyclic(4), sub)
 
 
 class TestHoms:
@@ -380,7 +430,7 @@ class TestCatalog:
     def test_catalog_equals_naive_closure(self, max_order):
         got, want = catalog(max_order), naive_catalog(max_order)
         assert [g.label() for g in got] == [g.label() for g in want]
-        assert [g.table for g in got] == [g.table for g in want]
+        assert all(np.array_equal(a.table, b.table) for a, b in zip(got, want))
 
     def test_catalog_builds_each_unordered_product_once(self, monkeypatch):
         built = []
@@ -407,7 +457,7 @@ class TestCatalog:
     )
     def test_direct_product_equals_naive(self, g1, g2):
         got, want = direct_product(g1, g2), naive_direct_product(g1, g2)
-        assert got.table == want.table and got.label() == want.label()
+        assert np.array_equal(got.table, want.table) and got.label() == want.label()
 
     def test_iso_search_positive_and_negative(self):
         assert find_isomorphism(dihedral(3), symmetric(3)) is not None
@@ -434,6 +484,17 @@ class TestSubgroups:
     def test_q8_all_subgroups_normal(self):
         q8 = dicyclic(2)
         assert len(subgroups(q8)) == len(normal_subgroups(q8))
+
+    @pytest.mark.parametrize("g", catalog(16), ids=lambda g: g.label())
+    def test_subgroups_and_quotients_equal_mul_oracle(self, g):
+        assert subgroups(g) == naive_subgroups(g)
+        normal = normal_subgroups(g)
+        assert normal == naive_normal_subgroups(g)
+        for nsub in normal:
+            q, phi = quotient_by_subgroup(g, nsub)
+            table, proj = naive_quotient(g, nsub)
+            assert np.array_equal(q.table, table)
+            assert phi.map == proj
 
 
 class TestCatalogSearch:
@@ -566,6 +627,24 @@ class TestGroupSerialization:
         g = dihedral(4)
         doc = json.loads(json.dumps(group_to_json(g)))
         assert group_from_json(doc) == g
+
+    def test_rows_are_plain_ints_shared_per_element(self):
+        g = cyclic(300)
+        rows = group_to_json(g)["table"]
+        assert all(type(row) is list for row in rows)
+        assert all(type(v) is int for row in rows for v in row)
+        assert rows[1][298] is rows[298][1] is rows[0][299]
+
+    def test_json_bytes_unchanged(self):
+        assert json.dumps(group_to_json(cyclic(3))) == (
+            '{"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}'
+        )
+        for g in (symmetric(3), dicyclic(3), cyclic(300)):
+            rows = [[g.mul(a, b) for b in g.elements()] for a in g.elements()]
+            want = {"order": g.order, "table": rows}
+            if g.names is not None:
+                want["names"] = list(g.names)
+            assert json.dumps(group_to_json(g), indent=2) == json.dumps(want, indent=2)
 
     def test_bad_table_rejected(self):
         with pytest.raises(GroupError):
