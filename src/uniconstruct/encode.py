@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import GroupError, StructureError
 from .groups import AutomorphismGroup, FiniteGroup, GroupHom, aut_group, is_surjective
 from .structures import SortedMap, SortedSignature, SortedStructure, reduct
-from .ucp import FusedStructure, Report, UniConstructionProblem, derive_triple
+from .ucp import FusedStructure, Report, UniConstructionProblem, derive_triple, restriction_hom
 
 __all__ = [
     "GroupTriple",
@@ -100,9 +100,7 @@ def theta(t: GroupTriple, structure: SortedStructure, c: int) -> SortedMap:
     return SortedMap(structure, structure, maps)
 
 
-def verify_theta_iso(
-    t: GroupTriple, *, max_elements: int | None = None, check_ucps: bool = True
-) -> Report:
+def verify_theta_iso(t: GroupTriple, *, max_elements: int | None = None) -> Report:
     """Exhaustively verify that left translation realizes G3 as Aut of the
     encoded structure, and that the derived restriction maps are the
     connecting maps in disguise."""
@@ -148,24 +146,23 @@ def verify_theta_iso(
         "every automorphism is translation by its value at the sort-3 identity",
     )
 
-    if check_ucps:
-        d = derive_triple(structure, max_elements=bound)
-        report.add(
-            "derived_weak_ucps",
-            d.all_weak,
-            "all three derived restriction problems satisfy clauses (a)-(e)",
-        )
-        report.add("derived_composition", d.composition_ok)
-        s12 = reduct(structure, (0, 1))
-        report.add(
-            "restriction_matches_phi23",
-            _restriction_matches(t, structure, d.c23, t.phi23, d.fused23, unfuse_to=s12),
-        )
-        report.add("restriction_matches_phi12", _restriction_matches(t, d.c12.B, d.c12, t.phi12))
-        report.add(
-            "restriction_matches_phi13",
-            _restriction_matches(t, structure, d.c13, t.phi13, d.fused13),
-        )
+    d = derive_triple(structure, max_elements=bound)
+    report.add(
+        "derived_weak_ucps",
+        d.all_weak,
+        "all three derived restriction problems satisfy clauses (a)-(e)",
+    )
+    report.add("derived_composition", d.composition_ok)
+    s12 = reduct(structure, (0, 1))
+    report.add(
+        "restriction_matches_phi23",
+        _restriction_matches(t, structure, d.c23, t.phi23, d.fused23, unfuse_to=s12),
+    )
+    report.add("restriction_matches_phi12", _restriction_matches(t, d.c12.B, d.c12, t.phi12))
+    report.add(
+        "restriction_matches_phi13",
+        _restriction_matches(t, structure, d.c13, t.phi13, d.fused13),
+    )
     return report
 
 
@@ -235,11 +232,7 @@ def attach_skew(
         raise GroupError("phi23 must map G3 into the automorphism group of B")
 
     if phi13 is None:
-        restriction = []
-        for i in range(autB.group.order):
-            restricted = SortedMap(A, A, (autB.maps[i].maps[0],))
-            restriction.append(autA.index_of(restricted))
-        phi13 = GroupHom(autB.group, autA.group, restriction).compose(phi23)
+        phi13 = restriction_hom(autB, autA).compose(phi23)
     elif phi13.domain != g3 or phi13.codomain != autA.group:
         raise GroupError("phi13 must map G3 into the automorphism group of the reduct")
 

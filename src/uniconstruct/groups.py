@@ -785,7 +785,9 @@ class AutomorphismGroup:
     """Automorphism list of a structure together with its Cayley table.
 
     ``maps[i]`` realizes group element i; multiplication is composition
-    (apply the right factor first); element 0 is the identity map.
+    (apply the right factor first); element 0 is the identity map.  From
+    :func:`aut_group` the maps come in canonical order; on a copy made by
+    :meth:`conjugate` they keep the order of the group conjugated.
 
     The table is built from one int array of shape |Aut|×N (N the total
     element count): row i holds ``maps[i]``'s per-sort images concatenated,
@@ -800,8 +802,17 @@ class AutomorphismGroup:
     maps: list[SortedMap]
     index: dict[tuple[tuple[int, ...], ...], int]
 
-    def action(self, element: int) -> SortedMap:
-        return self.maps[element]
+    def conjugate(self, f: SortedMap) -> "AutomorphismGroup":
+        """The automorphism group of f's codomain, for an isomorphism f from
+        this group's structure: element j is f . maps[j] . f^-1.
+
+        Conjugation by f is a group isomorphism, so the copy shares this
+        group's table, and no search runs.
+        """
+        f_inv = f.inverse()
+        maps = [f.compose(m.compose(f_inv)) for m in self.maps]
+        index = {m.key(): j for j, m in enumerate(maps)}
+        return AutomorphismGroup(f.codomain, self.group, maps, index)
 
     def index_of(self, m: SortedMap) -> int:
         try:

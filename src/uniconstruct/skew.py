@@ -72,9 +72,6 @@ class SkewElement:
         if any(v < 0 or v >= self.base.order for _, v in self.support):
             raise GroupError("support value out of base-group range")
 
-    def support_map(self) -> dict[int, int]:
-        return dict(self.support)
-
     def is_identity(self) -> bool:
         return self.shift == 0 and not self.support
 
@@ -208,19 +205,23 @@ def center_witness(a: SkewElement) -> SkewElement:
     return w
 
 
+# ranges random_skew_element draws from: shifts in [-3, 3], up to 3 support
+# positions, each in [-4, 4]
+_RANDOM_MAX_SHIFT = 3
+_RANDOM_MAX_SUPPORT = 3
+_RANDOM_POSITIONS = 4
+
+
 def random_skew_element(
     base: FiniteGroup,
     rng: random.Random,
     *,
-    max_shift: int = 3,
-    max_support: int = 3,
-    position_range: int = 4,
     allow_identity: bool = False,
 ) -> SkewElement:
     while True:
-        shift = rng.randint(-max_shift, max_shift)
-        size = rng.randint(0, max_support)
-        positions = rng.sample(range(-position_range, position_range + 1), size)
+        shift = rng.randint(-_RANDOM_MAX_SHIFT, _RANDOM_MAX_SHIFT)
+        size = rng.randint(0, _RANDOM_MAX_SUPPORT)
+        positions = rng.sample(range(-_RANDOM_POSITIONS, _RANDOM_POSITIONS + 1), size)
         support = {p: rng.randrange(1, base.order) for p in positions} if base.order > 1 else {}
         el = skew_from_support(base, shift, support)
         if allow_identity or not el.is_identity():

@@ -517,9 +517,7 @@ def relabel_map(s: SortedStructure, maps: Sequence[Sequence[int]]) -> SortedMap:
     return SortedMap(s, target_structure, norm)
 
 
-def canonical_copies(
-    s: SortedStructure, cap: int | None = None, *, max_relabelings: int | None = None
-) -> list[SortedStructure]:
+def canonical_copies(s: SortedStructure, cap: int | None = None) -> list[SortedStructure]:
     """Distinct relabelings of ``s`` on its own universe, canonically ordered.
 
     The full set has size prod(sort_size!) / |Aut(s)|; enumeration cost is
@@ -530,7 +528,7 @@ def canonical_copies(
     for n in s.sort_sizes:
         for k in range(2, n + 1):
             total *= k
-    bound = max_relabelings if max_relabelings is not None else config.DEFAULT.relabelings
+    bound = config.DEFAULT.relabelings
     if total > bound:
         raise BoundExceededError(f"{total} relabelings exceed bound {bound}")
     seen = {}

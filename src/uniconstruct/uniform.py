@@ -26,11 +26,10 @@ import numpy as np
 from . import config
 from .errors import (
     BoundExceededError,
-    GroupError,
     StructureError,
     VerificationError,
 )
-from .groups import AutomorphismGroup, GroupHom, Section, aut_group, classify_section
+from .groups import AutomorphismGroup, GroupHom, Section
 from .structures import (
     SortedMap,
     SortedStructure,
@@ -40,7 +39,7 @@ from .structures import (
     reduct,
     relabel_map,
 )
-from .ucp import Report, restriction_hom
+from .ucp import Report, assemble_ucp
 
 __all__ = [
     "LiftedCopy",
@@ -100,23 +99,15 @@ def make_lifted_copy(
     *,
     max_elements: int | None = None,
 ) -> LiftedCopy:
-    if len(B.sort_sizes) != 2:
-        raise StructureError("lifted copies must be 2-sorted")
     if B.signature.functions or B.signature.constants:
         raise StructureError("lifted copies must be relational")
-    B.check_valid()
-    A = reduct(B, (0,))
-    autB = aut_group(B, max_elements=max_elements)
-    autA = aut_group(A, max_elements=max_elements)
-    phi = restriction_hom(autB, autA)
-    sec_map = psi.map if isinstance(psi, Section) else tuple(int(v) for v in psi)
-    try:
-        section = classify_section(phi, sec_map)
-    except GroupError as exc:
-        raise StructureError(f"supplied map is not a weak splitting: {exc}") from exc
-    if not section.is_weak_splitting():
-        raise StructureError("supplied section is not a weak splitting")
-    return LiftedCopy(tag=tag, B=B, A=A, autB=autB, autA=autA, phi=phi, psi=section)
+    problem = assemble_ucp(B, psi, max_elements=max_elements)
+    if problem.psi is None or not problem.report.ok("f"):
+        detail = next(d for name, _, d in problem.report.entries if name == "f")
+        raise StructureError(f"supplied map is not a weak splitting: {detail}")
+    return LiftedCopy(
+        tag=tag, B=B, A=problem.A, autB=problem.H, autA=problem.G, phi=problem.phi, psi=problem.psi
+    )
 
 
 def build_family(
@@ -126,11 +117,14 @@ def build_family(
     *,
     max_elements: int | None = None,
 ) -> Family:
-    """n lifted copies: the original pair plus transported relabelings.
+    """n lifted copies: the original pair plus relabelings of it.
 
     Copy i > 0 relabels B along the i-th non-identity per-sort bijection
-    family (lexicographic), conjugating the weak splitting along the
-    relabeling; every copy is re-verified from scratch.
+    family f (lexicographic).  Naturality carries everything else across:
+    the copy's automorphisms are f . m . f^-1 for the base's automorphisms m
+    (in the base's order, on the base's group table), so its restriction
+    map and weak splitting are the base's own.  Only the base is searched
+    and checked; every copy is then re-checked to be isomorphic to it.
     """
     if n < 1:
         raise StructureError("family size must be at least 1")
@@ -149,37 +143,22 @@ def build_family(
                 f"structure admits fewer than {n} distinct relabeling maps"
             ) from None
         f = relabel_map(B, perms)
-        copy_b = f.codomain
-        f_inv = f.inverse()
-        f_a = SortedMap(base.A, reduct(copy_b, (0,)), (f.maps[0],))
-        f_a_inv = f_a.inverse()
-
-        aut_a_i = aut_group(reduct(copy_b, (0,)), max_elements=max_elements)
-        transported = [0] * aut_a_i.group.order
-        for j, g_prime in enumerate(aut_a_i.maps):
-            inner = f_a_inv.compose(g_prime.compose(f_a))
-            lifted = base.psi_map(base.autA.index_of(inner))
-            transported_map = f.compose(lifted.compose(f_inv))
-            transported[j] = transported_map.key()
-        copy = make_lifted_copy(
-            copy_b,
-            _index_section(copy_b, transported, max_elements=max_elements),
+        copy_a = reduct(f.codomain, (0,))
+        members.append(LiftedCopy(
             tag=tag,
-            max_elements=max_elements,
-        )
-        members.append(copy)
+            B=f.codomain,
+            A=copy_a,
+            autB=base.autB.conjugate(f),
+            autA=base.autA.conjugate(SortedMap(base.A, copy_a, f.maps[:1])),
+            phi=base.phi,
+            psi=base.psi,
+        ))
 
     fam = Family(tuple(members))
     for member in members[1:]:
         if not isomorphisms(members[0].B, member.B, max_elements=max_elements, limit=1):
             raise StructureError("family members are not pairwise isomorphic")
     return fam
-
-
-def _index_section(copy_b: SortedStructure, transported_keys, *, max_elements):
-    """Turn transported map keys into a section over the copy's aut indices."""
-    autB = aut_group(copy_b, max_elements=max_elements)
-    return tuple(autB.index[k] for k in transported_keys)
 
 
 @dataclass(frozen=True)
@@ -196,6 +175,17 @@ class MatchedTriple:
     g_idx: tuple[int, ...]
     b: tuple[tuple[int, int], ...]
     space: "TripleSpace" = field(compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class ThreadClass:
+    """The triples threading one target element, ascending; ``cid`` is their
+    class when they lie in one class, and ``problem`` is empty exactly when
+    they are that whole class."""
+
+    triples: tuple[int, ...]
+    cid: int | None
+    problem: str
 
 
 class TripleSpace:
@@ -241,6 +231,7 @@ class TripleSpace:
         self._classes: tuple[list[int], list[list[int]]] | None = None
         self._frame_threads: tuple[list[tuple[int, ...]], list[dict[int, tuple]]] | None = None
         self._membership: list[dict[tuple[int, ...], tuple[tuple[bool, ...], ...]]] | None = None
+        self._thread_classes: list[ThreadClass] | None = None
         self._quotient: QuotientResult | None = None
 
     # -- enumeration ------------------------------------------------------
@@ -451,18 +442,38 @@ class TripleSpace:
         self._membership = table
         return table
 
-    def k_indices(self, a: int) -> list[int]:
-        """Indices of triples whose thread is the first-sort thread of a."""
-        out = []
+    def thread_classes(self) -> list[ThreadClass]:
+        """Per first-sort element a of the target, the triples threading a
+        and the class they form, from one pass over the triples.
+
+        Triple x threads a when every b_s is a first-sort element and pi_s
+        sends it to a; so each triple threads at most one element, read off
+        its own b and pi.
+        """
+        if self._thread_classes is not None:
+            return self._thread_classes
+        class_of, members = self.classes()
+        threading: list[list[int]] = [[] for _ in range(self.A.sort_sizes[0])]
         for idx, x in enumerate(self.triples):
-            ok = True
-            for s in range(len(self.fam.members)):
-                want = (0, self.iso_inv[s][x.pi_idx[s]].maps[0][a])
-                if x.b[s] != want:
-                    ok = False
-                    break
-            if ok:
-                out.append(idx)
+            if any(sort != 0 for sort, _ in x.b):
+                continue
+            images = {
+                self.iso[s][pi].maps[0][e] for s, (pi, (_, e)) in enumerate(zip(x.pi_idx, x.b))
+            }
+            if len(images) == 1:
+                threading[images.pop()].append(idx)
+        out = []
+        for idxs in threading:
+            cids = {class_of[i] for i in idxs}
+            if not idxs:
+                out.append(ThreadClass((), None, "empty thread set"))
+            elif len(cids) != 1:
+                out.append(ThreadClass(tuple(idxs), None, f"spans {len(cids)} classes"))
+            else:
+                cid = cids.pop()
+                problem = "" if members[cid] == idxs else "thread set is a strict part of its class"
+                out.append(ThreadClass(tuple(idxs), cid, problem))
+        self._thread_classes = out
         return out
 
 
@@ -497,16 +508,14 @@ def k_class(
 ) -> list[MatchedTriple]:
     """The triples threading a; verified to be exactly one equivalence class."""
     space = _space_for(A, fam, max_elements=max_elements)
-    indices = set(space.k_indices(a))
-    if not indices:
+    tc = space.thread_classes()[a]
+    if not tc.triples:
         raise VerificationError(f"no matched triple threads element {a}")
-    class_of, members = space.classes()
-    cids = {class_of[i] for i in indices}
-    if len(cids) != 1 or set(members[next(iter(cids))]) != indices:
+    if tc.problem:
         raise VerificationError(
             f"thread set of element {a} is not a single equivalence class"
         )
-    return [space.triples[i] for i in sorted(indices)]
+    return [space.triples[i] for i in tc.triples]
 
 
 # ---------------------------------------------------------------------------
@@ -590,20 +599,14 @@ def _quotient_full(space: TripleSpace) -> QuotientResult:
 
 
 def build_quotient(
-    A: SortedStructure,
-    fam: Family,
-    *,
-    max_elements: int | None = None,
-    space: TripleSpace | None = None,
+    A: SortedStructure, fam: Family, *, max_elements: int | None = None
 ) -> QuotientResult:
     """The quotient structure of matched triples by the twist equivalence.
 
     Enumerates every matched triple and re-verifies the agreement and
     congruence claims (hard error on failure).
     """
-    if space is None:
-        space = _space_for(A, fam, max_elements=max_elements)
-    return _quotient_full(space)
+    return _quotient_full(_space_for(A, fam, max_elements=max_elements))
 
 
 @dataclass
@@ -613,11 +616,7 @@ class UniformResult:
 
 
 def uniform_F(
-    A: SortedStructure,
-    fam: Family,
-    *,
-    max_elements: int | None = None,
-    space: TripleSpace | None = None,
+    A: SortedStructure, fam: Family, *, max_elements: int | None = None
 ) -> UniformResult:
     """The uniform construction: a copy of the family structure over A itself.
 
@@ -627,10 +626,9 @@ def uniform_F(
     element, and the result must be isomorphic to the family members.
     """
     base = fam.members[0]
-    if space is None:
-        space = _space_for(A, fam, max_elements=max_elements)
+    space = _space_for(A, fam, max_elements=max_elements)
     quot = _quotient_full(space)
-    class_of, labels = quot.class_of, quot.class_label
+    labels = quot.class_label
 
     n_sort0_classes = sum(1 for s, _ in labels if s == 0)
     if n_sort0_classes != A.sort_sizes[0]:
@@ -638,35 +636,23 @@ def uniform_F(
             "first-sort classes do not match the target element count"
         )
     a_of_class: dict[int, int] = {}
-    for a in range(A.sort_sizes[0]):
-        idxs = space.k_indices(a)
-        cids = {class_of[i] for i in idxs}
-        if len(cids) != 1:
+    for a, tc in enumerate(space.thread_classes()):
+        if tc.cid is None:
             raise VerificationError(f"thread classes of element {a} are not unique")
-        a_of_class[cids.pop()] = a
+        a_of_class[tc.cid] = a
 
-    relabeled: list[tuple[int, int]] = [(-1, -1)] * len(labels)
+    element_of: list[int] = []
     for cid, (s, lbl) in enumerate(labels):
-        if s == 0:
-            if cid not in a_of_class:
-                raise VerificationError(
-                    "a first-sort class is not the thread class of any element"
-                )
-            relabeled[cid] = (0, a_of_class[cid])
-        else:
-            relabeled[cid] = (1, lbl)
-
-    cid_of_label = {labels[c]: c for c in range(len(labels))}
-    rels = []
-    for ri, (name, rsig) in enumerate(base.B.signature.relations):
-        out = set()
-        for t in quot.structure.relations[ri]:
-            mapped = tuple(
-                relabeled[cid_of_label[(rsig[pos], lbl)]][1]
-                for pos, lbl in enumerate(t)
+        if s == 0 and cid not in a_of_class:
+            raise VerificationError(
+                "a first-sort class is not the thread class of any element"
             )
-            out.add(mapped)
-        rels.append(out)
+        element_of.append(a_of_class[cid] if s == 0 else lbl)
+
+    rels = [
+        {tuple(element_of[c] for c in ct) for ct, (exists, _) in verdicts.items() if exists[0]}
+        for verdicts in space.membership()
+    ]
     structure = SortedStructure(
         base.B.signature,
         (A.sort_sizes[0], quot.structure.sort_sizes[1]),
@@ -739,7 +725,7 @@ def verify_claims(
     if not all(verdicts):
         return report
 
-    class_of, members = space.classes()
+    _, members = space.classes()
     base = fam.members[0]
 
     frames_ok = True
@@ -783,29 +769,17 @@ def verify_claims(
             detail_cong = str(exc)
     report.add("quotient_constructible", quot is not None, detail_cong)
 
-    k_ok = True
     k_detail = []
     seen_classes = set()
-    for a in range(A.sort_sizes[0]):
-        idxs = set(space.k_indices(a))
-        if not idxs:
-            k_ok = False
-            k_detail.append(f"element {a}: empty thread set")
+    for a, tc in enumerate(space.thread_classes()):
+        if tc.problem:
+            k_detail.append(f"element {a}: {tc.problem}")
+        if tc.cid is None:
             continue
-        cids = {class_of[i] for i in idxs}
-        if len(cids) != 1:
-            k_ok = False
-            k_detail.append(f"element {a}: spans {len(cids)} classes")
-            continue
-        cid = cids.pop()
-        if set(members[cid]) != idxs:
-            k_ok = False
-            k_detail.append(f"element {a}: thread set is a strict part of its class")
-        if cid in seen_classes:
-            k_ok = False
+        if tc.cid in seen_classes:
             k_detail.append(f"element {a}: class collides with another element")
-        seen_classes.add(cid)
-    report.add("cla5_k_classes", k_ok, "; ".join(k_detail))
+        seen_classes.add(tc.cid)
+    report.add("cla5_k_classes", not k_detail, "; ".join(k_detail))
 
     n_sort2 = sum(
         1 for cid in range(len(members)) if xs[members[cid][0]].b[0][0] == 1

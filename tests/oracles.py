@@ -4,8 +4,11 @@ These deliberately avoid the library's search code paths: isomorphisms by
 filtering all permutation families, skew multiplication by string rewriting,
 cyclic skew tables and direct products cell by cell, sections by raw fiber
 products, matched triples by enumerating full commutative matrices,
-twist-equivalence classes by pairwise comparison, the uniform construction's
-output by relabelling the base member along one isomorphism.  The catalog
+twist-equivalence classes by pairwise comparison, thread sets by scanning
+every triple once per element, the uniform construction's output by
+relabelling the base member along one isomorphism.  The family oracle
+searches each relabelled copy's automorphism groups again and carries the
+weak splitting across map by map.  The catalog
 oracle keeps the library's isomorphism search but re-tries every ordered
 product pair in every round.
 Expected values in the tests are frozen from these.
@@ -27,7 +30,17 @@ from uniconstruct.groups import (
     find_isomorphism,
     symmetric,
 )
-from uniconstruct.structures import SortedStructure, identity_map, isomorphisms, relabel
+from uniconstruct.groups import aut_group
+from uniconstruct.structures import (
+    SortedMap,
+    SortedStructure,
+    identity_map,
+    isomorphisms,
+    reduct,
+    relabel,
+    relabel_map,
+)
+from uniconstruct.uniform import make_lifted_copy
 
 
 def naive_isomorphisms(s1: SortedStructure, s2: SortedStructure):
@@ -464,3 +477,97 @@ def naive_representative_structure(A, fam):
     base = fam.members[0]
     first = naive_isomorphisms(base.A, A)[0][0]
     return relabel(base.B, (first, tuple(range(base.B.sort_sizes[1]))))
+
+
+# ---------------------------------------------------------------------------
+# Lifted families by searching every copy again
+
+
+def naive_family(B, psi, n):
+    """The n family members, each relabelled copy re-searched: its groups
+    come from ``aut_group`` in canonical order, and its section sends each
+    automorphism g of the copy's reduct to f . psi(f^-1 g f) . f^-1 for the
+    relabelling f, looked up by map in the copy's own group."""
+    base = make_lifted_copy(B, psi)
+    members = [base]
+    perm_iter = itertools.product(*(itertools.permutations(range(size)) for size in B.sort_sizes))
+    next(perm_iter)  # identity family
+    for tag in range(1, n):
+        f = relabel_map(B, next(perm_iter))
+        f_inv = f.inverse()
+        copy_a = reduct(f.codomain, (0,))
+        f_a = SortedMap(base.A, copy_a, (f.maps[0],))
+        f_a_inv = f_a.inverse()
+        aut_a, aut_b = aut_group(copy_a), aut_group(f.codomain)
+        section = [
+            aut_b.index_of(
+                f.compose(base.psi_map(base.autA.index_of(f_a_inv.compose(g.compose(f_a)))))
+                .compose(f_inv)
+            )
+            for g in aut_a.maps
+        ]
+        members.append(make_lifted_copy(f.codomain, section, tag=tag))
+    return members
+
+
+# ---------------------------------------------------------------------------
+# Thread sets of target elements, one scan per element
+
+
+def _naive_thread_set(space, a):
+    """Indices of the triples whose every b_s is the first-sort element that
+    pi_s^-1 sends a to."""
+    return [
+        idx
+        for idx, x in enumerate(space.triples)
+        if all(
+            x.b[s] == (0, space.iso[s][pi].inverse().maps[0][a])
+            for s, pi in enumerate(x.pi_idx)
+        )
+    ]
+
+
+def naive_thread_classes(space):
+    """Per target element, (thread set, its class or None, problem), the
+    problem empty exactly when the thread set is one whole class."""
+    class_of, members = space.classes()
+    out = []
+    for a in range(space.A.sort_sizes[0]):
+        idxs = _naive_thread_set(space, a)
+        cids = {class_of[i] for i in idxs}
+        if not idxs:
+            out.append(((), None, "empty thread set"))
+        elif len(cids) != 1:
+            out.append((tuple(idxs), None, f"spans {len(cids)} classes"))
+        else:
+            cid = cids.pop()
+            strict = set(members[cid]) != set(idxs)
+            problem = "thread set is a strict part of its class" if strict else ""
+            out.append((tuple(idxs), cid, problem))
+    return out
+
+
+def naive_k_classes_claim(space):
+    """(ok, detail) of the cla5_k_classes claim, element by element."""
+    class_of, members = space.classes()
+    ok, detail, seen = True, [], set()
+    for a in range(space.A.sort_sizes[0]):
+        idxs = set(_naive_thread_set(space, a))
+        if not idxs:
+            ok = False
+            detail.append(f"element {a}: empty thread set")
+            continue
+        cids = {class_of[i] for i in idxs}
+        if len(cids) != 1:
+            ok = False
+            detail.append(f"element {a}: spans {len(cids)} classes")
+            continue
+        cid = cids.pop()
+        if set(members[cid]) != idxs:
+            ok = False
+            detail.append(f"element {a}: thread set is a strict part of its class")
+        if cid in seen:
+            ok = False
+            detail.append(f"element {a}: class collides with another element")
+        seen.add(cid)
+    return ok, "; ".join(detail)

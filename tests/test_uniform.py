@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from uniconstruct import config, uniform
+from uniconstruct import cli, config, encode, groups, ucp, uniform
 from uniconstruct.errors import BoundExceededError, StructureError, VerificationError
-from uniconstruct.groups import classify_sections
+from uniconstruct.groups import aut_group, classify_sections
 from uniconstruct.structures import (
     SortedSignature,
     SortedStructure,
@@ -34,10 +34,13 @@ from .oracles import (
     naive_classes,
     naive_cocycle_holds,
     naive_e_matrix,
+    naive_family,
     naive_frame_threads,
+    naive_k_classes_claim,
     naive_matched_triples,
     naive_relation_verdicts,
     naive_representative_structure,
+    naive_thread_classes,
 )
 
 
@@ -83,8 +86,24 @@ class TestBuildFamily:
             build_family(s, [0], 2)
 
     def test_non_weak_splitting_rejected(self, b_two_free):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="weak splitting: supplied map is not a section"):
             build_family(b_two_free, [1, 0], 1)
+
+    @pytest.mark.parametrize("name,n", [("b_cycle3", 4), ("b_rich", 8)])
+    def test_only_the_base_is_searched(self, request, monkeypatch, name, n):
+        searched = []
+
+        def counted(s, **kwargs):
+            searched.append(s)
+            return aut_group(s, **kwargs)
+
+        for mod in (cli, encode, groups, ucp, uniform):
+            if hasattr(mod, "aut_group"):
+                monkeypatch.setattr(mod, "aut_group", counted)
+        b = request.getfixturevalue(name)
+        fam = build_family(b, [0, 1, 2], n)
+        assert len(fam) == n
+        assert searched == [b, reduct(b, (0,))]
 
 
 class TestMatchedTriples:
@@ -440,6 +459,105 @@ def weak_only_lifting():
         ],
     )
     return b, classify_sections(assemble_ucp(b).phi)
+
+
+class TestConjugatedFamily:
+    def test_copies_equal_research_oracle(self, keyed_space):
+        fam, _ = keyed_space
+        base = fam.members[0]
+        oracle = naive_family(base.B, base.psi.map, len(fam))
+        for member, naive in zip(fam, oracle):
+            assert member.B == naive.B and member.A == naive.A
+            for got, structure in ((member.autB, member.B), (member.autA, member.A)):
+                assert {m.key() for m in got.maps} == {m.key() for m in aut_group(structure).maps}
+                assert all(got.index_of(m) == j for j, m in enumerate(got.maps))
+                mul = got.group.table.tolist()
+                assert all(
+                    got.maps[mul[i][j]] == got.maps[i].compose(got.maps[j])
+                    for i in range(len(got.maps))
+                    for j in range(len(got.maps))
+                )
+            assert all(
+                member.autA.maps[member.phi.map[j]].maps == (m.maps[0],)
+                for j, m in enumerate(member.autB.maps)
+            )
+            psi = {g.key(): member.psi_map(j).key() for j, g in enumerate(member.autA.maps)}
+            want = {g.key(): naive.psi_map(j).key() for j, g in enumerate(naive.autA.maps)}
+            assert psi == want
+
+    def test_copies_share_the_base_group_and_section(self, b_rich):
+        fam = build_family(b_rich, [0, 1, 2], 3)
+        base = fam.members[0]
+        for member in fam.members[1:]:
+            assert member.autB.group is base.autB.group and member.autA.group is base.autA.group
+            assert member.phi is base.phi and member.psi is base.psi
+
+
+def _renumbered(keys):
+    """(class_of, members) of a partition given by one key per triple,
+    classes numbered by first occurrence."""
+    ids: dict = {}
+    class_of = [ids.setdefault(k, len(ids)) for k in keys]
+    members = [[] for _ in ids]
+    for i, cid in enumerate(class_of):
+        members[cid].append(i)
+    return class_of, members
+
+
+def _with_classes(space, class_of_members):
+    """Install a partition on the space, dropping every cache built on it."""
+    space._classes = class_of_members
+    space._thread_classes = space._frame_threads = space._membership = space._quotient = None
+
+
+class TestThreadClasses:
+    def test_one_pass_equals_per_element_scan(self, keyed_space):
+        fam, space = keyed_space
+        got = [(tc.triples, tc.cid, tc.problem) for tc in space.thread_classes()]
+        assert got == naive_thread_classes(space)
+        report = verify_claims(fam.members[0].A, fam)
+        claim = next(entry for entry in report.entries if entry[0] == "cla5_k_classes")
+        assert claim[1:] == naive_k_classes_claim(space)
+
+    def test_weak_only_lifting_equals_per_element_scan(self):
+        b, search = weak_only_lifting()
+        fam = build_family(b, search.weak_splittings[0], 1)
+        space = _space_for(fam.members[0].A, fam)
+        got = [(tc.triples, tc.cid, tc.problem) for tc in space.thread_classes()]
+        assert got == naive_thread_classes(space)
+
+    @pytest.mark.parametrize("defect,detail", [
+        ("merge", "element 0: thread set is a strict part of its class; "
+                  "element 1: thread set is a strict part of its class; "
+                  "element 1: class collides with another element"),
+        ("split", "element 0: spans 2 classes"),
+        ("drop", "element 0: empty thread set"),
+    ], ids=["merge", "split", "drop"])
+    def test_broken_partitions_keep_claim_details(self, b_cycle3, defect, detail):
+        fam, A = family_and_target(b_cycle3, [0, 1, 2], 2)
+        space = _space_for(A, fam)
+        class_of, _ = space.classes()
+        tcs = space.thread_classes()
+        if defect == "merge":
+            _with_classes(space, _renumbered(
+                [tcs[0].cid if c == tcs[1].cid else c for c in class_of]
+            ))
+        elif defect == "split":
+            _with_classes(space, _renumbered(
+                [-1 if i == tcs[0].triples[0] else c for i, c in enumerate(class_of)]
+            ))
+        else:
+            space.triples = [x for i, x in enumerate(space.triples) if i not in tcs[0].triples]
+            _with_classes(space, None)
+        got = [(tc.triples, tc.cid, tc.problem) for tc in space.thread_classes()]
+        assert got == naive_thread_classes(space)
+        report = verify_claims(A, fam)
+        claim = next(entry for entry in report.entries if entry[0] == "cla5_k_classes")
+        assert claim[1:] == naive_k_classes_claim(space) == (False, detail)
+        with pytest.raises(VerificationError):
+            k_class(0, A, fam)
+        with pytest.raises(VerificationError):
+            uniform_F(A, fam)
 
 
 class TestKeyedClasses:
