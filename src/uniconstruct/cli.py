@@ -240,8 +240,8 @@ def _cmd_ucp_check(args):
         "is_weak_ucp": ucp.is_weak_ucp,
         "is_ucp": ucp.is_ucp,
         "weak_only": ucp.weak_only,
-        "H_order": ucp.H.group.order,
-        "G_order": ucp.G.group.order,
+        "H_order": ucp.H.order,
+        "G_order": ucp.G.order,
         "center_size": len(ucp.K),
         "clauses": ucp.report.to_json(),
     }
@@ -464,13 +464,13 @@ def _cmd_attach(args):
     return (0 if derivation.all_weak else 2), doc, lines
 
 
-def _resolve_psi(b, psi_path, max_elements):
+def _resolve_psi(ucp, psi_path):
+    """The section map from ``psi_path``, else the problem's first weak splitting."""
     if psi_path:
         doc = _read_json(psi_path)
         if "map" not in doc:
             raise UniconstructError(f"{psi_path}: missing field 'map'")
         return doc["map"]
-    ucp = assemble_ucp(b, max_elements=max_elements)
     search = classify_sections(ucp.phi)
     for sec in search.splittings + search.weak_splittings:
         return list(sec.map)
@@ -480,8 +480,9 @@ def _resolve_psi(b, psi_path, max_elements):
 def _cmd_uniformize(args, verify_only: bool):
     b = _load_structure(args.structure)
     target = _load_structure(args.target)
-    psi = _resolve_psi(b, args.psi, args.max_elements)
-    fam = build_family(b, psi, args.copies, max_elements=args.max_elements)
+    ucp = assemble_ucp(b, max_elements=args.max_elements)
+    psi = _resolve_psi(ucp, args.psi)
+    fam = build_family(b, psi, args.copies, max_elements=args.max_elements, problem=ucp)
     claims = verify_claims(target, fam, max_elements=args.max_elements)
     doc = {
         "command": "verify" if verify_only else "uniformize",

@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .errors import BoundExceededError
+
 _ENV_PREFIX = "UNICONSTRUCT_"
 
 
@@ -39,6 +41,8 @@ class Bounds:
     x_pairwise: int = 2000
     # relabeling families enumerated by canonical_copies / build_family
     relabelings: int = 10**6
+    # cells of any n x n Cayley table, checked before it is allocated
+    table_cells: int = 10**7
 
 
 DEFAULT = Bounds(
@@ -48,4 +52,15 @@ DEFAULT = Bounds(
     matched_triples=_env_int("TRIPLES_BOUND", 10**5),
     x_pairwise=_env_int("X_BOUND", 2000),
     relabelings=_env_int("RELABEL_BOUND", 10**6),
+    table_cells=_env_int("TABLE_CELLS_BOUND", 10**7),
 )
+
+
+def check_table_cells(order: int) -> None:
+    """Refuse an order x order Cayley table over the ``table_cells`` bound;
+    called before the table is allocated."""
+    bound = DEFAULT.table_cells
+    if order * order > bound:
+        raise BoundExceededError(
+            f"a Cayley table of order {order} has {order * order} cells, over the bound {bound}"
+        )

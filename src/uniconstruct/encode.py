@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GroupError, StructureError
-from .groups import AutomorphismGroup, FiniteGroup, GroupHom, aut_group, is_surjective
+from .groups import AutomorphismGroup, FiniteGroup, GroupHom, aut_group, is_hom, is_surjective
 from .structures import SortedMap, SortedSignature, SortedStructure, reduct
 from .ucp import FusedStructure, Report, UniConstructionProblem, derive_triple, restriction_hom
 
@@ -111,8 +111,8 @@ def verify_theta_iso(t: GroupTriple, *, max_elements: int | None = None) -> Repo
 
     report.add(
         "aut_order",
-        aut.group.order == t.g3.order,
-        f"|Aut|={aut.group.order}, |G3|={t.g3.order}",
+        aut.order == t.g3.order,
+        f"|Aut|={aut.order}, |G3|={t.g3.order}",
     )
 
     images = []
@@ -128,17 +128,12 @@ def verify_theta_iso(t: GroupTriple, *, max_elements: int | None = None) -> Repo
         return report
 
     report.add("theta_injective", len(set(images)) == t.g3.order)
-    report.add("theta_surjective", set(images) == set(range(aut.group.order)))
-    hom_ok = all(
-        images[t.g3.mul(c1, c2)] == aut.group.mul(images[c1], images[c2])
-        for c1 in t.g3.elements()
-        for c2 in t.g3.elements()
-    )
-    report.add("theta_hom", hom_ok, "theta(c1*c2) = theta(c1) o theta(c2)")
+    report.add("theta_surjective", set(images) == set(range(aut.order)))
+    report.add("theta_hom", is_hom(images, t.g3, aut), "theta(c1*c2) = theta(c1) o theta(c2)")
 
     recovered = all(
         aut.maps[i] == theta(t, structure, aut.maps[i].maps[2][0])
-        for i in range(aut.group.order)
+        for i in range(aut.order)
     )
     report.add(
         "theta_recovers_all",
@@ -183,7 +178,7 @@ def _restriction_matches(
         m = theta(t, upper, c)
         if fused is not None:
             m = fused.fuse_map(m.maps)
-        val = problem.G.maps[problem.phi.map[problem.H.index_of(m)]]
+        val = problem.G.maps[problem.restriction[problem.H.index_of(m)]]
         if unfuse_to is not None:
             val = SortedMap(lower, lower, fused.unfuse_map(val))
         if val != theta(t, lower, phi(c)):

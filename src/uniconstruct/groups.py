@@ -58,13 +58,15 @@ class FiniteGroup:
     The table (nested sequences or a 2-d array) is copied into a fresh int64
     array and validated: row/column 0 must be the identity row, every row and
     column must be a permutation, and associativity is decided exactly by
-    Light's test on a generating set (run on a copy in the smallest unsigned
-    dtype that holds the order).  The group stores that one read-only array
-    as ``table`` and its inverses as a read-only int64 array; ``mul``,
-    ``inv`` and ``element_order`` read them and return plain ints.
+    Light's test on the greedy generating set (run on a copy in the smallest
+    unsigned dtype that holds the order).  The group stores that one
+    read-only array as ``table``, its inverses as a read-only int64 array and
+    the generating set as ``gens``; ``mul``, ``inv`` and ``element_order``
+    read them and return plain ints.  A table of more than
+    ``config.DEFAULT.table_cells`` cells is refused before it is copied.
     """
 
-    __slots__ = ("order", "table", "names", "name", "_inv", "_center")
+    __slots__ = ("order", "table", "names", "name", "gens", "_inv", "_center")
 
     def __init__(
         self,
@@ -72,6 +74,10 @@ class FiniteGroup:
         names: Sequence[str] | None = None,
         name: str | None = None,
     ):
+        try:
+            config.check_table_cells(len(table))
+        except TypeError:
+            pass  # not a sequence: the conversion below reports it
         try:
             arr = np.array(table, dtype=np.int64)  # a copy: never the caller's array
         except (TypeError, ValueError, OverflowError) as exc:
@@ -92,7 +98,9 @@ class FiniteGroup:
         )
         if bad.any():
             raise GroupError(f"row/column {int(np.argmax(bad))} is not a permutation")
-        if not _is_associative(arr.astype(np.min_scalar_type(n))):
+        small = arr.astype(np.min_scalar_type(n))
+        gens = _generators(n, lambda a, b: small[a, b])
+        if not _is_associative(small, gens):
             raise GroupError("multiplication table is not associative")
         # each row is a permutation, so its minimum 0 sits at the inverse
         inv = arr.argmin(axis=1).astype(np.int64)
@@ -101,6 +109,7 @@ class FiniteGroup:
         object.__setattr__(self, "table", arr)
         object.__setattr__(self, "names", tuple(names) if names is not None else None)
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "_inv", inv)
         object.__setattr__(self, "_center", None)  # filled by center() on first use
 
@@ -112,6 +121,10 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return self._inv.item(a)
+
+    def products(self, a, b) -> np.ndarray:
+        """a * b elementwise over int arrays (broadcast together)."""
+        return self.table[a, b]
 
     def elements(self) -> range:
         return range(self.order)
@@ -195,13 +208,21 @@ class GroupHom:
         return hash(self.map)
 
 
-def _hom_law_holds(m: np.ndarray, domain: FiniteGroup, codomain: FiniteGroup) -> bool:
-    """m(ab) == m(a)m(b) for every pair, on the int64 tables; m is in range."""
-    return bool(np.array_equal(m[domain.table], codomain.table[m[:, None], m[None, :]]))
+def _hom_law_holds(m: np.ndarray, domain, codomain) -> bool:
+    """m(xg) == m(x)m(g) for every x and every generator g of the domain; m
+    is in range.  Every element is a word in the generators, so by induction
+    on its length this is the law for every pair, at O(|domain|·|gens|) cost.
+    Either group may be a FiniteGroup or an AutomorphismGroup."""
+    xs = np.arange(domain.order)
+    return all(
+        np.array_equal(m[domain.products(xs, g)], codomain.products(m, m[g]))
+        for g in domain.gens
+    )
 
 
-def is_hom(mapping: Sequence[int], domain: FiniteGroup, codomain: FiniteGroup) -> bool:
-    """Exhaustive check of the homomorphism law for a candidate map."""
+def is_hom(mapping: Sequence[int], domain, codomain) -> bool:
+    """Exact check of the homomorphism law for a candidate map, between
+    FiniteGroups or AutomorphismGroups."""
     m = tuple(int(v) for v in mapping)
     if len(m) != domain.order or any(v < 0 or v >= codomain.order for v in m):
         return False
@@ -212,12 +233,15 @@ def is_surjective(h: GroupHom) -> bool:
     return len(set(h.map)) == h.codomain.order
 
 
-def center(g: FiniteGroup) -> list[int]:
-    """All elements commuting with the whole group; always contains 0.
-    Computed once per group and kept on it."""
+def center(g) -> list[int]:
+    """All elements commuting with every generator, hence with the whole
+    group; always contains 0.  ``g`` is a FiniteGroup or an
+    AutomorphismGroup; the centre is computed once per group and kept on it."""
     if g._center is None:
-        arr = g.table
-        object.__setattr__(g, "_center", tuple(np.flatnonzero((arr == arr.T).all(axis=1)).tolist()))
+        xs = np.arange(g.order)[:, None]
+        gens = np.array(g.gens, dtype=np.int64)
+        commute = (g.products(xs, gens) == g.products(gens, xs)).all(axis=1)
+        object.__setattr__(g, "_center", tuple(np.flatnonzero(commute).tolist()))
     return list(g._center)
 
 
@@ -443,6 +467,7 @@ def classify_sections(phi: GroupHom, *, max_candidates: int | None = None) -> Se
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError("cyclic group order must be positive")
+    config.check_table_cells(n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, name=f"C{n}")
 
@@ -451,6 +476,7 @@ def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n, elements encoded as j*n + k for r^k s^j."""
     if n < 1:
         raise GroupError("dihedral parameter must be positive")
+    config.check_table_cells(2 * n)
 
     def mul(a, b):
         k1, j1 = a % n, a // n
@@ -467,6 +493,7 @@ def dicyclic(n: int) -> FiniteGroup:
     """Dicyclic (generalized quaternion) group of order 4n; Q8 is n=2."""
     if n < 1:
         raise GroupError("dicyclic parameter must be positive")
+    config.check_table_cells(4 * n)
     m = 2 * n
 
     def mul(x, y):
@@ -491,6 +518,7 @@ def _perm_group(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
 
 
 def symmetric(n: int) -> FiniteGroup:
+    config.check_table_cells(math.factorial(n))
     perms = [tuple(p) for p in itertools.permutations(range(n))]
     return _perm_group(perms, f"S{n}")
 
@@ -511,6 +539,7 @@ def _parity(p: tuple[int, ...]) -> int:
 
 
 def alternating(n: int) -> FiniteGroup:
+    config.check_table_cells(math.factorial(n) // 2)
     perms = [tuple(p) for p in itertools.permutations(range(n)) if _parity(tuple(p)) == 0]
     return _perm_group(perms, f"A{n}")
 
@@ -518,6 +547,7 @@ def alternating(n: int) -> FiniteGroup:
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: str | None = None) -> FiniteGroup:
     """g1 x g2 with (a, b) encoded as a * |g2| + b."""
     n = g1.order * g2.order
+    config.check_table_cells(n)
     table = (g1.table[:, None, :, None] * g2.order + g2.table[None, :, None, :]).reshape(n, n)
     return FiniteGroup(table, name=name or f"{g1.label()}x{g2.label()}")
 
@@ -527,20 +557,22 @@ def _invariant_key(g: FiniteGroup):
     return (g.order, tuple(orders), g.is_abelian(), len(center(g)))
 
 
-def _generators(arr: np.ndarray) -> list[int]:
+def _generators(order: int, products) -> list[int]:
     """Greedy generating set of a table with identity 0: the smallest element
     not yet reached, then the closure of the reached set under right
-    multiplication by every generator so far.  On a group table each closure
-    is the subgroup the generators so far generate."""
-    reached = np.zeros(len(arr), dtype=bool)
+    multiplication by every generator so far.  ``products(a, b)`` gives a*b
+    elementwise over broadcast int arrays.  On a group table each closure is
+    the subgroup the generators so far generate, and when the loop ends every
+    element has been multiplied by every generator."""
+    reached = np.zeros(order, dtype=bool)
     reached[0] = True
     gens: list[int] = []
     while not reached.all():
         gens.append(int(np.argmin(reached)))
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            step = arr[frontier[:, None], gens].ravel()
-            fresh = np.zeros(len(arr), dtype=bool)
+            step = products(frontier[:, None], np.array(gens)).ravel()
+            fresh = np.zeros(order, dtype=bool)
             fresh[step] = True
             fresh &= ~reached
             reached |= fresh
@@ -548,12 +580,12 @@ def _generators(arr: np.ndarray) -> list[int]:
     return gens
 
 
-def _is_associative(arr: np.ndarray) -> bool:
-    """Light's test: (x*g)*y == x*(g*y) for every x, y and every g in a
-    generating set.  The elements g that pass are closed under the product
-    (Clifford & Preston, vol. 1, section 1.2), and every element is a product
-    of generators, so the check is exact at O(n^2 |gens|) cost."""
-    return all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]]) for g in _generators(arr))
+def _is_associative(arr: np.ndarray, gens: Sequence[int]) -> bool:
+    """Light's test: (x*g)*y == x*(g*y) for every x, y and every g in the
+    generating set ``gens``.  The elements g that pass are closed under the
+    product (Clifford & Preston, vol. 1, section 1.2), and every element is a
+    product of generators, so the check is exact at O(n^2 |gens|) cost."""
+    return all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]]) for g in gens)
 
 
 def _close_hom(
@@ -588,7 +620,7 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None
     """
     if _invariant_key(g1) != _invariant_key(g2):
         return None
-    gens = _generators(g1.table)
+    gens = g1.gens
     t1, t2 = g1.table.tolist(), g2.table.tolist()
     orders2: dict[int, list[int]] = {}
     for a in g2.elements():
@@ -629,11 +661,11 @@ def catalog(max_order: int) -> list[FiniteGroup]:
     raw: list[FiniteGroup] = []
     raw.extend(cyclic(n) for n in range(1, max_order + 1))
     n = 3
-    while _factorial(n) <= max_order:
+    while math.factorial(n) <= max_order:
         raw.append(symmetric(n))
         n += 1
     n = 3
-    while _factorial(n) // 2 <= max_order:
+    while math.factorial(n) // 2 <= max_order:
         raw.append(alternating(n))
         n += 1
     raw.extend(dihedral(k) for k in range(3, max_order // 2 + 1))
@@ -668,13 +700,6 @@ def catalog(max_order: int) -> list[FiniteGroup]:
         paired = current
     kept.sort(key=lambda g: (g.order, g.label()))
     return kept
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def subgroups(g: FiniteGroup) -> list[frozenset[int]]:
@@ -750,7 +775,7 @@ def surjective_homs(
     """All surjective homomorphisms domain -> codomain (deterministic order)."""
     if codomain.order > domain.order or domain.order % codomain.order != 0:
         return []
-    gens = _generators(domain.table)
+    gens = domain.gens
     t1, t2 = domain.table.tolist(), codomain.table.tolist()
     out: list[GroupHom] = []
 
@@ -780,39 +805,97 @@ def surjective_homs(
 # ---------------------------------------------------------------------------
 # Automorphism groups of structures
 
-@dataclass
 class AutomorphismGroup:
-    """Automorphism list of a structure together with its Cayley table.
+    """The automorphisms of a structure as a permutation group.
 
     ``maps[i]`` realizes group element i; multiplication is composition
     (apply the right factor first); element 0 is the identity map.  From
     :func:`aut_group` the maps come in canonical order; on a copy made by
     :meth:`conjugate` they keep the order of the group conjugated.
 
-    The table is built from one int array of shape |Aut|×N (N the total
-    element count): row i holds ``maps[i]``'s per-sort images concatenated,
-    each offset by its sort's start.  Row i of the table comes from one
-    vectorised composition, ``perms[i][perms]``, whose row j is
-    ``maps[i]`` after ``maps[j]``; each composite row is looked up by its
-    bytes, so the key is the whole row and the closure check is exact.
+    ``perms`` stacks the maps into one read-only int array of shape |Aut|×N
+    (N the total element count): row i holds ``maps[i]``'s per-sort images
+    concatenated, each offset by its sort's start.  A product is one
+    vectorised composition of rows, looked up by the composite row's bytes,
+    so the key is the whole row.  Construction finds the greedy generating
+    set ``gens``, which multiplies every element by every generator; a
+    composite missing from the list raises GroupError, so closure is checked
+    exactly at O(|Aut|·|gens|·N) cost.  Order, centre and homomorphism laws
+    are decided from the rows and ``gens``.  The Cayley table ``group`` is
+    built on first access, at most once, and conjugate copies share it.
     """
 
-    structure: SortedStructure
-    group: FiniteGroup
-    maps: list[SortedMap]
-    index: dict[tuple[tuple[int, ...], ...], int]
+    def __init__(
+        self,
+        structure: SortedStructure,
+        maps: list[SortedMap],
+        *,
+        _table_source: "AutomorphismGroup | None" = None,
+    ):
+        self.structure = structure
+        self.maps = maps
+        self.index = {m.key(): i for i, m in enumerate(maps)}
+        width = structure.total_elements
+        offsets = np.repeat(np.cumsum((0,) + structure.sort_sizes)[:-1], structure.sort_sizes)
+        perms = np.array([m.image_seq() for m in maps], dtype=np.min_scalar_type(width))
+        perms += offsets.astype(perms.dtype)
+        perms.flags.writeable = False
+        self.perms = perms
+        # One bytes key per row; numpy strips trailing NULs from every key
+        # alike, which keeps keys of equal-width rows distinct.
+        self._as_keys = np.dtype((np.bytes_, width * perms.itemsize))
+        self._row_of = {key: i for i, key in enumerate(perms.view(self._as_keys).ravel().tolist())}
+        self._source = _table_source or self  # the group whose rows build the table
+        self._group: FiniteGroup | None = None
+        self._center: tuple[int, ...] | None = None  # filled by center() on first use
+        self.gens = tuple(_generators(len(maps), self.products))
+
+    @property
+    def order(self) -> int:
+        return len(self.maps)
+
+    def row_indices(self, rows: np.ndarray) -> np.ndarray:
+        """The element whose ``perms`` row each row of ``rows`` is, or -1."""
+        keys = np.ascontiguousarray(rows, dtype=self.perms.dtype).view(self._as_keys).ravel().tolist()
+        return np.fromiter(map(self._row_of.get, keys, itertools.repeat(-1)), np.int64, len(keys))
+
+    def products(self, a, b) -> np.ndarray:
+        """maps[a] . maps[b] elementwise over int arrays (broadcast together)."""
+        a, b = np.broadcast_arrays(a, b)
+        rows = np.take_along_axis(self.perms[a.ravel()], self.perms[b.ravel()], axis=1)
+        out = self.row_indices(rows)
+        if (out < 0).any():
+            raise GroupError("automorphism list is not closed under composition")
+        return out.reshape(a.shape)
+
+    @property
+    def group(self) -> FiniteGroup:
+        """The Cayley table, built on first access row by row from
+        :meth:`products`; a conjugate copy reads the table of the group it
+        was conjugated from.  Over ``config.DEFAULT.table_cells`` cells it
+        raises BoundExceededError before allocating."""
+        src = self._source
+        if src._group is None:
+            n = src.order
+            config.check_table_cells(n)
+            xs = np.arange(n)
+            table = np.empty((n, n), dtype=np.int64)
+            for i in range(n):
+                table[i] = src.products(i, xs)
+            s = src.structure
+            src._group = FiniteGroup(table, name=f"Aut({len(s.sort_sizes)}-sorted,{s.total_elements}el)")
+        return src._group
 
     def conjugate(self, f: SortedMap) -> "AutomorphismGroup":
         """The automorphism group of f's codomain, for an isomorphism f from
         this group's structure: element j is f . maps[j] . f^-1.
 
-        Conjugation by f is a group isomorphism, so the copy shares this
-        group's table, and no search runs.
+        Conjugation by f is a group isomorphism, so the copy has this
+        group's generators and shares its table, and no search runs.
         """
         f_inv = f.inverse()
         maps = [f.compose(m.compose(f_inv)) for m in self.maps]
-        index = {m.key(): j for j, m in enumerate(maps)}
-        return AutomorphismGroup(f.codomain, self.group, maps, index)
+        return AutomorphismGroup(f.codomain, maps, _table_source=self._source)
 
     def index_of(self, m: SortedMap) -> int:
         try:
@@ -823,27 +906,10 @@ class AutomorphismGroup:
 
 def aut_group(s: SortedStructure, *, max_elements: int | None = None) -> AutomorphismGroup:
     maps = automorphisms(s, max_elements=max_elements)
-    index = {m.key(): i for i, m in enumerate(maps)}
     ident = tuple(tuple(range(n)) for n in s.sort_sizes)
     if maps[0].key() != ident:
         raise GroupError("canonical order does not start with the identity")
-    n, width = len(maps), s.total_elements
-    offsets = np.repeat(np.cumsum((0,) + s.sort_sizes)[:-1], s.sort_sizes)
-    perms = np.array([m.image_seq() for m in maps], dtype=np.min_scalar_type(width))
-    perms += offsets.astype(perms.dtype)
-    # One bytes key per row; numpy strips trailing NULs from every key
-    # alike, which keeps keys of equal-width rows distinct.
-    as_keys = np.dtype((np.bytes_, width * perms.itemsize))
-    row_of = {key: i for i, key in enumerate(perms.view(as_keys).ravel().tolist())}
-    table = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        composites = perms[i][perms].view(as_keys).ravel().tolist()
-        try:
-            table[i] = np.fromiter(map(row_of.__getitem__, composites), np.int64, n)
-        except KeyError:
-            raise GroupError("automorphism list is not closed under composition") from None
-    group = FiniteGroup(table, name=f"Aut({len(s.sort_sizes)}-sorted,{s.total_elements}el)")
-    return AutomorphismGroup(s, group, maps, index)
+    return AutomorphismGroup(s, maps)
 
 
 # ---------------------------------------------------------------------------

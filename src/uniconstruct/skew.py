@@ -291,6 +291,7 @@ def build_cyclic_skew(k: int, base: FiniteGroup, *, max_order: int | None = None
     order = k * base.order**k
     if order > bound:
         raise BoundExceededError(f"cyclic skew order {order} exceeds bound {bound}")
+    config.check_table_cells(order)
 
     n_base = base.order
     dtype = np.min_scalar_type(order)

@@ -9,7 +9,8 @@ reduce the way the transitivity and reduct-transfer facts say they should.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CatalogMismatchError, GroupError, SignatureMismatchError, StructureError
@@ -20,7 +21,7 @@ from .groups import (
     aut_group,
     center,
     classify_section,
-    is_surjective,
+    is_hom,
 )
 from .structures import (
     SortedMap,
@@ -35,6 +36,8 @@ __all__ = [
     "Report",
     "UniConstructionProblem",
     "assemble_ucp",
+    "restriction_map",
+    "restriction_hom",
     "FusedStructure",
     "fuse_sorts",
     "TripleDerivation",
@@ -84,6 +87,9 @@ class Report:
 class UniConstructionProblem:
     """The tuple (B, A, H, K, G, phi, psi) with verification report.
 
+    ``restriction[i]`` is the index in G of the restriction of H's element
+    i.  ``phi``, the same map as a GroupHom between the two Cayley tables,
+    is built on first access; clauses (c)-(e) are decided without it.
     ``weak_only`` records that no section was supplied; the clause report
     tells whether the weak conditions (a)-(e) actually hold.
     """
@@ -93,10 +99,14 @@ class UniConstructionProblem:
     H: AutomorphismGroup
     G: AutomorphismGroup
     K: tuple[int, ...]
-    phi: GroupHom
+    restriction: tuple[int, ...]
     psi: Section | None
     weak_only: bool
     report: Report
+
+    @cached_property
+    def phi(self) -> GroupHom:
+        return GroupHom(self.H.group, self.G.group, self.restriction)
 
     @property
     def is_weak_ucp(self) -> bool:
@@ -106,25 +116,47 @@ class UniConstructionProblem:
     def is_ucp(self) -> bool:
         return self.is_weak_ucp and self.psi is not None and self.report.ok("f")
 
+    def with_section(self, psi: Sequence[int] | Section) -> "UniConstructionProblem":
+        """This problem with clause (f) decided for the section ``psi``; the
+        groups, restriction map and clauses (a)-(e) are this problem's."""
+        sec_map = psi.map if isinstance(psi, Section) else tuple(int(v) for v in psi)
+        report = Report("clause", [entry for entry in self.report.entries if entry[0] != "f"])
+        section: Section | None = None
+        try:
+            section = classify_section(self.phi, sec_map)
+        except GroupError:
+            report.add("f", False, "supplied map is not a section of the restriction map")
+        else:
+            report.add(
+                "f",
+                section.is_weak_splitting(),
+                f"section classification: {section.classification}",
+            )
+        problem = replace(self, psi=section, weak_only=False, report=report)
+        problem.phi = self.phi  # one GroupHom per restriction map
+        return problem
 
-def restriction_hom(H: AutomorphismGroup, G: AutomorphismGroup) -> GroupHom:
-    """The map sending an automorphism of B to its first-sort restriction.
+
+def restriction_map(H: AutomorphismGroup, G: AutomorphismGroup) -> tuple[int, ...]:
+    """The index in G of each element of H restricted to the first sort.
 
     A reduct automorphism is always induced, so a lookup failure means the
     two automorphism groups do not belong to the same structure pair.
     """
-    A = G.structure
-    mapping = []
-    for m in H.maps:
-        restricted = SortedMap(A, A, (m.maps[0],))
-        try:
-            mapping.append(G.index_of(restricted))
-        except GroupError:
-            raise GroupError(
-                "internal error: restriction of an automorphism is not an "
-                "automorphism of the first-sort reduct"
-            ) from None
-    return GroupHom(H.group, G.group, mapping)
+    first = H.structure.sort_sizes[0]
+    indices = G.row_indices(H.perms[:, :first])
+    if (indices < 0).any():
+        raise GroupError(
+            "internal error: restriction of an automorphism is not an "
+            "automorphism of the first-sort reduct"
+        )
+    return tuple(indices.tolist())
+
+
+def restriction_hom(H: AutomorphismGroup, G: AutomorphismGroup) -> GroupHom:
+    """The map sending an automorphism of B to its first-sort restriction,
+    as a GroupHom between the two Cayley tables."""
+    return GroupHom(H.group, G.group, restriction_map(H, G))
 
 
 def assemble_ucp(
@@ -136,7 +168,9 @@ def assemble_ucp(
     """Assemble and check the uni-construction problem of a 2-sorted B.
 
     Clause failures (for example a non-surjective restriction map) come back
-    in the report; only malformed input raises.
+    in the report; only malformed input raises.  Clauses (c)-(e) are decided
+    from the automorphisms' image rows and generators, so no Cayley table is
+    built unless a section ``psi`` is checked.
     """
     if len(B.sort_sizes) != 2:
         raise StructureError("assemble_ucp requires a 2-sorted structure")
@@ -149,39 +183,26 @@ def assemble_ucp(
 
     H = aut_group(B, max_elements=max_elements)
     G = aut_group(A, max_elements=max_elements)
-    K = tuple(center(H.group))
-    report.add("c", True, f"|H|={H.group.order}, |K|={len(K)}, |G|={G.group.order}")
+    K = tuple(center(H))
+    report.add("c", True, f"|H|={H.order}, |K|={len(K)}, |G|={G.order}")
 
-    phi = restriction_hom(H, G)  # GroupHom construction re-checks the hom law
+    restriction = restriction_map(H, G)
+    if not is_hom(restriction, H, G):
+        raise GroupError("map violates the homomorphism law")
     report.add("d", True, "restriction map is a group homomorphism")
 
-    onto = is_surjective(phi)
+    onto = len(set(restriction)) == G.order
     report.add(
         "e",
         onto,
         "restriction map is onto Aut(A)" if onto else "restriction map is not onto Aut(A)",
     )
+    report.add("f", True, "no section supplied (weak problem)")
 
-    section: Section | None = None
-    weak_only = psi is None
-    if psi is None:
-        report.add("f", True, "no section supplied (weak problem)")
-    else:
-        sec_map = psi.map if isinstance(psi, Section) else tuple(int(v) for v in psi)
-        try:
-            section = classify_section(phi, sec_map)
-        except GroupError:
-            report.add("f", False, "supplied map is not a section of the restriction map")
-        else:
-            report.add(
-                "f",
-                section.is_weak_splitting(),
-                f"section classification: {section.classification}",
-            )
-
-    return UniConstructionProblem(
-        B=B, A=A, H=H, G=G, K=K, phi=phi, psi=section, weak_only=weak_only, report=report
+    problem = UniConstructionProblem(
+        B=B, A=A, H=H, G=G, K=K, restriction=restriction, psi=None, weak_only=True, report=report
     )
+    return problem if psi is None else problem.with_section(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +357,14 @@ def derive_triple(C: SortedStructure, *, max_elements: int | None = None) -> Tri
     composition_ok = True
     for i13, h13 in enumerate(c13.H.maps):
         per_sort = fused13.unfuse_map(h13)
-        direct = c13.phi.map[i13]
+        direct = c13.restriction[i13]
 
         fused_map_23 = fused23.fuse_map(per_sort)
         i23 = c23.H.index_of(fused_map_23)
-        g23 = c23.G.maps[c23.phi.map[i23]]  # automorphism of fused sorts {0,1}
+        g23 = c23.G.maps[c23.restriction[i23]]  # automorphism of fused sorts {0,1}
         pair = fused23.unfuse_map(g23)
         i12 = c12.H.index_of(SortedMap(B12, B12, pair))
-        via = c12.phi.map[i12]
+        via = c12.restriction[i12]
         if via != direct:
             composition_ok = False
             break

@@ -39,7 +39,7 @@ from .structures import (
     reduct,
     relabel_map,
 )
-from .ucp import Report, assemble_ucp
+from .ucp import Report, UniConstructionProblem, assemble_ucp
 
 __all__ = [
     "LiftedCopy",
@@ -98,10 +98,19 @@ def make_lifted_copy(
     tag: int = 0,
     *,
     max_elements: int | None = None,
+    problem: UniConstructionProblem | None = None,
 ) -> LiftedCopy:
+    """B with its weak splitting psi.  ``problem``, when given, is B's
+    problem from :func:`assemble_ucp`: its automorphism groups and
+    restriction map are reused, and only psi is checked."""
     if B.signature.functions or B.signature.constants:
         raise StructureError("lifted copies must be relational")
-    problem = assemble_ucp(B, psi, max_elements=max_elements)
+    if problem is None:
+        problem = assemble_ucp(B, psi, max_elements=max_elements)
+    elif problem.B is not B:
+        raise StructureError("the supplied problem belongs to another structure")
+    else:
+        problem = problem.with_section(psi)
     if problem.psi is None or not problem.report.ok("f"):
         detail = next(d for name, _, d in problem.report.entries if name == "f")
         raise StructureError(f"supplied map is not a weak splitting: {detail}")
@@ -116,6 +125,7 @@ def build_family(
     n: int,
     *,
     max_elements: int | None = None,
+    problem: UniConstructionProblem | None = None,
 ) -> Family:
     """n lifted copies: the original pair plus relabelings of it.
 
@@ -124,11 +134,13 @@ def build_family(
     the copy's automorphisms are f . m . f^-1 for the base's automorphisms m
     (in the base's order, on the base's group table), so its restriction
     map and weak splitting are the base's own.  Only the base is searched
-    and checked; every copy is then re-checked to be isomorphic to it.
+    and checked (through ``problem``, B's assembled problem, when given; see
+    :func:`make_lifted_copy`); every copy is then re-checked to be
+    isomorphic to it.
     """
     if n < 1:
         raise StructureError("family size must be at least 1")
-    base = make_lifted_copy(B, psi, tag=0, max_elements=max_elements)
+    base = make_lifted_copy(B, psi, tag=0, max_elements=max_elements, problem=problem)
     members = [base]
 
     perm_iter = itertools.product(

@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's search code paths: isomorphisms by
 filtering all permutation families, skew multiplication by string rewriting,
-cyclic skew tables and direct products cell by cell, sections by raw fiber
-products, matched triples by enumerating full commutative matrices,
+cyclic skew tables and direct products cell by cell, the homomorphism law
+over every pair, sections by raw fiber products, matched triples by enumerating full commutative matrices,
 twist-equivalence classes by pairwise comparison, thread sets by scanning
 every triple once per element, the uniform construction's output by
 relabelling the base member along one isomorphism.  The family oracle
@@ -249,6 +249,16 @@ def naive_quotient(g, sub):
     index = {x: i for i, c in enumerate(cosets) for x in c}
     table = [[index[g.mul(max(c1), max(c2))] for c2 in cosets] for c1 in cosets]
     return table, tuple(index[x] for x in g.elements())
+
+
+def naive_is_hom(mapping, domain, codomain):
+    """m(ab) == m(a)m(b) over every pair, by ``mul``."""
+    m = list(mapping)
+    return all(
+        m[domain.mul(a, b)] == codomain.mul(m[a], m[b])
+        for a in domain.elements()
+        for b in domain.elements()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import sys
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -12,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uniconstruct import cli
+from uniconstruct import cli, ucp, uniform
 from uniconstruct.cli import main
 from uniconstruct.errors import BoundExceededError
 from uniconstruct.groups import (
+    FiniteGroup,
     GroupHom,
+    aut_group,
     classify_sections,
     cyclic,
     dihedral,
@@ -25,17 +28,31 @@ from uniconstruct.groups import (
     hom_to_json,
     quotient_by_center,
 )
-from uniconstruct.structures import dumps, structure_from_json, structure_to_json
+from uniconstruct.structures import dumps, reduct, structure_from_json, structure_to_json
 from uniconstruct.uniform import build_family
 
 from .conftest import directed_cycle, two_sorted
 from .oracles import naive_representative_structure
+from .test_uniform import weak_only_lifting
 
 
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def run_json(tmp_path, argv, expect):
+    """Run one command with a JSON report; check its exit code, return the report."""
+    out_path = tmp_path / "report.json"
+    assert main([*argv, "--format", "json", "--out", str(out_path)]) == expect
+    return json.loads(out_path.read_text())
+
+
+def free_over_apex(n):
+    """n free first-sort points over one apex; Aut = S_n at both levels."""
+    return two_sorted((n, 1), [("R", (0, 1), [(p, 0) for p in range(n)])])
+
 
 
 @pytest.fixture
@@ -155,6 +172,62 @@ class TestUcpCommands:
         path = write(tmp_path, "b.json", dumps(b))
         assert main(["ucp-check", "--structure", path]) == 2
 
+    def test_ucp_check_builds_no_table(self, tmp_path, monkeypatch):
+        orders = []
+        init = FiniteGroup.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            orders.append(self.order)
+
+        monkeypatch.setattr(FiniteGroup, "__init__", counted)
+        path = write(tmp_path, "b.json", dumps(free_over_apex(6)))
+        doc = run_json(tmp_path, ["ucp-check", "--structure", path], expect=0)
+        assert doc["H_order"] == doc["G_order"] == 720 and doc["center_size"] == 1
+        assert 720 not in orders
+
+    def test_ucp_check_seven_free_points(self, tmp_path):
+        path = write(tmp_path, "b.json", dumps(free_over_apex(7)))
+        doc = run_json(tmp_path, ["ucp-check", "--structure", path], expect=0)
+        assert doc["H_order"] == doc["G_order"] == 5040 and doc["center_size"] == 1
+        assert [c["ok"] for c in doc["clauses"]] == [True] * 6
+        assert doc["clauses"][2]["detail"] == "|H|=5040, |K|=1, |G|=5040"
+
+    def test_ucp_check_psi_weak_splitting(self, tmp_path):
+        b, search = weak_only_lifting()
+        path = write(tmp_path, "b.json", dumps(b))
+        psi = search.weak_splittings[0].map
+        psi_path = write(tmp_path, "psi.json", json.dumps({"map": list(psi)}))
+        doc = run_json(tmp_path, ["ucp-check", "--structure", path, "--psi", psi_path], expect=0)
+        assert doc["is_ucp"] is True and doc["weak_only"] is False
+        assert doc["clauses"][-1] == {
+            "clause": "f", "ok": True, "detail": "section classification: weak-splitting"
+        }
+
+    def test_ucp_check_psi_not_a_section_exit_2(self, tmp_path):
+        b, _ = weak_only_lifting()
+        path = write(tmp_path, "b.json", dumps(b))
+        psi_path = write(tmp_path, "psi.json", json.dumps({"map": [0, 0, 0]}))
+        doc = run_json(tmp_path, ["ucp-check", "--structure", path, "--psi", psi_path], expect=2)
+        assert doc["is_weak_ucp"] is True and doc["is_ucp"] is False
+        assert doc["clauses"][-1] == {
+            "clause": "f", "ok": False,
+            "detail": "supplied map is not a section of the restriction map",
+        }
+
+    def test_ucp_check_psi_over_table_bound_exit_1(self, tmp_path, capsys):
+        path = write(tmp_path, "b.json", dumps(free_over_apex(7)))
+        psi_path = write(tmp_path, "psi.json", json.dumps({"map": list(range(5040))}))
+        tracemalloc.start()
+        try:
+            code = main(["ucp-check", "--structure", path, "--psi", psi_path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "order 5040 has 25401600 cells, over the bound" in capsys.readouterr().err
+        assert peak < 5040 * 5040  # refused before one byte per cell was allocated
+
     def test_derive_triple(self, tmp_path):
         from uniconstruct.encode import GroupTriple, encode_three_sorted
 
@@ -232,6 +305,18 @@ class TestSkewCommands:
         assert docs["c4"]["phi23_is_hom"] is True
         assert docs["c4"]["phi23_hom_witness"] is None
         assert docs["c4"]["hom_violations_found"] == 0
+
+    def test_cyclic_skew_over_table_bound_exits_1(self, capsys):
+        # order 6 * 3**6 = 4374 is within cyclic_skew_order, its table is not
+        tracemalloc.start()
+        try:
+            code = main(["cyclic-skew", "--k", "6", "--base", "c3"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "order 4374 has 19131876 cells, over the bound" in capsys.readouterr().err
+        assert peak < 4374 * 4374  # refused before one byte per cell was allocated
 
     def test_cyclic_skew_identifies_catalog_match(self, tmp_path):
         out_path = tmp_path / "cs.json"
@@ -423,6 +508,27 @@ class TestUniformize:
         assert main([
             "verify", "--structure", b_path, "--target", a_path, "--copies", "2"
         ]) == 0
+
+    def test_verify_searches_each_group_once(self, tmp_path, monkeypatch):
+        searched = []
+
+        def counted(s, **kwargs):
+            searched.append(s)
+            return aut_group(s, **kwargs)
+
+        for mod in (cli, ucp, uniform):
+            if hasattr(mod, "aut_group"):
+                monkeypatch.setattr(mod, "aut_group", counted)
+        b = two_sorted(
+            (3, 1),
+            [("E", (0, 0), [(0, 1), (1, 2), (2, 0)]), ("R", (0, 1), [(0, 0), (1, 0), (2, 0)])],
+        )
+        b_path = write(tmp_path, "b.json", dumps(b))
+        a_path = write(tmp_path, "a.json", dumps(reduct(b, (0,))))
+        assert main([
+            "verify", "--structure", b_path, "--target", a_path, "--copies", "3"
+        ]) == 0
+        assert searched == [b, reduct(b, (0,))]
 
     def test_structure_equals_representative_oracle(self, tmp_path):
         b = two_sorted((2, 1), [("R", (0, 1), [(0, 0), (1, 0)])])

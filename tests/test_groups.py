@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
 
-from uniconstruct import groups
+from uniconstruct import config, groups, ucp
 from uniconstruct.encode import GroupTriple, encode_three_sorted
 from uniconstruct.errors import BoundExceededError, GroupError
 from uniconstruct.groups import (
     FiniteGroup,
     GroupHom,
+    alternating,
     aut_group,
     catalog,
     catalog_search_weak_not_strong,
@@ -43,6 +45,7 @@ from .oracles import (
     naive_catalog,
     naive_closure,
     naive_direct_product,
+    naive_is_hom,
     naive_normal_subgroups,
     naive_quotient,
     naive_section_census,
@@ -161,14 +164,16 @@ class TestFiniteGroup:
         for table in loops:
             arr = np.array(table)
             exhaustive = np.array_equal(arr[arr], arr[:, arr])
-            assert groups._is_associative(arr.astype(np.uint8)) == exhaustive
+            small = arr.astype(np.uint8)
+            gens = groups._generators(n, lambda a, b: small[a, b])
+            assert groups._is_associative(small, gens) == exhaustive
             if not exhaustive:
                 with pytest.raises(GroupError, match="not associative"):
                     FiniteGroup(table)
 
     @pytest.mark.parametrize("g", catalog(12), ids=lambda g: g.label())
     def test_generators_are_the_greedy_generating_set(self, g):
-        gens = groups._generators(g.table)
+        gens = g.gens
         reached = frozenset({0})
         for x in gens:
             assert x == min(a for a in g.elements() if a not in reached)
@@ -577,12 +582,8 @@ class TestAutGroup:
     def test_four_disjoint_three_cycles_order_against_sympy(self):
         from sympy.combinatorics import Permutation, PermutationGroup
 
-        sig = SortedSignature(("p",), relations=(("E", (0, 0)),))
+        ag = aut_group(four_triangles())
         cycles = [[3 * k, 3 * k + 1, 3 * k + 2] for k in range(4)]
-        s = SortedStructure(
-            sig, (12,), [[(c[i], c[(i + 1) % 3]) for c in cycles for i in range(3)]]
-        )
-        ag = aut_group(s)
         # generated independently of the search: rotate each cycle, and
         # permute the cycles as blocks by a transposition and a 4-cycle
         gens = [Permutation([c], size=12) for c in cycles]
@@ -595,6 +596,106 @@ class TestAutGroup:
         last = ag.maps[-1]
         for j, mj in enumerate(ag.maps):
             assert ag.index_of(last.compose(mj)) == ag.group.mul(1943, j)
+
+
+class TestPermutationFacts:
+    """Order, centre and the homomorphism law decided from image rows and
+    generators, with no Cayley table."""
+
+    @pytest.mark.parametrize("make, order, center_size", [
+        (lambda: free_points(5), 120, 1),
+        (lambda: free_points(6), 720, 1),
+        (lambda: free_points(7), 5040, 1),
+        # C3 wr S4: the centre rotates all four triangles at once
+        (lambda: four_triangles(), 1944, 3),
+    ], ids=["free5", "free6", "free7", "four-triangles"])
+    def test_order_and_center_equal_sympy_and_table(self, make, order, center_size):
+        from sympy.combinatorics import Permutation, PermutationGroup
+
+        ag = aut_group(make())
+        oracle = PermutationGroup([Permutation(ag.perms[g].tolist()) for g in ag.gens])
+        assert oracle.order() == ag.order == order
+        oracle_center = [z.array_form for z in oracle.center().elements]
+        assert center(ag) == sorted(ag.row_indices(np.array(oracle_center)).tolist())
+        assert len(center(ag)) == center_size
+        if order**2 <= config.DEFAULT.table_cells:
+            assert ag.group.order == order and ag.group.gens == ag.gens
+            assert center(ag.group) == center(ag)
+        else:
+            with pytest.raises(BoundExceededError, match="cells"):
+                ag.group
+
+    @pytest.mark.parametrize("g", catalog(12), ids=lambda g: g.label())
+    def test_generator_law_equals_all_pairs_on_quotients(self, g):
+        rejected = 0
+        for sub in normal_subgroups(g):
+            q, pi = quotient_by_subgroup(g, sub)
+            assert is_hom(pi.map, g, q) and naive_is_hom(pi.map, g, q)
+            for x in g.elements():
+                for v in q.elements():
+                    if v == pi.map[x]:
+                        continue
+                    # one changed cell: a hom only for C2 -> C2, whose mutant [0, 0] is trivial
+                    mutant = list(pi.map)
+                    mutant[x] = v
+                    verdict = naive_is_hom(mutant, g, q)
+                    assert is_hom(mutant, g, q) is verdict
+                    rejected += not verdict
+        assert rejected > 0 or g.order == 1
+
+    def test_restriction_law_on_automorphism_groups(self, b_cycle3):
+        h, g = aut_group(b_cycle3), aut_group(directed_cycle(3))
+        restriction = ucp.restriction_map(h, g)
+        assert is_hom(restriction, h, g)
+        assert restriction == ucp.restriction_hom(h, g).map
+        assert is_hom((0, 2, 1), h, g)  # inversion, since C3 is abelian
+        assert not is_hom((0, 1, 1), h, g)
+
+
+class TestTableCellsBound:
+    @pytest.fixture(autouse=True)
+    def small_bound(self, monkeypatch):
+        monkeypatch.setattr(config.DEFAULT, "table_cells", 99)
+
+    @pytest.mark.parametrize("build", [
+        lambda: cyclic(10),
+        lambda: dihedral(5),
+        lambda: dicyclic(3),
+        lambda: symmetric(4),
+        lambda: alternating(5),
+        lambda: direct_product(cyclic(5), cyclic(2)),
+        lambda: FiniteGroup([[(i + j) % 10 for j in range(10)] for i in range(10)]),
+    ], ids=["cyclic", "dihedral", "dicyclic", "symmetric", "alternating", "product", "table"])
+    def test_tables_over_the_bound_refused(self, build):
+        with pytest.raises(BoundExceededError, match="order .* has .* cells, over the bound 99"):
+            build()
+
+    def test_table_at_the_bound_accepted(self):
+        assert cyclic(9).order == 9
+
+    def test_automorphism_facts_need_no_table(self):
+        ag = aut_group(free_points(5))
+        assert ag.order == 120 and center(ag) == [0] and len(ag.gens) == 4
+        with pytest.raises(BoundExceededError, match="order 120 has 14400 cells"):
+            ag.group
+
+    def test_environment_override(self):
+        import subprocess
+        import sys
+
+        out = subprocess.run(
+            [sys.executable, "-c", "from uniconstruct import config; print(config.DEFAULT.table_cells)"],
+            env={**os.environ, "UNICONSTRUCT_TABLE_CELLS_BOUND": "123"},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "123"
+
+
+def four_triangles() -> SortedStructure:
+    """Four disjoint directed 3-cycles on 12 points; Aut = C3 wr S4."""
+    sig = SortedSignature(("p",), relations=(("E", (0, 0)),))
+    cycles = [[3 * k, 3 * k + 1, 3 * k + 2] for k in range(4)]
+    return SortedStructure(sig, (12,), [[(c[i], c[(i + 1) % 3]) for c in cycles for i in range(3)]])
 
 
 def _s4_s3_c2() -> GroupTriple:

@@ -24,6 +24,7 @@ from uniconstruct.ucp import (
 )
 
 from .conftest import two_sorted
+from .test_uniform import weak_only_lifting
 
 
 def trivial_triple():
@@ -72,6 +73,23 @@ class TestAssembleUcp:
         for i in range(ucp.H.group.order):
             fixes = ucp.H.maps[i].maps[0] == tuple(range(b_matching.sort_sizes[0]))
             assert (ucp.phi.map[i] == 0) == fixes
+
+    def test_weak_problem_builds_no_table(self, b_cycle3):
+        ucp = assemble_ucp(b_cycle3)
+        assert ucp.H._group is None and ucp.G._group is None
+        assert ucp.phi.map == ucp.restriction == (0, 1, 2)
+        assert ucp.H._group is ucp.phi.domain and ucp.G._group is ucp.phi.codomain
+
+    def test_with_section_equals_assembling_with_it(self):
+        b, search = weak_only_lifting()
+        weak = assemble_ucp(b)
+        for sec in [*search.splittings, *search.weak_splittings, [0, 0, 0]]:
+            direct = assemble_ucp(b, sec)
+            reused = weak.with_section(sec)
+            assert reused.report == direct.report and reused.psi == direct.psi
+            assert reused.weak_only is direct.weak_only is False
+            assert reused.H is weak.H and reused.phi is weak.phi
+        assert weak.report.entries[-1] == ("f", True, "no section supplied (weak problem)")
 
     def test_bad_section_fails_clause_f(self, b_two_free):
         ucp = assemble_ucp(b_two_free, [1, 1])

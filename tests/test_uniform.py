@@ -65,6 +65,19 @@ class TestLiftedCopy:
         assert copy.phi.map == (0, 1)
         assert copy.psi.classification == "splitting"
 
+    def test_supplied_problem_is_reused(self, b_cycle3, monkeypatch):
+        problem = assemble_ucp(b_cycle3)
+        monkeypatch.setattr(ucp, "aut_group", None)  # any new search would fail
+        copy = make_lifted_copy(b_cycle3, [0, 1, 2], problem=problem)
+        assert copy.autB is problem.H and copy.autA is problem.G and copy.phi is problem.phi
+        assert copy.psi.classification == "splitting"
+        with pytest.raises(StructureError, match="weak splitting: supplied map is not a section"):
+            make_lifted_copy(b_cycle3, [0, 0, 0], problem=problem)
+
+    def test_problem_of_another_structure_rejected(self, b_cycle3, b_rich):
+        with pytest.raises(StructureError, match="belongs to another structure"):
+            make_lifted_copy(b_cycle3, [0, 1, 2], problem=assemble_ucp(b_rich))
+
 
 class TestBuildFamily:
     def test_singleton_family(self, b_two_free):
