@@ -36,8 +36,9 @@ class Bounds:
     cyclic_skew_order: int = 10**4
     # matched-triple enumeration cap
     matched_triples: int = 10**5
-    # largest X for the pairwise equivalence-class fallback, used only when
-    # the transports break the cocycle law (keyed classes are not capped)
+    # largest X whose twist equivalence is decided on (frame, thread) keys,
+    # used only when the transports break the cocycle law (spaces that obey
+    # it are not capped)
     x_pairwise: int = 2000
     # relabeling families enumerated by canonical_copies / build_family
     relabelings: int = 10**6

@@ -8,6 +8,12 @@ induced first-sort maps, and a compatible element thread), quotients them by
 the lifting-twisted equivalence, and reads off a copy of the original
 structure whose first sort is A itself, element for element.
 
+The twist equivalence E is decided once per space, by proof from the
+cocycle law where the transports obey it, otherwise on the distinct
+(frame, thread) keys of the triples (:meth:`TripleSpace.equivalence`).  The
+quotient, ``k_class`` and ``uniform_F`` refuse an E that is not an
+equivalence, naming the property it lacks.
+
 Every intermediate fact the construction leans on is re-checked on the
 instance by :func:`verify_claims`; a failure there is reported honestly (it
 can genuinely happen when the restriction map has a nontrivial kernel and
@@ -20,8 +26,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from . import config
 from .errors import (
@@ -37,6 +41,7 @@ from .structures import (
     identity_map,
     isomorphisms,
     reduct,
+    relabel,
     relabel_map,
 )
 from .ucp import Report, UniConstructionProblem, assemble_ucp
@@ -58,10 +63,15 @@ __all__ = [
     "verify_claims",
 ]
 
+# names of the three properties that make E an equivalence, as reported
+E_PROPERTIES = ("E_reflexive", "E_symmetric", "E_transitive")
+
 
 @dataclass
 class LiftedCopy:
-    """One family member: a structure, its reduct, and a weak splitting."""
+    """One family member: a structure, its reduct, a weak splitting, and the
+    relabelling ``relabel`` that carries the family's base structure onto B
+    (the identity on the base)."""
 
     tag: int
     B: SortedStructure
@@ -70,6 +80,7 @@ class LiftedCopy:
     autA: AutomorphismGroup
     phi: GroupHom
     psi: Section
+    relabel: SortedMap
 
     def psi_map(self, autA_index: int) -> SortedMap:
         """The lifted automorphism of B for an automorphism index of A."""
@@ -84,6 +95,9 @@ class Family:
     def __post_init__(self):
         if not self.members:
             raise StructureError("family must be nonempty")
+        base = self.members[0].B
+        if any(m.relabel.domain != base or m.relabel.codomain != m.B for m in self.members):
+            raise StructureError("a member's relabelling does not start at the family's base")
 
     def __len__(self):
         return len(self.members)
@@ -115,7 +129,8 @@ def make_lifted_copy(
         detail = next(d for name, _, d in problem.report.entries if name == "f")
         raise StructureError(f"supplied map is not a weak splitting: {detail}")
     return LiftedCopy(
-        tag=tag, B=B, A=problem.A, autB=problem.H, autA=problem.G, phi=problem.phi, psi=problem.psi
+        tag=tag, B=B, A=problem.A, autB=problem.H, autA=problem.G, phi=problem.phi,
+        psi=problem.psi, relabel=identity_map(B),
     )
 
 
@@ -164,6 +179,7 @@ def build_family(
             autA=base.autA.conjugate(SortedMap(base.A, copy_a, f.maps[:1])),
             phi=base.phi,
             psi=base.psi,
+            relabel=f,
         ))
 
     fam = Family(tuple(members))
@@ -213,34 +229,31 @@ class TripleSpace:
         A.check_valid()
         self.A = A
         self.fam = fam
-        self.max_elements = max_elements
-        self.iso = [
-            isomorphisms(member.A, A, max_elements=max_elements) for member in fam
-        ]
-        self.iso_inv = [[m.inverse() for m in lst] for lst in self.iso]
-        # isomorphisms B_0 -> B_t, stably sorted by first-sort component, so a
-        # triple's g_idx[t] is a position in biso[t]; biso_range[t] maps each
-        # first-sort component to its [start, stop) slice
-        self.biso: list[list[SortedMap]] = []
-        self.biso_range: list[dict[tuple[int, ...], tuple[int, int]]] = []
+        # only the base is searched: member t is the base relabelled along
+        # f_t, so its isomorphisms onto A are the base's composed with f_t^-1
+        # on the first sort, and B_0 -> B_t are f_t after each automorphism of
+        # B_0; both lists are sorted by image sequence, the order the search
+        # returns.  A triple's g_idx[t] is a position in biso[t]; extend[t]
+        # lists those positions per first-sort component.
         base = fam.members[0]
-        for t, member in enumerate(fam.members):
-            flat: list[SortedMap] = []
-            if t != 0:
-                flat = sorted(
-                    isomorphisms(base.B, member.B, max_elements=max_elements),
-                    key=lambda m: m.maps[0],
-                )
-            ranges: dict[tuple[int, ...], tuple[int, int]] = {}
+        self.iso = [isomorphisms(base.A, A, max_elements=max_elements)]
+        self.biso: list[list[SortedMap]] = [[]]
+        for member in fam.members[1:]:
+            f_inv = SortedMap(member.A, base.A, member.relabel.inverse().maps[:1])
+            self.iso.append(sorted((m.compose(f_inv) for m in self.iso[0]), key=SortedMap.image_seq))
+            self.biso.append(sorted(
+                (member.relabel.compose(m) for m in base.autB.maps), key=SortedMap.image_seq
+            ))
+        self.iso_inv = [[m.inverse() for m in lst] for lst in self.iso]
+        self.extend: list[dict[tuple[int, ...], list[int]]] = [{} for _ in self.biso]
+        for flat, positions in zip(self.biso, self.extend):
             for pos, m in enumerate(flat):
-                start, _ = ranges.get(m.maps[0], (pos, pos))
-                ranges[m.maps[0]] = (start, pos + 1)
-            self.biso.append(flat)
-            self.biso_range.append(ranges)
+                positions.setdefault(m.maps[0], []).append(pos)
         self._psi_tilde_cache: dict[tuple[int, int, int], SortedMap] = {}
         self.triples = self._enumerate()
         self._cocycle: bool | None = None
         self._classes: tuple[list[int], list[list[int]]] | None = None
+        self._e_verdicts: tuple[tuple[bool, bool, bool], str] | None = None
         self._frame_threads: tuple[list[tuple[int, ...]], list[dict[int, tuple]]] | None = None
         self._membership: list[dict[tuple[int, ...], tuple[tuple[bool, ...], ...]]] | None = None
         self._thread_classes: list[ThreadClass] | None = None
@@ -260,16 +273,14 @@ class TripleSpace:
 
         for pi_idx in itertools.product(*(range(len(lst)) for lst in self.iso)):
             ext_choices: list[list[tuple[int, SortedMap]]] = [[(-1, identity_map(base.B))]]
-            feasible = True
             pi0 = self.iso[0][pi_idx[0]]
             for t in range(1, n):
                 h0t = self.iso_inv[t][pi_idx[t]].compose(pi0)
-                start, stop = self.biso_range[t].get(h0t.maps[0], (0, 0))
-                if start == stop:
-                    feasible = False
+                positions = self.extend[t].get(h0t.maps[0])
+                if positions is None:
                     break
-                ext_choices.append([(k, self.biso[t][k]) for k in range(start, stop)])
-            if not feasible:
+                ext_choices.append([(k, self.biso[t][k]) for k in positions])
+            if len(ext_choices) < n:  # some member has no extension in this frame
                 continue
             for combo in itertools.product(*ext_choices):
                 g_idx = tuple(c[0] for c in combo)
@@ -348,49 +359,106 @@ class TripleSpace:
             for x in self.triples
         ]
 
-    def classes(self) -> tuple[list[int], list[list[int]]]:
-        """Equivalence classes of e_equiv, numbered by first occurrence.
+    def equivalence(self) -> tuple[tuple[bool, bool, bool], str, tuple[list[int], list[list[int]]]]:
+        """E decided once: its (reflexive, symmetric, transitive) verdicts, how
+        they were decided, and ``(class_of, members)`` for the equivalence E
+        generates, classes numbered by first triple, members ascending.
 
-        When :meth:`cocycle_holds`, classes are the fibres of the frame-0 key,
-        found in one O(|X| n) pass.  Otherwise a pairwise union-find decides
-        them, refused above ``config.DEFAULT.x_pairwise`` triples.  Both
-        number classes by their first triple and list members ascending.
+        Where :meth:`cocycle_holds` the verdicts are proved and classes are
+        the fibres of the frame-0 key; otherwise :meth:`_keyed_equivalence`
+        decides both, refused above ``config.DEFAULT.x_pairwise`` triples.
         """
-        if self._classes is not None:
-            return self._classes
-        if self.cocycle_holds():
-            ids: dict[tuple, int] = {}
-            class_of = [ids.setdefault(key, len(ids)) for key in self._frame0_keys()]
-        else:
-            class_of = self._pairwise_classes()
-        members: list[list[int]] = [[] for _ in range(max(class_of, default=-1) + 1)]
-        for i, cid in enumerate(class_of):
-            members[cid].append(i)
-        self._classes = (class_of, members)
-        return self._classes
+        if self._classes is None:
+            if self.cocycle_holds():
+                ids: dict[tuple, int] = {}
+                class_of = [ids.setdefault(key, len(ids)) for key in self._frame0_keys()]
+                self._e_verdicts = ((True, True, True), (
+                    f"proved from the cocycle law, checked exhaustively on "
+                    f"{sum(len(lst) ** 2 for lst in self.iso)} transport pairs"
+                ))
+            else:
+                if len(self.triples) > config.DEFAULT.x_pairwise:
+                    raise BoundExceededError(
+                        f"|X|={len(self.triples)} exceeds the bound {config.DEFAULT.x_pairwise} "
+                        f"on spaces that break the cocycle law"
+                    )
+                verdicts, class_of, n_keys, n_frames = self._keyed_equivalence()
+                self._e_verdicts = (verdicts, (
+                    f"cocycle law fails; decided on {n_keys} (frame, thread) keys in {n_frames} frames"
+                ))
+            members: list[list[int]] = [[] for _ in range(max(class_of, default=-1) + 1)]
+            for i, cid in enumerate(class_of):
+                members[cid].append(i)
+            self._classes = (class_of, members)
+        return (*self._e_verdicts, self._classes)
 
-    def _pairwise_classes(self) -> list[int]:
-        """Class ids by pairwise e_equiv and union-find, numbered by first triple."""
-        n = len(self.triples)
-        if n > config.DEFAULT.x_pairwise:
-            raise BoundExceededError(
-                f"|X|={n} exceeds pairwise class bound {config.DEFAULT.x_pairwise}"
+    def classes(self) -> tuple[list[int], list[list[int]]]:
+        """Classes of the equivalence E generates, from :meth:`equivalence`."""
+        return self.equivalence()[2]
+
+    def require_equivalence(self) -> None:
+        """Raise VerificationError naming each property E lacks."""
+        verdicts, detail, _ = self.equivalence()
+        failing = [name for name, ok in zip(E_PROPERTIES, verdicts) if not ok]
+        if failing:
+            raise VerificationError(
+                f"the twist relation is not an equivalence: {', '.join(failing)} fails ({detail})"
             )
-        parent = list(range(n))
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+    def _keyed_equivalence(self) -> tuple[tuple[bool, bool, bool], list[int], int, int]:
+        """E's verdicts and generated classes, the key count and the frame
+        count, from the distinct keys k = (pi, b) of the triples.
 
-        for i in range(n):
-            for j in range(i + 1, n):
-                if find(i) != find(j) and self.e_equiv(self.triples[i], self.triples[j]):
-                    parent[find(j)] = find(i)
+        x1 E x2 never reads g_idx: it holds iff x2's key is the partner of
+        x1's key in x2's frame pi', namely (pi', T(pi, pi')(b)) with T applying
+        ``psi_tilde(s, pi_s, pi'_s)`` at each member s.  So E is the pullback
+        of the partner relation on keys, P(k) being the partners of k: E is
+        reflexive iff k is in P(k), symmetric iff k is in P(k') for k' in
+        P(k), and transitive iff P(k') is a subset of P(k) for k' in P(k).
+        A partner edge relates every triple of one key to every triple of the
+        other, so the classes E generates are the components of the partner
+        graph, except that the triples of a key with no edge at all stay
+        apart.
+        """
+        keys: dict[tuple, int] = {}
+        key_of = [keys.setdefault((x.pi_idx, x.b), len(keys)) for x in self.triples]
+        frames = list(dict.fromkeys(pi for pi, _ in keys))
+        # equal partner sets are shared, so where E is an equivalence each
+        # subset test is an identity check
+        shared: dict[frozenset[int], frozenset[int]] = {}
+        partners: list[frozenset[int]] = []
+        for pi, b in keys:
+            # row[s][j]: the key's entry at member s carried into pi'_s = j
+            row = [
+                [(sort, self.psi_tilde(s, i, j).maps[sort][e]) for j in range(len(self.iso[s]))]
+                for s, (i, (sort, e)) in enumerate(zip(pi, b))
+            ]
+            found = (keys.get((frame, tuple(r[j] for r, j in zip(row, frame)))) for frame in frames)
+            ks = frozenset(k for k in found if k is not None)
+            partners.append(shared.setdefault(ks, ks))
+        verdicts = (
+            all(k in ks for k, ks in enumerate(partners)),
+            all(k in partners[k2] for k, ks in enumerate(partners) for k2 in ks),
+            all(partners[k2] is ks or partners[k2] <= ks for ks in partners for k2 in ks),
+        )
+        root = list(range(len(keys)))
 
-        roots: dict[int, int] = {}
-        return [roots.setdefault(find(i), len(roots)) for i in range(n)]
+        def find(k: int) -> int:
+            while root[k] != k:
+                root[k] = root[root[k]]
+                k = root[k]
+            return k
+
+        for k, ks in enumerate(partners):
+            for k2 in ks:
+                root[find(k2)] = find(k)
+        touched = set().union(*shared)
+        ids: dict[int, int] = {}
+        class_of = [
+            ids.setdefault(find(k) if partners[k] or k in touched else -1 - i, len(ids))
+            for i, k in enumerate(key_of)
+        ]
+        return verdicts, class_of, len(keys), len(frames)
 
     def frame_threads(self) -> tuple[list[tuple[int, ...]], list[dict[int, tuple]]]:
         """Per isomorphism-tuple frame, the unique thread of every class.
@@ -518,8 +586,10 @@ def e_equiv(x1: MatchedTriple, x2: MatchedTriple) -> bool:
 def k_class(
     a: int, A: SortedStructure, fam: Family, *, max_elements: int | None = None
 ) -> list[MatchedTriple]:
-    """The triples threading a; verified to be exactly one equivalence class."""
+    """The triples threading a; verified to be exactly one class of E, after
+    E is verified to be an equivalence."""
     space = _space_for(A, fam, max_elements=max_elements)
+    space.require_equivalence()
     tc = space.thread_classes()[a]
     if not tc.triples:
         raise VerificationError(f"no matched triple threads element {a}")
@@ -550,19 +620,24 @@ def _frame_membership(rels, threads: dict[int, tuple], ct) -> tuple[bool, bool]:
     return any(verdicts), all(verdicts)
 
 
-def _quotient_full(space: TripleSpace) -> QuotientResult:
-    """Quotient on explicit equivalence classes, with agreement checks.
+def build_quotient(
+    A: SortedStructure, fam: Family, *, max_elements: int | None = None
+) -> QuotientResult:
+    """The quotient structure of matched triples by the twist equivalence.
 
-    Verifies, exhaustively: every class has one thread per frame, the
-    exists/forall agreement across family members within the reference
-    frame, and frame-independence of relation membership (the congruence
-    content).  Failures raise, since they are theorems for coherent
-    families.  The result is cached on the space.
+    Refuses a twist relation that is not an equivalence, then verifies,
+    exhaustively: every class has one sort, the exists/forall agreement
+    across family members within the reference frame, and frame-independence
+    of relation membership (the congruence content).  Failures raise, since
+    they are theorems for coherent families.  The result is cached on the
+    space.
     """
+    space = _space_for(A, fam, max_elements=max_elements)
     if space._quotient is not None:
         return space._quotient
     if not space.triples:
         raise StructureError("no matched triples: target is not isomorphic to the family")
+    space.require_equivalence()
     class_of, members = space.classes()
     relations = space.fam.members[0].B.signature.relations
 
@@ -610,17 +685,6 @@ def _quotient_full(space: TripleSpace) -> QuotientResult:
     return space._quotient
 
 
-def build_quotient(
-    A: SortedStructure, fam: Family, *, max_elements: int | None = None
-) -> QuotientResult:
-    """The quotient structure of matched triples by the twist equivalence.
-
-    Enumerates every matched triple and re-verifies the agreement and
-    congruence claims (hard error on failure).
-    """
-    return _quotient_full(_space_for(A, fam, max_elements=max_elements))
-
-
 @dataclass
 class UniformResult:
     structure: SortedStructure
@@ -638,9 +702,8 @@ def uniform_F(
     element, and the result must be isomorphic to the family members.
     """
     base = fam.members[0]
-    space = _space_for(A, fam, max_elements=max_elements)
-    quot = _quotient_full(space)
-    labels = quot.class_label
+    quot = build_quotient(A, fam, max_elements=max_elements)
+    space, labels = quot.space, quot.class_label
 
     n_sort0_classes = sum(1 for s, _ in labels if s == 0)
     if n_sort0_classes != A.sort_sizes[0]:
@@ -666,11 +729,7 @@ def uniform_F(
         for verdicts in space.membership()
     ]
     structure = SortedStructure(
-        base.B.signature,
-        (A.sort_sizes[0], quot.structure.sort_sizes[1]),
-        rels,
-        (),
-        (),
+        base.B.signature, (A.sort_sizes[0], quot.structure.sort_sizes[1]), rels, (), ()
     )
     if reduct(structure, (0,)) != A:
         raise VerificationError("first-sort reduct of the result does not equal the target")
@@ -688,8 +747,13 @@ def verify_claims(
     *,
     max_elements: int | None = None,
 ) -> Report:
-    """Re-check every intermediate fact of the uniform construction by full
-    enumeration over the matched-triple space."""
+    """Re-check every intermediate fact of the uniform construction over the
+    matched-triple space.
+
+    The three E claims read :meth:`TripleSpace.equivalence`: proved from the
+    cocycle law where it holds, otherwise decided on the (frame, thread)
+    keys of the triples.  When one fails, the report stops there.
+    """
     report = Report("claim")
     report.add(
         "family_nonempty_weak_liftings",
@@ -715,29 +779,13 @@ def verify_claims(
     if n == 0:
         return report
 
-    if space.cocycle_holds():
-        verdicts = (True, True, True)
-        detail = (
-            f"proved from the cocycle law, checked exhaustively on "
-            f"{sum(len(lst) ** 2 for lst in space.iso)} transport pairs"
-        )
-    else:
-        if n > config.DEFAULT.x_pairwise:
-            raise BoundExceededError(
-                f"|X|={n} exceeds pairwise class bound {config.DEFAULT.x_pairwise}"
-            )
-        mat = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                mat[i, j] = space.e_equiv(xs[i], xs[j])
-        verdicts = _relation_verdicts(mat)
-        detail = f"cocycle law fails; decided on all {n}x{n} pairs"
-    for name, ok in zip(("E_reflexive", "E_symmetric", "E_transitive"), verdicts):
+    _, members = space.classes()
+    verdicts, detail, _ = space.equivalence()
+    for name, ok in zip(E_PROPERTIES, verdicts):
         report.add(name, ok, detail)
     if not all(verdicts):
         return report
 
-    _, members = space.classes()
     base = fam.members[0]
 
     frames_ok = True
@@ -750,8 +798,7 @@ def verify_claims(
         frames_detail = str(exc)
     report.add("classes_have_unique_frame_threads", frames_ok, frames_detail)
 
-    detail_agree = []
-    detail_const = []
+    detail_agree, detail_const = [], []
     if frames_ok:
         for (name, _), by_tuple in zip(base.B.signature.relations, space.membership()):
             for ct, (exists, forall) in by_tuple.items():
@@ -759,24 +806,17 @@ def verify_claims(
                     detail_agree.append(f"{name}{ct}")
                 if len(set(exists)) > 1:
                     detail_const.append(f"{name}{ct}")
-    ok_agree = not detail_agree
-    ok_frames_const = not detail_const
+    ok_agree, ok_frames_const = not detail_agree, not detail_const
+    report.add("cla3_exists_forall_agreement", frames_ok and ok_agree, "; ".join(detail_agree[:4]))
     report.add(
-        "cla3_exists_forall_agreement",
-        frames_ok and ok_agree,
-        "; ".join(detail_agree[:4]),
-    )
-    report.add(
-        "cla4_congruence_frame_independent",
-        frames_ok and ok_frames_const,
-        "; ".join(detail_const[:4]),
+        "cla4_congruence_frame_independent", frames_ok and ok_frames_const, "; ".join(detail_const[:4])
     )
 
     quot = None
     detail_cong = ""
     if frames_ok and ok_agree and ok_frames_const:
         try:
-            quot = _quotient_full(space)
+            quot = build_quotient(A, fam, max_elements=max_elements)
         except VerificationError as exc:  # pragma: no cover - guarded above
             detail_cong = str(exc)
     report.add("quotient_constructible", quot is not None, detail_cong)
@@ -793,9 +833,7 @@ def verify_claims(
         seen_classes.add(tc.cid)
     report.add("cla5_k_classes", not k_detail, "; ".join(k_detail))
 
-    n_sort2 = sum(
-        1 for cid in range(len(members)) if xs[members[cid][0]].b[0][0] == 1
-    )
+    n_sort2 = sum(1 for group in members if xs[group[0]].b[0][0] == 1)
     report.add(
         "cla5_class_count",
         len(members) == A.sort_sizes[0] + n_sort2,
@@ -819,25 +857,18 @@ def verify_claims(
     report.add("cla6_rho_constant_on_classes", rho_const)
     report.add("cla6_y_meets_every_class", meets_all)
     rho_injective = len(set(rho_values.values())) == len(rho_values)
-    report.add(
-        "cla6_rho_injective_across_classes",
-        rho_injective and len(rho_values) == len(members),
-    )
+    report.add("cla6_rho_injective_across_classes", rho_injective and len(rho_values) == len(members))
 
     if quot is not None:
-        iso_found = bool(
-            isomorphisms(quot.structure, base.B, max_elements=max_elements, limit=1)
-        )
+        iso_found = bool(isomorphisms(quot.structure, base.B, max_elements=max_elements, limit=1))
         report.add(
             "cla6_quotient_isomorphic_to_member",
             iso_found and quot.structure.sort_sizes == base.B.sort_sizes,
             f"quotient sorts {quot.structure.sort_sizes} vs member {base.B.sort_sizes}",
         )
-        witness_ok = rho_const and meets_all and rho_injective
-        if witness_ok:
-            witness_ok = _rho_witness_is_isomorphism(
-                quot.structure, quot.class_label, rho_values, base.B
-            )
+        witness_ok = rho_const and meets_all and rho_injective and _rho_witness_is_isomorphism(
+            quot.structure, quot.class_label, rho_values, base.B
+        )
         report.add(
             "cla6_explicit_rho_witness",
             witness_ok,
@@ -849,46 +880,14 @@ def verify_claims(
     return report
 
 
-def _relation_verdicts(mat: np.ndarray) -> tuple[bool, bool, bool]:
-    """(reflexive, symmetric, transitive) of a square boolean relation matrix.
-
-    The two-step paths are counted in float32: a sum of 0/1 products is
-    positive whenever one product is, so unlike an 8-bit count it cannot
-    wrap round to 0 (at 256 paths).
-    """
-    counts = mat.astype(np.float32)
-    closure = (counts @ counts) > 0
-    return (
-        bool(mat.diagonal().all()),
-        bool((mat == mat.T).all()),
-        bool((closure <= mat).all()),
-    )
-
-
 def _rho_witness_is_isomorphism(quot_structure, class_label, rho_values, target) -> bool:
     """Check the explicit map (quotient label -> thread value) directly."""
-    if quot_structure.sort_sizes != target.sort_sizes:
-        return False
-    n_classes = len(class_label)
-    maps = [
-        [-1] * quot_structure.sort_sizes[0],
-        [-1] * quot_structure.sort_sizes[1],
-    ]
-    for cid in range(n_classes):
-        s, label = class_label[cid]
-        rs, re_ = rho_values[cid]
-        if rs != s:
+    maps = [[-1] * n for n in quot_structure.sort_sizes]
+    for cid, (s, label) in enumerate(class_label):
+        if rho_values[cid][0] != s:
             return False
-        maps[s][label] = re_
-    if any(v < 0 for m in maps for v in m):
+        maps[s][label] = rho_values[cid][1]
+    try:
+        return relabel(quot_structure, maps) == target
+    except StructureError:  # a per-sort map is not a bijection
         return False
-    if any(sorted(m) != list(range(len(m))) for m in maps):
-        return False
-    for ri, (_, rsig) in enumerate(quot_structure.signature.relations):
-        image = {
-            tuple(maps[rsig[i]][t[i]] for i in range(len(t)))
-            for t in quot_structure.relations[ri]
-        }
-        if image != target.relations[ri]:
-            return False
-    return True

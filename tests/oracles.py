@@ -389,8 +389,9 @@ def _commutative(g, n):
 
 
 def naive_classes(space):
-    """(class_of, members) of e_equiv by pairwise union-find over all triples,
-    classes numbered by their first triple, members ascending."""
+    """(class_of, members) of the equivalence e_equiv generates, by pairwise
+    union-find over all triples related in either direction, classes
+    numbered by their first triple, members ascending."""
     xs = space.triples
     parent = list(range(len(xs)))
 
@@ -401,7 +402,9 @@ def naive_classes(space):
 
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
-            if find(i) != find(j) and space.e_equiv(xs[i], xs[j]):
+            if find(i) != find(j) and (
+                space.e_equiv(xs[i], xs[j]) or space.e_equiv(xs[j], xs[i])
+            ):
                 parent[find(j)] = find(i)
     roots, class_of, members = {}, [], []
     for i in range(len(xs)):

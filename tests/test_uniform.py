@@ -1,12 +1,14 @@
 from __future__ import annotations
 
-import numpy as np
+import itertools
+
 import pytest
 
 from uniconstruct import cli, config, encode, groups, ucp, uniform
 from uniconstruct.errors import BoundExceededError, StructureError, VerificationError
 from uniconstruct.groups import aut_group, classify_sections
 from uniconstruct.structures import (
+    SortedMap,
     SortedSignature,
     SortedStructure,
     canonical_copies,
@@ -17,7 +19,6 @@ from uniconstruct.structures import (
 )
 from uniconstruct.ucp import assemble_ucp
 from uniconstruct.uniform import (
-    _relation_verdicts,
     _space_for,
     build_family,
     build_quotient,
@@ -257,6 +258,17 @@ class TestKClass:
                     if e_equiv(m, x):
                         assert (x.pi_idx, x.g_idx, x.b) in member_set
 
+    def test_weak_only_lifting_is_refused_before_classes_are_read(self):
+        # its E is not transitive, so no thread set is a class of it
+        b, search = weak_only_lifting()
+        for n in (1, 2):
+            fam = build_family(b, search.weak_splittings[0], n)
+            A = fam.members[0].A
+            for build in (lambda: k_class(0, A, fam), lambda: build_quotient(A, fam),
+                          lambda: uniform_F(A, fam)):
+                with pytest.raises(VerificationError, match="E_transitive fails"):
+                    build()
+
 
 class TestQuotient:
     def test_singleton_family_quotient_isomorphic(self, b_cycle3):
@@ -449,14 +461,34 @@ KEYED_FIXTURES = [
 _FAMILIES: dict = {}
 
 
+# the keyed fixtures plus the weak-only lifting, where the cocycle law fails
+E_FIXTURES = KEYED_FIXTURES + [("b_weak_only", None, n) for n in (1, 2)]
+
+
+def _space(request):
+    """The family and matched-triple space of a (fixture, psi, size)
+    parameter, built once per session."""
+    name, psi, n = request.param
+    if (name, n) not in _FAMILIES:
+        if name == "b_weak_only":
+            b, search = weak_only_lifting()
+            _FAMILIES[name, n] = build_family(b, search.weak_splittings[0], n)
+        else:
+            _FAMILIES[name, n] = build_family(request.getfixturevalue(name), psi, n)
+    fam = _FAMILIES[name, n]
+    return fam, _space_for(fam.members[0].A, fam)
+
+
 @pytest.fixture(params=KEYED_FIXTURES, ids=lambda p: f"{p[0][2:]}-s{p[2]}")
 def keyed_space(request):
     """A matched-triple space per fixture and size, built once per session."""
-    name, psi, n = request.param
-    if (name, n) not in _FAMILIES:
-        _FAMILIES[name, n] = build_family(request.getfixturevalue(name), psi, n)
-    fam = _FAMILIES[name, n]
-    return fam, _space_for(fam.members[0].A, fam)
+    return _space(request)
+
+
+@pytest.fixture(params=E_FIXTURES, ids=lambda p: f"{p[0][2:]}-s{p[2]}")
+def e_space(request):
+    """A keyed space, or the weak-only lifting's space."""
+    return _space(request)
 
 
 def weak_only_lifting():
@@ -579,12 +611,12 @@ class TestKeyedClasses:
         assert space.cocycle_holds()
         assert naive_cocycle_holds(space)
 
-    def test_classes_equal_pairwise_union_find(self, keyed_space):
-        _, space = keyed_space
+    def test_classes_equal_pairwise_union_find(self, e_space):
+        _, space = e_space
         assert space.classes() == naive_classes(space)
 
-    def test_e_verdicts_equal_naive_matrix(self, keyed_space):
-        fam, space = keyed_space
+    def test_e_verdicts_equal_naive_matrix(self, e_space):
+        fam, space = e_space
         report = verify_claims(fam.members[0].A, fam)
         ok = {name: flag for name, flag, _ in report.entries}
         got = (ok["E_reflexive"], ok["E_symmetric"], ok["E_transitive"])
@@ -630,20 +662,137 @@ class TestKeyedClasses:
         assert isomorphisms(res.structure, b_cycle3)
 
 
-class TestRelationVerdicts:
-    def test_closure_does_not_wrap_at_256_paths(self):
-        # 0 -> k -> 257 for k = 1..256, but not 0 -> 257: transitivity fails
-        # on 256 two-step paths, which an 8-bit path count wraps to 0
-        mat = np.eye(258, dtype=bool)
-        mat[0, 1:257] = True
-        mat[1:257, 257] = True
-        reflexive, _, transitive = _relation_verdicts(mat)
-        assert reflexive and not transitive
-        assert naive_relation_verdicts(mat)[2] is False
-        wrapped = (mat.astype(np.uint8) @ mat.astype(np.uint8)) > 0
-        assert not wrapped[0, 257]
 
-    def test_equivalence_passes(self):
-        labels = np.array([0, 1, 0, 2, 1])
-        mat = labels[:, None] == labels[None, :]
-        assert _relation_verdicts(mat) == (True, True, True)
+def _keyed_against_naive(space):
+    """The keyed decider's verdicts and classes, checked against the naive
+    matrix and the pairwise union-find; returns its result."""
+    verdicts, class_of, n_keys, n_frames = space._keyed_equivalence()
+    assert verdicts == naive_relation_verdicts(naive_e_matrix(space))
+    assert class_of == naive_classes(space)[0]
+    assert n_keys == len({(x.pi_idx, x.b) for x in space.triples})
+    assert n_frames == len({x.pi_idx for x in space.triples})
+    return verdicts, class_of
+
+
+def _break_transport(space, s, i, j, replacement):
+    """Replace psi_tilde(s, i, j) and drop every decision built on it."""
+    space._psi_tilde_cache[(s, i, j)] = replacement
+    space._cocycle = space._classes = space._e_verdicts = None
+    space._thread_classes = space._frame_threads = space._membership = space._quotient = None
+
+
+class TestKeyedDecider:
+    def test_forced_where_the_law_holds(self, keyed_space):
+        _, space = keyed_space
+        verdicts, class_of = _keyed_against_naive(space)
+        assert verdicts == (True, True, True)
+        assert class_of == space.classes()[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("section", ["weak_splittings", "splittings"])
+    def test_weak_only_lifting_and_its_splitting(self, section, n):
+        b, search = weak_only_lifting()
+        fam = build_family(b, getattr(search, section)[0], n)
+        space = _space_for(fam.members[0].A, fam)
+        verdicts, class_of = _keyed_against_naive(space)
+        assert verdicts == (True, True, section == "splittings")
+        assert space.cocycle_holds() == (section == "splittings")
+        assert space.classes()[0] == class_of
+
+    @pytest.mark.parametrize("name,psi,n", [
+        ("b_cycle3", (0, 1, 2), 1), ("b_cycle3", (0, 1, 2), 2),
+        ("b_rich", (0, 1, 2), 2), ("b_matching", (0, 1), 2),
+    ])
+    @pytest.mark.parametrize("defect", ["reflexive", "symmetric"])
+    def test_broken_transport_is_named_and_refused(self, request, name, psi, n, defect):
+        fam = build_family(request.getfixturevalue(name), psi, n)
+        A = fam.members[0].A
+        space = _space_for(A, fam)
+        if defect == "reflexive":
+            # T(0, 0) becomes a transport between two different frames
+            _break_transport(space, 0, 0, 0, space.psi_tilde(0, 1, 0))
+        else:
+            _break_transport(space, 0, 0, 1, space.psi_tilde(0, 0, 0))
+        assert not space.cocycle_holds()
+        verdicts, class_of = _keyed_against_naive(space)
+        assert space.classes()[0] == class_of
+        failed = {prop for prop, ok in zip(uniform.E_PROPERTIES, verdicts) if not ok}
+        assert f"E_{defect}" in failed
+
+        report = verify_claims(A, fam)
+        entries = {entry[0]: entry[1:] for entry in report.entries}
+        n_keys = len({(x.pi_idx, x.b) for x in space.triples})
+        n_frames = len({x.pi_idx for x in space.triples})
+        detail = f"cocycle law fails; decided on {n_keys} (frame, thread) keys in {n_frames} frames"
+        for prop, ok in zip(uniform.E_PROPERTIES, verdicts):
+            assert entries[prop] == (ok, detail)
+        assert "cla3_exists_forall_agreement" not in entries
+        for build in (lambda: k_class(0, A, fam), lambda: build_quotient(A, fam),
+                      lambda: uniform_F(A, fam)):
+            with pytest.raises(VerificationError, match=f"E_{defect}"):
+                build()
+
+    @pytest.mark.parametrize("section", ["weak_splittings", "splittings"])
+    def test_key_without_partners_leaves_its_triples_apart(self, section):
+        # two triples share a key; its own-frame transport at member 0 is
+        # collapsed, and every triple it could be related to is dropped
+        b, search = weak_only_lifting()
+        fam = build_family(b, getattr(search, section)[0], 2)
+        space = uniform.TripleSpace(fam.members[0].A, fam)
+        class_of, _ = space.classes()
+        xs = space.triples
+        i1, i2 = next(
+            (i, j) for i, j in itertools.combinations(range(len(xs)), 2)
+            if (xs[i].pi_idx, xs[i].b) == (xs[j].pi_idx, xs[j].b) and xs[i].b[0][1] != 0
+        )
+        x = xs[i1]
+        B = fam.members[0].B
+        _break_transport(
+            space, 0, x.pi_idx[0], x.pi_idx[0], SortedMap(B, B, [[0] * n for n in B.sort_sizes])
+        )
+        own = (x.pi_idx, ((x.b[0][0], 0),) + x.b[1:])
+        space.triples = [
+            y for i, y in enumerate(xs)
+            if i in (i1, i2) or (class_of[i] != class_of[i1] and (y.pi_idx, y.b) != own)
+        ]
+        verdicts, class_of = _keyed_against_naive(space)
+        assert verdicts == (False, False, False)
+        kept = [y for y in space.triples if (y.pi_idx, y.b) == (x.pi_idx, x.b)]
+        assert len(kept) == 2
+        first, second = (space.triples.index(y) for y in kept)
+        assert class_of[first] != class_of[second]
+
+
+class TestDerivedIsomorphisms:
+    def test_member_lists_equal_the_search(self, keyed_space):
+        fam, space = keyed_space
+        A, base = space.A, fam.members[0]
+        for t, member in enumerate(fam.members):
+            searched = isomorphisms(member.A, A)
+            assert [m.maps for m in space.iso[t]] == [m.maps for m in searched]
+            assert all(m.domain is member.A and m.codomain is A for m in space.iso[t])
+            if t:
+                searched_b = sorted(isomorphisms(base.B, member.B), key=lambda m: m.maps[0])
+                assert [m.maps for m in space.biso[t]] == [m.maps for m in searched_b]
+                assert all(m.domain is base.B and m.codomain is member.B for m in space.biso[t])
+
+    def test_only_the_base_is_searched(self, b_rich, monkeypatch):
+        fam = build_family(b_rich, [0, 1, 2], 5)
+        calls = []
+
+        def counted(s1, s2, **kwargs):
+            calls.append(s1)
+            return isomorphisms(s1, s2, **kwargs)
+
+        monkeypatch.setattr(uniform, "isomorphisms", counted)
+        space = uniform.TripleSpace(fam.members[0].A, fam)
+        assert calls == [fam.members[0].A]
+        assert len(space.triples) == 1215
+
+    def test_members_must_relabel_the_base(self, b_cycle3):
+        members = naive_family(b_cycle3, [0, 1, 2], 2)
+        with pytest.raises(StructureError, match="relabelling"):
+            uniform.Family(tuple(members))
+        fam = build_family(b_cycle3, [0, 1, 2], 2)
+        assert fam.members[0].relabel.maps == ((0, 1, 2), (0,))
+        assert fam.members[1].relabel.codomain is fam.members[1].B
