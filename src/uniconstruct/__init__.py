@@ -1,105 +1,70 @@
 """Workbench for finite multi-sorted structures, automorphism-group
 splittings, skew products, and uniform reconstruction, with every computed
-fact re-checked against brute-force oracles at desk scale."""
+fact re-checked against brute-force oracles at desk scale.
+
+The names below are loaded on first access (PEP 562), so importing the
+package, or running ``python -m uniconstruct.cli``, imports no submodule
+and no numpy until something asks for one."""
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .errors import (
-    BoundExceededError,
-    CatalogMismatchError,
-    CongruenceError,
-    GroupError,
-    SignatureMismatchError,
-    StructureError,
-    UniconstructError,
-    VerificationError,
-)
-from .structures import (
-    SortedMap,
-    SortedSignature,
-    SortedStructure,
-    automorphisms,
-    canonical_copies,
-    identity_map,
-    isomorphisms,
-    quotient,
-    reduct,
-    relabel,
-    relabel_map,
-    restrict_signature,
-    validate,
-)
-from .groups import (
-    AutomorphismGroup,
-    FiniteGroup,
-    GroupHom,
-    Section,
-    aut_group,
-    catalog,
-    catalog_search_weak_not_strong,
-    center,
-    classify_section,
-    classify_sections,
-    cyclic,
-    dicyclic,
-    dihedral,
-    direct_product,
-    find_isomorphism,
-    is_hom,
-    is_surjective,
-    quotient_by_center,
-    quotient_by_subgroup,
-    surjective_homs,
-    symmetric,
-    alternating,
-)
-from .skew import (
-    CyclicSkewGroup,
-    SkewElement,
-    build_cyclic_skew,
-    center_witness,
-    hom_violations,
-    phi13,
-    phi23,
-    phi23_hom_witness,
-    psi0,
-    shift_generator,
-    skew_from_support,
-    skew_identity,
-    skew_inv,
-    skew_mul,
-    skew_pow,
-)
-from .ucp import (
-    Solver,
-    UniConstructionProblem,
-    assemble_ucp,
-    compose_solvers,
-    derive_triple,
-    fuse_sorts,
-    reduct_solver,
-    solver_from_catalog,
-)
-from .encode import (
-    GroupTriple,
-    attach_skew,
-    encode_three_sorted,
-    theta,
-    verify_theta_iso,
-)
-from .uniform import (
-    Family,
-    LiftedCopy,
-    MatchedTriple,
-    TripleSpace,
-    build_family,
-    build_quotient,
-    e_equiv,
-    k_class,
-    make_lifted_copy,
-    matched_triples,
-    uniform_F,
-    verify_claims,
-)
+# submodule -> the names the package re-exports from it
+_EXPORTS = {
+    "errors": (
+        "BoundExceededError", "CatalogMismatchError", "CongruenceError", "GroupError",
+        "SignatureMismatchError", "StructureError", "UniconstructError", "VerificationError",
+    ),
+    "structures": (
+        "SortedMap", "SortedSignature", "SortedStructure", "automorphisms", "canonical_copies",
+        "identity_map", "isomorphisms", "quotient", "reduct", "relabel", "relabel_map",
+        "restrict_signature", "validate",
+    ),
+    "groups": (
+        "AutomorphismGroup", "FiniteGroup", "GroupHom", "Section", "aut_group", "catalog",
+        "catalog_search_weak_not_strong", "center", "classify_section", "classify_sections",
+        "cyclic", "dicyclic", "dihedral", "direct_product", "find_isomorphism", "is_hom",
+        "is_surjective", "quotient_by_center", "quotient_by_subgroup", "surjective_homs",
+        "symmetric", "alternating",
+    ),
+    "skew": (
+        "CyclicSkewGroup", "SkewElement", "build_cyclic_skew", "center_witness",
+        "hom_violations", "phi13", "phi23", "phi23_hom_witness", "psi0", "shift_generator",
+        "skew_from_support", "skew_identity", "skew_inv", "skew_mul", "skew_pow",
+    ),
+    "ucp": (
+        "Solver", "UniConstructionProblem", "assemble_ucp", "compose_solvers", "derive_triple",
+        "fuse_sorts", "reduct_solver", "solver_from_catalog",
+    ),
+    "encode": (
+        "GroupTriple", "attach_skew", "encode_three_sorted", "theta", "verify_theta_iso",
+    ),
+    "uniform": (
+        "Family", "LiftedCopy", "MatchedTriple", "TripleSpace", "build_family",
+        "build_quotient", "e_equiv", "k_class", "make_lifted_copy", "matched_triples",
+        "uniform_F", "verify_claims",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+# submodules that were package attributes while the package imported them eagerly
+_SUBMODULES = frozenset(_EXPORTS) | {"config"}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

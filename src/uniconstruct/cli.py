@@ -7,8 +7,18 @@ failed (so CI can assert the re-checked facts).
 
 from __future__ import annotations
 
+import os
+
+# numpy's OpenBLAS starts one busy-waiting worker thread per extra core at
+# import; the library never calls BLAS, so each CLI process would only pay
+# for idle workers.  Set before the first library import pulls in numpy; a
+# value the user exported still wins.  Only the CLI sets it: a program that
+# imports the library keeps its own environment.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
+import random
 import sys
 from contextlib import nullcontext
 
@@ -18,6 +28,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     alternating,
+    aut_group,
     catalog,
     catalog_search_weak_not_strong,
     classify_sections,
@@ -51,6 +62,7 @@ from .skew import (
 from .structures import (
     automorphisms,
     isomorphisms,
+    reduct,
     structure_from_json,
     structure_to_json,
     validate,
@@ -322,9 +334,7 @@ def _cmd_skew(args):
 
 
 def _skew_laws(base, samples, seed):
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     y = shift_generator(base)
     assoc = inverse = conj = True
     for _ in range(samples):
@@ -428,8 +438,6 @@ def _cmd_attach(args):
     phi23_doc = _read_json(args.phi23)
     if "map" not in phi23_doc:
         raise UniconstructError(f"{args.phi23}: missing field 'map'")
-    from .groups import aut_group
-
     autb = aut_group(b, max_elements=args.max_elements)
     phi23 = GroupHom(g3, autb.group, phi23_doc["map"])
     phi13 = None
@@ -437,8 +445,6 @@ def _cmd_attach(args):
         phi13_doc = _read_json(args.phi13)
         if "map" not in phi13_doc:
             raise UniconstructError(f"{args.phi13}: missing field 'map'")
-        from .structures import reduct
-
         auta = aut_group(reduct(b, (0,)), max_elements=args.max_elements)
         phi13 = GroupHom(g3, auta.group, phi13_doc["map"])
     attachment = attach_skew(b, g3, phi23, phi13, max_elements=args.max_elements)

@@ -65,3 +65,11 @@ def check_table_cells(order: int) -> None:
         raise BoundExceededError(
             f"a Cayley table of order {order} has {order * order} cells, over the bound {bound}"
         )
+
+
+def check_elements(total: int, max_elements: int | None = None) -> None:
+    """Refuse an isomorphism search over a structure of ``total`` elements
+    past ``max_elements`` (default: the ``aut_elements`` bound)."""
+    bound = max_elements if max_elements is not None else DEFAULT.aut_elements
+    if total > bound:
+        raise BoundExceededError(f"structure has {total} elements, search bound is {bound}")

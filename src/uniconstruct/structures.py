@@ -413,11 +413,7 @@ def isomorphisms(
         raise SignatureMismatchError("isomorphisms: signatures differ")
     s1.check_valid()
     s2.check_valid()
-    bound = max_elements if max_elements is not None else config.DEFAULT.aut_elements
-    if s1.total_elements > bound:
-        raise BoundExceededError(
-            f"structure has {s1.total_elements} elements, search bound is {bound}"
-        )
+    config.check_elements(s1.total_elements, max_elements)
     if s1.sort_sizes != s2.sort_sizes:
         return []
     for r1, r2 in zip(s1.relations, s2.relations):

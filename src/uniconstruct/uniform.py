@@ -560,12 +560,16 @@ class TripleSpace:
 def _space_for(
     A: SortedStructure, fam: Family, *, max_elements: int | None = None
 ) -> TripleSpace:
-    """Cache one enumeration per (family, target) pair on the family."""
+    """Cache one enumeration per (family, target) pair on the family.  A
+    cached space is refused under a bound that would have refused building
+    it."""
     key = A.canonical_key()
     space = fam._spaces.get(key)
     if space is None:
         space = TripleSpace(A, fam, max_elements=max_elements)
         fam._spaces[key] = space
+    else:
+        config.check_elements(fam.members[0].A.total_elements, max_elements)
     return space
 
 

@@ -4,7 +4,10 @@ import argparse
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
+import textwrap
 import tracemalloc
 from collections import defaultdict
 from pathlib import Path
@@ -638,3 +641,130 @@ class TestCatalogSearch:
         ]) == 0
         doc = json.loads(out_path.read_text())
         assert "witness_count" in doc
+
+
+# the package's re-exports while `__init__` imported every submodule eagerly
+REEXPORTS = {
+    "errors": (
+        "BoundExceededError", "CatalogMismatchError", "CongruenceError", "GroupError",
+        "SignatureMismatchError", "StructureError", "UniconstructError", "VerificationError",
+    ),
+    "structures": (
+        "SortedMap", "SortedSignature", "SortedStructure", "automorphisms", "canonical_copies",
+        "identity_map", "isomorphisms", "quotient", "reduct", "relabel", "relabel_map",
+        "restrict_signature", "validate",
+    ),
+    "groups": (
+        "AutomorphismGroup", "FiniteGroup", "GroupHom", "Section", "alternating", "aut_group",
+        "catalog", "catalog_search_weak_not_strong", "center", "classify_section",
+        "classify_sections", "cyclic", "dicyclic", "dihedral", "direct_product",
+        "find_isomorphism", "is_hom", "is_surjective", "quotient_by_center",
+        "quotient_by_subgroup", "surjective_homs", "symmetric",
+    ),
+    "skew": (
+        "CyclicSkewGroup", "SkewElement", "build_cyclic_skew", "center_witness",
+        "hom_violations", "phi13", "phi23", "phi23_hom_witness", "psi0", "shift_generator",
+        "skew_from_support", "skew_identity", "skew_inv", "skew_mul", "skew_pow",
+    ),
+    "ucp": (
+        "Solver", "UniConstructionProblem", "assemble_ucp", "compose_solvers", "derive_triple",
+        "fuse_sorts", "reduct_solver", "solver_from_catalog",
+    ),
+    "encode": ("GroupTriple", "attach_skew", "encode_three_sorted", "theta", "verify_theta_iso"),
+    "uniform": (
+        "Family", "LiftedCopy", "MatchedTriple", "TripleSpace", "build_family",
+        "build_quotient", "e_equiv", "k_class", "make_lifted_copy", "matched_triples",
+        "uniform_F", "verify_claims",
+    ),
+}
+REPO = Path(__file__).resolve().parents[1]
+SRC = Path(cli.__file__).resolve().parents[1]
+THREADS = "len(os.listdir('/proc/self/task'))"
+needs_proc_tasks = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count threads"
+)
+
+
+def fresh_python(code, **env_overrides):
+    """Run ``code`` in a new interpreter that imports this tree's package,
+    with OPENBLAS_NUM_THREADS unset unless given; return its stripped stdout."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    env.update(env_overrides)
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], env=env, cwd=REPO,
+        capture_output=True, text=True, check=True,
+    )
+    return out.stdout.strip()
+
+
+def cli_version_threads(**env_overrides):
+    """OS threads left in a process that ran ``python -m uniconstruct.cli
+    --version`` (through runpy, as ``-m`` does)."""
+    return int(fresh_python(f"""
+        import os, runpy, sys
+        sys.argv = ["uniconstruct", "--version"]
+        try:
+            runpy.run_module("uniconstruct.cli", run_name="__main__", alter_sys=True)
+        except SystemExit:
+            pass
+        print({THREADS})
+    """, **env_overrides).splitlines()[-1])
+
+
+class TestProcessStart:
+    @needs_proc_tasks
+    def test_module_entry_point_runs_one_thread(self):
+        assert cli_version_threads() == 1
+
+    @needs_proc_tasks
+    def test_console_script_entry_point_runs_one_thread(self):
+        out = fresh_python(f"""
+            import os
+            from uniconstruct.cli import main
+            try:
+                main(["--version"])
+            except SystemExit:
+                pass
+            print({THREADS})
+        """)
+        assert out.splitlines()[-1] == "1"
+
+    @needs_proc_tasks
+    def test_user_thread_setting_wins(self):
+        bare = int(fresh_python(f"import os, numpy; print({THREADS})", OPENBLAS_NUM_THREADS="2"))
+        assert cli_version_threads(OPENBLAS_NUM_THREADS="2") == bare
+
+    def test_package_import_is_lazy_and_leaves_environment_alone(self):
+        out = fresh_python("""
+            import os, sys
+            before = dict(os.environ)
+            import uniconstruct
+            print("numpy" in sys.modules, dict(os.environ) == before)
+        """)
+        assert out == "False True"
+
+    def test_every_reexport_resolves(self):
+        out = fresh_python("""
+            ns = {}
+            exec("from uniconstruct import *", ns)
+            print(" ".join(sorted(ns)))
+        """)
+        star = set(out.split())
+        import uniconstruct
+
+        for module, names in REEXPORTS.items():
+            mod = importlib.import_module(f"uniconstruct.{module}")
+            for name in names:
+                assert getattr(uniconstruct, name) is getattr(mod, name)
+                assert name in star
+                assert name in dir(uniconstruct)
+            assert getattr(uniconstruct, module) is mod
+        with pytest.raises(AttributeError):
+            uniconstruct.no_such_name
+
+    def test_readme_worked_example(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## A worked example", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        assert fresh_python(code).splitlines()[-1] == "True False"

@@ -293,6 +293,15 @@ class TestQuotient:
         assert uniform_F(A, fam).structure == b_cycle3
         assert isomorphisms(build_quotient(A, fam).structure, b_cycle3)
 
+    def test_cached_space_refused_under_smaller_element_bound(self, b_rich):
+        fam, A = family_and_target(b_rich, [0, 1, 2], 2)
+        with pytest.raises(BoundExceededError) as built:
+            uniform.TripleSpace(A, fam, max_elements=2)
+        build_quotient(A, fam)
+        with pytest.raises(BoundExceededError) as cached:
+            build_quotient(A, fam, max_elements=2)
+        assert str(cached.value) == str(built.value)
+
     def test_kernel_family_congruence_fails_honestly(self, b_kernel):
         fam, A = family_and_target(b_kernel, [0], 2)
         with pytest.raises(VerificationError):
