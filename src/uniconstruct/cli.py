@@ -68,7 +68,7 @@ from .structures import (
     validate,
 )
 from .ucp import assemble_ucp, derive_triple
-from .uniform import build_family, uniform_F, verify_claims
+from .uniform import TripleSpace, build_family, uniform_F, verify_claims
 
 
 def _read_json(path: str):
@@ -79,6 +79,24 @@ def _read_json(path: str):
         raise UniconstructError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UniconstructError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+
+
+def _int_list(path: str, doc, field: str) -> list[int]:
+    """``doc[field]`` as a list of JSON integers; any other shape is a
+    malformed input, reported under ``path``."""
+    if not isinstance(doc, dict):
+        raise UniconstructError(f"{path}: expected a JSON object, not {type(doc).__name__}")
+    if field not in doc:
+        raise UniconstructError(f"{path}: missing field {field!r}")
+    value = doc[field]
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise UniconstructError(f"{path}: field {field!r} must be a list of integers")
+    return value
+
+
+def _read_map(path: str) -> list[int]:
+    """The ``map`` list of the JSON object in the file at ``path``."""
+    return _int_list(path, _read_json(path), "map")
 
 
 def _load_structure(path: str):
@@ -241,11 +259,7 @@ def _cmd_split(args):
 
 def _cmd_ucp_check(args):
     b = _load_structure(args.structure)
-    psi = None
-    if args.psi:
-        psi = _read_json(args.psi).get("map")
-        if psi is None:
-            raise UniconstructError(f"{args.psi}: missing field 'map'")
+    psi = _read_map(args.psi) if args.psi else None
     ucp = assemble_ucp(b, psi, max_elements=args.max_elements)
     doc = {
         "command": "ucp-check",
@@ -411,14 +425,15 @@ def _cmd_cyclic_skew(args):
 
 def _cmd_encode3(args):
     doc_in = _read_json(args.triple)
+    map12, map23 = (_int_list(args.triple, doc_in, field) for field in ("phi12", "phi23"))
     try:
         g1 = group_from_json(doc_in["g1"])
         g2 = group_from_json(doc_in["g2"])
         g3 = group_from_json(doc_in["g3"])
-        phi12 = GroupHom(g2, g1, doc_in["phi12"])
-        phi23 = GroupHom(g3, g2, doc_in["phi23"])
     except KeyError as exc:
         raise UniconstructError(f"{args.triple}: missing field {exc}") from exc
+    phi12 = GroupHom(g2, g1, map12)
+    phi23 = GroupHom(g3, g2, map23)
     triple = GroupTriple(g1, g2, g3, phi12, phi23)
     structure = encode_three_sorted(triple)
     report = verify_theta_iso(triple, max_elements=args.max_elements)
@@ -435,18 +450,14 @@ def _cmd_encode3(args):
 def _cmd_attach(args):
     b = _load_structure(args.structure)
     g3 = _load_group(args.g3)
-    phi23_doc = _read_json(args.phi23)
-    if "map" not in phi23_doc:
-        raise UniconstructError(f"{args.phi23}: missing field 'map'")
+    phi23_map = _read_map(args.phi23)
     autb = aut_group(b, max_elements=args.max_elements)
-    phi23 = GroupHom(g3, autb.group, phi23_doc["map"])
+    phi23 = GroupHom(g3, autb.group, phi23_map)
     phi13 = None
     if args.phi13:
-        phi13_doc = _read_json(args.phi13)
-        if "map" not in phi13_doc:
-            raise UniconstructError(f"{args.phi13}: missing field 'map'")
+        phi13_map = _read_map(args.phi13)
         auta = aut_group(reduct(b, (0,)), max_elements=args.max_elements)
-        phi13 = GroupHom(g3, auta.group, phi13_doc["map"])
+        phi13 = GroupHom(g3, auta.group, phi13_map)
     attachment = attach_skew(b, g3, phi23, phi13, max_elements=args.max_elements)
     derivation = derive_triple(attachment.structure, max_elements=args.max_elements)
     c23_sections = classify_sections(derivation.c23.phi)
@@ -473,10 +484,7 @@ def _cmd_attach(args):
 def _resolve_psi(ucp, psi_path):
     """The section map from ``psi_path``, else the problem's first weak splitting."""
     if psi_path:
-        doc = _read_json(psi_path)
-        if "map" not in doc:
-            raise UniconstructError(f"{psi_path}: missing field 'map'")
-        return doc["map"]
+        return _read_map(psi_path)
     search = classify_sections(ucp.phi)
     for sec in search.splittings + search.weak_splittings:
         return list(sec.map)
@@ -489,7 +497,8 @@ def _cmd_uniformize(args, verify_only: bool):
     ucp = assemble_ucp(b, max_elements=args.max_elements)
     psi = _resolve_psi(ucp, args.psi)
     fam = build_family(b, psi, args.copies, max_elements=args.max_elements, problem=ucp)
-    claims = verify_claims(target, fam, max_elements=args.max_elements)
+    space = TripleSpace(target, fam, max_elements=args.max_elements)
+    claims = verify_claims(space)
     doc = {
         "command": "verify" if verify_only else "uniformize",
         "copies": args.copies,
@@ -501,7 +510,7 @@ def _cmd_uniformize(args, verify_only: bool):
         # never run the construction past claims that reject it
         lines.append("no structure emitted: the claims fail")
     elif not verify_only:
-        result = uniform_F(target, fam, max_elements=args.max_elements)
+        result = uniform_F(space)
         doc["structure"] = structure_to_json(result.structure)
         lines.append(f"emitted structure with sorts {list(result.structure.sort_sizes)}")
     return (0 if claims.all_pass else 2), doc, lines

@@ -8,11 +8,13 @@ induced first-sort maps, and a compatible element thread), quotients them by
 the lifting-twisted equivalence, and reads off a copy of the original
 structure whose first sort is A itself, element for element.
 
-The twist equivalence E is decided once per space, by proof from the
-cocycle law where the transports obey it, otherwise on the distinct
-(frame, thread) keys of the triples (:meth:`TripleSpace.equivalence`).  The
-quotient, ``k_class`` and ``uniform_F`` refuse an E that is not an
-equivalence, naming the property it lacks.
+A :class:`TripleSpace`, built once per call from a family and a target, is
+the layer's one handle: :func:`verify_claims`, :func:`build_quotient`,
+:func:`uniform_F` and :func:`k_class` take it.  Each fact they read is
+decided once on it: E (by proof from the cocycle law where the transports
+obey it, otherwise on the distinct (frame, thread) keys of the triples), each
+class's sort, and the congruence failures.  The quotient, ``k_class`` and
+``uniform_F`` refuse an E that is not an equivalence, naming what it lacks.
 
 Every intermediate fact the construction leans on is re-checked on the
 instance by :func:`verify_claims`; a failure there is reported honestly (it
@@ -24,7 +26,7 @@ then underdetermined).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import config
@@ -53,8 +55,6 @@ __all__ = [
     "build_family",
     "MatchedTriple",
     "TripleSpace",
-    "matched_triples",
-    "e_equiv",
     "k_class",
     "QuotientResult",
     "build_quotient",
@@ -90,7 +90,6 @@ class LiftedCopy:
 @dataclass
 class Family:
     members: tuple[LiftedCopy, ...]
-    _spaces: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
@@ -195,14 +194,12 @@ class MatchedTriple:
 
     ``pi_idx[s]`` picks the isomorphism A_s -> A; ``g_idx[t]`` picks the
     base-row structure isomorphism B_0 -> B_t (entry 0 is -1, the identity);
-    ``b[s]`` is the (sort, element) thread entry in B_s.  The owning space is
-    carried along so triples are self-contained; it does not enter equality.
+    ``b[s]`` is the (sort, element) thread entry in B_s.
     """
 
     pi_idx: tuple[int, ...]
     g_idx: tuple[int, ...]
     b: tuple[tuple[int, int], ...]
-    space: "TripleSpace" = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -217,7 +214,10 @@ class ThreadClass:
 
 
 class TripleSpace:
-    """Enumeration context for matched triples over a family and target."""
+    """The matched triples over a family and a target, and every fact decided
+    on them.  ``max_elements`` bounds each isomorphism search made for the
+    space, the result checks of :func:`verify_claims` and :func:`uniform_F`
+    included."""
 
     def __init__(
         self,
@@ -229,6 +229,7 @@ class TripleSpace:
         A.check_valid()
         self.A = A
         self.fam = fam
+        self.max_elements = max_elements
         # only the base is searched: member t is the base relabelled along
         # f_t, so its isomorphisms onto A are the base's composed with f_t^-1
         # on the first sort, and B_0 -> B_t are f_t after each automorphism of
@@ -255,7 +256,9 @@ class TripleSpace:
         self._classes: tuple[list[int], list[list[int]]] | None = None
         self._e_verdicts: tuple[tuple[bool, bool, bool], str] | None = None
         self._frame_threads: tuple[list[tuple[int, ...]], list[dict[int, tuple]]] | None = None
+        self._class_sorts: list[int] | None = None
         self._membership: list[dict[tuple[int, ...], tuple[tuple[bool, ...], ...]]] | None = None
+        self._congruence: tuple[list, list] | None = None
         self._thread_classes: list[ThreadClass] | None = None
         self._quotient: QuotientResult | None = None
 
@@ -287,7 +290,7 @@ class TripleSpace:
                 g_maps = [c[1] for c in combo]
                 for b0 in b_elements:
                     b = tuple(g_maps[t].apply_pair(b0) for t in range(n))
-                    out.append(MatchedTriple(pi_idx, g_idx, b, self))
+                    out.append(MatchedTriple(pi_idx, g_idx, b))
                     if len(out) > bound:
                         raise BoundExceededError(
                             f"matched-triple enumeration exceeds bound {bound}"
@@ -498,15 +501,14 @@ class TripleSpace:
 
         ``membership()[ri][ct]`` is the pair of tuples ``(exists, forall)``
         indexed like ``frame_threads()``'s frames; class tuples are listed in
-        product order.  Computed once per space; the quotient and
-        :func:`verify_claims` both read it.
+        product order.  Computed once per space; :meth:`congruence`, the
+        quotient and :func:`verify_claims` read it.
         """
         if self._membership is not None:
             return self._membership
         _, by_frame = self.frame_threads()
-        _, members = self.classes()
-        sort_of_class = [self.triples[group[0]].b[0][0] for group in members]
-        n_classes = len(members)
+        sort_of_class = self.class_sorts()
+        n_classes = len(sort_of_class)
         table = []
         for ri, (name, rsig) in enumerate(self.fam.members[0].B.signature.relations):
             if n_classes ** len(rsig) > 10**6:
@@ -521,6 +523,37 @@ class TripleSpace:
             table.append(verdicts)
         self._membership = table
         return table
+
+    def class_sorts(self) -> list[int]:
+        """Each class's sort, checked to be one sort at every member of every
+        triple in the class (E carries each thread entry along a sorted map,
+        so only a partition not built from E can mix sorts)."""
+        if self._class_sorts is None:
+            sorts = []
+            for group in self.classes()[1]:
+                found = {sort for i in group for sort, _ in self.triples[i].b}
+                if len(found) != 1:
+                    raise VerificationError("equivalence class mixes sorts")
+                sorts.append(found.pop())
+            self._class_sorts = sorts
+        return self._class_sorts
+
+    def congruence(self) -> tuple[list[tuple[int, tuple]], list[tuple[int, int, tuple]]]:
+        """The class tuples on which the quotient's relations are not well
+        defined, from one pass over :meth:`membership`, in relation and then
+        class-tuple order: ``(ri, ct)`` where exists and forall differ in some
+        frame (cla3), and ``(f, ri, ct)`` where membership varies by frame, f
+        being the first frame whose verdict differs from frame 0's (cla4)."""
+        if self._congruence is None:
+            agree, varying = [], []
+            for ri, verdicts in enumerate(self.membership()):
+                for ct, (exists, forall) in verdicts.items():
+                    if exists != forall:
+                        agree.append((ri, ct))
+                    if (not exists[0]) in exists:
+                        varying.append((exists.index(not exists[0]), ri, ct))
+            self._congruence = (agree, varying)
+        return self._congruence
 
     def thread_classes(self) -> list[ThreadClass]:
         """Per first-sort element a of the target, the triples threading a
@@ -557,42 +590,13 @@ class TripleSpace:
         return out
 
 
-def _space_for(
-    A: SortedStructure, fam: Family, *, max_elements: int | None = None
-) -> TripleSpace:
-    """Cache one enumeration per (family, target) pair on the family.  A
-    cached space is refused under a bound that would have refused building
-    it."""
-    key = A.canonical_key()
-    space = fam._spaces.get(key)
-    if space is None:
-        space = TripleSpace(A, fam, max_elements=max_elements)
-        fam._spaces[key] = space
-    else:
-        config.check_elements(fam.members[0].A.total_elements, max_elements)
-    return space
-
-
-def matched_triples(
-    A: SortedStructure, fam: Family, *, max_elements: int | None = None
-) -> list[MatchedTriple]:
-    """Every matched triple over the family and target, canonically ordered."""
-    return _space_for(A, fam, max_elements=max_elements).triples
-
-
-def e_equiv(x1: MatchedTriple, x2: MatchedTriple) -> bool:
-    """The lifting-twisted equivalence on matched triples of one space."""
-    if x1.space is not x2.space:
-        raise StructureError("triples come from different enumerations")
-    return x1.space.e_equiv(x1, x2)
-
-
-def k_class(
-    a: int, A: SortedStructure, fam: Family, *, max_elements: int | None = None
-) -> list[MatchedTriple]:
-    """The triples threading a; verified to be exactly one class of E, after
-    E is verified to be an equivalence."""
-    space = _space_for(A, fam, max_elements=max_elements)
+def k_class(space: TripleSpace, a: int) -> list[MatchedTriple]:
+    """The triples threading element a of the target's first sort; verified
+    to be exactly one class of E, after E is verified to be an equivalence."""
+    if not 0 <= a < space.A.sort_sizes[0]:
+        raise StructureError(
+            f"element {a} is not in the target's first sort of size {space.A.sort_sizes[0]}"
+        )
     space.require_equivalence()
     tc = space.thread_classes()[a]
     if not tc.triples:
@@ -610,8 +614,6 @@ def k_class(
 @dataclass
 class QuotientResult:
     structure: SortedStructure
-    space: TripleSpace
-    class_of: list[int]
     class_label: list[tuple[int, int]]  # class id -> (sort, element)
 
 
@@ -624,68 +626,48 @@ def _frame_membership(rels, threads: dict[int, tuple], ct) -> tuple[bool, bool]:
     return any(verdicts), all(verdicts)
 
 
-def build_quotient(
-    A: SortedStructure, fam: Family, *, max_elements: int | None = None
-) -> QuotientResult:
-    """The quotient structure of matched triples by the twist equivalence.
+def build_quotient(space: TripleSpace) -> QuotientResult:
+    """The quotient structure of the space's triples by the twist equivalence.
 
-    Refuses a twist relation that is not an equivalence, then verifies,
-    exhaustively: every class has one sort, the exists/forall agreement
-    across family members within the reference frame, and frame-independence
-    of relation membership (the congruence content).  Failures raise, since
-    they are theorems for coherent families.  The result is cached on the
-    space.
+    Refuses a twist relation that is not an equivalence, a class that mixes
+    sorts (:meth:`TripleSpace.class_sorts`), and the first failure
+    :meth:`TripleSpace.congruence` finds: exists/forall disagreement across
+    family members, else membership that changes with the frame, naming the
+    relation that changes in the earliest frame.  Failures raise, since they
+    are theorems for coherent families.  The result is cached on the space.
     """
-    space = _space_for(A, fam, max_elements=max_elements)
     if space._quotient is not None:
         return space._quotient
     if not space.triples:
         raise StructureError("no matched triples: target is not isomorphic to the family")
     space.require_equivalence()
-    class_of, members = space.classes()
+    sort_of_class = space.class_sorts()
     relations = space.fam.members[0].B.signature.relations
-
-    sort_of_class: list[int] = []
-    for group in members:
-        sorts = {space.triples[i].b[s][0] for i in group for s in range(len(space.fam.members))}
-        if len(sorts) != 1:
-            raise VerificationError("equivalence class mixes sorts")
-        sort_of_class.append(sorts.pop())
-
-    table = space.membership()
-    for (name, _), verdicts in zip(relations, table):
-        if any(exists[0] != forall[0] for exists, forall in verdicts.values()):
-            raise VerificationError(
-                f"relation {name!r}: exists/forall agreement fails across members"
-            )
-    # name the relation whose membership changes in the earliest frame
-    varying = [
-        (next(f for f, e in enumerate(exists) if e != exists[0]), ri)
-        for ri, verdicts in enumerate(table)
-        for exists, _ in verdicts.values()
-        if len(set(exists)) > 1
-    ]
+    agree, varying = space.congruence()
+    if agree:
+        raise VerificationError(
+            f"relation {relations[agree[0][0]][0]!r}: exists/forall agreement fails across members"
+        )
     if varying:
-        name = relations[min(varying)[1]][0]
-        raise VerificationError(f"relation {name!r}: membership is not constant across frames")
+        raise VerificationError(
+            f"relation {relations[min(varying)[1]][0]!r}: membership is not constant across frames"
+        )
 
     # canonical labels per sort
-    labels: list[tuple[int, int]] = [(-1, -1)] * len(members)
+    labels: list[tuple[int, int]] = []
     counters = [0, 0]
-    for cid, s in enumerate(sort_of_class):
-        labels[cid] = (s, counters[s])
+    for s in sort_of_class:
+        labels.append((s, counters[s]))
         counters[s] += 1
 
     quot_rels = [
         {tuple(labels[c][1] for c in ct) for ct, (exists, _) in verdicts.items() if exists[0]}
-        for verdicts in table
+        for verdicts in space.membership()
     ]
     structure = SortedStructure(
         space.fam.members[0].B.signature, tuple(counters), quot_rels, (), ()
     )
-    space._quotient = QuotientResult(
-        structure=structure, space=space, class_of=class_of, class_label=labels
-    )
+    space._quotient = QuotientResult(structure=structure, class_label=labels)
     return space._quotient
 
 
@@ -695,49 +677,37 @@ class UniformResult:
     quotient: QuotientResult
 
 
-def uniform_F(
-    A: SortedStructure, fam: Family, *, max_elements: int | None = None
-) -> UniformResult:
-    """The uniform construction: a copy of the family structure over A itself.
+def uniform_F(space: TripleSpace) -> UniformResult:
+    """The uniform construction: a copy of the family structure over the
+    space's target A itself.
 
-    Built from the quotient of the matched triples, with each first-sort
-    class relabelled by the element of A it threads.  Postconditions are
-    always re-checked: the first-sort reduct must equal A element for
-    element, and the result must be isomorphic to the family members.
+    The quotient of the matched triples with each first-sort class relabelled
+    by the element of A it threads.  Postconditions are always re-checked:
+    the first-sort reduct must equal A element for element, and the result
+    must be isomorphic to the family members.
     """
-    base = fam.members[0]
-    quot = build_quotient(A, fam, max_elements=max_elements)
-    space, labels = quot.space, quot.class_label
+    A, base = space.A, space.fam.members[0]
+    quot = build_quotient(space)
+    labels = quot.class_label
 
-    n_sort0_classes = sum(1 for s, _ in labels if s == 0)
-    if n_sort0_classes != A.sort_sizes[0]:
+    if sum(1 for s, _ in labels if s == 0) != A.sort_sizes[0]:
         raise VerificationError(
             "first-sort classes do not match the target element count"
         )
-    a_of_class: dict[int, int] = {}
+    # element_of[label]: the element whose thread class carries that
+    # first-sort label; a label left at -1 is a class no element threads
+    element_of = [-1] * A.sort_sizes[0]
     for a, tc in enumerate(space.thread_classes()):
         if tc.cid is None:
             raise VerificationError(f"thread classes of element {a} are not unique")
-        a_of_class[tc.cid] = a
+        element_of[labels[tc.cid][1]] = a
+    if -1 in element_of:
+        raise VerificationError("a first-sort class is not the thread class of any element")
 
-    element_of: list[int] = []
-    for cid, (s, lbl) in enumerate(labels):
-        if s == 0 and cid not in a_of_class:
-            raise VerificationError(
-                "a first-sort class is not the thread class of any element"
-            )
-        element_of.append(a_of_class[cid] if s == 0 else lbl)
-
-    rels = [
-        {tuple(element_of[c] for c in ct) for ct, (exists, _) in verdicts.items() if exists[0]}
-        for verdicts in space.membership()
-    ]
-    structure = SortedStructure(
-        base.B.signature, (A.sort_sizes[0], quot.structure.sort_sizes[1]), rels, (), ()
-    )
+    structure = relabel(quot.structure, (element_of, range(quot.structure.sort_sizes[1])))
     if reduct(structure, (0,)) != A:
         raise VerificationError("first-sort reduct of the result does not equal the target")
-    if not isomorphisms(structure, base.B, max_elements=max_elements, limit=1):
+    if not isomorphisms(structure, base.B, max_elements=space.max_elements, limit=1):
         raise VerificationError("result is not isomorphic to the family structure")
     return UniformResult(structure=structure, quotient=quot)
 
@@ -745,19 +715,17 @@ def uniform_F(
 # ---------------------------------------------------------------------------
 # Claims verification
 
-def verify_claims(
-    A: SortedStructure,
-    fam: Family,
-    *,
-    max_elements: int | None = None,
-) -> Report:
+def verify_claims(space: TripleSpace) -> Report:
     """Re-check every intermediate fact of the uniform construction over the
     matched-triple space.
 
     The three E claims read :meth:`TripleSpace.equivalence`: proved from the
     cocycle law where it holds, otherwise decided on the (frame, thread)
-    keys of the triples.  When one fails, the report stops there.
+    keys of the triples.  When one fails, the report stops there.  The cla3
+    and cla4 claims read :meth:`TripleSpace.congruence`, which
+    :func:`build_quotient` refuses on.
     """
+    fam, A = space.fam, space.A
     report = Report("claim")
     report.add(
         "family_nonempty_weak_liftings",
@@ -776,7 +744,6 @@ def verify_claims(
         f"{len(copies0)} canonical copies shared by all members",
     )
 
-    space = _space_for(A, fam, max_elements=max_elements)
     xs = space.triples
     n = len(xs)
     report.add("triple_space_nonempty", n > 0, f"|X|={n}")
@@ -792,38 +759,28 @@ def verify_claims(
 
     base = fam.members[0]
 
-    frames_ok = True
-    frames_detail = ""
     try:
         frames, _ = space.frame_threads()
-        frames_detail = f"{len(frames)} frames, one thread per class in each"
+        frames_ok, frames_detail = True, f"{len(frames)} frames, one thread per class in each"
     except VerificationError as exc:
-        frames_ok = False
-        frames_detail = str(exc)
+        frames_ok, frames_detail = False, str(exc)
     report.add("classes_have_unique_frame_threads", frames_ok, frames_detail)
 
-    detail_agree, detail_const = [], []
-    if frames_ok:
-        for (name, _), by_tuple in zip(base.B.signature.relations, space.membership()):
-            for ct, (exists, forall) in by_tuple.items():
-                if exists != forall:
-                    detail_agree.append(f"{name}{ct}")
-                if len(set(exists)) > 1:
-                    detail_const.append(f"{name}{ct}")
-    ok_agree, ok_frames_const = not detail_agree, not detail_const
-    report.add("cla3_exists_forall_agreement", frames_ok and ok_agree, "; ".join(detail_agree[:4]))
+    agree, varying = space.congruence() if frames_ok else ([], [])
+    names = [name for name, _ in base.B.signature.relations]
     report.add(
-        "cla4_congruence_frame_independent", frames_ok and ok_frames_const, "; ".join(detail_const[:4])
+        "cla3_exists_forall_agreement",
+        frames_ok and not agree,
+        "; ".join(f"{names[ri]}{ct}" for ri, ct in agree[:4]),
+    )
+    report.add(
+        "cla4_congruence_frame_independent",
+        frames_ok and not varying,
+        "; ".join(f"{names[ri]}{ct}" for _, ri, ct in varying[:4]),
     )
 
-    quot = None
-    detail_cong = ""
-    if frames_ok and ok_agree and ok_frames_const:
-        try:
-            quot = build_quotient(A, fam, max_elements=max_elements)
-        except VerificationError as exc:  # pragma: no cover - guarded above
-            detail_cong = str(exc)
-    report.add("quotient_constructible", quot is not None, detail_cong)
+    quot = build_quotient(space) if frames_ok and not agree and not varying else None
+    report.add("quotient_constructible", quot is not None, "")
 
     k_detail = []
     seen_classes = set()
@@ -837,7 +794,7 @@ def verify_claims(
         seen_classes.add(tc.cid)
     report.add("cla5_k_classes", not k_detail, "; ".join(k_detail))
 
-    n_sort2 = sum(1 for group in members if xs[group[0]].b[0][0] == 1)
+    n_sort2 = space.class_sorts().count(1)
     report.add(
         "cla5_class_count",
         len(members) == A.sort_sizes[0] + n_sort2,
@@ -864,7 +821,7 @@ def verify_claims(
     report.add("cla6_rho_injective_across_classes", rho_injective and len(rho_values) == len(members))
 
     if quot is not None:
-        iso_found = bool(isomorphisms(quot.structure, base.B, max_elements=max_elements, limit=1))
+        iso_found = bool(isomorphisms(quot.structure, base.B, max_elements=space.max_elements, limit=1))
         report.add(
             "cla6_quotient_isomorphic_to_member",
             iso_found and quot.structure.sort_sizes == base.B.sort_sizes,

@@ -48,7 +48,7 @@ from uniconstruct.structures import (
     reduct,
 )
 from uniconstruct.ucp import compose_solvers, reduct_solver, solver_from_catalog
-from uniconstruct.uniform import build_family, uniform_F, verify_claims
+from uniconstruct.uniform import TripleSpace, build_family, uniform_F, verify_claims
 
 from .conftest import random_structure, two_sorted
 from .oracles import naive_isomorphisms, naive_section_census, naive_sections
@@ -223,17 +223,18 @@ def test_criterion_5_uniform_construction(name, b, psi, n):
     fam = build_family(b, psi, n)
     target = fam.members[0].A
 
-    claims = verify_claims(target, fam)
+    space = TripleSpace(target, fam)
+    claims = verify_claims(space)
     ok = claims.all_pass
     detail = "" if ok else str([e for e in claims.entries if not e[1]])
 
-    result = uniform_F(target, fam)
+    result = uniform_F(space)
     ok = ok and reduct(result.structure, (0,)) == target
     ok = ok and bool(isomorphisms(result.structure, b))
 
     copies = canonical_copies(target, cap=24)
     for a_copy in copies:
-        res = uniform_F(a_copy, fam)
+        res = uniform_F(TripleSpace(a_copy, fam))
         ok = ok and reduct(res.structure, (0,)) == a_copy
         ok = ok and bool(isomorphisms(res.structure, b))
 

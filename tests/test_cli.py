@@ -632,6 +632,93 @@ class TestVerificationExitCode:
         assert "no structure emitted" in capsys.readouterr().out
 
 
+class TestOneSpacePerCall:
+    @pytest.mark.parametrize("command,name,copies,expect", [
+        ("uniformize", "cycle3", 3, 0),
+        ("verify", "cycle3", 2, 0),
+        ("uniformize", "kernel", 2, 2),
+        ("verify", "kernel", 2, 2),
+    ])
+    def test_one_triple_space_per_call(self, tmp_path, monkeypatch, command, name, copies, expect):
+        built = []
+        init = uniform.TripleSpace.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(uniform.TripleSpace, "__init__", counted)
+        b = {
+            "cycle3": two_sorted((3, 1), [
+                ("E", (0, 0), [(0, 1), (1, 2), (2, 0)]), ("R", (0, 1), [(0, 0), (1, 0), (2, 0)]),
+            ]),
+            "kernel": two_sorted((1, 2), [("Eq", (1, 1), [(0, 0), (1, 1)])]),
+        }[name]
+        b_path = write(tmp_path, "b.json", dumps(b))
+        a_path = write(tmp_path, "a.json", dumps(reduct(b, (0,))))
+        doc = run_json(tmp_path, [
+            command, "--structure", b_path, "--target", a_path, "--copies", str(copies),
+        ], expect=expect)
+        assert doc["claims_all_pass"] is (expect == 0)
+        assert ("structure" in doc) is (command == "uniformize" and expect == 0)
+        assert len(built) == 1
+
+
+def _bad_docs(good: dict, field: str):
+    """(id, document, message fragment) for ``good`` made malformed as a
+    whole or at ``field``, which must hold a list of JSON integers."""
+    return [
+        ("list", [good], "expected a JSON object, not list"),
+        ("int", 3, "expected a JSON object, not int"),
+        ("missing", {k: v for k, v in good.items() if k != field}, f"missing field {field!r}"),
+    ] + [
+        (name, {**good, field: value}, f"field {field!r} must be a list of integers")
+        for name, value in (
+            ("not-a-list", 0), ("mixed", ["a", {}]), ("fraction", [0, 1.5]), ("bool", [0, True]),
+        )
+    ]
+
+
+BAD_MAPS = _bad_docs({"map": [0, 1]}, "map")
+C2 = group_to_json(cyclic(2))
+TRIPLE = {"g1": C2, "g2": C2, "g3": group_to_json(cyclic(4)), "phi12": [0, 1], "phi23": [0, 1, 0, 1]}
+BAD_TRIPLES = _bad_docs(TRIPLE, "phi12") + [
+    (f"{name}-phi23", doc, fragment) for name, doc, fragment in _bad_docs(TRIPLE, "phi23")[2:]
+]
+
+
+class TestMapFiles:
+    @pytest.mark.parametrize("doc,fragment", [d[1:] for d in BAD_MAPS], ids=[d[0] for d in BAD_MAPS])
+    @pytest.mark.parametrize("flag", [
+        "ucp-check --psi", "verify --psi", "uniformize --psi", "attach --phi23", "attach --phi13",
+    ])
+    def test_bad_map_file_exits_1_naming_it(self, tmp_path, capsys, flag, doc, fragment):
+        b = two_sorted((2, 1), [("R", (0, 1), [(0, 0), (1, 0)])])
+        b_path = write(tmp_path, "b.json", dumps(b))
+        a_path = write(tmp_path, "a.json", dumps(reduct(b, (0,))))
+        g3_path = write(tmp_path, "g3.json", json.dumps(C2))
+        good = write(tmp_path, "good.json", json.dumps({"map": [0, 1]}))
+        bad = write(tmp_path, "bad.json", json.dumps(doc))
+        command, option = flag.split()
+        argv = {
+            "ucp-check": ["--structure", b_path],
+            "verify": ["--structure", b_path, "--target", a_path],
+            "uniformize": ["--structure", b_path, "--target", a_path],
+            "attach": ["--structure", b_path, "--g3", g3_path, "--phi23", good],
+        }[command]
+        if option in argv:  # the flag under test replaces its good file
+            argv = argv[:-2]
+        assert main([command, *argv, option, bad]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {fragment}\n"
+
+    @pytest.mark.parametrize("doc,fragment", [d[1:] for d in BAD_TRIPLES],
+                             ids=[d[0] for d in BAD_TRIPLES])
+    def test_bad_encode3_triple_exits_1_naming_it(self, tmp_path, capsys, doc, fragment):
+        path = write(tmp_path, "triple.json", json.dumps(doc))
+        assert main(["encode3", "--triple", path]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {fragment}\n"
+
+
 class TestCatalogSearch:
     def test_small_search_runs(self, tmp_path):
         out_path = tmp_path / "cs.json"
@@ -673,8 +760,7 @@ REEXPORTS = {
     "encode": ("GroupTriple", "attach_skew", "encode_three_sorted", "theta", "verify_theta_iso"),
     "uniform": (
         "Family", "LiftedCopy", "MatchedTriple", "TripleSpace", "build_family",
-        "build_quotient", "e_equiv", "k_class", "make_lifted_copy", "matched_triples",
-        "uniform_F", "verify_claims",
+        "build_quotient", "k_class", "make_lifted_copy", "uniform_F", "verify_claims",
     ),
 }
 REPO = Path(__file__).resolve().parents[1]

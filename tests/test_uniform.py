@@ -19,13 +19,11 @@ from uniconstruct.structures import (
 )
 from uniconstruct.ucp import assemble_ucp
 from uniconstruct.uniform import (
-    _space_for,
+    TripleSpace,
     build_family,
     build_quotient,
-    e_equiv,
     k_class,
     make_lifted_copy,
-    matched_triples,
     uniform_F,
     verify_claims,
 )
@@ -48,6 +46,18 @@ from .oracles import (
 def family_and_target(b, psi, n):
     fam = build_family(b, psi, n)
     return fam, fam.members[0].A
+
+
+def triple_space(b, psi, n):
+    """The matched-triple space of the n-member family of (b, psi) over the
+    base's own reduct."""
+    fam = build_family(b, psi, n)
+    return TripleSpace(fam.members[0].A, fam)
+
+
+def triple_keys(triples):
+    """The (pi_idx, g_idx, b) value of each triple, in order."""
+    return [(x.pi_idx, x.g_idx, x.b) for x in triples]
 
 
 class TestLiftedCopy:
@@ -126,16 +136,12 @@ class TestMatchedTriples:
         b = two_sorted(
             (2, 1), [("L", (0, 0), [(0, 1)]), ("R", (0, 1), [(0, 0), (1, 0)])]
         )
-        fam = build_family(b, [0], 1)
-        xs = matched_triples(fam.members[0].A, fam)
-        space = xs[0].space
-        assert len(xs) == 3
+        assert len(triple_space(b, [0], 1).triples) == 3
 
     def test_non_isomorphic_target_empty(self, b_two_free):
         fam = build_family(b_two_free, [0, 1], 1)
         other = SortedStructure(SortedSignature(("p",)), (3,))
-        xs = matched_triples(other, fam)
-        assert xs == []
+        assert TripleSpace(other, fam).triples == []
 
     def test_wrong_signature_target_raises(self, b_two_free):
         fam = build_family(b_two_free, [0, 1], 1)
@@ -143,22 +149,18 @@ class TestMatchedTriples:
         from uniconstruct.errors import SignatureMismatchError
 
         with pytest.raises(SignatureMismatchError):
-            matched_triples(target, fam)
+            TripleSpace(target, fam)
 
     def test_counts_factor(self, b_two_free):
-        fam, A = family_and_target(b_two_free, [0, 1], 2)
-        xs = matched_triples(A, fam)
-        space = xs[0].space
         # |iso|^2 frames, kernel trivial so one family each, |B| threads
-        assert len(xs) == 4 * 3
+        assert len(triple_space(b_two_free, [0, 1], 2).triples) == 4 * 3
 
     def test_matches_naive_full_matrix_enumeration(self, b_two_free):
         for n in (1, 2):
             fam, A = family_and_target(b_two_free, [0, 1], n)
-            xs = matched_triples(A, fam)
-            space = xs[0].space
+            space = TripleSpace(A, fam)
             fast = set()
-            for x in xs:
+            for x in space.triples:
                 pis = tuple(space.iso[s][x.pi_idx[s]].key() for s in range(n))
                 pairs = [(s, t) for s in range(n) for t in range(n)]
                 gmat = []
@@ -170,11 +172,10 @@ class TestMatchedTriples:
 
     def test_matches_naive_on_matching_fixture(self, b_matching):
         fam, A = family_and_target(b_matching, [0, 1], 2)
-        xs = matched_triples(A, fam)
-        space = xs[0].space
+        space = TripleSpace(A, fam)
         fast = set()
         n = 2
-        for x in xs:
+        for x in space.triples:
             pis = tuple(space.iso[s][x.pi_idx[s]].key() for s in range(n))
             pairs = [(s, t) for s in range(n) for t in range(n)]
             gmat = tuple(
@@ -186,42 +187,31 @@ class TestMatchedTriples:
 
     def test_kernel_family_matches_naive(self, b_kernel):
         fam, A = family_and_target(b_kernel, [0], 2)
-        xs = matched_triples(A, fam)
-        space = xs[0].space
-        assert len(xs) == len(naive_matched_triples(A, fam))
+        assert len(TripleSpace(A, fam).triples) == len(naive_matched_triples(A, fam))
 
 
 class TestEquivalence:
     def test_reflexive(self, b_cycle3):
-        fam, A = family_and_target(b_cycle3, [0, 1, 2], 2)
-        for x in matched_triples(A, fam):
-            assert e_equiv(x, x)
+        space = triple_space(b_cycle3, [0, 1, 2], 2)
+        for x in space.triples:
+            assert space.e_equiv(x, x)
 
     def test_distinct_threads_same_frame_not_equivalent(self, b_two_free):
-        fam, A = family_and_target(b_two_free, [0, 1], 2)
-        xs = matched_triples(A, fam)
+        space = triple_space(b_two_free, [0, 1], 2)
+        xs = space.triples
         same_frame = [x for x in xs if x.pi_idx == xs[0].pi_idx]
         x1 = same_frame[0]
         x2 = next(x for x in same_frame if x.b != x1.b)
-        assert not e_equiv(x1, x2)
-
-    def test_triples_from_different_spaces_rejected(self, b_two_free, b_matching):
-        fam1, a1 = family_and_target(b_two_free, [0, 1], 1)
-        fam2, a2 = family_and_target(b_matching, [0, 1], 1)
-        x1 = matched_triples(a1, fam1)[0]
-        x2 = matched_triples(a2, fam2)[0]
-        with pytest.raises(StructureError):
-            e_equiv(x1, x2)
+        assert not space.e_equiv(x1, x2)
 
     def test_transitivity_chain(self, b_cycle3):
-        fam, A = family_and_target(b_cycle3, [0, 1, 2], 2)
-        xs = matched_triples(A, fam)
-        space = xs[0].space
+        space = triple_space(b_cycle3, [0, 1, 2], 2)
+        xs = space.triples
         class_of, members = space.classes()
         for group in members:
             for i in group:
                 for j in group:
-                    assert e_equiv(xs[i], xs[j])
+                    assert space.e_equiv(xs[i], xs[j])
 
 
 class TestKClass:
@@ -229,83 +219,46 @@ class TestKClass:
         b = two_sorted(
             (2, 1), [("L", (0, 0), [(0, 1)]), ("R", (0, 1), [(0, 0), (1, 0)])]
         )
-        fam = build_family(b, [0], 1)
-        A = fam.members[0].A
-        xs = matched_triples(A, fam)
-        space = xs[0].space
-        for a in range(A.sort_sizes[0]):
-            assert len(k_class(a, A, fam)) == 1
+        space = triple_space(b, [0], 1)
+        for a in range(space.A.sort_sizes[0]):
+            assert len(k_class(space, a)) == 1
 
     def test_distinct_elements_disjoint_classes(self, b_cycle3):
-        fam, A = family_and_target(b_cycle3, [0, 1, 2], 2)
-        xs = matched_triples(A, fam)
-        space = xs[0].space
+        space = triple_space(b_cycle3, [0, 1, 2], 2)
         seen = set()
-        for a in range(A.sort_sizes[0]):
-            cls = {id(x) for x in k_class(a, A, fam)}
-            assert not cls & seen
-            seen |= cls
+        for a in range(space.A.sort_sizes[0]):
+            cls = triple_keys(k_class(space, a))
+            assert cls and len(set(cls)) == len(cls)
+            assert not set(cls) & seen
+            seen |= set(cls)
+        first_sort = [x for x in space.triples if all(sort == 0 for sort, _ in x.b)]
+        assert seen == set(triple_keys(first_sort))
 
     def test_closure_under_equivalence(self, b_two_free):
-        fam, A = family_and_target(b_two_free, [0, 1], 2)
-        xs = matched_triples(A, fam)
-        space = xs[0].space
-        for a in range(A.sort_sizes[0]):
-            members = k_class(a, A, fam)
-            member_set = {(m.pi_idx, m.g_idx, m.b) for m in members}
-            for x in xs:
+        space = triple_space(b_two_free, [0, 1], 2)
+        for a in range(space.A.sort_sizes[0]):
+            members = k_class(space, a)
+            member_set = set(triple_keys(members))
+            for x in space.triples:
                 for m in members:
-                    if e_equiv(m, x):
+                    if space.e_equiv(m, x):
                         assert (x.pi_idx, x.g_idx, x.b) in member_set
+
+    @pytest.mark.parametrize("a", [-1, 3, 4])
+    def test_element_outside_the_first_sort_is_refused(self, b_cycle3, a):
+        space = triple_space(b_cycle3, [0, 1, 2], 2)
+        with pytest.raises(StructureError, match=f"element {a} is not in the target's first sort"):
+            k_class(space, a)
 
     def test_weak_only_lifting_is_refused_before_classes_are_read(self):
         # its E is not transitive, so no thread set is a class of it
         b, search = weak_only_lifting()
         for n in (1, 2):
-            fam = build_family(b, search.weak_splittings[0], n)
-            A = fam.members[0].A
-            for build in (lambda: k_class(0, A, fam), lambda: build_quotient(A, fam),
-                          lambda: uniform_F(A, fam)):
+            space = triple_space(b, search.weak_splittings[0], n)
+            for build in (lambda: k_class(space, 0), lambda: build_quotient(space),
+                          lambda: uniform_F(space)):
                 with pytest.raises(VerificationError, match="E_transitive fails"):
                     build()
-
-
-class TestQuotient:
-    def test_singleton_family_quotient_isomorphic(self, b_cycle3):
-        fam, A = family_and_target(b_cycle3, [0, 1, 2], 1)
-        quot = build_quotient(A, fam)
-        assert isomorphisms(quot.structure, b_cycle3)
-
-    def test_two_member_quotient_isomorphic(self, b_matching):
-        fam, A = family_and_target(b_matching, [0, 1], 2)
-        quot = build_quotient(A, fam)
-        assert isomorphisms(quot.structure, b_matching)
-
-    def test_empty_relation_stays_empty(self):
-        b = two_sorted((2, 1), [("R", (0, 1), []), ("S", (0, 0), [(0, 1), (1, 0)])])
-        fam = build_family(b, [0, 1], 1)
-        quot = build_quotient(fam.members[0].A, fam)
-        assert quot.structure.relations[0] == frozenset()
-
-    def test_own_reduct_rebuilds_member(self, b_cycle3):
-        fam, A = family_and_target(b_cycle3, [0, 1, 2], 2)
-        assert naive_representative_structure(A, fam) == b_cycle3
-        assert uniform_F(A, fam).structure == b_cycle3
-        assert isomorphisms(build_quotient(A, fam).structure, b_cycle3)
-
-    def test_cached_space_refused_under_smaller_element_bound(self, b_rich):
-        fam, A = family_and_target(b_rich, [0, 1, 2], 2)
-        with pytest.raises(BoundExceededError) as built:
-            uniform.TripleSpace(A, fam, max_elements=2)
-        build_quotient(A, fam)
-        with pytest.raises(BoundExceededError) as cached:
-            build_quotient(A, fam, max_elements=2)
-        assert str(cached.value) == str(built.value)
-
-    def test_kernel_family_congruence_fails_honestly(self, b_kernel):
-        fam, A = family_and_target(b_kernel, [0], 2)
-        with pytest.raises(VerificationError):
-            build_quotient(A, fam)
 
 
 # (fixture, weak splitting, family sizes) on which every claim passes
@@ -316,18 +269,119 @@ CLAIMS_PASS_FIXTURES = [
     ("b_kernel", (0,), (1,)),
     ("b_rich", (0, 1, 2), (1, 2, 3)),
 ]
+# the passing families, then the kernel pair (cla3 fails) and the weak-only
+# lifting (E fails before cla3 and cla4 are read)
+CONGRUENCE_FIXTURES = CLAIMS_PASS_FIXTURES + [("b_kernel", (0,), (2,)), ("b_weak_only", None, (1, 2))]
+
+
+class TestQuotient:
+    def test_singleton_family_quotient_isomorphic(self, b_cycle3):
+        quot = build_quotient(triple_space(b_cycle3, [0, 1, 2], 1))
+        assert isomorphisms(quot.structure, b_cycle3)
+
+    def test_two_member_quotient_isomorphic(self, b_matching):
+        quot = build_quotient(triple_space(b_matching, [0, 1], 2))
+        assert isomorphisms(quot.structure, b_matching)
+
+    def test_empty_relation_stays_empty(self):
+        b = two_sorted((2, 1), [("R", (0, 1), []), ("S", (0, 0), [(0, 1), (1, 0)])])
+        quot = build_quotient(triple_space(b, [0, 1], 1))
+        assert quot.structure.relations[0] == frozenset()
+
+    def test_own_reduct_rebuilds_member(self, b_cycle3):
+        fam, A = family_and_target(b_cycle3, [0, 1, 2], 2)
+        space = TripleSpace(A, fam)
+        assert naive_representative_structure(A, fam) == b_cycle3
+        assert uniform_F(space).structure == b_cycle3
+        assert isomorphisms(build_quotient(space).structure, b_cycle3)
+
+    def test_spaces_share_nothing_through_the_family(self, b_rich):
+        # a second space over the same target is enumerated and decided
+        # afresh, and a smaller element bound refuses it
+        fam, A = family_and_target(b_rich, [0, 1, 2], 2)
+        first = TripleSpace(A, fam)
+        quot = build_quotient(first)
+        assert build_quotient(first) is quot
+        second = TripleSpace(A, fam)
+        assert second.triples is not first.triples
+        assert triple_keys(second.triples) == triple_keys(first.triples)
+        assert build_quotient(second) is not quot
+        assert build_quotient(second).structure == quot.structure
+        with pytest.raises(BoundExceededError, match="structure has 3 elements, search bound is 2"):
+            TripleSpace(A, fam, max_elements=2)
+
+    def test_space_bound_reaches_the_result_checks(self, b_cycle3):
+        # the target's 3 elements pass a bound of 3; the 4-element result
+        # checks of verify_claims and uniform_F do not
+        fam, A = family_and_target(b_cycle3, [0, 1, 2], 2)
+        space = TripleSpace(A, fam, max_elements=3)
+        for check in (verify_claims, uniform_F):
+            with pytest.raises(BoundExceededError, match="structure has 4 elements"):
+                check(space)
+        assert uniform_F(TripleSpace(A, fam, max_elements=4)).structure == b_cycle3
+
+    def test_kernel_family_congruence_fails_honestly(self, b_kernel):
+        with pytest.raises(VerificationError):
+            build_quotient(triple_space(b_kernel, [0], 2))
+
+    @pytest.mark.parametrize("name,psi,sizes", CONGRUENCE_FIXTURES,
+                             ids=[f"{f[0][2:]}-{f[2]}" for f in CONGRUENCE_FIXTURES])
+    def test_raises_exactly_where_cla3_or_cla4_fails(self, request, name, psi, sizes):
+        if name == "b_weak_only":
+            b, search = weak_only_lifting()
+            psi = search.weak_splittings[0]
+        else:
+            b = request.getfixturevalue(name)
+        for n in sizes:
+            fam = build_family(b, psi, n)
+            for A_copy in canonical_copies(fam.members[0].A):
+                ok = {entry[0]: entry[1] for entry in verify_claims(TripleSpace(A_copy, fam)).entries}
+                # a fresh space: build_quotient decides without verify_claims' help
+                space = TripleSpace(A_copy, fam)
+                if "cla3_exists_forall_agreement" not in ok:  # E failed first
+                    with pytest.raises(VerificationError, match="E_transitive fails"):
+                        build_quotient(space)
+                elif not ok["cla3_exists_forall_agreement"]:
+                    with pytest.raises(VerificationError) as refused:
+                        build_quotient(space)
+                    assert str(refused.value) == (
+                        "relation 'Eq': exists/forall agreement fails across members"
+                    )
+                    assert ok["cla4_congruence_frame_independent"]
+                else:
+                    assert ok["cla4_congruence_frame_independent"]
+                    assert isomorphisms(build_quotient(space).structure, b, limit=1)
+
+    def test_frame_dependent_membership_names_the_earliest_frame(self, b_rich):
+        # 'S' varies from frame 2 on and 'R' from frame 1 on; exists and
+        # forall agree, so only cla4 fails, and its message names 'R'
+        space = triple_space(b_rich, [0, 1, 2], 2)
+        table = space.membership()
+        varied = []
+        for ri, frame in ((1, 2), (2, 1)):
+            ct, (exists, _) = next(iter(table[ri].items()))
+            exists = exists[:frame] + tuple(not e for e in exists[frame:])
+            table[ri][ct] = (exists, exists)
+            varied.append(f"{space.fam.members[0].B.signature.relations[ri][0]}{ct}")
+        report = {entry[0]: entry[1:] for entry in verify_claims(space).entries}
+        assert report["cla3_exists_forall_agreement"] == (True, "")
+        assert report["cla4_congruence_frame_independent"] == (False, "; ".join(varied))
+        assert report["quotient_constructible"] == (False, "")
+        with pytest.raises(VerificationError) as refused:
+            build_quotient(space)
+        assert str(refused.value) == "relation 'R': membership is not constant across frames"
 
 
 class TestUniformF:
     def test_reduct_is_target_verbatim(self, b_cycle3):
         fam, A = family_and_target(b_cycle3, [0, 1, 2], 2)
-        res = uniform_F(A, fam)
+        res = uniform_F(TripleSpace(A, fam))
         assert reduct(res.structure, (0,)) == A
         assert res.structure == naive_representative_structure(A, fam)
 
     def test_result_isomorphic_to_member(self, b_matching):
         fam, A = family_and_target(b_matching, [0, 1], 2)
-        res = uniform_F(A, fam)
+        res = uniform_F(TripleSpace(A, fam))
         assert isomorphisms(res.structure, b_matching)
 
     @pytest.mark.parametrize(
@@ -337,15 +391,17 @@ class TestUniformF:
         for n in sizes:
             fam = build_family(request.getfixturevalue(name), psi, n)
             for A_copy in canonical_copies(fam.members[0].A):
-                assert verify_claims(A_copy, fam).all_pass
-                res = uniform_F(A_copy, fam)
+                space = TripleSpace(A_copy, fam)
+                assert verify_claims(space).all_pass
+                res = uniform_F(space)
                 assert res.structure == naive_representative_structure(A_copy, fam)
 
     def test_kernel_pair_raises_where_claims_fail(self, b_kernel):
         fam, A = family_and_target(b_kernel, [0], 2)
-        assert not verify_claims(A, fam).all_pass
+        space = TripleSpace(A, fam)
+        assert not verify_claims(space).all_pass
         with pytest.raises(VerificationError):
-            uniform_F(A, fam)
+            uniform_F(space)
 
     def test_membership_pass_runs_once_per_space(self, b_cycle3, monkeypatch):
         calls = []
@@ -356,11 +412,10 @@ class TestUniformF:
 
         frame_membership = uniform._frame_membership
         monkeypatch.setattr(uniform, "_frame_membership", counted)
-        fam, A = family_and_target(b_cycle3, [0, 1, 2], 3)
-        assert verify_claims(A, fam).all_pass
-        res = uniform_F(A, fam)
-        assert build_quotient(A, fam) is res.quotient
-        space = res.quotient.space
+        space = triple_space(b_cycle3, [0, 1, 2], 3)
+        assert verify_claims(space).all_pass
+        res = uniform_F(space)
+        assert build_quotient(space) is res.quotient
         frames, _ = space.frame_threads()
         n_tuples = sum(len(by_tuple) for by_tuple in space.membership())
         assert len(frames) == 27 and n_tuples == 12
@@ -368,8 +423,8 @@ class TestUniformF:
 
     def test_deterministic_bytes(self, b_cycle3):
         fam, A = family_and_target(b_cycle3, [0, 1, 2], 2)
-        one = dumps(uniform_F(A, fam).structure)
-        two = dumps(uniform_F(A, fam).structure)
+        one = dumps(uniform_F(TripleSpace(A, fam)).structure)
+        two = dumps(uniform_F(TripleSpace(A, fam)).structure)
         assert one == two
 
     def test_every_canonical_copy_accepted(self, b_cycle3):
@@ -377,14 +432,14 @@ class TestUniformF:
         copies = canonical_copies(fam.members[0].A)
         assert len(copies) == 2
         for A_copy in copies:
-            res = uniform_F(A_copy, fam)
+            res = uniform_F(TripleSpace(A_copy, fam))
             assert reduct(res.structure, (0,)) == A_copy
 
     def test_isomorphic_targets_give_isomorphic_results(self, b_cycle3):
         fam, A = family_and_target(b_cycle3, [0, 1, 2], 1)
         rot = relabel(A, [(1, 2, 0)])
-        res1 = uniform_F(A, fam)
-        res2 = uniform_F(rot, fam)
+        res1 = uniform_F(TripleSpace(A, fam))
+        res2 = uniform_F(TripleSpace(rot, fam))
         assert reduct(res2.structure, (0,)) == rot
         assert isomorphisms(res1.structure, res2.structure)
 
@@ -393,18 +448,19 @@ class TestVerifyClaims:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_cycle_fixture_all_sizes(self, b_cycle3, n):
         fam, A = family_and_target(b_cycle3, [0, 1, 2], n)
-        report = verify_claims(A, fam)
+        report = verify_claims(TripleSpace(A, fam))
         assert report.all_pass, [e for e in report.entries if not e[1]]
 
     def test_matching_fixture(self, b_matching):
         fam, A = family_and_target(b_matching, [0, 1], 2)
-        assert verify_claims(A, fam).all_pass
+        assert verify_claims(TripleSpace(A, fam)).all_pass
 
     def test_rich_fixture_with_second_sort_relations(self, b_rich):
         fam, A = family_and_target(b_rich, [0, 1, 2], 2)
-        report = verify_claims(A, fam)
+        space = TripleSpace(A, fam)
+        report = verify_claims(space)
         assert report.all_pass, [e for e in report.entries if not e[1]]
-        res = uniform_F(A, fam)
+        res = uniform_F(space)
         assert reduct(res.structure, (0,)) == A
         assert isomorphisms(res.structure, b_rich)
         # the ordered second sort survives the round trip
@@ -412,11 +468,11 @@ class TestVerifyClaims:
 
     def test_kernel_singleton_passes(self, b_kernel):
         fam, A = family_and_target(b_kernel, [0], 1)
-        assert verify_claims(A, fam).all_pass
+        assert verify_claims(TripleSpace(A, fam)).all_pass
 
     def test_kernel_pair_fails_agreement_claims(self, b_kernel):
         fam, A = family_and_target(b_kernel, [0], 2)
-        report = verify_claims(A, fam)
+        report = verify_claims(TripleSpace(A, fam))
         assert not report.all_pass
         failed = {name for name, ok, _ in report.entries if not ok}
         assert "cla3_exists_forall_agreement" in failed
@@ -429,16 +485,16 @@ class TestVerifyClaims:
         assert len(search.splittings) == 1 and len(search.weak_splittings) == 1
 
         fam_weak = build_family(b, search.weak_splittings[0], 1)
-        rep = verify_claims(fam_weak.members[0].A, fam_weak)
+        rep = verify_claims(TripleSpace(fam_weak.members[0].A, fam_weak))
         failed = {name for name, ok, _ in rep.entries if not ok}
         assert "E_transitive" in failed
 
         fam_strong = build_family(b, search.splittings[0], 1)
-        assert verify_claims(fam_strong.members[0].A, fam_strong).all_pass
+        assert verify_claims(TripleSpace(fam_strong.members[0].A, fam_strong)).all_pass
 
     def test_report_shape(self, b_two_free):
         fam, A = family_and_target(b_two_free, [0, 1], 2)
-        report = verify_claims(A, fam)
+        report = verify_claims(TripleSpace(A, fam))
         names = [name for name, _, _ in report.entries]
         for expected in (
             "family_nonempty_weak_liftings",
@@ -467,7 +523,7 @@ KEYED_FIXTURES = [
 ] + [
     ("b_kernel", (0,), n) for n in range(1, 3)
 ]
-_FAMILIES: dict = {}
+_SPACES: dict = {}
 
 
 # the keyed fixtures plus the weak-only lifting, where the cocycle law fails
@@ -478,14 +534,14 @@ def _space(request):
     """The family and matched-triple space of a (fixture, psi, size)
     parameter, built once per session."""
     name, psi, n = request.param
-    if (name, n) not in _FAMILIES:
+    if (name, n) not in _SPACES:
         if name == "b_weak_only":
             b, search = weak_only_lifting()
-            _FAMILIES[name, n] = build_family(b, search.weak_splittings[0], n)
+            fam = build_family(b, search.weak_splittings[0], n)
         else:
-            _FAMILIES[name, n] = build_family(request.getfixturevalue(name), psi, n)
-    fam = _FAMILIES[name, n]
-    return fam, _space_for(fam.members[0].A, fam)
+            fam = build_family(request.getfixturevalue(name), psi, n)
+        _SPACES[name, n] = fam, TripleSpace(fam.members[0].A, fam)
+    return _SPACES[name, n]
 
 
 @pytest.fixture(params=KEYED_FIXTURES, ids=lambda p: f"{p[0][2:]}-s{p[2]}")
@@ -562,6 +618,7 @@ def _with_classes(space, class_of_members):
     """Install a partition on the space, dropping every cache built on it."""
     space._classes = class_of_members
     space._thread_classes = space._frame_threads = space._membership = space._quotient = None
+    space._class_sorts = space._congruence = None
 
 
 class TestThreadClasses:
@@ -569,14 +626,14 @@ class TestThreadClasses:
         fam, space = keyed_space
         got = [(tc.triples, tc.cid, tc.problem) for tc in space.thread_classes()]
         assert got == naive_thread_classes(space)
-        report = verify_claims(fam.members[0].A, fam)
+        report = verify_claims(space)
         claim = next(entry for entry in report.entries if entry[0] == "cla5_k_classes")
         assert claim[1:] == naive_k_classes_claim(space)
 
     def test_weak_only_lifting_equals_per_element_scan(self):
         b, search = weak_only_lifting()
         fam = build_family(b, search.weak_splittings[0], 1)
-        space = _space_for(fam.members[0].A, fam)
+        space = TripleSpace(fam.members[0].A, fam)
         got = [(tc.triples, tc.cid, tc.problem) for tc in space.thread_classes()]
         assert got == naive_thread_classes(space)
 
@@ -589,7 +646,7 @@ class TestThreadClasses:
     ], ids=["merge", "split", "drop"])
     def test_broken_partitions_keep_claim_details(self, b_cycle3, defect, detail):
         fam, A = family_and_target(b_cycle3, [0, 1, 2], 2)
-        space = _space_for(A, fam)
+        space = TripleSpace(A, fam)
         class_of, _ = space.classes()
         tcs = space.thread_classes()
         if defect == "merge":
@@ -605,13 +662,13 @@ class TestThreadClasses:
             _with_classes(space, None)
         got = [(tc.triples, tc.cid, tc.problem) for tc in space.thread_classes()]
         assert got == naive_thread_classes(space)
-        report = verify_claims(A, fam)
+        report = verify_claims(space)
         claim = next(entry for entry in report.entries if entry[0] == "cla5_k_classes")
         assert claim[1:] == naive_k_classes_claim(space) == (False, detail)
         with pytest.raises(VerificationError):
-            k_class(0, A, fam)
+            k_class(space, 0)
         with pytest.raises(VerificationError):
-            uniform_F(A, fam)
+            uniform_F(space)
 
 
 class TestKeyedClasses:
@@ -625,8 +682,8 @@ class TestKeyedClasses:
         assert space.classes() == naive_classes(space)
 
     def test_e_verdicts_equal_naive_matrix(self, e_space):
-        fam, space = e_space
-        report = verify_claims(fam.members[0].A, fam)
+        _, space = e_space
+        report = verify_claims(space)
         ok = {name: flag for name, flag, _ in report.entries}
         got = (ok["E_reflexive"], ok["E_symmetric"], ok["E_transitive"])
         assert got == naive_relation_verdicts(naive_e_matrix(space))
@@ -642,11 +699,11 @@ class TestKeyedClasses:
     def test_weak_only_lifting_falls_back_to_pairwise(self):
         b, search = weak_only_lifting()
         fam = build_family(b, search.weak_splittings[0], 1)
-        space = _space_for(fam.members[0].A, fam)
+        space = TripleSpace(fam.members[0].A, fam)
         assert not space.cocycle_holds()
         assert not naive_cocycle_holds(space)
         assert naive_relation_verdicts(naive_e_matrix(space))[2] is False
-        report = verify_claims(fam.members[0].A, fam)
+        report = verify_claims(space)
         failed = {name for name, ok, _ in report.entries if not ok}
         assert "E_transitive" in failed
 
@@ -656,17 +713,18 @@ class TestKeyedClasses:
         keyed, A = family_and_target(b_cycle3, [0, 1, 2], 2)
         monkeypatch.setattr(config.DEFAULT, "x_pairwise", 10)
         with pytest.raises(BoundExceededError):
-            verify_claims(weak.members[0].A, weak)
-        assert len(_space_for(A, keyed).triples) > 10
-        assert verify_claims(A, keyed).all_pass
+            verify_claims(TripleSpace(weak.members[0].A, weak))
+        space = TripleSpace(A, keyed)
+        assert len(space.triples) > 10
+        assert verify_claims(space).all_pass
 
     def test_cycle3_six_copies_beyond_pairwise_bound(self, b_cycle3):
         fam, A = family_and_target(b_cycle3, [0, 1, 2], 6)
-        space = _space_for(A, fam)
+        space = TripleSpace(A, fam)
         assert len(space.triples) == 2916 > config.DEFAULT.x_pairwise
-        report = verify_claims(A, fam)
+        report = verify_claims(space)
         assert report.all_pass, [e for e in report.entries if not e[1]]
-        res = uniform_F(A, fam)
+        res = uniform_F(space)
         assert reduct(res.structure, (0,)) == A
         assert isomorphisms(res.structure, b_cycle3)
 
@@ -688,6 +746,7 @@ def _break_transport(space, s, i, j, replacement):
     space._psi_tilde_cache[(s, i, j)] = replacement
     space._cocycle = space._classes = space._e_verdicts = None
     space._thread_classes = space._frame_threads = space._membership = space._quotient = None
+    space._class_sorts = space._congruence = None
 
 
 class TestKeyedDecider:
@@ -702,7 +761,7 @@ class TestKeyedDecider:
     def test_weak_only_lifting_and_its_splitting(self, section, n):
         b, search = weak_only_lifting()
         fam = build_family(b, getattr(search, section)[0], n)
-        space = _space_for(fam.members[0].A, fam)
+        space = TripleSpace(fam.members[0].A, fam)
         verdicts, class_of = _keyed_against_naive(space)
         assert verdicts == (True, True, section == "splittings")
         assert space.cocycle_holds() == (section == "splittings")
@@ -716,7 +775,7 @@ class TestKeyedDecider:
     def test_broken_transport_is_named_and_refused(self, request, name, psi, n, defect):
         fam = build_family(request.getfixturevalue(name), psi, n)
         A = fam.members[0].A
-        space = _space_for(A, fam)
+        space = TripleSpace(A, fam)
         if defect == "reflexive":
             # T(0, 0) becomes a transport between two different frames
             _break_transport(space, 0, 0, 0, space.psi_tilde(0, 1, 0))
@@ -728,7 +787,7 @@ class TestKeyedDecider:
         failed = {prop for prop, ok in zip(uniform.E_PROPERTIES, verdicts) if not ok}
         assert f"E_{defect}" in failed
 
-        report = verify_claims(A, fam)
+        report = verify_claims(space)
         entries = {entry[0]: entry[1:] for entry in report.entries}
         n_keys = len({(x.pi_idx, x.b) for x in space.triples})
         n_frames = len({x.pi_idx for x in space.triples})
@@ -736,8 +795,8 @@ class TestKeyedDecider:
         for prop, ok in zip(uniform.E_PROPERTIES, verdicts):
             assert entries[prop] == (ok, detail)
         assert "cla3_exists_forall_agreement" not in entries
-        for build in (lambda: k_class(0, A, fam), lambda: build_quotient(A, fam),
-                      lambda: uniform_F(A, fam)):
+        for build in (lambda: k_class(space, 0), lambda: build_quotient(space),
+                      lambda: uniform_F(space)):
             with pytest.raises(VerificationError, match=f"E_{defect}"):
                 build()
 
@@ -747,7 +806,7 @@ class TestKeyedDecider:
         # collapsed, and every triple it could be related to is dropped
         b, search = weak_only_lifting()
         fam = build_family(b, getattr(search, section)[0], 2)
-        space = uniform.TripleSpace(fam.members[0].A, fam)
+        space = TripleSpace(fam.members[0].A, fam)
         class_of, _ = space.classes()
         xs = space.triples
         i1, i2 = next(
@@ -794,7 +853,7 @@ class TestDerivedIsomorphisms:
             return isomorphisms(s1, s2, **kwargs)
 
         monkeypatch.setattr(uniform, "isomorphisms", counted)
-        space = uniform.TripleSpace(fam.members[0].A, fam)
+        space = TripleSpace(fam.members[0].A, fam)
         assert calls == [fam.members[0].A]
         assert len(space.triples) == 1215
 
