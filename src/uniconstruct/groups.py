@@ -45,6 +45,7 @@ __all__ = [
     "surjective_homs",
     "AutomorphismGroup",
     "aut_group",
+    "group_document",
     "group_to_json",
     "group_from_json",
     "hom_to_json",
@@ -315,31 +316,55 @@ class Section:
         return self.classification in (SPLITTING, WEAK_SPLITTING)
 
 
+# cap on the cells of each (block, |G|, |G|) temporary of _classify_block:
+# the section search labels its leaves 2**16 // |G|**2 at a time (at least one)
+_BLOCK_CELLS = 2**16
+
+
+def _classify_block(phi: GroupHom, psis: np.ndarray) -> list[str]:
+    """The classification of each row of ``psis``, a (block, |G|) int array
+    of candidate sections, decided on the group tables at once.
+
+    Raises GroupError if some row is not a section.  A row is a splitting
+    when psi(x) psi(y) = psi(xy) for every x, y; otherwise a weak splitting
+    when psi(1) = 1, psi(x^-1) = psi(x)^-1 for every x, and the defect
+    psi(x) psi(y) psi(xy)^-1 is central for every x, y.  The arithmetic runs
+    in the smallest unsigned dtype that holds |H|, so each (block, |G|, |G|)
+    temporary takes one or two bytes a cell.
+    """
+    h, g = phi.domain, phi.codomain
+    if not (np.array(phi.map)[psis] == np.arange(g.order)).all():
+        raise GroupError("map is not a section of the given surjection")
+    small = np.min_scalar_type(h.order)
+    h_mul, h_inv, psis = h.table.astype(small), h._inv.astype(small), psis.astype(small)
+    products = h_mul[psis[:, :, None], psis[:, None, :]]  # psi(x) psi(y)
+    psi_xy = psis[:, g.table]  # psi(xy)
+    splitting = (products == psi_xy).all(axis=(1, 2))
+    central = np.zeros(h.order, dtype=bool)
+    central[center(h)] = True
+    weak = (
+        (psis[:, 0] == 0)
+        & (psis[:, g._inv] == h_inv[psis]).all(axis=1)
+        & central[h_mul[products, h_inv[psi_xy]]].all(axis=(1, 2))
+    )
+    return [
+        SPLITTING if s else WEAK_SPLITTING if w else SECTION_ONLY
+        for s, w in zip(splitting.tolist(), weak.tolist())
+    ]
+
+
 def classify_section(phi: GroupHom, sec: Sequence[int]) -> Section:
     """Classify a candidate section; raises if it is not a section at all.
 
-    Every check runs on the int64 tables at once.
+    This is the block classifier of :func:`classify_sections` on a block of
+    one, so both apply the same splitting and weak-splitting rules.
     """
     h, g = phi.domain, phi.codomain
     m = tuple(int(v) for v in sec)
     if len(m) != g.order or any(v < 0 or v >= h.order for v in m):
         raise GroupError("map is not a section of the given surjection")
-    psi = np.array(m, dtype=np.int64)
-    if not np.array_equal(np.array(phi.map)[psi], np.arange(g.order)):
-        raise GroupError("map is not a section of the given surjection")
-    products = h.table[psi[:, None], psi[None, :]]  # psi(x) psi(y)
-    psi_xy = psi[g.table]  # psi(xy)
-    if np.array_equal(products, psi_xy):
-        return Section(phi, m, SPLITTING)
-    h_inv = h._inv
-    central = np.zeros(h.order, dtype=bool)
-    central[center(h)] = True
-    weak = (
-        m[0] == 0
-        and np.array_equal(psi[g._inv], h_inv[psi])
-        and central[h.table[products, h_inv[psi_xy]]].all()
-    )
-    return Section(phi, m, WEAK_SPLITTING if weak else SECTION_ONLY)
+    (classification,) = _classify_block(phi, np.array([m], dtype=np.int64))
+    return Section(phi, m, classification)
 
 
 @dataclass
@@ -393,9 +418,12 @@ def classify_sections(phi: GroupHom, *, max_candidates: int | None = None) -> Se
     lexicographic order of the whole section.  A node checks the
     center-defect condition only on the triples (a, b, ab) that contain a
     newly assigned element, so every complete assignment is a weak
-    splitting; classify_section labels it.  ``max_candidates`` (default
-    ``config.DEFAULT.section_candidates``) caps the nodes visited, and going
-    over it raises BoundExceededError.
+    splitting.  The complete assignments (the leaves) are gathered in
+    depth-first order and labelled in blocks of ``2**16 // |G|**2`` (at
+    least one) by the classifier :func:`classify_section` applies to one, so
+    the lists, their order and ``nodes`` are those of labelling each leaf
+    alone.  ``max_candidates`` (default ``config.DEFAULT.section_candidates``)
+    caps the nodes visited, and going over it raises BoundExceededError.
     """
     if not is_surjective(phi):
         raise GroupError("classify_sections requires a surjective homomorphism")
@@ -413,6 +441,16 @@ def classify_sections(phi: GroupHom, *, max_candidates: int | None = None) -> Se
     assign = [-1] * g.order
     assign[0] = 0
     assigned = [0]
+    leaves: list[list[int]] = []  # complete assignments not yet labelled
+    block = max(1, _BLOCK_CELLS // g.order**2)
+
+    def label_leaves() -> None:
+        for m, classification in zip(leaves, _classify_block(phi, np.array(leaves))):
+            if classification == SPLITTING:
+                result.splittings.append(Section(phi, tuple(m), classification))
+            elif classification == WEAK_SPLITTING:
+                result.weak_splittings.append(Section(phi, tuple(m), classification))
+        leaves.clear()
 
     def defect_ok(c: int) -> bool:
         # the triples (a, c), (c, a) and (a, a^-1 c) over every assigned a
@@ -432,11 +470,9 @@ def classify_sections(phi: GroupHom, *, max_candidates: int | None = None) -> Se
 
     def extend(i: int):
         if i == len(leaders):
-            sec = classify_section(phi, assign)
-            if sec.classification == SPLITTING:
-                result.splittings.append(sec)
-            elif sec.classification == WEAK_SPLITTING:
-                result.weak_splittings.append(sec)
+            leaves.append(assign[:])
+            if len(leaves) == block:
+                label_leaves()
             return
         x = leaders[i]
         xi = g_inv[x]
@@ -458,6 +494,8 @@ def classify_sections(phi: GroupHom, *, max_candidates: int | None = None) -> Se
             assign[xi] = -1
 
     extend(0)
+    if leaves:
+        label_leaves()
     return result
 
 
@@ -915,13 +953,20 @@ def aut_group(s: SortedStructure, *, max_elements: int | None = None) -> Automor
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-def group_to_json(g: FiniteGroup) -> dict:
-    # rows hold one shared int object per element, not one per cell
-    shared = np.arange(g.order).astype(object)
-    doc = {"order": g.order, "table": [shared[row].tolist() for row in g.table]}
+def group_document(g: FiniteGroup, table) -> dict:
+    """The group document of ``g`` with ``table`` as its ``table`` value:
+    the list of rows :func:`group_to_json` makes, or ``g.table`` itself for
+    a writer that takes int arrays.  This function alone names the keys."""
+    doc = {"order": g.order, "table": table}
     if g.names is not None:
         doc["names"] = list(g.names)
     return doc
+
+
+def group_to_json(g: FiniteGroup) -> dict:
+    # rows hold one shared int object per element, not one per cell
+    shared = np.arange(g.order).astype(object)
+    return group_document(g, [shared[row].tolist() for row in g.table])
 
 
 def group_from_json(doc: Mapping) -> FiniteGroup:

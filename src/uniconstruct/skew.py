@@ -37,6 +37,7 @@ __all__ = [
     "phi13",
     "center_witness",
     "hom_violations",
+    "phi23_hom_defect",
     "random_skew_element",
     "CyclicSkewGroup",
     "build_cyclic_skew",
@@ -45,32 +46,58 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SkewElement:
-    """y^shift * x with x stored as sorted (position, value) pairs, values != 0."""
+    """y^shift * x with x stored as sorted (position, value) pairs, values != 0.
 
-    base: FiniteGroup
-    shift: int
-    support: tuple[tuple[int, int], ...]
+    Built positionally, ``SkewElement(base, shift, support)``, and checked on
+    every construction.  Immutable: equal when base, shift and support are
+    equal, and hashed on all three.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("base", "shift", "support")
+
+    def __init__(self, base: FiniteGroup, shift: int, support: tuple[tuple[int, int], ...]):
         # one pass accepts the usual valid support; on a failure the checks
         # below name the first rule broken
-        order = self.base.order
+        order = base.order
         last = None
-        for p, v in self.support:
+        for p, v in support:
             if not 0 < v < order or (last is not None and p <= last):
                 break
             last = p
         else:
+            _set_base(self, base)
+            _set_shift(self, shift)
+            _set_support(self, support)
             return
-        positions = [p for p, _ in self.support]
+        positions = [p for p, _ in support]
         if positions != sorted(positions) or len(set(positions)) != len(positions):
             raise GroupError("support positions must be strictly ascending")
-        if any(v == 0 for _, v in self.support):
+        if any(v == 0 for _, v in support):
             raise GroupError("support values must be non-identity (normal form)")
-        if any(v < 0 or v >= self.base.order for _, v in self.support):
-            raise GroupError("support value out of base-group range")
+        raise GroupError("support value out of base-group range")
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"SkewElement is immutable: cannot assign to {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"SkewElement is immutable: cannot delete {key!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not SkewElement:
+            return NotImplemented
+        return (
+            self.shift == other.shift
+            and self.support == other.support
+            and (self.base is other.base or self.base == other.base)
+        )
+
+    def __hash__(self):
+        return hash((self.base, self.shift, self.support))
+
+    def __reduce__(self):
+        # copy.copy rebuilds through the checked constructor
+        return SkewElement, (self.base, self.shift, self.support)
 
     def is_identity(self) -> bool:
         return self.shift == 0 and not self.support
@@ -78,6 +105,12 @@ class SkewElement:
     def __repr__(self):
         sup = ", ".join(f"{p}:{self.base.element_name(v)}" for p, v in self.support)
         return f"y^{self.shift}*({sup})"
+
+
+# the slot setters, which write past the __setattr__ guard
+_set_base = SkewElement.base.__set__
+_set_shift = SkewElement.shift.__set__
+_set_support = SkewElement.support.__set__
 
 
 def skew_identity(base: FiniteGroup) -> SkewElement:
@@ -94,34 +127,36 @@ def shift_generator(base: FiniteGroup, n: int = 1) -> SkewElement:
     return SkewElement(base, int(n), ())
 
 
-def _shift_support(support: tuple[tuple[int, int], ...], by: int):
-    return tuple((p + by, v) for p, v in support)
-
-
-def _pointwise_mul(base: FiniteGroup, left, right) -> tuple[tuple[int, int], ...]:
+def skew_mul(a: SkewElement, b: SkewElement) -> SkewElement:
+    base = a.base
+    if b.base is not base and b.base != base:
+        raise GroupError("skew elements live over different base groups")
+    # x shifted up by b's shift, then multiplied pointwise by x'
+    by, left, right = b.shift, a.support, b.support
+    if by:
+        left = [(p + by, v) for p, v in left]
+    if not right:
+        return SkewElement(base, a.shift + by, tuple(left))
+    if not left:
+        return SkewElement(base, a.shift + by, right)
     acc = dict(left)
+    mul = base.table.item
     for p, v in right:
         if p in acc:
-            w = base.mul(acc[p], v)
-            if w == 0:
-                del acc[p]
-            else:
+            w = mul(acc[p], v)
+            if w:
                 acc[p] = w
+            else:
+                del acc[p]
         else:
             acc[p] = v
-    return tuple(sorted(acc.items()))
-
-
-def skew_mul(a: SkewElement, b: SkewElement) -> SkewElement:
-    if a.base is not b.base and a.base != b.base:
-        raise GroupError("skew elements live over different base groups")
-    support = _pointwise_mul(a.base, _shift_support(a.support, b.shift), b.support)
-    return SkewElement(a.base, a.shift + b.shift, support)
+    return SkewElement(base, a.shift + by, tuple(sorted(acc.items())))
 
 
 def skew_inv(a: SkewElement) -> SkewElement:
-    inv_support = tuple((p - a.shift, a.base.inv(v)) for p, v in a.support)
-    return SkewElement(a.base, -a.shift, tuple(sorted(inv_support)))
+    # moving every position by -shift keeps them in ascending order
+    by, inv = a.shift, a.base.inv
+    return SkewElement(a.base, -by, tuple([(p - by, inv(v)) for p, v in a.support]))
 
 
 def skew_pow(a: SkewElement, m: int) -> SkewElement:
@@ -145,9 +180,10 @@ def phi23(a: SkewElement) -> int:
     :func:`phi23_hom_witness` decides this and names a breaking pair, and
     :func:`hom_violations` samples defects as a cross-check.
     """
+    mul = a.base.table.item
     out = 0
     for _, v in a.support:
-        out = a.base.mul(out, v)
+        out = mul(out, v)
     return out
 
 
@@ -209,7 +245,7 @@ def center_witness(a: SkewElement) -> SkewElement:
 # positions, each in [-4, 4]
 _RANDOM_MAX_SHIFT = 3
 _RANDOM_MAX_SUPPORT = 3
-_RANDOM_POSITIONS = 4
+_RANDOM_POSITIONS = range(-4, 5)
 
 
 def random_skew_element(
@@ -218,27 +254,45 @@ def random_skew_element(
     *,
     allow_identity: bool = False,
 ) -> SkewElement:
+    """A random element: the shift, the support size, the positions, then
+    one value per position in the order the positions were drawn.
+
+    With ``allow_identity`` every draw makes the same ``rng`` calls whatever
+    came before it, so element j of a stream is the same in any loop that
+    draws from a fresh ``random.Random(seed)``.
+    """
+    order = base.order
+    randrange = rng.randrange  # randrange(a, b + 1) is what randint(a, b) calls
     while True:
-        shift = rng.randint(-_RANDOM_MAX_SHIFT, _RANDOM_MAX_SHIFT)
-        size = rng.randint(0, _RANDOM_MAX_SUPPORT)
-        positions = rng.sample(range(-_RANDOM_POSITIONS, _RANDOM_POSITIONS + 1), size)
-        support = {p: rng.randrange(1, base.order) for p in positions} if base.order > 1 else {}
-        el = skew_from_support(base, shift, support)
-        if allow_identity or not el.is_identity():
-            return el
+        shift = randrange(-_RANDOM_MAX_SHIFT, _RANDOM_MAX_SHIFT + 1)
+        size = randrange(_RANDOM_MAX_SUPPORT + 1)
+        positions = rng.sample(_RANDOM_POSITIONS, size) if size else ()  # k=0 draws nothing
+        support = tuple(sorted([(p, randrange(1, order)) for p in positions])) if order > 1 else ()
+        if allow_identity or shift or support:
+            return SkewElement(base, shift, support)
+
+
+def phi23_hom_defect(x: SkewElement, y: SkewElement) -> bool:
+    """True when phi23(x*y) != phi23(x)*phi23(y): the pair breaks the
+    homomorphism law of :func:`phi23`."""
+    return phi23(skew_mul(x, y)) != x.base.mul(phi23(x), phi23(y))
 
 
 def hom_violations(
     base: FiniteGroup, n_samples: int, seed: int = 0
 ) -> list[tuple[SkewElement, SkewElement]]:
     """Sample element pairs and collect those where the base projection
-    breaks the homomorphism law.  Abelian bases should yield none."""
+    breaks the homomorphism law.  Abelian bases should yield none.
+
+    Pair i is elements 2i and 2i+1 of the stream that
+    :func:`random_skew_element` draws, with identities allowed, from
+    ``random.Random(seed)``."""
     rng = random.Random(seed)
     bad = []
     for _ in range(n_samples):
         x = random_skew_element(base, rng, allow_identity=True)
         y = random_skew_element(base, rng, allow_identity=True)
-        if phi23(skew_mul(x, y)) != base.mul(phi23(x), phi23(y)):
+        if phi23_hom_defect(x, y):
             bad.append((x, y))
     return bad
 
@@ -321,8 +375,27 @@ def skew_to_json(a: SkewElement) -> dict:
 
 
 def skew_from_json(base: FiniteGroup, doc: Mapping) -> SkewElement:
-    try:
-        support = {int(p): int(v) for p, v in doc.get("support", [])}
-        return skew_from_support(base, int(doc["shift"]), support)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GroupError(f"malformed skew element document: {exc}") from exc
+    """The element of a ``{"shift": n, "support": [[pos, elem], ...]}``
+    document.  Shift, positions and elements must be JSON integers (not
+    bools or floats) and positions distinct; identity elements are dropped.
+    Anything else raises GroupError("malformed skew element document: …")."""
+    if not isinstance(doc, Mapping):
+        raise _malformed(f"expected a JSON object, not {type(doc).__name__}")
+    if "shift" not in doc:
+        raise _malformed("missing field 'shift'")
+    shift, support = doc["shift"], doc.get("support", [])
+    if type(shift) is not int:
+        raise _malformed(f"shift must be an integer, not {shift!r}")
+    if not isinstance(support, list) or not all(
+        isinstance(entry, list) and len(entry) == 2 and all(type(x) is int for x in entry)
+        for entry in support
+    ):
+        raise _malformed("support must be a list of [position, element] integer pairs")
+    positions = {p for p, _ in support}
+    if len(positions) != len(support):
+        raise _malformed("support positions must be distinct")
+    return skew_from_support(base, shift, dict(support))
+
+
+def _malformed(why: str) -> GroupError:
+    return GroupError(f"malformed skew element document: {why}")

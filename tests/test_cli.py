@@ -12,6 +12,7 @@ import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -309,6 +310,72 @@ class TestSkewCommands:
         assert docs["c4"]["phi23_hom_witness"] is None
         assert docs["c4"]["hom_violations_found"] == 0
 
+    # hom_violations_found of `skew --op laws --samples 200` before the laws
+    # and the hom cross-check shared one sample stream
+    LAWS_200_VIOLATIONS = {("s3", 0): 43, ("s3", 1): 46, ("c4", 0): 0, ("c4", 1): 0}
+    S3_WITNESS = [{"shift": 0, "support": [[0, 1]]}, {"shift": 0, "support": [[-1, 2]]}]
+
+    @pytest.mark.parametrize("base, seed", sorted(LAWS_200_VIOLATIONS))
+    def test_laws_report_bytes_unchanged(self, tmp_path, base, seed):
+        out_path = tmp_path / "laws.json"
+        assert main([
+            "skew", "--base", base, "--op", "laws", "--samples", "200",
+            "--seed", str(seed), "--format", "json", "--out", str(out_path),
+        ]) == 0
+        abelian = base == "c4"
+        frozen = {
+            "command": "skew", "base": base.upper(), "op": "laws", "seed": seed,
+            "samples": 200, "associativity": True, "inverses": True,
+            "conjugation_shift": True, "phi23_section": True, "phi23_is_hom": abelian,
+            "phi23_hom_witness": None if abelian else self.S3_WITNESS,
+            "hom_violations_found": self.LAWS_200_VIOLATIONS[base, seed], "exit_code": 0,
+        }
+        assert out_path.read_bytes() == (json.dumps(frozen, indent=2) + "\n").encode()
+
+    def test_laws_draw_one_stream(self, monkeypatch):
+        # triples need 3 draws per sample and hom pairs the first 2 per
+        # sample of the same stream: one Random, 3·samples draws in all
+        made, drawn = [], []
+        real_random, real_draw = cli.random.Random, cli.random_skew_element
+
+        def counting_random(seed):
+            made.append(seed)
+            return real_random(seed)
+
+        def counting_draw(*args, **kwargs):
+            drawn.append(1)
+            return real_draw(*args, **kwargs)
+
+        monkeypatch.setattr(cli.random, "Random", counting_random)
+        monkeypatch.setattr(cli, "random_skew_element", counting_draw)
+        assert main(["skew", "--base", "s3", "--op", "laws", "--samples", "50"]) == 0
+        assert made == [0] and len(drawn) == 150
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_laws_refuse_non_positive_samples(self, capsys, samples):
+        assert main(["skew", "--base", "s3", "--op", "laws", "--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --samples must be at least 1, not {samples}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "element",
+        [
+            '{"shift": 0, "support": [[0, 1], [0, 2]]}',  # duplicate position
+            '{"shift": true, "support": [[0.7, 1]]}',  # bool shift, float position
+            '{"shift": 1, "support": [[0.7, 1]]}',
+            '{"shift": 1, "support": [[0, 1.0]]}',
+            '{"shift": 1, "support": [[false, 1]]}',
+            '{"shift": 1.0}',
+            '{"shift": 1, "support": [[0, 1, 2]]}',
+            '{"shift": 1, "support": {"0": 1}}',
+            '{"support": []}',
+        ],
+    )
+    def test_malformed_element_exits_1(self, capsys, element):
+        assert main(["skew", "--base", "c3", "--op", "inv", "--element", element]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed skew element document: ")
+
     def test_cyclic_skew_over_table_bound_exits_1(self, capsys):
         # order 6 * 3**6 = 4374 is within cyclic_skew_order, its table is not
         tracemalloc.start()
@@ -338,7 +405,9 @@ class TestJsonOutput:
         args = cli.build_parser().parse_args(self.ARGV)
         code, doc, _ = cli._cmd_cyclic_skew(args)
         doc["exit_code"] = code
-        return (json.dumps(doc, indent=2) + "\n").encode()
+        # the report hands the writer the group's table array itself
+        assert isinstance(doc["group"]["table"], np.ndarray)
+        return (json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n").encode()
 
     def test_out_file_bytes_equal_dumps(self, tmp_path):
         out_path = tmp_path / "cs.json"
@@ -395,6 +464,35 @@ class TestJsonWriter:
             _written({(1, 2): 0})
         with pytest.raises(TypeError):
             json.dumps({(1, 2): 0}, indent=2)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (24, 24), (0, 3), (3, 0)])
+    @pytest.mark.parametrize(
+        "low, high, dtype",
+        [
+            (0, 24, np.int64),  # a Cayley table's range
+            (-7, 7, np.int64),
+            (-(2**62), 2**62, np.int64),  # wider than the array: texts of distinct values
+            (-128, 128, np.int8),  # offsets past the dtype's signed top
+            (2**63, 2**64, np.uint64),
+        ],
+    )
+    def test_int_array_equals_dumps_of_tolist(self, shape, low, high, dtype):
+        arr = np.random.default_rng(sum(shape)).integers(low, high, shape, dtype=dtype)
+        for doc in (arr, {"group": {"order": 3, "table": arr}}, [arr, [1, arr]]):
+            want = json.dumps(doc, indent=2, default=np.ndarray.tolist)
+            assert "".join(_written(doc)) == want
+
+    def test_int_array_is_written_one_row_at_a_time(self):
+        pieces = _written({"table": cyclic(200).table})
+        assert len(pieces) == 1 + 200 + 2  # the key, one piece per row, two closing brackets
+        assert "".join(pieces) == json.dumps({"table": cyclic(200).table.tolist()}, indent=2)
+
+    @pytest.mark.parametrize(
+        "arr", [np.zeros((2, 2)), np.zeros(3, dtype=np.int64), np.zeros((2, 2), dtype=bool)]
+    )
+    def test_other_arrays_rejected_like_json(self, arr):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _written({"a": arr})
 
     def test_table_is_written_one_row_at_a_time(self):
         table = cyclic(200).table.tolist()
@@ -728,6 +826,13 @@ class TestCatalogSearch:
         ]) == 0
         doc = json.loads(out_path.read_text())
         assert "witness_count" in doc
+
+    @pytest.mark.parametrize("max_order", ["0", "-3"])
+    def test_non_positive_max_order_exits_1(self, capsys, max_order):
+        assert main(["catalog-search", "--max-order", max_order]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --max-order must be at least 1, not {max_order}\n"
+        assert captured.out == ""
 
 
 # the package's re-exports while `__init__` imported every submodule eagerly

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +405,92 @@ class TestClassifySections:
         phi = GroupHom(cyclic(2), cyclic(4), [0, 2])
         with pytest.raises(GroupError):
             classify_sections(phi)
+
+
+def _block_cases() -> dict:
+    """Every catalog(16) quotient, C2xD8 -> D8 (4,096 leaves) and D16 -> D16/Z
+    (no leaf)."""
+    cases = {}
+    for g in catalog(16):
+        for nsub in normal_subgroups(g):
+            cases[f"{g.label()}/{sorted(nsub)}"] = quotient_by_subgroup(g, nsub)[1]
+    c2xd8 = direct_product(cyclic(2), dihedral(8))
+    cases["C2xD8->D8"] = GroupHom(c2xd8, dihedral(8), [x % 16 for x in range(32)])
+    cases["D16->D16/Z"] = quotient_by_center(dihedral(16))[1]
+    return cases
+
+
+def _found(res):
+    return (
+        res.nodes,
+        [(s.map, s.classification) for s in res.splittings],
+        [(s.map, s.classification) for s in res.weak_splittings],
+    )
+
+
+@pytest.fixture(scope="module")
+def block_searches():
+    cases = _block_cases()
+    return cases, {name: _found(classify_sections(phi)) for name, phi in cases.items()}
+
+
+class TestSectionSearchBlocks:
+    """classify_sections labels its leaves in blocks; the lists, their order
+    and the node count are those of labelling each leaf alone."""
+
+    def test_totals(self, block_searches):
+        cases, found = block_searches
+        catalog_names = [name for name in cases if "/[" in name]
+        assert len(catalog_names) == 303
+        assert sum(found[n][0] for n in catalog_names) == 8757
+        assert sum(len(found[n][1]) for n in catalog_names) == 1252
+        assert sum(len(found[n][2]) for n in catalog_names) == 4046
+        assert [(nodes, len(split), len(weak)) for nodes, split, weak in (
+            found["C2xD8->D8"], found["D16->D16/Z"]
+        )] == [(8190, 4, 4092), (14, 0, 0)]
+
+    def test_each_leaf_labelled_as_classify_section_labels_it(self, block_searches):
+        cases, found = block_searches
+        for name, phi in cases.items():
+            _, split, weak = found[name]
+            for m, classification in split + weak:
+                assert classify_section(phi, m).classification == classification, name
+
+    def test_blocks_of_one_leaf_give_the_same_search(self, block_searches, monkeypatch):
+        cases, found = block_searches
+        monkeypatch.setattr(groups, "_BLOCK_CELLS", 1)
+        for name, phi in cases.items():
+            assert _found(classify_sections(phi)) == found[name], name
+
+    def test_partial_last_block(self, block_searches, monkeypatch):
+        cases, found = block_searches
+        uneven = []
+        for name, phi in cases.items():
+            n = phi.codomain.order
+            monkeypatch.setattr(groups, "_BLOCK_CELLS", 3 * n * n)  # three leaves a block
+            got = _found(classify_sections(phi))
+            assert got == found[name], name
+            if (len(got[1]) + len(got[2])) % 3:
+                uneven.append(name)
+        assert "C2xD8->D8" in uneven and len(uneven) > 100
+
+    def test_block_rejects_a_non_section_row(self):
+        phi = GroupHom(cyclic(4), cyclic(2), [0, 1, 0, 1])
+        with pytest.raises(GroupError, match="not a section"):
+            groups._classify_block(phi, np.array([[0, 1], [0, 2]]))
+
+    def test_block_memory_is_bounded(self):
+        # 256 leaves of C2xD8 -> D8 a block: 2**16 cells per temporary, one
+        # byte each (about 0.4 MB in all; int64 temporaries took over 2 MB)
+        phi = _block_cases()["C2xD8->D8"]
+        leaves = np.array([s.map for s in classify_sections(phi).weak_splittings[:256]])
+        tracemalloc.start()
+        try:
+            groups._classify_block(phi, leaves)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCatalog:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 
 import numpy as np
@@ -25,6 +26,7 @@ from uniconstruct.skew import (
     hom_violations,
     phi13,
     phi23,
+    phi23_hom_defect,
     phi23_hom_witness,
     psi0,
     random_skew_element,
@@ -81,6 +83,39 @@ class TestNormalForm:
     def test_from_support_drops_identities(self):
         el = skew_from_support(cyclic(2), 2, {0: 1, 3: 0})
         assert el.support == ((0, 1),)
+
+
+class TestElementContract:
+    def test_fields_cannot_be_assigned_or_added(self):
+        el = skew_from_support(cyclic(3), 1, {0: 1})
+        for name in ("base", "shift", "support", "other"):
+            with pytest.raises(AttributeError):
+                setattr(el, name, 0)
+        with pytest.raises(AttributeError):
+            del el.shift
+        assert (el.shift, el.support) == (1, ((0, 1),))
+
+    def test_equal_elements_hash_equal(self):
+        a = skew_from_support(cyclic(3), -2, {4: 1, -1: 2})
+        b = SkewElement(cyclic(3), -2, ((-1, 2), (4, 1)))
+        assert a.base is not b.base
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != SkewElement(cyclic(3), -1, a.support)
+        assert a != SkewElement(cyclic(3), -2, ((-1, 2), (4, 2)))
+        assert a != SkewElement(cyclic(4), -2, a.support)
+        assert a != (a.base, a.shift, a.support)
+
+    def test_copy_shares_the_base(self):
+        el = skew_from_support(symmetric(3), -2, {-1: 3, 4: 1})
+        twin = copy.copy(el)
+        assert twin == el and hash(twin) == hash(el) and twin.base is el.base
+
+    def test_repr(self):
+        assert repr(skew_from_support(symmetric(3), -2, {-1: 3, 4: 1})) == (
+            "y^-2*(-1:[1, 2, 0], 4:[0, 2, 1])"
+        )
+        assert repr(skew_identity(cyclic(3))) == "y^0*()"
+        assert repr(SkewElement(cyclic(3), 5, ((2, 2),))) == "y^5*(2:2)"
 
 
 class TestMultiplication:
@@ -186,6 +221,19 @@ class TestProjections:
 
     def test_phi23_violations_for_s3(self):
         assert len(hom_violations(symmetric(3), 2000, seed=0)) > 0
+
+    def test_violations_are_the_defective_stream_pairs(self):
+        base = symmetric(3)
+        rng = random.Random(9)
+        stream = elements(base, rng, 400)
+        pairs = list(zip(stream[0::2], stream[1::2]))
+        assert hom_violations(base, 200, seed=9) == [
+            (x, y) for x, y in pairs if phi23_hom_defect(x, y)
+        ]
+        assert all(
+            phi23_hom_defect(x, y) == (phi23(skew_mul(x, y)) != base.mul(phi23(x), phi23(y)))
+            for x, y in pairs
+        )
 
     def test_phi23_no_violations_for_abelian(self):
         for base in (cyclic(2), cyclic(3), cyclic(4)):
@@ -412,6 +460,33 @@ class TestSerialization:
         base = symmetric(3)
         el = skew_from_support(base, -2, {-1: 3, 4: 1})
         assert skew_from_json(base, skew_to_json(el)) == el
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"shift": 0, "support": [[0, 1], [0, 2]]},  # duplicate position
+            {"shift": 0, "support": [[3, 1], [-1, 2], [3, 1]]},
+            {"shift": True, "support": [[0, 1]]},
+            {"shift": 1.0, "support": []},
+            {"shift": "1"},
+            {"shift": 1, "support": [[0.7, 1]]},
+            {"shift": 1, "support": [[0, 1.0]]},
+            {"shift": 1, "support": [[True, 1]]},
+            {"shift": 1, "support": [[0, 1, 2]]},
+            {"shift": 1, "support": [(0, 1)]},
+            {"shift": 1, "support": {"0": 1}},
+            {"shift": 1, "support": None},
+            {"support": []},
+            [0, []],
+        ],
+    )
+    def test_malformed_document_rejected(self, doc):
+        with pytest.raises(GroupError, match="^malformed skew element document: "):
+            skew_from_json(cyclic(3), doc)
+
+    def test_identity_entries_dropped(self):
+        el = skew_from_json(cyclic(3), {"shift": -1, "support": [[2, 0], [1, 2]]})
+        assert el == SkewElement(el.base, -1, ((1, 2),))
 
     def test_positions_ascending_in_json(self):
         base = cyclic(2)
