@@ -26,9 +26,9 @@ _EXPORTS = {
     "groups": (
         "AutomorphismGroup", "FiniteGroup", "GroupHom", "Section", "aut_group", "catalog",
         "catalog_search_weak_not_strong", "center", "classify_section", "classify_sections",
-        "cyclic", "dicyclic", "dihedral", "direct_product", "find_isomorphism", "is_hom",
-        "is_surjective", "quotient_by_center", "quotient_by_subgroup", "surjective_homs",
-        "symmetric", "alternating",
+        "cyclic", "decide_splittings", "dicyclic", "dihedral", "direct_product",
+        "find_isomorphism", "is_hom", "is_surjective", "quotient_by_center",
+        "quotient_by_subgroup", "surjective_homs", "symmetric", "alternating",
     ),
     "skew": (
         "CyclicSkewGroup", "SkewElement", "build_cyclic_skew", "center_witness",

@@ -17,62 +17,22 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import gc
 import json
 import random
 import sys
 from contextlib import nullcontext
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import UniconstructError, VerificationError
-from .groups import (
-    FiniteGroup,
-    GroupHom,
-    alternating,
-    aut_group,
-    catalog,
-    catalog_search_weak_not_strong,
-    classify_sections,
-    cyclic,
-    dicyclic,
-    dihedral,
-    find_isomorphism,
-    group_document,
-    group_from_json,
-    hom_from_json,
-    center,
-    symmetric,
-)
-from .encode import GroupTriple, attach_skew, encode_three_sorted, verify_theta_iso
-from .skew import (
-    SkewElement,
-    build_cyclic_skew,
-    center_witness,
-    phi23 as skew_phi23,
-    phi23_hom_defect,
-    phi23_hom_witness,
-    psi0,
-    random_skew_element,
-    shift_generator,
-    skew_from_json,
-    skew_inv,
-    skew_mul,
-    skew_pow,
-    skew_to_json,
-)
-from .structures import (
-    automorphisms,
-    isomorphisms,
-    reduct,
-    structure_from_json,
-    structure_to_json,
-    validate,
-)
-from .ucp import assemble_ucp, derive_triple
-from .uniform import TripleSpace, build_family, uniform_F, verify_claims
 
-# after the library, which has already loaded numpy: importing numpy first
-# raised the peak RSS of several jobs by about 0.3 MiB
-import numpy as np  # noqa: E402
+# Each command loads only the layers it calls: the handlers and loaders below
+# import their library names when they run, so `aut` never loads numpy,
+# `split` never loads the structure layer, and `--version`, `--help` and
+# usage errors load no layer at all.
+if TYPE_CHECKING:
+    from .groups import FiniteGroup
 
 
 def _read_json(path: str):
@@ -104,6 +64,8 @@ def _read_map(path: str) -> list[int]:
 
 
 def _load_structure(path: str):
+    from .structures import structure_from_json, validate
+
     doc = _read_json(path)
     try:
         s = structure_from_json(doc)
@@ -117,6 +79,8 @@ def _load_structure(path: str):
 
 def _load_group(spec: str) -> FiniteGroup:
     """Accept a builtin family name (c4, s3, d4, q8, a4) or a JSON path."""
+    from .groups import alternating, cyclic, dicyclic, dihedral, group_from_json, symmetric
+
     name = spec.strip().lower()
     builders = {"c": cyclic, "s": symmetric, "a": alternating, "d": dihedral}
     if len(name) >= 2 and name[0] in builders and name[1:].isdigit():
@@ -133,6 +97,8 @@ def _load_group(spec: str) -> FiniteGroup:
 
 
 def _load_skew_arg(base: FiniteGroup, raw: str):
+    from .skew import skew_from_json
+
     if raw.lstrip().startswith("{"):
         try:
             doc = json.loads(raw)
@@ -160,7 +126,9 @@ def _write_json(write, obj, int_text, indent: str = "\n") -> None:
     per call, so a Cayley table never exists as one string.
     """
     inner = indent + "  "
-    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind in "iu":
+    # no object is an array unless numpy is loaded, so this never loads it
+    ndarray = getattr(sys.modules.get("numpy"), "ndarray", ())
+    if isinstance(obj, ndarray) and obj.ndim == 2 and obj.dtype.kind in "iu":
         _write_int_array(write, obj, indent)
     elif isinstance(obj, dict):
         if not obj:
@@ -202,6 +170,8 @@ def _write_int_array(write, arr, indent: str) -> None:
     Every cell's text is looked up in one object array of decimal texts:
     those of ``min..max`` when that range is no larger than the array, else
     those of the distinct values."""
+    import numpy as np
+
     if not arr.size:
         write(json.dumps(arr.tolist(), indent=2).replace("\n", indent))
         return
@@ -249,6 +219,8 @@ def _report_lines(title: str, entries) -> list[str]:
 # command handlers: return (exit_code, doc, lines)
 
 def _cmd_aut(args):
+    from .structures import automorphisms
+
     s = _load_structure(args.structure)
     maps = automorphisms(s, max_elements=args.max_elements)
     doc = {
@@ -262,6 +234,8 @@ def _cmd_aut(args):
 
 
 def _cmd_iso(args):
+    from .structures import isomorphisms
+
     s1 = _load_structure(args.left)
     s2 = _load_structure(args.right)
     maps = isomorphisms(s1, s2, max_elements=args.max_elements)
@@ -274,6 +248,8 @@ def _cmd_iso(args):
 
 
 def _cmd_split(args):
+    from .groups import classify_sections, hom_from_json
+
     hom = hom_from_json(_read_json(args.hom))
     search = classify_sections(hom, max_candidates=args.max_candidates)
     doc = {
@@ -295,6 +271,8 @@ def _cmd_split(args):
 
 
 def _cmd_ucp_check(args):
+    from .ucp import assemble_ucp
+
     b = _load_structure(args.structure)
     psi = _read_map(args.psi) if args.psi else None
     ucp = assemble_ucp(b, psi, max_elements=args.max_elements)
@@ -315,6 +293,8 @@ def _cmd_ucp_check(args):
 
 
 def _cmd_derive_triple(args):
+    from .ucp import derive_triple
+
     c = _load_structure(args.structure)
     derivation = derive_triple(c, max_elements=args.max_elements)
     doc = {
@@ -338,6 +318,8 @@ def _cmd_derive_triple(args):
 
 
 def _cmd_skew(args):
+    from .skew import center_witness, phi23, psi0, skew_inv, skew_mul, skew_pow, skew_to_json
+
     base = _load_group(args.base)
     op = args.op
     doc = {"command": "skew", "base": base.label(), "op": op}
@@ -360,7 +342,7 @@ def _cmd_skew(args):
         lines.append(f"{el} ** {args.exp} = {result}")
     elif op == "phi23":
         el = _load_skew_arg(base, args.element)
-        value = skew_phi23(el)
+        value = phi23(el)
         doc["result"] = value
         lines.append(f"phi23({el}) = {base.element_name(value)}")
     elif op == "psi0":
@@ -392,6 +374,11 @@ def _skew_laws(base, samples, seed):
     elements 3i..3i+2, and hom pair i is elements 2i and 2i+1, the pairs
     :func:`hom_violations` draws from the same seed.
     """
+    from .skew import (
+        SkewElement, phi23, phi23_hom_defect, phi23_hom_witness, psi0, random_skew_element,
+        shift_generator, skew_inv, skew_mul, skew_to_json,
+    )
+
     if samples < 1:
         raise UniconstructError(f"--samples must be at least 1, not {samples}")
     rng = random.Random(seed)
@@ -417,7 +404,7 @@ def _skew_laws(base, samples, seed):
         shifted = SkewElement(base, 0, tuple([(p + 1, v) for p, v in a.support]))
         if skew_mul(skew_mul(y_inv, x), y) != shifted:
             conj = False
-    lift = all(skew_phi23(psi0(base, g)) == g for g in base.elements())
+    lift = all(phi23(psi0(base, g)) == g for g in base.elements())
     witness = phi23_hom_witness(base)
     # a sampled violation of a law decided to hold would be a contradiction
     consistent = witness is not None or not violations
@@ -448,6 +435,9 @@ def _skew_laws(base, samples, seed):
 
 
 def _cmd_cyclic_skew(args):
+    from .groups import catalog, center, find_isomorphism, group_document
+    from .skew import build_cyclic_skew
+
     base = _load_group(args.base)
     cs = build_cyclic_skew(args.k, base, max_order=args.max_order)
     g = cs.group
@@ -477,6 +467,10 @@ def _cmd_cyclic_skew(args):
 
 
 def _cmd_encode3(args):
+    from .encode import GroupTriple, encode_three_sorted, verify_theta_iso
+    from .groups import GroupHom, group_from_json
+    from .structures import structure_to_json
+
     doc_in = _read_json(args.triple)
     map12, map23 = (_int_list(args.triple, doc_in, field) for field in ("phi12", "phi23"))
     try:
@@ -501,6 +495,11 @@ def _cmd_encode3(args):
 
 
 def _cmd_attach(args):
+    from .encode import attach_skew
+    from .groups import GroupHom, aut_group, classify_sections
+    from .structures import reduct, structure_to_json
+    from .ucp import derive_triple
+
     b = _load_structure(args.structure)
     g3 = _load_group(args.g3)
     phi23_map = _read_map(args.phi23)
@@ -536,6 +535,8 @@ def _cmd_attach(args):
 
 def _resolve_psi(ucp, psi_path):
     """The section map from ``psi_path``, else the problem's first weak splitting."""
+    from .groups import classify_sections
+
     if psi_path:
         return _read_map(psi_path)
     search = classify_sections(ucp.phi)
@@ -545,6 +546,10 @@ def _resolve_psi(ucp, psi_path):
 
 
 def _cmd_uniformize(args, verify_only: bool):
+    from .structures import structure_to_json
+    from .ucp import assemble_ucp
+    from .uniform import TripleSpace, build_family, uniform_F, verify_claims
+
     b = _load_structure(args.structure)
     target = _load_structure(args.target)
     ucp = assemble_ucp(b, max_elements=args.max_elements)
@@ -570,6 +575,8 @@ def _cmd_uniformize(args, verify_only: bool):
 
 
 def _cmd_catalog_search(args):
+    from .groups import catalog_search_weak_not_strong
+
     if args.max_order < 1:
         raise UniconstructError(f"--max-order must be at least 1, not {args.max_order}")
     witnesses = catalog_search_weak_not_strong(args.max_order)
@@ -714,6 +721,11 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The parser is a web of reference cycles.  Collected here, before the
+    # command loads its layers, its memory is reused by them; left to the
+    # cycle collector it was freed among their allocations, which raised the
+    # peak RSS of `uniformize` by about 0.4 MiB.
+    gc.collect(1)
     try:
         code, doc, lines = _HANDLERS[args.command](args)
     except VerificationError as exc:

@@ -11,13 +11,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import config
 from .errors import BoundExceededError, GroupError
-from .structures import SortedMap, SortedStructure, automorphisms
+
+# the structure layer is loaded only when aut_group runs, so the group-level
+# commands never load it
+if TYPE_CHECKING:
+    from .structures import SortedMap, SortedStructure
 
 __all__ = [
     "FiniteGroup",
@@ -31,6 +35,7 @@ __all__ = [
     "is_surjective",
     "classify_section",
     "classify_sections",
+    "decide_splittings",
     "cyclic",
     "dihedral",
     "dicyclic",
@@ -408,29 +413,38 @@ def _fibers(phi: GroupHom) -> list[list[int]]:
     return fibers
 
 
-def classify_sections(phi: GroupHom, *, max_candidates: int | None = None) -> SectionSearch:
-    """Find every splitting and weak splitting of a surjective homomorphism.
+class _NodeBudget:
+    """The nodes a section search has visited, against its bound."""
 
-    Both kinds fix 1 and commute with inverses, so the search assigns
-    psi(x) and psi(x^-1) = psi(x)^-1 together: one level per inverse pair,
-    led by its smaller element x, whose fiber is tried in increasing order.
-    Position x^-1 comes after x and is fixed by it, so depth-first order is
-    lexicographic order of the whole section.  A node checks the
+    __slots__ = ("bound", "used")
+
+    def __init__(self, max_candidates: int | None):
+        default = config.DEFAULT.section_candidates
+        self.bound = max_candidates if max_candidates is not None else default
+        self.used = 0
+
+    def take(self) -> None:
+        self.used += 1
+        if self.used > self.bound:
+            raise BoundExceededError(f"section search exceeds node bound {self.bound}")
+
+
+def _weak_splittings(
+    phi: GroupHom, fibers: list[list[int]], budget: _NodeBudget
+) -> Iterator[list[int]]:
+    """Every weak splitting of ``phi``, each as a fresh list, in
+    lexicographic order; ``fibers`` is :func:`_fibers` of ``phi``.
+
+    Both kinds of splitting fix 1 and commute with inverses, so the search
+    assigns psi(x) and psi(x^-1) = psi(x)^-1 together: one level per inverse
+    pair, led by its smaller element x, whose fiber is tried in increasing
+    order.  Position x^-1 comes after x and is fixed by it, so depth-first
+    order is lexicographic order of the whole section.  A node checks the
     center-defect condition only on the triples (a, b, ab) that contain a
-    newly assigned element, so every complete assignment is a weak
-    splitting.  The complete assignments (the leaves) are gathered in
-    depth-first order and labelled in blocks of ``2**16 // |G|**2`` (at
-    least one) by the classifier :func:`classify_section` applies to one, so
-    the lists, their order and ``nodes`` are those of labelling each leaf
-    alone.  ``max_candidates`` (default ``config.DEFAULT.section_candidates``)
-    caps the nodes visited, and going over it raises BoundExceededError.
+    newly assigned element, so every complete assignment (a leaf) is a weak
+    splitting.  Each node visited is taken from ``budget``; the generator
+    runs only as far as its consumer reads.
     """
-    if not is_surjective(phi):
-        raise GroupError("classify_sections requires a surjective homomorphism")
-    bound = max_candidates if max_candidates is not None else config.DEFAULT.section_candidates
-    fibers = _fibers(phi)
-    result = SectionSearch(phi=phi, n_candidates=math.prod(len(f) for f in fibers))
-
     g, h = phi.codomain, phi.domain
     g_mul, g_inv = g.table.tolist(), g._inv.tolist()
     h_mul, h_inv = h.table.tolist(), h._inv.tolist()
@@ -441,16 +455,6 @@ def classify_sections(phi: GroupHom, *, max_candidates: int | None = None) -> Se
     assign = [-1] * g.order
     assign[0] = 0
     assigned = [0]
-    leaves: list[list[int]] = []  # complete assignments not yet labelled
-    block = max(1, _BLOCK_CELLS // g.order**2)
-
-    def label_leaves() -> None:
-        for m, classification in zip(leaves, _classify_block(phi, np.array(leaves))):
-            if classification == SPLITTING:
-                result.splittings.append(Section(phi, tuple(m), classification))
-            elif classification == WEAK_SPLITTING:
-                result.weak_splittings.append(Section(phi, tuple(m), classification))
-        leaves.clear()
 
     def defect_ok(c: int) -> bool:
         # the triples (a, c), (c, a) and (a, a^-1 c) over every assigned a
@@ -468,11 +472,9 @@ def classify_sections(phi: GroupHom, *, max_candidates: int | None = None) -> Se
                 return False
         return True
 
-    def extend(i: int):
+    def extend(i: int) -> Iterator[list[int]]:
         if i == len(leaders):
-            leaves.append(assign[:])
-            if len(leaves) == block:
-                label_leaves()
+            yield assign[:]
             return
         x = leaders[i]
         xi = g_inv[x]
@@ -481,22 +483,106 @@ def classify_sections(phi: GroupHom, *, max_candidates: int | None = None) -> Se
             vi = h_inv[v]
             if x == xi and v != vi:
                 continue
-            result.nodes += 1
-            if result.nodes > bound:
-                raise BoundExceededError(f"section search exceeds node bound {bound}")
+            budget.take()
             assign[x] = v
             assign[xi] = vi
             assigned.extend(new)
             if all(defect_ok(c) for c in new):
-                extend(i + 1)
+                yield from extend(i + 1)
             del assigned[-len(new):]
             assign[x] = -1
             assign[xi] = -1
 
-    extend(0)
-    if leaves:
-        label_leaves()
+    return extend(0)
+
+
+def classify_sections(phi: GroupHom, *, max_candidates: int | None = None) -> SectionSearch:
+    """Find every splitting and weak splitting of a surjective homomorphism.
+
+    The weak splittings come from the one section search,
+    :func:`_weak_splittings`, in lexicographic order.  They are labelled in
+    blocks of ``2**16 // |G|**2`` (at least one) by the classifier
+    :func:`classify_section` applies to one, so the lists, their order and
+    ``nodes`` are those of labelling each leaf alone.  ``max_candidates``
+    (default ``config.DEFAULT.section_candidates``) caps the nodes visited,
+    and going over it raises BoundExceededError.
+    """
+    if not is_surjective(phi):
+        raise GroupError("classify_sections requires a surjective homomorphism")
+    fibers = _fibers(phi)
+    result = SectionSearch(phi=phi, n_candidates=math.prod(len(f) for f in fibers))
+    budget = _NodeBudget(max_candidates)
+    leaves = _weak_splittings(phi, fibers, budget)
+    block = max(1, _BLOCK_CELLS // phi.codomain.order**2)
+    while chunk := list(itertools.islice(leaves, block)):
+        for m, classification in zip(chunk, _classify_block(phi, np.array(chunk))):
+            if classification == SPLITTING:
+                result.splittings.append(Section(phi, tuple(m), classification))
+            elif classification == WEAK_SPLITTING:
+                result.weak_splittings.append(Section(phi, tuple(m), classification))
+    result.nodes = budget.used
     return result
+
+
+def _splitting_exists(phi: GroupHom, fibers: list[list[int]], budget: _NodeBudget) -> bool:
+    """Whether ``phi`` has a splitting, decided on the generators of its
+    codomain G.
+
+    A splitting psi is a homomorphism, so its values on ``G.gens`` fix it,
+    and psi(q) has the order of q: that order divides |q| because psi is a
+    homomorphism, and |q| divides it because phi(psi(q)) = q.  The search picks
+    psi(q) in the fiber of q among elements of that order, generator by
+    generator, and extends each choice by the homomorphism law
+    (:func:`_close_hom`), dropping it on a conflict.  A choice on every
+    generator that extends without conflict is a homomorphism psi: G -> H
+    with phi(psi(q)) = q on every generator; then phi . psi is an
+    endomorphism of G that is the identity on a generating set, so it is the
+    identity, and psi is a section that is a homomorphism: a splitting.
+    Conversely a splitting's own values on the generators are such a choice,
+    so the search finds a splitting exactly when one exists.  Each choice
+    tried is taken from ``budget``.
+    """
+    g, h = phi.codomain, phi.domain
+    t_g, t_h = g.table.tolist(), h.table.tolist()
+    # each greedy generator lies outside the subgroup of those before it
+    gens = g.gens
+
+    def extend(i: int, m: dict[int, int]) -> bool:
+        if i == len(gens):
+            return True
+        q = gens[i]
+        k = g.element_order(q)
+        for v in fibers[q]:
+            if h.element_order(v) != k:
+                continue
+            budget.take()
+            closed = _close_hom(t_g, t_h, {**m, q: v})
+            if closed is not None and extend(i + 1, closed):
+                return True
+        return False
+
+    return extend(0, {0: 0})
+
+
+def decide_splittings(phi: GroupHom, *, max_candidates: int | None = None) -> tuple[bool, bool]:
+    """``(has_splitting, has_weak_splitting)`` of a surjective homomorphism,
+    as :func:`classify_sections` reports them, without listing the sections.
+
+    A splitting is searched for on the codomain's generators
+    (:func:`_splitting_exists`).  Every splitting is a weak splitting; when
+    there is none, the section search of :func:`classify_sections` runs up
+    to its first leaf, since every leaf is a weak splitting.  Both searches
+    take their nodes from one ``max_candidates`` budget (default
+    ``config.DEFAULT.section_candidates``); going over it raises
+    BoundExceededError.
+    """
+    if not is_surjective(phi):
+        raise GroupError("decide_splittings requires a surjective homomorphism")
+    fibers = _fibers(phi)
+    budget = _NodeBudget(max_candidates)
+    if _splitting_exists(phi, fibers, budget):
+        return True, True
+    return False, next(_weak_splittings(phi, fibers, budget), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -794,16 +880,19 @@ def catalog_search_weak_not_strong(
     max_order: int, *, max_candidates: int | None = None
 ) -> list[WeakNotStrongWitness]:
     """Search every quotient surjection of every catalog group for a weak
-    splitting without a splitting.  An empty list is a valid outcome."""
+    splitting without a splitting.  An empty list is a valid outcome.
+
+    Each quotient's two verdicts are decided by :func:`decide_splittings`;
+    only a witness gets the full :func:`classify_sections` search it
+    carries.  ``max_candidates`` bounds each search's nodes."""
     witnesses = []
     for g in catalog(max_order):
         for nsub in normal_subgroups(g):
             _, phi = quotient_by_subgroup(g, nsub)
-            search = classify_sections(phi, max_candidates=max_candidates)
-            if search.has_weak_splitting and not search.has_splitting:
-                witnesses.append(
-                    WeakNotStrongWitness(g, tuple(sorted(nsub)), phi, search)
-                )
+            split, weak = decide_splittings(phi, max_candidates=max_candidates)
+            if weak and not split:
+                search = classify_sections(phi, max_candidates=max_candidates)
+                witnesses.append(WeakNotStrongWitness(g, tuple(sorted(nsub)), phi, search))
     return witnesses
 
 
@@ -943,6 +1032,8 @@ class AutomorphismGroup:
 
 
 def aut_group(s: SortedStructure, *, max_elements: int | None = None) -> AutomorphismGroup:
+    from .structures import automorphisms
+
     maps = automorphisms(s, max_elements=max_elements)
     ident = tuple(tuple(range(n)) for n in s.sort_sizes)
     if maps[0].key() != ident:
@@ -970,15 +1061,35 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 
 def group_from_json(doc: Mapping) -> FiniteGroup:
+    """The group of an ``{"order": n, "table": [[...]], "names": [...]}``
+    document.  ``order`` and every cell must be JSON integers (not bools or
+    floats), and ``names``, when present, a list of exactly ``order``
+    strings; anything else raises GroupError("malformed group document: …").
+    """
+    if not isinstance(doc, Mapping):
+        raise _malformed(f"expected a JSON object, not {type(doc).__name__}")
     try:
-        table = doc["table"]
-        names = doc.get("names")
-        g = FiniteGroup(table, names=names)
-        if g.order != int(doc["order"]):
-            raise GroupError("declared order does not match table size")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GroupError(f"malformed group document: {exc}") from exc
+        order, table, names = doc["order"], doc["table"], doc.get("names")
+    except KeyError as exc:
+        raise _malformed(f"missing field {exc}") from exc
+    if type(order) is not int:
+        raise _malformed(f"order must be an integer, not {order!r}")
+    if not isinstance(table, list) or not all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in table
+    ):
+        raise _malformed("table must be a list of lists of integers")
+    if names is not None and not (
+        isinstance(names, list) and len(names) == order and all(isinstance(x, str) for x in names)
+    ):
+        raise _malformed(f"names must be a list of {order} strings")
+    g = FiniteGroup(table, names=names)
+    if g.order != order:
+        raise _malformed("declared order does not match table size")
     return g
+
+
+def _malformed(why: str) -> GroupError:
+    return GroupError(f"malformed group document: {why}")
 
 
 def hom_to_json(h: GroupHom) -> dict:

@@ -133,6 +133,18 @@ def make_lifted_copy(
     )
 
 
+def _relabelings(sizes: Sequence[int]):
+    """Per-sort bijection families on sorts of ``sizes``, in the order
+    ``itertools.product`` of the sorts' permutations lists them, made one at
+    a time: ``product`` would first list every permutation of every sort."""
+    if not sizes:
+        yield ()
+        return
+    for first in itertools.permutations(range(sizes[0])):
+        for rest in _relabelings(sizes[1:]):
+            yield (first, *rest)
+
+
 def build_family(
     B: SortedStructure,
     psi: Sequence[int] | Section,
@@ -157,9 +169,7 @@ def build_family(
     base = make_lifted_copy(B, psi, tag=0, max_elements=max_elements, problem=problem)
     members = [base]
 
-    perm_iter = itertools.product(
-        *(itertools.permutations(range(size)) for size in B.sort_sizes)
-    )
+    perm_iter = _relabelings(B.sort_sizes)
     next(perm_iter)  # identity family
     for tag in range(1, n):
         try:

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uniconstruct import cli, ucp, uniform
+from uniconstruct import cli, skew, ucp, uniform
 from uniconstruct.cli import main
 from uniconstruct.errors import BoundExceededError
 from uniconstruct.groups import (
@@ -336,7 +337,7 @@ class TestSkewCommands:
         # triples need 3 draws per sample and hom pairs the first 2 per
         # sample of the same stream: one Random, 3·samples draws in all
         made, drawn = [], []
-        real_random, real_draw = cli.random.Random, cli.random_skew_element
+        real_random, real_draw = cli.random.Random, skew.random_skew_element
 
         def counting_random(seed):
             made.append(seed)
@@ -347,7 +348,7 @@ class TestSkewCommands:
             return real_draw(*args, **kwargs)
 
         monkeypatch.setattr(cli.random, "Random", counting_random)
-        monkeypatch.setattr(cli, "random_skew_element", counting_draw)
+        monkeypatch.setattr(skew, "random_skew_element", counting_draw)
         assert main(["skew", "--base", "s3", "--op", "laws", "--samples", "50"]) == 0
         assert made == [0] and len(drawn) == 150
 
@@ -685,6 +686,33 @@ class TestUniformize:
         assert outs[0] == outs[1]
 
 
+def test_relabelings_are_made_lazily(tmp_path):
+    # 11 ordered points over an apex: 12 elements, inside the default bound,
+    # but 11! relabelings; listing them all before taking the identity ran
+    # out of memory under this cap
+    n = 11
+    b = two_sorted((n, 1), [
+        ("L", (0, 0), [(i, j) for i in range(n) for j in range(i + 1, n)]),
+        ("R", (0, 1), [(i, 0) for i in range(n)]),
+    ])
+    b_path = write(tmp_path, "b.json", dumps(b))
+    a_path = write(tmp_path, "a.json", dumps(reduct(b, (0,))))
+    cap = 1 << 30
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = {k: v for k, v in os.environ.items() if not k.startswith("UNICONSTRUCT_")}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-m", "uniconstruct.cli", "verify", "--structure", b_path,
+         "--target", a_path, "--copies", "1"],
+        env=env, cwd=REPO, capture_output=True, text=True, preexec_fn=limit_address_space,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "error: 39916800 relabelings exceed bound 1000000\n")
+
+
 class TestVerificationExitCode:
     def test_uniformize_kernel_family_exits_2(self, tmp_path):
         # two copies over a kernel-nontrivial structure: claims fail honestly
@@ -817,6 +845,39 @@ class TestMapFiles:
         assert capsys.readouterr().err == f"error: {path}: {fragment}\n"
 
 
+class TestGroupDocuments:
+    C3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+    @pytest.mark.parametrize("doc, fragment", [
+        # crashed build_cyclic_skew's name join with a TypeError
+        ({"order": 3, "table": C3_TABLE, "names": [1, 2]}, "names must be a list of 3 strings"),
+        ({"order": 3, "table": C3_TABLE, "names": ["a", "b"]}, "names must be a list of 3 strings"),
+        # was read as C2, and cyclic-skew reported D4 with exit 0
+        ({"order": 2, "table": [[0, 1.0], [True, False]]},
+         "table must be a list of lists of integers"),
+        ({"order": 2.0, "table": [[0, 1], [1, 0]]}, "order must be an integer, not 2.0"),
+        ({"order": True, "table": [[0]]}, "order must be an integer, not True"),
+        ({"order": 2, "table": [0, 1]}, "table must be a list of lists of integers"),
+        ({"order": 1, "table": [[0, 1], [1, 0]]}, "declared order does not match table size"),
+        ({"table": [[0]]}, "missing field 'order'"),
+        ([[0]], "expected a JSON object, not list"),
+    ], ids=["int-names", "short-names", "float-bool-cells", "float-order", "bool-order",
+            "flat-table", "wrong-order", "no-order", "list"])
+    def test_malformed_group_exits_1(self, tmp_path, capsys, doc, fragment):
+        path = write(tmp_path, "g.json", json.dumps(doc))
+        assert main(["cyclic-skew", "--k", "2", "--base", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: malformed group document: {fragment}\n"
+        assert captured.out == ""
+
+    def test_element_names_are_read(self, tmp_path, capsys):
+        doc = {"order": 3, "table": self.C3_TABLE, "names": ["e", "a", "b"]}
+        path = write(tmp_path, "g.json", json.dumps(doc))
+        element = '{"shift": 0, "support": [[0, 2]]}'
+        assert main(["skew", "--base", path, "--op", "phi23", "--element", element]) == 0
+        assert capsys.readouterr().out.endswith(" = b\n")
+
+
 class TestCatalogSearch:
     def test_small_search_runs(self, tmp_path):
         out_path = tmp_path / "cs.json"
@@ -889,42 +950,84 @@ def fresh_python(code, **env_overrides):
     return out.stdout.strip()
 
 
-def cli_version_threads(**env_overrides):
+def cli_threads(**env_overrides):
     """OS threads left in a process that ran ``python -m uniconstruct.cli
-    --version`` (through runpy, as ``-m`` does)."""
-    return int(fresh_python(f"""
+    catalog-search --max-order 1`` (through runpy, as ``-m`` does); that
+    command loads numpy, and the process must have loaded it."""
+    numpy_loaded, threads = fresh_python(f"""
         import os, runpy, sys
-        sys.argv = ["uniconstruct", "--version"]
+        sys.argv = ["uniconstruct", "catalog-search", "--max-order", "1"]
         try:
             runpy.run_module("uniconstruct.cli", run_name="__main__", alter_sys=True)
         except SystemExit:
             pass
-        print({THREADS})
-    """, **env_overrides).splitlines()[-1])
+        print("numpy" in sys.modules, {THREADS})
+    """, **env_overrides).splitlines()[-1].split()
+    assert numpy_loaded == "True"
+    return int(threads)
 
 
 class TestProcessStart:
     @needs_proc_tasks
     def test_module_entry_point_runs_one_thread(self):
-        assert cli_version_threads() == 1
+        assert cli_threads() == 1
 
     @needs_proc_tasks
     def test_console_script_entry_point_runs_one_thread(self):
         out = fresh_python(f"""
-            import os
+            import os, sys
             from uniconstruct.cli import main
-            try:
-                main(["--version"])
-            except SystemExit:
-                pass
-            print({THREADS})
+            main(["catalog-search", "--max-order", "1"])
+            print("numpy" in sys.modules, {THREADS})
         """)
-        assert out.splitlines()[-1] == "1"
+        assert out.splitlines()[-1] == "True 1"
 
     @needs_proc_tasks
     def test_user_thread_setting_wins(self):
         bare = int(fresh_python(f"import os, numpy; print({THREADS})", OPENBLAS_NUM_THREADS="2"))
-        assert cli_version_threads(OPENBLAS_NUM_THREADS="2") == bare
+        assert cli_threads(OPENBLAS_NUM_THREADS="2") == bare
+
+    # argv with "@name" for an input file -> the layers the command loads
+    # and whether it loads numpy
+    LOAD_SETS = [
+        (["aut", "--structure", "@cycle3"], "structures", False),
+        (["iso", "--left", "@cycle3", "--right", "@cycle3"], "structures", False),
+        (["split", "--hom", "@c4toc2"], "groups", True),
+        (["weak-split", "--hom", "@c4toc2"], "groups", True),
+        (["catalog-search", "--max-order", "8"], "groups", True),
+        (["skew", "--base", "s3", "--op", "pow", "--element", '{"shift": 1, "support": []}',
+          "--exp", "2"], "groups skew", True),
+        (["cyclic-skew", "--k", "2", "--base", "c2"], "groups skew", True),
+        (["--version"], "", False),
+        (["--help"], "", False),
+        (["aut"], "", False),  # usage error: --structure is required
+        (["no-such-command"], "", False),
+    ]
+
+    @pytest.mark.parametrize("argv, layers, numpy", LOAD_SETS, ids=[
+        "aut", "iso", "split", "weak-split", "catalog-search", "skew", "cyclic-skew",
+        "version", "help", "usage-error", "unknown-command",
+    ])
+    def test_each_command_loads_only_its_layers(self, tmp_path, argv, layers, numpy):
+        inputs = {
+            "cycle3": write(tmp_path, "cyc3.json", dumps(directed_cycle(3))),
+            "c4toc2": write(tmp_path, "c4toc2.json", json.dumps(
+                hom_to_json(GroupHom(cyclic(4), cyclic(2), [0, 1, 0, 1]))
+            )),
+        }
+        argv = [inputs[a[1:]] if a.startswith("@") else a for a in argv]
+        out = fresh_python(f"""
+            import sys
+            from uniconstruct.cli import main
+            try:
+                main({argv!r})
+            except SystemExit:
+                pass
+            layers = {{"structures", "groups", "skew", "ucp", "encode", "uniform"}}
+            loaded = {{m.split(".")[1] for m in sys.modules if m.startswith("uniconstruct.")}}
+            print(repr(" ".join(sorted(loaded & layers))), "numpy" in sys.modules)
+        """)
+        assert out.splitlines()[-1] == f"{layers!r} {numpy}"
 
     def test_package_import_is_lazy_and_leaves_environment_alone(self):
         out = fresh_python("""

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from uniconstruct import config, groups, ucp
+from uniconstruct import config, groups, structures, ucp
 from uniconstruct.encode import GroupTriple, encode_three_sorted
 from uniconstruct.errors import BoundExceededError, GroupError
 from uniconstruct.groups import (
@@ -22,6 +23,7 @@ from uniconstruct.groups import (
     classify_section,
     classify_sections,
     cyclic,
+    decide_splittings,
     dicyclic,
     dihedral,
     direct_product,
@@ -620,6 +622,93 @@ class TestCatalogSearch:
         assert ("C2xC8", 4) in found
 
 
+@pytest.fixture(scope="module")
+def catalog_quotients():
+    """max order -> (group, normal subgroup, projection) for every quotient
+    of every catalog group."""
+    return {
+        max_order: [
+            (g, nsub, quotient_by_subgroup(g, nsub)[1])
+            for g in catalog(max_order)
+            for nsub in normal_subgroups(g)
+        ]
+        for max_order in (16, 24)
+    }
+
+
+class TestDecideSplittings:
+    """decide_splittings answers classify_sections' two verdicts without
+    listing the sections."""
+
+    @pytest.mark.parametrize("max_order, count", [(16, 303), (24, 529)])
+    def test_equals_classify_sections_on_every_catalog_quotient(
+        self, catalog_quotients, max_order, count
+    ):
+        quotients = catalog_quotients[max_order]
+        assert len(quotients) == count
+        for g, nsub, phi in quotients:
+            search = classify_sections(phi)
+            assert decide_splittings(phi) == (search.has_splitting, search.has_weak_splitting), (
+                g.label(), sorted(nsub)
+            )
+
+    def test_schur_zassenhaus(self, catalog_quotients):
+        # a normal subgroup of order coprime to its index has a complement
+        coprime = [
+            (g, nsub, phi) for g, nsub, phi in catalog_quotients[24]
+            if math.gcd(len(nsub), phi.codomain.order) == 1
+        ]
+        assert len(coprime) == 176
+        for g, nsub, phi in coprime:
+            assert decide_splittings(phi) == (True, True), (g.label(), sorted(nsub))
+
+    def test_weak_half_stops_at_its_first_leaf(self):
+        # no element of C9 over a generator of C3 has order 3, so the
+        # splitting half tries nothing, and the first weak splitting is the
+        # first node of the section search; listing all three takes three
+        _, phi = quotient_by_subgroup(cyclic(9), [0, 3, 6])
+        assert decide_splittings(phi, max_candidates=1) == (False, True)
+        assert classify_sections(phi, max_candidates=3).nodes == 3
+        with pytest.raises(BoundExceededError):
+            classify_sections(phi, max_candidates=1)
+        with pytest.raises(BoundExceededError):
+            decide_splittings(phi, max_candidates=0)
+
+    def test_splitting_half_counts_its_nodes(self):
+        phi = _block_cases()["C2xD8->D8"]
+        assert decide_splittings(phi) == (True, True)
+        with pytest.raises(BoundExceededError, match="node bound 0"):
+            decide_splittings(phi, max_candidates=0)
+
+    def test_no_weak_splitting(self):
+        phi = GroupHom(cyclic(4), cyclic(2), [0, 1, 0, 1])
+        assert decide_splittings(phi) == (False, False)
+        assert decide_splittings(_block_cases()["D16->D16/Z"]) == (False, False)
+
+    def test_trivial_quotients(self):
+        g = dihedral(4)
+        assert decide_splittings(quotient_by_subgroup(g, g.elements())[1]) == (True, True)
+        assert decide_splittings(quotient_by_subgroup(g, [0])[1]) == (True, True)
+
+    def test_non_surjective_rejected(self):
+        with pytest.raises(GroupError, match="surjective"):
+            decide_splittings(GroupHom(cyclic(2), cyclic(4), [0, 2]))
+
+    def test_catalog_search_lists_sections_of_witnesses_only(self, monkeypatch):
+        listed = []
+        real = groups.classify_sections
+
+        def recording(phi, **kwargs):
+            listed.append(phi)
+            return real(phi, **kwargs)
+
+        monkeypatch.setattr(groups, "classify_sections", recording)
+        witnesses = catalog_search_weak_not_strong(16)
+        assert [w.phi for w in witnesses] == listed and len(listed) == 2
+        for w in witnesses:
+            assert _found(w.search) == _found(real(w.phi))
+
+
 class TestAutGroup:
     def test_rigid_structure_trivial_group(self):
         sig_auts = aut_group(directed_cycle(3))
@@ -661,8 +750,8 @@ class TestAutGroup:
                 assert ag.index_of(mi.compose(mj)) == ag.group.mul(i, j)
 
     def test_missing_automorphism_raises_group_error(self, monkeypatch):
-        full = groups.automorphisms
-        monkeypatch.setattr(groups, "automorphisms", lambda s, **kw: full(s, **kw)[:-1])
+        full = structures.automorphisms
+        monkeypatch.setattr(structures, "automorphisms", lambda s, **kw: full(s, **kw)[:-1])
         with pytest.raises(GroupError, match="not closed"):
             aut_group(free_points(3))
 
