@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import UniconstructError, VerificationError
+from .jsondoc import is_int_list
 
 # Each command loads only the layers it calls: the handlers and loaders below
 # import their library names when they run, so `aut` never loads numpy,
@@ -53,7 +54,7 @@ def _int_list(path: str, doc, field: str) -> list[int]:
     if field not in doc:
         raise UniconstructError(f"{path}: missing field {field!r}")
     value = doc[field]
-    if not isinstance(value, list) or any(type(v) is not int for v in value):
+    if not is_int_list(value):
         raise UniconstructError(f"{path}: field {field!r} must be a list of integers")
     return value
 
@@ -250,7 +251,10 @@ def _cmd_iso(args):
 def _cmd_split(args):
     from .groups import classify_sections, hom_from_json
 
-    hom = hom_from_json(_read_json(args.hom))
+    try:
+        hom = hom_from_json(_read_json(args.hom))
+    except UniconstructError as exc:
+        raise UniconstructError(f"{args.hom}: {exc}") from exc
     search = classify_sections(hom, max_candidates=args.max_candidates)
     doc = {
         "command": args.command,

@@ -40,7 +40,8 @@ class Bounds:
     # used only when the transports break the cocycle law (spaces that obey
     # it are not capped)
     x_pairwise: int = 2000
-    # relabeling families enumerated by canonical_copies / build_family
+    # relabeling families enumerated by canonical_copies (build_family makes
+    # only the n - 1 it uses, one at a time, so it is not bounded by this)
     relabelings: int = 10**6
     # cells of any n x n Cayley table, checked before it is allocated
     table_cells: int = 10**7

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import config
 from .errors import BoundExceededError, GroupError
+from .jsondoc import is_int, is_int_list
 
 # the structure layer is loaded only when aut_group runs, so the group-level
 # commands never load it
@@ -1072,11 +1073,9 @@ def group_from_json(doc: Mapping) -> FiniteGroup:
         order, table, names = doc["order"], doc["table"], doc.get("names")
     except KeyError as exc:
         raise _malformed(f"missing field {exc}") from exc
-    if type(order) is not int:
+    if not is_int(order):
         raise _malformed(f"order must be an integer, not {order!r}")
-    if not isinstance(table, list) or not all(
-        isinstance(row, list) and all(type(v) is int for v in row) for row in table
-    ):
+    if not isinstance(table, list) or not all(is_int_list(row) for row in table):
         raise _malformed("table must be a list of lists of integers")
     if names is not None and not (
         isinstance(names, list) and len(names) == order and all(isinstance(x, str) for x in names)
@@ -1101,7 +1100,12 @@ def hom_to_json(h: GroupHom) -> dict:
 
 
 def hom_from_json(doc: Mapping) -> GroupHom:
+    """The homomorphism of a ``{"domain": …, "codomain": …, "map": [...]}``
+    document; ``map`` must be a list of JSON integers, and anything else
+    raises GroupError("malformed hom document: …")."""
     try:
+        if not is_int_list(doc["map"]):
+            raise ValueError(f"map must be a list of integers, not {doc['map']!r}")
         return GroupHom(
             group_from_json(doc["domain"]),
             group_from_json(doc["codomain"]),

@@ -22,6 +22,7 @@ import numpy as np
 from . import config
 from .errors import BoundExceededError, GroupError
 from .groups import FiniteGroup, GroupHom
+from .jsondoc import is_int, is_int_list
 
 __all__ = [
     "SkewElement",
@@ -384,11 +385,10 @@ def skew_from_json(base: FiniteGroup, doc: Mapping) -> SkewElement:
     if "shift" not in doc:
         raise _malformed("missing field 'shift'")
     shift, support = doc["shift"], doc.get("support", [])
-    if type(shift) is not int:
+    if not is_int(shift):
         raise _malformed(f"shift must be an integer, not {shift!r}")
     if not isinstance(support, list) or not all(
-        isinstance(entry, list) and len(entry) == 2 and all(type(x) is int for x in entry)
-        for entry in support
+        is_int_list(entry) and len(entry) == 2 for entry in support
     ):
         raise _malformed("support must be a list of [position, element] integer pairs")
     positions = {p for p, _ in support}

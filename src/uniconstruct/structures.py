@@ -21,6 +21,7 @@ from .errors import (
     SignatureMismatchError,
     StructureError,
 )
+from .jsondoc import is_int, is_int_list
 
 __all__ = [
     "SortedSignature",
@@ -627,29 +628,46 @@ def structure_to_json(s: SortedStructure) -> dict:
 
 
 def structure_from_json(doc: Mapping) -> SortedStructure:
+    """The structure of a document in the form :func:`structure_to_json`
+    writes.  Sort sizes, constant values and every entry of a tuple or table
+    row must be JSON integers; anything else raises
+    StructureError("malformed structure document: …")."""
     try:
         sort_names = tuple(str(entry["name"]) for entry in doc["sorts"])
-        sizes = tuple(int(entry["size"]) for entry in doc["sorts"])
+        sizes = tuple(_json_int(entry["size"], "sort size") for entry in doc["sorts"])
         index = {name: i for i, name in enumerate(sort_names)}
 
         rel_syms, rels = [], []
         for entry in doc.get("relations", []):
             rsig = tuple(index[n] for n in entry["signature"])
             rel_syms.append((str(entry["name"]), rsig))
-            rels.append([tuple(t) for t in entry["tuples"]])
+            rels.append([tuple(_json_ints(t, "relation tuple")) for t in entry["tuples"]])
         fn_syms, fns = [], []
         for entry in doc.get("functions", []):
             fsig = tuple(index[n] for n in entry["args"])
             fn_syms.append((str(entry["name"]), fsig, index[entry["target"]]))
-            fns.append({tuple(row[:-1]): row[-1] for row in entry["table"]})
+            rows = [_json_ints(row, "function table row") for row in entry["table"]]
+            fns.append({tuple(row[:-1]): row[-1] for row in rows})
         const_syms, consts = [], []
         for entry in doc.get("constants", []):
             const_syms.append((str(entry["name"]), index[entry["sort"]]))
-            consts.append(int(entry["value"]))
+            consts.append(_json_int(entry["value"], "constant value"))
     except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed structure document: {exc}") from exc
     sig = SortedSignature(sort_names, tuple(rel_syms), tuple(fn_syms), tuple(const_syms))
     return SortedStructure(sig, sizes, rels, fns, consts)
+
+
+def _json_int(value, what: str) -> int:
+    if not is_int(value):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _json_ints(value, what: str) -> list[int]:
+    if not is_int_list(value):
+        raise ValueError(f"{what} must be a list of integers, not {value!r}")
+    return value
 
 
 def dumps(s: SortedStructure) -> str:

@@ -11,35 +11,33 @@ structure whose first sort is A itself, element for element.
 A :class:`TripleSpace`, built once per call from a family and a target, is
 the layer's one handle: :func:`verify_claims`, :func:`build_quotient`,
 :func:`uniform_F` and :func:`k_class` take it.  Each fact they read is
-decided once on it: E (by proof from the cocycle law where the transports
-obey it, otherwise on the distinct (frame, thread) keys of the triples), each
-class's sort, and the congruence failures.  The quotient, ``k_class`` and
-``uniform_F`` refuse an E that is not an equivalence, naming what it lacks.
+decided once on it: E (proved from the cocycle law where every psi is a
+splitting, otherwise decided on the distinct (frame, thread) keys of the
+triples), each class's sort, and the congruence failures.  The quotient,
+``k_class`` and ``uniform_F`` refuse an E that is not an equivalence, naming
+what it lacks.
 
-Every intermediate fact the construction leans on is re-checked on the
-instance by :func:`verify_claims`; a failure there is reported honestly (it
-can genuinely happen when the restriction map has a nontrivial kernel and
-the family has two or more members, because the isomorphism families are
-then underdetermined).
+:func:`verify_claims` reports every intermediate fact the construction
+leans on, reading the two that hold by construction (the cocycle law, the
+copy set every relabelled member shares) from what was already decided.  A
+failure is reported honestly (it can genuinely happen when the restriction
+map has a nontrivial kernel and the family has two or more members, because
+the isomorphism families are then underdetermined).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import config
-from .errors import (
-    BoundExceededError,
-    StructureError,
-    VerificationError,
-)
+from .errors import BoundExceededError, StructureError, VerificationError
 from .groups import AutomorphismGroup, GroupHom, Section
 from .structures import (
     SortedMap,
     SortedStructure,
-    canonical_copies,
     identity_map,
     isomorphisms,
     reduct,
@@ -89,6 +87,9 @@ class LiftedCopy:
 
 @dataclass
 class Family:
+    """Lifted copies, each the base (the first member) relabelled: checked
+    once, by carrying every base relation along each member's ``relabel``."""
+
     members: tuple[LiftedCopy, ...]
 
     def __post_init__(self):
@@ -97,6 +98,12 @@ class Family:
         base = self.members[0].B
         if any(m.relabel.domain != base or m.relabel.codomain != m.B for m in self.members):
             raise StructureError("a member's relabelling does not start at the family's base")
+        try:
+            carried = all(relabel(base, m.relabel.maps) == m.B for m in self.members)
+        except StructureError:  # a per-sort map is not a bijection
+            carried = False
+        if not carried:
+            raise StructureError("family members are not pairwise isomorphic")
 
     def __len__(self):
         return len(self.members)
@@ -161,8 +168,8 @@ def build_family(
     (in the base's order, on the base's group table), so its restriction
     map and weak splitting are the base's own.  Only the base is searched
     and checked (through ``problem``, B's assembled problem, when given; see
-    :func:`make_lifted_copy`); every copy is then re-checked to be
-    isomorphic to it.
+    :func:`make_lifted_copy`); f itself is the isomorphism onto the copy,
+    which :class:`Family` checks carries every relation across.
     """
     if n < 1:
         raise StructureError("family size must be at least 1")
@@ -190,12 +197,7 @@ def build_family(
             psi=base.psi,
             relabel=f,
         ))
-
-    fam = Family(tuple(members))
-    for member in members[1:]:
-        if not isomorphisms(members[0].B, member.B, max_elements=max_elements, limit=1):
-            raise StructureError("family members are not pairwise isomorphic")
-    return fam
+    return Family(tuple(members))
 
 
 @dataclass(frozen=True)
@@ -336,26 +338,24 @@ class TripleSpace:
         return True
 
     def cocycle_holds(self) -> bool:
-        """Whether the transports obey the cocycle law, decided exactly.
+        """Whether the transports obey the cocycle law: exactly when some
+        iso_s is empty (then all are, and the law is vacuous) or every
+        member's psi is a splitting.
 
-        Write T_s(i, j) for ``psi_tilde(s, i, j)``.  The law is
-        T_s(j, l) . T_s(i, j) = T_s(i, l) for every member s and every i, j,
-        l.  It is checked for i = 0 and every j, l (|iso_s|^2 compositions
-        per member), which implies it for every i: the i = 0 case gives
-        T_s(j, l) = T_s(0, l) . T_s(0, j)^-1, so T_s(j, l) . T_s(i, j) =
-        T_s(0, l) . T_s(0, i)^-1 = T_s(i, l).
+        Write T_s(i, j) for ``psi_tilde(s, i, j)`` and a_i for the i-th
+        isomorphism A_s -> A.  The law is T_s(j, l) . T_s(i, j) = T_s(i, l)
+        for every member s and every i, j, l.  iso_s is a torsor under
+        Aut(A_s), so T_s(i, j) = psi_s(a_j^-1 a_i), and with a = a_l^-1 a_j,
+        b = a_j^-1 a_i the law reads psi_s(a) . psi_s(b) = psi_s(ab).  As
+        (i, j, l) range, (a, b) covers Aut(A_s)^2: the law is psi_s's hom law
+        in ``compose`` order, the order its group tables encode.
 
         When it holds, T_s(i, i) is the identity and T_s(j, i) inverts
         T_s(i, j), so E is an equivalence and x1 E x2 exactly when the
         frame-0 keys of :meth:`_frame0_keys` agree.
         """
         if self._cocycle is None:
-            self._cocycle = all(
-                self.psi_tilde(s, j, l).compose(self.psi_tilde(s, 0, j)).maps
-                == self.psi_tilde(s, 0, l).maps
-                for s, lst in enumerate(self.iso)
-                for j, l in itertools.product(range(len(lst)), repeat=2)
-            )
+            self._cocycle = not all(self.iso) or all(m.psi.is_splitting() for m in self.fam)
         return self._cocycle
 
     def _frame0_keys(self) -> list[tuple[tuple[int, int], ...]]:
@@ -385,10 +385,9 @@ class TripleSpace:
             if self.cocycle_holds():
                 ids: dict[tuple, int] = {}
                 class_of = [ids.setdefault(key, len(ids)) for key in self._frame0_keys()]
-                self._e_verdicts = ((True, True, True), (
-                    f"proved from the cocycle law, checked exhaustively on "
-                    f"{sum(len(lst) ** 2 for lst in self.iso)} transport pairs"
-                ))
+                self._e_verdicts = (
+                    (True, True, True), "proved from the cocycle law: every member's psi is a splitting"
+                )
             else:
                 if len(self.triples) > config.DEFAULT.x_pairwise:
                     raise BoundExceededError(
@@ -726,12 +725,14 @@ def uniform_F(space: TripleSpace) -> UniformResult:
 # Claims verification
 
 def verify_claims(space: TripleSpace) -> Report:
-    """Re-check every intermediate fact of the uniform construction over the
+    """Report every intermediate fact of the uniform construction over the
     matched-triple space.
 
-    The three E claims read :meth:`TripleSpace.equivalence`: proved from the
-    cocycle law where it holds, otherwise decided on the (frame, thread)
-    keys of the triples.  When one fails, the report stops there.  The cla3
+    The copy-set claim reads the members' relabellings, and its count is
+    prod(n_s!) / |Aut B|.  The three E claims read
+    :meth:`TripleSpace.equivalence`: proved from the cocycle law where every
+    psi is a splitting, otherwise decided on the (frame, thread) keys of the
+    triples.  When one fails, the report stops there.  The cla3
     and cla4 claims read :meth:`TripleSpace.congruence`, which
     :func:`build_quotient` refuses on.
     """
@@ -743,15 +744,14 @@ def verify_claims(space: TripleSpace) -> Report:
         f"{len(fam)} members",
     )
 
-    copies0 = {c.canonical_key() for c in canonical_copies(fam.members[0].B)}
-    same = all(
-        {c.canonical_key() for c in canonical_copies(m.B)} == copies0
-        for m in fam.members[1:]
-    )
+    # each member is the base relabelled (Family checks it), so all share the
+    # base's copies: its prod(n_s!) relabellings fall in classes of |Aut B|
+    base = fam.members[0]
+    n_copies = math.prod(math.factorial(n) for n in base.B.sort_sizes) // len(base.autB.maps)
     report.add(
         "copy_set_definable_from_family",
-        same,
-        f"{len(copies0)} canonical copies shared by all members",
+        all(m.relabel.is_bijective() for m in fam),
+        f"{n_copies} canonical copies shared by all members",
     )
 
     xs = space.triples
@@ -766,8 +766,6 @@ def verify_claims(space: TripleSpace) -> Report:
         report.add(name, ok, detail)
     if not all(verdicts):
         return report
-
-    base = fam.members[0]
 
     try:
         frames, _ = space.frame_threads()

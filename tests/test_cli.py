@@ -689,7 +689,8 @@ class TestUniformize:
 def test_relabelings_are_made_lazily(tmp_path):
     # 11 ordered points over an apex: 12 elements, inside the default bound,
     # but 11! relabelings; listing them all before taking the identity ran
-    # out of memory under this cap
+    # out of memory under this cap, and enumerating them to count the copy
+    # set went over the relabeling bound
     n = 11
     b = two_sorted((n, 1), [
         ("L", (0, 0), [(i, j) for i in range(n) for j in range(i + 1, n)]),
@@ -706,11 +707,15 @@ def test_relabelings_are_made_lazily(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run(
         [sys.executable, "-m", "uniconstruct.cli", "verify", "--structure", b_path,
-         "--target", a_path, "--copies", "1"],
+         "--target", a_path, "--copies", "1", "--format", "json"],
         env=env, cwd=REPO, capture_output=True, text=True, preexec_fn=limit_address_space,
         timeout=120,
     )
-    assert (proc.returncode, proc.stderr) == (1, "error: 39916800 relabelings exceed bound 1000000\n")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert doc["claims_all_pass"] is True
+    claim = next(c for c in doc["claims"] if c["claim"] == "copy_set_definable_from_family")
+    assert claim["detail"] == "39916800 canonical copies shared by all members"
 
 
 class TestVerificationExitCode:
@@ -876,6 +881,46 @@ class TestGroupDocuments:
         element = '{"shift": 0, "support": [[0, 2]]}'
         assert main(["skew", "--base", path, "--op", "phi23", "--element", element]) == 0
         assert capsys.readouterr().out.endswith(" = b\n")
+
+
+class TestStructureAndHomDocuments:
+    C2 = {"order": 2, "table": [[0, 1], [1, 0]]}
+
+    @staticmethod
+    def points(size=3, tuples=((0,), (2,))):
+        return {"sorts": [{"name": "p", "size": size}],
+                "relations": [{"name": "U", "signature": ["p"], "tuples": [list(t) for t in tuples]}]}
+
+    # each was coerced with int() and answered with exit 0
+    @pytest.mark.parametrize("doc, fragment", [
+        (points(size=3.0), "sort size must be an integer, not 3.0"),
+        (points(tuples=((0,), (True,))), "relation tuple must be a list of integers, not [True]"),
+        (points(tuples=((2.0,),)), "relation tuple must be a list of integers, not [2.0]"),
+        (points(tuples=(("1",),)), "relation tuple must be a list of integers, not ['1']"),
+    ], ids=["float-size", "bool-entry", "float-entry", "string-entry"])
+    def test_malformed_structure_exits_1(self, tmp_path, capsys, doc, fragment):
+        path = write(tmp_path, "s.json", json.dumps(doc))
+        assert main(["aut", "--structure", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: malformed structure document: {fragment}\n"
+        assert captured.out == ""
+
+    def test_integer_structure_is_read(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json", json.dumps(self.points()))
+        assert main(["aut", "--structure", path]) == 0
+        assert "2 automorphisms" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mapping, fragment", [
+        ([0, True], "map must be a list of integers, not [0, True]"),
+        ([0.0, 1], "map must be a list of integers, not [0.0, 1]"),
+    ], ids=["bool-entry", "float-entry"])
+    def test_malformed_hom_exits_1(self, tmp_path, capsys, mapping, fragment):
+        doc = {"domain": self.C2, "codomain": self.C2, "map": mapping}
+        path = write(tmp_path, "h.json", json.dumps(doc))
+        assert main(["split", "--hom", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: malformed hom document: {fragment}\n"
+        assert captured.out == ""
 
 
 class TestCatalogSearch:

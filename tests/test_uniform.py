@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
+import random
 
 import pytest
 
 from uniconstruct import cli, config, encode, groups, ucp, uniform
-from uniconstruct.errors import BoundExceededError, StructureError, VerificationError
+from uniconstruct.errors import BoundExceededError, GroupError, StructureError, VerificationError
 from uniconstruct.groups import aut_group, classify_sections
 from uniconstruct.structures import (
     SortedMap,
@@ -28,7 +31,7 @@ from uniconstruct.uniform import (
     verify_claims,
 )
 
-from .conftest import two_sorted
+from .conftest import random_structure, two_sorted
 from .oracles import (
     naive_classes,
     naive_cocycle_holds,
@@ -677,6 +680,57 @@ class TestKeyedClasses:
         assert space.cocycle_holds()
         assert naive_cocycle_holds(space)
 
+    def test_equivalence_composes_no_transport_pairs(self, monkeypatch):
+        # 6 free points over an apex: |iso| = 720, so checking the law
+        # pairwise would compose 720**2 transports; reading the splitting
+        # leaves only each transport into frame 0
+        b = two_sorted((6, 1), [("R", (0, 1), [(p, 0) for p in range(6)])])
+        problem = assemble_ucp(b)
+        psi = [0] * len(problem.phi.map)
+        for h, g in enumerate(problem.phi.map):
+            psi[g] = h
+        fam = build_family(b, psi, 1, problem=problem)
+        space = TripleSpace(fam.members[0].A, fam)
+        calls = []
+
+        def counted(self, first):
+            calls.append(self)
+            return compose(self, first)
+
+        compose = SortedMap.compose
+        monkeypatch.setattr(SortedMap, "compose", counted)
+        verdicts, detail, (_, members) = space.equivalence()
+        assert verdicts == (True, True, True) and len(members) == 7
+        assert detail == "proved from the cocycle law: every member's psi is a splitting"
+        assert len(space.iso[0]) == 720 and len(calls) <= 720
+
+    def test_law_equals_the_full_cube(self, e_space):
+        _, space = e_space
+        assert space.cocycle_holds() == naive_cocycle_holds(space)
+
+    def test_law_equals_the_full_cube_on_random_draws(self):
+        # the two-sorted relational draws with at most 5 elements (so
+        # |Aut A| <= 24 and the cube has at most 24**3 compositions per
+        # member), up to three splittings and three weak-only sections each
+        rng = random.Random(1)
+        verdicts = []
+        for _ in range(400):
+            b = random_structure(rng, max_total=5)
+            if len(b.sort_sizes) != 2 or b.signature.functions or b.signature.constants:
+                continue
+            try:
+                search = classify_sections(assemble_ucp(b).phi, max_candidates=10**4)
+            except (GroupError, BoundExceededError):  # no section, or too many to list
+                continue
+            for section in search.splittings[:3] + search.weak_splittings[:3]:
+                for n in (1, 2):
+                    if n > math.prod(math.factorial(k) for k in b.sort_sizes):
+                        continue
+                    space = triple_space(b, section, n)
+                    assert space.cocycle_holds() == naive_cocycle_holds(space), (b, section, n)
+                    verdicts.append(space.cocycle_holds())
+        assert verdicts.count(True) == 96 and verdicts.count(False) == 18
+
     def test_classes_equal_pairwise_union_find(self, e_space):
         _, space = e_space
         assert space.classes() == naive_classes(space)
@@ -742,9 +796,13 @@ def _keyed_against_naive(space):
 
 
 def _break_transport(space, s, i, j, replacement):
-    """Replace psi_tilde(s, i, j) and drop every decision built on it."""
+    """Replace psi_tilde(s, i, j), record that the cocycle law fails with it,
+    and drop every decision built on it.  The law is read from the sections,
+    which a corrupted transport cache leaves alone, so its verdict is set
+    here."""
     space._psi_tilde_cache[(s, i, j)] = replacement
-    space._cocycle = space._classes = space._e_verdicts = None
+    space._cocycle = False
+    space._classes = space._e_verdicts = None
     space._thread_classes = space._frame_threads = space._membership = space._quotient = None
     space._class_sorts = space._congruence = None
 
@@ -856,6 +914,27 @@ class TestDerivedIsomorphisms:
         space = TripleSpace(fam.members[0].A, fam)
         assert calls == [fam.members[0].A]
         assert len(space.triples) == 1215
+
+    def test_families_are_built_with_no_isomorphism_search(self, b_rich, monkeypatch):
+        monkeypatch.setattr(uniform, "isomorphisms", None)  # any search would fail
+        fam = build_family(b_rich, [0, 1, 2], 5)
+        assert [m.B for m in fam] == [m.B for m in naive_family(b_rich, [0, 1, 2], 5)]
+
+    @pytest.mark.parametrize("maps", [((0, 1, 2), (0,)), ((0, 0, 0), (0,))],
+                             ids=["identity", "not-bijective"])
+    def test_relabellings_must_carry_the_base_onto_each_member(self, b_cycle3, maps):
+        base, member = build_family(b_cycle3, [0, 1, 2], 2).members
+        bad = dataclasses.replace(member, relabel=SortedMap(base.B, member.B, maps))
+        with pytest.raises(StructureError, match="family members are not pairwise isomorphic"):
+            uniform.Family((base, bad))
+
+    def test_copy_count_equals_the_enumerated_copies(self, keyed_space):
+        fam, space = keyed_space
+        copies = {c.canonical_key() for c in canonical_copies(fam.members[0].B)}
+        for member in fam.members[1:]:
+            assert {c.canonical_key() for c in canonical_copies(member.B)} == copies
+        claim = next(e for e in verify_claims(space).entries if e[0] == "copy_set_definable_from_family")
+        assert claim[1:] == (True, f"{len(copies)} canonical copies shared by all members")
 
     def test_members_must_relabel_the_base(self, b_cycle3):
         members = naive_family(b_cycle3, [0, 1, 2], 2)
