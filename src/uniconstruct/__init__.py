@@ -37,7 +37,7 @@ _EXPORTS = {
     ),
     "ucp": (
         "Solver", "UniConstructionProblem", "assemble_ucp", "compose_solvers", "derive_triple",
-        "fuse_sorts", "reduct_solver", "solver_from_catalog",
+        "reduct_solver", "solver_from_catalog",
     ),
     "encode": (
         "GroupTriple", "attach_skew", "encode_three_sorted", "theta", "verify_theta_iso",

@@ -538,15 +538,16 @@ def _cmd_attach(args):
 
 
 def _resolve_psi(ucp, psi_path):
-    """The section map from ``psi_path``, else the problem's first weak splitting."""
-    from .groups import classify_sections
+    """The section map from ``psi_path``, else the first section that
+    ``classify_sections`` would list for the problem."""
+    from .groups import first_weak_splitting
 
     if psi_path:
         return _read_map(psi_path)
-    search = classify_sections(ucp.phi)
-    for sec in search.splittings + search.weak_splittings:
-        return list(sec.map)
-    raise VerificationError("no weak splitting exists for the structure's restriction map")
+    sec = first_weak_splitting(ucp.phi)
+    if sec is None:
+        raise VerificationError("no weak splitting exists for the structure's restriction map")
+    return list(sec.map)
 
 
 def _cmd_uniformize(args, verify_only: bool):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import GroupError, StructureError
 from .groups import AutomorphismGroup, FiniteGroup, GroupHom, aut_group, is_hom, is_surjective
 from .structures import SortedMap, SortedSignature, SortedStructure, reduct
-from .ucp import FusedStructure, Report, UniConstructionProblem, derive_triple, restriction_hom
+from .ucp import Report, UniConstructionProblem, derive_triple, restriction_hom
 
 __all__ = [
     "GroupTriple",
@@ -107,13 +107,10 @@ def verify_theta_iso(t: GroupTriple, *, max_elements: int | None = None) -> Repo
     report = Report("check")
     structure = encode_three_sorted(t)
     bound = max_elements if max_elements is not None else max(12, structure.total_elements)
-    aut = aut_group(structure, max_elements=bound)
+    d = derive_triple(structure, max_elements=bound)
+    aut = d.c23.H
 
-    report.add(
-        "aut_order",
-        aut.order == t.g3.order,
-        f"|Aut|={aut.order}, |G3|={t.g3.order}",
-    )
+    report.add("aut_order", aut.order == t.g3.order, f"|Aut|={aut.order}, |G3|={t.g3.order}")
 
     images = []
     in_aut = True
@@ -141,47 +138,26 @@ def verify_theta_iso(t: GroupTriple, *, max_elements: int | None = None) -> Repo
         "every automorphism is translation by its value at the sort-3 identity",
     )
 
-    d = derive_triple(structure, max_elements=bound)
     report.add(
         "derived_weak_ucps",
         d.all_weak,
         "all three derived restriction problems satisfy clauses (a)-(e)",
     )
     report.add("derived_composition", d.composition_ok)
-    s12 = reduct(structure, (0, 1))
-    report.add(
-        "restriction_matches_phi23",
-        _restriction_matches(t, structure, d.c23, t.phi23, d.fused23, unfuse_to=s12),
-    )
-    report.add("restriction_matches_phi12", _restriction_matches(t, d.c12.B, d.c12, t.phi12))
-    report.add(
-        "restriction_matches_phi13",
-        _restriction_matches(t, structure, d.c13, t.phi13, d.fused13),
-    )
+    report.add("restriction_matches_phi23", _restriction_matches(t, d.c23, t.phi23))
+    report.add("restriction_matches_phi12", _restriction_matches(t, d.c12, t.phi12))
+    report.add("restriction_matches_phi13", _restriction_matches(t, d.c13, t.phi13))
     return report
 
 
-def _restriction_matches(
-    t: GroupTriple,
-    upper: SortedStructure,
-    problem: UniConstructionProblem,
-    phi: GroupHom,
-    fused: FusedStructure | None = None,
-    unfuse_to: SortedStructure | None = None,
-) -> bool:
-    """Whether the problem's restriction map sends theta(c) on ``upper`` to
-    theta(phi(c)) below, for every c in phi's domain.  ``fused`` carries
-    theta(c) onto the problem's fused structure; ``unfuse_to`` is the lower
-    structure when the problem's own lower structure is fused."""
-    lower = unfuse_to if unfuse_to is not None else problem.A
+def _restriction_matches(t: GroupTriple, problem: UniConstructionProblem, phi: GroupHom) -> bool:
+    """Whether the problem's restriction map sends theta(c) on ``problem.B``
+    to theta(phi(c)) on its reduct ``problem.A``, for every c in phi's
+    domain."""
     for c in phi.domain.elements():
-        m = theta(t, upper, c)
-        if fused is not None:
-            m = fused.fuse_map(m.maps)
+        m = theta(t, problem.B, c)
         val = problem.G.maps[problem.restriction[problem.H.index_of(m)]]
-        if unfuse_to is not None:
-            val = SortedMap(lower, lower, fused.unfuse_map(val))
-        if val != theta(t, lower, phi(c)):
+        if val != theta(t, problem.A, phi(c)):
             return False
     return True
 

@@ -37,6 +37,7 @@ __all__ = [
     "classify_section",
     "classify_sections",
     "decide_splittings",
+    "first_weak_splitting",
     "cyclic",
     "dihedral",
     "dicyclic",
@@ -513,16 +514,21 @@ def classify_sections(phi: GroupHom, *, max_candidates: int | None = None) -> Se
     fibers = _fibers(phi)
     result = SectionSearch(phi=phi, n_candidates=math.prod(len(f) for f in fibers))
     budget = _NodeBudget(max_candidates)
-    leaves = _weak_splittings(phi, fibers, budget)
-    block = max(1, _BLOCK_CELLS // phi.codomain.order**2)
-    while chunk := list(itertools.islice(leaves, block)):
-        for m, classification in zip(chunk, _classify_block(phi, np.array(chunk))):
-            if classification == SPLITTING:
-                result.splittings.append(Section(phi, tuple(m), classification))
-            elif classification == WEAK_SPLITTING:
-                result.weak_splittings.append(Section(phi, tuple(m), classification))
+    for m, classification in _labelled(phi, _weak_splittings(phi, fibers, budget)):
+        if classification == SPLITTING:
+            result.splittings.append(Section(phi, tuple(m), classification))
+        elif classification == WEAK_SPLITTING:
+            result.weak_splittings.append(Section(phi, tuple(m), classification))
     result.nodes = budget.used
     return result
+
+
+def _labelled(phi: GroupHom, leaves: Iterator[list[int]]) -> Iterator[tuple[list[int], str]]:
+    """Each leaf with its classification, labelled in blocks of
+    ``2**16 // |G|**2`` (at least one) and read only as far as consumed."""
+    block = max(1, _BLOCK_CELLS // phi.codomain.order**2)
+    while chunk := list(itertools.islice(leaves, block)):
+        yield from zip(chunk, _classify_block(phi, np.array(chunk)))
 
 
 def _splitting_exists(phi: GroupHom, fibers: list[list[int]], budget: _NodeBudget) -> bool:
@@ -584,6 +590,28 @@ def decide_splittings(phi: GroupHom, *, max_candidates: int | None = None) -> tu
     if _splitting_exists(phi, fibers, budget):
         return True, True
     return False, next(_weak_splittings(phi, fibers, budget), None) is not None
+
+
+def first_weak_splitting(phi: GroupHom, *, max_candidates: int | None = None) -> Section | None:
+    """The section :func:`classify_sections` lists first: its first
+    splitting if there is one, else its first weak splitting, else None.
+
+    Whether a splitting exists is decided as :func:`decide_splittings` does.
+    If one does, it is a leaf of the section search, and the leaves are
+    labelled in classify_sections' blocks up to the first splitting; if
+    none does, the first leaf is the answer.  Both searches take their nodes
+    from one ``max_candidates`` budget; going over it raises
+    BoundExceededError.
+    """
+    if not is_surjective(phi):
+        raise GroupError("first_weak_splitting requires a surjective homomorphism")
+    fibers = _fibers(phi)
+    budget = _NodeBudget(max_candidates)
+    leaves = _weak_splittings(phi, fibers, budget)
+    if not _splitting_exists(phi, fibers, budget):
+        first = next(leaves, None)
+        return None if first is None else classify_section(phi, first)
+    return next(Section(phi, tuple(m), c) for m, c in _labelled(phi, leaves) if c == SPLITTING)
 
 
 # ---------------------------------------------------------------------------

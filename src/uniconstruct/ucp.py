@@ -24,7 +24,6 @@ from .groups import (
     is_hom,
 )
 from .structures import (
-    SortedMap,
     SortedSignature,
     SortedStructure,
     isomorphisms,
@@ -38,8 +37,6 @@ __all__ = [
     "assemble_ucp",
     "restriction_map",
     "restriction_hom",
-    "FusedStructure",
-    "fuse_sorts",
     "TripleDerivation",
     "derive_triple",
     "Solver",
@@ -138,13 +135,14 @@ class UniConstructionProblem:
 
 
 def restriction_map(H: AutomorphismGroup, G: AutomorphismGroup) -> tuple[int, ...]:
-    """The index in G of each element of H restricted to the first sort.
+    """The index in G of each element of H restricted to G's structure.
 
+    G's structure is the reduct of H's to its leading sorts, so a
+    restriction is the leading columns of an automorphism's ``perms`` row.
     A reduct automorphism is always induced, so a lookup failure means the
     two automorphism groups do not belong to the same structure pair.
     """
-    first = H.structure.sort_sizes[0]
-    indices = G.row_indices(H.perms[:, :first])
+    indices = G.row_indices(H.perms[:, : G.perms.shape[1]])
     if (indices < 0).any():
         raise GroupError(
             "internal error: restriction of an automorphism is not an "
@@ -175,14 +173,21 @@ def assemble_ucp(
     if len(B.sort_sizes) != 2:
         raise StructureError("assemble_ucp requires a 2-sorted structure")
     B.check_valid()
+    A = reduct(B, (0,))
+    H, G = aut_group(B, max_elements=max_elements), aut_group(A, max_elements=max_elements)
+    problem = _restriction_problem(B, A, H, G)
+    return problem if psi is None else problem.with_section(psi)
+
+
+def _restriction_problem(
+    B: SortedStructure, A: SortedStructure, H: AutomorphismGroup, G: AutomorphismGroup
+) -> UniConstructionProblem:
+    """The weak problem of B over A, B's reduct to its leading sorts, decided
+    from H = Aut(B) and G = Aut(A) with :func:`assemble_ucp`'s clauses: the
+    leading sorts and the rest play its two sorts."""
     report = Report("clause")
     report.add("a", True, "structure is 2-sorted")
-
-    A = reduct(B, (0,))
     report.add("b", True, "first-sort reduct computed")
-
-    H = aut_group(B, max_elements=max_elements)
-    G = aut_group(A, max_elements=max_elements)
     K = tuple(center(H))
     report.add("c", True, f"|H|={H.order}, |K|={len(K)}, |G|={G.order}")
 
@@ -192,130 +197,11 @@ def assemble_ucp(
     report.add("d", True, "restriction map is a group homomorphism")
 
     onto = len(set(restriction)) == G.order
-    report.add(
-        "e",
-        onto,
-        "restriction map is onto Aut(A)" if onto else "restriction map is not onto Aut(A)",
-    )
+    report.add("e", onto, f"restriction map is {'' if onto else 'not '}onto Aut(A)")
     report.add("f", True, "no section supplied (weak problem)")
-
-    problem = UniConstructionProblem(
+    return UniConstructionProblem(
         B=B, A=A, H=H, G=G, K=K, restriction=restriction, psi=None, weak_only=True, report=report
     )
-    return problem if psi is None else problem.with_section(psi)
-
-
-# ---------------------------------------------------------------------------
-# Sort fusion: pack several sorts into one block so clause machinery for
-# 2-sorted structures applies to a 3-sorted model.
-
-@dataclass
-class FusedStructure:
-    """A structure with sorts merged blockwise, plus conversion helpers.
-
-    Each fused block with more than one original sort gets one unary marker
-    relation per original sort, so automorphisms cannot mix the blocks and
-    correspond exactly to automorphisms of the original structure.  Function
-    and constant symbols are lowered to their graph relations (totality on a
-    merged block would otherwise fail); for bijection search the graph
-    carries the same constraint as the function.
-    """
-
-    structure: SortedStructure
-    blocks: tuple[tuple[int, ...], ...]
-    offsets: dict[int, tuple[int, int]]  # original sort -> (block, offset)
-    original: SortedStructure
-
-    def fuse_map(self, maps: Sequence[Sequence[int]]) -> SortedMap:
-        """Per-original-sort maps -> map on the fused structure."""
-        fused = []
-        for block in self.blocks:
-            size = sum(self.original.sort_sizes[s] for s in block)
-            out = [0] * size
-            for s in block:
-                _, off = self.offsets[s]
-                for e, v in enumerate(maps[s]):
-                    out[off + e] = off + v
-            fused.append(tuple(out))
-        return SortedMap(self.structure, self.structure, tuple(fused))
-
-    def unfuse_map(self, m: SortedMap) -> tuple[tuple[int, ...], ...]:
-        """Map on the fused structure -> per-original-sort maps.
-
-        A map on the leading blocks only (such as an automorphism of the
-        reduct to them) gives the maps of those blocks' sorts, in sort order.
-        Requires the map to preserve every block (marker relations guarantee
-        this for automorphisms).
-        """
-        covered = sorted(sort for block in self.blocks[: len(m.maps)] for sort in block)
-        out = []
-        for s in covered:
-            b, off = self.offsets[s]
-            size = self.original.sort_sizes[s]
-            images = []
-            for e in range(size):
-                v = m.maps[b][off + e]
-                if v < off or v >= off + size:
-                    raise StructureError("map does not preserve the fused blocks")
-                images.append(v - off)
-            out.append(tuple(images))
-        return tuple(out)
-
-
-def fuse_sorts(s: SortedStructure, blocks: Sequence[Sequence[int]]) -> FusedStructure:
-    s.check_valid()
-    flat = [x for b in blocks for x in b]
-    if sorted(flat) != list(range(len(s.sort_sizes))):
-        raise StructureError("blocks must partition the sort indices")
-    norm_blocks = tuple(tuple(int(x) for x in b) for b in blocks)
-
-    offsets: dict[int, tuple[int, int]] = {}
-    sizes = []
-    names = []
-    for bi, block in enumerate(norm_blocks):
-        off = 0
-        for sort in block:
-            offsets[sort] = (bi, off)
-            off += s.sort_sizes[sort]
-        sizes.append(off)
-        names.append("+".join(s.signature.sort_names[sort] for sort in block))
-
-    def conv(sort: int, elem: int) -> int:
-        return offsets[sort][1] + elem
-
-    rel_syms, rels = [], []
-    for (name, rsig), rel in zip(s.signature.relations, s.relations):
-        rel_syms.append((name, tuple(offsets[i][0] for i in rsig)))
-        rels.append(frozenset(tuple(conv(rsig[i], t[i]) for i in range(len(t))) for t in rel))
-    # functions and constants become graph relations on the fused blocks
-    for (name, fsig, target), table in zip(s.signature.functions, s.functions):
-        rel_syms.append((name, tuple(offsets[i][0] for i in fsig) + (offsets[target][0],)))
-        rels.append(
-            frozenset(
-                tuple(conv(fsig[i], args[i]) for i in range(len(args))) + (conv(target, v),)
-                for args, v in table.items()
-            )
-        )
-    for (name, sort), c in zip(s.signature.constants, s.constants):
-        rel_syms.append((name, (offsets[sort][0],)))
-        rels.append(frozenset({(conv(sort, c),)}))
-
-    taken = {n for n, _ in rel_syms}
-    for bi, block in enumerate(norm_blocks):
-        if len(block) < 2:
-            continue
-        for sort in block:
-            marker = f"is_{s.signature.sort_names[sort]}"
-            while marker in taken:
-                marker += "_"
-            taken.add(marker)
-            off = offsets[sort][1]
-            rel_syms.append((marker, (bi,)))
-            rels.append(frozenset((off + e,) for e in range(s.sort_sizes[sort])))
-
-    sig = SortedSignature(tuple(names), tuple(rel_syms), (), ())
-    fused = SortedStructure(sig, sizes, rels, (), ())
-    return FusedStructure(structure=fused, blocks=norm_blocks, offsets=offsets, original=s)
 
 
 @dataclass
@@ -325,8 +211,6 @@ class TripleDerivation:
     c12: UniConstructionProblem
     c23: UniConstructionProblem
     c13: UniConstructionProblem
-    fused23: FusedStructure
-    fused13: FusedStructure
     composition_ok: bool
 
     @property
@@ -337,46 +221,25 @@ class TripleDerivation:
 def derive_triple(C: SortedStructure, *, max_elements: int | None = None) -> TripleDerivation:
     """Derive the three restriction problems of a 3-sorted structure.
 
-    The middle problem treats sorts {0,1} as a single block, realized by a
-    marker-preserving fusion; the composition law phi13 = phi12 . phi23 is
-    verified through the fusion correspondences.
+    Aut(C), Aut(C01) and Aut(C0) of the reducts C01 (sorts 0, 1) and C0
+    (sort 0) are searched once each and shared: c12 restricts C01 to C0,
+    c23 restricts C to C01 and c13 restricts C to C0.  The composition law
+    phi13 = phi12 . phi23 is checked on the restriction index maps.
     """
     if len(C.sort_sizes) != 3:
         raise StructureError("derive_triple requires a 3-sorted structure")
     C.check_valid()
+    C01 = reduct(C, (0, 1))
+    C0 = reduct(C01, (0,))
+    aut01 = aut_group(C01, max_elements=max_elements)
+    aut0 = aut_group(C0, max_elements=max_elements)
+    aut = aut_group(C, max_elements=max_elements)
 
-    B12 = reduct(C, (0, 1))
-    c12 = assemble_ucp(B12, max_elements=max_elements)
-
-    fused23 = fuse_sorts(C, ((0, 1), (2,)))
-    c23 = assemble_ucp(fused23.structure, max_elements=max_elements)
-
-    fused13 = fuse_sorts(C, ((0,), (1, 2)))
-    c13 = assemble_ucp(fused13.structure, max_elements=max_elements)
-
-    composition_ok = True
-    for i13, h13 in enumerate(c13.H.maps):
-        per_sort = fused13.unfuse_map(h13)
-        direct = c13.restriction[i13]
-
-        fused_map_23 = fused23.fuse_map(per_sort)
-        i23 = c23.H.index_of(fused_map_23)
-        g23 = c23.G.maps[c23.restriction[i23]]  # automorphism of fused sorts {0,1}
-        pair = fused23.unfuse_map(g23)
-        i12 = c12.H.index_of(SortedMap(B12, B12, pair))
-        via = c12.restriction[i12]
-        if via != direct:
-            composition_ok = False
-            break
-
-    return TripleDerivation(
-        c12=c12,
-        c23=c23,
-        c13=c13,
-        fused23=fused23,
-        fused13=fused13,
-        composition_ok=composition_ok,
-    )
+    c12 = _restriction_problem(C01, C0, aut01, aut0)
+    c23 = _restriction_problem(C, C01, aut, aut01)
+    c13 = _restriction_problem(C, C0, aut, aut0)
+    composition_ok = c13.restriction == tuple(c12.restriction[i] for i in c23.restriction)
+    return TripleDerivation(c12, c23, c13, composition_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +346,16 @@ def solver_to_json(s: Solver) -> dict:
 
 
 def solver_from_json(doc) -> Solver:
+    """The solver of a ``{"keep": [...], "pairs": [...]}`` document; ``keep``
+    must be a list of JSON integers, and anything else raises
+    CatalogMismatchError("malformed solver document: …")."""
+    from .jsondoc import is_int_list
     from .structures import structure_from_json
 
     try:
-        keep = tuple(int(k) for k in doc["keep"])
+        if not is_int_list(doc["keep"]):
+            raise ValueError(f"keep must be a list of integers, not {doc['keep']!r}")
+        keep = tuple(doc["keep"])
         pairs = [
             (structure_from_json(a), structure_from_json(b)) for a, b in doc["pairs"]
         ]

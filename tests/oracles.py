@@ -6,7 +6,8 @@ cyclic skew tables and direct products cell by cell, the homomorphism law
 over every pair, sections by raw fiber products, matched triples by enumerating full commutative matrices,
 twist-equivalence classes by pairwise comparison, thread sets by scanning
 every triple once per element, the uniform construction's output by
-relabelling the base member along one isomorphism.  The family oracle
+relabelling the base member along one isomorphism, restriction maps by
+looking each cut-down automorphism up as a map.  The family oracle
 searches each relabelled copy's automorphism groups again and carries the
 weak splitting across map by map.  The catalog
 oracle keeps the library's isomorphism search but re-tries every ordered
@@ -54,6 +55,14 @@ def naive_isomorphisms(s1: SortedStructure, s2: SortedStructure):
         if _preserves(s1, s2, perms):
             out.append(tuple(tuple(p) for p in perms))
     return out
+
+
+def naive_restriction(H, G):
+    """The index in G of each element of H cut down to G's structure, the
+    reduct of H's to its leading sorts, looked up map by map."""
+    A = G.structure
+    k = len(A.sort_sizes)
+    return tuple(G.index_of(SortedMap(A, A, m.maps[:k])) for m in H.maps)
 
 
 def _preserves(s1, s2, perms):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uniconstruct import cli, skew, ucp, uniform
+from uniconstruct import cli, encode, groups, skew, ucp, uniform
 from uniconstruct.cli import main
 from uniconstruct.errors import BoundExceededError
 from uniconstruct.groups import (
@@ -569,6 +569,26 @@ class TestEncodeAttach:
             "--phi23", phi23_path, "--phi13", phi13_path,
         ]) == 0
 
+    def test_attach_search_count(self, tmp_path, monkeypatch):
+        # Aut(B) in the command, Aut(B) and Aut(A) in attach_skew, then one
+        # search per level of the attached structure C in derive_triple
+        searched = []
+
+        def counted(s, **kwargs):
+            searched.append(s)
+            return aut_group(s, **kwargs)
+
+        for mod in (groups, encode, ucp):
+            monkeypatch.setattr(mod, "aut_group", counted)
+        b = two_sorted((2, 1), [("R", (0, 1), [(0, 0), (1, 0)])])
+        b_path = write(tmp_path, "b.json", dumps(b))
+        g3_path = write(tmp_path, "g3.json", json.dumps(group_to_json(cyclic(2))))
+        phi_path = write(tmp_path, "phi.json", json.dumps({"map": [0, 1]}))
+        assert main(["attach", "--structure", b_path, "--g3", g3_path, "--phi23", phi_path]) == 0
+        a = reduct(b, (0,))
+        assert searched[:5] == [b, b, a, b, a]
+        assert len(searched) == 6 and searched[5].sort_sizes == (2, 1, 2)
+
 
 class TestUniformize:
     def test_uniformize_emits_structure(self, tmp_path):
@@ -966,7 +986,7 @@ REEXPORTS = {
     ),
     "ucp": (
         "Solver", "UniConstructionProblem", "assemble_ucp", "compose_solvers", "derive_triple",
-        "fuse_sorts", "reduct_solver", "solver_from_catalog",
+        "reduct_solver", "solver_from_catalog",
     ),
     "encode": ("GroupTriple", "attach_skew", "encode_three_sorted", "theta", "verify_theta_iso"),
     "uniform": (

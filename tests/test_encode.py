@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from uniconstruct import encode, ucp
 from uniconstruct.encode import (
     GroupTriple,
     attach_skew,
@@ -25,6 +26,7 @@ from uniconstruct.structures import automorphisms, reduct
 from uniconstruct.ucp import derive_triple
 
 from .conftest import two_sorted
+from .test_ucp import check_direct_derivation
 
 
 def ident(g):
@@ -170,6 +172,7 @@ class TestAttachSkew:
         assert autb.group.order == 1
         att = attach_skew(rigid, cyclic(1), GroupHom(cyclic(1), autb.group, [0]))
         assert len(automorphisms(att.structure)) == 1
+        check_direct_derivation(att.structure, derive_triple(att.structure))
 
     def test_aut_is_g3_for_identity_phi(self, b_two_free):
         autb = aut_group(b_two_free)
@@ -179,6 +182,7 @@ class TestAttachSkew:
         d = derive_triple(att.structure)
         assert d.all_weak and d.composition_ok
         assert classify_sections(d.c23.phi).has_splitting
+        check_direct_derivation(att.structure, d)
 
     def test_c4_top_lifting_classification(self, b_two_free):
         autb = aut_group(b_two_free)
@@ -187,6 +191,7 @@ class TestAttachSkew:
         assert len(automorphisms(att.structure, max_elements=12)) == 4
         d = derive_triple(att.structure)
         assert d.all_weak
+        check_direct_derivation(att.structure, d)
         c13 = classify_sections(d.c13.phi)
         assert not c13.has_splitting and not c13.has_weak_splitting
         c23 = classify_sections(d.c23.phi)
@@ -205,11 +210,39 @@ class TestAttachSkew:
         for a in automorphisms(att.structure):
             restricted = (a.maps[0], a.maps[1])
             assert restricted in [m.maps for m in autb.maps]
+        check_direct_derivation(att.structure, derive_triple(att.structure))
 
     def test_wrong_codomain_rejected(self, b_two_free):
         c4 = cyclic(4)
         with pytest.raises(GroupError):
             attach_skew(b_two_free, c4, GroupHom(c4, c4, [0, 1, 2, 3]))
+
+
+class TestSearchCounts:
+    """Each automorphism group of a tower is searched once."""
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        structures = []
+
+        def counted(s, **kwargs):
+            structures.append(s)
+            return aut_group(s, **kwargs)
+
+        for mod in (encode, ucp):
+            monkeypatch.setattr(mod, "aut_group", counted)
+        return structures
+
+    def test_derive_triple_searches_each_group_once(self, searched):
+        C = encode_three_sorted(triple(cyclic(2), cyclic(2), cyclic(4), [0, 1], [0, 1, 0, 1]))
+        derive_triple(C, max_elements=C.total_elements)
+        assert searched == [reduct(C, (0, 1)), reduct(C, (0,)), C]
+
+    def test_verify_theta_iso_searches_each_group_once(self, searched):
+        t = triple(cyclic(2), cyclic(2), cyclic(4), [0, 1], [0, 1, 0, 1])
+        assert verify_theta_iso(t).all_pass
+        C = encode_three_sorted(t)
+        assert searched == [reduct(C, (0, 1)), reduct(C, (0,)), C]
 
 
 class TestBoundedSweep:

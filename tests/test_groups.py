@@ -24,6 +24,7 @@ from uniconstruct.groups import (
     classify_sections,
     cyclic,
     decide_splittings,
+    first_weak_splitting,
     dicyclic,
     dihedral,
     direct_product,
@@ -707,6 +708,46 @@ class TestDecideSplittings:
         assert [w.phi for w in witnesses] == listed and len(listed) == 2
         for w in witnesses:
             assert _found(w.search) == _found(real(w.phi))
+
+
+class TestFirstWeakSplitting:
+    """first_weak_splitting returns the section classify_sections lists
+    first, without listing the rest."""
+
+    @staticmethod
+    def listed_first(phi, **kwargs):
+        search = classify_sections(phi, **kwargs)
+        return next(iter(search.splittings + search.weak_splittings), None)
+
+    def test_equals_classify_sections_on_every_catalog_quotient(self, catalog_quotients):
+        quotients = catalog_quotients[16]
+        assert len(quotients) == 303
+        for g, nsub, phi in quotients:
+            assert first_weak_splitting(phi) == self.listed_first(phi), (g.label(), sorted(nsub))
+
+    def test_stops_at_the_first_splitting(self):
+        # Aut of 4 + 2 free points restricts as S4 x C2 -> S4: 2**16 sections
+        from uniconstruct.structures import SortedSignature, SortedStructure
+        from uniconstruct.ucp import assemble_ucp
+
+        phi = assemble_ucp(SortedStructure(SortedSignature(("p", "q")), (4, 2))).phi
+        first = first_weak_splitting(phi, max_candidates=500)
+        assert first == self.listed_first(phi) and first.is_splitting()
+        with pytest.raises(BoundExceededError):
+            classify_sections(phi, max_candidates=500)
+
+    def test_weak_only_stops_at_its_first_leaf(self):
+        # no splitting of C9 -> C3, so the first leaf is the answer
+        _, phi = quotient_by_subgroup(cyclic(9), [0, 3, 6])
+        first = first_weak_splitting(phi, max_candidates=1)
+        assert first == self.listed_first(phi) and first.classification == "weak-splitting"
+
+    def test_no_weak_splitting(self):
+        assert first_weak_splitting(GroupHom(cyclic(4), cyclic(2), [0, 1, 0, 1])) is None
+
+    def test_non_surjective_rejected(self):
+        with pytest.raises(GroupError, match="surjective"):
+            first_weak_splitting(GroupHom(cyclic(2), cyclic(4), [0, 2]))
 
 
 class TestAutGroup:

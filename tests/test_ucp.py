@@ -3,10 +3,18 @@ from __future__ import annotations
 import pytest
 
 from uniconstruct.errors import CatalogMismatchError, SignatureMismatchError, StructureError
-from uniconstruct.groups import GroupHom, center, cyclic
+from uniconstruct.groups import (
+    GroupHom,
+    center,
+    cyclic,
+    dicyclic,
+    dihedral,
+    quotient_by_center,
+    surjective_homs,
+    symmetric,
+)
 from uniconstruct.encode import GroupTriple, encode_three_sorted
 from uniconstruct.structures import (
-    SortedMap,
     SortedSignature,
     SortedStructure,
     automorphisms,
@@ -18,12 +26,13 @@ from uniconstruct.ucp import (
     assemble_ucp,
     compose_solvers,
     derive_triple,
-    fuse_sorts,
     reduct_solver,
     solver_from_catalog,
+    solver_from_json,
 )
 
 from .conftest import two_sorted
+from .oracles import naive_restriction
 from .test_uniform import weak_only_lifting
 
 
@@ -128,49 +137,32 @@ class TestAssembleUcp:
         assert with_psi.psi.classification == "weak-splitting"
 
 
-class TestFuseSorts:
-    def test_blocks_must_partition(self, b_two_free):
-        with pytest.raises(StructureError):
-            fuse_sorts(b_two_free, ((0,),))
+def library_tower(g1, g2, g3):
+    """The tower G1 <- G2 <- G3 along the first surjections the library finds."""
+    return GroupTriple(
+        g1, g2, g3, surjective_homs(g2, g1, limit=1)[0], surjective_homs(g3, g2, limit=1)[0]
+    )
 
-    def test_markers_pin_blocks(self):
-        # two same-size free sorts: fused sort has markers, so autos cannot mix
-        s = SortedStructure(SortedSignature(("p", "q")), (2, 2))
-        fused = fuse_sorts(s, ((0, 1),))
-        auts = automorphisms(fused.structure)
-        assert len(auts) == 4  # 2! * 2!, not 4!
 
-    def test_aut_counts_match_original(self):
-        t = c2_triple()
-        s = encode_three_sorted(t)
-        fused = fuse_sorts(s, ((0, 1), (2,)))
-        assert len(automorphisms(fused.structure, max_elements=16)) == len(
-            automorphisms(s, max_elements=16)
-        )
+# the groups (G1, G2, G3) of the benchmark's encode3 towers
+BENCH_TOWERS = {
+    "s4-s3-c2": lambda: (cyclic(2), symmetric(3), symmetric(4)),
+    "d4-d4-c2": lambda: (cyclic(2), dihedral(4), dihedral(4)),
+    "q8-v4-c2": lambda: (cyclic(2), quotient_by_center(dicyclic(2))[0], dicyclic(2)),
+    "s3-s3-c2": lambda: (cyclic(2), symmetric(3), symmetric(3)),
+}
 
-    def test_fuse_unfuse_round_trip(self):
-        t = c2_triple()
-        s = encode_three_sorted(t)
-        fused = fuse_sorts(s, ((0, 1), (2,)))
-        leading = reduct(fused.structure, (0,))
-        for a in automorphisms(s, max_elements=16):
-            fused_map = fused.fuse_map(a.maps)
-            assert fused.unfuse_map(fused_map) == a.maps
-            # a map on the leading block alone gives the maps of its sorts
-            on_leading = SortedMap(leading, leading, fused_map.maps[:1])
-            assert fused.unfuse_map(on_leading) == a.maps[:2]
-        # sort 0 sent into sort 1's range
-        swap = SortedMap(leading, leading, ((2, 3, 0, 1),))
-        with pytest.raises(StructureError, match="does not preserve the fused blocks"):
-            fused.unfuse_map(swap)
 
-    def test_function_graphs_carried(self, b_two_free):
-        sig = SortedSignature(("p", "q"), functions=(("f", (0,), 1),))
-        s = SortedStructure(sig, (2, 2), [], [{(0,): 0, (1,): 1}])
-        fused = fuse_sorts(s, ((0, 1),))
-        (name, rsig) = fused.structure.signature.relations[0]
-        assert name == "f" and rsig == (0, 0)
-        assert fused.structure.relations[0] == frozenset({(0, 2), (1, 3)})
+def check_direct_derivation(C, d):
+    """The three problems of ``d = derive_triple(C)`` share one search per
+    automorphism group, each group holds all its structure's automorphisms,
+    and each restriction map is the oracle's."""
+    assert d.c23.H is d.c13.H and d.c23.G is d.c12.H and d.c12.G is d.c13.G
+    for aut, s in ((d.c23.H, C), (d.c12.H, reduct(C, (0, 1))), (d.c12.G, reduct(C, (0,)))):
+        assert aut.structure == s
+        assert aut.order == len(automorphisms(s, max_elements=C.total_elements))
+    for problem in (d.c12, d.c23, d.c13):
+        assert problem.restriction == naive_restriction(problem.H, problem.G)
 
 
 class TestDeriveTriple:
@@ -209,6 +201,20 @@ class TestDeriveTriple:
         t = GroupTriple(c2, c2, c4, GroupHom(c2, c2, [0, 1]), GroupHom(c4, c2, [0, 1, 0, 1]))
         d = derive_triple(encode_three_sorted(t))
         assert d.composition_ok
+
+    @pytest.mark.parametrize("build", [trivial_triple, c2_triple])
+    def test_small_towers_restrict_directly(self, build):
+        C = encode_three_sorted(build())
+        check_direct_derivation(C, derive_triple(C))
+
+    @pytest.mark.parametrize("name", sorted(BENCH_TOWERS))
+    def test_bench_towers_restrict_directly(self, name):
+        t = library_tower(*BENCH_TOWERS[name]())
+        C = encode_three_sorted(t)
+        d = derive_triple(C, max_elements=C.total_elements)
+        assert d.all_weak and d.composition_ok
+        assert d.c23.H.order == t.g3.order
+        check_direct_derivation(C, d)
 
 
 def rigid_three_sorted():
@@ -361,7 +367,7 @@ class TestSolvers:
     def test_json_round_trip(self):
         import json
 
-        from uniconstruct.ucp import solver_from_json, solver_to_json
+        from uniconstruct.ucp import solver_to_json
 
         cat2 = chain_catalogs()
         f23 = solver_from_catalog(cat2, keep=(0, 1))
@@ -370,3 +376,12 @@ class TestSolvers:
         assert back.keep == f23.keep
         assert back.catalog1 == f23.catalog1
         assert back.outputs == f23.outputs
+
+    @pytest.mark.parametrize("keep", [[0.0], ["0"], [True], 0, None])
+    def test_json_keep_must_be_a_list_of_ints(self, keep):
+        from uniconstruct.ucp import solver_to_json
+
+        doc = solver_to_json(solver_from_catalog(chain_catalogs(1), keep=(0,)))
+        doc["keep"] = keep
+        with pytest.raises(CatalogMismatchError, match="malformed solver document: keep must be"):
+            solver_from_json(doc)
