@@ -1,9 +1,13 @@
-"""Finite groups as Cayley tables, homomorphisms, and splitting search.
+"""Finite groups, homomorphisms, and splitting search.
 
 Identity is always element 0.  Group multiplication for automorphism groups
 is map composition (apply the right factor first).  Everything is exact and
 deterministic: the section search reports its finds in lexicographic order
-of fiber representatives, so the first witness found is reproducible.
+of fiber representatives, so the first witness found is reproducible.  Both
+group kinds answer one protocol, which is all the algorithms read: ``order``,
+``gens``, ``mul(a, b)``, ``inverses()``, ``right(q)`` (the list x -> x*q) and
+``rows()`` (the Cayley table as lists).  numpy is imported only where a dense
+table is built, checked or written.
 """
 
 from __future__ import annotations
@@ -11,17 +15,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import config
 from .errors import BoundExceededError, GroupError
 from .jsondoc import is_int, is_int_list
 
 # the structure layer is loaded only when aut_group runs, so the group-level
-# commands never load it
+# commands never load it; numpy only where a dense table is made
 if TYPE_CHECKING:
+    import numpy as np
+
     from .structures import SortedMap, SortedStructure
 
 __all__ = [
@@ -69,12 +74,13 @@ class FiniteGroup:
     Light's test on the greedy generating set (run on a copy in the smallest
     unsigned dtype that holds the order).  The group stores that one
     read-only array as ``table``, its inverses as a read-only int64 array and
-    the generating set as ``gens``; ``mul``, ``inv`` and ``element_order``
-    read them and return plain ints.  A table of more than
-    ``config.DEFAULT.table_cells`` cells is refused before it is copied.
+    the generating set as ``gens``; ``mul`` and ``inv`` return plain ints,
+    ``right(q)`` is the table's column q and ``rows()`` is ``table.tolist()``,
+    made once.  A table of more than ``config.DEFAULT.table_cells`` cells is
+    refused before it is copied.
     """
 
-    __slots__ = ("order", "table", "names", "name", "gens", "_inv", "_center")
+    __slots__ = ("order", "table", "names", "name", "gens", "_inv", "_center", "_rows")
 
     def __init__(
         self,
@@ -82,6 +88,8 @@ class FiniteGroup:
         names: Sequence[str] | None = None,
         name: str | None = None,
     ):
+        import numpy as np
+
         try:
             config.check_table_cells(len(table))
         except TypeError:
@@ -107,7 +115,7 @@ class FiniteGroup:
         if bad.any():
             raise GroupError(f"row/column {int(np.argmax(bad))} is not a permutation")
         small = arr.astype(np.min_scalar_type(n))
-        gens = _generators(n, lambda a, b: small[a, b])
+        gens = _generators(n, lambda q: arr[:, q].tolist())
         if not _is_associative(small, gens):
             raise GroupError("multiplication table is not associative")
         # each row is a permutation, so its minimum 0 sits at the inverse
@@ -120,6 +128,7 @@ class FiniteGroup:
         object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "_inv", inv)
         object.__setattr__(self, "_center", None)  # filled by center() on first use
+        object.__setattr__(self, "_rows", None)  # filled by rows() on first use
 
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("FiniteGroup is immutable")
@@ -130,23 +139,28 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self._inv.item(a)
 
-    def products(self, a, b) -> np.ndarray:
-        """a * b elementwise over int arrays (broadcast together)."""
-        return self.table[a, b]
+    def inverses(self) -> list[int]:
+        return self._inv.tolist()
+
+    def right(self, q: int) -> list[int]:
+        """x * q for every x: the table's column q."""
+        return self.table[:, q].tolist()
+
+    def rows(self) -> list[list[int]]:
+        """The table as lists of ints, made on first use and kept; callers
+        only read it."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", self.table.tolist())
+        return self._rows
 
     def elements(self) -> range:
         return range(self.order)
 
     def element_order(self, a: int) -> int:
-        item = self.table.item
-        x, k = a, 1
-        while x != 0:
-            x = item(x, a)
-            k += 1
-        return k
+        return _element_order(self.rows(), a)
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        return bool((self.table == self.table.T).all())
 
     def element_name(self, a: int) -> str:
         return self.names[a] if self.names else str(a)
@@ -157,7 +171,7 @@ class FiniteGroup:
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return self is other or bool(np.array_equal(self.table, other.table))
+        return self is other or (self.order == other.order and bool((self.table == other.table).all()))
 
     def __hash__(self):
         return hash(self.table.tobytes())
@@ -167,11 +181,12 @@ class FiniteGroup:
 
 
 class GroupHom:
-    """Total map between groups satisfying the homomorphism law everywhere."""
+    """Total map between groups satisfying the homomorphism law everywhere;
+    either group may be a FiniteGroup or an AutomorphismGroup."""
 
     __slots__ = ("domain", "codomain", "map")
 
-    def __init__(self, domain: FiniteGroup, codomain: FiniteGroup, mapping: Sequence[int]):
+    def __init__(self, domain, codomain, mapping: Sequence[int]):
         m = tuple(int(v) for v in mapping)
         if len(m) != domain.order:
             raise GroupError("hom map is not total")
@@ -179,7 +194,7 @@ class GroupHom:
             raise GroupError("hom map has out-of-range values")
         if m[0] != 0:
             raise GroupError("hom does not fix the identity")
-        if not _hom_law_holds(np.array(m, dtype=np.int64), domain, codomain):
+        if not _hom_law_holds(m, domain, codomain):
             raise GroupError("map violates the homomorphism law")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
@@ -216,14 +231,15 @@ class GroupHom:
         return hash(self.map)
 
 
-def _hom_law_holds(m: np.ndarray, domain, codomain) -> bool:
-    """m(xg) == m(x)m(g) for every x and every generator g of the domain; m
-    is in range.  Every element is a word in the generators, so by induction
-    on its length this is the law for every pair, at O(|domain|·|gens|) cost.
-    Either group may be a FiniteGroup or an AutomorphismGroup."""
-    xs = np.arange(domain.order)
-    return all(
-        np.array_equal(m[domain.products(xs, g)], codomain.products(m, m[g]))
+def _hom_law_holds(m: Sequence[int], domain, codomain) -> bool:
+    """m(1) == 1 and m(xg) == m(x)m(g) for every x and every generator g of
+    the domain; m is in range.  Every element is a word in the generators, so
+    by induction on its length this is the law for every pair, at
+    O(|domain|·|gens|) cost: the two sides are the column of g read through m
+    and m read through the column of m(g).  Either group may be a FiniteGroup
+    or an AutomorphismGroup."""
+    return m[0] == 0 and all(
+        list(map(m.__getitem__, domain.right(g))) == list(map(codomain.right(m[g]).__getitem__, m))
         for g in domain.gens
     )
 
@@ -234,7 +250,7 @@ def is_hom(mapping: Sequence[int], domain, codomain) -> bool:
     m = tuple(int(v) for v in mapping)
     if len(m) != domain.order or any(v < 0 or v >= codomain.order for v in m):
         return False
-    return _hom_law_holds(np.array(m, dtype=np.int64), domain, codomain)
+    return _hom_law_holds(m, domain, codomain)
 
 
 def is_surjective(h: GroupHom) -> bool:
@@ -244,12 +260,14 @@ def is_surjective(h: GroupHom) -> bool:
 def center(g) -> list[int]:
     """All elements commuting with every generator, hence with the whole
     group; always contains 0.  ``g`` is a FiniteGroup or an
-    AutomorphismGroup; the centre is computed once per group and kept on it."""
+    AutomorphismGroup: x*q is read from q's column and q*x from ``mul``,
+    and each x stops at its first mismatch.  The centre is computed once per
+    group and kept on it."""
     if g._center is None:
-        xs = np.arange(g.order)[:, None]
-        gens = np.array(g.gens, dtype=np.int64)
-        commute = (g.products(xs, gens) == g.products(gens, xs)).all(axis=1)
-        object.__setattr__(g, "_center", tuple(np.flatnonzero(commute).tolist()))
+        columns = [(q, g.right(q)) for q in g.gens]
+        mul = g.mul
+        commuting = (x for x in range(g.order) if all(col[x] == mul(q, x) for q, col in columns))
+        object.__setattr__(g, "_center", tuple(commuting))
     return list(g._center)
 
 
@@ -264,7 +282,7 @@ def quotient_by_subgroup(g: FiniteGroup, sub: Iterable[int]) -> tuple[FiniteGrou
         raise GroupError("subgroup element out of range")
     if 0 not in n_set:
         raise GroupError("subgroup must contain the identity")
-    rows, inv = g.table.tolist(), g._inv.tolist()
+    rows, inv = g.rows(), g.inverses()
     for a in n_set:
         for b in n_set:
             if rows[a][b] not in n_set:
@@ -323,55 +341,54 @@ class Section:
         return self.classification in (SPLITTING, WEAK_SPLITTING)
 
 
-# cap on the cells of each (block, |G|, |G|) temporary of _classify_block:
-# the section search labels its leaves 2**16 // |G|**2 at a time (at least one)
-_BLOCK_CELLS = 2**16
+def _labeller(phi: GroupHom) -> Callable[[Sequence[int]], str]:
+    """The classifier of sections psi of ``phi``: H -> G, on the defects
+    psi(x) psi(q) psi(xq)^-1 for every x and every generator q of G.
 
-
-def _classify_block(phi: GroupHom, psis: np.ndarray) -> list[str]:
-    """The classification of each row of ``psis``, a (block, |G|) int array
-    of candidate sections, decided on the group tables at once.
-
-    Raises GroupError if some row is not a section.  A row is a splitting
-    when psi(x) psi(y) = psi(xy) for every x, y; otherwise a weak splitting
-    when psi(1) = 1, psi(x^-1) = psi(x)^-1 for every x, and the defect
-    psi(x) psi(y) psi(xy)^-1 is central for every x, y.  The arithmetic runs
-    in the smallest unsigned dtype that holds |H|, so each (block, |G|, |G|)
-    temporary takes one or two bytes a cell.
+    Both labels need psi(1) = 1.  psi is a splitting iff every defect is 1,
+    by the induction of :func:`_hom_law_holds`; otherwise a weak splitting
+    iff psi(x^-1) = psi(x)^-1 for every x and every defect is central.  That
+    is the definition with y restricted to generators, so it is necessary.
+    It suffices: central defects make pi.psi, for pi: H -> H/Z(H), obey the
+    law on generators, so pi.psi is a homomorphism by the same induction, and
+    then every defect psi(x) psi(y) psi(xy)^-1 lies in the kernel Z(H).
+    H's table (whose size bound is checked first), G's generator columns,
+    the inverses and Z(H) are read once per ``phi``.
     """
     h, g = phi.domain, phi.codomain
-    if not (np.array(phi.map)[psis] == np.arange(g.order)).all():
-        raise GroupError("map is not a section of the given surjection")
-    small = np.min_scalar_type(h.order)
-    h_mul, h_inv, psis = h.table.astype(small), h._inv.astype(small), psis.astype(small)
-    products = h_mul[psis[:, :, None], psis[:, None, :]]  # psi(x) psi(y)
-    psi_xy = psis[:, g.table]  # psi(xy)
-    splitting = (products == psi_xy).all(axis=(1, 2))
-    central = np.zeros(h.order, dtype=bool)
-    central[center(h)] = True
-    weak = (
-        (psis[:, 0] == 0)
-        & (psis[:, g._inv] == h_inv[psis]).all(axis=1)
-        & central[h_mul[products, h_inv[psi_xy]]].all(axis=(1, 2))
-    )
-    return [
-        SPLITTING if s else WEAK_SPLITTING if w else SECTION_ONLY
-        for s, w in zip(splitting.tolist(), weak.tolist())
-    ]
+    h_mul = h.rows()
+    columns = [(q, g.right(q)) for q in g.gens]
+    g_inv, h_inv = g.inverses(), h.inverses()
+    central = frozenset(center(h))
+
+    def label(psi: Sequence[int]) -> str:
+        if psi[0] != 0:
+            return SECTION_ONLY
+        defects = {
+            h_mul[h_mul[v][psi[q]]][h_inv[psi[xq]]] for q, col in columns for v, xq in zip(psi, col)
+        }
+        if defects <= {0}:
+            return SPLITTING
+        if defects <= central and all(psi[y] == h_inv[v] for y, v in zip(g_inv, psi)):
+            return WEAK_SPLITTING
+        return SECTION_ONLY
+
+    return label
 
 
 def classify_section(phi: GroupHom, sec: Sequence[int]) -> Section:
     """Classify a candidate section; raises if it is not a section at all.
 
-    This is the block classifier of :func:`classify_sections` on a block of
-    one, so both apply the same splitting and weak-splitting rules.
+    This is the classifier :func:`classify_sections` labels its leaves with
+    (:func:`_labeller`), so both apply the same splitting and weak-splitting
+    rules.
     """
     h, g = phi.domain, phi.codomain
+    label = _labeller(phi)
     m = tuple(int(v) for v in sec)
-    if len(m) != g.order or any(v < 0 or v >= h.order for v in m):
+    if len(m) != g.order or any(v < 0 or v >= h.order or phi.map[v] != x for x, v in enumerate(m)):
         raise GroupError("map is not a section of the given surjection")
-    (classification,) = _classify_block(phi, np.array([m], dtype=np.int64))
-    return Section(phi, m, classification)
+    return Section(phi, m, label(m))
 
 
 @dataclass
@@ -448,12 +465,12 @@ def _weak_splittings(
     runs only as far as its consumer reads.
     """
     g, h = phi.codomain, phi.domain
-    g_mul, g_inv = g.table.tolist(), g._inv.tolist()
-    h_mul, h_inv = h.table.tolist(), h._inv.tolist()
+    h_mul, h_inv = h.rows(), h.inverses()
+    g_mul, g_inv = g.rows(), g.inverses()
     central = [False] * h.order
     for z in center(h):
         central[z] = True
-    leaders = [x for x in g.elements() if 0 < x <= g_inv[x]]
+    leaders = [x for x in range(g.order) if 0 < x <= g_inv[x]]
     assign = [-1] * g.order
     assign[0] = 0
     assigned = [0]
@@ -502,10 +519,8 @@ def classify_sections(phi: GroupHom, *, max_candidates: int | None = None) -> Se
     """Find every splitting and weak splitting of a surjective homomorphism.
 
     The weak splittings come from the one section search,
-    :func:`_weak_splittings`, in lexicographic order.  They are labelled in
-    blocks of ``2**16 // |G|**2`` (at least one) by the classifier
-    :func:`classify_section` applies to one, so the lists, their order and
-    ``nodes`` are those of labelling each leaf alone.  ``max_candidates``
+    :func:`_weak_splittings`, in lexicographic order, and each is labelled
+    by the classifier :func:`classify_section` applies.  ``max_candidates``
     (default ``config.DEFAULT.section_candidates``) caps the nodes visited,
     and going over it raises BoundExceededError.
     """
@@ -514,21 +529,15 @@ def classify_sections(phi: GroupHom, *, max_candidates: int | None = None) -> Se
     fibers = _fibers(phi)
     result = SectionSearch(phi=phi, n_candidates=math.prod(len(f) for f in fibers))
     budget = _NodeBudget(max_candidates)
-    for m, classification in _labelled(phi, _weak_splittings(phi, fibers, budget)):
+    label = _labeller(phi)
+    for m in _weak_splittings(phi, fibers, budget):
+        classification = label(m)
         if classification == SPLITTING:
             result.splittings.append(Section(phi, tuple(m), classification))
         elif classification == WEAK_SPLITTING:
             result.weak_splittings.append(Section(phi, tuple(m), classification))
     result.nodes = budget.used
     return result
-
-
-def _labelled(phi: GroupHom, leaves: Iterator[list[int]]) -> Iterator[tuple[list[int], str]]:
-    """Each leaf with its classification, labelled in blocks of
-    ``2**16 // |G|**2`` (at least one) and read only as far as consumed."""
-    block = max(1, _BLOCK_CELLS // phi.codomain.order**2)
-    while chunk := list(itertools.islice(leaves, block)):
-        yield from zip(chunk, _classify_block(phi, np.array(chunk)))
 
 
 def _splitting_exists(phi: GroupHom, fibers: list[list[int]], budget: _NodeBudget) -> bool:
@@ -550,7 +559,7 @@ def _splitting_exists(phi: GroupHom, fibers: list[list[int]], budget: _NodeBudge
     tried is taken from ``budget``.
     """
     g, h = phi.codomain, phi.domain
-    t_g, t_h = g.table.tolist(), h.table.tolist()
+    t_g, t_h = g.rows(), h.rows()
     # each greedy generator lies outside the subgroup of those before it
     gens = g.gens
 
@@ -558,9 +567,9 @@ def _splitting_exists(phi: GroupHom, fibers: list[list[int]], budget: _NodeBudge
         if i == len(gens):
             return True
         q = gens[i]
-        k = g.element_order(q)
+        k = _element_order(t_g, q)
         for v in fibers[q]:
-            if h.element_order(v) != k:
+            if _element_order(t_h, v) != k:
                 continue
             budget.take()
             closed = _close_hom(t_g, t_h, {**m, q: v})
@@ -597,9 +606,9 @@ def first_weak_splitting(phi: GroupHom, *, max_candidates: int | None = None) ->
     splitting if there is one, else its first weak splitting, else None.
 
     Whether a splitting exists is decided as :func:`decide_splittings` does.
-    If one does, it is a leaf of the section search, and the leaves are
-    labelled in classify_sections' blocks up to the first splitting; if
-    none does, the first leaf is the answer.  Both searches take their nodes
+    If one does, it is the first leaf of the section search that the
+    classifier labels a splitting; if none does, the first leaf is the
+    answer.  Both searches take their nodes
     from one ``max_candidates`` budget; going over it raises
     BoundExceededError.
     """
@@ -611,7 +620,8 @@ def first_weak_splitting(phi: GroupHom, *, max_candidates: int | None = None) ->
     if not _splitting_exists(phi, fibers, budget):
         first = next(leaves, None)
         return None if first is None else classify_section(phi, first)
-    return next(Section(phi, tuple(m), c) for m, c in _labelled(phi, leaves) if c == SPLITTING)
+    label = _labeller(phi)
+    return next(Section(phi, tuple(m), SPLITTING) for m in leaves if label(m) == SPLITTING)
 
 
 # ---------------------------------------------------------------------------
@@ -710,26 +720,31 @@ def _invariant_key(g: FiniteGroup):
     return (g.order, tuple(orders), g.is_abelian(), len(center(g)))
 
 
-def _generators(order: int, products) -> list[int]:
+def _generators(order: int, right: Callable[[int], Sequence[int]]) -> list[int]:
     """Greedy generating set of a table with identity 0: the smallest element
     not yet reached, then the closure of the reached set under right
-    multiplication by every generator so far.  ``products(a, b)`` gives a*b
-    elementwise over broadcast int arrays.  On a group table each closure is
-    the subgroup the generators so far generate, and when the loop ends every
-    element has been multiplied by every generator."""
-    reached = np.zeros(order, dtype=bool)
+    multiplication by every generator so far, read from the columns
+    ``right(q)`` (x -> x*q).  The closure does not depend on the order its
+    elements are visited in.  On a group table each closure is the subgroup
+    the generators so far generate, and each generator's whole column is
+    read, so every element is multiplied by every generator."""
+    reached = [False] * order
     reached[0] = True
     gens: list[int] = []
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            step = products(frontier[:, None], np.array(gens)).ravel()
-            fresh = np.zeros(order, dtype=bool)
-            fresh[step] = True
-            fresh &= ~reached
-            reached |= fresh
-            frontier = np.flatnonzero(fresh)
+    columns: list[Sequence[int]] = []
+    while not all(reached):
+        gens.append(reached.index(False))
+        columns.append(right(gens[-1]))
+        frontier = [x for x in range(order) if reached[x]]
+        while frontier:
+            fresh = []
+            for col in columns:
+                for x in frontier:
+                    y = col[x]
+                    if not reached[y]:
+                        reached[y] = True
+                        fresh.append(y)
+            frontier = fresh
     return gens
 
 
@@ -738,7 +753,15 @@ def _is_associative(arr: np.ndarray, gens: Sequence[int]) -> bool:
     generating set ``gens``.  The elements g that pass are closed under the
     product (Clifford & Preston, vol. 1, section 1.2), and every element is a
     product of generators, so the check is exact at O(n^2 |gens|) cost."""
-    return all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]]) for g in gens)
+    return all((arr[arr[:, g]] == arr[:, arr[g]]).all() for g in gens)
+
+
+def _element_order(rows: list[list[int]], a: int) -> int:
+    x, k = a, 1
+    while x != 0:
+        x = rows[x][a]
+        k += 1
+    return k
 
 
 def _close_hom(
@@ -774,7 +797,7 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None
     if _invariant_key(g1) != _invariant_key(g2):
         return None
     gens = g1.gens
-    t1, t2 = g1.table.tolist(), g2.table.tolist()
+    t1, t2 = g1.rows(), g2.rows()
     orders2: dict[int, list[int]] = {}
     for a in g2.elements():
         orders2.setdefault(g2.element_order(a), []).append(a)
@@ -857,7 +880,7 @@ def catalog(max_order: int) -> list[FiniteGroup]:
 
 def subgroups(g: FiniteGroup) -> list[frozenset[int]]:
     """All subgroups, discovered by closing generator sets."""
-    rows = g.table.tolist()
+    rows = g.rows()
 
     def closure(seed: set[int]) -> frozenset[int]:
         current = set(seed)
@@ -889,7 +912,7 @@ def subgroups(g: FiniteGroup) -> list[frozenset[int]]:
 
 
 def normal_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
-    rows, inv = g.table.tolist(), g._inv.tolist()
+    rows, inv = g.rows(), g.inverses()
     out = []
     for h in subgroups(g):
         if all(rows[rows[x][a]][inv[x]] in h for x in g.elements() for a in h):
@@ -932,7 +955,7 @@ def surjective_homs(
     if codomain.order > domain.order or domain.order % codomain.order != 0:
         return []
     gens = domain.gens
-    t1, t2 = domain.table.tolist(), codomain.table.tolist()
+    t1, t2 = domain.rows(), codomain.rows()
     out: list[GroupHom] = []
 
     def extend(i: int, mapping: dict[int, int]):
@@ -969,16 +992,19 @@ class AutomorphismGroup:
     :func:`aut_group` the maps come in canonical order; on a copy made by
     :meth:`conjugate` they keep the order of the group conjugated.
 
-    ``perms`` stacks the maps into one read-only int array of shape |Aut|×N
-    (N the total element count): row i holds ``maps[i]``'s per-sort images
-    concatenated, each offset by its sort's start.  A product is one
-    vectorised composition of rows, looked up by the composite row's bytes,
-    so the key is the whole row.  Construction finds the greedy generating
-    set ``gens``, which multiplies every element by every generator; a
-    composite missing from the list raises GroupError, so closure is checked
-    exactly at O(|Aut|·|gens|·N) cost.  Order, centre and homomorphism laws
-    are decided from the rows and ``gens``.  The Cayley table ``group`` is
-    built on first access, at most once, and conjugate copies share it.
+    ``perms[i]`` is ``maps[i]`` as one tuple row (its per-sort images
+    concatenated, each offset by its sort's start) and ``row_index`` maps a
+    row back to its element, so a product is two rows composed and looked
+    up.  The group protocol is answered from the rows in pure Python:
+    ``right(q)`` composes every row with ``perms[q]`` and is kept,
+    ``inverses()`` inverts every row, and ``rows()`` builds the Cayley table
+    from the generators' columns.  Construction finds the greedy generating
+    set ``gens`` by reading each generator's whole column, and a composite
+    missing from the list raises GroupError, so closure is checked exactly
+    at O(|Aut|·|gens|·N) cost for N elements.  The table and the FiniteGroup
+    ``group`` made from it are built on first access, at most once, and
+    conjugate copies share them.  Two groups are equal when they have the
+    same structure and the same maps.
     """
 
     def __init__(
@@ -991,55 +1017,89 @@ class AutomorphismGroup:
         self.structure = structure
         self.maps = maps
         self.index = {m.key(): i for i, m in enumerate(maps)}
-        width = structure.total_elements
-        offsets = np.repeat(np.cumsum((0,) + structure.sort_sizes)[:-1], structure.sort_sizes)
-        perms = np.array([m.image_seq() for m in maps], dtype=np.min_scalar_type(width))
-        perms += offsets.astype(perms.dtype)
-        perms.flags.writeable = False
-        self.perms = perms
-        # One bytes key per row; numpy strips trailing NULs from every key
-        # alike, which keeps keys of equal-width rows distinct.
-        self._as_keys = np.dtype((np.bytes_, width * perms.itemsize))
-        self._row_of = {key: i for i, key in enumerate(perms.view(self._as_keys).ravel().tolist())}
+        starts = list(itertools.accumulate(structure.sort_sizes, initial=0))
+        self.perms = [
+            tuple(v + start for images, start in zip(m.maps, starts) for v in images) for m in maps
+        ]
+        self.row_index = {row: i for i, row in enumerate(self.perms)}
         self._source = _table_source or self  # the group whose rows build the table
+        self._rows: list[list[int]] | None = None
         self._group: FiniteGroup | None = None
+        self._inverses: list[int] | None = None
         self._center: tuple[int, ...] | None = None  # filled by center() on first use
-        self.gens = tuple(_generators(len(maps), self.products))
+        # conjugation is an isomorphism: a copy's columns and gens are its source's
+        self._columns: dict[int, list[int]] = self._source._columns if _table_source else {}
+        self.gens = self._source.gens if _table_source else tuple(_generators(len(maps), self.right))
 
     @property
     def order(self) -> int:
         return len(self.maps)
 
-    def row_indices(self, rows: np.ndarray) -> np.ndarray:
-        """The element whose ``perms`` row each row of ``rows`` is, or -1."""
-        keys = np.ascontiguousarray(rows, dtype=self.perms.dtype).view(self._as_keys).ravel().tolist()
-        return np.fromiter(map(self._row_of.get, keys, itertools.repeat(-1)), np.int64, len(keys))
+    def _lookup(self, row: tuple[int, ...]) -> int:
+        try:
+            return self.row_index[row]
+        except KeyError:
+            raise GroupError("automorphism list is not closed under composition") from None
 
-    def products(self, a, b) -> np.ndarray:
-        """maps[a] . maps[b] elementwise over int arrays (broadcast together)."""
-        a, b = np.broadcast_arrays(a, b)
-        rows = np.take_along_axis(self.perms[a.ravel()], self.perms[b.ravel()], axis=1)
-        out = self.row_indices(rows)
-        if (out < 0).any():
-            raise GroupError("automorphism list is not closed under composition")
-        return out.reshape(a.shape)
+    def mul(self, a: int, b: int) -> int:
+        return self._lookup(tuple(map(self.perms[a].__getitem__, self.perms[b])))
+
+    def inverses(self) -> list[int]:
+        if self._inverses is None:
+            width = range(self.structure.total_elements)
+            # sorting the positions by their images inverts a permutation
+            self._inverses = [self._lookup(tuple(sorted(width, key=p.__getitem__))) for p in self.perms]
+        return self._inverses
+
+    def right(self, q: int) -> list[int]:
+        """x * q for every x, made once per q: every row composed with
+        ``perms[q]`` through one itemgetter."""
+        col = self._columns.get(q)
+        if col is None:
+            p = self.perms[q]
+            # an itemgetter of one index returns the item, not a 1-tuple
+            compose = itemgetter(*p) if len(p) > 1 else lambda row: tuple(row[i] for i in p)
+            try:
+                col = list(map(self.row_index.__getitem__, map(compose, self.perms)))
+            except KeyError:
+                raise GroupError("automorphism list is not closed under composition") from None
+            self._columns[q] = col
+        return col
+
+    def rows(self) -> list[list[int]]:
+        """The Cayley table as lists, built on first access from the
+        generators' columns: column j*q is q's column read through column j.
+        A conjugate copy reads the table of the group it was conjugated
+        from.  Over ``config.DEFAULT.table_cells`` cells it raises
+        BoundExceededError before building."""
+        src = self._source
+        if src._rows is None:
+            n = src.order
+            config.check_table_cells(n)
+            columns: list[list[int] | None] = [None] * n
+            columns[0] = list(range(n))
+            frontier = [0]
+            by_gen = [src.right(q) for q in src.gens]
+            while frontier:
+                fresh = []
+                for j in frontier:
+                    for col_q in by_gen:
+                        jq = col_q[j]
+                        if columns[jq] is None:
+                            columns[jq] = list(map(col_q.__getitem__, columns[j]))
+                            fresh.append(jq)
+                frontier = fresh
+            src._rows = [list(row) for row in zip(*columns)]
+        return src._rows
 
     @property
     def group(self) -> FiniteGroup:
-        """The Cayley table, built on first access row by row from
-        :meth:`products`; a conjugate copy reads the table of the group it
-        was conjugated from.  Over ``config.DEFAULT.table_cells`` cells it
-        raises BoundExceededError before allocating."""
+        """The Cayley table :meth:`rows` as a FiniteGroup, built on first
+        access and shared with conjugate copies."""
         src = self._source
         if src._group is None:
-            n = src.order
-            config.check_table_cells(n)
-            xs = np.arange(n)
-            table = np.empty((n, n), dtype=np.int64)
-            for i in range(n):
-                table[i] = src.products(i, xs)
             s = src.structure
-            src._group = FiniteGroup(table, name=f"Aut({len(s.sort_sizes)}-sorted,{s.total_elements}el)")
+            src._group = FiniteGroup(src.rows(), name=f"Aut({len(s.sort_sizes)}-sorted,{s.total_elements}el)")
         return src._group
 
     def conjugate(self, f: SortedMap) -> "AutomorphismGroup":
@@ -1047,7 +1107,8 @@ class AutomorphismGroup:
         this group's structure: element j is f . maps[j] . f^-1.
 
         Conjugation by f is a group isomorphism, so the copy has this
-        group's generators and shares its table, and no search runs.
+        group's generators and shares its columns and table, and no search
+        runs.
         """
         f_inv = f.inverse()
         maps = [f.compose(m.compose(f_inv)) for m in self.maps]
@@ -1058,6 +1119,14 @@ class AutomorphismGroup:
             return self.index[m.key()]
         except KeyError:
             raise GroupError("map is not an automorphism of the structure") from None
+
+    def __eq__(self, other):
+        if not isinstance(other, AutomorphismGroup):
+            return NotImplemented
+        return self is other or (self.structure == other.structure and self.perms == other.perms)
+
+    def __hash__(self):
+        return hash(self.structure)
 
 
 def aut_group(s: SortedStructure, *, max_elements: int | None = None) -> AutomorphismGroup:
@@ -1084,6 +1153,8 @@ def group_document(g: FiniteGroup, table) -> dict:
 
 
 def group_to_json(g: FiniteGroup) -> dict:
+    import numpy as np
+
     # rows hold one shared int object per element, not one per cell
     shared = np.arange(g.order).astype(object)
     return group_document(g, [shared[row].tolist() for row in g.table])

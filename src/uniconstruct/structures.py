@@ -630,27 +630,27 @@ def structure_to_json(s: SortedStructure) -> dict:
 def structure_from_json(doc: Mapping) -> SortedStructure:
     """The structure of a document in the form :func:`structure_to_json`
     writes.  Sort sizes, constant values and every entry of a tuple or table
-    row must be JSON integers; anything else raises
-    StructureError("malformed structure document: …")."""
+    row must be JSON integers, and every sort and symbol name a JSON string;
+    anything else raises StructureError("malformed structure document: …")."""
     try:
-        sort_names = tuple(str(entry["name"]) for entry in doc["sorts"])
+        sort_names = tuple(_json_str(entry["name"], "sort name") for entry in doc["sorts"])
         sizes = tuple(_json_int(entry["size"], "sort size") for entry in doc["sorts"])
         index = {name: i for i, name in enumerate(sort_names)}
 
         rel_syms, rels = [], []
         for entry in doc.get("relations", []):
             rsig = tuple(index[n] for n in entry["signature"])
-            rel_syms.append((str(entry["name"]), rsig))
+            rel_syms.append((_json_str(entry["name"], "relation name"), rsig))
             rels.append([tuple(_json_ints(t, "relation tuple")) for t in entry["tuples"]])
         fn_syms, fns = [], []
         for entry in doc.get("functions", []):
             fsig = tuple(index[n] for n in entry["args"])
-            fn_syms.append((str(entry["name"]), fsig, index[entry["target"]]))
+            fn_syms.append((_json_str(entry["name"], "function name"), fsig, index[entry["target"]]))
             rows = [_json_ints(row, "function table row") for row in entry["table"]]
             fns.append({tuple(row[:-1]): row[-1] for row in rows})
         const_syms, consts = [], []
         for entry in doc.get("constants", []):
-            const_syms.append((str(entry["name"]), index[entry["sort"]]))
+            const_syms.append((_json_str(entry["name"], "constant name"), index[entry["sort"]]))
             consts.append(_json_int(entry["value"], "constant value"))
     except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed structure document: {exc}") from exc
@@ -661,6 +661,12 @@ def structure_from_json(doc: Mapping) -> SortedStructure:
 def _json_int(value, what: str) -> int:
     if not is_int(value):
         raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _json_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, not {value!r}")
     return value
 
 

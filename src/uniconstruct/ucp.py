@@ -85,8 +85,9 @@ class UniConstructionProblem:
     """The tuple (B, A, H, K, G, phi, psi) with verification report.
 
     ``restriction[i]`` is the index in G of the restriction of H's element
-    i.  ``phi``, the same map as a GroupHom between the two Cayley tables,
-    is built on first access; clauses (c)-(e) are decided without it.
+    i.  ``phi``, the same map as a GroupHom between the two automorphism
+    groups, is built on first access; clauses (c)-(e) are decided without
+    it, and no Cayley table is built for either.
     ``weak_only`` records that no section was supplied; the clause report
     tells whether the weak conditions (a)-(e) actually hold.
     """
@@ -103,7 +104,7 @@ class UniConstructionProblem:
 
     @cached_property
     def phi(self) -> GroupHom:
-        return GroupHom(self.H.group, self.G.group, self.restriction)
+        return GroupHom(self.H, self.G, self.restriction)
 
     @property
     def is_weak_ucp(self) -> bool:
@@ -138,17 +139,18 @@ def restriction_map(H: AutomorphismGroup, G: AutomorphismGroup) -> tuple[int, ..
     """The index in G of each element of H restricted to G's structure.
 
     G's structure is the reduct of H's to its leading sorts, so a
-    restriction is the leading columns of an automorphism's ``perms`` row.
+    restriction is the leading entries of an automorphism's ``perms`` row.
     A reduct automorphism is always induced, so a lookup failure means the
     two automorphism groups do not belong to the same structure pair.
     """
-    indices = G.row_indices(H.perms[:, : G.perms.shape[1]])
-    if (indices < 0).any():
+    width = G.structure.total_elements
+    try:
+        return tuple(G.row_index[row[:width]] for row in H.perms)
+    except KeyError:
         raise GroupError(
             "internal error: restriction of an automorphism is not an "
             "automorphism of the first-sort reduct"
-        )
-    return tuple(indices.tolist())
+        ) from None
 
 
 def restriction_hom(H: AutomorphismGroup, G: AutomorphismGroup) -> GroupHom:
@@ -166,9 +168,9 @@ def assemble_ucp(
     """Assemble and check the uni-construction problem of a 2-sorted B.
 
     Clause failures (for example a non-surjective restriction map) come back
-    in the report; only malformed input raises.  Clauses (c)-(e) are decided
+    in the report; only malformed input raises.  Clauses (c)-(f) are decided
     from the automorphisms' image rows and generators, so no Cayley table is
-    built unless a section ``psi`` is checked.
+    built.
     """
     if len(B.sort_sizes) != 2:
         raise StructureError("assemble_ucp requires a 2-sorted structure")

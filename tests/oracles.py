@@ -273,33 +273,39 @@ def naive_is_hom(mapping, domain, codomain):
 # ---------------------------------------------------------------------------
 # Sections by raw fiber products, with first-principles checks
 
+def naive_center_set(h):
+    return {x for x in h.elements() if all(h.mul(x, y) == h.mul(y, x) for y in h.elements())}
+
+
+def naive_section_label(phi, combo, zset):
+    """"splitting", "weak" or None for the section ``combo`` of ``phi``, from
+    every pair of elements; ``zset`` is the centre of phi's domain."""
+    h, g = phi.domain, phi.codomain
+    hom = all(
+        combo[g.mul(x, y)] == h.mul(combo[x], combo[y])
+        for x in g.elements()
+        for y in g.elements()
+    )
+    if hom:
+        return "splitting"
+    central = (
+        combo[0] == 0
+        and all(combo[g.inv(x)] == h.inv(combo[x]) for x in g.elements())
+        and all(
+            h.mul(h.mul(combo[x], combo[y]), h.inv(combo[g.mul(x, y)])) in zset
+            for x in g.elements()
+            for y in g.elements()
+        )
+    )
+    return "weak" if central else None
+
+
 def _naive_labelled_sections(phi):
     """Every section in fiber-product order, with "splitting", "weak" or None."""
     h, g = phi.domain, phi.codomain
     fibers = [[x for x in h.elements() if phi.map[x] == v] for v in g.elements()]
-    z = [x for x in h.elements() if all(h.mul(x, y) == h.mul(y, x) for y in h.elements())]
-    zset = set(z)
-    out = []
-    for combo in itertools.product(*fibers):
-        hom = all(
-            combo[g.mul(x, y)] == h.mul(combo[x], combo[y])
-            for x in g.elements()
-            for y in g.elements()
-        )
-        if hom:
-            out.append((combo, "splitting"))
-            continue
-        central = (
-            combo[0] == 0
-            and all(combo[g.inv(x)] == h.inv(combo[x]) for x in g.elements())
-            and all(
-                h.mul(h.mul(combo[x], combo[y]), h.inv(combo[g.mul(x, y)])) in zset
-                for x in g.elements()
-                for y in g.elements()
-            )
-        )
-        out.append((combo, "weak" if central else None))
-    return out
+    zset = naive_center_set(h)
+    return [(combo, naive_section_label(phi, combo, zset)) for combo in itertools.product(*fibers)]
 
 
 def naive_sections(phi):

@@ -911,13 +911,20 @@ class TestStructureAndHomDocuments:
         return {"sorts": [{"name": "p", "size": size}],
                 "relations": [{"name": "U", "signature": ["p"], "tuples": [list(t) for t in tuples]}]}
 
-    # each was coerced with int() and answered with exit 0
+    # each was coerced with int() or str() and answered with exit 0
     @pytest.mark.parametrize("doc, fragment", [
         (points(size=3.0), "sort size must be an integer, not 3.0"),
         (points(tuples=((0,), (True,))), "relation tuple must be a list of integers, not [True]"),
         (points(tuples=((2.0,),)), "relation tuple must be a list of integers, not [2.0]"),
         (points(tuples=(("1",),)), "relation tuple must be a list of integers, not ['1']"),
-    ], ids=["float-size", "bool-entry", "float-entry", "string-entry"])
+        ({"sorts": [{"name": 3, "size": 2}],
+          "relations": [{"name": "E", "signature": ["3", "3"], "tuples": [[0, 1]]}]},
+         "sort name must be a string, not 3"),
+        ({"sorts": [{"name": "p", "size": 2}],
+          "relations": [{"name": 7, "signature": ["p", "p"], "tuples": [[0, 1]]}]},
+         "relation name must be a string, not 7"),
+    ], ids=["float-size", "bool-entry", "float-entry", "string-entry", "int-sort-name",
+            "int-relation-name"])
     def test_malformed_structure_exits_1(self, tmp_path, capsys, doc, fragment):
         path = write(tmp_path, "s.json", json.dumps(doc))
         assert main(["aut", "--structure", path]) == 1
@@ -1057,6 +1064,12 @@ class TestProcessStart:
     LOAD_SETS = [
         (["aut", "--structure", "@cycle3"], "structures", False),
         (["iso", "--left", "@cycle3", "--right", "@cycle3"], "structures", False),
+        (["ucp-check", "--structure", "@b_cycle3"], "groups structures ucp", False),
+        (["derive-triple", "--structure", "@tower"], "groups structures ucp", False),
+        (["uniformize", "--structure", "@b_cycle3", "--target", "@cycle3", "--copies", "2",
+          "--mode", "full"], "groups structures ucp uniform", False),
+        (["verify", "--structure", "@b_cycle3", "--target", "@cycle3", "--copies", "2"],
+         "groups structures ucp uniform", False),
         (["split", "--hom", "@c4toc2"], "groups", True),
         (["weak-split", "--hom", "@c4toc2"], "groups", True),
         (["catalog-search", "--max-order", "8"], "groups", True),
@@ -1070,12 +1083,20 @@ class TestProcessStart:
     ]
 
     @pytest.mark.parametrize("argv, layers, numpy", LOAD_SETS, ids=[
-        "aut", "iso", "split", "weak-split", "catalog-search", "skew", "cyclic-skew",
+        "aut", "iso", "ucp-check", "derive-triple", "uniformize", "verify", "split", "weak-split", "catalog-search", "skew", "cyclic-skew",
         "version", "help", "usage-error", "unknown-command",
     ])
     def test_each_command_loads_only_its_layers(self, tmp_path, argv, layers, numpy):
+        c2 = cyclic(2)
+        ident = GroupHom(c2, c2, [0, 1])
+        tower = encode.encode_three_sorted(encode.GroupTriple(c2, c2, c2, ident, ident))
         inputs = {
             "cycle3": write(tmp_path, "cyc3.json", dumps(directed_cycle(3))),
+            "b_cycle3": write(tmp_path, "b_cyc3.json", dumps(two_sorted((3, 1), [
+                ("E", (0, 0), [(0, 1), (1, 2), (2, 0)]),
+                ("R", (0, 1), [(0, 0), (1, 0), (2, 0)]),
+            ]))),
+            "tower": write(tmp_path, "tower.json", dumps(tower)),
             "c4toc2": write(tmp_path, "c4toc2.json", json.dumps(
                 hom_to_json(GroupHom(cyclic(4), cyclic(2), [0, 1, 0, 1]))
             )),
@@ -1093,6 +1114,18 @@ class TestProcessStart:
             print(repr(" ".join(sorted(loaded & layers))), "numpy" in sys.modules)
         """)
         assert out.splitlines()[-1] == f"{layers!r} {numpy}"
+
+    def test_structure_layers_import_no_numpy(self):
+        # automorphism groups, restriction maps and section labels run on
+        # Python rows; numpy comes in only with a Cayley-table FiniteGroup
+        out = fresh_python("""
+            import sys
+            from uniconstruct import encode, groups, structures, ucp, uniform
+            before = "numpy" in sys.modules
+            groups.cyclic(2)
+            print(before, "numpy" in sys.modules)
+        """)
+        assert out == "False True"
 
     def test_package_import_is_lazy_and_leaves_environment_alone(self):
         out = fresh_python("""

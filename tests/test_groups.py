@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,9 @@ from uniconstruct import config, groups, structures, ucp
 from uniconstruct.encode import GroupTriple, encode_three_sorted
 from uniconstruct.errors import BoundExceededError, GroupError
 from uniconstruct.groups import (
+    SECTION_ONLY,
+    SPLITTING,
+    WEAK_SPLITTING,
     FiniteGroup,
     GroupHom,
     alternating,
@@ -46,13 +48,16 @@ from uniconstruct.structures import SortedSignature, SortedStructure
 
 from .conftest import directed_cycle, free_points, two_sorted
 from .oracles import (
+    _naive_labelled_sections,
     naive_catalog,
     naive_closure,
     naive_direct_product,
     naive_is_hom,
     naive_normal_subgroups,
     naive_quotient,
+    naive_center_set,
     naive_section_census,
+    naive_section_label,
     naive_sections,
     naive_subgroups,
 )
@@ -169,7 +174,7 @@ class TestFiniteGroup:
             arr = np.array(table)
             exhaustive = np.array_equal(arr[arr], arr[:, arr])
             small = arr.astype(np.uint8)
-            gens = groups._generators(n, lambda a, b: small[a, b])
+            gens = groups._generators(n, lambda q: [row[q] for row in table])
             assert groups._is_associative(small, gens) == exhaustive
             if not exhaustive:
                 with pytest.raises(GroupError, match="not associative"):
@@ -288,6 +293,11 @@ class TestHoms:
     def test_non_hom_rejected(self):
         with pytest.raises(GroupError):
             GroupHom(cyclic(4), cyclic(2), [0, 1, 1, 0])
+
+    def test_trivial_domain_must_map_to_the_identity(self):
+        # the trivial group has no generators, so only m(1) = 1 is left to check
+        assert is_hom((0,), cyclic(1), cyclic(2))
+        assert not is_hom((1,), cyclic(1), cyclic(2)) and not naive_is_hom((1,), cyclic(1), cyclic(2))
 
     def test_hom_json_round_trip(self):
         phi = GroupHom(cyclic(4), cyclic(2), [0, 1, 0, 1])
@@ -438,8 +448,9 @@ def block_searches():
 
 
 class TestSectionSearchBlocks:
-    """classify_sections labels its leaves in blocks; the lists, their order
-    and the node count are those of labelling each leaf alone."""
+    """classify_sections on every catalog(16) quotient, C2xD8 -> D8 and
+    D16 -> D16/Z: its totals, and every leaf labelled as classify_section
+    and the all-pairs oracle label it."""
 
     def test_totals(self, block_searches):
         cases, found = block_searches
@@ -459,41 +470,33 @@ class TestSectionSearchBlocks:
             for m, classification in split + weak:
                 assert classify_section(phi, m).classification == classification, name
 
-    def test_blocks_of_one_leaf_give_the_same_search(self, block_searches, monkeypatch):
+    def test_each_leaf_labelled_as_the_oracle_labels_it(self, block_searches):
         cases, found = block_searches
-        monkeypatch.setattr(groups, "_BLOCK_CELLS", 1)
+        naive_label = {SPLITTING: "splitting", WEAK_SPLITTING: "weak"}
         for name, phi in cases.items():
-            assert _found(classify_sections(phi)) == found[name], name
+            _, split, weak = found[name]
+            zset = naive_center_set(phi.domain)
+            for m, classification in split + weak:
+                assert naive_section_label(phi, m, zset) == naive_label[classification], name
 
-    def test_partial_last_block(self, block_searches, monkeypatch):
-        cases, found = block_searches
-        uneven = []
+    def test_every_catalog_section_labelled_as_the_oracle_labels_it(self, block_searches):
+        # every section, not only the leaves: the non-weak ones too
+        cases, _ = block_searches
+        naive_label = {SPLITTING: "splitting", WEAK_SPLITTING: "weak", SECTION_ONLY: None}
+        labels = set()
         for name, phi in cases.items():
-            n = phi.codomain.order
-            monkeypatch.setattr(groups, "_BLOCK_CELLS", 3 * n * n)  # three leaves a block
-            got = _found(classify_sections(phi))
-            assert got == found[name], name
-            if (len(got[1]) + len(got[2])) % 3:
-                uneven.append(name)
-        assert "C2xD8->D8" in uneven and len(uneven) > 100
+            if "/[" not in name:
+                continue
+            for m, label in _naive_labelled_sections(phi):
+                assert naive_label[classify_section(phi, m).classification] == label, name
+                labels.add(label)
+        assert labels == {"splitting", "weak", None}
 
     def test_block_rejects_a_non_section_row(self):
         phi = GroupHom(cyclic(4), cyclic(2), [0, 1, 0, 1])
         with pytest.raises(GroupError, match="not a section"):
-            groups._classify_block(phi, np.array([[0, 1], [0, 2]]))
-
-    def test_block_memory_is_bounded(self):
-        # 256 leaves of C2xD8 -> D8 a block: 2**16 cells per temporary, one
-        # byte each (about 0.4 MB in all; int64 temporaries took over 2 MB)
-        phi = _block_cases()["C2xD8->D8"]
-        leaves = np.array([s.map for s in classify_sections(phi).weak_splittings[:256]])
-        tracemalloc.start()
-        try:
-            groups._classify_block(phi, leaves)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+            classify_section(phi, [0, 2])
+        assert classify_section(phi, [0, 1]).classification == SECTION_ONLY
 
 
 class TestCatalog:
@@ -830,10 +833,10 @@ class TestPermutationFacts:
         from sympy.combinatorics import Permutation, PermutationGroup
 
         ag = aut_group(make())
-        oracle = PermutationGroup([Permutation(ag.perms[g].tolist()) for g in ag.gens])
+        oracle = PermutationGroup([Permutation(list(ag.perms[g])) for g in ag.gens])
         assert oracle.order() == ag.order == order
         oracle_center = [z.array_form for z in oracle.center().elements]
-        assert center(ag) == sorted(ag.row_indices(np.array(oracle_center)).tolist())
+        assert center(ag) == sorted(ag.row_index[tuple(z)] for z in oracle_center)
         assert len(center(ag)) == center_size
         if order**2 <= config.DEFAULT.table_cells:
             assert ag.group.order == order and ag.group.gens == ag.gens

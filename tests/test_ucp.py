@@ -4,11 +4,13 @@ import pytest
 
 from uniconstruct.errors import CatalogMismatchError, SignatureMismatchError, StructureError
 from uniconstruct.groups import (
+    FiniteGroup,
     GroupHom,
     center,
     cyclic,
     dicyclic,
     dihedral,
+    first_weak_splitting,
     quotient_by_center,
     surjective_homs,
     symmetric,
@@ -83,11 +85,33 @@ class TestAssembleUcp:
             fixes = ucp.H.maps[i].maps[0] == tuple(range(b_matching.sort_sizes[0]))
             assert (ucp.phi.map[i] == 0) == fixes
 
-    def test_weak_problem_builds_no_table(self, b_cycle3):
+    def test_weak_problem_builds_no_table(self, b_cycle3, monkeypatch):
+        built = []
+        init = FiniteGroup.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.order)
+
+        monkeypatch.setattr(FiniteGroup, "__init__", counted)
         ucp = assemble_ucp(b_cycle3)
         assert ucp.H._group is None and ucp.G._group is None
         assert ucp.phi.map == ucp.restriction == (0, 1, 2)
-        assert ucp.H._group is ucp.phi.domain and ucp.G._group is ucp.phi.codomain
+        assert ucp.phi.domain is ucp.H and ucp.phi.codomain is ucp.G
+        assert first_weak_splitting(ucp.phi).is_splitting()
+        assert built == [] and ucp.H._group is None and ucp.G._group is None
+
+    def test_one_element_sorts(self):
+        # each sort of B has one element, so A's rows have one entry: an
+        # itemgetter of one index would return the entry, not a row
+        b = two_sorted((1, 1), [("R", (0, 1), [(0, 0)])])
+        ucp = assemble_ucp(b, [0])
+        assert ucp.is_ucp and ucp.restriction == (0,) and ucp.K == (0,)
+        for g in (ucp.H, ucp.G):
+            assert g.order == 1 and g.gens == ()
+            assert g.right(0) == [0] and g.mul(0, 0) == 0
+            assert g.inverses() == [0] and g.rows() == [[0]]
+        assert ucp.G.perms == [(0,)] and ucp.H.perms == [(0, 1)]
 
     def test_with_section_equals_assembling_with_it(self):
         b, search = weak_only_lifting()
