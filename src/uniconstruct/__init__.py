@@ -19,8 +19,8 @@ _EXPORTS = {
         "SignatureMismatchError", "StructureError", "UniconstructError", "VerificationError",
     ),
     "structures": (
-        "SortedMap", "SortedSignature", "SortedStructure", "automorphisms", "canonical_copies",
-        "identity_map", "isomorphisms", "quotient", "reduct", "relabel", "relabel_map",
+        "SortedMap", "SortedSignature", "SortedStructure", "automorphisms", "identity_map",
+        "isomorphisms", "quotient", "reduct", "relabel", "relabel_map",
         "restrict_signature", "validate",
     ),
     "groups": (

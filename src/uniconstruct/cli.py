@@ -443,7 +443,7 @@ def _cmd_cyclic_skew(args):
     from .skew import build_cyclic_skew
 
     base = _load_group(args.base)
-    cs = build_cyclic_skew(args.k, base, max_order=args.max_order)
+    cs = build_cyclic_skew(args.k, base)
     g = cs.group
     z = center(g)
     identified = None
@@ -500,7 +500,7 @@ def _cmd_encode3(args):
 
 def _cmd_attach(args):
     from .encode import attach_skew
-    from .groups import GroupHom, aut_group, classify_sections
+    from .groups import GroupHom, aut_group, decide_splittings
     from .structures import reduct, structure_to_json
     from .ucp import derive_triple
 
@@ -516,23 +516,22 @@ def _cmd_attach(args):
         phi13 = GroupHom(g3, auta.group, phi13_map)
     attachment = attach_skew(b, g3, phi23, phi13, max_elements=args.max_elements)
     derivation = derive_triple(attachment.structure, max_elements=args.max_elements)
-    c23_sections = classify_sections(derivation.c23.phi)
-    c13_sections = classify_sections(derivation.c13.phi)
+    c23_split, c23_weak = decide_splittings(derivation.c23.phi)
+    c13_split, c13_weak = decide_splittings(derivation.c13.phi)
     doc = {
         "command": "attach",
         "structure": structure_to_json(attachment.structure),
         "derived_all_weak": derivation.all_weak,
-        "c23_has_splitting": c23_sections.has_splitting,
-        "c23_has_weak_splitting": c23_sections.has_weak_splitting,
-        "c13_has_splitting": c13_sections.has_splitting,
-        "c13_has_weak_splitting": c13_sections.has_weak_splitting,
+        "c23_has_splitting": c23_split,
+        "c23_has_weak_splitting": c23_weak,
+        "c13_has_splitting": c13_split,
+        "c13_has_weak_splitting": c13_weak,
     }
     lines = [
         f"attached structure: sorts {list(attachment.structure.sort_sizes)}",
         f"derived weak problems: {'ok' if derivation.all_weak else 'FAIL'}",
-        f"c23 splitting: {'yes' if c23_sections.has_splitting else 'no'}",
-        f"c13 splitting: {'yes' if c13_sections.has_splitting else 'no'}; "
-        f"weak: {'yes' if c13_sections.has_weak_splitting else 'no'}",
+        f"c23 splitting: {'yes' if c23_split else 'no'}",
+        f"c13 splitting: {'yes' if c13_split else 'no'}; weak: {'yes' if c13_weak else 'no'}",
     ]
     return (0 if derivation.all_weak else 2), doc, lines
 
@@ -668,7 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cyclic-skew", help="build the finite cyclic skew analogue")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--base", required=True)
-    p.add_argument("--max-order", type=int, default=None)
     common(p)
 
     p = sub.add_parser("encode3", help="encode a group tower as a 3-sorted structure")

@@ -8,6 +8,7 @@ per call via keyword arguments.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -32,17 +33,12 @@ class Bounds:
     aut_elements: int = 12
     # nodes the section search (classify_sections) may visit
     section_candidates: int = 10**6
-    # order cap k * |G2|**k for the finite cyclic skew analogue
-    cyclic_skew_order: int = 10**4
     # matched-triple enumeration cap
     matched_triples: int = 10**5
     # largest X whose twist equivalence is decided on (frame, thread) keys,
     # used only when the transports break the cocycle law (spaces that obey
     # it are not capped)
     x_pairwise: int = 2000
-    # relabeling families enumerated by canonical_copies (build_family makes
-    # only the n - 1 it uses, one at a time, so it is not bounded by this)
-    relabelings: int = 10**6
     # cells of any n x n Cayley table, checked before it is allocated
     table_cells: int = 10**7
 
@@ -50,10 +46,8 @@ class Bounds:
 DEFAULT = Bounds(
     aut_elements=_env_int("AUT_BOUND", 12),
     section_candidates=_env_int("SECTION_BOUND", 10**6),
-    cyclic_skew_order=_env_int("SKEW_ORDER_BOUND", 10**4),
     matched_triples=_env_int("TRIPLES_BOUND", 10**5),
     x_pairwise=_env_int("X_BOUND", 2000),
-    relabelings=_env_int("RELABEL_BOUND", 10**6),
     table_cells=_env_int("TABLE_CELLS_BOUND", 10**7),
 )
 
@@ -62,10 +56,12 @@ def check_table_cells(order: int) -> None:
     """Refuse an order x order Cayley table over the ``table_cells`` bound;
     called before the table is allocated."""
     bound = DEFAULT.table_cells
-    if order * order > bound:
-        raise BoundExceededError(
-            f"a Cayley table of order {order} has {order * order} cells, over the bound {bound}"
-        )
+    if order > math.isqrt(bound):
+        # an order past 64 bits (a factorial or power of a large parameter)
+        # may be too long to print, so it is named by its bit length
+        bits = order.bit_length()
+        size = f"{order} has {order * order} cells," if bits <= 64 else f"over 2**{bits - 1} is"
+        raise BoundExceededError(f"a Cayley table of order {size} over the bound {bound}")
 
 
 def check_elements(total: int, max_elements: int | None = None) -> None:

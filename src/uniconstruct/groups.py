@@ -282,15 +282,13 @@ def quotient_by_subgroup(g: FiniteGroup, sub: Iterable[int]) -> tuple[FiniteGrou
         raise GroupError("subgroup element out of range")
     if 0 not in n_set:
         raise GroupError("subgroup must contain the identity")
-    rows, inv = g.rows(), g.inverses()
+    rows = g.rows()
     for a in n_set:
         for b in n_set:
             if rows[a][b] not in n_set:
                 raise GroupError("subset is not closed under multiplication")
-    for x in g.elements():
-        for a in n_set:
-            if rows[rows[x][a]][inv[x]] not in n_set:
-                raise GroupError("subgroup is not normal")
+    if not _is_normal(g, n_set):
+        raise GroupError("subgroup is not normal")
 
     coset_of = [-1] * g.order
     reps: list[int] = []
@@ -306,6 +304,12 @@ def quotient_by_subgroup(g: FiniteGroup, sub: Iterable[int]) -> tuple[FiniteGrou
     table = [[coset_of[rows[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
     q = FiniteGroup(table, name=f"{g.label()}/N")
     return q, GroupHom(g, q, coset_of)
+
+
+def _is_normal(g: FiniteGroup, sub: set[int] | frozenset[int]) -> bool:
+    """Whether the subgroup ``sub`` is closed under conjugation by every element."""
+    rows, inv = g.rows(), g.inverses()
+    return all(rows[rows[x][a]][inv[x]] in sub for x in g.elements() for a in sub)
 
 
 def quotient_by_center(g: FiniteGroup) -> tuple[FiniteGroup, GroupHom]:
@@ -546,10 +550,10 @@ def _splitting_exists(phi: GroupHom, fibers: list[list[int]], budget: _NodeBudge
 
     A splitting psi is a homomorphism, so its values on ``G.gens`` fix it,
     and psi(q) has the order of q: that order divides |q| because psi is a
-    homomorphism, and |q| divides it because phi(psi(q)) = q.  The search picks
-    psi(q) in the fiber of q among elements of that order, generator by
-    generator, and extends each choice by the homomorphism law
-    (:func:`_close_hom`), dropping it on a conflict.  A choice on every
+    homomorphism, and |q| divides it because phi(psi(q)) = q.  The search
+    (:func:`_homs_on_generators`) picks psi(q) in the fiber of q among
+    elements of that order, generator by generator, and extends each choice
+    by the homomorphism law, dropping it on a conflict.  A choice on every
     generator that extends without conflict is a homomorphism psi: G -> H
     with phi(psi(q)) = q on every generator; then phi . psi is an
     endomorphism of G that is the identity on a generating set, so it is the
@@ -560,24 +564,12 @@ def _splitting_exists(phi: GroupHom, fibers: list[list[int]], budget: _NodeBudge
     """
     g, h = phi.codomain, phi.domain
     t_g, t_h = g.rows(), h.rows()
-    # each greedy generator lies outside the subgroup of those before it
-    gens = g.gens
 
-    def extend(i: int, m: dict[int, int]) -> bool:
-        if i == len(gens):
-            return True
-        q = gens[i]
+    def same_order(q: int, m: dict[int, int]) -> Iterator[int]:
         k = _element_order(t_g, q)
-        for v in fibers[q]:
-            if _element_order(t_h, v) != k:
-                continue
-            budget.take()
-            closed = _close_hom(t_g, t_h, {**m, q: v})
-            if closed is not None and extend(i + 1, closed):
-                return True
-        return False
+        return (v for v in fibers[q] if _element_order(t_h, v) == k)
 
-    return extend(0, {0: 0})
+    return next(_homs_on_generators(g, h, same_order, budget=budget), None) is not None
 
 
 def decide_splittings(phi: GroupHom, *, max_candidates: int | None = None) -> tuple[bool, bool]:
@@ -788,43 +780,56 @@ def _close_hom(
     return m
 
 
-def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None:
-    """First group isomorphism g1 -> g2 found, or None.
+def _homs_on_generators(
+    g, h, images: Callable[[int, dict[int, int]], Iterable[int]], *,
+    injective: bool = False, budget: _NodeBudget | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Every homomorphism g -> h whose value at each greedy generator q of g
+    is drawn from ``images(q, m)``, m being the map closed on the generators
+    before q; each as its tuple of images, depth first in the order the
+    streams give.
 
-    Backtracks over images of a small generating set, extending each partial
-    choice to the generated subgroup and pruning on conflicts.
+    Each choice is extended by the homomorphism law (:func:`_close_hom`) and
+    dropped on a conflict, or, when ``injective`` is set, when two elements
+    get one image.  Each greedy generator lies outside the subgroup the
+    earlier ones generate, so it is never mapped yet, and the map is total
+    once every generator has a value.  Each candidate tried is taken from
+    ``budget`` when one is given.  Either group may be a FiniteGroup or an
+    AutomorphismGroup; the search runs only as far as its consumer reads.
+    """
+    t_g, t_h = g.rows(), h.rows()
+    gens = g.gens
+
+    def extend(i: int, m: dict[int, int]) -> Iterator[tuple[int, ...]]:
+        if i == len(gens):
+            yield tuple(map(m.__getitem__, range(g.order)))
+            return
+        q = gens[i]
+        for v in images(q, m):
+            if budget is not None:
+                budget.take()
+            closed = _close_hom(t_g, t_h, {**m, q: v})
+            if closed is not None and (not injective or len(set(closed.values())) == len(closed)):
+                yield from extend(i + 1, closed)
+
+    return extend(0, {0: 0})
+
+
+def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None:
+    """First group isomorphism g1 -> g2 found, or None: the first injective
+    homomorphism of :func:`_homs_on_generators` that sends each generator to
+    an element of its order not yet used as an image.
     """
     if _invariant_key(g1) != _invariant_key(g2):
         return None
-    gens = g1.gens
-    t1, t2 = g1.rows(), g2.rows()
-    orders2: dict[int, list[int]] = {}
+    by_order: dict[int, list[int]] = {}
     for a in g2.elements():
-        orders2.setdefault(g2.element_order(a), []).append(a)
+        by_order.setdefault(g2.element_order(a), []).append(a)
 
-    def extend(i: int, mapping: dict[int, int]) -> dict[int, int] | None:
-        if i == len(gens):
-            if len(mapping) == g1.order:
-                return mapping
-            return None
-        gen = gens[i]
-        if gen in mapping:
-            return extend(i + 1, mapping)
-        for img in orders2[g1.element_order(gen)]:
-            if img in mapping.values():
-                continue
-            closed = _close_hom(t1, t2, {**mapping, gen: img})
-            if closed is None or len(set(closed.values())) != len(closed):
-                continue
-            found = extend(i + 1, closed)
-            if found is not None:
-                return found
-        return None
+    def unused(q: int, m: dict[int, int]) -> Iterator[int]:
+        return (v for v in by_order[g1.element_order(q)] if v not in m.values())
 
-    result = extend(0, {0: 0})
-    if result is None:
-        return None
-    return tuple(result[a] for a in g1.elements())
+    return next(_homs_on_generators(g1, g2, unused, injective=True), None)
 
 
 def catalog(max_order: int) -> list[FiniteGroup]:
@@ -912,12 +917,7 @@ def subgroups(g: FiniteGroup) -> list[frozenset[int]]:
 
 
 def normal_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
-    rows, inv = g.rows(), g.inverses()
-    out = []
-    for h in subgroups(g):
-        if all(rows[rows[x][a]][inv[x]] in h for x in g.elements() for a in h):
-            out.append(h)
-    return out
+    return [h for h in subgroups(g) if _is_normal(g, h)]
 
 
 @dataclass
@@ -951,34 +951,21 @@ def catalog_search_weak_not_strong(
 def surjective_homs(
     domain: FiniteGroup, codomain: FiniteGroup, limit: int | None = None
 ) -> list[GroupHom]:
-    """All surjective homomorphisms domain -> codomain (deterministic order)."""
+    """All surjective homomorphisms domain -> codomain (deterministic order),
+    or the first ``limit`` of them: the onto results of
+    :func:`_homs_on_generators` over images whose order divides the
+    generator's."""
     if codomain.order > domain.order or domain.order % codomain.order != 0:
         return []
-    gens = domain.gens
-    t1, t2 = domain.rows(), codomain.rows()
-    out: list[GroupHom] = []
+    orders = [codomain.element_order(v) for v in codomain.elements()]
 
-    def extend(i: int, mapping: dict[int, int]):
-        if limit is not None and len(out) >= limit:
-            return
-        if i == len(gens):
-            if len(mapping) == domain.order and len(set(mapping.values())) == codomain.order:
-                out.append(GroupHom(domain, codomain, tuple(mapping[a] for a in domain.elements())))
-            return
-        gen = gens[i]
-        if gen in mapping:
-            extend(i + 1, mapping)
-            return
-        gen_order = domain.element_order(gen)
-        for img in codomain.elements():
-            if gen_order % codomain.element_order(img) != 0:
-                continue
-            closed = _close_hom(t1, t2, {**mapping, gen: img})
-            if closed is not None:
-                extend(i + 1, closed)
+    def dividing(q: int, m: dict[int, int]) -> Iterator[int]:
+        k = domain.element_order(q)
+        return (v for v, j in enumerate(orders) if k % j == 0)
 
-    extend(0, {0: 0})
-    return out
+    homs = _homs_on_generators(domain, codomain, dividing)
+    onto = (m for m in homs if len(set(m)) == codomain.order)
+    return [GroupHom(domain, codomain, m) for m in itertools.islice(onto, limit)]
 
 
 # ---------------------------------------------------------------------------

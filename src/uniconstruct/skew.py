@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import config
-from .errors import BoundExceededError, GroupError
+from .errors import GroupError
 from .groups import FiniteGroup, GroupHom
 from .jsondoc import is_int, is_int_list
 
@@ -329,7 +329,7 @@ class CyclicSkewGroup:
         return index, tuple(values)
 
 
-def build_cyclic_skew(k: int, base: FiniteGroup, *, max_order: int | None = None) -> CyclicSkewGroup:
+def build_cyclic_skew(k: int, base: FiniteGroup) -> CyclicSkewGroup:
     """Cayley table of the cyclic analogue, one numpy pass per position.
 
     Element ``shift * |base|^k + sum_p digits[p] * |base|^(k-1-p)`` is
@@ -342,10 +342,7 @@ def build_cyclic_skew(k: int, base: FiniteGroup, *, max_order: int | None = None
     """
     if k < 1:
         raise GroupError("modulus must be at least 1")
-    bound = max_order if max_order is not None else config.DEFAULT.cyclic_skew_order
     order = k * base.order**k
-    if order > bound:
-        raise BoundExceededError(f"cyclic skew order {order} exceeds bound {bound}")
     config.check_table_cells(order)
 
     n_base = base.order

@@ -16,7 +16,6 @@ from typing import Iterable, Mapping, Sequence
 
 from . import config
 from .errors import (
-    BoundExceededError,
     CongruenceError,
     SignatureMismatchError,
     StructureError,
@@ -34,7 +33,6 @@ __all__ = [
     "isomorphisms",
     "identity_map",
     "relabel",
-    "canonical_copies",
     "quotient",
     "structure_to_json",
     "structure_from_json",
@@ -512,32 +510,6 @@ def relabel_map(s: SortedStructure, maps: Sequence[Sequence[int]]) -> SortedMap:
     consts = [norm[sort][c] for (_, sort), c in zip(s.signature.constants, s.constants)]
     target_structure = SortedStructure(s.signature, s.sort_sizes, rels, fns, consts)
     return SortedMap(s, target_structure, norm)
-
-
-def canonical_copies(s: SortedStructure, cap: int | None = None) -> list[SortedStructure]:
-    """Distinct relabelings of ``s`` on its own universe, canonically ordered.
-
-    The full set has size prod(sort_size!) / |Aut(s)|; enumeration cost is
-    prod(sort_size!), so the relabeling bound guards it.
-    """
-    s.check_valid()
-    total = 1
-    for n in s.sort_sizes:
-        for k in range(2, n + 1):
-            total *= k
-    bound = config.DEFAULT.relabelings
-    if total > bound:
-        raise BoundExceededError(f"{total} relabelings exceed bound {bound}")
-    seen = {}
-    for perms in itertools.product(*(itertools.permutations(range(n)) for n in s.sort_sizes)):
-        copy = relabel(s, perms)
-        key = copy.canonical_key()
-        if key not in seen:
-            seen[key] = copy
-    copies = sorted(seen.values(), key=lambda c: c.canonical_key())
-    if cap is not None:
-        copies = copies[:cap]
-    return copies
 
 
 def _normalize_partition(blocks: Iterable[Iterable[int]], size: int, sort: int) -> list[int]:

@@ -44,6 +44,25 @@ from uniconstruct.structures import (
 from uniconstruct.uniform import make_lifted_copy
 
 
+def canonical_copies(s: SortedStructure, cap: int | None = None) -> list[SortedStructure]:
+    """Distinct relabelings of ``s`` on its own universe, canonically ordered.
+
+    The full set has size prod(sort_size!) / |Aut(s)|; enumeration cost is
+    prod(sort_size!).
+    """
+    s.check_valid()
+    seen = {}
+    for perms in itertools.product(*(itertools.permutations(range(n)) for n in s.sort_sizes)):
+        copy = relabel(s, perms)
+        key = copy.canonical_key()
+        if key not in seen:
+            seen[key] = copy
+    copies = sorted(seen.values(), key=lambda c: c.canonical_key())
+    if cap is not None:
+        copies = copies[:cap]
+    return copies
+
+
 def naive_isomorphisms(s1: SortedStructure, s2: SortedStructure):
     """All per-sort bijection families preserving everything, by filtering."""
     if s1.signature != s2.signature or s1.sort_sizes != s2.sort_sizes:

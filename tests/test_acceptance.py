@@ -43,7 +43,6 @@ from uniconstruct.structures import (
     SortedSignature,
     SortedStructure,
     automorphisms,
-    canonical_copies,
     isomorphisms,
     reduct,
 )
@@ -51,7 +50,7 @@ from uniconstruct.ucp import compose_solvers, reduct_solver, solver_from_catalog
 from uniconstruct.uniform import TripleSpace, build_family, uniform_F, verify_claims
 
 from .conftest import random_structure, two_sorted
-from .oracles import naive_isomorphisms, naive_section_census, naive_sections
+from .oracles import canonical_copies, naive_isomorphisms, naive_section_census, naive_sections
 
 
 def report(criterion: str, ok: bool, elapsed: float, detail: str = ""):

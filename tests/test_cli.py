@@ -378,7 +378,7 @@ class TestSkewCommands:
         assert capsys.readouterr().err.startswith("error: malformed skew element document: ")
 
     def test_cyclic_skew_over_table_bound_exits_1(self, capsys):
-        # order 6 * 3**6 = 4374 is within cyclic_skew_order, its table is not
+        # order 6 * 3**6 = 4374: its table is over the table_cells bound
         tracemalloc.start()
         try:
             code = main(["cyclic-skew", "--k", "6", "--base", "c3"])
@@ -388,6 +388,15 @@ class TestSkewCommands:
         assert code == 1
         assert "order 4374 has 19131876 cells, over the bound" in capsys.readouterr().err
         assert peak < 4374 * 4374  # refused before one byte per cell was allocated
+
+    def test_cyclic_skew_order_is_bounded_by_table_cells(self, capsys):
+        # order 7 * 3**7 = 15309: refused by the table_cells bound alone
+        assert main(["cyclic-skew", "--k", "7", "--base", "c3"]) == 1
+        err = capsys.readouterr().err
+        assert "a Cayley table of order 15309 has 234365481 cells, over the bound" in err
+        # 5000 * 3**5000 is named by its bit length: its square has too many digits to print
+        assert main(["cyclic-skew", "--k", "5000", "--base", "c3"]) == 1
+        assert "a Cayley table of order over 2**7937 is over the bound" in capsys.readouterr().err
 
     def test_cyclic_skew_identifies_catalog_match(self, tmp_path):
         out_path = tmp_path / "cs.json"
@@ -588,6 +597,23 @@ class TestEncodeAttach:
         a = reduct(b, (0,))
         assert searched[:5] == [b, b, a, b, a]
         assert len(searched) == 6 and searched[5].sort_sizes == (2, 1, 2)
+
+    def test_attach_decides_without_listing_sections(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("attach listed the sections")
+
+        monkeypatch.setattr(groups, "classify_sections", refuse)
+        b = two_sorted((2, 1), [("R", (0, 1), [(0, 0), (1, 0)])])
+        b_path = write(tmp_path, "b.json", dumps(b))
+        g3_path = write(tmp_path, "g3.json", json.dumps(group_to_json(cyclic(2))))
+        phi_path = write(tmp_path, "phi.json", json.dumps({"map": [0, 1]}))
+        out_path = tmp_path / "att.json"
+        assert main([
+            "attach", "--structure", b_path, "--g3", g3_path, "--phi23", phi_path,
+            "--phi13", phi_path, "--format", "json", "--out", str(out_path),
+        ]) == 0
+        doc = json.loads(out_path.read_text())
+        assert doc["c23_has_splitting"] is True and doc["c13_has_weak_splitting"] is True
 
 
 class TestUniformize:
@@ -975,9 +1001,9 @@ REEXPORTS = {
         "SignatureMismatchError", "StructureError", "UniconstructError", "VerificationError",
     ),
     "structures": (
-        "SortedMap", "SortedSignature", "SortedStructure", "automorphisms", "canonical_copies",
-        "identity_map", "isomorphisms", "quotient", "reduct", "relabel", "relabel_map",
-        "restrict_signature", "validate",
+        "SortedMap", "SortedSignature", "SortedStructure", "automorphisms", "identity_map",
+        "isomorphisms", "quotient", "reduct", "relabel", "relabel_map", "restrict_signature",
+        "validate",
     ),
     "groups": (
         "AutomorphismGroup", "FiniteGroup", "GroupHom", "Section", "alternating", "aut_group",

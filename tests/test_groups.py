@@ -753,6 +753,32 @@ class TestFirstWeakSplitting:
             first_weak_splitting(GroupHom(cyclic(2), cyclic(4), [0, 2]))
 
 
+class TestSearchAccounting:
+    """The nodes both splitting decisions take over every catalog quotient,
+    pinned: a change to a search's candidate order or pruning shows here."""
+
+    @pytest.mark.parametrize("max_order, decide, first", [(16, 412, 1151), (24, 910, 3827)])
+    def test_nodes_over_catalog_quotients(
+        self, catalog_quotients, monkeypatch, max_order, decide, first
+    ):
+        taken = []
+        real = groups._NodeBudget.take
+
+        def counted(budget):
+            taken.append(None)
+            real(budget)
+
+        monkeypatch.setattr(groups._NodeBudget, "take", counted)
+        phis = [phi for _, _, phi in catalog_quotients[max_order]]
+        for phi in phis:
+            decide_splittings(phi)
+        assert len(taken) == decide
+        taken.clear()
+        for phi in phis:
+            first_weak_splitting(phi)
+        assert len(taken) == first
+
+
 class TestAutGroup:
     def test_rigid_structure_trivial_group(self):
         sig_auts = aut_group(directed_cycle(3))
@@ -893,6 +919,11 @@ class TestTableCellsBound:
     def test_table_at_the_bound_accepted(self):
         assert cyclic(9).order == 9
 
+    def test_order_too_long_to_print_refused(self):
+        # 2000! has 5736 digits, past Python's int-to-text limit of 4300
+        with pytest.raises(BoundExceededError, match=r"order over 2\*\*19052 is over the bound 99$"):
+            symmetric(2000)
+
     def test_automorphism_facts_need_no_table(self):
         ag = aut_group(free_points(5))
         assert ag.order == 120 and center(ag) == [0] and len(ag.gens) == 4
@@ -941,6 +972,14 @@ class TestSurjectiveHoms:
 
     def test_order_obstruction(self):
         assert surjective_homs(cyclic(9), cyclic(2)) == []
+
+    def test_limit_takes_the_first(self):
+        groups12 = catalog(12)
+        for a in groups12:
+            for b in groups12:
+                if b.order <= a.order:
+                    first = surjective_homs(a, b, limit=1)
+                    assert first == surjective_homs(a, b)[:1], (a.label(), b.label())
 
 
 class TestGroupSerialization:

@@ -16,7 +16,6 @@ from uniconstruct.structures import (
     SortedSignature,
     SortedStructure,
     automorphisms,
-    canonical_copies,
     dumps,
     identity_map,
     isomorphisms,
@@ -30,7 +29,7 @@ from uniconstruct.structures import (
 )
 
 from .conftest import directed_cycle, free_points, linear_order, random_structure, two_sorted
-from .oracles import naive_isomorphisms
+from .oracles import canonical_copies, naive_isomorphisms
 
 
 class TestValidate:

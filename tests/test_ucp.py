@@ -20,7 +20,6 @@ from uniconstruct.structures import (
     SortedSignature,
     SortedStructure,
     automorphisms,
-    canonical_copies,
     reduct,
 )
 from uniconstruct.ucp import (
@@ -34,7 +33,7 @@ from uniconstruct.ucp import (
 )
 
 from .conftest import two_sorted
-from .oracles import naive_restriction
+from .oracles import canonical_copies, naive_restriction
 from .test_uniform import weak_only_lifting
 
 

@@ -14,7 +14,6 @@ from uniconstruct.structures import (
     SortedMap,
     SortedSignature,
     SortedStructure,
-    canonical_copies,
     dumps,
     isomorphisms,
     reduct,
@@ -33,6 +32,7 @@ from uniconstruct.uniform import (
 
 from .conftest import random_structure, two_sorted
 from .oracles import (
+    canonical_copies,
     naive_classes,
     naive_cocycle_holds,
     naive_e_matrix,
