@@ -32,8 +32,8 @@ _EXPORTS = {
     ),
     "skew": (
         "CyclicSkewGroup", "SkewElement", "build_cyclic_skew", "center_witness",
-        "hom_violations", "phi13", "phi23", "phi23_hom_witness", "psi0", "shift_generator",
-        "skew_from_support", "skew_identity", "skew_inv", "skew_mul", "skew_pow",
+        "phi13", "phi23", "phi23_hom_witness", "psi0", "shift_generator", "skew_from_support",
+        "skew_identity", "skew_inv", "skew_mul", "skew_pow",
     ),
     "ucp": (
         "Solver", "UniConstructionProblem", "assemble_ucp", "compose_solvers", "derive_triple",

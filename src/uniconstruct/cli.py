@@ -375,8 +375,7 @@ def _skew_laws(base, samples, seed):
     the exact phi23 verdict on ``samples`` sampled pairs.
 
     One stream from ``random.Random(seed)`` serves both: triple i is
-    elements 3i..3i+2, and hom pair i is elements 2i and 2i+1, the pairs
-    :func:`hom_violations` draws from the same seed.
+    elements 3i..3i+2, and hom pair i is elements 2i and 2i+1.
     """
     from .skew import (
         SkewElement, phi23, phi23_hom_defect, phi23_hom_witness, psi0, random_skew_element,
@@ -508,16 +507,20 @@ def _cmd_attach(args):
     g3 = _load_group(args.g3)
     phi23_map = _read_map(args.phi23)
     autb = aut_group(b, max_elements=args.max_elements)
-    phi23 = GroupHom(g3, autb.group, phi23_map)
+    phi23 = GroupHom(g3, autb, phi23_map)
     phi13 = None
     if args.phi13:
         phi13_map = _read_map(args.phi13)
         auta = aut_group(reduct(b, (0,)), max_elements=args.max_elements)
-        phi13 = GroupHom(g3, auta.group, phi13_map)
+        phi13 = GroupHom(g3, auta, phi13_map)
     attachment = attach_skew(b, g3, phi23, phi13, max_elements=args.max_elements)
     derivation = derive_triple(attachment.structure, max_elements=args.max_elements)
-    c23_split, c23_weak = decide_splittings(derivation.c23.phi)
-    c13_split, c13_weak = decide_splittings(derivation.c13.phi)
+    # a derived map that is not onto fails clause (e) and has no sections
+    (c23_split, c23_weak), (c13_split, c13_weak) = (
+        decide_splittings(p.phi) if p.report.ok("e") else (None, None)
+        for p in (derivation.c23, derivation.c13)
+    )
+    word = {True: "yes", False: "no", None: "undecided (not onto)"}
     doc = {
         "command": "attach",
         "structure": structure_to_json(attachment.structure),
@@ -530,8 +533,8 @@ def _cmd_attach(args):
     lines = [
         f"attached structure: sorts {list(attachment.structure.sort_sizes)}",
         f"derived weak problems: {'ok' if derivation.all_weak else 'FAIL'}",
-        f"c23 splitting: {'yes' if c23_split else 'no'}",
-        f"c13 splitting: {'yes' if c13_split else 'no'}; weak: {'yes' if c13_weak else 'no'}",
+        f"c23 splitting: {word[c23_split]}",
+        f"c13 splitting: {word[c13_split]}; weak: {word[c13_weak]}",
     ]
     return (0 if derivation.all_weak else 2), doc, lines
 

@@ -64,6 +64,18 @@ def check_table_cells(order: int) -> None:
         raise BoundExceededError(f"a Cayley table of order {size} over the bound {bound}")
 
 
+def _check_table_log2(log2_order: float) -> None:
+    """Refuse, before a factorial or power of a huge parameter is formed, a
+    table whose order has the float estimate ``log2_order`` of its log2:
+    allowing for float error, the order is at least 2**n, and when that
+    alone is past 64 bits and over the bound, the message is
+    :func:`check_table_cells`'s.  Any other order is left to that check."""
+    n = math.floor(log2_order * (1 - 2**-40))
+    bound = DEFAULT.table_cells
+    if n >= 64 and n >= math.isqrt(bound).bit_length():
+        raise BoundExceededError(f"a Cayley table of order over 2**{n} is over the bound {bound}")
+
+
 def check_elements(total: int, max_elements: int | None = None) -> None:
     """Refuse an isomorphism search over a structure of ``total`` elements
     past ``max_elements`` (default: the ``aut_elements`` bound)."""

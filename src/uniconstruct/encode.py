@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import GroupError, StructureError
 from .groups import AutomorphismGroup, FiniteGroup, GroupHom, aut_group, is_hom, is_surjective
 from .structures import SortedMap, SortedSignature, SortedStructure, reduct
-from .ucp import Report, UniConstructionProblem, derive_triple, restriction_hom
+from .ucp import Report, UniConstructionProblem, derive_triple, restriction_map
 
 __all__ = [
     "GroupTriple",
@@ -186,25 +186,26 @@ def attach_skew(
 ) -> Attachment:
     """Extend B by a third sort of G3 elements acting through evaluations.
 
-    phi23 must land in the automorphism group of B (as computed by
-    ``aut_group``); phi13 defaults to its composition with the restriction
-    map.  Evaluation symbols F2_{i} record where phi23(b) sends the i-th
-    element of B, F1_{i} likewise on the first-sort reduct, and T3_{c} are
-    right translations of the new sort.
+    phi23 must land in the AutomorphismGroup of B and phi13 in that of its
+    first-sort reduct A, as ``aut_group`` returns them; phi13 defaults to
+    phi23 followed by the restriction map, and only then is Aut(A) searched.
+    Evaluation symbols F2_{i} record where phi23(b) sends the i-th element
+    of B, F1_{i} likewise on the first-sort reduct, and T3_{c} are right
+    translations of the new sort.
     """
     if len(B.sort_sizes) != 2:
         raise StructureError("attach_skew requires a 2-sorted structure")
     B.check_valid()
-    autB = aut_group(B, max_elements=max_elements)
-    A = reduct(B, (0,))
-    autA = aut_group(A, max_elements=max_elements)
-
-    if phi23.domain != g3 or phi23.codomain != autB.group:
+    autB = phi23.codomain
+    if phi23.domain != g3 or not isinstance(autB, AutomorphismGroup) or autB.structure != B:
         raise GroupError("phi23 must map G3 into the automorphism group of B")
-
+    A = reduct(B, (0,))
     if phi13 is None:
-        phi13 = restriction_hom(autB, autA).compose(phi23)
-    elif phi13.domain != g3 or phi13.codomain != autA.group:
+        autA = aut_group(A, max_elements=max_elements)
+        restriction = restriction_map(autB, autA)
+        phi13 = GroupHom(g3, autA, [restriction[v] for v in phi23.map])
+    autA = phi13.codomain
+    if phi13.domain != g3 or not isinstance(autA, AutomorphismGroup) or autA.structure != A:
         raise GroupError("phi13 must map G3 into the automorphism group of the reduct")
 
     fn_syms = []

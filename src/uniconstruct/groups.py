@@ -5,13 +5,15 @@ is map composition (apply the right factor first).  Everything is exact and
 deterministic: the section search reports its finds in lexicographic order
 of fiber representatives, so the first witness found is reproducible.  Both
 group kinds answer one protocol, which is all the algorithms read: ``order``,
-``gens``, ``mul(a, b)``, ``inverses()``, ``right(q)`` (the list x -> x*q) and
-``rows()`` (the Cayley table as lists).  numpy is imported only where a dense
-table is built, checked or written.
+``gens``, ``mul(a, b)``, ``inverses()``, ``element_order(a)``, ``right(q)``
+(the list x -> x*q) and ``rows()`` (the Cayley table as lists, read only by
+the section search).  numpy is imported only where a dense table is built,
+checked or written.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -157,7 +159,7 @@ class FiniteGroup:
         return range(self.order)
 
     def element_order(self, a: int) -> int:
-        return _element_order(self.rows(), a)
+        return _element_order(self.rows()[a].__getitem__)
 
     def is_abelian(self) -> bool:
         return bool((self.table == self.table.T).all())
@@ -560,14 +562,15 @@ def _splitting_exists(phi: GroupHom, fibers: list[list[int]], budget: _NodeBudge
     identity, and psi is a section that is a homomorphism: a splitting.
     Conversely a splitting's own values on the generators are such a choice,
     so the search finds a splitting exactly when one exists.  Each choice
-    tried is taken from ``budget``.
+    tried is taken from ``budget``.  Orders come from each group's own
+    ``element_order`` and the law from its columns, so no table is built.
     """
     g, h = phi.codomain, phi.domain
-    t_g, t_h = g.rows(), h.rows()
+    order_in_h = functools.cache(h.element_order)
 
-    def same_order(q: int, m: dict[int, int]) -> Iterator[int]:
-        k = _element_order(t_g, q)
-        return (v for v in fibers[q] if _element_order(t_h, v) == k)
+    def same_order(q: int, m: list[int]) -> Iterator[int]:
+        k = g.element_order(q)
+        return (v for v in fibers[q] if order_in_h(v) == k)
 
     return next(_homs_on_generators(g, h, same_order, budget=budget), None) is not None
 
@@ -673,9 +676,15 @@ def _perm_group(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
 
 
 def symmetric(n: int) -> FiniteGroup:
+    config._check_table_log2(_log2_factorial(n))
     config.check_table_cells(math.factorial(n))
     perms = [tuple(p) for p in itertools.permutations(range(n))]
     return _perm_group(perms, f"S{n}")
+
+
+def _log2_factorial(n: int) -> float:
+    # n clamped to [0, 2**64] so a float holds it: a lower bound is enough
+    return math.lgamma(min(max(n, 0), 2**64) + 1) / math.log(2)
 
 
 def _parity(p: tuple[int, ...]) -> int:
@@ -694,6 +703,7 @@ def _parity(p: tuple[int, ...]) -> int:
 
 
 def alternating(n: int) -> FiniteGroup:
+    config._check_table_log2(_log2_factorial(n) - 1)
     config.check_table_cells(math.factorial(n) // 2)
     perms = [tuple(p) for p in itertools.permutations(range(n)) if _parity(tuple(p)) == 0]
     return _perm_group(perms, f"A{n}")
@@ -714,29 +724,19 @@ def _invariant_key(g: FiniteGroup):
 
 def _generators(order: int, right: Callable[[int], Sequence[int]]) -> list[int]:
     """Greedy generating set of a table with identity 0: the smallest element
-    not yet reached, then the closure of the reached set under right
-    multiplication by every generator so far, read from the columns
-    ``right(q)`` (x -> x*q).  The closure does not depend on the order its
-    elements are visited in.  On a group table each closure is the subgroup
-    the generators so far generate, and each generator's whole column is
-    read, so every element is multiplied by every generator."""
-    reached = [False] * order
-    reached[0] = True
+    not yet reached, then the subgroup the generators so far generate, closed
+    by :func:`_close` on the identity map along the columns ``right(q)``
+    (x -> x*q).  The closure does not depend on the order its elements are
+    visited in, and each generator's whole column is read, so every element
+    is multiplied by every generator."""
+    right = functools.cache(right)
+    reached = [0] + [-1] * (order - 1)
     gens: list[int] = []
-    columns: list[Sequence[int]] = []
-    while not all(reached):
-        gens.append(reached.index(False))
-        columns.append(right(gens[-1]))
-        frontier = [x for x in range(order) if reached[x]]
-        while frontier:
-            fresh = []
-            for col in columns:
-                for x in frontier:
-                    y = col[x]
-                    if not reached[y]:
-                        reached[y] = True
-                        fresh.append(y)
-            frontier = fresh
+    while -1 in reached:
+        q = reached.index(-1)
+        gens.append(q)
+        reached[q] = q
+        _close(reached, gens, right, right)
     return gens
 
 
@@ -748,71 +748,83 @@ def _is_associative(arr: np.ndarray, gens: Sequence[int]) -> bool:
     return all((arr[arr[:, g]] == arr[:, arr[g]]).all() for g in gens)
 
 
-def _element_order(rows: list[list[int]], a: int) -> int:
-    x, k = a, 1
+def _element_order(times_a: Callable[[int], int]) -> int:
+    """The order of a, given x -> a*x: the steps from the identity back to it."""
+    x, k = times_a(0), 1
     while x != 0:
-        x = rows[x][a]
-        k += 1
+        x, k = times_a(x), k + 1
     return k
 
 
-def _close_hom(
-    t1: list[list[int]], t2: list[list[int]], m: dict[int, int]
-) -> dict[int, int] | None:
-    """Extend a partial map, in place, to the subgroup its keys generate by
-    the homomorphism law of the tables ``t1`` -> ``t2`` (row lists); None if
-    the law forces two images for one element."""
-    frontier = list(m)
+def _close(
+    m: list[int], gens: Sequence[int], right: Callable[[int], Sequence[int]],
+    image_right: Callable[[int], Sequence[int]],
+) -> list[int] | None:
+    """Extend the partial map m (-1 where unmapped; 0 and ``gens`` mapped)
+    in place along generator columns, m(x*q) = m(x)*m(q) for every mapped x
+    and q in ``gens``, reading ``right(q)`` of the domain and
+    ``image_right(m[q])`` of the codomain; None on a conflict.  The
+    constructive twin of :func:`_hom_law_holds`: each mapped element is read
+    once against each column, so m ends on the subgroup S that ``gens``
+    generate (when it starts inside S), obeying the law there, which makes it
+    a homomorphism on S.  On the identity map it closes a subgroup."""
+    columns = [(right(q), image_right(m[q])) for q in gens]
+    frontier = [x for x, v in enumerate(m) if v >= 0]
     while frontier:
-        nxt = []
-        for a in list(m):
-            for b in frontier:
-                for x, y in ((a, b), (b, a)):
-                    c = t1[x][y]
-                    w = t2[m[x]][m[y]]
-                    if c in m:
-                        if m[c] != w:
-                            return None
-                    else:
-                        m[c] = w
-                        nxt.append(c)
-        frontier = nxt
+        fresh = []
+        for col, image_col in columns:
+            for x in frontier:
+                y, w = col[x], image_col[m[x]]
+                v = m[y]
+                if v < 0:
+                    m[y] = w
+                    fresh.append(y)
+                elif v != w:
+                    return None
+        frontier = fresh
     return m
 
 
 def _homs_on_generators(
-    g, h, images: Callable[[int, dict[int, int]], Iterable[int]], *,
+    g, h, images: Callable[[int, list[int]], Iterable[int]], *,
     injective: bool = False, budget: _NodeBudget | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Every homomorphism g -> h whose value at each greedy generator q of g
     is drawn from ``images(q, m)``, m being the map closed on the generators
-    before q; each as its tuple of images, depth first in the order the
-    streams give.
+    before q (-1 where unmapped); each as its tuple of images, depth first in
+    the order the streams give.
 
-    Each choice is extended by the homomorphism law (:func:`_close_hom`) and
-    dropped on a conflict, or, when ``injective`` is set, when two elements
-    get one image.  Each greedy generator lies outside the subgroup the
-    earlier ones generate, so it is never mapped yet, and the map is total
-    once every generator has a value.  Each candidate tried is taken from
-    ``budget`` when one is given.  Either group may be a FiniteGroup or an
-    AutomorphismGroup; the search runs only as far as its consumer reads.
+    Each choice is closed along the columns of the generators so far
+    (:func:`_close`) and dropped on a conflict, or, when ``injective`` is
+    set, when two elements get one image.  Each greedy generator lies
+    outside the subgroup the earlier ones generate, so it is never mapped
+    yet, and the map is total once every generator has a value.  Each
+    candidate tried is taken from ``budget`` when one is given.  Either group
+    may be a FiniteGroup or an AutomorphismGroup; the search runs only as far
+    as its consumer reads.
     """
-    t_g, t_h = g.rows(), h.rows()
     gens = g.gens
+    right, image_right = functools.cache(g.right), functools.cache(h.right)
 
-    def extend(i: int, m: dict[int, int]) -> Iterator[tuple[int, ...]]:
+    def extend(i: int, m: list[int]) -> Iterator[tuple[int, ...]]:
         if i == len(gens):
-            yield tuple(map(m.__getitem__, range(g.order)))
+            yield tuple(m)
             return
         q = gens[i]
         for v in images(q, m):
             if budget is not None:
                 budget.take()
-            closed = _close_hom(t_g, t_h, {**m, q: v})
-            if closed is not None and (not injective or len(set(closed.values())) == len(closed)):
-                yield from extend(i + 1, closed)
+            closed = m[:]
+            closed[q] = v
+            if _close(closed, gens[: i + 1], right, image_right) is None:
+                continue
+            if injective:
+                mapped = [w for w in closed if w >= 0]
+                if len(set(mapped)) < len(mapped):
+                    continue
+            yield from extend(i + 1, closed)
 
-    return extend(0, {0: 0})
+    return extend(0, [0] + [-1] * (g.order - 1))
 
 
 def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None:
@@ -826,8 +838,8 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None
     for a in g2.elements():
         by_order.setdefault(g2.element_order(a), []).append(a)
 
-    def unused(q: int, m: dict[int, int]) -> Iterator[int]:
-        return (v for v in by_order[g1.element_order(q)] if v not in m.values())
+    def unused(q: int, m: list[int]) -> Iterator[int]:
+        return (v for v in by_order[g1.element_order(q)] if v not in m)
 
     return next(_homs_on_generators(g1, g2, unused, injective=True), None)
 
@@ -884,34 +896,27 @@ def catalog(max_order: int) -> list[FiniteGroup]:
 
 
 def subgroups(g: FiniteGroup) -> list[frozenset[int]]:
-    """All subgroups, discovered by closing generator sets."""
-    rows = g.rows()
-
-    def closure(seed: set[int]) -> frozenset[int]:
-        current = set(seed)
-        changed = True
-        while changed:
-            changed = False
-            items = list(current)
-            for a in items:
-                for b in items:
-                    c = rows[a][b]
-                    if c not in current:
-                        current.add(c)
-                        changed = True
-        return frozenset(current)
-
-    trivial = frozenset({0})
-    found = {trivial}
-    queue = [trivial]
+    """All subgroups: from the trivial one, each subgroup H found (kept with
+    its generators) grows by each element x outside it into the subgroup its
+    generators and x generate, closed by :func:`_close` on the identity map.
+    Every element of the coset xH grows H into that same subgroup, so each
+    coset is grown from once."""
+    right = functools.cache(g.right)
+    found = {frozenset({0}): ()}
+    queue = list(found)
     while queue:
         h = queue.pop()
+        seen = set(h)
         for x in g.elements():
-            if x in h:
+            if x in seen:
                 continue
-            bigger = closure(h | {x})
+            seen.update(right(y)[x] for y in h)
+            grown = (*found[h], x)
+            m = [y if y == 0 or y in grown else -1 for y in g.elements()]
+            _close(m, grown, right, right)
+            bigger = frozenset(y for y, v in enumerate(m) if v >= 0)
             if bigger not in found:
-                found.add(bigger)
+                found[bigger] = grown
                 queue.append(bigger)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
@@ -959,7 +964,7 @@ def surjective_homs(
         return []
     orders = [codomain.element_order(v) for v in codomain.elements()]
 
-    def dividing(q: int, m: dict[int, int]) -> Iterator[int]:
+    def dividing(q: int, m: list[int]) -> Iterator[int]:
         k = domain.element_order(q)
         return (v for v, j in enumerate(orders) if k % j == 0)
 
@@ -984,14 +989,14 @@ class AutomorphismGroup:
     row back to its element, so a product is two rows composed and looked
     up.  The group protocol is answered from the rows in pure Python:
     ``right(q)`` composes every row with ``perms[q]`` and is kept,
-    ``inverses()`` inverts every row, and ``rows()`` builds the Cayley table
-    from the generators' columns.  Construction finds the greedy generating
-    set ``gens`` by reading each generator's whole column, and a composite
+    ``inverses()`` inverts every row, ``element_order(a)`` multiplies by a
+    until the identity, and ``rows()`` builds the Cayley table from the
+    generators' columns.  Construction finds the greedy generating set
+    ``gens`` by reading each generator's whole column, and a composite
     missing from the list raises GroupError, so closure is checked exactly
-    at O(|Aut|·|gens|·N) cost for N elements.  The table and the FiniteGroup
-    ``group`` made from it are built on first access, at most once, and
-    conjugate copies share them.  Two groups are equal when they have the
-    same structure and the same maps.
+    at O(|Aut|·|gens|·N) cost for N elements.  The table is built on first
+    access, at most once, and conjugate copies share it.  Two groups are
+    equal when they have the same structure and the same maps.
     """
 
     def __init__(
@@ -1011,7 +1016,6 @@ class AutomorphismGroup:
         self.row_index = {row: i for i, row in enumerate(self.perms)}
         self._source = _table_source or self  # the group whose rows build the table
         self._rows: list[list[int]] | None = None
-        self._group: FiniteGroup | None = None
         self._inverses: list[int] | None = None
         self._center: tuple[int, ...] | None = None  # filled by center() on first use
         # conjugation is an isomorphism: a copy's columns and gens are its source's
@@ -1030,6 +1034,9 @@ class AutomorphismGroup:
 
     def mul(self, a: int, b: int) -> int:
         return self._lookup(tuple(map(self.perms[a].__getitem__, self.perms[b])))
+
+    def element_order(self, a: int) -> int:
+        return _element_order(functools.partial(self.mul, a))
 
     def inverses(self) -> list[int]:
         if self._inverses is None:
@@ -1078,16 +1085,6 @@ class AutomorphismGroup:
                 frontier = fresh
             src._rows = [list(row) for row in zip(*columns)]
         return src._rows
-
-    @property
-    def group(self) -> FiniteGroup:
-        """The Cayley table :meth:`rows` as a FiniteGroup, built on first
-        access and shared with conjugate copies."""
-        src = self._source
-        if src._group is None:
-            s = src.structure
-            src._group = FiniteGroup(src.rows(), name=f"Aut({len(s.sort_sizes)}-sorted,{s.total_elements}el)")
-        return src._group
 
     def conjugate(self, f: SortedMap) -> "AutomorphismGroup":
         """The automorphism group of f's codomain, for an isomorphism f from

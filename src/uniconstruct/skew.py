@@ -13,6 +13,7 @@ never the identity (normal form), so equality is structural.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -37,7 +38,6 @@ __all__ = [
     "psi0",
     "phi13",
     "center_witness",
-    "hom_violations",
     "phi23_hom_defect",
     "random_skew_element",
     "CyclicSkewGroup",
@@ -179,7 +179,7 @@ def phi23(a: SkewElement) -> int:
 
     It is a homomorphism exactly when the base is abelian;
     :func:`phi23_hom_witness` decides this and names a breaking pair, and
-    :func:`hom_violations` samples defects as a cross-check.
+    :func:`phi23_hom_defect` tests one pair.
     """
     mul = a.base.table.item
     out = 0
@@ -279,25 +279,6 @@ def phi23_hom_defect(x: SkewElement, y: SkewElement) -> bool:
     return phi23(skew_mul(x, y)) != x.base.mul(phi23(x), phi23(y))
 
 
-def hom_violations(
-    base: FiniteGroup, n_samples: int, seed: int = 0
-) -> list[tuple[SkewElement, SkewElement]]:
-    """Sample element pairs and collect those where the base projection
-    breaks the homomorphism law.  Abelian bases should yield none.
-
-    Pair i is elements 2i and 2i+1 of the stream that
-    :func:`random_skew_element` draws, with identities allowed, from
-    ``random.Random(seed)``."""
-    rng = random.Random(seed)
-    bad = []
-    for _ in range(n_samples):
-        x = random_skew_element(base, rng, allow_identity=True)
-        y = random_skew_element(base, rng, allow_identity=True)
-        if phi23_hom_defect(x, y):
-            bad.append((x, y))
-    return bad
-
-
 # ---------------------------------------------------------------------------
 # Finite cyclic analogue (positions and shifts mod k)
 
@@ -342,6 +323,8 @@ def build_cyclic_skew(k: int, base: FiniteGroup) -> CyclicSkewGroup:
     """
     if k < 1:
         raise GroupError("modulus must be at least 1")
+    # k is capped so a float holds the product: a lower bound is enough
+    config._check_table_log2(math.log2(k) + min(k, 2**64) * math.log2(base.order))
     order = k * base.order**k
     config.check_table_cells(order)
 

@@ -36,7 +36,6 @@ __all__ = [
     "UniConstructionProblem",
     "assemble_ucp",
     "restriction_map",
-    "restriction_hom",
     "TripleDerivation",
     "derive_triple",
     "Solver",
@@ -151,12 +150,6 @@ def restriction_map(H: AutomorphismGroup, G: AutomorphismGroup) -> tuple[int, ..
             "internal error: restriction of an automorphism is not an "
             "automorphism of the first-sort reduct"
         ) from None
-
-
-def restriction_hom(H: AutomorphismGroup, G: AutomorphismGroup) -> GroupHom:
-    """The map sending an automorphism of B to its first-sort restriction,
-    as a GroupHom between the two Cayley tables."""
-    return GroupHom(H.group, G.group, restriction_map(H, G))
 
 
 def assemble_ucp(

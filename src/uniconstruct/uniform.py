@@ -309,12 +309,6 @@ class TripleSpace:
                         )
         return out
 
-    def g_map(self, x: MatchedTriple, t: int) -> SortedMap:
-        """The base-row isomorphism B_0 -> B_t chosen by the triple."""
-        if t == 0 or x.g_idx[t] == -1:
-            return identity_map(self.fam.members[0].B)
-        return self.biso[t][x.g_idx[t]]
-
     # -- equivalence ------------------------------------------------------
 
     def psi_tilde(self, s: int, i: int, j: int) -> SortedMap:

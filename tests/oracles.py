@@ -3,7 +3,9 @@
 These deliberately avoid the library's search code paths: isomorphisms by
 filtering all permutation families, skew multiplication by string rewriting,
 cyclic skew tables and direct products cell by cell, the homomorphism law
-over every pair, sections by raw fiber products, matched triples by enumerating full commutative matrices,
+over every pair, homomorphisms by extending every tuple of generator images
+along words, skew projection defects by sampling pairs, sections by raw
+fiber products, matched triples by enumerating full commutative matrices,
 twist-equivalence classes by pairwise comparison, thread sets by scanning
 every triple once per element, the uniform construction's output by
 relabelling the base member along one isomorphism, restriction maps by
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from uniconstruct.groups import (
     symmetric,
 )
 from uniconstruct.groups import aut_group
+from uniconstruct.skew import SkewElement, phi23_hom_defect, random_skew_element
 from uniconstruct.structures import (
     SortedMap,
     SortedStructure,
@@ -41,7 +45,7 @@ from uniconstruct.structures import (
     relabel,
     relabel_map,
 )
-from uniconstruct.uniform import make_lifted_copy
+from uniconstruct.uniform import MatchedTriple, TripleSpace, make_lifted_copy
 
 
 def canonical_copies(s: SortedStructure, cap: int | None = None) -> list[SortedStructure]:
@@ -154,6 +158,25 @@ def rewrite_mul(a, b):
             else:
                 i += 1
     return shift, tuple(gens)
+
+
+def hom_violations(
+    base: FiniteGroup, n_samples: int, seed: int = 0
+) -> list[tuple[SkewElement, SkewElement]]:
+    """Sample element pairs and collect those where the base projection
+    breaks the homomorphism law.  Abelian bases should yield none.
+
+    Pair i is elements 2i and 2i+1 of the stream that
+    :func:`random_skew_element` draws, with identities allowed, from
+    ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    bad = []
+    for _ in range(n_samples):
+        x = random_skew_element(base, rng, allow_identity=True)
+        y = random_skew_element(base, rng, allow_identity=True)
+        if phi23_hom_defect(x, y):
+            bad.append((x, y))
+    return bad
 
 
 def naive_cyclic_skew_table(k, base):
@@ -287,6 +310,30 @@ def naive_is_hom(mapping, domain, codomain):
         for a in domain.elements()
         for b in domain.elements()
     )
+
+
+def naive_homs(domain, codomain):
+    """Every homomorphism domain -> codomain as its tuple of images: each
+    tuple of images for the domain's generators is extended along words,
+    breadth first from the identity by ``mul``, and kept only when
+    :func:`naive_is_hom` accepts the map it gives."""
+    homs = []
+    for images in itertools.product(codomain.elements(), repeat=len(domain.gens)):
+        m = {0: 0}
+        frontier = [0]
+        while frontier:
+            fresh = []
+            for x in frontier:
+                for q, v in zip(domain.gens, images):
+                    y = domain.mul(x, q)
+                    if y not in m:
+                        m[y] = codomain.mul(m[x], v)
+                        fresh.append(y)
+            frontier = fresh
+        mapping = tuple(m[x] for x in domain.elements())
+        if naive_is_hom(mapping, domain, codomain):
+            homs.append(mapping)
+    return homs
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +496,13 @@ def naive_classes(space):
         class_of.append(roots[r])
         members[roots[r]].append(i)
     return class_of, members
+
+
+def g_map(space: TripleSpace, x: MatchedTriple, t: int) -> SortedMap:
+    """The base-row isomorphism B_0 -> B_t chosen by the triple."""
+    if t == 0 or x.g_idx[t] == -1:
+        return identity_map(space.fam.members[0].B)
+    return space.biso[t][x.g_idx[t]]
 
 
 def naive_e_matrix(space):

@@ -30,7 +30,6 @@ from uniconstruct.groups import (
 )
 from uniconstruct.skew import (
     center_witness,
-    hom_violations,
     phi23,
     psi0,
     random_skew_element,
@@ -50,7 +49,13 @@ from uniconstruct.ucp import compose_solvers, reduct_solver, solver_from_catalog
 from uniconstruct.uniform import TripleSpace, build_family, uniform_F, verify_claims
 
 from .conftest import random_structure, two_sorted
-from .oracles import canonical_copies, naive_isomorphisms, naive_section_census, naive_sections
+from .oracles import (
+    canonical_copies,
+    hom_violations,
+    naive_isomorphisms,
+    naive_section_census,
+    naive_sections,
+)
 
 
 def report(criterion: str, ok: bool, elapsed: float, detail: str = ""):

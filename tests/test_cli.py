@@ -398,6 +398,22 @@ class TestSkewCommands:
         assert main(["cyclic-skew", "--k", "5000", "--base", "c3"]) == 1
         assert "a Cayley table of order over 2**7937 is over the bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, power", [
+        (["--k", "100000000", "--base", "c3"], 158496276),
+        (["--k", "2", "--base", "s3000000"], 60221520),
+    ], ids=["k-huge", "base-huge"])
+    def test_huge_parameters_refused_before_the_order_is_formed(self, args, power):
+        # 3**100000000 or 3000000! alone takes seconds to form; the refusal
+        # comes from an estimate of its logarithm
+        env = {k: v for k, v in os.environ.items() if not k.startswith("UNICONSTRUCT_")}
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+        proc = subprocess.run(
+            [sys.executable, "-m", "uniconstruct.cli", "cyclic-skew", *args],
+            capture_output=True, text=True, env=env, timeout=5,
+        )
+        assert proc.returncode == 1
+        assert f"a Cayley table of order over 2**{power} is over the bound" in proc.stderr
+
     def test_cyclic_skew_identifies_catalog_match(self, tmp_path):
         out_path = tmp_path / "cs.json"
         assert main([
@@ -567,6 +583,26 @@ class TestEncodeAttach:
         doc = json.loads(out_path.read_text())
         assert doc["c23_has_splitting"] is True
 
+    @pytest.mark.parametrize(
+        "n, g3, phi23", [(2, "c2", [0, 0]), (7, "c1", [0])], ids=["free2-c2", "free7-c1"]
+    )
+    def test_attach_not_onto_fails_verification(self, tmp_path, capsys, n, g3, phi23):
+        # a trivial phi23 leaves the derived maps short of Aut(B) = S_n:
+        # valid input whose derived problems fail clause (e), so exit 2
+        b_path = write(tmp_path, "b.json", dumps(free_over_apex(n)))
+        phi_path = write(tmp_path, "phi.json", json.dumps({"map": phi23}))
+        argv = ["attach", "--structure", b_path, "--g3", g3, "--phi23", phi_path]
+        doc = run_json(tmp_path, argv, 2)
+        assert doc["derived_all_weak"] is False
+        for key in ("c23_has_splitting", "c23_has_weak_splitting",
+                    "c13_has_splitting", "c13_has_weak_splitting"):
+            assert doc[key] is None
+        capsys.readouterr()
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "c23 splitting: undecided (not onto)" in out
+        assert "c13 splitting: undecided (not onto); weak: undecided (not onto)" in out
+
     def test_attach_with_explicit_phi13(self, tmp_path):
         b = two_sorted((2, 1), [("R", (0, 1), [(0, 0), (1, 0)])])
         b_path = write(tmp_path, "b.json", dumps(b))
@@ -579,8 +615,9 @@ class TestEncodeAttach:
         ]) == 0
 
     def test_attach_search_count(self, tmp_path, monkeypatch):
-        # Aut(B) in the command, Aut(B) and Aut(A) in attach_skew, then one
-        # search per level of the attached structure C in derive_triple
+        # Aut(B) in the command, Aut(A) in attach_skew (Aut(B) is phi23's
+        # codomain), then one search per level of the attached structure C
+        # in derive_triple
         searched = []
 
         def counted(s, **kwargs):
@@ -595,8 +632,8 @@ class TestEncodeAttach:
         phi_path = write(tmp_path, "phi.json", json.dumps({"map": [0, 1]}))
         assert main(["attach", "--structure", b_path, "--g3", g3_path, "--phi23", phi_path]) == 0
         a = reduct(b, (0,))
-        assert searched[:5] == [b, b, a, b, a]
-        assert len(searched) == 6 and searched[5].sort_sizes == (2, 1, 2)
+        assert searched[:4] == [b, a, b, a]
+        assert len(searched) == 5 and searched[4].sort_sizes == (2, 1, 2)
 
     def test_attach_decides_without_listing_sections(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1014,8 +1051,8 @@ REEXPORTS = {
     ),
     "skew": (
         "CyclicSkewGroup", "SkewElement", "build_cyclic_skew", "center_witness",
-        "hom_violations", "phi13", "phi23", "phi23_hom_witness", "psi0", "shift_generator",
-        "skew_from_support", "skew_identity", "skew_inv", "skew_mul", "skew_pow",
+        "phi13", "phi23", "phi23_hom_witness", "psi0", "shift_generator", "skew_from_support",
+        "skew_identity", "skew_inv", "skew_mul", "skew_pow",
     ),
     "ucp": (
         "Solver", "UniConstructionProblem", "assemble_ucp", "compose_solvers", "derive_triple",

@@ -52,6 +52,7 @@ from .oracles import (
     naive_catalog,
     naive_closure,
     naive_direct_product,
+    naive_homs,
     naive_is_hom,
     naive_normal_subgroups,
     naive_quotient,
@@ -557,6 +558,31 @@ class TestCatalog:
         got, want = direct_product(g1, g2), naive_direct_product(g1, g2)
         assert np.array_equal(got.table, want.table) and got.label() == want.label()
 
+    def test_catalog_32_counts_per_order(self):
+        # frozen from the all-pairs closures the generator-column closure
+        # replaced; the orders 16, 24 and 32 are short of OEIS A000001
+        # (14, 15, 51): the catalog holds only the named families' products
+        counts = {}
+        for g in catalog(32):
+            counts[g.order] = counts.get(g.order, 0) + 1
+        assert sum(counts.values()) == 95
+        assert counts == {
+            1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2, 11: 1, 12: 5,
+            13: 1, 14: 2, 15: 1, 16: 9, 17: 1, 18: 4, 19: 1, 20: 4, 21: 1, 22: 2, 23: 1,
+            24: 12, 25: 2, 26: 2, 27: 3, 28: 4, 29: 1, 30: 4, 31: 1, 32: 15,
+        }
+
+    def test_homs_equal_generator_word_oracle(self):
+        cat = catalog(8)
+        for g1 in cat:
+            for g2 in cat:
+                homs = naive_homs(g1, g2)
+                onto = sorted(m for m in homs if len(set(m)) == g2.order)
+                assert sorted(h.map for h in surjective_homs(g1, g2)) == onto
+                iso = find_isomorphism(g1, g2)
+                assert (iso is not None) == (g1.order == g2.order and bool(onto))
+                assert iso is None or iso in onto
+
     def test_iso_search_positive_and_negative(self):
         assert find_isomorphism(dihedral(3), symmetric(3)) is not None
         assert find_isomorphism(dihedral(4), dicyclic(2)) is None
@@ -624,6 +650,30 @@ class TestCatalogSearch:
         found = {(w.group.label(), len(w.normal)) for w in witnesses}
         assert ("C9", 3) in found
         assert ("C2xC8", 4) in found
+
+    def test_witnesses_at_order_32(self):
+        # (group, normal subgroup, quotient order), frozen from the
+        # all-pairs closures the generator-column closure replaced
+        witnesses = catalog_search_weak_not_strong(32)
+        assert [(w.group.label(), w.normal, w.phi.codomain.order) for w in witnesses] == [
+            ("C9", (0, 3, 6), 3),
+            ("C2xC8", (0, 4, 10, 14), 4),
+            ("C18", (0, 6, 12), 6),
+            ("C18", (0, 3, 6, 9, 12, 15), 3),
+            ("C25", (0, 5, 10, 15, 20), 5),
+            ("C27", (0, 9, 18), 9),
+            ("C27", (0, 3, 6, 9, 12, 15, 18, 21, 24), 3),
+            ("C3xC9", (0, 3, 6), 9),
+            ("C3xC9", (0, 3, 6, 9, 12, 15, 18, 21, 24), 3),
+            ("C16xC2", (0, 8, 20, 28), 8),
+            ("C16xC2", (0, 4, 8, 12, 18, 22, 26, 30), 4),
+            ("C2xC2xC8", (0, 4, 10, 14), 8),
+            ("C2xC2xC8", (0, 4, 18, 22), 8),
+            ("C2xC2xC8", (0, 4, 26, 30), 8),
+            ("C2xC2xC8", (0, 4, 8, 12, 18, 22, 26, 30), 4),
+            ("C2xC2xC8", (0, 4, 10, 14, 16, 20, 26, 30), 4),
+            ("C2xC2xC8", (0, 4, 10, 14, 18, 22, 24, 28), 4),
+        ]
 
 
 @pytest.fixture(scope="module")
@@ -697,6 +747,19 @@ class TestDecideSplittings:
     def test_non_surjective_rejected(self):
         with pytest.raises(GroupError, match="surjective"):
             decide_splittings(GroupHom(cyclic(2), cyclic(4), [0, 2]))
+
+    def test_splitting_of_automorphism_groups_builds_no_table(self, monkeypatch):
+        # 5 free points over an apex restrict as S5 -> S5: the splitting is
+        # found on generator columns, so neither Cayley table is built
+        from uniconstruct.ucp import assemble_ucp
+
+        phi = assemble_ucp(two_sorted((5, 1), [("R", (0, 1), [(p, 0) for p in range(5)])])).phi
+
+        def refuse(self):
+            raise AssertionError("a Cayley table of an automorphism group was built")
+
+        monkeypatch.setattr(groups.AutomorphismGroup, "rows", refuse)
+        assert decide_splittings(phi) == (True, True)
 
     def test_catalog_search_lists_sections_of_witnesses_only(self, monkeypatch):
         listed = []
@@ -782,24 +845,25 @@ class TestSearchAccounting:
 class TestAutGroup:
     def test_rigid_structure_trivial_group(self):
         sig_auts = aut_group(directed_cycle(3))
-        assert sig_auts.group.order == 3
+        assert FiniteGroup(sig_auts.rows()).order == 3
 
     def test_bare_three_points_is_s3(self):
-        ag = aut_group(free_points(3))
-        assert ag.group.order == 6
-        assert find_isomorphism(ag.group, symmetric(3)) is not None
+        table = FiniteGroup(aut_group(free_points(3)).rows())
+        assert table.order == 6
+        assert find_isomorphism(table, symmetric(3)) is not None
 
     def test_three_cycle_is_c3(self):
-        ag = aut_group(directed_cycle(3))
-        assert find_isomorphism(ag.group, cyclic(3)) is not None
+        table = FiniteGroup(aut_group(directed_cycle(3)).rows())
+        assert find_isomorphism(table, cyclic(3)) is not None
 
     def test_action_is_isomorphism_under_composition(self):
         ag = aut_group(free_points(4))
-        assert ag.group.order == 24
-        for i in range(ag.group.order):
-            for j in range(ag.group.order):
+        table = FiniteGroup(ag.rows())
+        assert table.order == 24
+        for i in range(table.order):
+            for j in range(table.order):
                 composed = ag.maps[i].compose(ag.maps[j])
-                assert ag.index_of(composed) == ag.group.mul(i, j)
+                assert ag.index_of(composed) == table.mul(i, j)
 
     def test_identity_is_element_zero(self):
         ag = aut_group(free_points(3))
@@ -814,10 +878,11 @@ class TestAutGroup:
     ], ids=["free5", "two-sorted", "encode3-s4-s3-c2"])
     def test_table_is_composition(self, make, order):
         ag = aut_group(make(), max_elements=32)
-        assert ag.group.order == order
+        table = FiniteGroup(ag.rows())
+        assert table.order == order
         for i, mi in enumerate(ag.maps):
             for j, mj in enumerate(ag.maps):
-                assert ag.index_of(mi.compose(mj)) == ag.group.mul(i, j)
+                assert ag.index_of(mi.compose(mj)) == table.mul(i, j)
 
     def test_missing_automorphism_raises_group_error(self, monkeypatch):
         full = structures.automorphisms
@@ -836,12 +901,13 @@ class TestAutGroup:
         gens.append(Permutation([[0, 3], [1, 4], [2, 5]], size=12))
         gens.append(Permutation([[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]], size=12))
         oracle = PermutationGroup(gens)
-        assert oracle.order() == ag.group.order == 1944
+        table = FiniteGroup(ag.rows())
+        assert oracle.order() == table.order == 1944
         assert len(ag.index) == 1944
         assert all(oracle.contains(Permutation(list(m.maps[0]))) for m in ag.maps)
         last = ag.maps[-1]
         for j, mj in enumerate(ag.maps):
-            assert ag.index_of(last.compose(mj)) == ag.group.mul(1943, j)
+            assert ag.index_of(last.compose(mj)) == table.mul(1943, j)
 
 
 class TestPermutationFacts:
@@ -865,11 +931,12 @@ class TestPermutationFacts:
         assert center(ag) == sorted(ag.row_index[tuple(z)] for z in oracle_center)
         assert len(center(ag)) == center_size
         if order**2 <= config.DEFAULT.table_cells:
-            assert ag.group.order == order and ag.group.gens == ag.gens
-            assert center(ag.group) == center(ag)
+            table = FiniteGroup(ag.rows())
+            assert table.order == order and table.gens == ag.gens
+            assert center(table) == center(ag)
         else:
             with pytest.raises(BoundExceededError, match="cells"):
-                ag.group
+                FiniteGroup(ag.rows())
 
     @pytest.mark.parametrize("g", catalog(12), ids=lambda g: g.label())
     def test_generator_law_equals_all_pairs_on_quotients(self, g):
@@ -893,7 +960,8 @@ class TestPermutationFacts:
         h, g = aut_group(b_cycle3), aut_group(directed_cycle(3))
         restriction = ucp.restriction_map(h, g)
         assert is_hom(restriction, h, g)
-        assert restriction == ucp.restriction_hom(h, g).map
+        tables = FiniteGroup(h.rows()), FiniteGroup(g.rows())
+        assert restriction == GroupHom(*tables, ucp.restriction_map(h, g)).map
         assert is_hom((0, 2, 1), h, g)  # inversion, since C3 is abelian
         assert not is_hom((0, 1, 1), h, g)
 
@@ -928,7 +996,7 @@ class TestTableCellsBound:
         ag = aut_group(free_points(5))
         assert ag.order == 120 and center(ag) == [0] and len(ag.gens) == 4
         with pytest.raises(BoundExceededError, match="order 120 has 14400 cells"):
-            ag.group
+            FiniteGroup(ag.rows())
 
     def test_environment_override(self):
         import subprocess

@@ -23,7 +23,6 @@ from uniconstruct.skew import (
     SkewElement,
     build_cyclic_skew,
     center_witness,
-    hom_violations,
     phi13,
     phi23,
     phi23_hom_defect,
@@ -40,7 +39,7 @@ from uniconstruct.skew import (
     skew_to_json,
 )
 
-from .oracles import naive_cyclic_skew_table, rewrite_mul
+from .oracles import hom_violations, naive_cyclic_skew_table, rewrite_mul
 
 BASES = [cyclic(2), cyclic(3), symmetric(3)]
 
