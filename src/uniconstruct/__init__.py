@@ -4,7 +4,7 @@ fact re-checked against brute-force oracles at desk scale.
 
 The names below are loaded on first access (PEP 562), so importing the
 package, or running ``python -m uniconstruct.cli``, imports no submodule
-and no numpy until something asks for one."""
+until something asks for one."""
 
 from __future__ import annotations
 

@@ -7,21 +7,13 @@ failed (so CI can assert the re-checked facts).
 
 from __future__ import annotations
 
-import os
-
-# numpy's OpenBLAS starts one busy-waiting worker thread per extra core at
-# import; the library never calls BLAS, so each CLI process would only pay
-# for idle workers.  Set before the first library import pulls in numpy; a
-# value the user exported still wins.  Only the CLI sets it: a program that
-# imports the library keeps its own environment.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 import argparse
 import gc
 import json
 import random
 import sys
 from contextlib import nullcontext
+from operator import countOf, itemgetter
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -29,8 +21,8 @@ from .errors import UniconstructError, VerificationError
 from .jsondoc import is_int_list
 
 # Each command loads only the layers it calls: the handlers and loaders below
-# import their library names when they run, so `aut` never loads numpy,
-# `split` never loads the structure layer, and `--version`, `--help` and
+# import their library names when they run, so `aut` never loads the group
+# layer, `split` never loads the structure layer, and `--version`, `--help` and
 # usage errors load no layer at all.
 if TYPE_CHECKING:
     from .groups import FiniteGroup
@@ -110,28 +102,17 @@ def _load_skew_arg(base: FiniteGroup, raw: str):
     return skew_from_json(base, doc)
 
 
-class _IntText(dict):
-    """The decimal text of each int, made once per distinct value."""
-
-    def __missing__(self, value: int) -> str:
-        text = self[value] = str(value)
-        return text
-
-
-def _write_json(write, obj, int_text, indent: str = "\n") -> None:
+def _write_json(write, obj, texts: dict[int, str], indent: str = "\n") -> None:
     """Write ``obj`` as ``json.dumps(obj, indent=2)`` writes it, byte for byte.
 
-    Keys and scalars go through ``json.dumps``.  A list of plain ints (bools
-    excluded) is one join over ``int_text`` lookups, and a 2-D integer
-    ``ndarray`` is written as ``json.dumps`` writes its ``tolist()``, one row
-    per call, so a Cayley table never exists as one string.
+    Keys and scalars go through ``json.dumps``.  A list or tuple of plain
+    ints (bools excluded) is one join of their decimal ``texts``, read
+    through one itemgetter and each made once per distinct value, in one
+    call, so a Cayley table of int rows is written one row per call and
+    never exists as one string.
     """
     inner = indent + "  "
-    # no object is an array unless numpy is loaded, so this never loads it
-    ndarray = getattr(sys.modules.get("numpy"), "ndarray", ())
-    if isinstance(obj, ndarray) and obj.ndim == 2 and obj.dtype.kind in "iu":
-        _write_int_array(write, obj, indent)
-    elif isinstance(obj, dict):
+    if isinstance(obj, dict):
         if not obj:
             write("{}")
             return
@@ -145,55 +126,30 @@ def _write_json(write, obj, int_text, indent: str = "\n") -> None:
                     )
                 key = json.dumps(key)
             write(sep + json.dumps(key) + ": ")
-            _write_json(write, value, int_text, inner)
+            _write_json(write, value, texts, inner)
             sep = "," + inner
         write(indent + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             write("[]")
-        elif set(map(type, obj)) == {int}:
-            write("[" + inner + ("," + inner).join(map(int_text, obj)) + indent + "]")
+        elif countOf(map(type, obj), int) == len(obj):
+            # an itemgetter of one index returns the item, not a 1-tuple
+            get = itemgetter(*obj) if len(obj) > 1 else lambda d: (d[obj[0]],)
+            try:
+                row = get(texts)
+            except KeyError:
+                texts.update(zip(obj, map(str, obj)))
+                row = get(texts)
+            write("[" + inner + ("," + inner).join(row) + indent + "]")
         else:
             sep = "[" + inner
             for item in obj:
                 write(sep)
-                _write_json(write, item, int_text, inner)
+                _write_json(write, item, texts, inner)
                 sep = "," + inner
             write(indent + "]")
     else:
         write(json.dumps(obj))
-
-
-def _write_int_array(write, arr, indent: str) -> None:
-    """Write the 2-D int array ``arr`` as ``json.dumps(arr.tolist(), indent=2)``
-    writes it at ``indent``, one row per call.
-
-    Every cell's text is looked up in one object array of decimal texts:
-    those of ``min..max`` when that range is no larger than the array, else
-    those of the distinct values."""
-    import numpy as np
-
-    if not arr.size:
-        write(json.dumps(arr.tolist(), indent=2).replace("\n", indent))
-        return
-    low = arr.min()
-    lo, hi = int(low), int(arr.max())
-    if hi - lo < arr.size:
-        # each offset lies in [0, size); where it passes the signed top of
-        # arr's dtype the subtraction wraps, and the unsigned view undoes it
-        values, index = range(lo, hi + 1), (arr - low).view(f"u{arr.itemsize}")
-    else:
-        values, index = np.unique(arr, return_inverse=True)
-        index = index.reshape(arr.shape)
-    texts = np.array(list(map(str, values)), dtype=object)
-    inner = indent + "  "
-    cell = inner + "  "
-    join = ("," + cell).join
-    sep = "[" + inner + "["
-    for row in index:
-        write(sep + cell + join(texts[row].tolist()) + inner + "]")
-        sep = "," + inner + "["
-    write(indent + "]")
 
 
 def _emit(args, doc: dict, lines: list[str]) -> None:
@@ -201,7 +157,7 @@ def _emit(args, doc: dict, lines: list[str]) -> None:
     ``json.dumps(doc, indent=2)`` plus a newline, written piece by piece."""
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
         if args.format == "json":
-            _write_json(fh.write, doc, _IntText().__getitem__)
+            _write_json(fh.write, doc, {})
             fh.write("\n")
         else:
             fh.write("\n".join(lines) + "\n")

@@ -6,9 +6,8 @@ deterministic: the section search reports its finds in lexicographic order
 of fiber representatives, so the first witness found is reproducible.  Both
 group kinds answer one protocol, which is all the algorithms read: ``order``,
 ``gens``, ``mul(a, b)``, ``inverses()``, ``element_order(a)``, ``right(q)``
-(the list x -> x*q) and ``rows()`` (the Cayley table as lists, read only by
-the section search).  numpy is imported only where a dense table is built,
-checked or written.
+(the list x -> x*q) and ``rows()`` (the Cayley table as int rows, read only
+by the section search).  The module runs on plain Python ints and tuples.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
@@ -25,10 +25,8 @@ from .errors import BoundExceededError, GroupError
 from .jsondoc import is_int, is_int_list
 
 # the structure layer is loaded only when aut_group runs, so the group-level
-# commands never load it; numpy only where a dense table is made
+# commands never load it
 if TYPE_CHECKING:
-    import numpy as np
-
     from .structures import SortedMap, SortedStructure
 
 __all__ = [
@@ -70,99 +68,87 @@ __all__ = [
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    The table (nested sequences or a 2-d array) is copied into a fresh int64
-    array and validated: row/column 0 must be the identity row, every row and
-    column must be a permutation, and associativity is decided exactly by
-    Light's test on the greedy generating set (run on a copy in the smallest
-    unsigned dtype that holds the order).  The group stores that one
-    read-only array as ``table``, its inverses as a read-only int64 array and
-    the generating set as ``gens``; ``mul`` and ``inv`` return plain ints,
-    ``right(q)`` is the table's column q and ``rows()`` is ``table.tolist()``,
-    made once.  A table of more than ``config.DEFAULT.table_cells`` cells is
-    refused before it is copied.
+    The table (equally long rows of ints) is read once into ``table``, a
+    tuple of int tuples, through ``{i: i}``: a cell out of range or not an
+    integer (1.7, "1") is refused, one equal to an index (True, an array
+    integer) reads as that index, and every cell is its element's one
+    shared int.  A table over ``config.DEFAULT.table_cells`` cells is
+    refused before it is read.
+
+    The checks: the identity row and column; a 0, a right inverse, in every
+    row; Light's test (:func:`_is_associative`) on the :func:`_irredundant`
+    subset of ``gens``.  In any magma the g with (x*g)*y == x*(g*y) for all
+    x, y are closed under products and include the identity (Clifford &
+    Preston, vol. 1, section 1.2), so the table is associative.  An
+    associative table with an identity and right inverses is a group, so
+    its columns are permutations and need no check.  A refusal is named by
+    :func:`_fault`, which replays the checks one by one as they were always
+    made.
     """
 
-    __slots__ = ("order", "table", "names", "name", "gens", "_inv", "_center", "_rows")
+    __slots__ = ("order", "table", "names", "name", "gens", "_inv", "_center")
 
     def __init__(
         self,
-        table: Sequence[Sequence[int]] | np.ndarray,
+        table: Sequence[Sequence[int]],
         names: Sequence[str] | None = None,
         name: str | None = None,
     ):
-        import numpy as np
-
         try:
-            config.check_table_cells(len(table))
-        except TypeError:
-            pass  # not a sequence: the conversion below reports it
-        try:
-            arr = np.array(table, dtype=np.int64)  # a copy: never the caller's array
-        except (TypeError, ValueError, OverflowError) as exc:
+            n = len(table)
+        except TypeError as exc:
             raise GroupError(f"multiplication table is not a square integer table: {exc}") from exc
-        n = len(arr) if arr.ndim else 0
-        if arr.ndim and n == 0:
-            raise GroupError("group order must be at least 1")
-        if arr.shape != (n, n):
-            raise GroupError("multiplication table is not square")
-        if arr.min() < 0 or arr.max() >= n:
-            raise GroupError("table entries out of range")
-        ident = np.arange(n)
-        if not (np.array_equal(arr[0], ident) and np.array_equal(arr[:, 0], ident)):
-            raise GroupError("element 0 is not an identity")
-        bad = ~(
-            (np.sort(arr, axis=1) == ident).all(axis=1)
-            & (np.sort(arr, axis=0) == ident[:, None]).all(axis=0)
-        )
-        if bad.any():
-            raise GroupError(f"row/column {int(np.argmax(bad))} is not a permutation")
-        small = arr.astype(np.min_scalar_type(n))
-        gens = _generators(n, lambda q: arr[:, q].tolist())
-        if not _is_associative(small, gens):
-            raise GroupError("multiplication table is not associative")
-        # each row is a permutation, so its minimum 0 sits at the inverse
-        inv = arr.argmin(axis=1).astype(np.int64)
-        arr.flags.writeable = inv.flags.writeable = False
+        config.check_table_cells(n)
+        index = {i: i for i in range(n)}
+        ident = tuple(index)
+        try:
+            rows = tuple(_getter(row)(index) for row in table)
+            inv = tuple(ident[row.index(0)] for row in rows)
+        except (KeyError, TypeError, ValueError):
+            rows = ()
+        column = functools.cache(lambda q: [row[q] for row in rows])
+        if not (n and set(map(len, rows)) == {n} and rows[0] == ident and tuple(column(0)) == ident):
+            raise GroupError(_fault(table))
+        gens = _generators(n, column)
+        if not _is_associative(rows, _irredundant(n, gens, column)):
+            raise GroupError(_fault(table))
         object.__setattr__(self, "order", n)
-        object.__setattr__(self, "table", arr)
+        object.__setattr__(self, "table", rows)
         object.__setattr__(self, "names", tuple(names) if names is not None else None)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "_inv", inv)
         object.__setattr__(self, "_center", None)  # filled by center() on first use
-        object.__setattr__(self, "_rows", None)  # filled by rows() on first use
 
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("FiniteGroup is immutable")
 
     def mul(self, a: int, b: int) -> int:
-        return self.table.item(a, b)
+        return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        return self._inv.item(a)
+        return self._inv[a]
 
     def inverses(self) -> list[int]:
-        return self._inv.tolist()
+        return list(self._inv)
 
     def right(self, q: int) -> list[int]:
         """x * q for every x: the table's column q."""
-        return self.table[:, q].tolist()
+        return list(map(itemgetter(q), self.table))
 
-    def rows(self) -> list[list[int]]:
-        """The table as lists of ints, made on first use and kept; callers
-        only read it."""
-        if self._rows is None:
-            object.__setattr__(self, "_rows", self.table.tolist())
-        return self._rows
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The table itself; callers only read it."""
+        return self.table
 
     def elements(self) -> range:
         return range(self.order)
 
     def element_order(self, a: int) -> int:
-        return _element_order(self.rows()[a].__getitem__)
+        return _element_order(self.table[a].__getitem__)
 
     def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
+        # generators that commute pairwise generate an abelian group
+        return all(self.mul(a, b) == self.mul(b, a) for a, b in itertools.combinations(self.gens, 2))
 
     def element_name(self, a: int) -> str:
         return self.names[a] if self.names else str(a)
@@ -173,13 +159,51 @@ class FiniteGroup:
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return self is other or (self.order == other.order and bool((self.table == other.table).all()))
+        return self is other or self.table == other.table
 
     def __hash__(self):
-        return hash(self.table.tobytes())
+        return hash(self.table)
 
     def __repr__(self):
         return f"FiniteGroup({self.label()}, order={self.order})"
+
+
+def _fault(table: Sequence[Sequence]) -> str:
+    """Why a table is not a group: the first check it fails, in the order
+    they were always made, rows and columns before associativity."""
+    n = len(table)
+    if n == 0:
+        return "group order must be at least 1"
+    if not all(hasattr(row, "__len__") and len(row) == n for row in table):
+        return "multiplication table is not square"
+    if not all(hasattr(v, "__index__") for row in table for v in row):
+        return "multiplication table is not a square integer table: an entry is not an integer"
+    if not all(0 <= v < n for row in table for v in row):
+        return "table entries out of range"
+    ident = list(range(n))
+    if list(table[0]) != ident or [row[0] for row in table] != ident:
+        return "element 0 is not an identity"
+    for i, row in enumerate(table):
+        if sorted(row) != ident or sorted(r[i] for r in table) != ident:
+            return f"row/column {i} is not a permutation"
+    return "multiplication table is not associative"
+
+
+def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """s -> the tuple of s[i] for i in ``indices``: an itemgetter, except
+    that an itemgetter of one index returns the item, not a 1-tuple."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda s: (s[i],)
+    return itemgetter(*indices)
+
+
+def _as_indices(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` read by ``operator.index``: 1.9 or "1" raises GroupError."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise GroupError(f"{what} must hold integers: {exc}") from None
 
 
 class GroupHom:
@@ -189,7 +213,7 @@ class GroupHom:
     __slots__ = ("domain", "codomain", "map")
 
     def __init__(self, domain, codomain, mapping: Sequence[int]):
-        m = tuple(int(v) for v in mapping)
+        m = _as_indices(mapping, "hom map")
         if len(m) != domain.order:
             raise GroupError("hom map is not total")
         if any(v < 0 or v >= codomain.order for v in m):
@@ -249,7 +273,7 @@ def _hom_law_holds(m: Sequence[int], domain, codomain) -> bool:
 def is_hom(mapping: Sequence[int], domain, codomain) -> bool:
     """Exact check of the homomorphism law for a candidate map, between
     FiniteGroups or AutomorphismGroups."""
-    m = tuple(int(v) for v in mapping)
+    m = _as_indices(mapping, "hom map")
     if len(m) != domain.order or any(v < 0 or v >= codomain.order for v in m):
         return False
     return _hom_law_holds(m, domain, codomain)
@@ -279,7 +303,7 @@ def quotient_by_subgroup(g: FiniteGroup, sub: Iterable[int]) -> tuple[FiniteGrou
     Cosets are numbered by their minimal element, so the identity coset is
     element 0 of the quotient.
     """
-    n_set = set(int(x) for x in sub)
+    n_set = set(_as_indices(sub, "subgroup"))
     if any(x < 0 or x >= g.order for x in n_set):
         raise GroupError("subgroup element out of range")
     if 0 not in n_set:
@@ -391,7 +415,7 @@ def classify_section(phi: GroupHom, sec: Sequence[int]) -> Section:
     """
     h, g = phi.domain, phi.codomain
     label = _labeller(phi)
-    m = tuple(int(v) for v in sec)
+    m = _as_indices(sec, "section")
     if len(m) != g.order or any(v < 0 or v >= h.order or phi.map[v] != x for x, v in enumerate(m)):
         raise GroupError("map is not a section of the given surjection")
     return Section(phi, m, label(m))
@@ -713,7 +737,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: str | None = None) ->
     """g1 x g2 with (a, b) encoded as a * |g2| + b."""
     n = g1.order * g2.order
     config.check_table_cells(n)
-    table = (g1.table[:, None, :, None] * g2.order + g2.table[None, :, None, :]).reshape(n, n)
+    table = [[u * g2.order + v for u in r1 for v in r2] for r1 in g1.table for r2 in g2.table]
     return FiniteGroup(table, name=name or f"{g1.label()}x{g2.label()}")
 
 
@@ -740,12 +764,29 @@ def _generators(order: int, right: Callable[[int], Sequence[int]]) -> list[int]:
     return gens
 
 
-def _is_associative(arr: np.ndarray, gens: Sequence[int]) -> bool:
-    """Light's test: (x*g)*y == x*(g*y) for every x, y and every g in the
-    generating set ``gens``.  The elements g that pass are closed under the
-    product (Clifford & Preston, vol. 1, section 1.2), and every element is a
-    product of generators, so the check is exact at O(n^2 |gens|) cost."""
-    return all((arr[arr[:, g]] == arr[:, arr[g]]).all() for g in gens)
+def _irredundant(order: int, gens: Sequence[int], right: Callable[[int], Sequence[int]]) -> list[int]:
+    """``gens`` less each generator, in turn, without which the rest still
+    reach every element from 0 along their columns ``right(q)`` (closed by
+    :func:`_close`): in any magma, each element is a product of the subset."""
+    kept = list(gens)
+    for q in gens:
+        rest = [p for p in kept if p != q]
+        reached = [p if p == 0 or p in rest else -1 for p in range(order)]
+        _close(reached, rest, right, right)
+        if -1 not in reached:
+            kept = rest
+    return kept
+
+
+def _is_associative(rows: Sequence[Sequence[int]], gens: Sequence[int]) -> bool:
+    """Light's test: (x*g)*y == x*(g*y) for every x, y and g in ``gens``, row
+    x*g against row x read through row g, at O(n^2 |gens|) cost.  Exact when
+    every element is a product of ``gens`` (see :class:`FiniteGroup`)."""
+    for g in gens:
+        through_g = _getter(rows[g])
+        if not all(rows[row[g]] == through_g(row) for row in rows):
+            return False
+    return True
 
 
 def _element_order(times_a: Callable[[int], int]) -> int:
@@ -1050,9 +1091,7 @@ class AutomorphismGroup:
         ``perms[q]`` through one itemgetter."""
         col = self._columns.get(q)
         if col is None:
-            p = self.perms[q]
-            # an itemgetter of one index returns the item, not a 1-tuple
-            compose = itemgetter(*p) if len(p) > 1 else lambda row: tuple(row[i] for i in p)
+            compose = _getter(self.perms[q])
             try:
                 col = list(map(self.row_index.__getitem__, map(compose, self.perms)))
             except KeyError:
@@ -1129,7 +1168,7 @@ def aut_group(s: SortedStructure, *, max_elements: int | None = None) -> Automor
 def group_document(g: FiniteGroup, table) -> dict:
     """The group document of ``g`` with ``table`` as its ``table`` value:
     the list of rows :func:`group_to_json` makes, or ``g.table`` itself for
-    a writer that takes int arrays.  This function alone names the keys."""
+    a writer that takes int tuples.  This function alone names the keys."""
     doc = {"order": g.order, "table": table}
     if g.names is not None:
         doc["names"] = list(g.names)
@@ -1137,11 +1176,8 @@ def group_document(g: FiniteGroup, table) -> dict:
 
 
 def group_to_json(g: FiniteGroup) -> dict:
-    import numpy as np
-
-    # rows hold one shared int object per element, not one per cell
-    shared = np.arange(g.order).astype(object)
-    return group_document(g, [shared[row].tolist() for row in g.table])
+    # the rows keep the table's one shared int object per element
+    return group_document(g, list(map(list, g.table)))
 
 
 def group_from_json(doc: Mapping) -> FiniteGroup:

@@ -13,16 +13,15 @@ never the identity (normal form), so equality is structural.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import config
 from .errors import GroupError
-from .groups import FiniteGroup, GroupHom
+from .groups import FiniteGroup, GroupHom, _getter
 from .jsondoc import is_int, is_int_list
 
 __all__ = [
@@ -141,10 +140,10 @@ def skew_mul(a: SkewElement, b: SkewElement) -> SkewElement:
     if not left:
         return SkewElement(base, a.shift + by, right)
     acc = dict(left)
-    mul = base.table.item
+    rows = base.table
     for p, v in right:
         if p in acc:
-            w = mul(acc[p], v)
+            w = rows[acc[p]][v]
             if w:
                 acc[p] = w
             else:
@@ -181,10 +180,10 @@ def phi23(a: SkewElement) -> int:
     :func:`phi23_hom_witness` decides this and names a breaking pair, and
     :func:`phi23_hom_defect` tests one pair.
     """
-    mul = a.base.table.item
+    rows = a.base.table
     out = 0
     for _, v in a.support:
-        out = mul(out, v)
+        out = rows[out][v]
     return out
 
 
@@ -193,13 +192,14 @@ def phi23_hom_witness(base: FiniteGroup) -> tuple[SkewElement, SkewElement] | No
 
     None exactly when the base is abelian: then phi23 is the projection
     homomorphism.  Otherwise take the first non-commuting pair a, b (in
-    element order); x = (0:a) and y = (-1:b) multiply to support
-    (-1:b, 0:a), so phi23(x*y) = b*a while phi23(x)*phi23(y) = a*b.
+    row-major order of the table); x = (0:a) and y = (-1:b) multiply to
+    support (-1:b, 0:a), so phi23(x*y) = b*a while phi23(x)*phi23(y) = a*b.
     """
-    clash = np.argwhere(base.table != base.table.T)
-    if not len(clash):
+    rows = base.table
+    clash = ((a, b) for a, row in enumerate(rows) for b, ab in enumerate(row) if ab != rows[b][a])
+    a, b = next(clash, (None, None))
+    if a is None:
         return None
-    a, b = (int(v) for v in clash[0])
     x = SkewElement(base, 0, ((0, a),))
     y = SkewElement(base, 0, ((-1, b),))
     if phi23(skew_mul(x, y)) == base.mul(phi23(x), phi23(y)):  # pragma: no cover - guarded by proof
@@ -311,15 +311,16 @@ class CyclicSkewGroup:
 
 
 def build_cyclic_skew(k: int, base: FiniteGroup) -> CyclicSkewGroup:
-    """Cayley table of the cyclic analogue, one numpy pass per position.
+    """Cayley table of the cyclic analogue, built row by row.
 
-    Element ``shift * |base|^k + sum_p digits[p] * |base|^(k-1-p)`` is
-    y^shift with value ``digits[p]`` at position p (the layout of
+    Element ``shift * |base|^k + j`` is y^shift with ``j``'s base-|base|
+    digits as its values at positions 0..k-1 (the layout of
     :meth:`CyclicSkewGroup.encode`).  The product of x and y has shift
     ``shift_x + shift_y`` and value ``digits_x[p - shift_y] * digits_y[p]``
-    at p, positions and shifts mod k.  Every temporary uses the smallest
-    unsigned dtype that holds the order, so the build costs a few
-    order-squared arrays of small ints.
+    at p, mod k.  So the block of row x where y has shift s reads the slice
+    of ``range(order)`` of shift ``shift_x + s`` through left multiplication
+    in B^k by r, x's digits rotated by s.  Each r is that for one x per s,
+    so its index list is made once and each of its k slices read once.
     """
     if k < 1:
         raise GroupError("modulus must be at least 1")
@@ -328,22 +329,27 @@ def build_cyclic_skew(k: int, base: FiniteGroup) -> CyclicSkewGroup:
     order = k * base.order**k
     config.check_table_cells(order)
 
-    n_base = base.order
-    dtype = np.min_scalar_type(order)
-    place = [n_base ** (k - 1 - p) for p in range(k)]
-    index = np.arange(order)
-    shift = index // n_base**k
-    digits = np.stack([index // w % n_base for w in place], axis=1).astype(dtype)
-    base_table = base.table.astype(dtype)
-    pair_shift = shift.astype(np.min_scalar_type(2 * order))
-    table = ((pair_shift[:, None] + pair_shift[None, :]) % k).astype(dtype) * dtype.type(n_base**k)
-    for p, w in enumerate(place):
-        rotated = digits[:, (p - shift) % k]
-        table += base_table[rotated, digits[None, :, p]] * dtype.type(w)
-    names = [
-        f"y^{n}({','.join(base.element_name(v) for v in xs)})"
-        for n, xs in zip(shift.tolist(), digits.tolist())
+    n_base, width = base.order, base.order**k
+    ints = tuple(range(order))
+    slices = [ints[t * width:(t + 1) * width] for t in range(k)]
+    top = width // n_base
+    table = [[0] * order for _ in range(order)]
+    for j, r in enumerate(itertools.product(range(n_base), repeat=k)):
+        left_mul = [0]  # d -> r*d over B^k, one base row per position
+        for v in r:
+            left_mul = [a * n_base + b for a in left_mul for b in base.table[v]]
+        get = _getter(left_mul)
+        blocks = [get(part) for part in slices]
+        x = j  # r rotated back by s: the digits whose rotation by s is r
+        for s in range(k):
+            for shift in range(k):
+                table[shift * width + x][s * width:(s + 1) * width] = blocks[(shift + s) % k]
+            x = x % top * n_base + x // top
+    words = [
+        ",".join(map(base.element_name, digits))
+        for digits in itertools.product(range(n_base), repeat=k)
     ]
+    names = [f"y^{n}({w})" for n in range(k) for w in words]
     group = FiniteGroup(table, names=names, name=f"Z{k}skew{base.label()}")
     return CyclicSkewGroup(k=k, base=base, group=group)
 

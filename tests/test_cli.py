@@ -431,9 +431,10 @@ class TestJsonOutput:
         args = cli.build_parser().parse_args(self.ARGV)
         code, doc, _ = cli._cmd_cyclic_skew(args)
         doc["exit_code"] = code
-        # the report hands the writer the group's table array itself
-        assert isinstance(doc["group"]["table"], np.ndarray)
-        return (json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n").encode()
+        # the report hands the writer the group's table of int tuples itself
+        table = doc["group"]["table"]
+        assert type(table) is tuple and all(type(row) is tuple for row in table)
+        return (json.dumps(doc, indent=2) + "\n").encode()
 
     def test_out_file_bytes_equal_dumps(self, tmp_path):
         out_path = tmp_path / "cs.json"
@@ -466,7 +467,7 @@ _DOCS = st.recursive(
 
 def _written(doc) -> list[str]:
     pieces: list[str] = []
-    cli._write_json(pieces.append, doc, cli._IntText().__getitem__)
+    cli._write_json(pieces.append, doc, {})
     return pieces
 
 
@@ -495,23 +496,27 @@ class TestJsonWriter:
     @pytest.mark.parametrize(
         "low, high, dtype",
         [
-            (0, 24, np.int64),  # a Cayley table's range
-            (-7, 7, np.int64),
-            (-(2**62), 2**62, np.int64),  # wider than the array: texts of distinct values
-            (-128, 128, np.int8),  # offsets past the dtype's signed top
-            (2**63, 2**64, np.uint64),
+            (0, 24, "int64"),  # a Cayley table's range
+            (-7, 7, "int64"),
+            (-(2**62), 2**62, "int64"),
+            (-128, 128, "int8"),
+            (2**63, 2**64, "uint64"),  # past the signed 64-bit top
         ],
     )
     def test_int_array_equals_dumps_of_tolist(self, shape, low, high, dtype):
+        # a table of int tuples, as FiniteGroup.table holds, over each range
         arr = np.random.default_rng(sum(shape)).integers(low, high, shape, dtype=dtype)
-        for doc in (arr, {"group": {"order": 3, "table": arr}}, [arr, [1, arr]]):
-            want = json.dumps(doc, indent=2, default=np.ndarray.tolist)
-            assert "".join(_written(doc)) == want
+        rows = tuple(map(tuple, arr.tolist()))
+        for doc in (rows, {"group": {"order": 3, "table": rows}}, [rows, [1, rows]]):
+            assert "".join(_written(doc)) == json.dumps(doc, indent=2)
 
     def test_int_array_is_written_one_row_at_a_time(self):
-        pieces = _written({"table": cyclic(200).table})
-        assert len(pieces) == 1 + 200 + 2  # the key, one piece per row, two closing brackets
-        assert "".join(pieces) == json.dumps({"table": cyclic(200).table.tolist()}, indent=2)
+        table = cyclic(200).table
+        pieces = _written({"table": table})
+        assert "".join(pieces) == json.dumps({"table": table}, indent=2)
+        # each row is one piece, and no piece holds cells of two rows
+        rows = [piece for piece in pieces if any(c.isdigit() for c in piece)]
+        assert len(rows) == 200 and all(piece.count("[") == 1 for piece in rows)
 
     @pytest.mark.parametrize(
         "arr", [np.zeros((2, 2)), np.zeros(3, dtype=np.int64), np.zeros((2, 2), dtype=bool)]
@@ -521,7 +526,7 @@ class TestJsonWriter:
             _written({"a": arr})
 
     def test_table_is_written_one_row_at_a_time(self):
-        table = cyclic(200).table.tolist()
+        table = [list(row) for row in cyclic(200).table]
         pieces = _written({"group": {"order": 200, "table": table}})
         # one piece per row: none near the size of the whole table
         assert len(pieces) > 200
@@ -1072,12 +1077,11 @@ needs_proc_tasks = pytest.mark.skipif(
 )
 
 
-def fresh_python(code, **env_overrides):
-    """Run ``code`` in a new interpreter that imports this tree's package,
-    with OPENBLAS_NUM_THREADS unset unless given; return its stripped stdout."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+def fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this tree's package;
+    return its stripped stdout."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
-    env.update(env_overrides)
     out = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)], env=env, cwd=REPO,
         capture_output=True, text=True, check=True,
@@ -1085,45 +1089,25 @@ def fresh_python(code, **env_overrides):
     return out.stdout.strip()
 
 
-def cli_threads(**env_overrides):
-    """OS threads left in a process that ran ``python -m uniconstruct.cli
-    catalog-search --max-order 1`` (through runpy, as ``-m`` does); that
-    command loads numpy, and the process must have loaded it."""
-    numpy_loaded, threads = fresh_python(f"""
-        import os, runpy, sys
-        sys.argv = ["uniconstruct", "catalog-search", "--max-order", "1"]
-        try:
-            runpy.run_module("uniconstruct.cli", run_name="__main__", alter_sys=True)
-        except SystemExit:
-            pass
-        print("numpy" in sys.modules, {THREADS})
-    """, **env_overrides).splitlines()[-1].split()
-    assert numpy_loaded == "True"
-    return int(threads)
-
-
 class TestProcessStart:
     @needs_proc_tasks
     def test_module_entry_point_runs_one_thread(self):
-        assert cli_threads() == 1
-
-    @needs_proc_tasks
-    def test_console_script_entry_point_runs_one_thread(self):
+        # `python -m uniconstruct.cli` (through runpy, as -m does) on a
+        # command that builds, checks and writes a Cayley table loads no
+        # numpy and starts no thread of its own
         out = fresh_python(f"""
-            import os, sys
-            from uniconstruct.cli import main
-            main(["catalog-search", "--max-order", "1"])
+            import os, runpy, sys
+            sys.argv = ["uniconstruct", "cyclic-skew", "--k", "3", "--base", "c2", "--out", os.devnull]
+            try:
+                runpy.run_module("uniconstruct.cli", run_name="__main__", alter_sys=True)
+            except SystemExit:
+                pass
             print("numpy" in sys.modules, {THREADS})
         """)
-        assert out.splitlines()[-1] == "True 1"
-
-    @needs_proc_tasks
-    def test_user_thread_setting_wins(self):
-        bare = int(fresh_python(f"import os, numpy; print({THREADS})", OPENBLAS_NUM_THREADS="2"))
-        assert cli_threads(OPENBLAS_NUM_THREADS="2") == bare
+        assert out.splitlines()[-1] == "False 1"
 
     # argv with "@name" for an input file -> the layers the command loads
-    # and whether it loads numpy
+    # and whether it loads numpy, which no command does
     LOAD_SETS = [
         (["aut", "--structure", "@cycle3"], "structures", False),
         (["iso", "--left", "@cycle3", "--right", "@cycle3"], "structures", False),
@@ -1133,12 +1117,12 @@ class TestProcessStart:
           "--mode", "full"], "groups structures ucp uniform", False),
         (["verify", "--structure", "@b_cycle3", "--target", "@cycle3", "--copies", "2"],
          "groups structures ucp uniform", False),
-        (["split", "--hom", "@c4toc2"], "groups", True),
-        (["weak-split", "--hom", "@c4toc2"], "groups", True),
-        (["catalog-search", "--max-order", "8"], "groups", True),
+        (["split", "--hom", "@c4toc2"], "groups", False),
+        (["weak-split", "--hom", "@c4toc2"], "groups", False),
+        (["catalog-search", "--max-order", "8"], "groups", False),
         (["skew", "--base", "s3", "--op", "pow", "--element", '{"shift": 1, "support": []}',
-          "--exp", "2"], "groups skew", True),
-        (["cyclic-skew", "--k", "2", "--base", "c2"], "groups skew", True),
+          "--exp", "2"], "groups skew", False),
+        (["cyclic-skew", "--k", "2", "--base", "c2"], "groups skew", False),
         (["--version"], "", False),
         (["--help"], "", False),
         (["aut"], "", False),  # usage error: --structure is required
@@ -1179,16 +1163,18 @@ class TestProcessStart:
         assert out.splitlines()[-1] == f"{layers!r} {numpy}"
 
     def test_structure_layers_import_no_numpy(self):
-        # automorphism groups, restriction maps and section labels run on
-        # Python rows; numpy comes in only with a Cayley-table FiniteGroup
+        # every layer runs on Python rows: automorphism groups, restriction
+        # maps and section labels, and Cayley-table groups, their catalog,
+        # skew tables and JSON documents
         out = fresh_python("""
             import sys
-            from uniconstruct import encode, groups, structures, ucp, uniform
+            from uniconstruct import encode, groups, skew, structures, ucp, uniform
             before = "numpy" in sys.modules
-            groups.cyclic(2)
+            groups.group_to_json(skew.build_cyclic_skew(3, groups.cyclic(2)).group)
+            groups.catalog(8)
             print(before, "numpy" in sys.modules)
         """)
-        assert out == "False True"
+        assert out == "False False"
 
     def test_package_import_is_lazy_and_leaves_environment_alone(self):
         out = fresh_python("""

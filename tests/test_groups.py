@@ -95,27 +95,50 @@ class TestFiniteGroup:
         assert all(g.mul(a, g.inv(a)) == 0 for a in g.elements())
 
     @pytest.mark.parametrize(
-        "table",
+        "table, message",
         [
-            [[0, 1, 2], [1, 2, 0], [2, 0, -1]],
-            [[0, 1, 2], [1, 2, 0], [2, 0, 3]],
-            [[0, 1], [1, 0], [0, 1]],
-            [[0, 1], [1]],
+            ([[0, 1, 2], [1, 2, 0], [2, 0, -1]], "table entries out of range"),
+            ([[0, 1, 2], [1, 2, 0], [2, 0, 3]], "table entries out of range"),
+            ([[0, 1], [1, 0], [0, 1]], "multiplication table is not square"),
+            ([[0, 1], [1]], "multiplication table is not square"),
+            ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "row/column 1 is not a permutation"),
+            ([[1, 0], [0, 1]], "element 0 is not an identity"),
         ],
-        ids=["negative-entry", "entry-equal-to-order", "non-square", "ragged"],
+        ids=["negative-entry", "entry-equal-to-order", "non-square", "ragged",
+             "rows-permute-columns-do-not", "no-identity"],
     )
-    def test_malformed_tables_rejected(self, table):
-        with pytest.raises(GroupError):
+    def test_malformed_tables_rejected(self, table, message):
+        with pytest.raises(GroupError) as info:
+            FiniteGroup(table)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "table",
+        [[[0, 1.7], [1.7, 0]], [["0", "1"], ["1", "0"]], [[0, 1], [1, None]], [[0, 1], [1, [0]]]],
+        ids=["float", "string", "none", "list"],
+    )
+    def test_non_integer_entries_refused_not_truncated(self, table):
+        with pytest.raises(GroupError, match="is not an integer"):
             FiniteGroup(table)
 
+    def test_values_equal_to_an_index_read_as_that_index(self):
+        g = FiniteGroup([[0, True], [np.int64(1), 0]])
+        assert g == cyclic(2) and all(type(v) is int for row in g.table for v in row)
+
     def test_array_table_equals_nested_lists(self):
-        lists = cyclic(300).table.tolist()
+        lists = [list(row) for row in cyclic(300).table]
         from_array = FiniteGroup(np.array(lists))
         from_lists = FiniteGroup(lists)
         assert from_array == from_lists
         assert hash(from_array) == hash(from_lists)
-        assert from_array.table.dtype == np.int64
-        assert np.array_equal(from_array.table, lists)
+        assert from_array.table == from_lists.table == tuple(map(tuple, lists))
+        assert all(type(v) is int for row in from_array.table for v in row)
+
+    def test_cells_are_the_shared_ints_of_their_elements(self):
+        g = FiniteGroup([[(a + b) % 300 for b in range(300)] for a in range(300)])
+        element = g.table[0]
+        assert all(v is element[v] for row in g.table for v in row)
+        assert all(g.inv(a) is element[g.inv(a)] for a in g.elements())
 
     def test_equality_ignores_names(self):
         g = cyclic(3)
@@ -125,31 +148,31 @@ class TestFiniteGroup:
 
     def test_table_and_inverses_are_read_only(self):
         g = cyclic(4)
-        with pytest.raises(ValueError):
-            g.table[1, 1] = 0
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
+            g.table[1][1] = 0
+        with pytest.raises(TypeError):
             g._inv[1] = 1
-        assert g.mul(1, 1) == 2 and g.inv(1) == 3
+        g.inverses()[1] = 1  # a fresh list each call
+        assert g.mul(1, 1) == 2 and g.inv(1) == 3 and g.inverses() == [0, 3, 2, 1]
 
     def test_table_does_not_alias_callers_array(self):
-        arr = cyclic(5).table.copy()
-        g = FiniteGroup(arr)
-        assert arr.flags.writeable and not np.shares_memory(arr, g.table)
+        lists = [list(row) for row in cyclic(5).table]
+        arr = np.array(lists)
+        from_lists, from_array = FiniteGroup(lists), FiniteGroup(arr)
+        lists[1][1] = 0
         arr[1, 1] = 0
-        assert g.mul(1, 1) == 2
-        assert g == cyclic(5)
+        assert from_lists.mul(1, 1) == from_array.mul(1, 1) == 2
+        assert from_lists == from_array == cyclic(5)
 
-    def test_one_table_and_no_tuple_table(self):
+    def test_one_table_and_no_row_cache(self):
         g = symmetric(3)
         center(g)  # fill the cached center too
         tables = [
             slot for slot in FiniteGroup.__slots__
-            if isinstance(getattr(g, slot), np.ndarray) and getattr(g, slot).ndim == 2
+            if isinstance(getattr(g, slot), tuple) and any(isinstance(v, tuple) for v in getattr(g, slot))
         ]
         assert tables == ["table"]
-        for slot in FiniteGroup.__slots__:
-            value = getattr(g, slot)
-            assert not (isinstance(value, tuple) and any(isinstance(v, tuple) for v in value))
+        assert g.rows() is g.table and g.right(1) == [row[1] for row in g.table]
 
     def test_accessors_return_int(self):
         g = dicyclic(2)
@@ -160,7 +183,7 @@ class TestFiniteGroup:
     def test_swapped_intercalate_in_c256_rejected(self):
         # rows and columns stay permutations, so only associativity can fail;
         # a check of sampled triples accepts this table
-        table = cyclic(256).table.tolist()
+        table = [list(row) for row in cyclic(256).table]
         for row in (3, 131):
             table[row][5], table[row][133] = table[row][133], table[row][5]
         with pytest.raises(GroupError, match="not associative"):
@@ -172,14 +195,29 @@ class TestFiniteGroup:
         loops = _loop_tables(n)
         assert len(loops) == {1: 1, 2: 1, 3: 1, 4: 4, 5: 56}[n]
         for table in loops:
-            arr = np.array(table)
-            exhaustive = np.array_equal(arr[arr], arr[:, arr])
-            small = arr.astype(np.uint8)
-            gens = groups._generators(n, lambda q: [row[q] for row in table])
-            assert groups._is_associative(small, gens) == exhaustive
+            exhaustive = all(
+                table[table[x][y]][z] == table[x][table[y][z]]
+                for x, y, z in itertools.product(range(n), repeat=3)
+            )
+            rows = tuple(map(tuple, table))
+            column = lambda q: [row[q] for row in rows]  # noqa: E731
+            gens = groups._generators(n, column)
+            pruned = groups._irredundant(n, gens, column)
+            assert set(pruned) <= set(gens)
+            assert groups._is_associative(rows, gens) == exhaustive
+            assert groups._is_associative(rows, pruned) == exhaustive
             if not exhaustive:
                 with pytest.raises(GroupError, match="not associative"):
                     FiniteGroup(table)
+
+    @pytest.mark.parametrize("g", catalog(16), ids=lambda g: g.label())
+    def test_irredundant_generators_generate(self, g):
+        pruned = groups._irredundant(g.order, g.gens, g.right)
+        assert set(pruned) <= set(g.gens)
+        assert len(naive_closure(g, {0, *pruned})) == g.order
+        # no generator left out of the subset could be dropped as well
+        for q in pruned:
+            assert len(naive_closure(g, {0, *pruned} - {q})) < g.order
 
     @pytest.mark.parametrize("g", catalog(12), ids=lambda g: g.label())
     def test_generators_are_the_greedy_generating_set(self, g):
@@ -303,6 +341,26 @@ class TestHoms:
     def test_hom_json_round_trip(self):
         phi = GroupHom(cyclic(4), cyclic(2), [0, 1, 0, 1])
         assert hom_from_json(json.loads(json.dumps(hom_to_json(phi)))) == phi
+
+    def test_non_integer_values_refused_not_truncated(self):
+        c4, c2 = cyclic(4), cyclic(2)
+        with pytest.raises(GroupError, match="hom map must hold integers"):
+            GroupHom(c4, c2, [0, 1.9, 0, 1])
+        with pytest.raises(GroupError, match="hom map must hold integers"):
+            is_hom([0, 1.5, 0, 1], c4, c2)
+        with pytest.raises(GroupError, match="subgroup must hold integers"):
+            quotient_by_subgroup(c4, [0, 2.5])
+        phi = GroupHom(c4, c2, [0, 1, 0, 1])
+        with pytest.raises(GroupError, match="section must hold integers"):
+            classify_section(phi, [0, "1"])
+
+    def test_values_equal_to_an_index_read_as_that_index(self):
+        c4, c2 = cyclic(4), cyclic(2)
+        phi = GroupHom(c4, c2, [0, True, np.int64(0), np.int64(1)])
+        assert phi.map == (0, 1, 0, 1) and all(type(v) is int for v in phi.map)
+        assert is_hom([0, True, 0, 1], c4, c2)
+        q, _ = quotient_by_subgroup(c4, [0, np.int64(2)])
+        assert q.order == 2
 
 
 class TestClassifySections:
@@ -529,7 +587,7 @@ class TestCatalog:
     def test_catalog_equals_naive_closure(self, max_order):
         got, want = catalog(max_order), naive_catalog(max_order)
         assert [g.label() for g in got] == [g.label() for g in want]
-        assert all(np.array_equal(a.table, b.table) for a, b in zip(got, want))
+        assert [a.table for a in got] == [b.table for b in want]
 
     def test_catalog_builds_each_unordered_product_once(self, monkeypatch):
         built = []
@@ -556,7 +614,7 @@ class TestCatalog:
     )
     def test_direct_product_equals_naive(self, g1, g2):
         got, want = direct_product(g1, g2), naive_direct_product(g1, g2)
-        assert np.array_equal(got.table, want.table) and got.label() == want.label()
+        assert got.table == want.table and got.label() == want.label()
 
     def test_catalog_32_counts_per_order(self):
         # frozen from the all-pairs closures the generator-column closure
@@ -617,7 +675,7 @@ class TestSubgroups:
         for nsub in normal:
             q, phi = quotient_by_subgroup(g, nsub)
             table, proj = naive_quotient(g, nsub)
-            assert np.array_equal(q.table, table)
+            assert q.table == tuple(map(tuple, table))
             assert phi.map == proj
 
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import copy
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -388,25 +387,24 @@ class TestCyclicSkew:
         with pytest.raises(BoundExceededError):
             build_cyclic_skew(12, cyclic(2))
 
+    # k = 1..4 over C1, C2, C3 and S3, and k = 5 over C3; k = 4 over S3
+    # (order 5184) is past the table-cells bound
     @pytest.mark.parametrize(
         "k, base",
         [
-            (1, cyclic(2)),
-            (2, cyclic(1)),
-            (2, cyclic(3)),
-            (3, cyclic(2)),
-            (3, symmetric(3)),
-            (4, cyclic(3)),
-            (5, cyclic(3)),
-        ],
-        ids=["1-C2", "2-C1", "2-C3", "3-C2", "3-S3", "4-C3", "5-C3"],
+            (k, base)
+            for k in (1, 2, 3, 4)
+            for base in (cyclic(1), cyclic(2), cyclic(3), symmetric(3))
+            if (k, base.order) != (4, 6)
+        ] + [(5, cyclic(3))],
+        ids=lambda v: v.label() if hasattr(v, "label") else str(v),
     )
     def test_table_equals_naive_loop(self, k, base):
         cs = build_cyclic_skew(k, base)
         naive = naive_cyclic_skew_table(k, base)
         assert cs.group.order == len(naive) == k * base.order**k
-        assert np.array_equal(cs.group.table, naive)
-        for idx in (0, 1, cs.group.order // 2, cs.group.order - 1):
+        assert cs.group.table == tuple(map(tuple, naive))
+        for idx in {0, 1, cs.group.order // 2, cs.group.order - 1} & set(cs.group.elements()):
             shift, values = cs.decode(idx)
             assert cs.group.element_name(idx) == (
                 f"y^{shift}({','.join(base.element_name(v) for v in values)})"

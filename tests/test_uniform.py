@@ -585,7 +585,7 @@ class TestConjugatedFamily:
             for got, structure in ((member.autB, member.B), (member.autA, member.A)):
                 assert {m.key() for m in got.maps} == {m.key() for m in aut_group(structure).maps}
                 assert all(got.index_of(m) == j for j, m in enumerate(got.maps))
-                mul = FiniteGroup(got.rows()).table.tolist()
+                mul = FiniteGroup(got.rows()).table
                 assert all(
                     got.maps[mul[i][j]] == got.maps[i].compose(got.maps[j])
                     for i in range(len(got.maps))
