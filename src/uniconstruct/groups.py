@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from . import config
 from .errors import BoundExceededError, GroupError
-from .jsondoc import is_int, is_int_list
+from .jsondoc import _TableDocument, is_int, is_int_list
 
 # the structure layer is loaded only when aut_group runs, so the group-level
 # commands never load it
@@ -73,10 +73,14 @@ class FiniteGroup:
     integer (1.7, "1") is refused, one equal to an index (True, an array
     integer) reads as that index, and every cell is its element's one
     shared int.  A table over ``config.DEFAULT.table_cells`` cells is
-    refused before it is read.
+    refused before it is read.  Rows the library has just made from its own
+    index arithmetic, tuples whose cells are drawn from ``range(order)``
+    (``_adopt``), are kept as they are, with no second read and no copy;
+    every check below still runs on them.
 
     The checks: the identity row and column; a 0, a right inverse, in every
-    row; Light's test (:func:`_is_associative`) on the :func:`_irredundant`
+    row, at the place :func:`_inverses` finds along the generator columns;
+    Light's test (:func:`_is_associative`) on the :func:`_irredundant`
     subset of ``gens``.  In any magma the g with (x*g)*y == x*(g*y) for all
     x, y are closed under products and include the identity (Clifford &
     Preston, vol. 1, section 1.2), so the table is associative.  An
@@ -86,13 +90,15 @@ class FiniteGroup:
     made.
     """
 
-    __slots__ = ("order", "table", "names", "name", "gens", "_inv", "_center")
+    __slots__ = ("order", "table", "names", "name", "gens", "_inv", "_center", "_hash")
 
     def __init__(
         self,
         table: Sequence[Sequence[int]],
         names: Sequence[str] | None = None,
         name: str | None = None,
+        *,
+        _adopt: bool = False,
     ):
         try:
             n = len(table)
@@ -102,15 +108,15 @@ class FiniteGroup:
         index = {i: i for i in range(n)}
         ident = tuple(index)
         try:
-            rows = tuple(_getter(row)(index) for row in table)
-            inv = tuple(ident[row.index(0)] for row in rows)
-        except (KeyError, TypeError, ValueError):
+            rows = tuple(table) if _adopt else tuple(_getter(row)(index) for row in table)
+        except (KeyError, TypeError):
             rows = ()
         column = functools.cache(lambda q: [row[q] for row in rows])
         if not (n and set(map(len, rows)) == {n} and rows[0] == ident and tuple(column(0)) == ident):
             raise GroupError(_fault(table))
         gens = _generators(n, column)
-        if not _is_associative(rows, _irredundant(n, gens, column)):
+        inv = _inverses(rows, gens, column)
+        if inv is None or not _is_associative(rows, _irredundant(n, gens, column)):
             raise GroupError(_fault(table))
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", rows)
@@ -119,6 +125,7 @@ class FiniteGroup:
         object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "_inv", inv)
         object.__setattr__(self, "_center", None)  # filled by center() on first use
+        object.__setattr__(self, "_hash", None)  # filled by __hash__ on first use
 
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("FiniteGroup is immutable")
@@ -162,7 +169,9 @@ class FiniteGroup:
         return self is other or self.table == other.table
 
     def __hash__(self):
-        return hash(self.table)
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.table))
+        return self._hash
 
     def __repr__(self):
         return f"FiniteGroup({self.label()}, order={self.order})"
@@ -778,6 +787,28 @@ def _irredundant(order: int, gens: Sequence[int], right: Callable[[int], Sequenc
     return kept
 
 
+def _inverses(
+    rows: Sequence[Sequence[int]], gens: Sequence[int], right: Callable[[int], Sequence[int]],
+) -> tuple[int, ...] | None:
+    """x -> x^-1 in a table with identity 0 that ``gens`` generate along
+    their columns ``right(q)``: each generator's inverse is the 0 in its
+    row, and :func:`_close` carries inv(x*q) = inv(q)*inv(x) from there,
+    reading row inv(q), at O(n |gens|) cost.  None unless every row x then
+    holds its 0 at inv(x): some row has no right inverse, or the table is
+    not associative.  In a group neither happens."""
+    ident = rows[0]
+    inv = [0] + [-1] * (len(rows) - 1)
+    for q in gens:
+        if 0 not in rows[q]:
+            return None
+        inv[q] = ident[rows[q].index(0)]
+    if _close(inv, gens, right, rows.__getitem__) is None:
+        return None
+    if not all(row[v] == 0 for row, v in zip(rows, inv)):
+        return None
+    return tuple(inv)
+
+
 def _is_associative(rows: Sequence[Sequence[int]], gens: Sequence[int]) -> bool:
     """Light's test: (x*g)*y == x*(g*y) for every x, y and g in ``gens``, row
     x*g against row x read through row g, at O(n^2 |gens|) cost.  Exact when
@@ -1168,8 +1199,13 @@ def aut_group(s: SortedStructure, *, max_elements: int | None = None) -> Automor
 def group_document(g: FiniteGroup, table) -> dict:
     """The group document of ``g`` with ``table`` as its ``table`` value:
     the list of rows :func:`group_to_json` makes, or ``g.table`` itself for
-    a writer that takes int tuples.  This function alone names the keys."""
+    a writer that takes int tuples.  With ``g.table`` the document is
+    marked as holding a checked table, so the CLI writes it with no
+    per-cell type check.  This function alone names the keys."""
     doc = {"order": g.order, "table": table}
+    if table is g.table:
+        doc = _TableDocument(doc)
+        doc.rows = table
     if g.names is not None:
         doc["names"] = list(g.names)
     return doc

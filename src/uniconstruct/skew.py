@@ -132,24 +132,24 @@ def skew_mul(a: SkewElement, b: SkewElement) -> SkewElement:
     if b.base is not base and b.base != base:
         raise GroupError("skew elements live over different base groups")
     # x shifted up by b's shift, then multiplied pointwise by x'
-    by, left, right = b.shift, a.support, b.support
-    if by:
-        left = [(p + by, v) for p, v in left]
+    by, right = b.shift, b.support
     if not right:
-        return SkewElement(base, a.shift + by, tuple(left))
-    if not left:
+        left = a.support
+        if by:
+            left = tuple([(p + by, v) for p, v in left])
+        return SkewElement(base, a.shift + by, left)
+    if not a.support:
         return SkewElement(base, a.shift + by, right)
-    acc = dict(left)
-    rows = base.table
+    acc = {}
+    for p, v in a.support:
+        acc[p + by] = v
+    rows, get = base.table, acc.get
     for p, v in right:
-        if p in acc:
-            w = rows[acc[p]][v]
-            if w:
-                acc[p] = w
-            else:
-                del acc[p]
+        w = rows[get(p, 0)][v]  # row 0 is the identity's: v where acc has no p
+        if w:
+            acc[p] = w
         else:
-            acc[p] = v
+            del acc[p]
     return SkewElement(base, a.shift + by, tuple(sorted(acc.items())))
 
 
@@ -243,10 +243,13 @@ def center_witness(a: SkewElement) -> SkewElement:
 
 
 # ranges random_skew_element draws from: shifts in [-3, 3], up to 3 support
-# positions, each in [-4, 4]
+# positions, each in [-4, 4]; and the bits of one draw of a shift and of a
+# support size
 _RANDOM_MAX_SHIFT = 3
 _RANDOM_MAX_SUPPORT = 3
 _RANDOM_POSITIONS = range(-4, 5)
+_SHIFT_BITS = (2 * _RANDOM_MAX_SHIFT + 1).bit_length()
+_SIZE_BITS = (_RANDOM_MAX_SUPPORT + 1).bit_length()
 
 
 def random_skew_element(
@@ -258,17 +261,46 @@ def random_skew_element(
     """A random element: the shift, the support size, the positions, then
     one value per position in the order the positions were drawn.
 
-    With ``allow_identity`` every draw makes the same ``rng`` calls whatever
-    came before it, so element j of a stream is the same in any loop that
-    draws from a fresh ``random.Random(seed)``.
+    Every draw is defined on ``rng.getrandbits``: a number below m is
+    ``getrandbits(m.bit_length())`` drawn again until it is below m, and
+    the positions are a partial Fisher-Yates shuffle of
+    ``_RANDOM_POSITIONS``.  That is how ``Random.randrange`` and, for so
+    small a population, ``Random.sample`` draw, so the stream is the one
+    those calls give.  With ``allow_identity`` every draw makes the same
+    ``rng`` calls whatever came before it, so element j of a stream is the
+    same in any loop that draws from a fresh ``random.Random(seed)``.
     """
-    order = base.order
-    randrange = rng.randrange  # randrange(a, b + 1) is what randint(a, b) calls
+    bits = rng.getrandbits
+    values = base.order - 1  # a value is 1 + a number below this
+    value_bits = values.bit_length()
+    last = len(_RANDOM_POSITIONS) - 1
     while True:
-        shift = randrange(-_RANDOM_MAX_SHIFT, _RANDOM_MAX_SHIFT + 1)
-        size = randrange(_RANDOM_MAX_SUPPORT + 1)
-        positions = rng.sample(_RANDOM_POSITIONS, size) if size else ()  # k=0 draws nothing
-        support = tuple(sorted([(p, randrange(1, order)) for p in positions])) if order > 1 else ()
+        shift = bits(_SHIFT_BITS)  # below 2 * _RANDOM_MAX_SHIFT + 1
+        while shift > 2 * _RANDOM_MAX_SHIFT:
+            shift = bits(_SHIFT_BITS)
+        size = bits(_SIZE_BITS)  # below _RANDOM_MAX_SUPPORT + 1
+        while size > _RANDOM_MAX_SUPPORT:
+            size = bits(_SIZE_BITS)
+        support = ()
+        if size:
+            pool = list(_RANDOM_POSITIONS)
+            picked = []
+            for end in range(last, last - size, -1):
+                k = (end + 1).bit_length()
+                j = bits(k)  # below end + 1
+                while j > end:
+                    j = bits(k)
+                picked.append(pool[j])
+                pool[j] = pool[end]  # the last unpicked position fills the gap
+            if values:
+                for i, p in enumerate(picked):
+                    v = bits(value_bits)  # below values
+                    while v >= values:
+                        v = bits(value_bits)
+                    picked[i] = (p, v + 1)
+                picked.sort()
+                support = tuple(picked)
+        shift -= _RANDOM_MAX_SHIFT
         if allow_identity or shift or support:
             return SkewElement(base, shift, support)
 
@@ -319,8 +351,13 @@ def build_cyclic_skew(k: int, base: FiniteGroup) -> CyclicSkewGroup:
     ``shift_x + shift_y`` and value ``digits_x[p - shift_y] * digits_y[p]``
     at p, mod k.  So the block of row x where y has shift s reads the slice
     of ``range(order)`` of shift ``shift_x + s`` through left multiplication
-    in B^k by r, x's digits rotated by s.  Each r is that for one x per s,
-    so its index list is made once and each of its k slices read once.
+    in B^k by r, x's digits rotated by s.  The r of one row are the
+    rotations of its digits, so the digit strings are taken one rotation
+    orbit at a time: each r of the orbit gets its index list and its k
+    blocks made once, the orbit's rows are laid out from those blocks as
+    tuples, and the blocks are dropped before the next orbit.  So the
+    table is the one copy alive, and its cells are the shared ints of one
+    ``range(order)``; :class:`FiniteGroup` adopts the rows as they are.
     """
     if k < 1:
         raise GroupError("modulus must be at least 1")
@@ -333,25 +370,50 @@ def build_cyclic_skew(k: int, base: FiniteGroup) -> CyclicSkewGroup:
     ints = tuple(range(order))
     slices = [ints[t * width:(t + 1) * width] for t in range(k)]
     top = width // n_base
-    table = [[0] * order for _ in range(order)]
-    for j, r in enumerate(itertools.product(range(n_base), repeat=k)):
-        left_mul = [0]  # d -> r*d over B^k, one base row per position
-        for v in r:
-            left_mul = [a * n_base + b for a in left_mul for b in base.table[v]]
-        get = _getter(left_mul)
-        blocks = [get(part) for part in slices]
-        x = j  # r rotated back by s: the digits whose rotation by s is r
-        for s in range(k):
-            for shift in range(k):
-                table[shift * width + x][s * width:(s + 1) * width] = blocks[(shift + s) % k]
+    # spread[v][a]: a followed by each digit v*b, as base-|base| numbers
+    spread = [
+        [tuple(ints[a * n_base + b] for b in base.table[v]) for a in range(top)]
+        for v in range(n_base)
+    ]
+    table = [()] * order
+    row = [0] * order  # one row's k blocks, laid end to end
+    for j in range(width):
+        orbit = [j]  # j's digits rotated left 0, 1, ... places
+        x = j % top * n_base + j // top
+        while x > j:
+            orbit.append(x)
             x = x % top * n_base + x // top
+        if x < j:  # j is not the least of its orbit: done with it
+            continue
+        blocks = []
+        for r in orbit:
+            left_mul = (0,)  # d -> r*d over B^k, one digit of r at a time
+            for v in _digits(r, n_base, k):
+                left_mul = tuple(itertools.chain.from_iterable(_getter(left_mul)(spread[v])))
+            get = _getter(left_mul)
+            blocks.append([get(part) for part in slices])
+        # x = orbit[i] rotated right by s is orbit[i - s]
+        period = len(orbit)
+        for i, x in enumerate(orbit):
+            for shift in range(k):
+                for s in range(k):
+                    row[s * width:(s + 1) * width] = blocks[(i - s) % period][(shift + s) % k]
+                table[shift * width + x] = tuple(row)
     words = [
         ",".join(map(base.element_name, digits))
         for digits in itertools.product(range(n_base), repeat=k)
     ]
     names = [f"y^{n}({w})" for n in range(k) for w in words]
-    group = FiniteGroup(table, names=names, name=f"Z{k}skew{base.label()}")
+    group = FiniteGroup(table, names=names, name=f"Z{k}skew{base.label()}", _adopt=True)
     return CyclicSkewGroup(k=k, base=base, group=group)
+
+
+def _digits(j: int, n: int, k: int) -> list[int]:
+    """The k base-n digits of j, most significant first."""
+    out = [0] * k
+    for p in range(k - 1, -1, -1):
+        j, out[p] = divmod(j, n)
+    return out
 
 
 # ---------------------------------------------------------------------------

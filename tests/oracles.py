@@ -4,7 +4,8 @@ These deliberately avoid the library's search code paths: isomorphisms by
 filtering all permutation families, skew multiplication by string rewriting,
 cyclic skew tables and direct products cell by cell, the homomorphism law
 over every pair, homomorphisms by extending every tuple of generator images
-along words, skew projection defects by sampling pairs, sections by raw
+along words, skew projection defects by sampling pairs, random skew
+elements through ``Random.randrange`` and ``Random.sample``, sections by raw
 fiber products, matched triples by enumerating full commutative matrices,
 twist-equivalence classes by pairwise comparison, thread sets by scanning
 every triple once per element, the uniform construction's output by
@@ -35,7 +36,14 @@ from uniconstruct.groups import (
     symmetric,
 )
 from uniconstruct.groups import aut_group
-from uniconstruct.skew import SkewElement, phi23_hom_defect, random_skew_element
+from uniconstruct.skew import (
+    _RANDOM_MAX_SHIFT,
+    _RANDOM_MAX_SUPPORT,
+    _RANDOM_POSITIONS,
+    SkewElement,
+    phi23_hom_defect,
+    random_skew_element,
+)
 from uniconstruct.structures import (
     SortedMap,
     SortedStructure,
@@ -177,6 +185,25 @@ def hom_violations(
         if phi23_hom_defect(x, y):
             bad.append((x, y))
     return bad
+
+
+def randrange_skew_element(
+    base: FiniteGroup,
+    rng: random.Random,
+    *,
+    allow_identity: bool = False,
+) -> SkewElement:
+    """:func:`random_skew_element` as it drew through ``Random.randrange``
+    and ``Random.sample``: the stream its ``getrandbits`` draws must give."""
+    order = base.order
+    randrange = rng.randrange  # randrange(a, b + 1) is what randint(a, b) calls
+    while True:
+        shift = randrange(-_RANDOM_MAX_SHIFT, _RANDOM_MAX_SHIFT + 1)
+        size = randrange(_RANDOM_MAX_SUPPORT + 1)
+        positions = rng.sample(_RANDOM_POSITIONS, size) if size else ()  # k=0 draws nothing
+        support = tuple(sorted([(p, randrange(1, order)) for p in positions])) if order > 1 else ()
+        if allow_identity or shift or support:
+            return SkewElement(base, shift, support)
 
 
 def naive_cyclic_skew_table(k, base):

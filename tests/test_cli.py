@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import io
 import json
@@ -471,6 +472,29 @@ def _written(doc) -> list[str]:
     return pieces
 
 
+class TestGoldenReports:
+    # sha256 of whole reports, taken from the list-row builder, the checked
+    # writer and the randrange sampler: the bench digests leave out the
+    # table and hom_violations_found, which these cover
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["cyclic-skew", "--k", "5", "--base", "c3", "--format", "json"],
+             "d836d5cfdcea892e56404756ceb0fc9adab3705a4ea949e0b517beae0356c23f"),
+            (["skew", "--base", "s3", "--op", "laws", "--samples", "5000", "--seed", "7",
+              "--format", "json"],
+             "88213ef622e7dddb8cd8c5ce20284fd4db2a0e3e0277fe866b802aece4d54b78"),
+            (["skew", "--base", "s3", "--op", "laws", "--samples", "5000", "--seed", "7"],
+             "7cf0f9ce87d09a73e850e75ebbcc56a3387f29b69862618a30dc3b8a6ae3b31e"),
+        ],
+        ids=["cyclic-skew-k5-c3-json", "skew-laws-s3-json", "skew-laws-s3-text"],
+    )
+    def test_report_sha256(self, tmp_path, argv, digest):
+        out_path = tmp_path / "report"
+        assert main([*argv, "--out", str(out_path)]) == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 class TestJsonWriter:
     @settings(max_examples=200, deadline=None)
     @given(_DOCS)
@@ -484,6 +508,13 @@ class TestJsonWriter:
             "nested": [[], {}, [[]], {"é\n\"": [None, float("nan"), float("-inf"), 0.5]}],
             7: {True: None, None: [], 1.5: "\u2028"},
         }
+        assert "".join(_written(doc)) == json.dumps(doc, indent=2)
+
+    def test_group_table_skips_the_check_only_while_it_is_the_groups(self):
+        g = groups.symmetric(3)
+        doc = groups.group_document(g, g.table)
+        assert "".join(_written({"group": doc})) == json.dumps({"group": doc}, indent=2)
+        doc["table"] = [[True, 1.5], [0, "1"]]  # no longer the group's table
         assert "".join(_written(doc)) == json.dumps(doc, indent=2)
 
     def test_unsupported_key_rejected_like_json(self):

@@ -94,6 +94,11 @@ class TestFiniteGroup:
         g = dihedral(4)
         assert all(g.mul(a, g.inv(a)) == 0 for a in g.elements())
 
+    @pytest.mark.parametrize("g", catalog(16), ids=lambda g: g.label())
+    def test_inverses_are_the_zeros_of_the_rows(self, g):
+        # found along the generator columns, not by scanning every row
+        assert g.inverses() == [row.index(0) for row in g.table]
+
     @pytest.mark.parametrize(
         "table, message",
         [
@@ -102,10 +107,11 @@ class TestFiniteGroup:
             ([[0, 1], [1, 0], [0, 1]], "multiplication table is not square"),
             ([[0, 1], [1]], "multiplication table is not square"),
             ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "row/column 1 is not a permutation"),
+            ([[0, 1], [1, 1]], "row/column 1 is not a permutation"),
             ([[1, 0], [0, 1]], "element 0 is not an identity"),
         ],
         ids=["negative-entry", "entry-equal-to-order", "non-square", "ragged",
-             "rows-permute-columns-do-not", "no-identity"],
+             "rows-permute-columns-do-not", "associative-no-right-inverse", "no-identity"],
     )
     def test_malformed_tables_rejected(self, table, message):
         with pytest.raises(GroupError) as info:
@@ -145,6 +151,12 @@ class TestFiniteGroup:
         named = FiniteGroup(g.table, names=["e", "a", "b"], name="other")
         assert named == g and hash(named) == hash(g)
         assert g != cyclic(4) and g != direct_product(cyclic(2), cyclic(2))
+
+    def test_table_hash_is_made_once_and_kept(self):
+        g, twin = cyclic(300), FiniteGroup([list(row) for row in cyclic(300).table])
+        assert g._hash is None  # nothing is hashed until asked
+        assert hash(g) == hash(twin) == hash(g.table) == g._hash == twin._hash
+        assert len({g, twin, cyclic(300)}) == 1
 
     def test_table_and_inverses_are_read_only(self):
         g = cyclic(4)

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import copy
 import random
+import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from uniconstruct.errors import BoundExceededError, GroupError
 from uniconstruct.groups import (
+    FiniteGroup,
     GroupHom,
     center,
     cyclic,
@@ -38,7 +42,12 @@ from uniconstruct.skew import (
     skew_to_json,
 )
 
-from .oracles import hom_violations, naive_cyclic_skew_table, rewrite_mul
+from .oracles import (
+    hom_violations,
+    naive_cyclic_skew_table,
+    randrange_skew_element,
+    rewrite_mul,
+)
 
 BASES = [cyclic(2), cyclic(3), symmetric(3)]
 
@@ -102,6 +111,16 @@ class TestElementContract:
         assert a != SkewElement(cyclic(3), -2, ((-1, 2), (4, 2)))
         assert a != SkewElement(cyclic(4), -2, a.support)
         assert a != (a.base, a.shift, a.support)
+
+    def test_set_deduplicates_over_equal_bases(self):
+        # the base's table hash is kept on the base, so hashing an element
+        # does not hash the table again
+        rng = random.Random(3)
+        els = elements(symmetric(3), rng, 500)
+        twins = [SkewElement(symmetric(3), el.shift, el.support) for el in els]
+        assert twins[0].base is not els[0].base
+        assert len(set(els + twins)) == len({(el.shift, el.support) for el in els}) < 500
+        assert els[0].base._hash == hash(els[0].base.table)
 
     def test_copy_shares_the_base(self):
         el = skew_from_support(symmetric(3), -2, {-1: 3, 4: 1})
@@ -410,11 +429,64 @@ class TestCyclicSkew:
                 f"y^{shift}({','.join(base.element_name(v) for v in values)})"
             )
 
+    def test_table_is_the_one_copy_at_peak(self):
+        # rows are laid out as tuples and adopted: no list rows beside them
+        # and no second read of every cell
+        tracemalloc.start()
+        try:
+            cs = build_cyclic_skew(2, cyclic(20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = cs.group.table
+        one_copy = sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+        assert len(table) == 800 and one_copy < peak < 1.5 * one_copy
+
+    def test_adopted_rows_are_refused_as_read_rows_are(self):
+        rows = list(build_cyclic_skew(2, cyclic(2)).group.table)
+        row = list(rows[3])
+        row[1], row[2] = row[2], row[1]  # one row corrupted: two cells swapped
+        rows[3] = tuple(row)
+        with pytest.raises(GroupError) as read:
+            FiniteGroup([list(r) for r in rows])
+        with pytest.raises(GroupError) as adopted:
+            FiniteGroup(rows, _adopt=True)
+        assert str(adopted.value) == str(read.value) == "row/column 1 is not a permutation"
+
+    def test_non_associative_base_is_refused_after_adoption(self):
+        # a loop that is not a group: rows and columns are permutations but
+        # (1*1)*2 != 1*(1*2); its skew table is a loop too, so only Light's
+        # test on the adopted rows can refuse it
+        loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+        base = SimpleNamespace(
+            order=5, table=loop, element_name=str, label=lambda: "L5"
+        )
+        with pytest.raises(GroupError, match="^multiplication table is not associative$"):
+            build_cyclic_skew(2, base)
+
     def test_encode_decode_round_trip(self):
         cs = build_cyclic_skew(2, cyclic(2))
         for idx in range(cs.group.order):
             shift, values = cs.decode(idx)
             assert cs.encode(shift, values) == idx
+
+
+class TestSamplerStream:
+    # random_skew_element draws on getrandbits what Random.randrange and
+    # Random.sample drew, so every seeded stream is the one it always was
+    @pytest.mark.parametrize("allow_identity", [False, True])
+    @pytest.mark.parametrize(
+        "base", [cyclic(1), cyclic(2), cyclic(3), symmetric(3)], ids=lambda g: g.label()
+    )
+    def test_matches_randrange_sampler(self, base, allow_identity):
+        for seed in range(5):
+            fast, slow = random.Random(seed), random.Random(seed)
+            drawn = [random_skew_element(base, fast, allow_identity=allow_identity)
+                     for _ in range(20_000)]
+            want = [randrange_skew_element(base, slow, allow_identity=allow_identity)
+                    for _ in range(20_000)]
+            assert drawn == want
+            assert fast.getstate() == slow.getstate()
 
 
 def skew_elements(base):
