@@ -5,9 +5,9 @@ is map composition (apply the right factor first).  Everything is exact and
 deterministic: the section search reports its finds in lexicographic order
 of fiber representatives, so the first witness found is reproducible.  Both
 group kinds answer one protocol, which is all the algorithms read: ``order``,
-``gens``, ``mul(a, b)``, ``inverses()``, ``element_order(a)``, ``right(q)``
-(the list x -> x*q) and ``rows()`` (the Cayley table as int rows, read only
-by the section search).  The module runs on plain Python ints and tuples.
+``gens``, ``mul(a, b)``, ``inverses()``, ``element_order(a)`` and ``right(q)``
+(the list x -> x*q).  No algorithm reads a whole Cayley table of an
+automorphism group.  The module runs on plain Python ints and tuples.
 """
 
 from __future__ import annotations
@@ -142,10 +142,6 @@ class FiniteGroup:
     def right(self, q: int) -> list[int]:
         """x * q for every x: the table's column q."""
         return list(map(itemgetter(q), self.table))
-
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The table itself; callers only read it."""
-        return self.table
 
     def elements(self) -> range:
         return range(self.order)
@@ -317,7 +313,7 @@ def quotient_by_subgroup(g: FiniteGroup, sub: Iterable[int]) -> tuple[FiniteGrou
         raise GroupError("subgroup element out of range")
     if 0 not in n_set:
         raise GroupError("subgroup must contain the identity")
-    rows = g.rows()
+    rows = g.table
     for a in n_set:
         for b in n_set:
             if rows[a][b] not in n_set:
@@ -343,7 +339,7 @@ def quotient_by_subgroup(g: FiniteGroup, sub: Iterable[int]) -> tuple[FiniteGrou
 
 def _is_normal(g: FiniteGroup, sub: set[int] | frozenset[int]) -> bool:
     """Whether the subgroup ``sub`` is closed under conjugation by every element."""
-    rows, inv = g.rows(), g.inverses()
+    rows, inv = g.table, g.inverses()
     return all(rows[rows[x][a]][inv[x]] in sub for x in g.elements() for a in sub)
 
 
@@ -380,6 +376,16 @@ class Section:
         return self.classification in (SPLITTING, WEAK_SPLITTING)
 
 
+def _center_cosets(h) -> list[int]:
+    """x -> the smallest element of x Z(H), filled from it by |Z(H)| products
+    once per coset: u v^-1 is central exactly when u and v get one id."""
+    ids, central = [-1] * h.order, center(h)
+    for x in range(h.order):
+        for z in central if ids[x] < 0 else ():
+            ids[h.mul(x, z)] = x
+    return ids
+
+
 def _labeller(phi: GroupHom) -> Callable[[Sequence[int]], str]:
     """The classifier of sections psi of ``phi``: H -> G, on the defects
     psi(x) psi(q) psi(xq)^-1 for every x and every generator q of G.
@@ -391,26 +397,26 @@ def _labeller(phi: GroupHom) -> Callable[[Sequence[int]], str]:
     It suffices: central defects make pi.psi, for pi: H -> H/Z(H), obey the
     law on generators, so pi.psi is a homomorphism by the same induction, and
     then every defect psi(x) psi(y) psi(xy)^-1 lies in the kernel Z(H).
-    H's table (whose size bound is checked first), G's generator columns,
-    the inverses and Z(H) are read once per ``phi``.
+    A defect is 1 (central) when its sides psi(x) psi(q), column psi(q) of H
+    read through psi, and psi(xq), psi read through column q of G, are equal
+    (in one Z(H)-coset, :func:`_center_cosets`).
     """
     h, g = phi.domain, phi.codomain
-    h_mul = h.rows()
-    columns = [(q, g.right(q)) for q in g.gens]
-    g_inv, h_inv = g.inverses(), h.inverses()
-    central = frozenset(center(h))
+    coset = _center_cosets(h)
+    h_right = functools.cache(h.right)
+    h_coset_right = functools.cache(lambda v: list(map(coset.__getitem__, h_right(v))))
+    gens, through_g = g.gens, [_getter(g.right(q)) for q in g.gens]
+    g_inv, h_inv = _getter(g.inverses()), h.inverses()
 
     def label(psi: Sequence[int]) -> str:
         if psi[0] != 0:
             return SECTION_ONLY
-        defects = {
-            h_mul[h_mul[v][psi[q]]][h_inv[psi[xq]]] for q, col in columns for v, xq in zip(psi, col)
-        }
-        if defects <= {0}:
+        through_psi = _getter(psi)
+        if [through_psi(h_right(psi[q])) for q in gens] == [t(psi) for t in through_g]:
             return SPLITTING
-        if defects <= central and all(psi[y] == h_inv[v] for y, v in zip(g_inv, psi)):
-            return WEAK_SPLITTING
-        return SECTION_ONLY
+        cosets = through_psi(coset)
+        weak = [through_psi(h_coset_right(psi[q])) for q in gens] == [t(cosets) for t in through_g]
+        return WEAK_SPLITTING if weak and g_inv(psi) == through_psi(h_inv) else SECTION_ONLY
 
     return label
 
@@ -498,35 +504,35 @@ def _weak_splittings(
     pair, led by its smaller element x, whose fiber is tried in increasing
     order.  Position x^-1 comes after x and is fixed by it, so depth-first
     order is lexicographic order of the whole section.  A node checks the
-    center-defect condition only on the triples (a, b, ab) that contain a
-    newly assigned element, so every complete assignment (a leaf) is a weak
+    center-defect condition on the triples (a, b, ab) that contain a newly
+    assigned element, so every complete assignment (a leaf) is a weak
     splitting.  Each node visited is taken from ``budget``; the generator
     runs only as far as its consumer reads.
+
+    The node reads them as triangles: psi(u) psi(v) psi(w) for uvw = 1 is
+    the defect of (u, v), as psi((uv)^-1) = psi(uv)^-1 where assigned.
+    Rotating a triangle conjugates its value and reversing it with every
+    entry inverted inverts the value, so neither changes whether it is
+    central, and the assigned set is closed under inverses.  So every
+    triangle holding x or x^-1 is central iff all those holding x in the
+    middle are: the node checks (a, x) for every assigned a, on column x of
+    G and column psi(x) of H, by the Z(H)-cosets (:func:`_center_cosets`)
+    of psi(a) psi(x) and psi(ax).
     """
     g, h = phi.codomain, phi.domain
-    h_mul, h_inv = h.rows(), h.inverses()
-    g_mul, g_inv = g.rows(), g.inverses()
-    central = [False] * h.order
-    for z in center(h):
-        central[z] = True
+    config.check_table_cells(h.order)  # the search may read every column of H
+    g_right, h_right = functools.cache(g.right), functools.cache(h.right)
+    g_inv, h_inv = g.inverses(), h.inverses()
+    coset = _center_cosets(h)
     leaders = [x for x in range(g.order) if 0 < x <= g_inv[x]]
-    assign = [-1] * g.order
-    assign[0] = 0
+    assign = [0] + [-1] * (g.order - 1)
     assigned = [0]
 
-    def defect_ok(c: int) -> bool:
-        # the triples (a, c), (c, a) and (a, a^-1 c) over every assigned a
-        pc = assign[c]
+    def defect_ok(x: int) -> bool:
+        g_x, h_x = g_right(x), h_right(assign[x])
         for a in assigned:
-            pa = assign[a]
-            p = assign[g_mul[a][c]]
-            if p >= 0 and not central[h_mul[h_mul[pa][pc]][h_inv[p]]]:
-                return False
-            p = assign[g_mul[c][a]]
-            if p >= 0 and not central[h_mul[h_mul[pc][pa]][h_inv[p]]]:
-                return False
-            p = assign[g_mul[g_inv[a]][c]]
-            if p >= 0 and not central[h_mul[h_mul[pa][p]][h_inv[pc]]]:
+            p = assign[g_x[a]]
+            if p >= 0 and coset[h_x[assign[a]]] != coset[p]:
                 return False
         return True
 
@@ -542,14 +548,12 @@ def _weak_splittings(
             if x == xi and v != vi:
                 continue
             budget.take()
-            assign[x] = v
-            assign[xi] = vi
+            assign[x], assign[xi] = v, vi
             assigned.extend(new)
-            if all(defect_ok(c) for c in new):
+            if defect_ok(x):
                 yield from extend(i + 1)
             del assigned[-len(new):]
-            assign[x] = -1
-            assign[xi] = -1
+            assign[x] = assign[xi] = -1
 
     return extend(0)
 
@@ -1060,15 +1064,13 @@ class AutomorphismGroup:
     concatenated, each offset by its sort's start) and ``row_index`` maps a
     row back to its element, so a product is two rows composed and looked
     up.  The group protocol is answered from the rows in pure Python:
-    ``right(q)`` composes every row with ``perms[q]`` and is kept,
-    ``inverses()`` inverts every row, ``element_order(a)`` multiplies by a
-    until the identity, and ``rows()`` builds the Cayley table from the
-    generators' columns.  Construction finds the greedy generating set
-    ``gens`` by reading each generator's whole column, and a composite
-    missing from the list raises GroupError, so closure is checked exactly
-    at O(|Aut|·|gens|·N) cost for N elements.  The table is built on first
-    access, at most once, and conjugate copies share it.  Two groups are
-    equal when they have the same structure and the same maps.
+    ``right(q)`` is q's column, made once, kept and shared with conjugate
+    copies; ``inverses()`` inverts every row, and ``element_order(a)``
+    multiplies by a until the identity.  Construction finds the greedy
+    generating set ``gens`` by composing every row with each generator's
+    row, and a composite missing from the list raises GroupError, so closure
+    is checked exactly at O(|Aut|·|gens|·N) cost for N elements.  Two groups
+    are equal when they have the same structure and the same maps.
     """
 
     def __init__(
@@ -1076,7 +1078,7 @@ class AutomorphismGroup:
         structure: SortedStructure,
         maps: list[SortedMap],
         *,
-        _table_source: "AutomorphismGroup | None" = None,
+        _like: "AutomorphismGroup | None" = None,
     ):
         self.structure = structure
         self.maps = maps
@@ -1086,13 +1088,12 @@ class AutomorphismGroup:
             tuple(v + start for images, start in zip(m.maps, starts) for v in images) for m in maps
         ]
         self.row_index = {row: i for i, row in enumerate(self.perms)}
-        self._source = _table_source or self  # the group whose rows build the table
-        self._rows: list[list[int]] | None = None
         self._inverses: list[int] | None = None
         self._center: tuple[int, ...] | None = None  # filled by center() on first use
+        self._tree: tuple[list[int], list[int]] | None = None  # filled by right() on first use
         # conjugation is an isomorphism: a copy's columns and gens are its source's
-        self._columns: dict[int, list[int]] = self._source._columns if _table_source else {}
-        self.gens = self._source.gens if _table_source else tuple(_generators(len(maps), self.right))
+        self._columns = _like._columns if _like else {0: list(range(len(maps)))}
+        self.gens = _like.gens if _like else tuple(_generators(len(maps), self._composed))
 
     @property
     def order(self) -> int:
@@ -1117,56 +1118,42 @@ class AutomorphismGroup:
             self._inverses = [self._lookup(tuple(sorted(width, key=p.__getitem__))) for p in self.perms]
         return self._inverses
 
-    def right(self, q: int) -> list[int]:
-        """x * q for every x, made once per q: every row composed with
-        ``perms[q]`` through one itemgetter."""
-        col = self._columns.get(q)
-        if col is None:
-            compose = _getter(self.perms[q])
-            try:
-                col = list(map(self.row_index.__getitem__, map(compose, self.perms)))
-            except KeyError:
-                raise GroupError("automorphism list is not closed under composition") from None
-            self._columns[q] = col
+    def _composed(self, q: int) -> list[int]:
+        """Column q, kept: every row composed with ``perms[q]``."""
+        compose = _getter(self.perms[q])
+        try:
+            col = list(map(self.row_index.__getitem__, map(compose, self.perms)))
+        except KeyError:
+            raise GroupError("automorphism list is not closed under composition") from None
+        self._columns[q] = col
         return col
 
-    def rows(self) -> list[list[int]]:
-        """The Cayley table as lists, built on first access from the
-        generators' columns: column j*q is q's column read through column j.
-        A conjugate copy reads the table of the group it was conjugated
-        from.  Over ``config.DEFAULT.table_cells`` cells it raises
-        BoundExceededError before building."""
-        src = self._source
-        if src._rows is None:
-            n = src.order
-            config.check_table_cells(n)
-            columns: list[list[int] | None] = [None] * n
-            columns[0] = list(range(n))
-            frontier = [0]
-            by_gen = [src.right(q) for q in src.gens]
-            while frontier:
-                fresh = []
-                for j in frontier:
-                    for col_q in by_gen:
-                        jq = col_q[j]
-                        if columns[jq] is None:
-                            columns[jq] = list(map(col_q.__getitem__, columns[j]))
-                            fresh.append(jq)
-                frontier = fresh
-            src._rows = [list(row) for row in zip(*columns)]
-        return src._rows
+    def right(self, q: int) -> list[int]:
+        """x * q for every x, made once per q and kept: q = j*g on a Schreier
+        tree (:func:`_schreier_tree`), so column q is column g read through
+        column j, and the missing columns on q's path are made top down."""
+        columns = self._columns
+        if q not in columns:
+            if self._tree is None:
+                self._tree = _schreier_tree(self.order, [(g, columns[g]) for g in self.gens])
+            parent, via = self._tree
+            path = [q]
+            while parent[path[-1]] not in columns:
+                path.append(parent[path[-1]])
+            for p in reversed(path):
+                columns[p] = list(map(columns[via[p]].__getitem__, columns[parent[p]]))
+        return columns[q]
 
     def conjugate(self, f: SortedMap) -> "AutomorphismGroup":
         """The automorphism group of f's codomain, for an isomorphism f from
         this group's structure: element j is f . maps[j] . f^-1.
 
         Conjugation by f is a group isomorphism, so the copy has this
-        group's generators and shares its columns and table, and no search
-        runs.
+        group's generators and shares its columns, and no search runs.
         """
         f_inv = f.inverse()
         maps = [f.compose(m.compose(f_inv)) for m in self.maps]
-        return AutomorphismGroup(f.codomain, maps, _table_source=self._source)
+        return AutomorphismGroup(f.codomain, maps, _like=self)
 
     def index_of(self, m: SortedMap) -> int:
         try:
@@ -1181,6 +1168,20 @@ class AutomorphismGroup:
 
     def __hash__(self):
         return hash(self.structure)
+
+
+def _schreier_tree(order: int, steps: list[tuple[int, list[int]]]) -> tuple[list[int], list[int]]:
+    """(parent, via) with q = parent[q] * via[q] for every q but 0: the
+    breadth-first tree from 0 along ``steps``, (generator, column) pairs."""
+    parent, via = [0] + [-1] * (order - 1), [-1] * order
+    reached = [0]
+    for j in reached:  # grows as it is read, in breadth-first order
+        for q, col in steps:
+            jq = col[j]
+            if parent[jq] < 0:
+                parent[jq], via[jq] = j, q
+                reached.append(jq)
+    return parent, via
 
 
 def aut_group(s: SortedStructure, *, max_elements: int | None = None) -> AutomorphismGroup:

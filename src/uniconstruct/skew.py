@@ -37,7 +37,6 @@ __all__ = [
     "psi0",
     "phi13",
     "center_witness",
-    "phi23_hom_defect",
     "random_skew_element",
     "CyclicSkewGroup",
     "build_cyclic_skew",
@@ -177,8 +176,7 @@ def phi23(a: SkewElement) -> int:
     (ascending position), with the shift contributing the identity.
 
     It is a homomorphism exactly when the base is abelian;
-    :func:`phi23_hom_witness` decides this and names a breaking pair, and
-    :func:`phi23_hom_defect` tests one pair.
+    :func:`phi23_hom_witness` decides this and names a breaking pair.
     """
     rows = a.base.table
     out = 0
@@ -303,12 +301,6 @@ def random_skew_element(
         shift -= _RANDOM_MAX_SHIFT
         if allow_identity or shift or support:
             return SkewElement(base, shift, support)
-
-
-def phi23_hom_defect(x: SkewElement, y: SkewElement) -> bool:
-    """True when phi23(x*y) != phi23(x)*phi23(y): the pair breaks the
-    homomorphism law of :func:`phi23`."""
-    return phi23(skew_mul(x, y)) != x.base.mul(phi23(x), phi23(y))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ cyclic skew tables and direct products cell by cell, the homomorphism law
 over every pair, homomorphisms by extending every tuple of generator images
 along words, skew projection defects by sampling pairs, random skew
 elements through ``Random.randrange`` and ``Random.sample``, sections by raw
-fiber products, matched triples by enumerating full commutative matrices,
+fiber products, the section search and its labeller on whole Cayley tables
+made through ``mul``, matched triples by enumerating full commutative matrices,
 twist-equivalence classes by pairwise comparison, thread sets by scanning
 every triple once per element, the uniform construction's output by
 relabelling the base member along one isomorphism, restriction maps by
@@ -23,12 +24,20 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from uniconstruct import config
 from uniconstruct.groups import (
+    SECTION_ONLY,
+    SPLITTING,
+    WEAK_SPLITTING,
     FiniteGroup,
+    GroupHom,
+    _NodeBudget,
     alternating,
+    center,
     cyclic,
     dicyclic,
     dihedral,
@@ -41,8 +50,9 @@ from uniconstruct.skew import (
     _RANDOM_MAX_SUPPORT,
     _RANDOM_POSITIONS,
     SkewElement,
-    phi23_hom_defect,
+    phi23,
     random_skew_element,
+    skew_mul,
 )
 from uniconstruct.structures import (
     SortedMap,
@@ -166,6 +176,12 @@ def rewrite_mul(a, b):
             else:
                 i += 1
     return shift, tuple(gens)
+
+
+def phi23_hom_defect(x: SkewElement, y: SkewElement) -> bool:
+    """True when phi23(x*y) != phi23(x)*phi23(y): the pair breaks the
+    homomorphism law of :func:`phi23`."""
+    return phi23(skew_mul(x, y)) != x.base.mul(phi23(x), phi23(y))
 
 
 def hom_violations(
@@ -416,6 +432,128 @@ def naive_section_census(phi):
     labels = [label for _, label in _naive_labelled_sections(phi)]
     n_split = labels.count("splitting")
     return len(labels), n_split, n_split + labels.count("weak")
+
+
+# ---------------------------------------------------------------------------
+# The section search and its labeller on whole Cayley tables: the library's
+# ``_labeller`` and ``_weak_splittings`` as they were when they read whole
+# tables, verbatim but for ``.table`` where they called ``rows()``.  Both
+# groups of ``phi`` must be FiniteGroups (see :func:`on_tables`).
+
+def cayley_table(g) -> FiniteGroup:
+    """The Cayley table of a FiniteGroup or an AutomorphismGroup, every pair
+    through ``g.mul``, as a FiniteGroup with the same element numbers; over
+    the ``table_cells`` bound it is refused before any product is formed."""
+    config.check_table_cells(g.order)
+    n = g.order
+    return FiniteGroup([list(map(g.mul, itertools.repeat(a, n), range(n))) for a in range(n)])
+
+
+def on_tables(phi: GroupHom) -> GroupHom:
+    """``phi`` between the :func:`cayley_table` copies of its groups."""
+    return GroupHom(cayley_table(phi.domain), cayley_table(phi.codomain), phi.map)
+
+
+def table_labeller(phi: GroupHom) -> Callable[[Sequence[int]], str]:
+    """The classifier of sections psi of ``phi``: H -> G, on the defects
+    psi(x) psi(q) psi(xq)^-1 for every x and every generator q of G.
+
+    Both labels need psi(1) = 1.  psi is a splitting iff every defect is 1,
+    by the induction of :func:`_hom_law_holds`; otherwise a weak splitting
+    iff psi(x^-1) = psi(x)^-1 for every x and every defect is central.  That
+    is the definition with y restricted to generators, so it is necessary.
+    It suffices: central defects make pi.psi, for pi: H -> H/Z(H), obey the
+    law on generators, so pi.psi is a homomorphism by the same induction, and
+    then every defect psi(x) psi(y) psi(xy)^-1 lies in the kernel Z(H).
+    H's table (whose size bound is checked first), G's generator columns,
+    the inverses and Z(H) are read once per ``phi``.
+    """
+    h, g = phi.domain, phi.codomain
+    h_mul = h.table
+    columns = [(q, g.right(q)) for q in g.gens]
+    g_inv, h_inv = g.inverses(), h.inverses()
+    central = frozenset(center(h))
+
+    def label(psi: Sequence[int]) -> str:
+        if psi[0] != 0:
+            return SECTION_ONLY
+        defects = {
+            h_mul[h_mul[v][psi[q]]][h_inv[psi[xq]]] for q, col in columns for v, xq in zip(psi, col)
+        }
+        if defects <= {0}:
+            return SPLITTING
+        if defects <= central and all(psi[y] == h_inv[v] for y, v in zip(g_inv, psi)):
+            return WEAK_SPLITTING
+        return SECTION_ONLY
+
+    return label
+
+
+def table_weak_splittings(
+    phi: GroupHom, fibers: list[list[int]], budget: _NodeBudget
+) -> Iterator[list[int]]:
+    """Every weak splitting of ``phi``, each as a fresh list, in
+    lexicographic order; ``fibers`` is :func:`_fibers` of ``phi``.
+
+    Both kinds of splitting fix 1 and commute with inverses, so the search
+    assigns psi(x) and psi(x^-1) = psi(x)^-1 together: one level per inverse
+    pair, led by its smaller element x, whose fiber is tried in increasing
+    order.  Position x^-1 comes after x and is fixed by it, so depth-first
+    order is lexicographic order of the whole section.  A node checks the
+    center-defect condition only on the triples (a, b, ab) that contain a
+    newly assigned element, so every complete assignment (a leaf) is a weak
+    splitting.  Each node visited is taken from ``budget``; the generator
+    runs only as far as its consumer reads.
+    """
+    g, h = phi.codomain, phi.domain
+    h_mul, h_inv = h.table, h.inverses()
+    g_mul, g_inv = g.table, g.inverses()
+    central = [False] * h.order
+    for z in center(h):
+        central[z] = True
+    leaders = [x for x in range(g.order) if 0 < x <= g_inv[x]]
+    assign = [-1] * g.order
+    assign[0] = 0
+    assigned = [0]
+
+    def defect_ok(c: int) -> bool:
+        # the triples (a, c), (c, a) and (a, a^-1 c) over every assigned a
+        pc = assign[c]
+        for a in assigned:
+            pa = assign[a]
+            p = assign[g_mul[a][c]]
+            if p >= 0 and not central[h_mul[h_mul[pa][pc]][h_inv[p]]]:
+                return False
+            p = assign[g_mul[c][a]]
+            if p >= 0 and not central[h_mul[h_mul[pc][pa]][h_inv[p]]]:
+                return False
+            p = assign[g_mul[g_inv[a]][c]]
+            if p >= 0 and not central[h_mul[h_mul[pa][p]][h_inv[pc]]]:
+                return False
+        return True
+
+    def extend(i: int) -> Iterator[list[int]]:
+        if i == len(leaders):
+            yield assign[:]
+            return
+        x = leaders[i]
+        xi = g_inv[x]
+        new = [x] if x == xi else [x, xi]
+        for v in fibers[x]:
+            vi = h_inv[v]
+            if x == xi and v != vi:
+                continue
+            budget.take()
+            assign[x] = v
+            assign[xi] = vi
+            assigned.extend(new)
+            if all(defect_ok(c) for c in new):
+                yield from extend(i + 1)
+            del assigned[-len(new):]
+            assign[x] = -1
+            assign[xi] = -1
+
+    return extend(0)
 
 
 # ---------------------------------------------------------------------------

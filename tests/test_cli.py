@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uniconstruct import cli, encode, groups, skew, ucp, uniform
+from uniconstruct import cli, config, encode, groups, skew, ucp, uniform
 from uniconstruct.cli import main
 from uniconstruct.errors import BoundExceededError
 from uniconstruct.groups import (
@@ -221,18 +221,40 @@ class TestUcpCommands:
             "detail": "supplied map is not a section of the restriction map",
         }
 
-    def test_ucp_check_psi_over_table_bound_exit_1(self, tmp_path, capsys):
+    def test_ucp_check_psi_past_the_table_bound_answers(self, tmp_path):
+        # |Aut| = 5040, whose table would have 25401600 cells: the section
+        # is labelled from the columns of H's generator images alone
         path = write(tmp_path, "b.json", dumps(free_over_apex(7)))
         psi_path = write(tmp_path, "psi.json", json.dumps({"map": list(range(5040))}))
+        out_path = tmp_path / "report.json"
         tracemalloc.start()
         try:
-            code = main(["ucp-check", "--structure", path, "--psi", psi_path])
+            code = main([
+                "ucp-check", "--structure", path, "--psi", psi_path,
+                "--format", "json", "--out", str(out_path),
+            ])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert code == 0
+        doc = json.loads(out_path.read_text())
+        assert doc["clauses"][-1] == {
+            "clause": "f", "ok": True, "detail": "section classification: splitting",
+        }
+        assert peak < 5040 * 5040  # less than one byte per cell of the table
+
+    def test_verify_past_the_table_bound_exit_1(self, tmp_path, capsys):
+        # without --psi the section search may read every column of H, so
+        # its table size is refused before the search starts
+        b = free_over_apex(7)
+        path = write(tmp_path, "b.json", dumps(b))
+        a_path = write(tmp_path, "a.json", dumps(reduct(b, (0,))))
+        code = main(["verify", "--structure", path, "--target", a_path, "--copies", "1"])
         assert code == 1
-        assert "order 5040 has 25401600 cells, over the bound" in capsys.readouterr().err
-        assert peak < 5040 * 5040  # refused before one byte per cell was allocated
+        bound = config.DEFAULT.table_cells
+        assert capsys.readouterr().err == (
+            f"error: a Cayley table of order 5040 has 25401600 cells, over the bound {bound}\n"
+        )
 
     def test_derive_triple(self, tmp_path):
         from uniconstruct.encode import GroupTriple, encode_three_sorted

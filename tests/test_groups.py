@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from uniconstruct.structures import SortedSignature, SortedStructure
 from .conftest import directed_cycle, free_points, two_sorted
 from .oracles import (
     _naive_labelled_sections,
+    cayley_table,
     naive_catalog,
     naive_closure,
     naive_direct_product,
@@ -61,6 +63,9 @@ from .oracles import (
     naive_section_label,
     naive_sections,
     naive_subgroups,
+    on_tables,
+    table_labeller,
+    table_weak_splittings,
 )
 
 
@@ -184,7 +189,7 @@ class TestFiniteGroup:
             if isinstance(getattr(g, slot), tuple) and any(isinstance(v, tuple) for v in getattr(g, slot))
         ]
         assert tables == ["table"]
-        assert g.rows() is g.table and g.right(1) == [row[1] for row in g.table]
+        assert g.right(1) == [row[1] for row in g.table]
 
     def test_accessors_return_int(self):
         g = dicyclic(2)
@@ -570,6 +575,55 @@ class TestSectionSearchBlocks:
         assert classify_section(phi, [0, 1]).classification == SECTION_ONLY
 
 
+class TestSectionSearchOnColumns:
+    """The section search and its labeller read both groups through their
+    columns; the same search on whole Cayley tables (``tests/oracles.py``)
+    gives the same leaves, in the same order, after the same nodes, and the
+    same labels."""
+
+    @staticmethod
+    def _leaves(search, phi):
+        budget = groups._NodeBudget(None)
+        return list(search(phi, groups._fibers(phi), budget)), budget.used
+
+    def _check(self, phi):
+        on_table = on_tables(phi)
+        leaves, nodes = self._leaves(groups._weak_splittings, phi)
+        assert (leaves, nodes) == self._leaves(table_weak_splittings, on_table)
+        label, table_label = groups._labeller(phi), table_labeller(on_table)
+        fibers = groups._fibers(phi)
+        n_sections = math.prod(map(len, fibers))
+        if n_sections <= 256:
+            sections = list(itertools.product(*fibers))
+        else:
+            rng = random.Random(0)
+            sections = [tuple(map(rng.choice, fibers)) for _ in range(64)]
+        labels = [label(m) for m in leaves + sections]
+        assert labels == [table_label(m) for m in leaves + sections]
+        return labels
+
+    def test_block_cases(self):
+        seen = set()
+        for name, phi in _block_cases().items():
+            seen.update(self._check(phi))
+        assert seen == {SPLITTING, WEAK_SPLITTING, SECTION_ONLY}
+
+    @pytest.mark.parametrize(
+        "case", [*(f"free{n}-over-apex" for n in range(3, 7)), "b_cycle3", "b_rich", "b_kernel"]
+    )
+    def test_restriction_maps(self, case, request):
+        from uniconstruct.ucp import assemble_ucp
+
+        if case.startswith("free"):
+            n = int(case[4])
+            b = two_sorted((n, 1), [("R", (0, 1), [(p, 0) for p in range(n)])])
+        else:
+            b = request.getfixturevalue(case)
+        phi = assemble_ucp(b).phi
+        assert type(phi.domain) is groups.AutomorphismGroup
+        assert SPLITTING in self._check(phi)
+
+
 class TestCatalog:
     def test_catalog_8_contents(self):
         cat = catalog(8)
@@ -818,18 +872,15 @@ class TestDecideSplittings:
         with pytest.raises(GroupError, match="surjective"):
             decide_splittings(GroupHom(cyclic(2), cyclic(4), [0, 2]))
 
-    def test_splitting_of_automorphism_groups_builds_no_table(self, monkeypatch):
+    def test_splitting_of_automorphism_groups_builds_no_table(self):
         # 5 free points over an apex restrict as S5 -> S5: the splitting is
-        # found on generator columns, so neither Cayley table is built
+        # found on generator columns, so neither group makes another column
         from uniconstruct.ucp import assemble_ucp
 
         phi = assemble_ucp(two_sorted((5, 1), [("R", (0, 1), [(p, 0) for p in range(5)])])).phi
-
-        def refuse(self):
-            raise AssertionError("a Cayley table of an automorphism group was built")
-
-        monkeypatch.setattr(groups.AutomorphismGroup, "rows", refuse)
         assert decide_splittings(phi) == (True, True)
+        for g in (phi.domain, phi.codomain):
+            assert g.order == 120 and set(g._columns) == {0, *g.gens}
 
     def test_catalog_search_lists_sections_of_witnesses_only(self, monkeypatch):
         listed = []
@@ -915,20 +966,20 @@ class TestSearchAccounting:
 class TestAutGroup:
     def test_rigid_structure_trivial_group(self):
         sig_auts = aut_group(directed_cycle(3))
-        assert FiniteGroup(sig_auts.rows()).order == 3
+        assert cayley_table(sig_auts).order == 3
 
     def test_bare_three_points_is_s3(self):
-        table = FiniteGroup(aut_group(free_points(3)).rows())
+        table = cayley_table(aut_group(free_points(3)))
         assert table.order == 6
         assert find_isomorphism(table, symmetric(3)) is not None
 
     def test_three_cycle_is_c3(self):
-        table = FiniteGroup(aut_group(directed_cycle(3)).rows())
+        table = cayley_table(aut_group(directed_cycle(3)))
         assert find_isomorphism(table, cyclic(3)) is not None
 
     def test_action_is_isomorphism_under_composition(self):
         ag = aut_group(free_points(4))
-        table = FiniteGroup(ag.rows())
+        table = cayley_table(ag)
         assert table.order == 24
         for i in range(table.order):
             for j in range(table.order):
@@ -948,11 +999,13 @@ class TestAutGroup:
     ], ids=["free5", "two-sorted", "encode3-s4-s3-c2"])
     def test_table_is_composition(self, make, order):
         ag = aut_group(make(), max_elements=32)
-        table = FiniteGroup(ag.rows())
+        table = cayley_table(ag)
         assert table.order == order
         for i, mi in enumerate(ag.maps):
             for j, mj in enumerate(ag.maps):
                 assert ag.index_of(mi.compose(mj)) == table.mul(i, j)
+        # every column, the generators' and those made along the Schreier tree
+        assert all(ag.right(q) == table.right(q) for q in range(order))
 
     def test_missing_automorphism_raises_group_error(self, monkeypatch):
         full = structures.automorphisms
@@ -971,7 +1024,7 @@ class TestAutGroup:
         gens.append(Permutation([[0, 3], [1, 4], [2, 5]], size=12))
         gens.append(Permutation([[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]], size=12))
         oracle = PermutationGroup(gens)
-        table = FiniteGroup(ag.rows())
+        table = cayley_table(ag)
         assert oracle.order() == table.order == 1944
         assert len(ag.index) == 1944
         assert all(oracle.contains(Permutation(list(m.maps[0]))) for m in ag.maps)
@@ -1001,12 +1054,12 @@ class TestPermutationFacts:
         assert center(ag) == sorted(ag.row_index[tuple(z)] for z in oracle_center)
         assert len(center(ag)) == center_size
         if order**2 <= config.DEFAULT.table_cells:
-            table = FiniteGroup(ag.rows())
+            table = cayley_table(ag)
             assert table.order == order and table.gens == ag.gens
             assert center(table) == center(ag)
         else:
             with pytest.raises(BoundExceededError, match="cells"):
-                FiniteGroup(ag.rows())
+                cayley_table(ag)
 
     @pytest.mark.parametrize("g", catalog(12), ids=lambda g: g.label())
     def test_generator_law_equals_all_pairs_on_quotients(self, g):
@@ -1030,7 +1083,7 @@ class TestPermutationFacts:
         h, g = aut_group(b_cycle3), aut_group(directed_cycle(3))
         restriction = ucp.restriction_map(h, g)
         assert is_hom(restriction, h, g)
-        tables = FiniteGroup(h.rows()), FiniteGroup(g.rows())
+        tables = cayley_table(h), cayley_table(g)
         assert restriction == GroupHom(*tables, ucp.restriction_map(h, g)).map
         assert is_hom((0, 2, 1), h, g)  # inversion, since C3 is abelian
         assert not is_hom((0, 1, 1), h, g)
@@ -1066,7 +1119,7 @@ class TestTableCellsBound:
         ag = aut_group(free_points(5))
         assert ag.order == 120 and center(ag) == [0] and len(ag.gens) == 4
         with pytest.raises(BoundExceededError, match="order 120 has 14400 cells"):
-            FiniteGroup(ag.rows())
+            cayley_table(ag)
 
     def test_environment_override(self):
         import subprocess

@@ -28,7 +28,6 @@ from uniconstruct.skew import (
     center_witness,
     phi13,
     phi23,
-    phi23_hom_defect,
     phi23_hom_witness,
     psi0,
     random_skew_element,
@@ -45,6 +44,7 @@ from uniconstruct.skew import (
 from .oracles import (
     hom_violations,
     naive_cyclic_skew_table,
+    phi23_hom_defect,
     randrange_skew_element,
     rewrite_mul,
 )

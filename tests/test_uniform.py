@@ -9,7 +9,7 @@ import pytest
 
 from uniconstruct import cli, config, encode, groups, ucp, uniform
 from uniconstruct.errors import BoundExceededError, GroupError, StructureError, VerificationError
-from uniconstruct.groups import FiniteGroup, aut_group, classify_sections
+from uniconstruct.groups import aut_group, classify_sections
 from uniconstruct.structures import (
     SortedMap,
     SortedSignature,
@@ -33,6 +33,7 @@ from uniconstruct.uniform import (
 from .conftest import random_structure, two_sorted
 from .oracles import (
     canonical_copies,
+    cayley_table,
     g_map,
     naive_classes,
     naive_cocycle_holds,
@@ -585,12 +586,14 @@ class TestConjugatedFamily:
             for got, structure in ((member.autB, member.B), (member.autA, member.A)):
                 assert {m.key() for m in got.maps} == {m.key() for m in aut_group(structure).maps}
                 assert all(got.index_of(m) == j for j, m in enumerate(got.maps))
-                mul = FiniteGroup(got.rows()).table
+                mul = cayley_table(got).table
                 assert all(
                     got.maps[mul[i][j]] == got.maps[i].compose(got.maps[j])
                     for i in range(len(got.maps))
                     for j in range(len(got.maps))
                 )
+                # the columns a copy shares with its base are its own products
+                assert all(got.right(j) == [row[j] for row in mul] for j in range(len(got.maps)))
             assert all(
                 member.autA.maps[member.phi.map[j]].maps == (m.maps[0],)
                 for j, m in enumerate(member.autB.maps)
@@ -603,7 +606,9 @@ class TestConjugatedFamily:
         fam = build_family(b_rich, [0, 1, 2], 3)
         base = fam.members[0]
         for member in fam.members[1:]:
-            assert member.autB.rows() is base.autB.rows() and member.autA.rows() is base.autA.rows()
+            for got, shared in ((member.autB, base.autB), (member.autA, base.autA)):
+                assert got.gens == shared.gens
+                assert all(got.right(q) is shared.right(q) for q in range(shared.order))
             assert member.phi is base.phi and member.psi is base.psi
 
 
