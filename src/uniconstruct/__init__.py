@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 # submodule -> the names the package re-exports from it
 _EXPORTS = {
     "errors": (
-        "BoundExceededError", "CatalogMismatchError", "CongruenceError", "GroupError",
-        "SignatureMismatchError", "StructureError", "UniconstructError", "VerificationError",
+        "BoundExceededError", "CongruenceError", "GroupError", "SignatureMismatchError",
+        "StructureError", "UniconstructError", "VerificationError",
     ),
     "structures": (
         "SortedMap", "SortedSignature", "SortedStructure", "automorphisms", "identity_map",
@@ -35,10 +35,7 @@ _EXPORTS = {
         "phi13", "phi23", "phi23_hom_witness", "psi0", "shift_generator", "skew_from_support",
         "skew_identity", "skew_inv", "skew_mul", "skew_pow",
     ),
-    "ucp": (
-        "Solver", "UniConstructionProblem", "assemble_ucp", "compose_solvers", "derive_triple",
-        "reduct_solver", "solver_from_catalog",
-    ),
+    "ucp": ("UniConstructionProblem", "assemble_ucp", "derive_triple"),
     "encode": (
         "GroupTriple", "attach_skew", "encode_three_sorted", "theta", "verify_theta_iso",
     ),

@@ -31,9 +31,5 @@ class GroupError(UniconstructError):
     """A Cayley table or homomorphism fails its defining laws."""
 
 
-class CatalogMismatchError(UniconstructError):
-    """Solver catalogs do not line up for composition or reduction."""
-
-
 class VerificationError(UniconstructError):
     """An internally re-checked theorem failed on the given instance."""

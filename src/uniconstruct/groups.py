@@ -583,9 +583,11 @@ def classify_sections(phi: GroupHom, *, max_candidates: int | None = None) -> Se
     return result
 
 
-def _splitting_exists(phi: GroupHom, fibers: list[list[int]], budget: _NodeBudget) -> bool:
-    """Whether ``phi`` has a splitting, decided on the generators of its
-    codomain G.
+def _first_splitting(
+    phi: GroupHom, fibers: list[list[int]], budget: _NodeBudget
+) -> tuple[int, ...] | None:
+    """The lexicographically first splitting of ``phi``, or None when there
+    is none, decided on the generators of its codomain G.
 
     A splitting psi is a homomorphism, so its values on ``G.gens`` fix it,
     and psi(q) has the order of q: that order divides |q| because psi is a
@@ -598,8 +600,13 @@ def _splitting_exists(phi: GroupHom, fibers: list[list[int]], budget: _NodeBudge
     endomorphism of G that is the identity on a generating set, so it is the
     identity, and psi is a section that is a homomorphism: a splitting.
     Conversely a splitting's own values on the generators are such a choice,
-    so the search finds a splitting exactly when one exists.  Each choice
-    tried is taken from ``budget``.  Orders come from each group's own
+    so the leaves are exactly the splittings.
+
+    They come in lexicographic order.  Each greedy generator is the smallest
+    element outside the subgroup the earlier ones generate, so every position
+    before it is fixed by the earlier choices: two splittings first differ at
+    a generator, and the fiber is tried there in increasing order.  Each
+    choice tried is taken from ``budget``.  Orders come from each group's own
     ``element_order`` and the law from its columns, so no table is built.
     """
     g, h = phi.codomain, phi.domain
@@ -609,51 +616,44 @@ def _splitting_exists(phi: GroupHom, fibers: list[list[int]], budget: _NodeBudge
         k = g.element_order(q)
         return (v for v in fibers[q] if order_in_h(v) == k)
 
-    return next(_homs_on_generators(g, h, same_order, budget=budget), None) is not None
+    return next(_homs_on_generators(g, h, same_order, budget=budget), None)
+
+
+def _first_section(phi: GroupHom, max_candidates: int | None) -> tuple[Sequence[int] | None, str]:
+    """The section :func:`classify_sections` lists first and its label: the
+    first splitting, else the first leaf of :func:`_weak_splittings` (a weak
+    splitting, and no splitting as none exists), else None.  Both searches
+    take their nodes from one ``max_candidates`` budget (default
+    ``config.DEFAULT.section_candidates``); going over it raises
+    BoundExceededError."""
+    fibers = _fibers(phi)
+    budget = _NodeBudget(max_candidates)
+    first = _first_splitting(phi, fibers, budget)
+    if first is not None:
+        return first, SPLITTING
+    return next(_weak_splittings(phi, fibers, budget), None), WEAK_SPLITTING
 
 
 def decide_splittings(phi: GroupHom, *, max_candidates: int | None = None) -> tuple[bool, bool]:
     """``(has_splitting, has_weak_splitting)`` of a surjective homomorphism,
-    as :func:`classify_sections` reports them, without listing the sections.
-
-    A splitting is searched for on the codomain's generators
-    (:func:`_splitting_exists`).  Every splitting is a weak splitting; when
-    there is none, the section search of :func:`classify_sections` runs up
-    to its first leaf, since every leaf is a weak splitting.  Both searches
-    take their nodes from one ``max_candidates`` budget (default
-    ``config.DEFAULT.section_candidates``); going over it raises
-    BoundExceededError.
+    as :func:`classify_sections` reports them, read off the first section
+    it lists (:func:`_first_section`) without listing the rest.
     """
     if not is_surjective(phi):
         raise GroupError("decide_splittings requires a surjective homomorphism")
-    fibers = _fibers(phi)
-    budget = _NodeBudget(max_candidates)
-    if _splitting_exists(phi, fibers, budget):
-        return True, True
-    return False, next(_weak_splittings(phi, fibers, budget), None) is not None
+    first, label = _first_section(phi, max_candidates)
+    return label == SPLITTING, first is not None
 
 
 def first_weak_splitting(phi: GroupHom, *, max_candidates: int | None = None) -> Section | None:
     """The section :func:`classify_sections` lists first: its first
-    splitting if there is one, else its first weak splitting, else None.
-
-    Whether a splitting exists is decided as :func:`decide_splittings` does.
-    If one does, it is the first leaf of the section search that the
-    classifier labels a splitting; if none does, the first leaf is the
-    answer.  Both searches take their nodes
-    from one ``max_candidates`` budget; going over it raises
-    BoundExceededError.
+    splitting if there is one, else its first weak splitting, else None
+    (:func:`_first_section`), found without listing the rest.
     """
     if not is_surjective(phi):
         raise GroupError("first_weak_splitting requires a surjective homomorphism")
-    fibers = _fibers(phi)
-    budget = _NodeBudget(max_candidates)
-    leaves = _weak_splittings(phi, fibers, budget)
-    if not _splitting_exists(phi, fibers, budget):
-        first = next(leaves, None)
-        return None if first is None else classify_section(phi, first)
-    label = _labeller(phi)
-    return next(Section(phi, tuple(m), SPLITTING) for m in leaves if label(m) == SPLITTING)
+    first, label = _first_section(phi, max_candidates)
+    return None if first is None else Section(phi, tuple(first), label)
 
 
 # ---------------------------------------------------------------------------

@@ -407,14 +407,16 @@ def isomorphisms(
     pruning with relation/function/constant compatibility after every single
     assignment.  Output order is lexicographic on the concatenated image
     sequences.  ``isomorphisms(s, s)`` is exactly ``automorphisms(s)``.
+    Structures whose sort sizes differ have none, whatever their size: the
+    ``max_elements`` bound is read only after the sizes are compared.
     """
     if s1.signature != s2.signature:
         raise SignatureMismatchError("isomorphisms: signatures differ")
     s1.check_valid()
     s2.check_valid()
-    config.check_elements(s1.total_elements, max_elements)
     if s1.sort_sizes != s2.sort_sizes:
         return []
+    config.check_elements(s1.total_elements, max_elements)
     for r1, r2 in zip(s1.relations, s2.relations):
         if len(r1) != len(r2):
             return []

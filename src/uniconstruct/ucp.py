@@ -2,18 +2,18 @@
 
 A two-sorted structure B induces the restriction homomorphism from Aut(B)
 onto (hopefully) Aut(A) where A is the first-sort reduct; assembling checks
-each defining clause and reports the outcome rather than failing.  Solvers
-model the construction map F over finite explicit catalogs, and compose and
-reduce the way the transitivity and reduct-transfer facts say they should.
+each defining clause and reports the outcome rather than failing.  A
+three-sorted structure yields three such problems (:func:`derive_triple`),
+one per construction of its tower; :mod:`uniconstruct.uniform` runs each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import CatalogMismatchError, GroupError, SignatureMismatchError, StructureError
+from .errors import GroupError, StructureError
 from .groups import (
     AutomorphismGroup,
     GroupHom,
@@ -23,13 +23,7 @@ from .groups import (
     classify_section,
     is_hom,
 )
-from .structures import (
-    SortedSignature,
-    SortedStructure,
-    isomorphisms,
-    reduct,
-    restrict_signature,
-)
+from .structures import SortedStructure, reduct
 
 __all__ = [
     "Report",
@@ -38,12 +32,6 @@ __all__ = [
     "restriction_map",
     "TripleDerivation",
     "derive_triple",
-    "Solver",
-    "solver_from_catalog",
-    "compose_solvers",
-    "reduct_solver",
-    "solver_to_json",
-    "solver_from_json",
 ]
 
 
@@ -235,160 +223,3 @@ def derive_triple(C: SortedStructure, *, max_elements: int | None = None) -> Tri
     c13 = _restriction_problem(C, C0, aut, aut0)
     composition_ok = c13.restriction == tuple(c12.restriction[i] for i in c23.restriction)
     return TripleDerivation(c12, c23, c13, composition_ok)
-
-
-# ---------------------------------------------------------------------------
-# Solvers: finite explicit construction maps
-
-@dataclass
-class Solver:
-    """An explicit map from first-sort reducts back to full structures.
-
-    ``keep`` names the sorts of a catalog2 member that constitute its
-    "first sort" side; the defining property is
-    ``map(reduct(B, keep)) == B`` for every catalog2 member B.  Both catalogs
-    must be closed into single isomorphism classes.
-    """
-
-    catalog1: tuple[SortedStructure, ...]
-    catalog2: tuple[SortedStructure, ...]
-    outputs: tuple[SortedStructure, ...]  # parallel to catalog1
-    keep: tuple[int, ...] = (0,)
-
-    def __post_init__(self):
-        if len(self.outputs) != len(self.catalog1):
-            raise CatalogMismatchError("solver map must be total on catalog1")
-
-    def apply(self, a: SortedStructure) -> SortedStructure:
-        for inp, out in zip(self.catalog1, self.outputs):
-            if inp == a:
-                return out
-        raise CatalogMismatchError("structure is not in the solver's input catalog")
-
-    def verify(self, *, max_elements: int | None = None) -> None:
-        """Re-check the defining property and the catalog iso-class closure."""
-        cat1 = list(self.catalog1)
-        if len(set(c.canonical_key() for c in cat1)) != len(cat1):
-            raise CatalogMismatchError("input catalog contains duplicates")
-        for out in self.outputs:
-            if out not in self.catalog2:
-                raise CatalogMismatchError("solver output leaves catalog2")
-        for b in self.catalog2:
-            r = reduct(b, self.keep)
-            if self.apply(r) != b:
-                raise CatalogMismatchError(
-                    "solver does not invert the reduct on catalog2"
-                )
-        for cat in (self.catalog1, self.catalog2):
-            for other in cat[1:]:
-                if not isomorphisms(cat[0], other, max_elements=max_elements, limit=1):
-                    raise CatalogMismatchError("catalog members are not pairwise isomorphic")
-
-
-def solver_from_catalog(
-    catalog2: Iterable[SortedStructure], keep: Sequence[int] = (0,)
-) -> Solver:
-    """Build the canonical solver for a catalog of full structures.
-
-    Requires the keep-reduct to be injective on the catalog, which is exactly
-    what makes the defining property satisfiable.
-    """
-    cat2 = tuple(catalog2)
-    keep_t = tuple(int(k) for k in keep)
-    cat1: list[SortedStructure] = []
-    outs: list[SortedStructure] = []
-    seen: dict = {}
-    for b in cat2:
-        r = reduct(b, keep_t)
-        key = r.canonical_key()
-        if key in seen and seen[key] != b:
-            raise CatalogMismatchError(
-                "two catalog members share a first-sort reduct; no solver exists"
-            )
-        if key not in seen:
-            seen[key] = b
-            cat1.append(r)
-            outs.append(b)
-    solver = Solver(tuple(cat1), cat2, tuple(outs), keep_t)
-    solver.verify()
-    return solver
-
-
-def compose_solvers(f12: Solver, f23: Solver) -> Solver:
-    """Chain two solvers; the middle catalogs must coincide."""
-    mid_left = set(c.canonical_key() for c in f12.catalog2)
-    mid_right = set(c.canonical_key() for c in f23.catalog1)
-    if mid_left != mid_right:
-        raise CatalogMismatchError("middle catalogs do not match")
-    outputs = tuple(f23.apply(out) for out in f12.outputs)
-    keep = tuple(f23.keep[i] for i in f12.keep)
-    composed = Solver(f12.catalog1, f23.catalog2, outputs, keep)
-    composed.verify()
-    return composed
-
-
-def solver_to_json(s: Solver) -> dict:
-    """Serialize as a list of (input, output) structure pairs."""
-    from .structures import structure_to_json
-
-    return {
-        "keep": list(s.keep),
-        "pairs": [
-            [structure_to_json(a), structure_to_json(b)]
-            for a, b in zip(s.catalog1, s.outputs)
-        ],
-    }
-
-
-def solver_from_json(doc) -> Solver:
-    """The solver of a ``{"keep": [...], "pairs": [...]}`` document; ``keep``
-    must be a list of JSON integers, and anything else raises
-    CatalogMismatchError("malformed solver document: …")."""
-    from .jsondoc import is_int_list
-    from .structures import structure_from_json
-
-    try:
-        if not is_int_list(doc["keep"]):
-            raise ValueError(f"keep must be a list of integers, not {doc['keep']!r}")
-        keep = tuple(doc["keep"])
-        pairs = [
-            (structure_from_json(a), structure_from_json(b)) for a, b in doc["pairs"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CatalogMismatchError(f"malformed solver document: {exc}") from exc
-    catalog1 = tuple(a for a, _ in pairs)
-    outputs = tuple(b for _, b in pairs)
-    catalog2 = []
-    seen = set()
-    for b in outputs:
-        key = b.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            catalog2.append(b)
-    solver = Solver(catalog1, tuple(catalog2), outputs, keep)
-    solver.verify()
-    return solver
-
-
-def reduct_solver(fd: Solver, target: SortedSignature) -> Solver:
-    """Forget the expansion symbols of every solver output.
-
-    The target signature must be a symbol-subset of the catalog2 signature
-    whose removal does not touch the kept sorts (so the input catalog is
-    unchanged).
-    """
-    if not fd.catalog2:
-        raise CatalogMismatchError("empty solver")
-    for b in fd.catalog2:
-        restricted = restrict_signature(b, target)  # raises if not an expansion
-        if reduct(restricted, fd.keep) != reduct(b, fd.keep):
-            raise SignatureMismatchError(
-                "restriction changes the kept sorts; input catalogs would differ"
-            )
-    new_cat2 = tuple(restrict_signature(b, target) for b in fd.catalog2)
-    if len(set(c.canonical_key() for c in new_cat2)) != len(new_cat2):
-        raise CatalogMismatchError("restricted catalog members collide")
-    new_outputs = tuple(restrict_signature(b, target) for b in fd.outputs)
-    solver = Solver(fd.catalog1, new_cat2, new_outputs, fd.keep)
-    solver.verify()
-    return solver

@@ -1,12 +1,16 @@
-"""Uniform reconstruction of a two-sorted structure over its first sort.
+"""Uniform reconstruction of a many-sorted structure over its leading sorts.
 
-Given a family of lifted copies (pairwise isomorphic two-sorted relational
-structures, each with a weak splitting of its restriction map) and a target
-first-sort structure A, the pipeline enumerates matched triples (an iso
-tuple onto A, a coherent family of structure isomorphisms extending the
-induced first-sort maps, and a compatible element thread), quotients them by
-the lifting-twisted equivalence, and reads off a copy of the original
-structure whose first sort is A itself, element for element.
+Given a family of lifted copies (pairwise isomorphic relational structures,
+each with a weak splitting of the restriction map onto the automorphisms of
+its reduct to the first k sorts, its kept sorts) and a target A on those k
+sorts, the pipeline enumerates matched triples (an iso tuple onto A, a
+coherent family of structure isomorphisms extending the induced maps on the
+kept sorts, and a compatible element thread), quotients them by the
+lifting-twisted equivalence, and reads off a copy of the original structure
+whose kept sorts are A itself, element for element.
+
+k is read off the problem the family is built on: 1 for ``assemble_ucp``'s,
+1 or 2 for ``derive_triple``'s, so F12, F23 and F13 of one tower run here.
 
 A :class:`TripleSpace`, built once per call from a family and a target, is
 the layer's one handle: :func:`verify_claims`, :func:`build_quotient`,
@@ -67,9 +71,9 @@ E_PROPERTIES = ("E_reflexive", "E_symmetric", "E_transitive")
 
 @dataclass
 class LiftedCopy:
-    """One family member: a structure, its reduct, a weak splitting, and the
-    relabelling ``relabel`` that carries the family's base structure onto B
-    (the identity on the base)."""
+    """One family member: a structure, its reduct A to the kept sorts, a
+    weak splitting, and the relabelling ``relabel`` that carries the family's
+    base structure onto B (the identity on the base)."""
 
     tag: int
     B: SortedStructure
@@ -121,7 +125,8 @@ def make_lifted_copy(
     problem: UniConstructionProblem | None = None,
 ) -> LiftedCopy:
     """B with its weak splitting psi.  ``problem``, when given, is B's
-    problem from :func:`assemble_ucp`: its automorphism groups and
+    problem from :func:`assemble_ucp` or :func:`~uniconstruct.ucp.derive_triple`:
+    its reduct (whose sorts are the kept sorts), automorphism groups and
     restriction map are reused, and only psi is checked."""
     if B.signature.functions or B.signature.constants:
         raise StructureError("lifted copies must be relational")
@@ -175,6 +180,7 @@ def build_family(
         raise StructureError("family size must be at least 1")
     base = make_lifted_copy(B, psi, tag=0, max_elements=max_elements, problem=problem)
     members = [base]
+    k = len(base.A.sort_sizes)
 
     perm_iter = _relabelings(B.sort_sizes)
     next(perm_iter)  # identity family
@@ -186,13 +192,13 @@ def build_family(
                 f"structure admits fewer than {n} distinct relabeling maps"
             ) from None
         f = relabel_map(B, perms)
-        copy_a = reduct(f.codomain, (0,))
+        copy_a = reduct(f.codomain, range(k))
         members.append(LiftedCopy(
             tag=tag,
             B=f.codomain,
             A=copy_a,
             autB=base.autB.conjugate(f),
-            autA=base.autA.conjugate(SortedMap(base.A, copy_a, f.maps[:1])),
+            autA=base.autA.conjugate(SortedMap(base.A, copy_a, f.maps[:k])),
             phi=base.phi,
             psi=base.psi,
             relabel=f,
@@ -244,24 +250,25 @@ class TripleSpace:
         self.max_elements = max_elements
         # only the base is searched: member t is the base relabelled along
         # f_t, so its isomorphisms onto A are the base's composed with f_t^-1
-        # on the first sort, and B_0 -> B_t are f_t after each automorphism of
-        # B_0; both lists are sorted by image sequence, the order the search
-        # returns.  A triple's g_idx[t] is a position in biso[t]; extend[t]
-        # lists those positions per first-sort component.
+        # on the kept sorts, and B_0 -> B_t are f_t after each automorphism
+        # of B_0; both lists are sorted by image sequence, the order the
+        # search returns.  A triple's g_idx[t] is a position in biso[t];
+        # extend[t] lists those positions per restriction to the kept sorts.
         base = fam.members[0]
+        k = len(base.A.sort_sizes)
         self.iso = [isomorphisms(base.A, A, max_elements=max_elements)]
         self.biso: list[list[SortedMap]] = [[]]
         for member in fam.members[1:]:
-            f_inv = SortedMap(member.A, base.A, member.relabel.inverse().maps[:1])
+            f_inv = SortedMap(member.A, base.A, member.relabel.inverse().maps[:k])
             self.iso.append(sorted((m.compose(f_inv) for m in self.iso[0]), key=SortedMap.image_seq))
             self.biso.append(sorted(
                 (member.relabel.compose(m) for m in base.autB.maps), key=SortedMap.image_seq
             ))
         self.iso_inv = [[m.inverse() for m in lst] for lst in self.iso]
-        self.extend: list[dict[tuple[int, ...], list[int]]] = [{} for _ in self.biso]
+        self.extend: list[dict[tuple[tuple[int, ...], ...], list[int]]] = [{} for _ in self.biso]
         for flat, positions in zip(self.biso, self.extend):
             for pos, m in enumerate(flat):
-                positions.setdefault(m.maps[0], []).append(pos)
+                positions.setdefault(m.maps[:k], []).append(pos)
         self._psi_tilde_cache: dict[tuple[int, int, int], SortedMap] = {}
         self.triples = self._enumerate()
         self._cocycle: bool | None = None
@@ -291,7 +298,7 @@ class TripleSpace:
             pi0 = self.iso[0][pi_idx[0]]
             for t in range(1, n):
                 h0t = self.iso_inv[t][pi_idx[t]].compose(pi0)
-                positions = self.extend[t].get(h0t.maps[0])
+                positions = self.extend[t].get(h0t.maps)
                 if positions is None:
                     break
                 ext_choices.append([(k, self.biso[t][k]) for k in positions])
@@ -559,25 +566,29 @@ class TripleSpace:
         return self._congruence
 
     def thread_classes(self) -> list[ThreadClass]:
-        """Per first-sort element a of the target, the triples threading a
-        and the class they form, from one pass over the triples.
+        """Per element a of the target, in ``A.elements()`` order, the
+        triples threading a and the class they form, from one pass over the
+        triples.
 
-        Triple x threads a when every b_s is a first-sort element and pi_s
-        sends it to a; so each triple threads at most one element, read off
-        its own b and pi.
+        Triple x threads a when every b_s lies in a kept sort and pi_s sends
+        it to a; so each triple threads at most one element, read off its
+        own b and pi.
         """
         if self._thread_classes is not None:
             return self._thread_classes
         class_of, members = self.classes()
-        threading: list[list[int]] = [[] for _ in range(self.A.sort_sizes[0])]
+        k = len(self.A.sort_sizes)
+        index = {element: i for i, element in enumerate(self.A.elements())}
+        threading: list[list[int]] = [[] for _ in index]
         for idx, x in enumerate(self.triples):
-            if any(sort != 0 for sort, _ in x.b):
+            if any(sort >= k for sort, _ in x.b):
                 continue
             images = {
-                self.iso[s][pi].maps[0][e] for s, (pi, (_, e)) in enumerate(zip(x.pi_idx, x.b))
+                (sort, self.iso[s][pi].maps[sort][e])
+                for s, (pi, (sort, e)) in enumerate(zip(x.pi_idx, x.b))
             }
             if len(images) == 1:
-                threading[images.pop()].append(idx)
+                threading[index[images.pop()]].append(idx)
         out = []
         for idxs in threading:
             cids = {class_of[i] for i in idxs}
@@ -594,11 +605,14 @@ class TripleSpace:
 
 
 def k_class(space: TripleSpace, a: int) -> list[MatchedTriple]:
-    """The triples threading element a of the target's first sort; verified
+    """The triples threading element a of the target, an index into
+    ``A.elements()`` (so the element itself when A has one sort); verified
     to be exactly one class of E, after E is verified to be an equivalence."""
-    if not 0 <= a < space.A.sort_sizes[0]:
+    A = space.A
+    if not 0 <= a < A.total_elements:
         raise StructureError(
-            f"element {a} is not in the target's first sort of size {space.A.sort_sizes[0]}"
+            f"element {a} is not in the target's {_ordinals(range(len(A.sort_sizes)))} sort "
+            f"of size {A.total_elements}"
         )
     space.require_equivalence()
     tc = space.thread_classes()[a]
@@ -658,7 +672,7 @@ def build_quotient(space: TripleSpace) -> QuotientResult:
 
     # canonical labels per sort
     labels: list[tuple[int, int]] = []
-    counters = [0, 0]
+    counters = [0] * len(space.fam.members[0].B.sort_sizes)
     for s in sort_of_class:
         labels.append((s, counters[s]))
         counters[s] += 1
@@ -684,32 +698,32 @@ def uniform_F(space: TripleSpace) -> UniformResult:
     """The uniform construction: a copy of the family structure over the
     space's target A itself.
 
-    The quotient of the matched triples with each first-sort class relabelled
-    by the element of A it threads.  Postconditions are always re-checked:
-    the first-sort reduct must equal A element for element, and the result
-    must be isomorphic to the family members.
+    The quotient of the matched triples with each class of a kept sort
+    relabelled by the element of A it threads.  Postconditions are always
+    re-checked: the reduct to the kept sorts must equal A element for
+    element, and the result must be isomorphic to the family members.
     """
     A, base = space.A, space.fam.members[0]
     quot = build_quotient(space)
     labels = quot.class_label
-
-    if sum(1 for s, _ in labels if s == 0) != A.sort_sizes[0]:
-        raise VerificationError(
-            "first-sort classes do not match the target element count"
-        )
-    # element_of[label]: the element whose thread class carries that
-    # first-sort label; a label left at -1 is a class no element threads
-    element_of = [-1] * A.sort_sizes[0]
-    for a, tc in enumerate(space.thread_classes()):
+    k = len(A.sort_sizes)
+    kept = _ordinals(range(k))
+    if quot.structure.sort_sizes[:k] != A.sort_sizes:
+        raise VerificationError(f"{kept}-sort classes do not match the target element count")
+    # element_of[s][label]: the element whose thread class carries that
+    # label of kept sort s; a label left at -1 is a class no element threads
+    element_of = [[-1] * n for n in A.sort_sizes]
+    for a, ((_, e), tc) in enumerate(zip(A.elements(), space.thread_classes())):
         if tc.cid is None:
             raise VerificationError(f"thread classes of element {a} are not unique")
-        element_of[labels[tc.cid][1]] = a
-    if -1 in element_of:
-        raise VerificationError("a first-sort class is not the thread class of any element")
+        s, label = labels[tc.cid]
+        element_of[s][label] = e
+    if any(-1 in m for m in element_of):
+        raise VerificationError(f"a {kept}-sort class is not the thread class of any element")
 
-    structure = relabel(quot.structure, (element_of, range(quot.structure.sort_sizes[1])))
-    if reduct(structure, (0,)) != A:
-        raise VerificationError("first-sort reduct of the result does not equal the target")
+    structure = relabel(quot.structure, (*element_of, *map(range, quot.structure.sort_sizes[k:])))
+    if reduct(structure, range(k)) != A:
+        raise VerificationError(f"{kept}-sort reduct of the result does not equal the target")
     if not isomorphisms(structure, base.B, max_elements=space.max_elements, limit=1):
         raise VerificationError("result is not isomorphic to the family structure")
     return UniformResult(structure=structure, quotient=quot)
@@ -796,11 +810,13 @@ def verify_claims(space: TripleSpace) -> Report:
         seen_classes.add(tc.cid)
     report.add("cla5_k_classes", not k_detail, "; ".join(k_detail))
 
-    n_sort2 = space.class_sorts().count(1)
+    k, n_sorts = len(A.sort_sizes), len(base.B.sort_sizes)
+    n_rest = sum(1 for s in space.class_sorts() if s >= k)
     report.add(
         "cla5_class_count",
-        len(members) == A.sort_sizes[0] + n_sort2,
-        f"{len(members)} classes = {A.sort_sizes[0]} first-sort + {n_sort2} second-sort",
+        len(members) == A.total_elements + n_rest,
+        f"{len(members)} classes = {A.total_elements} {_ordinals(range(k))}-sort + "
+        f"{n_rest} {_ordinals(range(k, n_sorts))}-sort",
     )
 
     # Y_{s, phi}: base member, first isomorphism
@@ -841,6 +857,12 @@ def verify_claims(space: TripleSpace) -> Report:
         report.add("cla6_quotient_isomorphic_to_member", False, "congruence failed")
         report.add("cla6_explicit_rho_witness", False, "congruence failed")
     return report
+
+
+def _ordinals(sorts: range) -> str:
+    """The sorts as messages name them, "first/second" (problems have at
+    most three sorts)."""
+    return "/".join(("first", "second", "third")[s] for s in sorts)
 
 
 def _rho_witness_is_isomorphism(quot_structure, class_label, rho_values, target) -> bool:

@@ -46,6 +46,32 @@ def two_sorted(sizes, relations):
     return SortedStructure(sig, sizes, [t for _, _, t in relations])
 
 
+def rigid_three_sorted():
+    """Rigid 3-sorted structure with injective reducts at every level."""
+    sig = SortedSignature(
+        ("a", "b", "c"),
+        relations=(("L", (0, 0)), ("P", (0, 1)), ("Q", (1, 2))),
+    )
+    return SortedStructure(
+        sig,
+        (3, 2, 2),
+        [
+            [(0, 1), (1, 2), (0, 2)],
+            [(0, 0), (1, 1)],
+            [(0, 0), (1, 1)],
+        ],
+    )
+
+
+def matched_three_sorted():
+    """Three 3-point sorts, P a matching of the first two and Q of the last
+    two: Aut is S3 at every level, and every restriction map is onto."""
+    sig = SortedSignature(("a", "b", "c"), relations=(("P", (0, 1)), ("Q", (1, 2))))
+    return SortedStructure(
+        sig, (3, 3, 3), [[(i, i) for i in range(3)], [(i, (i + 1) % 3) for i in range(3)]]
+    )
+
+
 @pytest.fixture
 def b_two_free():
     """Two free first-sort points over one apex; Aut = C2 at both levels."""

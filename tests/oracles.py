@@ -15,7 +15,9 @@ looking each cut-down automorphism up as a map.  The family oracle
 searches each relabelled copy's automorphism groups again and carries the
 weak splitting across map by map.  The catalog
 oracle keeps the library's isomorphism search but re-tries every ordered
-product pair in every round.
+product pair in every round.  A construction map F is modelled as an
+explicit lookup table (:class:`Solver`) from the reducts of a catalog of
+copies back to the copies, composed and reduced table by table.
 Expected values in the tests are frozen from these.
 """
 
@@ -24,11 +26,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from uniconstruct import config
+from uniconstruct.errors import SignatureMismatchError
 from uniconstruct.groups import (
     SECTION_ONLY,
     SPLITTING,
@@ -45,6 +49,7 @@ from uniconstruct.groups import (
     symmetric,
 )
 from uniconstruct.groups import aut_group
+from uniconstruct.jsondoc import is_int_list
 from uniconstruct.skew import (
     _RANDOM_MAX_SHIFT,
     _RANDOM_MAX_SUPPORT,
@@ -56,12 +61,16 @@ from uniconstruct.skew import (
 )
 from uniconstruct.structures import (
     SortedMap,
+    SortedSignature,
     SortedStructure,
     identity_map,
     isomorphisms,
     reduct,
     relabel,
     relabel_map,
+    restrict_signature,
+    structure_from_json,
+    structure_to_json,
 )
 from uniconstruct.uniform import MatchedTriple, TripleSpace, make_lifted_copy
 
@@ -560,7 +569,8 @@ def table_weak_splittings(
 # Matched triples by enumerating full commutative matrices
 
 def naive_matched_triples(A, fam, *, max_elements=None):
-    """Every (pi, full g matrix, b) satisfying the written conditions.
+    """Every (pi, full g matrix, b) satisfying the written conditions, the
+    g matrix extending pi on the kept sorts, those of the members' reducts.
 
     Returned as a set of hashable summaries:
     (pi image keys, g matrix image keys, b) for comparison against the
@@ -568,6 +578,7 @@ def naive_matched_triples(A, fam, *, max_elements=None):
     """
     members = fam.members
     n = len(members)
+    k = len(A.sort_sizes)
     iso = [isomorphisms(m.A, A, max_elements=max_elements) for m in members]
     if any(not lst for lst in iso):
         return set()
@@ -591,7 +602,7 @@ def naive_matched_triples(A, fam, *, max_elements=None):
                 pair_choices.append([identity_map(members[s].B)])
             else:
                 pair_choices.append(
-                    [m for m in biso[s][t] if m.maps[0] == h[(s, t)].maps[0]]
+                    [m for m in biso[s][t] if m.maps[:k] == h[(s, t)].maps]
                 )
         for combo in itertools.product(*pair_choices):
             g = {pairs[i]: combo[i] for i in range(len(pairs))}
@@ -781,13 +792,14 @@ def naive_family(B, psi, n):
 
 
 def _naive_thread_set(space, a):
-    """Indices of the triples whose every b_s is the first-sort element that
-    pi_s^-1 sends a to."""
+    """Indices of the triples whose every b_s is the element that pi_s^-1
+    sends a to, a being an index into the target's ``elements()``."""
+    sort, e = space.A.elements()[a]
     return [
         idx
         for idx, x in enumerate(space.triples)
         if all(
-            x.b[s] == (0, space.iso[s][pi].inverse().maps[0][a])
+            x.b[s] == (sort, space.iso[s][pi].inverse().maps[sort][e])
             for s, pi in enumerate(x.pi_idx)
         )
     ]
@@ -798,7 +810,7 @@ def naive_thread_classes(space):
     problem empty exactly when the thread set is one whole class."""
     class_of, members = space.classes()
     out = []
-    for a in range(space.A.sort_sizes[0]):
+    for a in range(space.A.total_elements):
         idxs = _naive_thread_set(space, a)
         cids = {class_of[i] for i in idxs}
         if not idxs:
@@ -817,7 +829,7 @@ def naive_k_classes_claim(space):
     """(ok, detail) of the cla5_k_classes claim, element by element."""
     class_of, members = space.classes()
     ok, detail, seen = True, [], set()
-    for a in range(space.A.sort_sizes[0]):
+    for a in range(space.A.total_elements):
         idxs = set(_naive_thread_set(space, a))
         if not idxs:
             ok = False
@@ -837,3 +849,160 @@ def naive_k_classes_claim(space):
             detail.append(f"element {a}: class collides with another element")
         seen.add(cid)
     return ok, "; ".join(detail)
+
+
+# ---------------------------------------------------------------------------
+# Construction maps as explicit catalogs
+
+
+class CatalogMismatchError(Exception):
+    """Solver catalogs do not line up for composition or reduction."""
+
+
+@dataclass
+class Solver:
+    """An explicit map from first-sort reducts back to full structures.
+
+    ``keep`` names the sorts of a catalog2 member that constitute its
+    "first sort" side; the defining property is
+    ``map(reduct(B, keep)) == B`` for every catalog2 member B.  Both catalogs
+    must be closed into single isomorphism classes.
+    """
+
+    catalog1: tuple[SortedStructure, ...]
+    catalog2: tuple[SortedStructure, ...]
+    outputs: tuple[SortedStructure, ...]  # parallel to catalog1
+    keep: tuple[int, ...] = (0,)
+
+    def __post_init__(self):
+        if len(self.outputs) != len(self.catalog1):
+            raise CatalogMismatchError("solver map must be total on catalog1")
+
+    def apply(self, a: SortedStructure) -> SortedStructure:
+        for inp, out in zip(self.catalog1, self.outputs):
+            if inp == a:
+                return out
+        raise CatalogMismatchError("structure is not in the solver's input catalog")
+
+    def verify(self, *, max_elements: int | None = None) -> None:
+        """Re-check the defining property and the catalog iso-class closure."""
+        cat1 = list(self.catalog1)
+        if len(set(c.canonical_key() for c in cat1)) != len(cat1):
+            raise CatalogMismatchError("input catalog contains duplicates")
+        for out in self.outputs:
+            if out not in self.catalog2:
+                raise CatalogMismatchError("solver output leaves catalog2")
+        for b in self.catalog2:
+            r = reduct(b, self.keep)
+            if self.apply(r) != b:
+                raise CatalogMismatchError(
+                    "solver does not invert the reduct on catalog2"
+                )
+        for cat in (self.catalog1, self.catalog2):
+            for other in cat[1:]:
+                if not isomorphisms(cat[0], other, max_elements=max_elements, limit=1):
+                    raise CatalogMismatchError("catalog members are not pairwise isomorphic")
+
+
+def solver_from_catalog(
+    catalog2: Iterable[SortedStructure], keep: Sequence[int] = (0,)
+) -> Solver:
+    """Build the canonical solver for a catalog of full structures.
+
+    Requires the keep-reduct to be injective on the catalog, which is exactly
+    what makes the defining property satisfiable.
+    """
+    cat2 = tuple(catalog2)
+    keep_t = tuple(int(k) for k in keep)
+    cat1: list[SortedStructure] = []
+    outs: list[SortedStructure] = []
+    seen: dict = {}
+    for b in cat2:
+        r = reduct(b, keep_t)
+        key = r.canonical_key()
+        if key in seen and seen[key] != b:
+            raise CatalogMismatchError(
+                "two catalog members share a first-sort reduct; no solver exists"
+            )
+        if key not in seen:
+            seen[key] = b
+            cat1.append(r)
+            outs.append(b)
+    solver = Solver(tuple(cat1), cat2, tuple(outs), keep_t)
+    solver.verify()
+    return solver
+
+
+def compose_solvers(f12: Solver, f23: Solver) -> Solver:
+    """Chain two solvers; the middle catalogs must coincide."""
+    mid_left = set(c.canonical_key() for c in f12.catalog2)
+    mid_right = set(c.canonical_key() for c in f23.catalog1)
+    if mid_left != mid_right:
+        raise CatalogMismatchError("middle catalogs do not match")
+    outputs = tuple(f23.apply(out) for out in f12.outputs)
+    keep = tuple(f23.keep[i] for i in f12.keep)
+    composed = Solver(f12.catalog1, f23.catalog2, outputs, keep)
+    composed.verify()
+    return composed
+
+
+def solver_to_json(s: Solver) -> dict:
+    """Serialize as a list of (input, output) structure pairs."""
+    return {
+        "keep": list(s.keep),
+        "pairs": [
+            [structure_to_json(a), structure_to_json(b)]
+            for a, b in zip(s.catalog1, s.outputs)
+        ],
+    }
+
+
+def solver_from_json(doc) -> Solver:
+    """The solver of a ``{"keep": [...], "pairs": [...]}`` document; ``keep``
+    must be a list of JSON integers, and anything else raises
+    CatalogMismatchError("malformed solver document: …")."""
+    try:
+        if not is_int_list(doc["keep"]):
+            raise ValueError(f"keep must be a list of integers, not {doc['keep']!r}")
+        keep = tuple(doc["keep"])
+        pairs = [
+            (structure_from_json(a), structure_from_json(b)) for a, b in doc["pairs"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CatalogMismatchError(f"malformed solver document: {exc}") from exc
+    catalog1 = tuple(a for a, _ in pairs)
+    outputs = tuple(b for _, b in pairs)
+    catalog2 = []
+    seen = set()
+    for b in outputs:
+        key = b.canonical_key()
+        if key not in seen:
+            seen.add(key)
+            catalog2.append(b)
+    solver = Solver(catalog1, tuple(catalog2), outputs, keep)
+    solver.verify()
+    return solver
+
+
+def reduct_solver(fd: Solver, target: SortedSignature) -> Solver:
+    """Forget the expansion symbols of every solver output.
+
+    The target signature must be a symbol-subset of the catalog2 signature
+    whose removal does not touch the kept sorts (so the input catalog is
+    unchanged).
+    """
+    if not fd.catalog2:
+        raise CatalogMismatchError("empty solver")
+    for b in fd.catalog2:
+        restricted = restrict_signature(b, target)  # raises if not an expansion
+        if reduct(restricted, fd.keep) != reduct(b, fd.keep):
+            raise SignatureMismatchError(
+                "restriction changes the kept sorts; input catalogs would differ"
+            )
+    new_cat2 = tuple(restrict_signature(b, target) for b in fd.catalog2)
+    if len(set(c.canonical_key() for c in new_cat2)) != len(new_cat2):
+        raise CatalogMismatchError("restricted catalog members collide")
+    new_outputs = tuple(restrict_signature(b, target) for b in fd.outputs)
+    solver = Solver(fd.catalog1, new_cat2, new_outputs, fd.keep)
+    solver.verify()
+    return solver

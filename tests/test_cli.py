@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uniconstruct import cli, config, encode, groups, skew, ucp, uniform
+from uniconstruct import cli, encode, groups, skew, ucp, uniform
 from uniconstruct.cli import main
 from uniconstruct.errors import BoundExceededError
 from uniconstruct.groups import (
@@ -243,18 +243,30 @@ class TestUcpCommands:
         }
         assert peak < 5040 * 5040  # less than one byte per cell of the table
 
-    def test_verify_past_the_table_bound_exit_1(self, tmp_path, capsys):
-        # without --psi the section search may read every column of H, so
-        # its table size is refused before the search starts
+    def test_verify_past_the_table_bound_answers(self, tmp_path):
+        # without --psi the section is the first splitting, found on the
+        # generators of Aut(A) alone: no column search, no table
         b = free_over_apex(7)
         path = write(tmp_path, "b.json", dumps(b))
         a_path = write(tmp_path, "a.json", dumps(reduct(b, (0,))))
-        code = main(["verify", "--structure", path, "--target", a_path, "--copies", "1"])
-        assert code == 1
-        bound = config.DEFAULT.table_cells
-        assert capsys.readouterr().err == (
-            f"error: a Cayley table of order 5040 has 25401600 cells, over the bound {bound}\n"
-        )
+        doc = run_json(tmp_path, [
+            "verify", "--structure", path, "--target", a_path, "--copies", "1",
+        ], expect=0)
+        assert doc["claims_all_pass"] is True
+
+    def test_verify_size_mismatch_fails_the_claim(self, tmp_path):
+        # a 3-cycle over 3 free points: the free sort is the kernel, so at 3
+        # copies the quotient outgrows the member.  Structures of different
+        # sizes are not isomorphic whatever the element bound, so the claim
+        # fails (exit 2) instead of the search refusing 30 elements (exit 1)
+        b = two_sorted((3, 3), [("E", (0, 0), [(0, 1), (1, 2), (2, 0)])])
+        path = write(tmp_path, "b.json", dumps(b))
+        a_path = write(tmp_path, "a.json", dumps(reduct(b, (0,))))
+        doc = run_json(tmp_path, [
+            "verify", "--structure", path, "--target", a_path, "--copies", "3",
+        ], expect=2)
+        assert {"claim": "cla6_quotient_isomorphic_to_member", "ok": False,
+                "detail": "quotient sorts (3, 27) vs member (3, 3)"} in doc["claims"]
 
     def test_derive_triple(self, tmp_path):
         from uniconstruct.encode import GroupTriple, encode_three_sorted
@@ -1092,8 +1104,8 @@ class TestCatalogSearch:
 # the package's re-exports while `__init__` imported every submodule eagerly
 REEXPORTS = {
     "errors": (
-        "BoundExceededError", "CatalogMismatchError", "CongruenceError", "GroupError",
-        "SignatureMismatchError", "StructureError", "UniconstructError", "VerificationError",
+        "BoundExceededError", "CongruenceError", "GroupError", "SignatureMismatchError",
+        "StructureError", "UniconstructError", "VerificationError",
     ),
     "structures": (
         "SortedMap", "SortedSignature", "SortedStructure", "automorphisms", "identity_map",
@@ -1112,10 +1124,7 @@ REEXPORTS = {
         "phi13", "phi23", "phi23_hom_witness", "psi0", "shift_generator", "skew_from_support",
         "skew_identity", "skew_inv", "skew_mul", "skew_pow",
     ),
-    "ucp": (
-        "Solver", "UniConstructionProblem", "assemble_ucp", "compose_solvers", "derive_triple",
-        "reduct_solver", "solver_from_catalog",
-    ),
+    "ucp": ("UniConstructionProblem", "assemble_ucp", "derive_triple"),
     "encode": ("GroupTriple", "attach_skew", "encode_three_sorted", "theta", "verify_theta_iso"),
     "uniform": (
         "Family", "LiftedCopy", "MatchedTriple", "TripleSpace", "build_family",

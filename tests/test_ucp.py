@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from uniconstruct.errors import CatalogMismatchError, SignatureMismatchError, StructureError
+from uniconstruct.errors import SignatureMismatchError, StructureError
 from uniconstruct.groups import (
     FiniteGroup,
     GroupHom,
@@ -22,18 +22,21 @@ from uniconstruct.structures import (
     automorphisms,
     reduct,
 )
-from uniconstruct.ucp import (
+from uniconstruct.ucp import assemble_ucp, derive_triple
+
+from .conftest import rigid_three_sorted, two_sorted
+from .oracles import (
+    CatalogMismatchError,
     Solver,
-    assemble_ucp,
+    canonical_copies,
+    cayley_table,
     compose_solvers,
-    derive_triple,
+    naive_restriction,
     reduct_solver,
     solver_from_catalog,
     solver_from_json,
+    solver_to_json,
 )
-
-from .conftest import two_sorted
-from .oracles import canonical_copies, cayley_table, naive_restriction
 from .test_uniform import weak_only_lifting
 
 
@@ -241,23 +244,6 @@ class TestDeriveTriple:
         check_direct_derivation(C, d)
 
 
-def rigid_three_sorted():
-    """Rigid 3-sorted structure with injective reducts at every level."""
-    sig = SortedSignature(
-        ("a", "b", "c"),
-        relations=(("L", (0, 0)), ("P", (0, 1)), ("Q", (1, 2))),
-    )
-    return SortedStructure(
-        sig,
-        (3, 2, 2),
-        [
-            [(0, 1), (1, 2), (0, 2)],
-            [(0, 0), (1, 1)],
-            [(0, 0), (1, 1)],
-        ],
-    )
-
-
 def chain_catalogs(n=3):
     c = rigid_three_sorted()
     selected, seen = [], set()
@@ -272,6 +258,9 @@ def chain_catalogs(n=3):
 
 
 class TestSolvers:
+    """The catalog model of construction maps in ``tests/oracles``, which
+    criterion 6 checks the uniform construction against."""
+
     def test_solver_from_catalog_invariant(self):
         cat2 = chain_catalogs()
         f23 = solver_from_catalog(cat2, keep=(0, 1))
@@ -391,8 +380,6 @@ class TestSolvers:
     def test_json_round_trip(self):
         import json
 
-        from uniconstruct.ucp import solver_to_json
-
         cat2 = chain_catalogs()
         f23 = solver_from_catalog(cat2, keep=(0, 1))
         doc = json.loads(json.dumps(solver_to_json(f23)))
@@ -403,8 +390,6 @@ class TestSolvers:
 
     @pytest.mark.parametrize("keep", [[0.0], ["0"], [True], 0, None])
     def test_json_keep_must_be_a_list_of_ints(self, keep):
-        from uniconstruct.ucp import solver_to_json
-
         doc = solver_to_json(solver_from_catalog(chain_catalogs(1), keep=(0,)))
         doc["keep"] = keep
         with pytest.raises(CatalogMismatchError, match="malformed solver document: keep must be"):

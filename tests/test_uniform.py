@@ -19,7 +19,7 @@ from uniconstruct.structures import (
     reduct,
     relabel,
 )
-from uniconstruct.ucp import assemble_ucp
+from uniconstruct.ucp import assemble_ucp, derive_triple
 from uniconstruct.uniform import (
     TripleSpace,
     build_family,
@@ -30,7 +30,7 @@ from uniconstruct.uniform import (
     verify_claims,
 )
 
-from .conftest import random_structure, two_sorted
+from .conftest import matched_three_sorted, random_structure, rigid_three_sorted, two_sorted
 from .oracles import (
     canonical_copies,
     cayley_table,
@@ -63,6 +63,21 @@ def triple_space(b, psi, n):
 def triple_keys(triples):
     """The (pi_idx, g_idx, b) value of each triple, in order."""
     return [(x.pi_idx, x.g_idx, x.b) for x in triples]
+
+
+def triple_summaries(space):
+    """Each triple as :func:`naive_matched_triples` summarises it: its
+    isomorphisms, its full matrix of member isomorphisms and its thread."""
+    n = len(space.fam.members)
+    pairs = [(s, t) for s in range(n) for t in range(n)]
+    return {
+        (
+            tuple(space.iso[s][x.pi_idx[s]].key() for s in range(n)),
+            tuple(g_map(space, x, t).compose(g_map(space, x, s).inverse()).key() for s, t in pairs),
+            x.b,
+        )
+        for x in space.triples
+    }
 
 
 class TestLiftedCopy:
@@ -163,32 +178,11 @@ class TestMatchedTriples:
     def test_matches_naive_full_matrix_enumeration(self, b_two_free):
         for n in (1, 2):
             fam, A = family_and_target(b_two_free, [0, 1], n)
-            space = TripleSpace(A, fam)
-            fast = set()
-            for x in space.triples:
-                pis = tuple(space.iso[s][x.pi_idx[s]].key() for s in range(n))
-                pairs = [(s, t) for s in range(n) for t in range(n)]
-                gmat = []
-                for s, t in pairs:
-                    g = g_map(space, x, t).compose(g_map(space, x, s).inverse())
-                    gmat.append(g.key())
-                fast.add((pis, tuple(gmat), x.b))
-            assert fast == naive_matched_triples(A, fam)
+            assert triple_summaries(TripleSpace(A, fam)) == naive_matched_triples(A, fam)
 
     def test_matches_naive_on_matching_fixture(self, b_matching):
         fam, A = family_and_target(b_matching, [0, 1], 2)
-        space = TripleSpace(A, fam)
-        fast = set()
-        n = 2
-        for x in space.triples:
-            pis = tuple(space.iso[s][x.pi_idx[s]].key() for s in range(n))
-            pairs = [(s, t) for s in range(n) for t in range(n)]
-            gmat = tuple(
-                g_map(space, x, t).compose(g_map(space, x, s).inverse()).key()
-                for s, t in pairs
-            )
-            fast.add((pis, gmat, x.b))
-        assert fast == naive_matched_triples(A, fam)
+        assert triple_summaries(TripleSpace(A, fam)) == naive_matched_triples(A, fam)
 
     def test_kernel_family_matches_naive(self, b_kernel):
         fam, A = family_and_target(b_kernel, [0], 2)
@@ -949,3 +943,39 @@ class TestDerivedIsomorphisms:
         fam = build_family(b_cycle3, [0, 1, 2], 2)
         assert fam.members[0].relabel.maps == ((0, 1, 2), (0,))
         assert fam.members[1].relabel.codomain is fam.members[1].B
+
+
+class TestKeptSorts:
+    """Families kept on the first k sorts of a three-sorted C: C over C0
+    (k = 1, two sorts rebuilt) and C over C01 (k = 2), from
+    ``derive_triple``, over a relabelled target."""
+
+    @pytest.fixture(params=[
+        (rigid_three_sorted, "c13"), (rigid_three_sorted, "c23"),
+        (matched_three_sorted, "c13"), (matched_three_sorted, "c23"),
+    ], ids=["rigid-k1", "rigid-k2", "matched-k1", "matched-k2"])
+    def kept_space(self, request):
+        make, name = request.param
+        problem = getattr(derive_triple(make()), name)
+        fam = build_family(problem.B, groups.first_weak_splitting(problem.phi), 2, problem=problem)
+        target = relabel(problem.A, [[*range(1, n), 0] for n in problem.A.sort_sizes])
+        return TripleSpace(target, fam)
+
+    def test_triples_equal_full_matrix_enumeration(self, kept_space):
+        assert triple_summaries(kept_space) == naive_matched_triples(kept_space.A, kept_space.fam)
+
+    def test_thread_classes_equal_per_element_scan(self, kept_space):
+        got = [(tc.triples, tc.cid, tc.problem) for tc in kept_space.thread_classes()]
+        assert got == naive_thread_classes(kept_space)
+        assert len(got) == kept_space.A.total_elements
+        claim = next(e for e in verify_claims(kept_space).entries if e[0] == "cla5_k_classes")
+        assert claim[1:] == naive_k_classes_claim(kept_space) == (True, "")
+
+    def test_construction_keeps_the_target(self, kept_space):
+        assert verify_claims(kept_space).all_pass
+        k = len(kept_space.A.sort_sizes)
+        result = uniform_F(kept_space).structure
+        assert reduct(result, range(k)) == kept_space.A
+        assert isomorphisms(result, kept_space.fam.members[0].B, limit=1)
+        for a, (sort, _) in enumerate(kept_space.A.elements()):
+            assert {entry[0] for x in k_class(kept_space, a) for entry in x.b} == {sort}
