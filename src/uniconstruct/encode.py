@@ -112,14 +112,11 @@ def verify_theta_iso(t: GroupTriple, *, max_elements: int | None = None) -> Repo
 
     report.add("aut_order", aut.order == t.g3.order, f"|Aut|={aut.order}, |G3|={t.g3.order}")
 
-    images = []
-    in_aut = True
-    for c in t.g3.elements():
-        m = theta(t, structure, c)
-        if m.key() not in aut.index:
-            in_aut = False
-            break
-        images.append(aut.index_of(m))
+    try:
+        images = [aut.index_of(theta(t, structure, c)) for c in t.g3.elements()]
+        in_aut = True
+    except GroupError:
+        in_aut = False
     report.add("theta_in_aut", in_aut, "every translation map is an automorphism")
     if not in_aut:
         return report
@@ -128,10 +125,7 @@ def verify_theta_iso(t: GroupTriple, *, max_elements: int | None = None) -> Repo
     report.add("theta_surjective", set(images) == set(range(aut.order)))
     report.add("theta_hom", is_hom(images, t.g3, aut), "theta(c1*c2) = theta(c1) o theta(c2)")
 
-    recovered = all(
-        aut.maps[i] == theta(t, structure, aut.maps[i].maps[2][0])
-        for i in range(aut.order)
-    )
+    recovered = all(m == theta(t, structure, m.maps[2][0]) for m in map(aut.map, range(aut.order)))
     report.add(
         "theta_recovers_all",
         recovered,
@@ -156,7 +150,7 @@ def _restriction_matches(t: GroupTriple, problem: UniConstructionProblem, phi: G
     domain."""
     for c in phi.domain.elements():
         m = theta(t, problem.B, c)
-        val = problem.G.maps[problem.restriction[problem.H.index_of(m)]]
+        val = problem.G.map(problem.restriction[problem.H.index_of(m)])
         if val != theta(t, problem.A, phi(c)):
             return False
     return True
@@ -210,13 +204,14 @@ def attach_skew(
 
     fn_syms = []
     fns = []
+    # alpha is the element's row position, and alpha - e its sort's start
     for alpha, (sort, e) in enumerate(B.elements()):
         if sort == 0:
             fn_syms.append((f"F1_{alpha}", (2,), 0))
-            fns.append({(b,): autA.maps[phi13(b)].maps[0][e] for b in g3.elements()})
+            fns.append({(b,): autA.perms[phi13(b)][alpha] for b in g3.elements()})
     for alpha, (sort, e) in enumerate(B.elements()):
         fn_syms.append((f"F2_{alpha}", (2,), sort))
-        fns.append({(b,): autB.maps[phi23(b)].maps[sort][e] for b in g3.elements()})
+        fns.append({(b,): autB.perms[phi23(b)][alpha] - (alpha - e) for b in g3.elements()})
     for c in g3.elements():
         fn_syms.append((f"T3_{c}", (2,), 2))
         fns.append({(b,): g3.mul(b, c) for b in g3.elements()})

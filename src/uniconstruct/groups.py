@@ -1055,49 +1055,50 @@ def surjective_homs(
 class AutomorphismGroup:
     """The automorphisms of a structure as a permutation group.
 
-    ``maps[i]`` realizes group element i; multiplication is composition
-    (apply the right factor first); element 0 is the identity map.  From
-    :func:`aut_group` the maps come in canonical order; on a copy made by
-    :meth:`conjugate` they keep the order of the group conjugated.
+    ``perms[i]`` is element i as a row (:meth:`SortedMap.row`), the group's
+    one copy of it; ``row_index`` maps a row back to its element, and
+    :meth:`map` makes element i as a SortedMap on request.  Multiplication
+    is composition (apply the right factor first), so a product is two rows
+    composed and looked up; row 0 is the identity.  From :func:`aut_group`
+    the rows come in the search's order; on a copy made by :meth:`conjugate`
+    they keep the order of the group conjugated.
 
-    ``perms[i]`` is ``maps[i]`` as one tuple row (its per-sort images
-    concatenated, each offset by its sort's start) and ``row_index`` maps a
-    row back to its element, so a product is two rows composed and looked
-    up.  The group protocol is answered from the rows in pure Python:
+    The group protocol is answered from the rows in pure Python:
     ``right(q)`` is q's column, made once, kept and shared with conjugate
     copies; ``inverses()`` inverts every row, and ``element_order(a)``
     multiplies by a until the identity.  Construction finds the greedy
     generating set ``gens`` by composing every row with each generator's
-    row, and a composite missing from the list raises GroupError, so closure
+    row, and a composite missing from the rows raises GroupError, so closure
     is checked exactly at O(|Aut|·|gens|·N) cost for N elements.  Two groups
-    are equal when they have the same structure and the same maps.
+    are equal when they have the same structure and the same rows.
     """
 
     def __init__(
         self,
         structure: SortedStructure,
-        maps: list[SortedMap],
+        perms: list[tuple[int, ...]],
         *,
         _like: "AutomorphismGroup | None" = None,
     ):
         self.structure = structure
-        self.maps = maps
-        self.index = {m.key(): i for i, m in enumerate(maps)}
-        starts = list(itertools.accumulate(structure.sort_sizes, initial=0))
-        self.perms = [
-            tuple(v + start for images, start in zip(m.maps, starts) for v in images) for m in maps
-        ]
-        self.row_index = {row: i for i, row in enumerate(self.perms)}
+        self.perms = perms
+        self.row_index = {row: i for i, row in enumerate(perms)}
         self._inverses: list[int] | None = None
         self._center: tuple[int, ...] | None = None  # filled by center() on first use
         self._tree: tuple[list[int], list[int]] | None = None  # filled by right() on first use
         # conjugation is an isomorphism: a copy's columns and gens are its source's
-        self._columns = _like._columns if _like else {0: list(range(len(maps)))}
-        self.gens = _like.gens if _like else tuple(_generators(len(maps), self._composed))
+        self._columns = _like._columns if _like else {0: list(range(len(perms)))}
+        self.gens = _like.gens if _like else tuple(_generators(len(perms), self._composed))
 
     @property
     def order(self) -> int:
-        return len(self.maps)
+        return len(self.perms)
+
+    def map(self, i: int) -> SortedMap:
+        """Element i as a SortedMap, made on request."""
+        from .structures import SortedMap
+
+        return SortedMap.from_row(self.structure, self.structure, self.perms[i])
 
     def _lookup(self, row: tuple[int, ...]) -> int:
         try:
@@ -1146,20 +1147,21 @@ class AutomorphismGroup:
 
     def conjugate(self, f: SortedMap) -> "AutomorphismGroup":
         """The automorphism group of f's codomain, for an isomorphism f from
-        this group's structure: element j is f . maps[j] . f^-1.
+        this group's structure: element j is f . j . f^-1, composed on rows.
 
         Conjugation by f is a group isomorphism, so the copy has this
         group's generators and shares its columns, and no search runs.
         """
-        f_inv = f.inverse()
-        maps = [f.compose(m.compose(f_inv)) for m in self.maps]
-        return AutomorphismGroup(f.codomain, maps, _like=self)
+        through_f, f_inv = f.row().__getitem__, f.inverse().row()
+        perms = [tuple(map(through_f, map(p.__getitem__, f_inv))) for p in self.perms]
+        return AutomorphismGroup(f.codomain, perms, _like=self)
 
     def index_of(self, m: SortedMap) -> int:
-        try:
-            return self.index[m.key()]
-        except KeyError:
-            raise GroupError("map is not an automorphism of the structure") from None
+        """The element whose row is m's."""
+        i = self.row_index.get(m.row()) if m.domain.sort_sizes == self.structure.sort_sizes else None
+        if i is None:
+            raise GroupError("map is not an automorphism of the structure")
+        return i
 
     def __eq__(self, other):
         if not isinstance(other, AutomorphismGroup):
@@ -1185,13 +1187,12 @@ def _schreier_tree(order: int, steps: list[tuple[int, list[int]]]) -> tuple[list
 
 
 def aut_group(s: SortedStructure, *, max_elements: int | None = None) -> AutomorphismGroup:
-    from .structures import automorphisms
+    from .structures import isomorphism_rows
 
-    maps = automorphisms(s, max_elements=max_elements)
-    ident = tuple(tuple(range(n)) for n in s.sort_sizes)
-    if maps[0].key() != ident:
+    perms = isomorphism_rows(s, s, max_elements=max_elements)
+    if perms[0] != tuple(range(s.total_elements)):
         raise GroupError("canonical order does not start with the identity")
-    return AutomorphismGroup(s, maps)
+    return AutomorphismGroup(s, perms)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from . import config
@@ -31,6 +32,7 @@ __all__ = [
     "restrict_signature",
     "automorphisms",
     "isomorphisms",
+    "isomorphism_rows",
     "identity_map",
     "relabel",
     "quotient",
@@ -199,9 +201,6 @@ class SortedMap:
             if any(v < 0 or v >= codomain.sort_sizes[s] for v in m):
                 raise StructureError(f"map for sort {s} has out-of-range values")
 
-    def apply(self, sort: int, elem: int) -> int:
-        return self.maps[sort][elem]
-
     def apply_pair(self, pair: tuple[int, int]) -> tuple[int, int]:
         s, e = pair
         return (s, self.maps[s][e])
@@ -232,12 +231,17 @@ class SortedMap:
             inv.append(tuple(out))
         return SortedMap(self.codomain, self.domain, tuple(inv))
 
-    def key(self) -> tuple[tuple[int, ...], ...]:
-        return self.maps
+    def row(self) -> tuple[int, ...]:
+        """The per-sort images concatenated, each offset by its sort's start:
+        entry p is where ``domain.elements()[p]`` goes in ``codomain.elements()``."""
+        starts = _starts(self.domain.sort_sizes)
+        return tuple(v + start for images, start in zip(self.maps, starts) for v in images)
 
-    def image_seq(self) -> tuple[int, ...]:
-        """Concatenated per-sort image sequence (the canonical sort key)."""
-        return tuple(v for m in self.maps for v in m)
+    @classmethod
+    def from_row(cls, domain: SortedStructure, codomain: SortedStructure, row: Sequence[int]):
+        """The map whose :meth:`row` is ``row``."""
+        starts = _starts(domain.sort_sizes)
+        return cls(domain, codomain, [[v - a for v in row[a:b]] for a, b in zip(starts, starts[1:])])
 
     def __eq__(self, other):
         if not isinstance(other, SortedMap):
@@ -362,36 +366,99 @@ def restrict_signature(s: SortedStructure, target: SortedSignature) -> SortedStr
     return SortedStructure(target, s.sort_sizes, rels, fns, consts)
 
 
-def _compile_checks(s1: SortedStructure, s2: SortedStructure):
-    """Index relation/function/constant constraints by the assignment depth
-    at which they become fully determined."""
-    pos_of = {}
-    pos_list = []
-    for sort, size in enumerate(s1.sort_sizes):
-        for e in range(size):
-            pos_of[(sort, e)] = len(pos_list)
-            pos_list.append((sort, e))
-    n_pos = len(pos_list)
-    rel_checks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n_pos)]
-    fn_checks: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n_pos)]
-    const_checks: list[list[int]] = [[] for _ in range(n_pos)]
-    pre_ok = True
+def _starts(sizes: Sequence[int]) -> list[int]:
+    """The row position where each sort starts, then the row's length."""
+    return list(itertools.accumulate(sizes, initial=0))
 
-    for ri, (_, rsig) in enumerate(s1.signature.relations):
-        for t in s1.relations[ri]:
-            if not t:
-                pre_ok = pre_ok and (t in s2.relations[ri])
-                continue
-            last = max(pos_of[(rsig[i], t[i])] for i in range(len(t)))
-            rel_checks[last].append((ri, t))
-    for fi, (_, fsig, target) in enumerate(s1.signature.functions):
-        for args, v in s1.functions[fi].items():
-            ps = [pos_of[(fsig[i], args[i])] for i in range(len(args))]
-            ps.append(pos_of[(target, v)])
-            fn_checks[max(ps)].append((fi, args, v))
-    for ci, (_, sort) in enumerate(s1.signature.constants):
-        const_checks[pos_of[(sort, s1.constants[ci])]].append(ci)
-    return pos_list, rel_checks, fn_checks, const_checks, pre_ok
+
+def _facts(s: SortedStructure):
+    """(sorts, tuples) for each symbol of s in signature order: a relation's
+    tuples, a function's graph (arguments, then value), a constant's value."""
+    sig = s.signature
+    for (_, rsig), rel in zip(sig.relations, s.relations):
+        yield rsig, rel
+    for (_, fsig, target), table in zip(sig.functions, s.functions):
+        yield fsig + (target,), [args + (v,) for args, v in table.items()]
+    for (_, sort), c in zip(sig.constants, s.constants):
+        yield (sort,), [(c,)]
+
+
+def _compile_checks(s1: SortedStructure, s2: SortedStructure, starts: list[int]):
+    """Every fact of s1 as a check ``(get, allowed)``, filed under the last
+    row position it reads: ``get`` reads the images of the fact's positions
+    from a row, and ``allowed`` is s2's same symbol on positions.  A
+    bijection that passes every check carries each symbol of s1 into s2's,
+    hence onto it when the two have as many facts; None when they do not."""
+    checks: list[list[tuple[itemgetter, set]]] = [[] for _ in range(starts[-1])]
+    for (sorts, facts1), (_, facts2) in zip(_facts(s1), _facts(s2)):
+        if len(facts1) != len(facts2):
+            return None
+        if not sorts:  # a nullary relation: equal sizes mean both hold or neither
+            continue
+        offsets = [starts[k] for k in sorts]
+        allowed = {tuple(map(add, offsets, t)) for t in facts2}
+        if len(sorts) == 1:  # an itemgetter of one position reads a bare int
+            allowed = {p for (p,) in allowed}
+        for t in facts1:
+            positions = tuple(map(add, offsets, t))
+            checks[max(positions)].append((itemgetter(*positions), allowed))
+    return checks
+
+
+def isomorphism_rows(
+    s1: SortedStructure,
+    s2: SortedStructure,
+    *,
+    max_elements: int | None = None,
+    limit: int | None = None,
+) -> list[tuple[int, ...]]:
+    """Every isomorphism from s1 onto s2 as a row (:meth:`SortedMap.row`),
+    in lexicographic order: a backtrack over row positions (sorts in
+    declaration order, elements in index order) that checks each fact of s1
+    once its last position is chosen.  It is a loop over an explicit stack,
+    so nothing it builds outlives the call.  Structures whose sort sizes
+    differ have none, whatever their size: the ``max_elements`` bound is
+    read only after the sizes are compared."""
+    if s1.signature != s2.signature:
+        raise SignatureMismatchError("isomorphisms: signatures differ")
+    s1.check_valid()
+    s2.check_valid()
+    if s1.sort_sizes != s2.sort_sizes:
+        return []
+    config.check_elements(s1.total_elements, max_elements)
+    starts = _starts(s1.sort_sizes)
+    checks = _compile_checks(s1, s2, starts)
+    if checks is None:
+        return []
+
+    # images[p]: the positions of p's sort; a valid structure has no empty sort
+    images = [range(a, b) for a, b in zip(starts, starts[1:]) for _ in range(a, b)]
+    n = len(images)
+    img, used, out = [-1] * n, [False] * (n + 1), []  # used[-1] is for "no image"
+    tries = [iter(images[0])] + [None] * (n - 1)
+    depth = 0
+    while depth >= 0:
+        used[img[depth]] = False  # release the image chosen here last
+        for v in tries[depth]:
+            img[depth] = v
+            for get, allowed in checks[depth]:
+                if get(img) not in allowed:
+                    break
+            else:
+                break  # v passes every check filed at this depth
+        else:  # no image left to try: backtrack
+            img[depth] = -1
+            depth -= 1
+            continue
+        used[v] = True
+        if depth + 1 < n:
+            depth += 1
+            tries[depth] = (v for v in images[depth] if not used[v])
+        else:
+            out.append(tuple(img))
+            if limit is not None and len(out) >= limit:
+                break
+    return out
 
 
 def isomorphisms(
@@ -401,75 +468,11 @@ def isomorphisms(
     max_elements: int | None = None,
     limit: int | None = None,
 ) -> list[SortedMap]:
-    """All per-sort bijection families carrying s1 onto s2 exactly.
-
-    Backtracks over sorts in declaration order and elements in index order,
-    pruning with relation/function/constant compatibility after every single
-    assignment.  Output order is lexicographic on the concatenated image
-    sequences.  ``isomorphisms(s, s)`` is exactly ``automorphisms(s)``.
-    Structures whose sort sizes differ have none, whatever their size: the
-    ``max_elements`` bound is read only after the sizes are compared.
-    """
-    if s1.signature != s2.signature:
-        raise SignatureMismatchError("isomorphisms: signatures differ")
-    s1.check_valid()
-    s2.check_valid()
-    if s1.sort_sizes != s2.sort_sizes:
-        return []
-    config.check_elements(s1.total_elements, max_elements)
-    for r1, r2 in zip(s1.relations, s2.relations):
-        if len(r1) != len(r2):
-            return []
-
-    pos_list, rel_checks, fn_checks, const_checks, pre_ok = _compile_checks(s1, s2)
-    if not pre_ok:
-        return []
-
-    sizes = s1.sort_sizes
-    img = [[-1] * n for n in sizes]
-    used = [[False] * n for n in sizes]
-    out: list[SortedMap] = []
-    n_pos = len(pos_list)
-
-    def consistent(depth: int) -> bool:
-        for ri, t in rel_checks[depth]:
-            rsig = s1.signature.relations[ri][1]
-            mapped = tuple(img[rsig[i]][t[i]] for i in range(len(t)))
-            if mapped not in s2.relations[ri]:
-                return False
-        for fi, args, v in fn_checks[depth]:
-            fsig, target = s1.signature.functions[fi][1:]
-            mapped_args = tuple(img[fsig[i]][args[i]] for i in range(len(args)))
-            w = s2.functions[fi].get(mapped_args)
-            if w is None or img[target][v] != w:
-                return False
-        for ci in const_checks[depth]:
-            sort = s1.signature.constants[ci][1]
-            if img[sort][s1.constants[ci]] != s2.constants[ci]:
-                return False
-        return True
-
-    def search(depth: int):
-        if depth == n_pos:
-            out.append(SortedMap(s1, s2, tuple(tuple(m) for m in img)))
-            return
-        sort, e = pos_list[depth]
-        for v in range(sizes[sort]):
-            if used[sort][v]:
-                continue
-            img[sort][e] = v
-            used[sort][v] = True
-            if consistent(depth):
-                search(depth + 1)
-                if limit is not None and len(out) >= limit:
-                    img[sort][e] = -1
-                    used[sort][v] = False
-                    return
-            img[sort][e] = -1
-            used[sort][v] = False
-
-    search(0)
-    return out
+    """All per-sort bijection families carrying s1 onto s2 exactly: the rows
+    of :func:`isomorphism_rows` as maps, in their order.  ``isomorphisms(s,
+    s)`` is exactly ``automorphisms(s)``."""
+    rows = isomorphism_rows(s1, s2, max_elements=max_elements, limit=limit)
+    return [SortedMap.from_row(s1, s2, row) for row in rows]
 
 
 def automorphisms(s: SortedStructure, *, max_elements: int | None = None) -> list[SortedMap]:

@@ -169,8 +169,8 @@ def _restriction_problem(
     from H = Aut(B) and G = Aut(A) with :func:`assemble_ucp`'s clauses: the
     leading sorts and the rest play its two sorts."""
     report = Report("clause")
-    report.add("a", True, "structure is 2-sorted")
-    report.add("b", True, "first-sort reduct computed")
+    report.add("a", True, f"structure is {len(B.sort_sizes)}-sorted")
+    report.add("b", True, f"{_ordinals(range(len(A.sort_sizes)))}-sort reduct computed")
     K = tuple(center(H))
     report.add("c", True, f"|H|={H.order}, |K|={len(K)}, |G|={G.order}")
 
@@ -185,6 +185,12 @@ def _restriction_problem(
     return UniConstructionProblem(
         B=B, A=A, H=H, G=G, K=K, restriction=restriction, psi=None, weak_only=True, report=report
     )
+
+
+def _ordinals(sorts: range) -> str:
+    """The sorts as messages name them, "first/second" (problems have at
+    most three sorts)."""
+    return "/".join(("first", "second", "third")[s] for s in sorts)
 
 
 @dataclass

@@ -48,7 +48,7 @@ from .structures import (
     relabel,
     relabel_map,
 )
-from .ucp import Report, UniConstructionProblem, assemble_ucp
+from .ucp import Report, UniConstructionProblem, _ordinals, assemble_ucp
 
 __all__ = [
     "LiftedCopy",
@@ -86,7 +86,7 @@ class LiftedCopy:
 
     def psi_map(self, autA_index: int) -> SortedMap:
         """The lifted automorphism of B for an automorphism index of A."""
-        return self.autB.maps[self.psi.map[autA_index]]
+        return self.autB.map(self.psi.map[autA_index])
 
 
 @dataclass
@@ -251,8 +251,8 @@ class TripleSpace:
         # only the base is searched: member t is the base relabelled along
         # f_t, so its isomorphisms onto A are the base's composed with f_t^-1
         # on the kept sorts, and B_0 -> B_t are f_t after each automorphism
-        # of B_0; both lists are sorted by image sequence, the order the
-        # search returns.  A triple's g_idx[t] is a position in biso[t];
+        # row of B_0; both lists are in the search's order, that of their
+        # ``maps`` or rows.  A triple's g_idx[t] is a position in biso[t];
         # extend[t] lists those positions per restriction to the kept sorts.
         base = fam.members[0]
         k = len(base.A.sort_sizes)
@@ -260,10 +260,10 @@ class TripleSpace:
         self.biso: list[list[SortedMap]] = [[]]
         for member in fam.members[1:]:
             f_inv = SortedMap(member.A, base.A, member.relabel.inverse().maps[:k])
-            self.iso.append(sorted((m.compose(f_inv) for m in self.iso[0]), key=SortedMap.image_seq))
-            self.biso.append(sorted(
-                (member.relabel.compose(m) for m in base.autB.maps), key=SortedMap.image_seq
-            ))
+            self.iso.append(sorted((m.compose(f_inv) for m in self.iso[0]), key=lambda m: m.maps))
+            through_f = member.relabel.row().__getitem__
+            rows = sorted(tuple(map(through_f, p)) for p in base.autB.perms)
+            self.biso.append([SortedMap.from_row(base.B, member.B, row) for row in rows])
         self.iso_inv = [[m.inverse() for m in lst] for lst in self.iso]
         self.extend: list[dict[tuple[tuple[int, ...], ...], list[int]]] = [{} for _ in self.biso]
         for flat, positions in zip(self.biso, self.extend):
@@ -755,7 +755,7 @@ def verify_claims(space: TripleSpace) -> Report:
     # each member is the base relabelled (Family checks it), so all share the
     # base's copies: its prod(n_s!) relabellings fall in classes of |Aut B|
     base = fam.members[0]
-    n_copies = math.prod(math.factorial(n) for n in base.B.sort_sizes) // len(base.autB.maps)
+    n_copies = math.prod(math.factorial(n) for n in base.B.sort_sizes) // base.autB.order
     report.add(
         "copy_set_definable_from_family",
         all(m.relabel.is_bijective() for m in fam),
@@ -857,12 +857,6 @@ def verify_claims(space: TripleSpace) -> Report:
         report.add("cla6_quotient_isomorphic_to_member", False, "congruence failed")
         report.add("cla6_explicit_rho_witness", False, "congruence failed")
     return report
-
-
-def _ordinals(sorts: range) -> str:
-    """The sorts as messages name them, "first/second" (problems have at
-    most three sorts)."""
-    return "/".join(("first", "second", "third")[s] for s in sorts)
 
 
 def _rho_witness_is_isomorphism(quot_structure, class_label, rho_values, target) -> bool:

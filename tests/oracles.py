@@ -112,7 +112,7 @@ def naive_restriction(H, G):
     reduct of H's to its leading sorts, looked up map by map."""
     A = G.structure
     k = len(A.sort_sizes)
-    return tuple(G.index_of(SortedMap(A, A, m.maps[:k])) for m in H.maps)
+    return tuple(G.index_of(SortedMap(A, A, H.map(i).maps[:k])) for i in range(H.order))
 
 
 def _preserves(s1, s2, perms):
@@ -621,8 +621,8 @@ def naive_matched_triples(A, fam, *, max_elements=None):
                 if ok:
                     out.add(
                         (
-                            tuple(p.key() for p in pis),
-                            tuple(g[p].key() for p in pairs),
+                            tuple(p.maps for p in pis),
+                            tuple(g[p].maps for p in pairs),
                             tuple(b),
                         )
                     )
@@ -781,7 +781,7 @@ def naive_family(B, psi, n):
                 f.compose(base.psi_map(base.autA.index_of(f_a_inv.compose(g.compose(f_a)))))
                 .compose(f_inv)
             )
-            for g in aut_a.maps
+            for g in map(aut_a.map, range(aut_a.order))
         ]
         members.append(make_lifted_copy(f.codomain, section, tag=tag))
     return members

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -982,12 +984,12 @@ class TestAutGroup:
         assert table.order == 24
         for i in range(table.order):
             for j in range(table.order):
-                composed = ag.maps[i].compose(ag.maps[j])
+                composed = ag.map(i).compose(ag.map(j))
                 assert ag.index_of(composed) == table.mul(i, j)
 
     def test_identity_is_element_zero(self):
         ag = aut_group(free_points(3))
-        assert ag.maps[0].maps == ((0, 1, 2),)
+        assert ag.map(0).maps == ((0, 1, 2),)
 
     @pytest.mark.parametrize("make, order", [
         (lambda: free_points(5), 120),
@@ -1000,15 +1002,71 @@ class TestAutGroup:
         ag = aut_group(make(), max_elements=32)
         table = cayley_table(ag)
         assert table.order == order
-        for i, mi in enumerate(ag.maps):
-            for j, mj in enumerate(ag.maps):
+        maps = [ag.map(i) for i in range(ag.order)]
+        for i, mi in enumerate(maps):
+            for j, mj in enumerate(maps):
                 assert ag.index_of(mi.compose(mj)) == table.mul(i, j)
         # every column, the generators' and those made along the Schreier tree
         assert all(ag.right(q) == table.right(q) for q in range(order))
 
+    @pytest.mark.parametrize("make", [
+        lambda: directed_cycle(3),
+        lambda: free_points(3),
+        lambda: free_points(4),
+        lambda: free_points(5),
+        lambda: two_sorted((4, 2), [("R", (0, 1), [(0, 0), (1, 0), (2, 1), (3, 1)])]),
+        lambda: encode_three_sorted(_s4_s3_c2()),
+        lambda: four_triangles(),
+    ], ids=["cycle3", "free3", "free4", "free5", "two-sorted", "encode3-s4-s3-c2", "four-triangles"])
+    def test_maps_made_from_rows_are_the_search(self, make):
+        s = make()
+        ag = aut_group(s, max_elements=32)
+        maps = [ag.map(i) for i in range(ag.order)]
+        assert maps == structures.automorphisms(s, max_elements=32)
+        assert all(m.domain is s and m.codomain is s for m in maps)
+        assert [ag.index_of(m) for m in maps] == list(range(ag.order))
+        assert ag.perms == [m.row() for m in maps]
+
+    def test_index_of_refuses_a_map_of_another_layout(self):
+        # (0, 1, 2) is the identity row on sorts of sizes (2, 1) and (1, 2)
+        ag = aut_group(two_sorted((2, 1), []))
+        other = two_sorted((1, 2), [])
+        with pytest.raises(GroupError, match="not an automorphism"):
+            ag.index_of(structures.identity_map(other))
+
+    def test_aut_group_makes_no_sorted_map(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("aut_group made a SortedMap")
+
+        monkeypatch.setattr(structures.SortedMap, "__init__", refuse)
+        ag = aut_group(two_sorted((4, 2), [("R", (0, 1), [(0, 0), (1, 0), (2, 1), (3, 1)])]))
+        assert ag.order == 8 and ag.perms[0] == tuple(range(6))
+
+    def test_group_keeps_only_its_rows(self):
+        # 7 free points over an apex: 5040 rows of 8 entries, the row index,
+        # the identity column and the generators' columns.  Holding each
+        # automorphism also as a SortedMap and a key of a map index kept
+        # 2.77 MiB
+        s = two_sorted((7, 1), [("R", (0, 1), [(p, 0) for p in range(7)])])
+        aut_group(two_sorted((3, 1), [("R", (0, 1), [(p, 0) for p in range(3)])]))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ag = aut_group(s)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert ag.order == 5040
+        assert not hasattr(ag, "maps") and not hasattr(ag, "index")
+        assert kept < 2 * 2**20
+
     def test_missing_automorphism_raises_group_error(self, monkeypatch):
-        full = structures.automorphisms
-        monkeypatch.setattr(structures, "automorphisms", lambda s, **kw: full(s, **kw)[:-1])
+        full = structures.isomorphism_rows
+        monkeypatch.setattr(
+            structures, "isomorphism_rows", lambda s1, s2, **kw: full(s1, s2, **kw)[:-1]
+        )
         with pytest.raises(GroupError, match="not closed"):
             aut_group(free_points(3))
 
@@ -1025,10 +1083,11 @@ class TestAutGroup:
         oracle = PermutationGroup(gens)
         table = cayley_table(ag)
         assert oracle.order() == table.order == 1944
-        assert len(ag.index) == 1944
-        assert all(oracle.contains(Permutation(list(m.maps[0]))) for m in ag.maps)
-        last = ag.maps[-1]
-        for j, mj in enumerate(ag.maps):
+        assert len(ag.row_index) == 1944
+        maps = [ag.map(i) for i in range(ag.order)]
+        assert all(oracle.contains(Permutation(list(m.maps[0]))) for m in maps)
+        last = maps[-1]
+        for j, mj in enumerate(maps):
             assert ag.index_of(last.compose(mj)) == table.mul(1943, j)
 
 

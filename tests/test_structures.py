@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,13 @@ from uniconstruct.errors import (
     StructureError,
 )
 from uniconstruct.structures import (
+    SortedMap,
     SortedSignature,
     SortedStructure,
     automorphisms,
     dumps,
     identity_map,
+    isomorphism_rows,
     isomorphisms,
     loads,
     quotient,
@@ -108,7 +112,7 @@ class TestAutomorphisms:
 
     def test_canonical_order_is_lexicographic(self):
         auts = automorphisms(free_points(4))
-        seqs = [a.image_seq() for a in auts]
+        seqs = [a.row() for a in auts]
         assert seqs == sorted(seqs)
         assert seqs[0] == (0, 1, 2, 3)
 
@@ -122,12 +126,12 @@ class TestAutomorphisms:
         for _ in range(12):
             s = random_structure(rng, max_total=6)
             auts = automorphisms(s)
-            keys = {a.key() for a in auts}
-            assert identity_map(s).key() in keys
+            keys = {a.maps for a in auts}
+            assert identity_map(s).maps in keys
             for a in auts:
-                assert a.inverse().key() in keys
+                assert a.inverse().maps in keys
                 for b in auts:
-                    assert a.compose(b).key() in keys
+                    assert a.compose(b).maps in keys
 
 
 class TestIsomorphisms:
@@ -168,6 +172,84 @@ class TestIsomorphisms:
         assert [m.maps for m in isomorphisms(s, s)] == [
             m.maps for m in automorphisms(s)
         ]
+
+
+
+def _reinterpret(rng: random.Random, s: SortedStructure) -> SortedStructure:
+    """A random structure on s's signature and sort sizes."""
+    sig, sizes = s.signature, s.sort_sizes
+    rels = [
+        {tuple(rng.randrange(sizes[k]) for k in rsig) for _ in range(len(rel))}
+        for (_, rsig), rel in zip(sig.relations, s.relations)
+    ]
+    fns = [
+        {args: rng.randrange(sizes[target]) for args in table}
+        for (_, _, target), table in zip(sig.functions, s.functions)
+    ]
+    consts = [rng.randrange(sizes[sort]) for _, sort in sig.constants]
+    return SortedStructure(sig, sizes, rels, fns, consts)
+
+
+class TestIsomorphismRows:
+    def test_a_row_is_the_maps_concatenated_and_offset(self):
+        s = two_sorted((2, 3), [("R", (0, 1), [(0, 0), (1, 1)])])
+        maps = isomorphisms(s, s)
+        assert len(maps) == 2
+        for m in maps:
+            assert m.row() == (*m.maps[0], *(2 + v for v in m.maps[1]))
+            assert SortedMap.from_row(s, s, m.row()) == m
+        assert isomorphism_rows(s, s) == [m.row() for m in maps]
+
+    def test_rows_match_naive_filter_on_random_pairs(self):
+        # relabelled copies, and structures drawn on the same signature, most
+        # of which are not isomorphic
+        rng = random.Random(17)
+        found = 0
+        for _ in range(60):
+            s1 = random_structure(rng, max_total=5)
+            for s2 in (relabel(s1, [rng.sample(range(n), n) for n in s1.sort_sizes]),
+                       _reinterpret(rng, s1)):
+                want = [SortedMap(s1, s2, maps).row() for maps in naive_isomorphisms(s1, s2)]
+                assert isomorphism_rows(s1, s2) == want
+                assert isomorphism_rows(s1, s2, limit=1) == want[:1]
+                found += bool(want)
+        assert 60 < found < 120
+
+    @pytest.mark.parametrize("holds", [(True, True), (False, False), (True, False), (False, True)])
+    def test_a_nullary_relation_must_agree(self, holds):
+        sig = SortedSignature(("p",), relations=(("Z", ()),))
+        s1, s2 = (SortedStructure(sig, (2,), [[()] if h else []]) for h in holds)
+        assert isomorphism_rows(s1, s2) == ([(0, 1), (1, 0)] if holds[0] == holds[1] else [])
+
+    def test_functions_and_constants_are_checked(self):
+        # successor on a 3-cycle commutes with the rotations; a named point
+        # leaves one of them
+        sig = SortedSignature(("p",), functions=(("s", (0,), 0),), constants=(("c", 0),))
+        succ = [{(i,): (i + 1) % 3 for i in range(3)}]
+        s, t = (SortedStructure(sig, (3,), [], succ, [c]) for c in (0, 2))
+        assert isomorphism_rows(s, s) == [(0, 1, 2)]
+        assert isomorphism_rows(s, t) == [(2, 0, 1)]
+        swapped = SortedStructure(sig, (3,), [], [{(i,): (i - 1) % 3 for i in range(3)}], [0])
+        assert isomorphism_rows(s, swapped) == [(0, 2, 1)]
+
+    def test_search_leaves_nothing_for_the_cycle_collector(self):
+        # 7 free points over an apex: 5040 maps.  A search that calls itself
+        # through a closure is a reference cycle, which kept its output and
+        # state (about 0.8 MiB here) alive after the caller dropped them,
+        # until the cycle collector ran
+        s = two_sorted((7, 1), [("R", (0, 1), [(p, 0) for p in range(7)])])
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            assert len(isomorphisms(s, s)) == 5040
+            left = tracemalloc.get_traced_memory()[0]
+            gc.collect(1)  # a full collection would also empty the free lists
+            collected = left - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert collected < 64 * 1024
 
 
 class TestRelabel:

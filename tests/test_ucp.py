@@ -24,7 +24,7 @@ from uniconstruct.structures import (
 )
 from uniconstruct.ucp import assemble_ucp, derive_triple
 
-from .conftest import rigid_three_sorted, two_sorted
+from .conftest import matched_three_sorted, rigid_three_sorted, two_sorted
 from .oracles import (
     CatalogMismatchError,
     Solver,
@@ -85,7 +85,7 @@ class TestAssembleUcp:
     def test_kernel_is_first_sort_fixers(self, b_matching):
         ucp = assemble_ucp(b_matching)
         for i in range(cayley_table(ucp.H).order):
-            fixes = ucp.H.maps[i].maps[0] == tuple(range(b_matching.sort_sizes[0]))
+            fixes = ucp.H.map(i).maps[0] == tuple(range(b_matching.sort_sizes[0]))
             assert (ucp.phi.map[i] == 0) == fixes
 
     def test_weak_problem_builds_no_table(self, b_cycle3, monkeypatch):
@@ -193,6 +193,22 @@ def check_direct_derivation(C, d):
 
 
 class TestDeriveTriple:
+    @pytest.mark.parametrize("make", [rigid_three_sorted, matched_three_sorted])
+    def test_clause_details_name_the_sorts_of_each_problem(self, make):
+        d = derive_triple(make())
+        details = {
+            name: [detail for _, _, detail in getattr(d, name).report.entries[:2]]
+            for name in ("c12", "c23", "c13")
+        }
+        assert details == {
+            "c12": ["structure is 2-sorted", "first-sort reduct computed"],
+            "c23": ["structure is 3-sorted", "first/second-sort reduct computed"],
+            "c13": ["structure is 3-sorted", "first-sort reduct computed"],
+        }
+        # a 2-sorted problem keeps its details
+        entries = assemble_ucp(reduct(make(), (0, 1))).report.entries[:2]
+        assert [detail for _, _, detail in entries] == details["c12"]
+
     def test_trivial_groups_give_trivial_ucps(self):
         s = encode_three_sorted(trivial_triple())
         d = derive_triple(s)

@@ -72,8 +72,8 @@ def triple_summaries(space):
     pairs = [(s, t) for s in range(n) for t in range(n)]
     return {
         (
-            tuple(space.iso[s][x.pi_idx[s]].key() for s in range(n)),
-            tuple(g_map(space, x, t).compose(g_map(space, x, s).inverse()).key() for s, t in pairs),
+            tuple(space.iso[s][x.pi_idx[s]].maps for s in range(n)),
+            tuple(g_map(space, x, t).compose(g_map(space, x, s).inverse()).maps for s, t in pairs),
             x.b,
         )
         for x in space.triples
@@ -578,23 +578,37 @@ class TestConjugatedFamily:
         for member, naive in zip(fam, oracle):
             assert member.B == naive.B and member.A == naive.A
             for got, structure in ((member.autB, member.B), (member.autA, member.A)):
-                assert {m.key() for m in got.maps} == {m.key() for m in aut_group(structure).maps}
-                assert all(got.index_of(m) == j for j, m in enumerate(got.maps))
+                maps = [got.map(i) for i in range(got.order)]
+                searched = aut_group(structure)
+                assert {m.maps for m in maps} == {searched.map(i).maps for i in range(searched.order)}
+                assert all(got.index_of(m) == j for j, m in enumerate(maps))
                 mul = cayley_table(got).table
                 assert all(
-                    got.maps[mul[i][j]] == got.maps[i].compose(got.maps[j])
-                    for i in range(len(got.maps))
-                    for j in range(len(got.maps))
+                    maps[mul[i][j]] == maps[i].compose(maps[j])
+                    for i in range(len(maps))
+                    for j in range(len(maps))
                 )
                 # the columns a copy shares with its base are its own products
-                assert all(got.right(j) == [row[j] for row in mul] for j in range(len(got.maps)))
+                assert all(got.right(j) == [row[j] for row in mul] for j in range(len(maps)))
             assert all(
-                member.autA.maps[member.phi.map[j]].maps == (m.maps[0],)
-                for j, m in enumerate(member.autB.maps)
+                member.autA.map(member.phi.map[j]).maps == (member.autB.map(j).maps[0],)
+                for j in range(member.autB.order)
             )
-            psi = {g.key(): member.psi_map(j).key() for j, g in enumerate(member.autA.maps)}
-            want = {g.key(): naive.psi_map(j).key() for j, g in enumerate(naive.autA.maps)}
+            psi = {member.autA.map(j).maps: member.psi_map(j).maps for j in range(member.autA.order)}
+            want = {naive.autA.map(j).maps: naive.psi_map(j).maps for j in range(naive.autA.order)}
             assert psi == want
+
+    def test_copy_rows_are_conjugates_composed_as_maps(self, keyed_space):
+        fam, _ = keyed_space
+        base = fam.members[0]
+        k = len(base.A.sort_sizes)
+        for member in fam.members[1:]:
+            f = member.relabel
+            f_a = SortedMap(base.A, member.A, f.maps[:k])
+            for got, source, g in ((member.autB, base.autB, f), (member.autA, base.autA, f_a)):
+                want = [g.compose(source.map(j).compose(g.inverse())) for j in range(source.order)]
+                assert got.perms == [m.row() for m in want]
+                assert [got.map(j) for j in range(got.order)] == want
 
     def test_copies_share_the_base_group_and_section(self, b_rich):
         fam = build_family(b_rich, [0, 1, 2], 3)
