@@ -41,7 +41,7 @@ _EXPORTS = {
     ),
     "uniform": (
         "Family", "LiftedCopy", "MatchedTriple", "TripleSpace", "build_family",
-        "build_quotient", "k_class", "make_lifted_copy", "uniform_F", "verify_claims",
+        "build_quotient", "k_class", "uniform_F", "verify_claims",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -503,8 +503,8 @@ def _cmd_attach(args):
         phi13_map = _read_map(args.phi13)
         auta = aut_group(reduct(b, (0,)), max_elements=args.max_elements)
         phi13 = GroupHom(g3, auta, phi13_map)
-    attachment = attach_skew(b, g3, phi23, phi13, max_elements=args.max_elements)
-    derivation = derive_triple(attachment.structure, max_elements=args.max_elements)
+    structure = attach_skew(b, g3, phi23, phi13)
+    derivation = derive_triple(structure, max_elements=args.max_elements)
     # a derived map that is not onto fails clause (e) and has no sections
     (c23_split, c23_weak), (c13_split, c13_weak) = (
         decide_splittings(p.phi) if p.report.ok("e") else (None, None)
@@ -513,7 +513,7 @@ def _cmd_attach(args):
     word = {True: "yes", False: "no", None: "undecided (not onto)"}
     doc = {
         "command": "attach",
-        "structure": structure_to_json(attachment.structure),
+        "structure": structure_to_json(structure),
         "derived_all_weak": derivation.all_weak,
         "c23_has_splitting": c23_split,
         "c23_has_weak_splitting": c23_weak,
@@ -521,7 +521,7 @@ def _cmd_attach(args):
         "c13_has_weak_splitting": c13_weak,
     }
     lines = [
-        f"attached structure: sorts {list(attachment.structure.sort_sizes)}",
+        f"attached structure: sorts {list(structure.sort_sizes)}",
         f"derived weak problems: {'ok' if derivation.all_weak else 'FAIL'}",
         f"c23 splitting: {word[c23_split]}",
         f"c13 splitting: {word[c13_split]}; weak: {word[c13_weak]}",
@@ -551,7 +551,7 @@ def _cmd_uniformize(args, verify_only: bool):
     target = _load_structure(args.target)
     ucp = assemble_ucp(b, max_elements=args.max_elements)
     psi = _resolve_psi(ucp, args.psi)
-    fam = build_family(b, psi, args.copies, max_elements=args.max_elements, problem=ucp)
+    fam = build_family(ucp, psi, args.copies)
     space = TripleSpace(target, fam, max_elements=args.max_elements)
     claims = verify_claims(space)
     doc = {

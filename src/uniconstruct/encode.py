@@ -15,16 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GroupError, StructureError
-from .groups import AutomorphismGroup, FiniteGroup, GroupHom, aut_group, is_hom, is_surjective
+from .groups import AutomorphismGroup, FiniteGroup, GroupHom, is_hom, is_surjective
 from .structures import SortedMap, SortedSignature, SortedStructure, reduct
-from .ucp import Report, UniConstructionProblem, derive_triple, restriction_map
+from .ucp import Report, UniConstructionProblem, derive_triple
 
 __all__ = [
     "GroupTriple",
     "encode_three_sorted",
     "theta",
     "verify_theta_iso",
-    "Attachment",
     "attach_skew",
 ]
 
@@ -159,33 +158,21 @@ def _restriction_matches(t: GroupTriple, problem: UniConstructionProblem, phi: G
 # ---------------------------------------------------------------------------
 # Attaching a top group to an arbitrary 2-sorted structure
 
-@dataclass
-class Attachment:
-    structure: SortedStructure
-    base: SortedStructure
-    g3: FiniteGroup
-    phi23: GroupHom
-    phi13: GroupHom
-    autB: AutomorphismGroup
-    autA: AutomorphismGroup
-
-
 def attach_skew(
     B: SortedStructure,
     g3: FiniteGroup,
     phi23: GroupHom,
     phi13: GroupHom | None = None,
-    *,
-    max_elements: int | None = None,
-) -> Attachment:
-    """Extend B by a third sort of G3 elements acting through evaluations.
+) -> SortedStructure:
+    """B extended by a third sort of G3 elements acting through evaluations.
 
     phi23 must land in the AutomorphismGroup of B and phi13 in that of its
-    first-sort reduct A, as ``aut_group`` returns them; phi13 defaults to
-    phi23 followed by the restriction map, and only then is Aut(A) searched.
-    Evaluation symbols F2_{i} record where phi23(b) sends the i-th element
-    of B, F1_{i} likewise on the first-sort reduct, and T3_{c} are right
-    translations of the new sort.
+    first-sort reduct A, as ``aut_group`` returns them.  phi13 defaults to
+    phi23 followed by the restriction map, read off Aut(B) alone: the
+    restriction of an automorphism is its row's prefix, so Aut(A) is never
+    searched.  Evaluation symbols F2_{i} record where phi23(b) sends the
+    i-th element of B, F1_{i} likewise on the first-sort reduct, and T3_{c}
+    are right translations of the new sort.
     """
     if len(B.sort_sizes) != 2:
         raise StructureError("attach_skew requires a 2-sorted structure")
@@ -193,14 +180,17 @@ def attach_skew(
     autB = phi23.codomain
     if phi23.domain != g3 or not isinstance(autB, AutomorphismGroup) or autB.structure != B:
         raise GroupError("phi23 must map G3 into the automorphism group of B")
-    A = reduct(B, (0,))
     if phi13 is None:
-        autA = aut_group(A, max_elements=max_elements)
-        restriction = restriction_map(autB, autA)
-        phi13 = GroupHom(g3, autA, [restriction[v] for v in phi23.map])
-    autA = phi13.codomain
-    if phi13.domain != g3 or not isinstance(autA, AutomorphismGroup) or autA.structure != A:
-        raise GroupError("phi13 must map G3 into the automorphism group of the reduct")
+        rows1, phi1 = autB.perms, phi23
+    else:
+        autA = phi13.codomain
+        if (
+            phi13.domain != g3
+            or not isinstance(autA, AutomorphismGroup)
+            or autA.structure != reduct(B, (0,))
+        ):
+            raise GroupError("phi13 must map G3 into the automorphism group of the reduct")
+        rows1, phi1 = autA.perms, phi13
 
     fn_syms = []
     fns = []
@@ -208,7 +198,7 @@ def attach_skew(
     for alpha, (sort, e) in enumerate(B.elements()):
         if sort == 0:
             fn_syms.append((f"F1_{alpha}", (2,), 0))
-            fns.append({(b,): autA.perms[phi13(b)][alpha] for b in g3.elements()})
+            fns.append({(b,): rows1[phi1(b)][alpha] for b in g3.elements()})
     for alpha, (sort, e) in enumerate(B.elements()):
         fn_syms.append((f"F2_{alpha}", (2,), sort))
         fns.append({(b,): autB.perms[phi23(b)][alpha] - (alpha - e) for b in g3.elements()})
@@ -222,19 +212,10 @@ def attach_skew(
         B.signature.functions + tuple(fn_syms),
         B.signature.constants,
     )
-    structure = SortedStructure(
+    return SortedStructure(
         sig,
         B.sort_sizes + (g3.order,),
         B.relations,
         list(B.functions) + fns,
         B.constants,
-    )
-    return Attachment(
-        structure=structure,
-        base=B,
-        g3=g3,
-        phi23=phi23,
-        phi13=phi13,
-        autB=autB,
-        autA=autA,
     )

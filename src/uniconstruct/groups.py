@@ -1060,35 +1060,27 @@ class AutomorphismGroup:
     :meth:`map` makes element i as a SortedMap on request.  Multiplication
     is composition (apply the right factor first), so a product is two rows
     composed and looked up; row 0 is the identity.  From :func:`aut_group`
-    the rows come in the search's order; on a copy made by :meth:`conjugate`
-    they keep the order of the group conjugated.
+    the rows come in the search's order.
 
     The group protocol is answered from the rows in pure Python:
-    ``right(q)`` is q's column, made once, kept and shared with conjugate
-    copies; ``inverses()`` inverts every row, and ``element_order(a)``
-    multiplies by a until the identity.  Construction finds the greedy
-    generating set ``gens`` by composing every row with each generator's
-    row, and a composite missing from the rows raises GroupError, so closure
-    is checked exactly at O(|Aut|·|gens|·N) cost for N elements.  Two groups
-    are equal when they have the same structure and the same rows.
+    ``right(q)`` is q's column, made once and kept; ``inverses()`` inverts
+    every row, and ``element_order(a)`` multiplies by a until the identity.
+    Construction finds the greedy generating set ``gens`` by composing every
+    row with each generator's row, and a composite missing from the rows
+    raises GroupError, so closure is checked exactly at O(|Aut|·|gens|·N)
+    cost for N elements.  Two groups are equal when they have the same
+    structure and the same rows.
     """
 
-    def __init__(
-        self,
-        structure: SortedStructure,
-        perms: list[tuple[int, ...]],
-        *,
-        _like: "AutomorphismGroup | None" = None,
-    ):
+    def __init__(self, structure: SortedStructure, perms: list[tuple[int, ...]]):
         self.structure = structure
         self.perms = perms
         self.row_index = {row: i for i, row in enumerate(perms)}
         self._inverses: list[int] | None = None
         self._center: tuple[int, ...] | None = None  # filled by center() on first use
         self._tree: tuple[list[int], list[int]] | None = None  # filled by right() on first use
-        # conjugation is an isomorphism: a copy's columns and gens are its source's
-        self._columns = _like._columns if _like else {0: list(range(len(perms)))}
-        self.gens = _like.gens if _like else tuple(_generators(len(perms), self._composed))
+        self._columns = {0: list(range(len(perms)))}
+        self.gens = tuple(_generators(len(perms), self._composed))
 
     @property
     def order(self) -> int:
@@ -1107,16 +1099,14 @@ class AutomorphismGroup:
             raise GroupError("automorphism list is not closed under composition") from None
 
     def mul(self, a: int, b: int) -> int:
-        return self._lookup(tuple(map(self.perms[a].__getitem__, self.perms[b])))
+        return self._lookup(_compose_rows(self.perms[a], self.perms[b]))
 
     def element_order(self, a: int) -> int:
         return _element_order(functools.partial(self.mul, a))
 
     def inverses(self) -> list[int]:
         if self._inverses is None:
-            width = range(self.structure.total_elements)
-            # sorting the positions by their images inverts a permutation
-            self._inverses = [self._lookup(tuple(sorted(width, key=p.__getitem__))) for p in self.perms]
+            self._inverses = [self._lookup(_invert_row(p)) for p in self.perms]
         return self._inverses
 
     def _composed(self, q: int) -> list[int]:
@@ -1145,17 +1135,6 @@ class AutomorphismGroup:
                 columns[p] = list(map(columns[via[p]].__getitem__, columns[parent[p]]))
         return columns[q]
 
-    def conjugate(self, f: SortedMap) -> "AutomorphismGroup":
-        """The automorphism group of f's codomain, for an isomorphism f from
-        this group's structure: element j is f . j . f^-1, composed on rows.
-
-        Conjugation by f is a group isomorphism, so the copy has this
-        group's generators and shares its columns, and no search runs.
-        """
-        through_f, f_inv = f.row().__getitem__, f.inverse().row()
-        perms = [tuple(map(through_f, map(p.__getitem__, f_inv))) for p in self.perms]
-        return AutomorphismGroup(f.codomain, perms, _like=self)
-
     def index_of(self, m: SortedMap) -> int:
         """The element whose row is m's."""
         i = self.row_index.get(m.row()) if m.domain.sort_sizes == self.structure.sort_sizes else None
@@ -1170,6 +1149,16 @@ class AutomorphismGroup:
 
     def __hash__(self):
         return hash(self.structure)
+
+
+def _compose_rows(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """The row of x after y (apply y, then x)."""
+    return tuple(map(x.__getitem__, y))
+
+
+def _invert_row(p: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of a permutation row: its positions sorted by their images."""
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
 def _schreier_tree(order: int, steps: list[tuple[int, list[int]]]) -> tuple[list[int], list[int]]:

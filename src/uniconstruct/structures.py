@@ -201,10 +201,6 @@ class SortedMap:
             if any(v < 0 or v >= codomain.sort_sizes[s] for v in m):
                 raise StructureError(f"map for sort {s} has out-of-range values")
 
-    def apply_pair(self, pair: tuple[int, int]) -> tuple[int, int]:
-        s, e = pair
-        return (s, self.maps[s][e])
-
     def is_bijective(self) -> bool:
         return all(
             len(set(m)) == self.codomain.sort_sizes[s] == len(m)
@@ -418,12 +414,15 @@ def isomorphism_rows(
     once its last position is chosen.  It is a loop over an explicit stack,
     so nothing it builds outlives the call.  Structures whose sort sizes
     differ have none, whatever their size: the ``max_elements`` bound is
-    read only after the sizes are compared."""
+    read only after the sizes are compared.  A ``limit`` of 0 searches
+    nothing, and a negative one raises ValueError."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be None or non-negative, not {limit}")
     if s1.signature != s2.signature:
         raise SignatureMismatchError("isomorphisms: signatures differ")
     s1.check_valid()
     s2.check_valid()
-    if s1.sort_sizes != s2.sort_sizes:
+    if s1.sort_sizes != s2.sort_sizes or limit == 0:
         return []
     config.check_elements(s1.total_elements, max_elements)
     starts = _starts(s1.sort_sizes)
@@ -456,7 +455,7 @@ def isomorphism_rows(
             tries[depth] = (v for v in images[depth] if not used[v])
         else:
             out.append(tuple(img))
-            if limit is not None and len(out) >= limit:
+            if len(out) == limit:
                 break
     return out
 

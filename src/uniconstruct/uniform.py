@@ -1,11 +1,11 @@
 """Uniform reconstruction of a many-sorted structure over its leading sorts.
 
-Given a family of lifted copies (pairwise isomorphic relational structures,
-each with a weak splitting of the restriction map onto the automorphisms of
-its reduct to the first k sorts, its kept sorts) and a target A on those k
-sorts, the pipeline enumerates matched triples (an iso tuple onto A, a
-coherent family of structure isomorphisms extending the induced maps on the
-kept sorts, and a compatible element thread), quotients them by the
+Given a family (one assembled problem, whose restriction map onto the
+automorphisms of the reduct to the first k sorts, its kept sorts, has a
+weak splitting, and relabelled copies of its structure) and a target A on
+those k sorts, the pipeline enumerates matched triples (an iso tuple onto A,
+a coherent family of structure isomorphisms extending the induced maps on
+the kept sorts, and a compatible element thread), quotients them by the
 lifting-twisted equivalence, and reads off a copy of the original structure
 whose kept sorts are A itself, element for element.
 
@@ -15,7 +15,7 @@ k is read off the problem the family is built on: 1 for ``assemble_ucp``'s,
 A :class:`TripleSpace`, built once per call from a family and a target, is
 the layer's one handle: :func:`verify_claims`, :func:`build_quotient`,
 :func:`uniform_F` and :func:`k_class` take it.  Each fact they read is
-decided once on it: E (proved from the cocycle law where every psi is a
+decided once on it: E (proved from the cocycle law where psi is a
 splitting, otherwise decided on the distinct (frame, thread) keys of the
 triples), each class's sort, and the congruence failures.  The quotient,
 ``k_class`` and ``uniform_F`` refuse an E that is not an equivalence, naming
@@ -38,22 +38,22 @@ from typing import Sequence
 
 from . import config
 from .errors import BoundExceededError, StructureError, VerificationError
-from .groups import AutomorphismGroup, GroupHom, Section
+from .groups import Section, _compose_rows, _invert_row
 from .structures import (
     SortedMap,
     SortedStructure,
     identity_map,
+    isomorphism_rows,
     isomorphisms,
     reduct,
     relabel,
     relabel_map,
 )
-from .ucp import Report, UniConstructionProblem, _ordinals, assemble_ucp
+from .ucp import Report, UniConstructionProblem, _ordinals
 
 __all__ = [
     "LiftedCopy",
     "Family",
-    "make_lifted_copy",
     "build_family",
     "MatchedTriple",
     "TripleSpace",
@@ -71,35 +71,33 @@ E_PROPERTIES = ("E_reflexive", "E_symmetric", "E_transitive")
 
 @dataclass
 class LiftedCopy:
-    """One family member: a structure, its reduct A to the kept sorts, a
-    weak splitting, and the relabelling ``relabel`` that carries the family's
-    base structure onto B (the identity on the base)."""
+    """One family member: a structure, its reduct A to the kept sorts, and
+    the relabelling ``relabel`` that carries the family's base structure
+    onto B (the identity on the base).  Its automorphisms, section and
+    transports are the base's, carried along ``relabel``."""
 
     tag: int
     B: SortedStructure
     A: SortedStructure
-    autB: AutomorphismGroup
-    autA: AutomorphismGroup
-    phi: GroupHom
-    psi: Section
     relabel: SortedMap
-
-    def psi_map(self, autA_index: int) -> SortedMap:
-        """The lifted automorphism of B for an automorphism index of A."""
-        return self.autB.map(self.psi.map[autA_index])
 
 
 @dataclass
 class Family:
-    """Lifted copies, each the base (the first member) relabelled: checked
-    once, by carrying every base relation along each member's ``relabel``."""
+    """The base's assembled problem, with its weak splitting, and lifted
+    copies: the base (the first member, the problem's structure) and
+    relabellings of it, checked once, by carrying every base relation along
+    each member's ``relabel``."""
 
+    problem: UniConstructionProblem
     members: tuple[LiftedCopy, ...]
 
     def __post_init__(self):
         if not self.members:
             raise StructureError("family must be nonempty")
         base = self.members[0].B
+        if base != self.problem.B:
+            raise StructureError("the family's base is not its problem's structure")
         if any(m.relabel.domain != base or m.relabel.codomain != m.B for m in self.members):
             raise StructureError("a member's relabelling does not start at the family's base")
         try:
@@ -116,35 +114,6 @@ class Family:
         return iter(self.members)
 
 
-def make_lifted_copy(
-    B: SortedStructure,
-    psi: Sequence[int] | Section,
-    tag: int = 0,
-    *,
-    max_elements: int | None = None,
-    problem: UniConstructionProblem | None = None,
-) -> LiftedCopy:
-    """B with its weak splitting psi.  ``problem``, when given, is B's
-    problem from :func:`assemble_ucp` or :func:`~uniconstruct.ucp.derive_triple`:
-    its reduct (whose sorts are the kept sorts), automorphism groups and
-    restriction map are reused, and only psi is checked."""
-    if B.signature.functions or B.signature.constants:
-        raise StructureError("lifted copies must be relational")
-    if problem is None:
-        problem = assemble_ucp(B, psi, max_elements=max_elements)
-    elif problem.B is not B:
-        raise StructureError("the supplied problem belongs to another structure")
-    else:
-        problem = problem.with_section(psi)
-    if problem.psi is None or not problem.report.ok("f"):
-        detail = next(d for name, _, d in problem.report.entries if name == "f")
-        raise StructureError(f"supplied map is not a weak splitting: {detail}")
-    return LiftedCopy(
-        tag=tag, B=B, A=problem.A, autB=problem.H, autA=problem.G, phi=problem.phi,
-        psi=problem.psi, relabel=identity_map(B),
-    )
-
-
 def _relabelings(sizes: Sequence[int]):
     """Per-sort bijection families on sorts of ``sizes``, in the order
     ``itertools.product`` of the sorts' permutations lists them, made one at
@@ -158,29 +127,31 @@ def _relabelings(sizes: Sequence[int]):
 
 
 def build_family(
-    B: SortedStructure,
-    psi: Sequence[int] | Section,
-    n: int,
-    *,
-    max_elements: int | None = None,
-    problem: UniConstructionProblem | None = None,
+    problem: UniConstructionProblem, psi: Sequence[int] | Section, n: int
 ) -> Family:
-    """n lifted copies: the original pair plus relabelings of it.
+    """n lifted copies of ``problem``'s structure B, its problem from
+    :func:`~uniconstruct.ucp.assemble_ucp` or
+    :func:`~uniconstruct.ucp.derive_triple`, with the weak splitting psi.
 
     Copy i > 0 relabels B along the i-th non-identity per-sort bijection
     family f (lexicographic).  Naturality carries everything else across:
-    the copy's automorphisms are f . m . f^-1 for the base's automorphisms m
-    (in the base's order, on the base's group table), so its restriction
-    map and weak splitting are the base's own.  Only the base is searched
-    and checked (through ``problem``, B's assembled problem, when given; see
-    :func:`make_lifted_copy`); f itself is the isomorphism onto the copy,
-    which :class:`Family` checks carries every relation across.
+    the copy's automorphisms are f . m . f^-1 for the base's automorphisms m,
+    and its section sends f . a . f^-1 to f . psi(a) . f^-1, so a copy keeps
+    only f.  Only psi is checked, on the problem's groups; f itself is the
+    isomorphism onto the copy, which :class:`Family` checks carries every
+    relation across.
     """
     if n < 1:
         raise StructureError("family size must be at least 1")
-    base = make_lifted_copy(B, psi, tag=0, max_elements=max_elements, problem=problem)
-    members = [base]
-    k = len(base.A.sort_sizes)
+    B = problem.B
+    if B.signature.functions or B.signature.constants:
+        raise StructureError("lifted copies must be relational")
+    problem = problem.with_section(psi)
+    if problem.psi is None or not problem.report.ok("f"):
+        detail = next(d for name, _, d in problem.report.entries if name == "f")
+        raise StructureError(f"supplied map is not a weak splitting: {detail}")
+    k = len(problem.A.sort_sizes)
+    members = [LiftedCopy(tag=0, B=B, A=problem.A, relabel=identity_map(B))]
 
     perm_iter = _relabelings(B.sort_sizes)
     next(perm_iter)  # identity family
@@ -192,23 +163,13 @@ def build_family(
                 f"structure admits fewer than {n} distinct relabeling maps"
             ) from None
         f = relabel_map(B, perms)
-        copy_a = reduct(f.codomain, range(k))
-        members.append(LiftedCopy(
-            tag=tag,
-            B=f.codomain,
-            A=copy_a,
-            autB=base.autB.conjugate(f),
-            autA=base.autA.conjugate(SortedMap(base.A, copy_a, f.maps[:k])),
-            phi=base.phi,
-            psi=base.psi,
-            relabel=f,
-        ))
-    return Family(tuple(members))
+        members.append(LiftedCopy(tag=tag, B=f.codomain, A=reduct(f.codomain, range(k)), relabel=f))
+    return Family(problem, tuple(members))
 
 
 @dataclass(frozen=True)
 class MatchedTriple:
-    """(pi, g, b): indices into the owning TripleSpace's iso caches.
+    """(pi, g, b): indices into the owning TripleSpace's row lists.
 
     ``pi_idx[s]`` picks the isomorphism A_s -> A; ``g_idx[t]`` picks the
     base-row structure isomorphism B_0 -> B_t (entry 0 is -1, the identity);
@@ -248,28 +209,38 @@ class TripleSpace:
         self.A = A
         self.fam = fam
         self.max_elements = max_elements
-        # only the base is searched: member t is the base relabelled along
-        # f_t, so its isomorphisms onto A are the base's composed with f_t^-1
-        # on the kept sorts, and B_0 -> B_t are f_t after each automorphism
-        # row of B_0; both lists are in the search's order, that of their
-        # ``maps`` or rows.  A triple's g_idx[t] is a position in biso[t];
-        # extend[t] lists those positions per restriction to the kept sorts.
-        base = fam.members[0]
-        k = len(base.A.sort_sizes)
-        self.iso = [isomorphisms(base.A, A, max_elements=max_elements)]
-        self.biso: list[list[SortedMap]] = [[]]
+        # every isomorphism, extension and transport is a row
+        # (:meth:`SortedMap.row`), and only the base is searched: member t is
+        # the base relabelled along f_t, so its isomorphisms onto A are the
+        # base's after f_t^-1 on the kept sorts, sorted, and base_index[t][i]
+        # is the base isomorphism that iso[t][i] came from; B_0 -> B_t are
+        # f_t after each automorphism row of B_0, sorted.  A triple's
+        # g_idx[t] is a position in biso[t]; extend[t] lists those positions
+        # by their prefix over the kept sorts, which is their restriction.
+        problem = fam.problem
+        width = problem.A.total_elements
+        self.iso = [isomorphism_rows(problem.A, A, max_elements=max_elements)]
+        self.base_index: list[Sequence[int]] = [range(len(self.iso[0]))]
+        self.biso: list[list[tuple[int, ...]]] = [[]]
+        self._relabel_rows: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None]
         for member in fam.members[1:]:
-            f_inv = SortedMap(member.A, base.A, member.relabel.inverse().maps[:k])
-            self.iso.append(sorted((m.compose(f_inv) for m in self.iso[0]), key=lambda m: m.maps))
-            through_f = member.relabel.row().__getitem__
-            rows = sorted(tuple(map(through_f, p)) for p in base.autB.perms)
-            self.biso.append([SortedMap.from_row(base.B, member.B, row) for row in rows])
-        self.iso_inv = [[m.inverse() for m in lst] for lst in self.iso]
-        self.extend: list[dict[tuple[tuple[int, ...], ...], list[int]]] = [{} for _ in self.biso]
-        for flat, positions in zip(self.biso, self.extend):
-            for pos, m in enumerate(flat):
-                positions.setdefault(m.maps[:k], []).append(pos)
-        self._psi_tilde_cache: dict[tuple[int, int, int], SortedMap] = {}
+            f = member.relabel.row()
+            f_inv = _invert_row(f)
+            carried = [_compose_rows(pi, f_inv[:width]) for pi in self.iso[0]]
+            order = sorted(range(len(carried)), key=carried.__getitem__)
+            self.iso.append([carried[i] for i in order])
+            self.base_index.append(order)
+            self.biso.append(sorted(_compose_rows(f, h) for h in problem.H.perms))
+            self._relabel_rows.append((f, f_inv))
+        self.iso_inv = [[_invert_row(pi) for pi in lst] for lst in self.iso]
+        self.extend: list[dict[tuple[int, ...], list[int]]] = [{} for _ in self.biso]
+        for rows, positions in zip(self.biso, self.extend):
+            for pos, row in enumerate(rows):
+                positions.setdefault(row[:width], []).append(pos)
+        # thread entries are read from one list, so equal entries are one object
+        self._elements = problem.B.elements()
+        self._position = {entry: p for p, entry in enumerate(self._elements)}
+        self._psi_tilde_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self.triples = self._enumerate()
         self._cocycle: bool | None = None
         self._classes: tuple[list[int], list[list[int]]] | None = None
@@ -285,31 +256,26 @@ class TripleSpace:
 
     def _enumerate(self) -> list[MatchedTriple]:
         bound = config.DEFAULT.matched_triples
-        fam = self.fam
         if any(not lst for lst in self.iso):
             return []
-        base = fam.members[0]
-        b_elements = base.B.elements()
+        elements = self._elements
         out: list[MatchedTriple] = []
-        n = len(fam.members)
+        n = len(self.fam.members)
 
         for pi_idx in itertools.product(*(range(len(lst)) for lst in self.iso)):
-            ext_choices: list[list[tuple[int, SortedMap]]] = [[(-1, identity_map(base.B))]]
+            ext_choices: list[Sequence[int]] = [(-1,)]
             pi0 = self.iso[0][pi_idx[0]]
             for t in range(1, n):
-                h0t = self.iso_inv[t][pi_idx[t]].compose(pi0)
-                positions = self.extend[t].get(h0t.maps)
+                positions = self.extend[t].get(_compose_rows(self.iso_inv[t][pi_idx[t]], pi0))
                 if positions is None:
                     break
-                ext_choices.append([(k, self.biso[t][k]) for k in positions])
+                ext_choices.append(positions)
             if len(ext_choices) < n:  # some member has no extension in this frame
                 continue
-            for combo in itertools.product(*ext_choices):
-                g_idx = tuple(c[0] for c in combo)
-                g_maps = [c[1] for c in combo]
-                for b0 in b_elements:
-                    b = tuple(g_maps[t].apply_pair(b0) for t in range(n))
-                    out.append(MatchedTriple(pi_idx, g_idx, b))
+            for g_idx in itertools.product(*ext_choices):
+                rows = [self.biso[t][g] for t, g in enumerate(g_idx) if t]
+                for p, b0 in enumerate(elements):
+                    out.append(MatchedTriple(pi_idx, g_idx, (b0, *(elements[row[p]] for row in rows))))
                     if len(out) > bound:
                         raise BoundExceededError(
                             f"matched-triple enumeration exceeds bound {bound}"
@@ -318,30 +284,44 @@ class TripleSpace:
 
     # -- equivalence ------------------------------------------------------
 
-    def psi_tilde(self, s: int, i: int, j: int) -> SortedMap:
-        """psi_s applied to the inverse of pi_i^-1 . pi_j, as a map on B_s."""
+    def psi_tilde(self, s: int, i: int, j: int) -> tuple[int, ...]:
+        """psi_s applied to the inverse of pi_i^-1 . pi_j, as a row on B_s.
+
+        Let f be member s's relabelling, f_A its restriction to the kept
+        sorts, and i0, j0 the base indices of i and j, so that
+        iso_s[i] = iso_0[i0] . f_A^-1 and likewise for j.  Then
+        (pi_i^-1 . pi_j)^-1 = pi_j^-1 . pi_i = f_A . a . f_A^-1 with
+        a = iso_0[j0]^-1 . iso_0[i0], an automorphism of the base's reduct
+        looked up with no inverse taken.  Member s's section is the base's
+        carried along f, psi_s(f_A . a . f_A^-1) = f . psi_0(a) . f^-1, so
+        the transport is f . psi_0(a) . f^-1.
+        """
         key = (s, i, j)
         cached = self._psi_tilde_cache.get(key)
         if cached is None:
-            member = self.fam.members[s]
-            tilde = self.iso_inv[s][i].compose(self.iso[s][j])
-            idx = member.autA.index_of(tilde.inverse())
-            cached = member.psi_map(idx)
+            problem = self.fam.problem
+            i0, j0 = self.base_index[s][i], self.base_index[s][j]
+            a = problem.G.row_index[_compose_rows(self.iso_inv[0][j0], self.iso[0][i0])]
+            cached = problem.H.perms[problem.psi.map[a]]
+            if s:
+                f, f_inv = self._relabel_rows[s]
+                cached = _compose_rows(f, _compose_rows(cached, f_inv))
             self._psi_tilde_cache[key] = cached
         return cached
 
     def e_equiv(self, x1: MatchedTriple, x2: MatchedTriple) -> bool:
+        elements, position = self._elements, self._position
         for s in range(len(self.fam.members)):
             h = self.psi_tilde(s, x1.pi_idx[s], x2.pi_idx[s])
-            s1, e1 = x1.b[s]
-            if x2.b[s] != (s1, h.maps[s1][e1]):
+            if x2.b[s] != elements[h[position[x1.b[s]]]]:
                 return False
         return True
 
     def cocycle_holds(self) -> bool:
         """Whether the transports obey the cocycle law: exactly when some
-        iso_s is empty (then all are, and the law is vacuous) or every
-        member's psi is a splitting.
+        iso_s is empty (then all are, and the law is vacuous) or the
+        family's psi is a splitting (each member's is psi carried along its
+        relabelling).
 
         Write T_s(i, j) for ``psi_tilde(s, i, j)`` and a_i for the i-th
         isomorphism A_s -> A.  The law is T_s(j, l) . T_s(i, j) = T_s(i, l)
@@ -356,20 +336,16 @@ class TripleSpace:
         frame-0 keys of :meth:`_frame0_keys` agree.
         """
         if self._cocycle is None:
-            self._cocycle = not all(self.iso) or all(m.psi.is_splitting() for m in self.fam)
+            self._cocycle = not all(self.iso) or self.fam.problem.psi.is_splitting()
         return self._cocycle
 
-    def _frame0_keys(self) -> list[tuple[tuple[int, int], ...]]:
-        """Every triple's thread carried into frame 0: (sort, T_s(pi_s, 0)(b_s))."""
-        to0 = [
-            [self.psi_tilde(s, i, 0).maps for i in range(len(lst))]
-            for s, lst in enumerate(self.iso)
-        ]
+    def _frame0_keys(self) -> list[tuple[int, ...]]:
+        """Every triple's thread carried into frame 0, as the row position
+        of T_s(pi_s, 0)(b_s) at each member s."""
+        position = self._position
+        to0 = [[self.psi_tilde(s, i, 0) for i in range(len(lst))] for s, lst in enumerate(self.iso)]
         return [
-            tuple(
-                (sort, to0[s][pi][sort][e])
-                for s, (pi, (sort, e)) in enumerate(zip(x.pi_idx, x.b))
-            )
+            tuple(to0[s][pi][position[entry]] for s, (pi, entry) in enumerate(zip(x.pi_idx, x.b)))
             for x in self.triples
         ]
 
@@ -433,6 +409,7 @@ class TripleSpace:
         graph, except that the triples of a key with no edge at all stay
         apart.
         """
+        elements, position = self._elements, self._position
         keys: dict[tuple, int] = {}
         key_of = [keys.setdefault((x.pi_idx, x.b), len(keys)) for x in self.triples]
         frames = list(dict.fromkeys(pi for pi, _ in keys))
@@ -443,8 +420,8 @@ class TripleSpace:
         for pi, b in keys:
             # row[s][j]: the key's entry at member s carried into pi'_s = j
             row = [
-                [(sort, self.psi_tilde(s, i, j).maps[sort][e]) for j in range(len(self.iso[s]))]
-                for s, (i, (sort, e)) in enumerate(zip(pi, b))
+                [elements[self.psi_tilde(s, i, j)[position[entry]]] for j in range(len(self.iso[s]))]
+                for s, (i, entry) in enumerate(zip(pi, b))
             ]
             found = (keys.get((frame, tuple(r[j] for r, j in zip(row, frame)))) for frame in frames)
             ks = frozenset(k for k in found if k is not None)
@@ -577,18 +554,16 @@ class TripleSpace:
         if self._thread_classes is not None:
             return self._thread_classes
         class_of, members = self.classes()
-        k = len(self.A.sort_sizes)
-        index = {element: i for i, element in enumerate(self.A.elements())}
-        threading: list[list[int]] = [[] for _ in index]
+        k, position = len(self.A.sort_sizes), self._position
+        # a kept-sort entry's row position in B_s is its position in A_s, and
+        # an image's position in A is its index in ``A.elements()``
+        threading: list[list[int]] = [[] for _ in range(self.A.total_elements)]
         for idx, x in enumerate(self.triples):
             if any(sort >= k for sort, _ in x.b):
                 continue
-            images = {
-                (sort, self.iso[s][pi].maps[sort][e])
-                for s, (pi, (sort, e)) in enumerate(zip(x.pi_idx, x.b))
-            }
+            images = {self.iso[s][pi][position[entry]] for s, (pi, entry) in enumerate(zip(x.pi_idx, x.b))}
             if len(images) == 1:
-                threading[index[images.pop()]].append(idx)
+                threading[images.pop()].append(idx)
         out = []
         for idxs in threading:
             cids = {class_of[i] for i in idxs}
@@ -748,14 +723,14 @@ def verify_claims(space: TripleSpace) -> Report:
     report = Report("claim")
     report.add(
         "family_nonempty_weak_liftings",
-        all(member.psi.is_weak_splitting() for member in fam),
+        fam.problem.psi.is_weak_splitting(),
         f"{len(fam)} members",
     )
 
     # each member is the base relabelled (Family checks it), so all share the
     # base's copies: its prod(n_s!) relabellings fall in classes of |Aut B|
     base = fam.members[0]
-    n_copies = math.prod(math.factorial(n) for n in base.B.sort_sizes) // base.autB.order
+    n_copies = math.prod(math.factorial(n) for n in base.B.sort_sizes) // fam.problem.H.order
     report.add(
         "copy_set_definable_from_family",
         all(m.relabel.is_bijective() for m in fam),

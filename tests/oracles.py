@@ -12,8 +12,8 @@ twist-equivalence classes by pairwise comparison, thread sets by scanning
 every triple once per element, the uniform construction's output by
 relabelling the base member along one isomorphism, restriction maps by
 looking each cut-down automorphism up as a map.  The family oracle
-searches each relabelled copy's automorphism groups again and carries the
-weak splitting across map by map.  The catalog
+assembles each relabelled copy's problem again and carries the weak
+splitting across map by map.  The catalog
 oracle keeps the library's isomorphism search but re-tries every ordered
 product pair in every round.  A construction map F is modelled as an
 explicit lookup table (:class:`Solver`) from the reducts of a catalog of
@@ -72,7 +72,8 @@ from uniconstruct.structures import (
     structure_from_json,
     structure_to_json,
 )
-from uniconstruct.uniform import MatchedTriple, TripleSpace, make_lifted_copy
+from uniconstruct.ucp import assemble_ucp
+from uniconstruct.uniform import MatchedTriple, TripleSpace
 
 
 def canonical_copies(s: SortedStructure, cap: int | None = None) -> list[SortedStructure]:
@@ -613,10 +614,10 @@ def naive_matched_triples(A, fam, *, max_elements=None):
                 b[0] = b0
                 ok = True
                 for t in range(n):
-                    b[t] = g[(0, t)].apply_pair(b0)
+                    b[t] = (b0[0], g[(0, t)].maps[b0[0]][b0[1]])
                 for s in range(n):
                     for t in range(n):
-                        if g[(s, t)].apply_pair(b[s]) != b[t]:
+                        if (b[s][0], g[(s, t)].maps[b[s][0]][b[s][1]]) != b[t]:
                             ok = False
                 if ok:
                     out.add(
@@ -675,10 +676,11 @@ def naive_classes(space):
 
 
 def g_map(space: TripleSpace, x: MatchedTriple, t: int) -> SortedMap:
-    """The base-row isomorphism B_0 -> B_t chosen by the triple."""
+    """The base-row isomorphism B_0 -> B_t chosen by the triple, as a map."""
+    members = space.fam.members
     if t == 0 or x.g_idx[t] == -1:
-        return identity_map(space.fam.members[0].B)
-    return space.biso[t][x.g_idx[t]]
+        return identity_map(members[0].B)
+    return SortedMap.from_row(members[0].B, members[t].B, space.biso[t][x.g_idx[t]])
 
 
 def naive_e_matrix(space):
@@ -691,10 +693,7 @@ def naive_e_matrix(space):
         offset = [sum(sizes[:k]) for k in range(len(sizes))]
         # image[i, j, g]: global index of psi_tilde(s, i, j) applied to element g
         image = np.array([
-            [
-                [offset[k] + v for k, m in enumerate(space.psi_tilde(s, i, j).maps) for v in m]
-                for j in range(len(iso))
-            ]
+            [list(space.psi_tilde(s, i, j)) for j in range(len(iso))]
             for i in range(len(iso))
         ])
         pi = np.array([x.pi_idx[s] for x in xs])
@@ -715,10 +714,11 @@ def naive_relation_verdicts(mat):
 
 
 def naive_cocycle_holds(space):
-    """psi_tilde(s,j,l) . psi_tilde(s,i,j) == psi_tilde(s,i,l) over the whole cube."""
+    """psi_tilde(s,j,l) . psi_tilde(s,i,j) == psi_tilde(s,i,l) over the whole
+    cube, each transport a row composed position by position."""
     return all(
-        space.psi_tilde(s, j, l).compose(space.psi_tilde(s, i, j)).maps
-        == space.psi_tilde(s, i, l).maps
+        [space.psi_tilde(s, j, l)[p] for p in space.psi_tilde(s, i, j)]
+        == list(space.psi_tilde(s, i, l))
         for s, iso in enumerate(space.iso)
         for i, j, l in itertools.product(range(len(iso)), repeat=3)
     )
@@ -761,30 +761,36 @@ def naive_representative_structure(A, fam):
 
 
 def naive_family(B, psi, n):
-    """The n family members, each relabelled copy re-searched: its groups
-    come from ``aut_group`` in canonical order, and its section sends each
-    automorphism g of the copy's reduct to f . psi(f^-1 g f) . f^-1 for the
-    relabelling f, looked up by map in the copy's own group."""
-    base = make_lifted_copy(B, psi)
-    members = [base]
+    """The n family members' problems, each relabelled copy assembled again:
+    its groups come from ``assemble_ucp`` in canonical order, and its section
+    sends each automorphism g of the copy's reduct to f . psi(f^-1 g f) . f^-1
+    for the relabelling f, looked up by map in the copy's own group."""
+    base = assemble_ucp(B, psi)
+    problems = [base]
     perm_iter = itertools.product(*(itertools.permutations(range(size)) for size in B.sort_sizes))
     next(perm_iter)  # identity family
-    for tag in range(1, n):
+    for _ in range(1, n):
         f = relabel_map(B, next(perm_iter))
         f_inv = f.inverse()
-        copy_a = reduct(f.codomain, (0,))
-        f_a = SortedMap(base.A, copy_a, (f.maps[0],))
+        copy = assemble_ucp(f.codomain)
+        f_a = SortedMap(base.A, copy.A, (f.maps[0],))
         f_a_inv = f_a.inverse()
-        aut_a, aut_b = aut_group(copy_a), aut_group(f.codomain)
         section = [
-            aut_b.index_of(
-                f.compose(base.psi_map(base.autA.index_of(f_a_inv.compose(g.compose(f_a)))))
+            copy.H.index_of(
+                f.compose(base.H.map(base.psi.map[base.G.index_of(f_a_inv.compose(g.compose(f_a)))]))
                 .compose(f_inv)
             )
-            for g in map(aut_a.map, range(aut_a.order))
+            for g in map(copy.G.map, range(copy.G.order))
         ]
-        members.append(make_lifted_copy(f.codomain, section, tag=tag))
-    return members
+        problems.append(copy.with_section(section))
+    return problems
+
+
+def naive_transport(problem, pi_i: SortedMap, pi_j: SortedMap) -> SortedMap:
+    """psi applied to the inverse of pi_i^-1 . pi_j, for isomorphisms from
+    the problem's reduct, looked up by map in the problem's own groups."""
+    a = problem.G.index_of(pi_i.inverse().compose(pi_j).inverse())
+    return problem.H.map(problem.psi.map[a])
 
 
 # ---------------------------------------------------------------------------
@@ -794,14 +800,11 @@ def naive_family(B, psi, n):
 def _naive_thread_set(space, a):
     """Indices of the triples whose every b_s is the element that pi_s^-1
     sends a to, a being an index into the target's ``elements()``."""
-    sort, e = space.A.elements()[a]
+    elements = space.A.elements()
     return [
         idx
         for idx, x in enumerate(space.triples)
-        if all(
-            x.b[s] == (sort, space.iso[s][pi].inverse().maps[sort][e])
-            for s, pi in enumerate(x.pi_idx)
-        )
+        if all(x.b[s] == elements[space.iso[s][pi].index(a)] for s, pi in enumerate(x.pi_idx))
     ]
 
 

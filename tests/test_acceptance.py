@@ -47,7 +47,7 @@ from uniconstruct.structures import (
     relabel,
     restrict_signature,
 )
-from uniconstruct.ucp import derive_triple
+from uniconstruct.ucp import assemble_ucp, derive_triple
 from uniconstruct.uniform import TripleSpace, build_family, uniform_F, verify_claims
 
 from .conftest import matched_three_sorted, random_structure, rigid_three_sorted, two_sorted
@@ -228,7 +228,7 @@ def _uniformity_fixtures():
 @pytest.mark.parametrize("name,b,psi,n", _uniformity_fixtures())
 def test_criterion_5_uniform_construction(name, b, psi, n):
     start = time.time()
-    fam = build_family(b, psi, n)
+    fam = build_family(assemble_ucp(b), psi, n)
     target = fam.members[0].A
 
     space = TripleSpace(target, fam)
@@ -258,7 +258,7 @@ def test_criterion_5_uniform_construction(name, b, psi, n):
 def _construct(problem, target, copies):
     """The claims of the uniform construction of ``problem`` over ``target``
     on a family of ``copies`` members, and its output where they all pass."""
-    fam = build_family(problem.B, first_weak_splitting(problem.phi), copies, problem=problem)
+    fam = build_family(problem, first_weak_splitting(problem.phi), copies)
     space = TripleSpace(target, fam)
     claims = verify_claims(space)
     return claims, uniform_F(space).structure if claims.all_pass else None

@@ -35,6 +35,7 @@ from uniconstruct.groups import (
     quotient_by_center,
 )
 from uniconstruct.structures import dumps, reduct, structure_from_json, structure_to_json
+from uniconstruct.ucp import assemble_ucp
 from uniconstruct.uniform import build_family
 
 from .conftest import directed_cycle, two_sorted
@@ -685,16 +686,16 @@ class TestEncodeAttach:
         ]) == 0
 
     def test_attach_search_count(self, tmp_path, monkeypatch):
-        # Aut(B) in the command, Aut(A) in attach_skew (Aut(B) is phi23's
-        # codomain), then one search per level of the attached structure C
-        # in derive_triple
+        # Aut(B) in the command, then one search per level of the attached
+        # structure C in derive_triple; attach_skew reads the restrictions
+        # off Aut(B), phi23's codomain, and searches nothing
         searched = []
 
         def counted(s, **kwargs):
             searched.append(s)
             return aut_group(s, **kwargs)
 
-        for mod in (groups, encode, ucp):
+        for mod in (groups, ucp):
             monkeypatch.setattr(mod, "aut_group", counted)
         b = two_sorted((2, 1), [("R", (0, 1), [(0, 0), (1, 0)])])
         b_path = write(tmp_path, "b.json", dumps(b))
@@ -702,8 +703,8 @@ class TestEncodeAttach:
         phi_path = write(tmp_path, "phi.json", json.dumps({"map": [0, 1]}))
         assert main(["attach", "--structure", b_path, "--g3", g3_path, "--phi23", phi_path]) == 0
         a = reduct(b, (0,))
-        assert searched[:4] == [b, a, b, a]
-        assert len(searched) == 5 and searched[4].sort_sizes == (2, 1, 2)
+        assert searched[:3] == [b, b, a]
+        assert len(searched) == 4 and searched[3].sort_sizes == (2, 1, 2)
 
     def test_attach_decides_without_listing_sections(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -800,7 +801,7 @@ class TestUniformize:
                 }
             ),
         )
-        fam = build_family(b, [0, 1], 2)
+        fam = build_family(assemble_ucp(b), [0, 1], 2)
         want = structure_to_json(naive_representative_structure(fam.members[0].A, fam))
         for mode in ((), ("--mode", "full")):
             out_path = tmp_path / "f.json"
@@ -1128,7 +1129,7 @@ REEXPORTS = {
     "encode": ("GroupTriple", "attach_skew", "encode_three_sorted", "theta", "verify_theta_iso"),
     "uniform": (
         "Family", "LiftedCopy", "MatchedTriple", "TripleSpace", "build_family",
-        "build_quotient", "k_class", "make_lifted_copy", "uniform_F", "verify_claims",
+        "build_quotient", "k_class", "uniform_F", "verify_claims",
     ),
 }
 REPO = Path(__file__).resolve().parents[1]

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from uniconstruct import encode, ucp
+from uniconstruct import structures, ucp
 from uniconstruct.encode import (
     GroupTriple,
     attach_skew,
@@ -23,7 +23,7 @@ from uniconstruct.groups import (
     symmetric,
 )
 from uniconstruct.structures import automorphisms, reduct
-from uniconstruct.ucp import derive_triple
+from uniconstruct.ucp import derive_triple, restriction_map
 
 from .conftest import two_sorted
 from .oracles import cayley_table
@@ -172,27 +172,27 @@ class TestAttachSkew:
         autb = aut_group(rigid)
         assert cayley_table(autb).order == 1
         att = attach_skew(rigid, cyclic(1), GroupHom(cyclic(1), autb, [0]))
-        assert len(automorphisms(att.structure)) == 1
-        check_direct_derivation(att.structure, derive_triple(att.structure))
+        assert len(automorphisms(att)) == 1
+        check_direct_derivation(att, derive_triple(att))
 
     def test_aut_is_g3_for_identity_phi(self, b_two_free):
         autb = aut_group(b_two_free)
         c2 = cyclic(2)
         att = attach_skew(b_two_free, c2, GroupHom(c2, autb, [0, 1]))
-        assert len(automorphisms(att.structure)) == 2
-        d = derive_triple(att.structure)
+        assert len(automorphisms(att)) == 2
+        d = derive_triple(att)
         assert d.all_weak and d.composition_ok
         assert classify_sections(d.c23.phi).has_splitting
-        check_direct_derivation(att.structure, d)
+        check_direct_derivation(att, d)
 
     def test_c4_top_lifting_classification(self, b_two_free):
         autb = aut_group(b_two_free)
         c4 = cyclic(4)
         att = attach_skew(b_two_free, c4, GroupHom(c4, autb, [0, 1, 0, 1]))
-        assert len(automorphisms(att.structure, max_elements=12)) == 4
-        d = derive_triple(att.structure)
+        assert len(automorphisms(att, max_elements=12)) == 4
+        d = derive_triple(att)
         assert d.all_weak
-        check_direct_derivation(att.structure, d)
+        check_direct_derivation(att, d)
         c13 = classify_sections(d.c13.phi)
         assert not c13.has_splitting and not c13.has_weak_splitting
         c23 = classify_sections(d.c23.phi)
@@ -202,16 +202,36 @@ class TestAttachSkew:
         autb = aut_group(b_two_free)
         c2 = cyclic(2)
         att = attach_skew(b_two_free, c2, GroupHom(c2, autb, [0, 1]))
-        assert reduct(att.structure, (0, 1)) == b_two_free
+        assert reduct(att, (0, 1)) == b_two_free
 
     def test_restriction_to_base_is_automorphism(self, b_matching):
         autb = aut_group(b_matching)
         c2 = cyclic(2)
         att = attach_skew(b_matching, c2, GroupHom(c2, autb, [0, 1]))
-        for a in automorphisms(att.structure):
+        for a in automorphisms(att):
             restricted = (a.maps[0], a.maps[1])
             assert restricted in [autb.map(i).maps for i in range(autb.order)]
-        check_direct_derivation(att.structure, derive_triple(att.structure))
+        check_direct_derivation(att, derive_triple(att))
+
+    @pytest.mark.parametrize("name,g3,phi23", [
+        ("rigid", cyclic(1), [0]),
+        ("b_two_free", cyclic(2), [0, 1]),
+        ("b_two_free", cyclic(4), [0, 1, 0, 1]),
+        ("b_matching", cyclic(2), [0, 1]),
+    ], ids=["rigid-c1", "two_free-c2", "two_free-c4", "matching-c2"])
+    def test_default_phi13_is_the_restriction_of_phi23(self, request, monkeypatch, name, g3, phi23):
+        # the default reads Aut(B)'s rows, whose prefixes are the restrictions
+        if name == "rigid":
+            b = two_sorted((2, 1), [("R", (0, 1), [(0, 0)])])
+        else:
+            b = request.getfixturevalue(name)
+        autb, auta = aut_group(b), aut_group(reduct(b, (0,)))
+        restriction = restriction_map(autb, auta)
+        hom23 = GroupHom(g3, autb, phi23)
+        hom13 = GroupHom(g3, auta, [restriction[v] for v in phi23])
+        explicit = attach_skew(b, g3, hom23, hom13)
+        monkeypatch.setattr(structures, "isomorphism_rows", None)  # any search would fail
+        assert attach_skew(b, g3, hom23) == explicit
 
     def test_wrong_codomain_rejected(self, b_two_free):
         c4 = cyclic(4)
@@ -230,8 +250,7 @@ class TestSearchCounts:
             structures.append(s)
             return aut_group(s, **kwargs)
 
-        for mod in (encode, ucp):
-            monkeypatch.setattr(mod, "aut_group", counted)
+        monkeypatch.setattr(ucp, "aut_group", counted)
         return structures
 
     def test_derive_triple_searches_each_group_once(self, searched):

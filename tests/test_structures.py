@@ -215,6 +215,14 @@ class TestIsomorphismRows:
                 found += bool(want)
         assert 60 < found < 120
 
+    def test_a_limit_below_one_is_read_before_the_search(self):
+        s = free_points(3)
+        assert isomorphism_rows(s, s, limit=0) == [] and isomorphisms(s, s, limit=0) == []
+        assert len(isomorphism_rows(s, s, limit=1)) == 1 and len(isomorphism_rows(s, s)) == 6
+        for limit in (-1, -2):
+            with pytest.raises(ValueError, match=f"limit must be None or non-negative, not {limit}"):
+                isomorphisms(s, s, limit=limit)
+
     @pytest.mark.parametrize("holds", [(True, True), (False, False), (True, False), (False, True)])
     def test_a_nullary_relation_must_agree(self, holds):
         sig = SortedSignature(("p",), relations=(("Z", ()),))

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,8 @@ from uniconstruct.structures import (
     SortedSignature,
     SortedStructure,
     dumps,
+    identity_map,
+    isomorphism_rows,
     isomorphisms,
     reduct,
     relabel,
@@ -25,7 +28,6 @@ from uniconstruct.uniform import (
     build_family,
     build_quotient,
     k_class,
-    make_lifted_copy,
     uniform_F,
     verify_claims,
 )
@@ -45,18 +47,19 @@ from .oracles import (
     naive_relation_verdicts,
     naive_representative_structure,
     naive_thread_classes,
+    naive_transport,
 )
 
 
 def family_and_target(b, psi, n):
-    fam = build_family(b, psi, n)
+    fam = build_family(assemble_ucp(b), psi, n)
     return fam, fam.members[0].A
 
 
 def triple_space(b, psi, n):
     """The matched-triple space of the n-member family of (b, psi) over the
     base's own reduct."""
-    fam = build_family(b, psi, n)
+    fam = build_family(assemble_ucp(b), psi, n)
     return TripleSpace(fam.members[0].A, fam)
 
 
@@ -68,11 +71,12 @@ def triple_keys(triples):
 def triple_summaries(space):
     """Each triple as :func:`naive_matched_triples` summarises it: its
     isomorphisms, its full matrix of member isomorphisms and its thread."""
-    n = len(space.fam.members)
+    members = space.fam.members
+    n = len(members)
     pairs = [(s, t) for s in range(n) for t in range(n)]
     return {
         (
-            tuple(space.iso[s][x.pi_idx[s]].maps for s in range(n)),
+            tuple(SortedMap.from_row(members[s].A, space.A, space.iso[s][x.pi_idx[s]]).maps for s in range(n)),
             tuple(g_map(space, x, t).compose(g_map(space, x, s).inverse()).maps for s, t in pairs),
             x.b,
         )
@@ -83,55 +87,59 @@ def triple_summaries(space):
 class TestLiftedCopy:
     def test_weak_splitting_required(self, b_two_free):
         with pytest.raises(StructureError):
-            make_lifted_copy(b_two_free, [1, 1])
+            build_family(assemble_ucp(b_two_free), [1, 1], 1)
 
     def test_relational_required(self):
         sig = SortedSignature(("p", "q"), functions=(("f", (0,), 1),))
         s = SortedStructure(sig, (1, 1), [], [{(0,): 0}])
-        with pytest.raises(StructureError):
-            make_lifted_copy(s, [0])
+        with pytest.raises(StructureError, match="lifted copies must be relational"):
+            build_family(assemble_ucp(s), [0], 1)
 
     def test_copy_records_restriction(self, b_two_free):
-        copy = make_lifted_copy(b_two_free, [0, 1])
-        assert copy.phi.map == (0, 1)
-        assert copy.psi.classification == "splitting"
+        fam = build_family(assemble_ucp(b_two_free), [0, 1], 1)
+        assert fam.problem.phi.map == (0, 1)
+        assert fam.problem.psi.classification == "splitting"
 
     def test_supplied_problem_is_reused(self, b_cycle3, monkeypatch):
         problem = assemble_ucp(b_cycle3)
         monkeypatch.setattr(ucp, "aut_group", None)  # any new search would fail
-        copy = make_lifted_copy(b_cycle3, [0, 1, 2], problem=problem)
-        assert copy.autB is problem.H and copy.autA is problem.G and copy.phi is problem.phi
-        assert copy.psi.classification == "splitting"
+        fam = build_family(problem, [0, 1, 2], 1)
+        assert fam.problem.H is problem.H and fam.problem.G is problem.G
+        assert fam.problem.phi is problem.phi
+        assert fam.problem.psi.classification == "splitting"
         with pytest.raises(StructureError, match="weak splitting: supplied map is not a section"):
-            make_lifted_copy(b_cycle3, [0, 0, 0], problem=problem)
+            build_family(problem, [0, 0, 0], 1)
 
     def test_problem_of_another_structure_rejected(self, b_cycle3, b_rich):
-        with pytest.raises(StructureError, match="belongs to another structure"):
-            make_lifted_copy(b_cycle3, [0, 1, 2], problem=assemble_ucp(b_rich))
+        fam = build_family(assemble_ucp(b_cycle3), [0, 1, 2], 2)
+        other = build_family(assemble_ucp(b_rich), [0, 1, 2], 1).problem
+        with pytest.raises(StructureError, match="the family's base is not its problem's structure"):
+            uniform.Family(other, fam.members)
 
 
 class TestBuildFamily:
     def test_singleton_family(self, b_two_free):
-        fam = build_family(b_two_free, [0, 1], 1)
+        fam = build_family(assemble_ucp(b_two_free), [0, 1], 1)
         assert len(fam) == 1
 
     def test_transported_sections_verify(self, b_cycle3):
-        fam = build_family(b_cycle3, [0, 1, 2], 3)
-        for member in fam:
-            assert member.psi.is_weak_splitting()
+        fam = build_family(assemble_ucp(b_cycle3), [0, 1, 2], 3)
+        assert fam.problem.psi.is_weak_splitting()
+        for problem in naive_family(b_cycle3, [0, 1, 2], 3):
+            assert problem.psi.is_weak_splitting()
 
     def test_members_pairwise_isomorphic(self, b_matching):
-        fam = build_family(b_matching, [0, 1], 2)
+        fam = build_family(assemble_ucp(b_matching), [0, 1], 2)
         assert isomorphisms(fam.members[0].B, fam.members[1].B)
 
     def test_too_many_copies_rejected(self):
         s = two_sorted((1, 1), [("R", (0, 1), [(0, 0)])])
         with pytest.raises(StructureError):
-            build_family(s, [0], 2)
+            build_family(assemble_ucp(s), [0], 2)
 
     def test_non_weak_splitting_rejected(self, b_two_free):
         with pytest.raises(StructureError, match="weak splitting: supplied map is not a section"):
-            build_family(b_two_free, [1, 0], 1)
+            build_family(assemble_ucp(b_two_free), [1, 0], 1)
 
     @pytest.mark.parametrize("name,n", [("b_cycle3", 4), ("b_rich", 8)])
     def test_only_the_base_is_searched(self, request, monkeypatch, name, n):
@@ -145,7 +153,7 @@ class TestBuildFamily:
             if hasattr(mod, "aut_group"):
                 monkeypatch.setattr(mod, "aut_group", counted)
         b = request.getfixturevalue(name)
-        fam = build_family(b, [0, 1, 2], n)
+        fam = build_family(assemble_ucp(b), [0, 1, 2], n)
         assert len(fam) == n
         assert searched == [b, reduct(b, (0,))]
 
@@ -159,12 +167,12 @@ class TestMatchedTriples:
         assert len(triple_space(b, [0], 1).triples) == 3
 
     def test_non_isomorphic_target_empty(self, b_two_free):
-        fam = build_family(b_two_free, [0, 1], 1)
+        fam = build_family(assemble_ucp(b_two_free), [0, 1], 1)
         other = SortedStructure(SortedSignature(("p",)), (3,))
         assert TripleSpace(other, fam).triples == []
 
     def test_wrong_signature_target_raises(self, b_two_free):
-        fam = build_family(b_two_free, [0, 1], 1)
+        fam = build_family(assemble_ucp(b_two_free), [0, 1], 1)
         target = SortedStructure(SortedSignature(("points",)), (2,))
         from uniconstruct.errors import SignatureMismatchError
 
@@ -332,7 +340,7 @@ class TestQuotient:
         else:
             b = request.getfixturevalue(name)
         for n in sizes:
-            fam = build_family(b, psi, n)
+            fam = build_family(assemble_ucp(b), psi, n)
             for A_copy in canonical_copies(fam.members[0].A):
                 ok = {entry[0]: entry[1] for entry in verify_claims(TripleSpace(A_copy, fam)).entries}
                 # a fresh space: build_quotient decides without verify_claims' help
@@ -388,7 +396,7 @@ class TestUniformF:
     )
     def test_equals_representative_oracle(self, request, name, psi, sizes):
         for n in sizes:
-            fam = build_family(request.getfixturevalue(name), psi, n)
+            fam = build_family(assemble_ucp(request.getfixturevalue(name)), psi, n)
             for A_copy in canonical_copies(fam.members[0].A):
                 space = TripleSpace(A_copy, fam)
                 assert verify_claims(space).all_pass
@@ -483,12 +491,12 @@ class TestVerifyClaims:
         b, search = weak_only_lifting()
         assert len(search.splittings) == 1 and len(search.weak_splittings) == 1
 
-        fam_weak = build_family(b, search.weak_splittings[0], 1)
+        fam_weak = build_family(assemble_ucp(b), search.weak_splittings[0], 1)
         rep = verify_claims(TripleSpace(fam_weak.members[0].A, fam_weak))
         failed = {name for name, ok, _ in rep.entries if not ok}
         assert "E_transitive" in failed
 
-        fam_strong = build_family(b, search.splittings[0], 1)
+        fam_strong = build_family(assemble_ucp(b), search.splittings[0], 1)
         assert verify_claims(TripleSpace(fam_strong.members[0].A, fam_strong)).all_pass
 
     def test_report_shape(self, b_two_free):
@@ -536,9 +544,9 @@ def _space(request):
     if (name, n) not in _SPACES:
         if name == "b_weak_only":
             b, search = weak_only_lifting()
-            fam = build_family(b, search.weak_splittings[0], n)
+            fam = build_family(assemble_ucp(b), search.weak_splittings[0], n)
         else:
-            fam = build_family(request.getfixturevalue(name), psi, n)
+            fam = build_family(assemble_ucp(request.getfixturevalue(name)), psi, n)
         _SPACES[name, n] = fam, TripleSpace(fam.members[0].A, fam)
     return _SPACES[name, n]
 
@@ -571,53 +579,82 @@ def weak_only_lifting():
 
 
 class TestConjugatedFamily:
-    def test_copies_equal_research_oracle(self, keyed_space):
-        fam, _ = keyed_space
-        base = fam.members[0]
-        oracle = naive_family(base.B, base.psi.map, len(fam))
-        for member, naive in zip(fam, oracle):
+    def test_copies_equal_research_oracle(self, e_space):
+        # each copy's problem assembled again, its section carried across map
+        # by map: its groups are the base's conjugated, and its transports are
+        # the space's
+        fam, space = e_space
+        H = fam.problem.H
+        oracle = naive_family(fam.problem.B, fam.problem.psi.map, len(fam))
+        for s, (member, naive) in enumerate(zip(fam, oracle)):
             assert member.B == naive.B and member.A == naive.A
-            for got, structure in ((member.autB, member.B), (member.autA, member.A)):
-                maps = [got.map(i) for i in range(got.order)]
-                searched = aut_group(structure)
-                assert {m.maps for m in maps} == {searched.map(i).maps for i in range(searched.order)}
-                assert all(got.index_of(m) == j for j, m in enumerate(maps))
-                mul = cayley_table(got).table
-                assert all(
-                    maps[mul[i][j]] == maps[i].compose(maps[j])
-                    for i in range(len(maps))
-                    for j in range(len(maps))
-                )
-                # the columns a copy shares with its base are its own products
-                assert all(got.right(j) == [row[j] for row in mul] for j in range(len(maps)))
-            assert all(
-                member.autA.map(member.phi.map[j]).maps == (member.autB.map(j).maps[0],)
-                for j in range(member.autB.order)
-            )
-            psi = {member.autA.map(j).maps: member.psi_map(j).maps for j in range(member.autA.order)}
-            want = {naive.autA.map(j).maps: naive.psi_map(j).maps for j in range(naive.autA.order)}
-            assert psi == want
+            f = member.relabel
+            conjugated = {f.compose(H.map(j).compose(f.inverse())).row() for j in range(H.order)}
+            assert conjugated == set(naive.H.perms)
+            isos = [SortedMap.from_row(member.A, space.A, row) for row in space.iso[s]]
+            for i, j in itertools.product(range(len(isos)), repeat=2):
+                assert space.psi_tilde(s, i, j) == naive_transport(naive, isos[i], isos[j]).row()
 
     def test_copy_rows_are_conjugates_composed_as_maps(self, keyed_space):
-        fam, _ = keyed_space
+        # T_s(i, j) = f . T_0(i0, j0) . f^-1, where iso_s[i] = iso_0[i0] . f_A^-1
+        fam, space = keyed_space
         base = fam.members[0]
         k = len(base.A.sort_sizes)
-        for member in fam.members[1:]:
+        as_map = SortedMap.from_row
+        base_isos = [as_map(base.A, space.A, row) for row in space.iso[0]]
+        for s, member in enumerate(fam.members[1:], start=1):
             f = member.relabel
-            f_a = SortedMap(base.A, member.A, f.maps[:k])
-            for got, source, g in ((member.autB, base.autB, f), (member.autA, base.autA, f_a)):
-                want = [g.compose(source.map(j).compose(g.inverse())) for j in range(source.order)]
-                assert got.perms == [m.row() for m in want]
-                assert [got.map(j) for j in range(got.order)] == want
+            f_a_inv = SortedMap(base.A, member.A, f.maps[:k]).inverse()
+            carried = [pi.compose(f_a_inv).row() for pi in base_isos]
+            to_base = [carried.index(row) for row in space.iso[s]]
+            assert to_base == list(space.base_index[s])
+            for (i, i0), (j, j0) in itertools.product(enumerate(to_base), repeat=2):
+                t0 = as_map(base.B, base.B, space.psi_tilde(0, i0, j0))
+                want = f.compose(t0.compose(f.inverse()))
+                assert as_map(member.B, member.B, space.psi_tilde(s, i, j)) == want
 
     def test_copies_share_the_base_group_and_section(self, b_rich):
-        fam = build_family(b_rich, [0, 1, 2], 3)
-        base = fam.members[0]
-        for member in fam.members[1:]:
-            for got, shared in ((member.autB, base.autB), (member.autA, base.autA)):
-                assert got.gens == shared.gens
-                assert all(got.right(q) is shared.right(q) for q in range(shared.order))
-            assert member.phi is base.phi and member.psi is base.psi
+        fam = build_family(assemble_ucp(b_rich), [0, 1, 2], 3)
+        space = TripleSpace(fam.members[0].A, fam)
+        for member in fam:
+            assert sorted(vars(member)) == ["A", "B", "relabel", "tag"]
+        # the base's transports are the problem's own rows
+        rows = {id(row) for row in fam.problem.H.perms}
+        assert all(
+            id(space.psi_tilde(0, i, j)) in rows
+            for i, j in itertools.product(range(len(space.iso[0])), repeat=2)
+        )
+
+    def test_builds_no_automorphism_group(self, b_rich, monkeypatch):
+        problem = assemble_ucp(b_rich)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an automorphism group was built")
+
+        monkeypatch.setattr(groups.AutomorphismGroup, "__init__", refuse)
+        fam = build_family(problem, [0, 1, 2], 5)
+        with monkeypatch.context() as no_maps:
+            # the space and its decisions hold rows, never maps
+            no_maps.setattr(SortedMap, "__init__", refuse)
+            space = TripleSpace(fam.members[0].A, fam)
+            space.thread_classes()
+            assert space.membership()
+        assert verify_claims(space).all_pass
+        assert uniform_F(space).structure == b_rich
+
+    def test_copies_keep_memory_flat(self, b_rich):
+        # rows shared with the problem, and thread entries read from one list
+        problem = assemble_ucp(b_rich)
+        tracemalloc.start()
+        try:
+            fam = build_family(problem, [0, 1, 2], 6)
+            space = TripleSpace(fam.members[0].A, fam)
+            assert verify_claims(space).all_pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(space.triples) == 3645
+        assert peak < 2.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def _renumbered(keys):
@@ -649,7 +686,7 @@ class TestThreadClasses:
 
     def test_weak_only_lifting_equals_per_element_scan(self):
         b, search = weak_only_lifting()
-        fam = build_family(b, search.weak_splittings[0], 1)
+        fam = build_family(assemble_ucp(b), search.weak_splittings[0], 1)
         space = TripleSpace(fam.members[0].A, fam)
         got = [(tc.triples, tc.cid, tc.problem) for tc in space.thread_classes()]
         assert got == naive_thread_classes(space)
@@ -697,22 +734,22 @@ class TestKeyedClasses:
     def test_equivalence_composes_no_transport_pairs(self, monkeypatch):
         # 6 free points over an apex: |iso| = 720, so checking the law
         # pairwise would compose 720**2 transports; reading the splitting
-        # leaves only each transport into frame 0
+        # leaves only each transport into frame 0, one row composed apiece
         b = two_sorted((6, 1), [("R", (0, 1), [(p, 0) for p in range(6)])])
         problem = assemble_ucp(b)
         psi = [0] * len(problem.phi.map)
         for h, g in enumerate(problem.phi.map):
             psi[g] = h
-        fam = build_family(b, psi, 1, problem=problem)
+        fam = build_family(problem, psi, 1)
         space = TripleSpace(fam.members[0].A, fam)
         calls = []
 
-        def counted(self, first):
-            calls.append(self)
-            return compose(self, first)
+        def counted(x, y):
+            calls.append(x)
+            return compose(x, y)
 
-        compose = SortedMap.compose
-        monkeypatch.setattr(SortedMap, "compose", counted)
+        compose = uniform._compose_rows
+        monkeypatch.setattr(uniform, "_compose_rows", counted)
         verdicts, detail, (_, members) = space.equivalence()
         assert verdicts == (True, True, True) and len(members) == 7
         assert detail == "proved from the cocycle law: every member's psi is a splitting"
@@ -766,7 +803,7 @@ class TestKeyedClasses:
 
     def test_weak_only_lifting_falls_back_to_pairwise(self):
         b, search = weak_only_lifting()
-        fam = build_family(b, search.weak_splittings[0], 1)
+        fam = build_family(assemble_ucp(b), search.weak_splittings[0], 1)
         space = TripleSpace(fam.members[0].A, fam)
         assert not space.cocycle_holds()
         assert not naive_cocycle_holds(space)
@@ -777,7 +814,7 @@ class TestKeyedClasses:
 
     def test_x_bound_caps_only_the_pairwise_fallback(self, b_cycle3, monkeypatch):
         b, search = weak_only_lifting()
-        weak = build_family(b, search.weak_splittings[0], 1)
+        weak = build_family(assemble_ucp(b), search.weak_splittings[0], 1)
         keyed, A = family_and_target(b_cycle3, [0, 1, 2], 2)
         monkeypatch.setattr(config.DEFAULT, "x_pairwise", 10)
         with pytest.raises(BoundExceededError):
@@ -832,7 +869,7 @@ class TestKeyedDecider:
     @pytest.mark.parametrize("section", ["weak_splittings", "splittings"])
     def test_weak_only_lifting_and_its_splitting(self, section, n):
         b, search = weak_only_lifting()
-        fam = build_family(b, getattr(search, section)[0], n)
+        fam = build_family(assemble_ucp(b), getattr(search, section)[0], n)
         space = TripleSpace(fam.members[0].A, fam)
         verdicts, class_of = _keyed_against_naive(space)
         assert verdicts == (True, True, section == "splittings")
@@ -845,7 +882,7 @@ class TestKeyedDecider:
     ])
     @pytest.mark.parametrize("defect", ["reflexive", "symmetric"])
     def test_broken_transport_is_named_and_refused(self, request, name, psi, n, defect):
-        fam = build_family(request.getfixturevalue(name), psi, n)
+        fam = build_family(assemble_ucp(request.getfixturevalue(name)), psi, n)
         A = fam.members[0].A
         space = TripleSpace(A, fam)
         if defect == "reflexive":
@@ -877,7 +914,7 @@ class TestKeyedDecider:
         # two triples share a key; its own-frame transport at member 0 is
         # collapsed, and every triple it could be related to is dropped
         b, search = weak_only_lifting()
-        fam = build_family(b, getattr(search, section)[0], 2)
+        fam = build_family(assemble_ucp(b), getattr(search, section)[0], 2)
         space = TripleSpace(fam.members[0].A, fam)
         class_of, _ = space.classes()
         xs = space.triples
@@ -886,10 +923,9 @@ class TestKeyedDecider:
             if (xs[i].pi_idx, xs[i].b) == (xs[j].pi_idx, xs[j].b) and xs[i].b[0][1] != 0
         )
         x = xs[i1]
-        B = fam.members[0].B
-        _break_transport(
-            space, 0, x.pi_idx[0], x.pi_idx[0], SortedMap(B, B, [[0] * n for n in B.sort_sizes])
-        )
+        # every element to its sort's first, whose position is the sort's start
+        collapsed = tuple(p - e for p, (_, e) in enumerate(fam.members[0].B.elements()))
+        _break_transport(space, 0, x.pi_idx[0], x.pi_idx[0], collapsed)
         own = (x.pi_idx, ((x.b[0][0], 0),) + x.b[1:])
         space.triples = [
             y for i, y in enumerate(xs)
@@ -909,38 +945,44 @@ class TestDerivedIsomorphisms:
         A, base = space.A, fam.members[0]
         for t, member in enumerate(fam.members):
             searched = isomorphisms(member.A, A)
-            assert [m.maps for m in space.iso[t]] == [m.maps for m in searched]
-            assert all(m.domain is member.A and m.codomain is A for m in space.iso[t])
+            assert space.iso[t] == [m.row() for m in searched]
+            # each entry carries the base isomorphism it came from
+            k = len(A.sort_sizes)
+            f_a_inv = SortedMap(base.A, member.A, member.relabel.maps[:k]).inverse()
+            for row, i0 in zip(space.iso[t], space.base_index[t]):
+                base_iso = SortedMap.from_row(base.A, A, space.iso[0][i0])
+                assert row == base_iso.compose(f_a_inv).row()
             if t:
                 searched_b = sorted(isomorphisms(base.B, member.B), key=lambda m: m.maps[0])
-                assert [m.maps for m in space.biso[t]] == [m.maps for m in searched_b]
-                assert all(m.domain is base.B and m.codomain is member.B for m in space.biso[t])
+                assert space.biso[t] == [m.row() for m in searched_b]
 
     def test_only_the_base_is_searched(self, b_rich, monkeypatch):
-        fam = build_family(b_rich, [0, 1, 2], 5)
+        fam = build_family(assemble_ucp(b_rich), [0, 1, 2], 5)
         calls = []
 
         def counted(s1, s2, **kwargs):
             calls.append(s1)
-            return isomorphisms(s1, s2, **kwargs)
+            return isomorphism_rows(s1, s2, **kwargs)
 
-        monkeypatch.setattr(uniform, "isomorphisms", counted)
+        monkeypatch.setattr(uniform, "isomorphism_rows", counted)
         space = TripleSpace(fam.members[0].A, fam)
         assert calls == [fam.members[0].A]
         assert len(space.triples) == 1215
 
     def test_families_are_built_with_no_isomorphism_search(self, b_rich, monkeypatch):
-        monkeypatch.setattr(uniform, "isomorphisms", None)  # any search would fail
-        fam = build_family(b_rich, [0, 1, 2], 5)
+        for name in ("isomorphisms", "isomorphism_rows"):  # any search would fail
+            monkeypatch.setattr(uniform, name, None)
+        fam = build_family(assemble_ucp(b_rich), [0, 1, 2], 5)
         assert [m.B for m in fam] == [m.B for m in naive_family(b_rich, [0, 1, 2], 5)]
 
     @pytest.mark.parametrize("maps", [((0, 1, 2), (0,)), ((0, 0, 0), (0,))],
                              ids=["identity", "not-bijective"])
     def test_relabellings_must_carry_the_base_onto_each_member(self, b_cycle3, maps):
-        base, member = build_family(b_cycle3, [0, 1, 2], 2).members
+        fam = build_family(assemble_ucp(b_cycle3), [0, 1, 2], 2)
+        base, member = fam.members
         bad = dataclasses.replace(member, relabel=SortedMap(base.B, member.B, maps))
         with pytest.raises(StructureError, match="family members are not pairwise isomorphic"):
-            uniform.Family((base, bad))
+            uniform.Family(fam.problem, (base, bad))
 
     def test_copy_count_equals_the_enumerated_copies(self, keyed_space):
         fam, space = keyed_space
@@ -951,10 +993,13 @@ class TestDerivedIsomorphisms:
         assert claim[1:] == (True, f"{len(copies)} canonical copies shared by all members")
 
     def test_members_must_relabel_the_base(self, b_cycle3):
-        members = naive_family(b_cycle3, [0, 1, 2], 2)
+        problems = naive_family(b_cycle3, [0, 1, 2], 2)
+        members = [
+            uniform.LiftedCopy(tag, p.B, p.A, identity_map(p.B)) for tag, p in enumerate(problems)
+        ]
         with pytest.raises(StructureError, match="relabelling"):
-            uniform.Family(tuple(members))
-        fam = build_family(b_cycle3, [0, 1, 2], 2)
+            uniform.Family(problems[0], tuple(members))
+        fam = build_family(assemble_ucp(b_cycle3), [0, 1, 2], 2)
         assert fam.members[0].relabel.maps == ((0, 1, 2), (0,))
         assert fam.members[1].relabel.codomain is fam.members[1].B
 
@@ -971,7 +1016,7 @@ class TestKeptSorts:
     def kept_space(self, request):
         make, name = request.param
         problem = getattr(derive_triple(make()), name)
-        fam = build_family(problem.B, groups.first_weak_splitting(problem.phi), 2, problem=problem)
+        fam = build_family(problem, groups.first_weak_splitting(problem.phi), 2)
         target = relabel(problem.A, [[*range(1, n), 0] for n in problem.A.sort_sizes])
         return TripleSpace(target, fam)
 
