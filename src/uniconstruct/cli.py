@@ -89,9 +89,14 @@ def _load_group(spec: str) -> FiniteGroup:
         raise UniconstructError(f"{spec}: {exc}") from exc
 
 
-def _load_skew_arg(base: FiniteGroup, raw: str):
+def _load_skew_arg(base: FiniteGroup, args, flag: str):
+    """The skew element that ``--flag`` gives, a path or inline JSON; a
+    missing flag is a malformed input, named with the op that needs it."""
     from .skew import skew_from_json
 
+    raw = getattr(args, flag)
+    if raw is None:
+        raise UniconstructError(f"skew --op {args.op} needs --{flag}")
     if raw.lstrip().startswith("{"):
         try:
             doc = json.loads(raw)
@@ -200,32 +205,34 @@ def _report_lines(title: str, entries) -> list[str]:
 # ---------------------------------------------------------------------------
 # command handlers: return (exit_code, doc, lines)
 
+def _per_sort_images(s, rows) -> list[list[list[int]]]:
+    """Each row (:meth:`SortedMap.row`) of a map out of ``s`` split into its
+    per-sort image lists, each entry back to its index in its sort."""
+    from .structures import _starts
+
+    starts = _starts(s.sort_sizes)
+    spans = list(zip(starts, starts[1:]))
+    return [[[v - a for v in row[a:b]] for a, b in spans] for row in rows]
+
+
 def _cmd_aut(args):
-    from .structures import automorphisms
+    from .structures import isomorphism_rows
 
     s = _load_structure(args.structure)
-    maps = automorphisms(s, max_elements=args.max_elements)
-    doc = {
-        "command": "aut",
-        "count": len(maps),
-        "automorphisms": [[list(m) for m in a.maps] for a in maps],
-    }
+    maps = _per_sort_images(s, isomorphism_rows(s, s, max_elements=args.max_elements))
+    doc = {"command": "aut", "count": len(maps), "automorphisms": maps}
     lines = [f"{len(maps)} automorphisms"]
-    lines += [f"  {list(list(m) for m in a.maps)}" for a in maps]
+    lines += [f"  {m}" for m in maps]
     return 0, doc, lines
 
 
 def _cmd_iso(args):
-    from .structures import isomorphisms
+    from .structures import isomorphism_rows
 
     s1 = _load_structure(args.left)
     s2 = _load_structure(args.right)
-    maps = isomorphisms(s1, s2, max_elements=args.max_elements)
-    doc = {
-        "command": "iso",
-        "count": len(maps),
-        "isomorphisms": [[list(m) for m in a.maps] for a in maps],
-    }
+    maps = _per_sort_images(s1, isomorphism_rows(s1, s2, max_elements=args.max_elements))
+    doc = {"command": "iso", "count": len(maps), "isomorphisms": maps}
     return 0, doc, [f"{len(maps)} isomorphisms"]
 
 
@@ -310,23 +317,23 @@ def _cmd_skew(args):
     doc = {"command": "skew", "base": base.label(), "op": op}
     lines = [f"base group {base.label()}, op {op}"]
     if op in ("mul",):
-        lhs = _load_skew_arg(base, args.lhs)
-        rhs = _load_skew_arg(base, args.rhs)
+        lhs = _load_skew_arg(base, args, "lhs")
+        rhs = _load_skew_arg(base, args, "rhs")
         result = skew_mul(lhs, rhs)
         doc["result"] = skew_to_json(result)
         lines.append(f"{lhs} * {rhs} = {result}")
     elif op == "inv":
-        el = _load_skew_arg(base, args.element)
+        el = _load_skew_arg(base, args, "element")
         result = skew_inv(el)
         doc["result"] = skew_to_json(result)
         lines.append(f"inv({el}) = {result}")
     elif op == "pow":
-        el = _load_skew_arg(base, args.element)
+        el = _load_skew_arg(base, args, "element")
         result = skew_pow(el, args.exp)
         doc["result"] = skew_to_json(result)
         lines.append(f"{el} ** {args.exp} = {result}")
     elif op == "phi23":
-        el = _load_skew_arg(base, args.element)
+        el = _load_skew_arg(base, args, "element")
         value = phi23(el)
         doc["result"] = value
         lines.append(f"phi23({el}) = {base.element_name(value)}")
@@ -335,7 +342,7 @@ def _cmd_skew(args):
         doc["result"] = skew_to_json(result)
         lines.append(f"psi0({args.exp}) = {result}")
     elif op == "witness":
-        el = _load_skew_arg(base, args.element)
+        el = _load_skew_arg(base, args, "element")
         w = center_witness(el)
         doc["result"] = skew_to_json(w)
         ok = skew_mul(el, w) != skew_mul(w, el)

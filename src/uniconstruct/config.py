@@ -35,10 +35,6 @@ class Bounds:
     section_candidates: int = 10**6
     # matched-triple enumeration cap
     matched_triples: int = 10**5
-    # largest X whose twist equivalence is decided on (frame, thread) keys,
-    # used only when the transports break the cocycle law (spaces that obey
-    # it are not capped)
-    x_pairwise: int = 2000
     # cells of any n x n Cayley table, checked before it is allocated
     table_cells: int = 10**7
 
@@ -47,7 +43,6 @@ DEFAULT = Bounds(
     aut_elements=_env_int("AUT_BOUND", 12),
     section_candidates=_env_int("SECTION_BOUND", 10**6),
     matched_triples=_env_int("TRIPLES_BOUND", 10**5),
-    x_pairwise=_env_int("X_BOUND", 2000),
     table_cells=_env_int("TABLE_CELLS_BOUND", 10**7),
 )
 

@@ -15,9 +15,9 @@ k is read off the problem the family is built on: 1 for ``assemble_ucp``'s,
 A :class:`TripleSpace`, built once per call from a family and a target, is
 the layer's one handle: :func:`verify_claims`, :func:`build_quotient`,
 :func:`uniform_F` and :func:`k_class` take it.  Each fact they read is
-decided once on it: E (proved from the cocycle law where psi is a
-splitting, otherwise decided on the distinct (frame, thread) keys of the
-triples), each class's sort, and the congruence failures.  The quotient,
+decided once on it: E (read off the section: always reflexive and
+symmetric, and transitive exactly when psi is a splitting), each class's
+sort, and the congruence failures.  The quotient,
 ``k_class`` and ``uniform_F`` refuse an E that is not an equivalence, naming
 what it lacks.
 
@@ -84,7 +84,8 @@ class LiftedCopy:
 
 @dataclass
 class Family:
-    """The base's assembled problem, with its weak splitting, and lifted
+    """The base's assembled problem, with its weak splitting (a problem with
+    no section, or a section that is not one, is refused), and lifted
     copies: the base (the first member, the problem's structure) and
     relabellings of it, checked once, by carrying every base relation along
     each member's ``relabel``."""
@@ -98,6 +99,9 @@ class Family:
         base = self.members[0].B
         if base != self.problem.B:
             raise StructureError("the family's base is not its problem's structure")
+        if self.problem.psi is None or not self.problem.report.ok("f"):
+            detail = next(d for name, _, d in self.problem.report.entries if name == "f")
+            raise StructureError(f"supplied map is not a weak splitting: {detail}")
         if any(m.relabel.domain != base or m.relabel.codomain != m.B for m in self.members):
             raise StructureError("a member's relabelling does not start at the family's base")
         try:
@@ -137,9 +141,8 @@ def build_family(
     family f (lexicographic).  Naturality carries everything else across:
     the copy's automorphisms are f . m . f^-1 for the base's automorphisms m,
     and its section sends f . a . f^-1 to f . psi(a) . f^-1, so a copy keeps
-    only f.  Only psi is checked, on the problem's groups; f itself is the
-    isomorphism onto the copy, which :class:`Family` checks carries every
-    relation across.
+    only f.  :class:`Family` checks psi, on the problem's groups, and that
+    f, the isomorphism onto the copy, carries every relation across.
     """
     if n < 1:
         raise StructureError("family size must be at least 1")
@@ -147,9 +150,6 @@ def build_family(
     if B.signature.functions or B.signature.constants:
         raise StructureError("lifted copies must be relational")
     problem = problem.with_section(psi)
-    if problem.psi is None or not problem.report.ok("f"):
-        detail = next(d for name, _, d in problem.report.entries if name == "f")
-        raise StructureError(f"supplied map is not a weak splitting: {detail}")
     k = len(problem.A.sort_sizes)
     members = [LiftedCopy(tag=0, B=B, A=problem.A, relabel=identity_map(B))]
 
@@ -244,7 +244,6 @@ class TripleSpace:
         self.triples = self._enumerate()
         self._cocycle: bool | None = None
         self._classes: tuple[list[int], list[list[int]]] | None = None
-        self._e_verdicts: tuple[tuple[bool, bool, bool], str] | None = None
         self._frame_threads: tuple[list[tuple[int, ...]], list[dict[int, tuple]]] | None = None
         self._class_sorts: list[int] | None = None
         self._membership: list[dict[tuple[int, ...], tuple[tuple[bool, ...], ...]]] | None = None
@@ -330,10 +329,6 @@ class TripleSpace:
         b = a_j^-1 a_i the law reads psi_s(a) . psi_s(b) = psi_s(ab).  As
         (i, j, l) range, (a, b) covers Aut(A_s)^2: the law is psi_s's hom law
         in ``compose`` order, the order its group tables encode.
-
-        When it holds, T_s(i, i) is the identity and T_s(j, i) inverts
-        T_s(i, j), so E is an equivalence and x1 E x2 exactly when the
-        frame-0 keys of :meth:`_frame0_keys` agree.
         """
         if self._cocycle is None:
             self._cocycle = not all(self.iso) or self.fam.problem.psi.is_splitting()
@@ -349,106 +344,63 @@ class TripleSpace:
             for x in self.triples
         ]
 
-    def equivalence(self) -> tuple[tuple[bool, bool, bool], str, tuple[list[int], list[list[int]]]]:
-        """E decided once: its (reflexive, symmetric, transitive) verdicts, how
-        they were decided, and ``(class_of, members)`` for the equivalence E
-        generates, classes numbered by first triple, members ascending.
+    def equivalence(self) -> tuple[tuple[bool, bool, bool], str]:
+        """E's (reflexive, symmetric, transitive) verdicts and how they were
+        decided: read off the section, E is always reflexive and symmetric,
+        and transitive exactly when :meth:`cocycle_holds`.
 
-        Where :meth:`cocycle_holds` the verdicts are proved and classes are
-        the fibres of the frame-0 key; otherwise :meth:`_keyed_equivalence`
-        decides both, refused above ``config.DEFAULT.x_pairwise`` triples.
+        Write T_s(i, j) = psi_s(a_j^-1 a_i), as in :meth:`cocycle_holds`;
+        x1 E x2 when x2's b_s is T_s(x1's pi_s, x2's pi_s) of x1's b_s at
+        every member s.  :class:`Family` refuses a psi that is not a weak
+        splitting, and each member's is psi carried along its relabelling.
+
+        - psi(1) = 1, so every T_s(i, i) is the identity: E is reflexive.
+        - psi(a^-1) = psi(a)^-1, so T_s(j, i) inverts T_s(i, j): E is
+          symmetric.
+        - If the law holds, T_s(i, j) = T_s(0, j) . T_s(i, 0), so x1 E x2
+          exactly when their frame-0 keys (:meth:`_frame0_keys`) agree, and
+          E is transitive.
+        - If the law fails, it fails at member 0 (the members' laws are one
+          law, carried along the relabellings).  Pick i, j, l and a position
+          e of B_0 with T_0(j, l) . T_0(i, j) . e != T_0(i, l) . e.
+          - psi is a section, so the restriction Aut(B_0) -> Aut(A_0) is
+            onto.  Every frame then has extensions: member t's is f_t after
+            any automorphism over f_t^-1 . pi_t^-1 . pi_0 on the kept sorts.
+          - A triple's partner (pi', T(pi, pi') b) is a triple in every
+            frame pi'.  Its extensions are g'_t = T_t(pi_t, pi'_t) . g_t .
+            T_0(pi_0, pi'_0)^-1: each carries the partner's b_0 to its b_t,
+            and restricts to pi'_t^-1 pi'_0, since psi_t(a) restricts to a.
+          - So take a triple x1 at (i, e): pi_0 = i and b_0 = e.  Let x2 be
+            its partner in a frame at j, and x3 be x2's partner in a frame
+            at l.  Then x1 E x2 E x3, but x3's b_0 is T_0(j, l) . T_0(i, j)
+            . e, not T_0(i, l) . e, so not x1 E x3.
         """
+        if self.cocycle_holds():
+            return (True, True, True), "proved from the cocycle law: every member's psi is a splitting"
+        return (True, True, False), "proved from psi: a weak splitting that is not a splitting"
+
+    def classes(self) -> tuple[list[int], list[list[int]]]:
+        """``(class_of, members)`` for E, classes numbered by first triple,
+        members ascending: the fibres of the frame-0 key, built once E is
+        an equivalence (:meth:`require_equivalence` refuses otherwise)."""
         if self._classes is None:
-            if self.cocycle_holds():
-                ids: dict[tuple, int] = {}
-                class_of = [ids.setdefault(key, len(ids)) for key in self._frame0_keys()]
-                self._e_verdicts = (
-                    (True, True, True), "proved from the cocycle law: every member's psi is a splitting"
-                )
-            else:
-                if len(self.triples) > config.DEFAULT.x_pairwise:
-                    raise BoundExceededError(
-                        f"|X|={len(self.triples)} exceeds the bound {config.DEFAULT.x_pairwise} "
-                        f"on spaces that break the cocycle law"
-                    )
-                verdicts, class_of, n_keys, n_frames = self._keyed_equivalence()
-                self._e_verdicts = (verdicts, (
-                    f"cocycle law fails; decided on {n_keys} (frame, thread) keys in {n_frames} frames"
-                ))
-            members: list[list[int]] = [[] for _ in range(max(class_of, default=-1) + 1)]
+            self.require_equivalence()
+            ids: dict[tuple, int] = {}
+            class_of = [ids.setdefault(key, len(ids)) for key in self._frame0_keys()]
+            members: list[list[int]] = [[] for _ in ids]
             for i, cid in enumerate(class_of):
                 members[cid].append(i)
             self._classes = (class_of, members)
-        return (*self._e_verdicts, self._classes)
-
-    def classes(self) -> tuple[list[int], list[list[int]]]:
-        """Classes of the equivalence E generates, from :meth:`equivalence`."""
-        return self.equivalence()[2]
+        return self._classes
 
     def require_equivalence(self) -> None:
         """Raise VerificationError naming each property E lacks."""
-        verdicts, detail, _ = self.equivalence()
+        verdicts, detail = self.equivalence()
         failing = [name for name, ok in zip(E_PROPERTIES, verdicts) if not ok]
         if failing:
             raise VerificationError(
                 f"the twist relation is not an equivalence: {', '.join(failing)} fails ({detail})"
             )
-
-    def _keyed_equivalence(self) -> tuple[tuple[bool, bool, bool], list[int], int, int]:
-        """E's verdicts and generated classes, the key count and the frame
-        count, from the distinct keys k = (pi, b) of the triples.
-
-        x1 E x2 never reads g_idx: it holds iff x2's key is the partner of
-        x1's key in x2's frame pi', namely (pi', T(pi, pi')(b)) with T applying
-        ``psi_tilde(s, pi_s, pi'_s)`` at each member s.  So E is the pullback
-        of the partner relation on keys, P(k) being the partners of k: E is
-        reflexive iff k is in P(k), symmetric iff k is in P(k') for k' in
-        P(k), and transitive iff P(k') is a subset of P(k) for k' in P(k).
-        A partner edge relates every triple of one key to every triple of the
-        other, so the classes E generates are the components of the partner
-        graph, except that the triples of a key with no edge at all stay
-        apart.
-        """
-        elements, position = self._elements, self._position
-        keys: dict[tuple, int] = {}
-        key_of = [keys.setdefault((x.pi_idx, x.b), len(keys)) for x in self.triples]
-        frames = list(dict.fromkeys(pi for pi, _ in keys))
-        # equal partner sets are shared, so where E is an equivalence each
-        # subset test is an identity check
-        shared: dict[frozenset[int], frozenset[int]] = {}
-        partners: list[frozenset[int]] = []
-        for pi, b in keys:
-            # row[s][j]: the key's entry at member s carried into pi'_s = j
-            row = [
-                [elements[self.psi_tilde(s, i, j)[position[entry]]] for j in range(len(self.iso[s]))]
-                for s, (i, entry) in enumerate(zip(pi, b))
-            ]
-            found = (keys.get((frame, tuple(r[j] for r, j in zip(row, frame)))) for frame in frames)
-            ks = frozenset(k for k in found if k is not None)
-            partners.append(shared.setdefault(ks, ks))
-        verdicts = (
-            all(k in ks for k, ks in enumerate(partners)),
-            all(k in partners[k2] for k, ks in enumerate(partners) for k2 in ks),
-            all(partners[k2] is ks or partners[k2] <= ks for ks in partners for k2 in ks),
-        )
-        root = list(range(len(keys)))
-
-        def find(k: int) -> int:
-            while root[k] != k:
-                root[k] = root[root[k]]
-                k = root[k]
-            return k
-
-        for k, ks in enumerate(partners):
-            for k2 in ks:
-                root[find(k2)] = find(k)
-        touched = set().union(*shared)
-        ids: dict[int, int] = {}
-        class_of = [
-            ids.setdefault(find(k) if partners[k] or k in touched else -1 - i, len(ids))
-            for i, k in enumerate(key_of)
-        ]
-        return verdicts, class_of, len(keys), len(frames)
 
     def frame_threads(self) -> tuple[list[tuple[int, ...]], list[dict[int, tuple]]]:
         """Per isomorphism-tuple frame, the unique thread of every class.
@@ -713,9 +665,9 @@ def verify_claims(space: TripleSpace) -> Report:
 
     The copy-set claim reads the members' relabellings, and its count is
     prod(n_s!) / |Aut B|.  The three E claims read
-    :meth:`TripleSpace.equivalence`: proved from the cocycle law where every
-    psi is a splitting, otherwise decided on the (frame, thread) keys of the
-    triples.  When one fails, the report stops there.  The cla3
+    :meth:`TripleSpace.equivalence`, proved from the section: E_transitive
+    fails exactly when psi is not a splitting, and then the report stops
+    there, before any class is built.  The cla3
     and cla4 claims read :meth:`TripleSpace.congruence`, which
     :func:`build_quotient` refuses on.
     """
@@ -743,12 +695,12 @@ def verify_claims(space: TripleSpace) -> Report:
     if n == 0:
         return report
 
-    _, members = space.classes()
-    verdicts, detail, _ = space.equivalence()
+    verdicts, detail = space.equivalence()
     for name, ok in zip(E_PROPERTIES, verdicts):
         report.add(name, ok, detail)
     if not all(verdicts):
         return report
+    _, members = space.classes()
 
     try:
         frames, _ = space.frame_threads()

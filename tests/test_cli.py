@@ -34,7 +34,14 @@ from uniconstruct.groups import (
     hom_to_json,
     quotient_by_center,
 )
-from uniconstruct.structures import dumps, reduct, structure_from_json, structure_to_json
+from uniconstruct.structures import (
+    SortedMap,
+    automorphisms,
+    dumps,
+    reduct,
+    structure_from_json,
+    structure_to_json,
+)
 from uniconstruct.ucp import assemble_ucp
 from uniconstruct.uniform import build_family
 
@@ -115,6 +122,27 @@ class TestIsoCommand:
     def test_identical_structures(self, cycle3_path, capsys):
         assert main(["iso", "--left", cycle3_path, "--right", cycle3_path]) == 0
         assert "3 isomorphisms" in capsys.readouterr().out
+
+
+def test_aut_and_iso_write_rows_as_per_sort_maps(tmp_path, capsys, monkeypatch):
+    # two sorts, so each row is split at the second sort's start; the lists
+    # are the maps of the same search, and no SortedMap is built for them
+    b = two_sorted((3, 2), [("R", (0, 1), [(0, 0), (1, 0), (2, 1)])])
+    path = write(tmp_path, "b.json", dumps(b))
+    want = [[list(m) for m in a.maps] for a in automorphisms(b)]
+    assert len(want) == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a SortedMap was built")
+
+    monkeypatch.setattr(SortedMap, "__init__", refuse)
+    for argv, key in ((["aut", "--structure", path], "automorphisms"),
+                      (["iso", "--left", path, "--right", path], "isomorphisms")):
+        out = tmp_path / "report.json"
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())[key] == want
+    assert main(["aut", "--structure", path]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [f"  {m}" for m in want]
 
 
 class TestSplitCommands:
@@ -412,6 +440,20 @@ class TestSkewCommands:
     def test_malformed_element_exits_1(self, capsys, element):
         assert main(["skew", "--base", "c3", "--op", "inv", "--element", element]) == 1
         assert capsys.readouterr().err.startswith("error: malformed skew element document: ")
+
+    @pytest.mark.parametrize("op,given,flag", [
+        ("mul", [], "lhs"),
+        ("mul", ["--lhs", '{"shift": 1, "support": []}'], "rhs"),
+        ("inv", [], "element"),
+        ("pow", ["--exp", "2"], "element"),
+        ("phi23", [], "element"),
+        ("witness", [], "element"),
+    ], ids=["mul-lhs", "mul-rhs", "inv", "pow", "phi23", "witness"])
+    def test_missing_element_flag_exits_1(self, capsys, op, given, flag):
+        assert main(["skew", "--base", "s3", "--op", op, *given]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: skew --op {op} needs --{flag}\n"
+        assert captured.out == ""
 
     def test_cyclic_skew_over_table_bound_exits_1(self, capsys):
         # order 6 * 3**6 = 4374: its table is over the table_cells bound

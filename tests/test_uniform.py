@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from uniconstruct import cli, config, encode, groups, ucp, uniform
+from uniconstruct import cli, encode, groups, ucp, uniform
 from uniconstruct.errors import BoundExceededError, GroupError, StructureError, VerificationError
 from uniconstruct.groups import aut_group, classify_sections
 from uniconstruct.structures import (
@@ -260,10 +260,10 @@ class TestKClass:
     def test_weak_only_lifting_is_refused_before_classes_are_read(self):
         # its E is not transitive, so no thread set is a class of it
         b, search = weak_only_lifting()
-        for n in (1, 2):
+        for n in (1, 2, 3):
             space = triple_space(b, search.weak_splittings[0], n)
             for build in (lambda: k_class(space, 0), lambda: build_quotient(space),
-                          lambda: uniform_F(space)):
+                          lambda: uniform_F(space), space.classes):
                 with pytest.raises(VerificationError, match="E_transitive fails"):
                     build()
 
@@ -534,7 +534,7 @@ _SPACES: dict = {}
 
 
 # the keyed fixtures plus the weak-only lifting, where the cocycle law fails
-E_FIXTURES = KEYED_FIXTURES + [("b_weak_only", None, n) for n in (1, 2)]
+E_FIXTURES = KEYED_FIXTURES + [("b_weak_only", None, n) for n in (1, 2, 3)]
 
 
 def _space(request):
@@ -573,6 +573,22 @@ def weak_only_lifting():
             ("E", (0, 0), [(i, (i + 1) % 3) for i in range(3)]),
             ("C", (1, 1), [(i, (i + 1) % 6) for i in range(6)]),
             ("R", (0, 1), [(i % 3, i) for i in range(6)]),
+        ],
+    )
+    return b, classify_sections(assemble_ucp(b).phi)
+
+
+def c9_over_c3():
+    """A 3-cycle under a 9-cycle, each point over its residue mod 3: the
+    restriction C9 -> C3 has kernel C3 and no splitting (C9 is not C3 x C3),
+    so its three weak splittings are a weak-not-strong witness.  Returns the
+    structure and its section search."""
+    b = two_sorted(
+        (3, 9),
+        [
+            ("Q", (0, 0), [(x, (x + 1) % 3) for x in range(3)]),
+            ("G", (1, 1), [(y, (y + 1) % 9) for y in range(9)]),
+            ("P", (0, 1), [(y % 3, y) for y in range(9)]),
         ],
     )
     return b, classify_sections(assemble_ucp(b).phi)
@@ -685,11 +701,12 @@ class TestThreadClasses:
         assert claim[1:] == naive_k_classes_claim(space)
 
     def test_weak_only_lifting_equals_per_element_scan(self):
+        # E is not transitive there, so there are no classes to thread
         b, search = weak_only_lifting()
         fam = build_family(assemble_ucp(b), search.weak_splittings[0], 1)
         space = TripleSpace(fam.members[0].A, fam)
-        got = [(tc.triples, tc.cid, tc.problem) for tc in space.thread_classes()]
-        assert got == naive_thread_classes(space)
+        with pytest.raises(VerificationError, match="E_transitive fails"):
+            space.thread_classes()
 
     @pytest.mark.parametrize("defect,detail", [
         ("merge", "element 0: thread set is a strict part of its class; "
@@ -750,7 +767,8 @@ class TestKeyedClasses:
 
         compose = uniform._compose_rows
         monkeypatch.setattr(uniform, "_compose_rows", counted)
-        verdicts, detail, (_, members) = space.equivalence()
+        verdicts, detail = space.equivalence()
+        _, members = space.classes()
         assert verdicts == (True, True, True) and len(members) == 7
         assert detail == "proved from the cocycle law: every member's psi is a splitting"
         assert len(space.iso[0]) == 720 and len(calls) <= 720
@@ -780,11 +798,20 @@ class TestKeyedClasses:
                     space = triple_space(b, section, n)
                     assert space.cocycle_holds() == naive_cocycle_holds(space), (b, section, n)
                     verdicts.append(space.cocycle_holds())
+                    claims = {name: ok for name, ok, _ in verify_claims(space).entries}
+                    e_claims = tuple(claims[name] for name in uniform.E_PROPERTIES)
+                    assert e_claims == naive_relation_verdicts(naive_e_matrix(space)), (b, section, n)
+                    if not space.cocycle_holds():
+                        assert_transitivity_breaks(space)
         assert verdicts.count(True) == 96 and verdicts.count(False) == 18
 
     def test_classes_equal_pairwise_union_find(self, e_space):
         _, space = e_space
-        assert space.classes() == naive_classes(space)
+        if space.cocycle_holds():
+            assert space.classes() == naive_classes(space)
+        else:  # E is not an equivalence, so it has no classes
+            with pytest.raises(VerificationError, match="E_transitive fails"):
+                space.classes()
 
     def test_e_verdicts_equal_naive_matrix(self, e_space):
         _, space = e_space
@@ -812,21 +839,10 @@ class TestKeyedClasses:
         failed = {name for name, ok, _ in report.entries if not ok}
         assert "E_transitive" in failed
 
-    def test_x_bound_caps_only_the_pairwise_fallback(self, b_cycle3, monkeypatch):
-        b, search = weak_only_lifting()
-        weak = build_family(assemble_ucp(b), search.weak_splittings[0], 1)
-        keyed, A = family_and_target(b_cycle3, [0, 1, 2], 2)
-        monkeypatch.setattr(config.DEFAULT, "x_pairwise", 10)
-        with pytest.raises(BoundExceededError):
-            verify_claims(TripleSpace(weak.members[0].A, weak))
-        space = TripleSpace(A, keyed)
-        assert len(space.triples) > 10
-        assert verify_claims(space).all_pass
-
     def test_cycle3_six_copies_beyond_pairwise_bound(self, b_cycle3):
         fam, A = family_and_target(b_cycle3, [0, 1, 2], 6)
         space = TripleSpace(A, fam)
-        assert len(space.triples) == 2916 > config.DEFAULT.x_pairwise
+        assert len(space.triples) == 2916
         report = verify_claims(space)
         assert report.all_pass, [e for e in report.entries if not e[1]]
         res = uniform_F(space)
@@ -835,108 +851,102 @@ class TestKeyedClasses:
 
 
 
-def _keyed_against_naive(space):
-    """The keyed decider's verdicts and classes, checked against the naive
-    matrix and the pairwise union-find; returns its result."""
-    verdicts, class_of, n_keys, n_frames = space._keyed_equivalence()
-    assert verdicts == naive_relation_verdicts(naive_e_matrix(space))
-    assert class_of == naive_classes(space)[0]
-    assert n_keys == len({(x.pi_idx, x.b) for x in space.triples})
-    assert n_frames == len({x.pi_idx for x in space.triples})
-    return verdicts, class_of
+def assert_transitivity_breaks(space):
+    """Build x1, x2, x3 as the proof in :meth:`TripleSpace.equivalence` does
+    on a space whose cocycle law fails, and assert x1 E x2 E x3 but not
+    x1 E x3: i, j, l and a position e of B_0 where the law fails at member 0,
+    x1 a triple at (i, e), x2 its partner in a frame at j, and x3 the partner
+    of x2 in a frame at l.  Asserts on the way that x1's partner in every
+    frame is a triple."""
+    T, elements, position = space.psi_tilde, space._elements, space._position
+    i, j, l, e = next(
+        (i, j, l, e)
+        for i, j, l in itertools.product(range(len(space.iso[0])), repeat=3)
+        for e in range(len(elements))
+        if T(0, j, l)[T(0, i, j)[e]] != T(0, i, l)[e]
+    )
+    by_key = {(x.pi_idx, x.b): x for x in space.triples}
+
+    def partner(x, frame):
+        b = tuple(elements[T(s, x.pi_idx[s], p)[position[x.b[s]]]] for s, p in enumerate(frame))
+        return by_key.get((frame, b))
+
+    frames = list(itertools.product(*(range(len(lst)) for lst in space.iso)))
+    x1 = next(x for x in space.triples if x.pi_idx[0] == i and x.b[0] == elements[e])
+    assert all(partner(x1, frame) is not None for frame in frames)
+    x2 = partner(x1, next(frame for frame in frames if frame[0] == j))
+    x3 = partner(x2, next(frame for frame in reversed(frames) if frame[0] == l))
+    assert space.e_equiv(x1, x2) and space.e_equiv(x2, x3)
+    assert not space.e_equiv(x1, x3)
 
 
-def _break_transport(space, s, i, j, replacement):
-    """Replace psi_tilde(s, i, j), record that the cocycle law fails with it,
-    and drop every decision built on it.  The law is read from the sections,
-    which a corrupted transport cache leaves alone, so its verdict is set
-    here."""
-    space._psi_tilde_cache[(s, i, j)] = replacement
-    space._cocycle = False
-    space._classes = space._e_verdicts = None
-    space._thread_classes = space._frame_threads = space._membership = space._quotient = None
-    space._class_sorts = space._congruence = None
+class TestSectionDecidesE:
+    """E is reflexive and symmetric for every weak splitting, and transitive
+    exactly when it is a splitting (:meth:`TripleSpace.equivalence`)."""
 
-
-class TestKeyedDecider:
-    def test_forced_where_the_law_holds(self, keyed_space):
-        _, space = keyed_space
-        verdicts, class_of = _keyed_against_naive(space)
-        assert verdicts == (True, True, True)
-        assert class_of == space.classes()[0]
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_proof_chain_breaks_transitivity(self, n):
+        b, search = weak_only_lifting()
+        space = triple_space(b, search.weak_splittings[0], n)
+        assert not space.cocycle_holds()
+        assert_transitivity_breaks(space)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("section", ["weak_splittings", "splittings"])
-    def test_weak_only_lifting_and_its_splitting(self, section, n):
+    def test_lifting_e_equals_naive_matrix(self, section, n):
         b, search = weak_only_lifting()
-        fam = build_family(assemble_ucp(b), getattr(search, section)[0], n)
-        space = TripleSpace(fam.members[0].A, fam)
-        verdicts, class_of = _keyed_against_naive(space)
+        space = triple_space(b, getattr(search, section)[0], n)
+        verdicts, _ = space.equivalence()
         assert verdicts == (True, True, section == "splittings")
-        assert space.cocycle_holds() == (section == "splittings")
-        assert space.classes()[0] == class_of
-
-    @pytest.mark.parametrize("name,psi,n", [
-        ("b_cycle3", (0, 1, 2), 1), ("b_cycle3", (0, 1, 2), 2),
-        ("b_rich", (0, 1, 2), 2), ("b_matching", (0, 1), 2),
-    ])
-    @pytest.mark.parametrize("defect", ["reflexive", "symmetric"])
-    def test_broken_transport_is_named_and_refused(self, request, name, psi, n, defect):
-        fam = build_family(assemble_ucp(request.getfixturevalue(name)), psi, n)
-        A = fam.members[0].A
-        space = TripleSpace(A, fam)
-        if defect == "reflexive":
-            # T(0, 0) becomes a transport between two different frames
-            _break_transport(space, 0, 0, 0, space.psi_tilde(0, 1, 0))
+        assert verdicts == naive_relation_verdicts(naive_e_matrix(space))
+        if section == "splittings":
+            assert space.classes() == naive_classes(space)
         else:
-            _break_transport(space, 0, 0, 1, space.psi_tilde(0, 0, 0))
-        assert not space.cocycle_holds()
-        verdicts, class_of = _keyed_against_naive(space)
-        assert space.classes()[0] == class_of
-        failed = {prop for prop, ok in zip(uniform.E_PROPERTIES, verdicts) if not ok}
-        assert f"E_{defect}" in failed
+            with pytest.raises(VerificationError, match="E_transitive fails"):
+                space.classes()
 
-        report = verify_claims(space)
-        entries = {entry[0]: entry[1:] for entry in report.entries}
-        n_keys = len({(x.pi_idx, x.b) for x in space.triples})
-        n_frames = len({x.pi_idx for x in space.triples})
-        detail = f"cocycle law fails; decided on {n_keys} (frame, thread) keys in {n_frames} frames"
-        for prop, ok in zip(uniform.E_PROPERTIES, verdicts):
-            assert entries[prop] == (ok, detail)
-        assert "cla3_exists_forall_agreement" not in entries
-        for build in (lambda: k_class(space, 0), lambda: build_quotient(space),
-                      lambda: uniform_F(space)):
-            with pytest.raises(VerificationError, match=f"E_{defect}"):
-                build()
-
-    @pytest.mark.parametrize("section", ["weak_splittings", "splittings"])
-    def test_key_without_partners_leaves_its_triples_apart(self, section):
-        # two triples share a key; its own-frame transport at member 0 is
-        # collapsed, and every triple it could be related to is dropped
+    @pytest.mark.parametrize("n,size", [(4, 5832), (5, 34992)])
+    def test_verify_answers_past_two_thousand_triples(self, n, size):
         b, search = weak_only_lifting()
-        fam = build_family(assemble_ucp(b), getattr(search, section)[0], 2)
-        space = TripleSpace(fam.members[0].A, fam)
-        class_of, _ = space.classes()
-        xs = space.triples
-        i1, i2 = next(
-            (i, j) for i, j in itertools.combinations(range(len(xs)), 2)
-            if (xs[i].pi_idx, xs[i].b) == (xs[j].pi_idx, xs[j].b) and xs[i].b[0][1] != 0
-        )
-        x = xs[i1]
-        # every element to its sort's first, whose position is the sort's start
-        collapsed = tuple(p - e for p, (_, e) in enumerate(fam.members[0].B.elements()))
-        _break_transport(space, 0, x.pi_idx[0], x.pi_idx[0], collapsed)
-        own = (x.pi_idx, ((x.b[0][0], 0),) + x.b[1:])
-        space.triples = [
-            y for i, y in enumerate(xs)
-            if i in (i1, i2) or (class_of[i] != class_of[i1] and (y.pi_idx, y.b) != own)
+        space = triple_space(b, search.weak_splittings[0], n)
+        assert len(space.triples) == size
+        entries = {name: (ok, detail) for name, ok, detail in verify_claims(space).entries}
+        detail = "proved from psi: a weak splitting that is not a splitting"
+        assert [entries[name] for name in uniform.E_PROPERTIES] == [
+            (True, detail), (True, detail), (False, detail)
         ]
-        verdicts, class_of = _keyed_against_naive(space)
-        assert verdicts == (False, False, False)
-        kept = [y for y in space.triples if (y.pi_idx, y.b) == (x.pi_idx, x.b)]
-        assert len(kept) == 2
-        first, second = (space.triples.index(y) for y in kept)
-        assert class_of[first] != class_of[second]
+        assert "cla3_exists_forall_agreement" not in entries
+
+    @pytest.mark.parametrize("kind", ["none", "section-only"])
+    def test_family_refuses_a_problem_without_a_weak_splitting(self, kind):
+        b, search = weak_only_lifting()
+        problem = assemble_ucp(b)
+        members = (uniform.LiftedCopy(0, b, problem.A, identity_map(b)),)
+        if kind == "none":
+            detail = "no section supplied"
+        else:
+            # the splitting with the identity sent to the kernel's other
+            # element: a section, but not a weak splitting
+            section = list(search.splittings[0].map)
+            section[0] = next(h for h, g in enumerate(problem.restriction) if g == 0 and h != section[0])
+            problem = problem.with_section(section)
+            assert problem.psi.classification == "section-only"
+            detail = "section classification: section-only"
+        with pytest.raises(StructureError, match=f"not a weak splitting: {detail}"):
+            uniform.Family(problem, members)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_every_weak_splitting_of_a_witness_breaks_transitivity(self, k, n):
+        b, search = c9_over_c3()
+        assert not search.splittings and len(search.weak_splittings) == 3
+        space = triple_space(b, search.weak_splittings[k], n)
+        claims = {name: ok for name, ok, _ in verify_claims(space).entries}
+        verdicts = tuple(claims[name] for name in uniform.E_PROPERTIES)
+        assert verdicts == (True, True, False)
+        if n < 3:  # the naive matrix of the 2,916 triples at n = 3 is left out
+            assert verdicts == naive_relation_verdicts(naive_e_matrix(space))
+        assert_transitivity_breaks(space)
 
 
 class TestDerivedIsomorphisms:
