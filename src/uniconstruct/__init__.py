@@ -15,13 +15,12 @@ __version__ = "0.1.0"
 # submodule -> the names the package re-exports from it
 _EXPORTS = {
     "errors": (
-        "BoundExceededError", "CongruenceError", "GroupError", "SignatureMismatchError",
-        "StructureError", "UniconstructError", "VerificationError",
+        "BoundExceededError", "GroupError", "SignatureMismatchError", "StructureError",
+        "UniconstructError", "VerificationError",
     ),
     "structures": (
         "SortedMap", "SortedSignature", "SortedStructure", "automorphisms", "identity_map",
-        "isomorphisms", "quotient", "reduct", "relabel", "relabel_map",
-        "restrict_signature", "validate",
+        "isomorphisms", "reduct", "relabel", "relabel_map", "validate",
     ),
     "groups": (
         "AutomorphismGroup", "FiniteGroup", "GroupHom", "Section", "aut_group", "catalog",
@@ -41,7 +40,7 @@ _EXPORTS = {
     ),
     "uniform": (
         "Family", "LiftedCopy", "MatchedTriple", "TripleSpace", "build_family",
-        "build_quotient", "k_class", "uniform_F", "verify_claims",
+        "build_quotient", "uniform_F", "verify_claims",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 from .errors import BoundExceededError
+from .records import Record
 
 _ENV_PREFIX = "UNICONSTRUCT_"
 
@@ -27,22 +27,24 @@ def _env_int(name: str, default: int) -> int:
         raise ValueError(f"environment override {_ENV_PREFIX}{name}={raw!r} is not an integer")
 
 
-@dataclass
-class Bounds:
-    # total element count for exhaustive automorphism / isomorphism search
-    aut_elements: int = 12
-    # nodes the section search (classify_sections) may visit
-    section_candidates: int = 10**6
-    # matched-triple enumeration cap
-    matched_triples: int = 10**5
-    # cells of any n x n Cayley table, checked before it is allocated
-    table_cells: int = 10**7
+class Bounds(Record):
+    __slots__ = _fields = ("aut_elements", "section_candidates", "matched_triples", "table_cells")
+
+    def __init__(self, aut_elements: int, section_candidates: int, matched_triples: int, table_cells: int):
+        self.aut_elements = aut_elements
+        self.section_candidates = section_candidates
+        self.matched_triples = matched_triples
+        self.table_cells = table_cells
 
 
 DEFAULT = Bounds(
+    # total element count for exhaustive automorphism / isomorphism search
     aut_elements=_env_int("AUT_BOUND", 12),
+    # nodes the section search (classify_sections) may visit
     section_candidates=_env_int("SECTION_BOUND", 10**6),
+    # matched-triple enumeration cap
     matched_triples=_env_int("TRIPLES_BOUND", 10**5),
+    # cells of any n x n Cayley table, checked before it is allocated
     table_cells=_env_int("TABLE_CELLS_BOUND", 10**7),
 )
 

@@ -12,10 +12,9 @@ symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GroupError, StructureError
 from .groups import AutomorphismGroup, FiniteGroup, GroupHom, is_hom, is_surjective
+from .records import Record
 from .structures import SortedMap, SortedSignature, SortedStructure, reduct
 from .ucp import Report, UniConstructionProblem, derive_triple
 
@@ -28,33 +27,41 @@ __all__ = [
 ]
 
 
-@dataclass
-class GroupTriple:
+class GroupTriple(Record):
     """G1, G2, G3 with surjections phi12: G2->G1 and phi23: G3->G2.
 
     phi13 is the composite; supplying it explicitly is allowed but it must
     agree pointwise.
     """
 
-    g1: FiniteGroup
-    g2: FiniteGroup
-    g3: FiniteGroup
-    phi12: GroupHom
-    phi23: GroupHom
-    phi13: GroupHom = None  # type: ignore[assignment]
+    __slots__ = _fields = ("g1", "g2", "g3", "phi12", "phi23", "phi13")
 
-    def __post_init__(self):
-        if self.phi12.domain != self.g2 or self.phi12.codomain != self.g1:
+    def __init__(
+        self,
+        g1: FiniteGroup,
+        g2: FiniteGroup,
+        g3: FiniteGroup,
+        phi12: GroupHom,
+        phi23: GroupHom,
+        phi13: GroupHom | None = None,
+    ):
+        if phi12.domain != g2 or phi12.codomain != g1:
             raise GroupError("phi12 must map G2 onto G1")
-        if self.phi23.domain != self.g3 or self.phi23.codomain != self.g2:
+        if phi23.domain != g3 or phi23.codomain != g2:
             raise GroupError("phi23 must map G3 onto G2")
-        if not is_surjective(self.phi12) or not is_surjective(self.phi23):
+        if not is_surjective(phi12) or not is_surjective(phi23):
             raise GroupError("both connecting maps must be surjective")
-        composite = self.phi12.compose(self.phi23)
-        if self.phi13 is None:
-            object.__setattr__(self, "phi13", composite)
-        elif self.phi13.map != composite.map:
+        composite = phi12.compose(phi23)
+        if phi13 is None:
+            phi13 = composite
+        elif phi13.map != composite.map:
             raise GroupError("phi13 does not equal phi12 composed with phi23")
+        self.g1 = g1
+        self.g2 = g2
+        self.g3 = g3
+        self.phi12 = phi12
+        self.phi23 = phi23
+        self.phi13 = phi13
 
 
 def encode_three_sorted(t: GroupTriple) -> SortedStructure:

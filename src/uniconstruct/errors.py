@@ -23,10 +23,6 @@ class StructureError(UniconstructError):
         self.violations = violations or []
 
 
-class CongruenceError(UniconstructError):
-    """A supplied equivalence is not a congruence for the structure."""
-
-
 class GroupError(UniconstructError):
     """A Cayley table or homomorphism fails its defining laws."""
 

@@ -16,13 +16,13 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import config
 from .errors import BoundExceededError, GroupError
 from .jsondoc import _TableDocument, is_int, is_int_list
+from .records import FrozenRecord, Record
 
 # the structure layer is loaded only when aut_group runs, so the group-level
 # commands never load it
@@ -355,8 +355,7 @@ WEAK_SPLITTING = "weak-splitting"
 SECTION_ONLY = "section-only"
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(FrozenRecord):
     """A set-theoretic section of a surjection, with its classification.
 
     classification is the strongest label that applies:
@@ -365,9 +364,12 @@ class Section:
     big group), else ``section-only``.
     """
 
-    of: GroupHom
-    map: tuple[int, ...]
-    classification: str
+    __slots__ = _fields = ("of", "map", "classification")
+
+    def __init__(self, of: GroupHom, map: tuple[int, ...], classification: str):
+        object.__setattr__(self, "of", of)
+        object.__setattr__(self, "map", map)
+        object.__setattr__(self, "classification", classification)
 
     def is_splitting(self) -> bool:
         return self.classification == SPLITTING
@@ -436,22 +438,31 @@ def classify_section(phi: GroupHom, sec: Sequence[int]) -> Section:
     return Section(phi, m, label(m))
 
 
-@dataclass
-class SectionSearch:
+class SectionSearch(Record):
     """Result of classify_sections.
 
     ``n_candidates`` is the number of sections, the product of the fiber
     sizes; it is counted, not enumerated.  ``splittings`` holds every
     splitting and ``weak_splittings`` every other weak splitting, each in
-    lexicographic order.  ``nodes`` is the number of partial assignments the
-    search visited.
+    lexicographic order (fresh lists when none are given).  ``nodes`` is the
+    number of partial assignments the search visited.
     """
 
-    phi: GroupHom
-    n_candidates: int
-    nodes: int = 0
-    splittings: list[Section] = field(default_factory=list)
-    weak_splittings: list[Section] = field(default_factory=list)
+    __slots__ = _fields = ("phi", "n_candidates", "nodes", "splittings", "weak_splittings")
+
+    def __init__(
+        self,
+        phi: GroupHom,
+        n_candidates: int,
+        nodes: int = 0,
+        splittings: list[Section] | None = None,
+        weak_splittings: list[Section] | None = None,
+    ):
+        self.phi = phi
+        self.n_candidates = n_candidates
+        self.nodes = nodes
+        self.splittings = [] if splittings is None else splittings
+        self.weak_splittings = [] if weak_splittings is None else weak_splittings
 
     @property
     def has_splitting(self) -> bool:
@@ -1001,12 +1012,14 @@ def normal_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
     return [h for h in subgroups(g) if _is_normal(g, h)]
 
 
-@dataclass
-class WeakNotStrongWitness:
-    group: FiniteGroup
-    normal: tuple[int, ...]
-    phi: GroupHom
-    search: SectionSearch
+class WeakNotStrongWitness(Record):
+    __slots__ = _fields = ("group", "normal", "phi", "search")
+
+    def __init__(self, group: FiniteGroup, normal: tuple[int, ...], phi: GroupHom, search: SectionSearch):
+        self.group = group
+        self.normal = normal
+        self.phi = phi
+        self.search = search
 
 
 def catalog_search_weak_not_strong(

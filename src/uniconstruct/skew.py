@@ -16,13 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import config
 from .errors import GroupError
 from .groups import FiniteGroup, GroupHom, _getter
 from .jsondoc import is_int, is_int_list
+from .records import Record
 
 __all__ = [
     "SkewElement",
@@ -306,8 +306,7 @@ def random_skew_element(
 # ---------------------------------------------------------------------------
 # Finite cyclic analogue (positions and shifts mod k)
 
-@dataclass
-class CyclicSkewGroup:
+class CyclicSkewGroup(Record):
     """Finite analogue with positions and shifts reduced mod k.
 
     Realized as a plain Cayley-table group of order k * |base|^k so the exact
@@ -315,9 +314,12 @@ class CyclicSkewGroup:
     construction; center and section behavior are computed per instance.
     """
 
-    k: int
-    base: FiniteGroup
-    group: FiniteGroup
+    __slots__ = _fields = ("k", "base", "group")
+
+    def __init__(self, k: int, base: FiniteGroup, group: FiniteGroup):
+        self.k = k
+        self.base = base
+        self.group = group
 
     def encode(self, shift: int, values: Sequence[int]) -> int:
         idx = shift % self.k

@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from . import config
-from .errors import (
-    CongruenceError,
-    SignatureMismatchError,
-    StructureError,
-)
+from .errors import SignatureMismatchError, StructureError
 from .jsondoc import is_int, is_int_list
+from .records import FrozenRecord
 
 __all__ = [
     "SortedSignature",
@@ -29,13 +25,11 @@ __all__ = [
     "SortedMap",
     "validate",
     "reduct",
-    "restrict_signature",
     "automorphisms",
     "isomorphisms",
     "isomorphism_rows",
     "identity_map",
     "relabel",
-    "quotient",
     "structure_to_json",
     "structure_from_json",
     "dumps",
@@ -43,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SortedSignature:
+class SortedSignature(FrozenRecord):
     """Symbol table of a finite n-sorted vocabulary.
 
     Relation entries are ``(name, argument sorts)``, function entries are
@@ -52,31 +45,38 @@ class SortedSignature:
     sort)``.  Symbol names must be unique across all three kinds.
     """
 
-    sort_names: tuple[str, ...]
-    relations: tuple[tuple[str, tuple[int, ...]], ...] = ()
-    functions: tuple[tuple[str, tuple[int, ...], int], ...] = ()
-    constants: tuple[tuple[str, int], ...] = ()
+    __slots__ = _fields = ("sort_names", "relations", "functions", "constants")
 
-    def __post_init__(self):
-        if len(self.sort_names) == 0:
+    def __init__(
+        self,
+        sort_names: tuple[str, ...],
+        relations: tuple[tuple[str, tuple[int, ...]], ...] = (),
+        functions: tuple[tuple[str, tuple[int, ...], int], ...] = (),
+        constants: tuple[tuple[str, int], ...] = (),
+    ):
+        object.__setattr__(self, "sort_names", sort_names)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "functions", functions)
+        object.__setattr__(self, "constants", constants)
+        if len(sort_names) == 0:
             raise StructureError("signature needs at least one sort")
-        n = len(self.sort_names)
+        n = len(sort_names)
         names = []
-        for name, sig in self.relations:
+        for name, sig in relations:
             names.append(name)
             if any(i < 0 or i >= n for i in sig):
                 raise StructureError(f"relation {name!r}: sort index out of range")
-        for name, sig, target in self.functions:
+        for name, sig, target in functions:
             names.append(name)
             if any(i < 0 or i >= n for i in sig) or target < 0 or target >= n:
                 raise StructureError(f"function {name!r}: sort index out of range")
-        for name, sort in self.constants:
+        for name, sort in constants:
             names.append(name)
             if sort < 0 or sort >= n:
                 raise StructureError(f"constant {name!r}: sort index out of range")
         if len(set(names)) != len(names):
             raise StructureError("symbol names must be unique across all kinds")
-        if len(set(self.sort_names)) != len(self.sort_names):
+        if len(set(sort_names)) != len(sort_names):
             raise StructureError("sort names must be unique")
 
     @property
@@ -332,36 +332,6 @@ def reduct(s: SortedStructure, keep: Iterable[int]) -> SortedStructure:
     )
 
 
-def restrict_signature(s: SortedStructure, target: SortedSignature) -> SortedStructure:
-    """Drop symbols so the result interprets exactly ``target``.
-
-    ``target`` must declare the same sorts and a subset of the symbols with
-    identical declarations (an "expansion" read backwards).
-    """
-    if target.sort_names != s.signature.sort_names:
-        raise SignatureMismatchError("restrict_signature: sort lists differ")
-    rel_of = {name: i for i, (name, _) in enumerate(s.signature.relations)}
-    fn_of = {name: i for i, (name, _, _) in enumerate(s.signature.functions)}
-    const_of = {name: i for i, (name, _) in enumerate(s.signature.constants)}
-    rels, fns, consts = [], [], []
-    for name, rsig in target.relations:
-        i = rel_of.get(name)
-        if i is None or s.signature.relations[i][1] != rsig:
-            raise SignatureMismatchError(f"relation {name!r} is not part of the source signature")
-        rels.append(s.relations[i])
-    for name, fsig, tgt in target.functions:
-        i = fn_of.get(name)
-        if i is None or s.signature.functions[i][1:] != (fsig, tgt):
-            raise SignatureMismatchError(f"function {name!r} is not part of the source signature")
-        fns.append(s.functions[i])
-    for name, sort in target.constants:
-        i = const_of.get(name)
-        if i is None or s.signature.constants[i][1] != sort:
-            raise SignatureMismatchError(f"constant {name!r} is not part of the source signature")
-        consts.append(s.constants[i])
-    return SortedStructure(target, s.sort_sizes, rels, fns, consts)
-
-
 def _starts(sizes: Sequence[int]) -> list[int]:
     """The row position where each sort starts, then the row's length."""
     return list(itertools.accumulate(sizes, initial=0))
@@ -514,60 +484,6 @@ def relabel_map(s: SortedStructure, maps: Sequence[Sequence[int]]) -> SortedMap:
     consts = [norm[sort][c] for (_, sort), c in zip(s.signature.constants, s.constants)]
     target_structure = SortedStructure(s.signature, s.sort_sizes, rels, fns, consts)
     return SortedMap(s, target_structure, norm)
-
-
-def _normalize_partition(blocks: Iterable[Iterable[int]], size: int, sort: int) -> list[int]:
-    """Partition blocks -> class index per element, classes ordered by min."""
-    block_list = [sorted(set(int(x) for x in b)) for b in blocks]
-    flat = [x for b in block_list for x in b]
-    if sorted(flat) != list(range(size)) or any(not b for b in block_list):
-        raise StructureError(f"quotient: blocks for sort {sort} are not a partition")
-    block_list.sort(key=lambda b: b[0])
-    out = [-1] * size
-    for ci, b in enumerate(block_list):
-        for x in b:
-            out[x] = ci
-    return out
-
-
-def quotient(
-    s: SortedStructure, eq: Sequence[Iterable[Iterable[int]]]
-) -> tuple[SortedStructure, SortedMap]:
-    """Quotient a relational structure by a per-sort congruence.
-
-    ``eq`` gives one partition (iterable of blocks) per sort.  The partition
-    must actually be a congruence: relation membership of a tuple may depend
-    only on the classes of its entries.  That is checked exhaustively and a
-    violation is a hard error.  Returns the quotient plus the projection map.
-    """
-    s.check_valid()
-    if s.signature.functions or s.signature.constants:
-        raise StructureError("quotient: structure must be relational (no functions or constants)")
-    if len(eq) != len(s.sort_sizes):
-        raise StructureError("quotient: need one partition per sort")
-    cls = [
-        _normalize_partition(blocks, s.sort_sizes[i], i) for i, blocks in enumerate(eq)
-    ]
-    n_classes = [max(c) + 1 if c else 0 for c in cls]
-
-    rels = []
-    for (name, rsig), rel in zip(s.signature.relations, s.relations):
-        membership: dict[tuple[int, ...], bool] = {}
-        for t in itertools.product(*(range(s.sort_sizes[i]) for i in rsig)):
-            ct = tuple(cls[rsig[i]][t[i]] for i in range(len(t)))
-            holds = t in rel
-            prev = membership.get(ct)
-            if prev is None:
-                membership[ct] = holds
-            elif prev != holds:
-                raise CongruenceError(
-                    f"relation {name!r}: membership differs within class tuple {ct}"
-                )
-        rels.append(frozenset(ct for ct, holds in membership.items() if holds))
-
-    qs = SortedStructure(s.signature, n_classes, rels, (), ())
-    projection = SortedMap(s, qs, tuple(tuple(c) for c in cls))
-    return qs, projection
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ one per construction of its tower; :mod:`uniconstruct.uniform` runs each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -23,6 +22,7 @@ from .groups import (
     classify_section,
     is_hom,
 )
+from .records import Record
 from .structures import SortedStructure, reduct
 
 __all__ = [
@@ -35,17 +35,20 @@ __all__ = [
 ]
 
 
-@dataclass
-class Report:
-    """Named pass/fail entries (name, ok, detail), in the order checked.
+class Report(Record):
+    """Named pass/fail entries (name, ok, detail), in the order checked
+    (a fresh list when none are given).
 
     ``key`` is the JSON field that carries each entry's name: ``clause`` for
     problem clauses (a)-(f), ``check`` for tower encodings, ``claim`` for the
     uniform construction.
     """
 
-    key: str
-    entries: list[tuple[str, bool, str]] = field(default_factory=list)
+    __slots__ = _fields = ("key", "entries")
+
+    def __init__(self, key: str, entries: list[tuple[str, bool, str]] | None = None):
+        self.key = key
+        self.entries = [] if entries is None else entries
 
     def add(self, name: str, ok: bool, detail: str = ""):
         self.entries.append((name, bool(ok), detail))
@@ -67,27 +70,41 @@ class Report:
         ]
 
 
-@dataclass
-class UniConstructionProblem:
+class UniConstructionProblem(Record):
     """The tuple (B, A, H, K, G, phi, psi) with verification report.
 
     ``restriction[i]`` is the index in G of the restriction of H's element
     i.  ``phi``, the same map as a GroupHom between the two automorphism
-    groups, is built on first access; clauses (c)-(e) are decided without
-    it, and no Cayley table is built for either.
+    groups, is built on first access and kept in the ``__dict__``; clauses
+    (c)-(e) are decided without it, and no Cayley table is built for either.
     ``weak_only`` records that no section was supplied; the clause report
     tells whether the weak conditions (a)-(e) actually hold.
     """
 
-    B: SortedStructure
-    A: SortedStructure
-    H: AutomorphismGroup
-    G: AutomorphismGroup
-    K: tuple[int, ...]
-    restriction: tuple[int, ...]
-    psi: Section | None
-    weak_only: bool
-    report: Report
+    _fields = ("B", "A", "H", "G", "K", "restriction", "psi", "weak_only", "report")
+    __slots__ = (*_fields, "__dict__")
+
+    def __init__(
+        self,
+        B: SortedStructure,
+        A: SortedStructure,
+        H: AutomorphismGroup,
+        G: AutomorphismGroup,
+        K: tuple[int, ...],
+        restriction: tuple[int, ...],
+        psi: Section | None,
+        weak_only: bool,
+        report: Report,
+    ):
+        self.B = B
+        self.A = A
+        self.H = H
+        self.G = G
+        self.K = K
+        self.restriction = restriction
+        self.psi = psi
+        self.weak_only = weak_only
+        self.report = report
 
     @cached_property
     def phi(self) -> GroupHom:
@@ -117,7 +134,9 @@ class UniConstructionProblem:
                 section.is_weak_splitting(),
                 f"section classification: {section.classification}",
             )
-        problem = replace(self, psi=section, weak_only=False, report=report)
+        problem = UniConstructionProblem(
+            self.B, self.A, self.H, self.G, self.K, self.restriction, section, False, report
+        )
         problem.phi = self.phi  # one GroupHom per restriction map
         return problem
 
@@ -193,14 +212,22 @@ def _ordinals(sorts: range) -> str:
     return "/".join(("first", "second", "third")[s] for s in sorts)
 
 
-@dataclass
-class TripleDerivation:
+class TripleDerivation(Record):
     """The three weak problems carved out of one 3-sorted structure."""
 
-    c12: UniConstructionProblem
-    c23: UniConstructionProblem
-    c13: UniConstructionProblem
-    composition_ok: bool
+    __slots__ = _fields = ("c12", "c23", "c13", "composition_ok")
+
+    def __init__(
+        self,
+        c12: UniConstructionProblem,
+        c23: UniConstructionProblem,
+        c13: UniConstructionProblem,
+        composition_ok: bool,
+    ):
+        self.c12 = c12
+        self.c23 = c23
+        self.c13 = c13
+        self.composition_ok = composition_ok
 
     @property
     def all_weak(self) -> bool:

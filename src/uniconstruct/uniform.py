@@ -13,32 +13,33 @@ k is read off the problem the family is built on: 1 for ``assemble_ucp``'s,
 1 or 2 for ``derive_triple``'s, so F12, F23 and F13 of one tower run here.
 
 A :class:`TripleSpace`, built once per call from a family and a target, is
-the layer's one handle: :func:`verify_claims`, :func:`build_quotient`,
-:func:`uniform_F` and :func:`k_class` take it.  Each fact they read is
-decided once on it: E (read off the section: always reflexive and
-symmetric, and transitive exactly when psi is a splitting), each class's
-sort, and the congruence failures.  The quotient,
-``k_class`` and ``uniform_F`` refuse an E that is not an equivalence, naming
-what it lacks.
+the layer's one handle: :func:`verify_claims`, :func:`build_quotient` and
+:func:`uniform_F` take it.  Each fact they read is decided once on it: E
+(read off the section: always reflexive and symmetric, and transitive
+exactly when psi is a splitting), each class's sort, each relation's
+membership (once per member, in one frame, since no frame differs), and the
+congruence failures.  The quotient and ``uniform_F`` refuse an E that is
+not an equivalence, naming what it lacks.
 
 :func:`verify_claims` reports every intermediate fact the construction
-leans on, reading the two that hold by construction (the cocycle law, the
-copy set every relabelled member shares) from what was already decided.  A
-failure is reported honestly (it can genuinely happen when the restriction
-map has a nontrivial kernel and the family has two or more members, because
-the isomorphism families are then underdetermined).
+leans on, reading the three that hold by construction (the cocycle law, the
+copy set every relabelled member shares, frame-independent membership) from
+what was already decided.  A failure is reported honestly (it can
+genuinely happen when the restriction map has a nontrivial kernel and the
+family has two or more members, because the isomorphism families are then
+underdetermined).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import config
 from .errors import BoundExceededError, StructureError, VerificationError
 from .groups import Section, _compose_rows, _invert_row
+from .records import FrozenRecord, Record
 from .structures import (
     SortedMap,
     SortedStructure,
@@ -57,7 +58,6 @@ __all__ = [
     "build_family",
     "MatchedTriple",
     "TripleSpace",
-    "k_class",
     "QuotientResult",
     "build_quotient",
     "UniformResult",
@@ -69,43 +69,45 @@ __all__ = [
 E_PROPERTIES = ("E_reflexive", "E_symmetric", "E_transitive")
 
 
-@dataclass
-class LiftedCopy:
+class LiftedCopy(Record):
     """One family member: a structure, its reduct A to the kept sorts, and
     the relabelling ``relabel`` that carries the family's base structure
     onto B (the identity on the base).  Its automorphisms, section and
     transports are the base's, carried along ``relabel``."""
 
-    tag: int
-    B: SortedStructure
-    A: SortedStructure
-    relabel: SortedMap
+    __slots__ = _fields = ("tag", "B", "A", "relabel")
+
+    def __init__(self, tag: int, B: SortedStructure, A: SortedStructure, relabel: SortedMap):
+        self.tag = tag
+        self.B = B
+        self.A = A
+        self.relabel = relabel
 
 
-@dataclass
-class Family:
+class Family(Record):
     """The base's assembled problem, with its weak splitting (a problem with
     no section, or a section that is not one, is refused), and lifted
     copies: the base (the first member, the problem's structure) and
     relabellings of it, checked once, by carrying every base relation along
     each member's ``relabel``."""
 
-    problem: UniConstructionProblem
-    members: tuple[LiftedCopy, ...]
+    __slots__ = _fields = ("problem", "members")
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, problem: UniConstructionProblem, members: tuple[LiftedCopy, ...]):
+        self.problem = problem
+        self.members = members
+        if not members:
             raise StructureError("family must be nonempty")
-        base = self.members[0].B
-        if base != self.problem.B:
+        base = members[0].B
+        if base != problem.B:
             raise StructureError("the family's base is not its problem's structure")
-        if self.problem.psi is None or not self.problem.report.ok("f"):
-            detail = next(d for name, _, d in self.problem.report.entries if name == "f")
+        if problem.psi is None or not problem.report.ok("f"):
+            detail = next(d for name, _, d in problem.report.entries if name == "f")
             raise StructureError(f"supplied map is not a weak splitting: {detail}")
-        if any(m.relabel.domain != base or m.relabel.codomain != m.B for m in self.members):
+        if any(m.relabel.domain != base or m.relabel.codomain != m.B for m in members):
             raise StructureError("a member's relabelling does not start at the family's base")
         try:
-            carried = all(relabel(base, m.relabel.maps) == m.B for m in self.members)
+            carried = all(relabel(base, m.relabel.maps) == m.B for m in members)
         except StructureError:  # a per-sort map is not a bijection
             carried = False
         if not carried:
@@ -167,8 +169,7 @@ def build_family(
     return Family(problem, tuple(members))
 
 
-@dataclass(frozen=True)
-class MatchedTriple:
+class MatchedTriple(FrozenRecord):
     """(pi, g, b): indices into the owning TripleSpace's row lists.
 
     ``pi_idx[s]`` picks the isomorphism A_s -> A; ``g_idx[t]`` picks the
@@ -176,20 +177,25 @@ class MatchedTriple:
     ``b[s]`` is the (sort, element) thread entry in B_s.
     """
 
-    pi_idx: tuple[int, ...]
-    g_idx: tuple[int, ...]
-    b: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("pi_idx", "g_idx", "b")
+
+    def __init__(self, pi_idx: tuple[int, ...], g_idx: tuple[int, ...], b: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "pi_idx", pi_idx)
+        object.__setattr__(self, "g_idx", g_idx)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class ThreadClass:
+class ThreadClass(FrozenRecord):
     """The triples threading one target element, ascending; ``cid`` is their
     class when they lie in one class, and ``problem`` is empty exactly when
     they are that whole class."""
 
-    triples: tuple[int, ...]
-    cid: int | None
-    problem: str
+    __slots__ = _fields = ("triples", "cid", "problem")
+
+    def __init__(self, triples: tuple[int, ...], cid: int | None, problem: str):
+        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "cid", cid)
+        object.__setattr__(self, "problem", problem)
 
 
 class TripleSpace:
@@ -246,8 +252,8 @@ class TripleSpace:
         self._classes: tuple[list[int], list[list[int]]] | None = None
         self._frame_threads: tuple[list[tuple[int, ...]], list[dict[int, tuple]]] | None = None
         self._class_sorts: list[int] | None = None
-        self._membership: list[dict[tuple[int, ...], tuple[tuple[bool, ...], ...]]] | None = None
-        self._congruence: tuple[list, list] | None = None
+        self._membership: list[list[set[tuple[int, ...]]]] | None = None
+        self._congruence: list[tuple[int, tuple[int, ...]]] | None = None
         self._thread_classes: list[ThreadClass] | None = None
         self._quotient: QuotientResult | None = None
 
@@ -434,34 +440,49 @@ class TripleSpace:
         self._frame_threads = (frames, by_frame)
         return self._frame_threads
 
-    def membership(self) -> list[dict[tuple[int, ...], tuple[tuple[bool, ...], ...]]]:
-        """Per relation, every well-sorted class tuple's (exists, forall)
-        verdicts across family members, one entry per frame.
+    def membership(self) -> list[list[set[tuple[int, ...]]]]:
+        """Per relation and member s, P_s: the well-sorted class tuples whose
+        frame-0 threads at s lie in R_s, read off R_s's own tuples through
+        the classes whose frame-0 thread at s is each entry.  In every frame,
+        a class tuple's exists verdict is its membership of the union of the
+        P_s and its forall verdict of their intersection.
 
-        ``membership()[ri][ct]`` is the pair of tuples ``(exists, forall)``
-        indexed like ``frame_threads()``'s frames; class tuples are listed in
-        product order.  Computed once per space; :meth:`congruence`, the
-        quotient and :func:`verify_claims` read it.
+        No frame can differ.  Classes exist only where E is an equivalence
+        (:meth:`classes` refuses first), and they are the fibres of the
+        frame-0 key k(x)_s = T_s(pi_s, 0) . b_s (:meth:`_frame0_keys`).
+        - By the cocycle law, T_s(0, pi_s) . T_s(pi_s, 0) = T_s(pi_s, pi_s)
+          = 1.  So in frame pi, a class's thread at member s is T_s(0, pi_s)
+          applied to its frame-0 thread.
+        - T_s(0, pi_s) is psi_s of an automorphism of A_s, so it is an
+          automorphism of B_s and maps R_s onto itself.  So a class tuple's
+          membership at member s is the same in every frame.
+        - Hence exists and forall are constant across frames: cla4 holds
+          wherever :meth:`frame_threads` does, and cla3 fails exactly at the
+          class tuples in some P_s but not in every one.
+
+        Computed once per space; :meth:`congruence`, the quotient and
+        :func:`verify_claims` read it.
         """
-        if self._membership is not None:
-            return self._membership
-        _, by_frame = self.frame_threads()
-        sort_of_class = self.class_sorts()
-        n_classes = len(sort_of_class)
-        table = []
-        for ri, (name, rsig) in enumerate(self.fam.members[0].B.signature.relations):
-            if n_classes ** len(rsig) > 10**6:
-                raise BoundExceededError(f"relation {name!r}: membership check too large")
-            rels = [member.B.relations[ri] for member in self.fam.members]
-            verdicts = {}
-            for ct in itertools.product(*(
-                [c for c in range(n_classes) if sort_of_class[c] == sort] for sort in rsig
-            )):
-                exists, forall = zip(*(_frame_membership(rels, threads, ct) for threads in by_frame))
-                verdicts[ct] = (exists, forall)
-            table.append(verdicts)
-        self._membership = table
-        return table
+        if self._membership is None:
+            _, by_frame = self.frame_threads()
+            self.class_sorts()  # refuses a class that mixes sorts
+            # at[s][entry]: the classes whose frame-0 thread at member s is entry
+            at: list[dict[tuple[int, int], list[int]]] = [{} for _ in self.fam.members]
+            for cid, thread in (by_frame[0] if by_frame else {}).items():
+                for classes, entry in zip(at, thread):
+                    classes.setdefault(entry, []).append(cid)
+            self._membership = [
+                [
+                    {
+                        ct
+                        for r in member.B.relations[ri]
+                        for ct in itertools.product(*(classes.get(entry, ()) for entry in zip(rsig, r)))
+                    }
+                    for member, classes in zip(self.fam.members, at)
+                ]
+                for ri, (_, rsig) in enumerate(self.fam.problem.B.signature.relations)
+            ]
+        return self._membership
 
     def class_sorts(self) -> list[int]:
         """Each class's sort, checked to be one sort at every member of every
@@ -477,21 +498,18 @@ class TripleSpace:
             self._class_sorts = sorts
         return self._class_sorts
 
-    def congruence(self) -> tuple[list[tuple[int, tuple]], list[tuple[int, int, tuple]]]:
-        """The class tuples on which the quotient's relations are not well
-        defined, from one pass over :meth:`membership`, in relation and then
-        class-tuple order: ``(ri, ct)`` where exists and forall differ in some
-        frame (cla3), and ``(f, ri, ct)`` where membership varies by frame, f
-        being the first frame whose verdict differs from frame 0's (cla4)."""
+    def congruence(self) -> list[tuple[int, tuple[int, ...]]]:
+        """``(ri, ct)`` for each class tuple on which the quotient's relation
+        ri is not well defined, in relation and then ascending class-tuple
+        order: ct lies in some member's P_s of :meth:`membership` but not in
+        every one's (cla3).  Membership never varies by frame, so that is
+        the only failure."""
         if self._congruence is None:
-            agree, varying = [], []
-            for ri, verdicts in enumerate(self.membership()):
-                for ct, (exists, forall) in verdicts.items():
-                    if exists != forall:
-                        agree.append((ri, ct))
-                    if (not exists[0]) in exists:
-                        varying.append((exists.index(not exists[0]), ri, ct))
-            self._congruence = (agree, varying)
+            self._congruence = [
+                (ri, ct)
+                for ri, sets in enumerate(self.membership())
+                for ct in sorted(set.union(*sets) - set.intersection(*sets))
+            ]
         return self._congruence
 
     def thread_classes(self) -> list[ThreadClass]:
@@ -531,43 +549,15 @@ class TripleSpace:
         return out
 
 
-def k_class(space: TripleSpace, a: int) -> list[MatchedTriple]:
-    """The triples threading element a of the target, an index into
-    ``A.elements()`` (so the element itself when A has one sort); verified
-    to be exactly one class of E, after E is verified to be an equivalence."""
-    A = space.A
-    if not 0 <= a < A.total_elements:
-        raise StructureError(
-            f"element {a} is not in the target's {_ordinals(range(len(A.sort_sizes)))} sort "
-            f"of size {A.total_elements}"
-        )
-    space.require_equivalence()
-    tc = space.thread_classes()[a]
-    if not tc.triples:
-        raise VerificationError(f"no matched triple threads element {a}")
-    if tc.problem:
-        raise VerificationError(
-            f"thread set of element {a} is not a single equivalence class"
-        )
-    return [space.triples[i] for i in tc.triples]
-
-
 # ---------------------------------------------------------------------------
 # Quotient and the uniform construction
 
-@dataclass
-class QuotientResult:
-    structure: SortedStructure
-    class_label: list[tuple[int, int]]  # class id -> (sort, element)
+class QuotientResult(Record):
+    __slots__ = _fields = ("structure", "class_label")
 
-
-def _frame_membership(rels, threads: dict[int, tuple], ct) -> tuple[bool, bool]:
-    """(exists-member, forall-members) verdicts for one class tuple in one
-    frame; ``rels`` holds one relation's interpretation in every member."""
-    verdicts = [
-        tuple(threads[c][s][1] for c in ct) in rel for s, rel in enumerate(rels)
-    ]
-    return any(verdicts), all(verdicts)
+    def __init__(self, structure: SortedStructure, class_label: list[tuple[int, int]]):
+        self.structure = structure
+        self.class_label = class_label  # class id -> (sort, element)
 
 
 def build_quotient(space: TripleSpace) -> QuotientResult:
@@ -576,9 +566,8 @@ def build_quotient(space: TripleSpace) -> QuotientResult:
     Refuses a twist relation that is not an equivalence, a class that mixes
     sorts (:meth:`TripleSpace.class_sorts`), and the first failure
     :meth:`TripleSpace.congruence` finds: exists/forall disagreement across
-    family members, else membership that changes with the frame, naming the
-    relation that changes in the earliest frame.  Failures raise, since they
-    are theorems for coherent families.  The result is cached on the space.
+    family members.  Failures raise, since they are theorems for coherent
+    families.  The result is cached on the space.
     """
     if space._quotient is not None:
         return space._quotient
@@ -587,14 +576,10 @@ def build_quotient(space: TripleSpace) -> QuotientResult:
     space.require_equivalence()
     sort_of_class = space.class_sorts()
     relations = space.fam.members[0].B.signature.relations
-    agree, varying = space.congruence()
+    agree = space.congruence()
     if agree:
         raise VerificationError(
             f"relation {relations[agree[0][0]][0]!r}: exists/forall agreement fails across members"
-        )
-    if varying:
-        raise VerificationError(
-            f"relation {relations[min(varying)[1]][0]!r}: membership is not constant across frames"
         )
 
     # canonical labels per sort
@@ -605,8 +590,7 @@ def build_quotient(space: TripleSpace) -> QuotientResult:
         counters[s] += 1
 
     quot_rels = [
-        {tuple(labels[c][1] for c in ct) for ct, (exists, _) in verdicts.items() if exists[0]}
-        for verdicts in space.membership()
+        {tuple(labels[c][1] for c in ct) for ct in set.union(*sets)} for sets in space.membership()
     ]
     structure = SortedStructure(
         space.fam.members[0].B.signature, tuple(counters), quot_rels, (), ()
@@ -615,10 +599,12 @@ def build_quotient(space: TripleSpace) -> QuotientResult:
     return space._quotient
 
 
-@dataclass
-class UniformResult:
-    structure: SortedStructure
-    quotient: QuotientResult
+class UniformResult(Record):
+    __slots__ = _fields = ("structure", "quotient")
+
+    def __init__(self, structure: SortedStructure, quotient: QuotientResult):
+        self.structure = structure
+        self.quotient = quotient
 
 
 def uniform_F(space: TripleSpace) -> UniformResult:
@@ -667,9 +653,9 @@ def verify_claims(space: TripleSpace) -> Report:
     prod(n_s!) / |Aut B|.  The three E claims read
     :meth:`TripleSpace.equivalence`, proved from the section: E_transitive
     fails exactly when psi is not a splitting, and then the report stops
-    there, before any class is built.  The cla3
-    and cla4 claims read :meth:`TripleSpace.congruence`, which
-    :func:`build_quotient` refuses on.
+    there, before any class is built.  The cla3 claim reads
+    :meth:`TripleSpace.congruence`, which :func:`build_quotient` refuses on;
+    cla4 is proved from the frame threads (:meth:`TripleSpace.membership`).
     """
     fam, A = space.fam, space.A
     report = Report("claim")
@@ -709,20 +695,17 @@ def verify_claims(space: TripleSpace) -> Report:
         frames_ok, frames_detail = False, str(exc)
     report.add("classes_have_unique_frame_threads", frames_ok, frames_detail)
 
-    agree, varying = space.congruence() if frames_ok else ([], [])
+    agree = space.congruence() if frames_ok else []
     names = [name for name, _ in base.B.signature.relations]
     report.add(
         "cla3_exists_forall_agreement",
         frames_ok and not agree,
         "; ".join(f"{names[ri]}{ct}" for ri, ct in agree[:4]),
     )
-    report.add(
-        "cla4_congruence_frame_independent",
-        frames_ok and not varying,
-        "; ".join(f"{names[ri]}{ct}" for _, ri, ct in varying[:4]),
-    )
+    # proved wherever the frame threads are unique (TripleSpace.membership)
+    report.add("cla4_congruence_frame_independent", frames_ok, "")
 
-    quot = build_quotient(space) if frames_ok and not agree and not varying else None
+    quot = build_quotient(space) if frames_ok and not agree else None
     report.add("quotient_constructible", quot is not None, "")
 
     k_detail = []

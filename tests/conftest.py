@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from uniconstruct.encode import GroupTriple
+from uniconstruct.groups import cyclic, surjective_homs, symmetric
 from uniconstruct.structures import SortedSignature, SortedStructure
 
 
@@ -70,6 +72,12 @@ def matched_three_sorted():
     return SortedStructure(
         sig, (3, 3, 3), [[(i, i) for i in range(3)], [(i, (i + 1) % 3) for i in range(3)]]
     )
+
+
+def s4_s3_c2() -> GroupTriple:
+    """The tower S4 -> S3 -> C2 of the first surjections found."""
+    s4, s3, c2 = symmetric(4), symmetric(3), cyclic(2)
+    return GroupTriple(c2, s3, s4, surjective_homs(s3, c2)[0], surjective_homs(s4, s3)[0])
 
 
 @pytest.fixture

@@ -32,7 +32,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from uniconstruct import config
-from uniconstruct.errors import SignatureMismatchError
+from uniconstruct.errors import (
+    SignatureMismatchError,
+    StructureError,
+    UniconstructError,
+    VerificationError,
+)
 from uniconstruct.groups import (
     SECTION_ONLY,
     SPLITTING,
@@ -68,11 +73,10 @@ from uniconstruct.structures import (
     reduct,
     relabel,
     relabel_map,
-    restrict_signature,
     structure_from_json,
     structure_to_json,
 )
-from uniconstruct.ucp import assemble_ucp
+from uniconstruct.ucp import _ordinals, assemble_ucp
 from uniconstruct.uniform import MatchedTriple, TripleSpace
 
 
@@ -134,6 +138,111 @@ def _preserves(s1, s2, perms):
         if perms[sort][c1] != c2:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Structure operations only the tests call: signature restriction, quotients
+# by a supplied congruence, and function symbols replaced by their graphs
+
+
+class CongruenceError(UniconstructError):
+    """A supplied equivalence is not a congruence for the structure."""
+
+
+def restrict_signature(s: SortedStructure, target: SortedSignature) -> SortedStructure:
+    """Drop symbols so the result interprets exactly ``target``.
+
+    ``target`` must declare the same sorts and a subset of the symbols with
+    identical declarations (an "expansion" read backwards).
+    """
+    if target.sort_names != s.signature.sort_names:
+        raise SignatureMismatchError("restrict_signature: sort lists differ")
+    rel_of = {name: i for i, (name, _) in enumerate(s.signature.relations)}
+    fn_of = {name: i for i, (name, _, _) in enumerate(s.signature.functions)}
+    const_of = {name: i for i, (name, _) in enumerate(s.signature.constants)}
+    rels, fns, consts = [], [], []
+    for name, rsig in target.relations:
+        i = rel_of.get(name)
+        if i is None or s.signature.relations[i][1] != rsig:
+            raise SignatureMismatchError(f"relation {name!r} is not part of the source signature")
+        rels.append(s.relations[i])
+    for name, fsig, tgt in target.functions:
+        i = fn_of.get(name)
+        if i is None or s.signature.functions[i][1:] != (fsig, tgt):
+            raise SignatureMismatchError(f"function {name!r} is not part of the source signature")
+        fns.append(s.functions[i])
+    for name, sort in target.constants:
+        i = const_of.get(name)
+        if i is None or s.signature.constants[i][1] != sort:
+            raise SignatureMismatchError(f"constant {name!r} is not part of the source signature")
+        consts.append(s.constants[i])
+    return SortedStructure(target, s.sort_sizes, rels, fns, consts)
+
+
+def _normalize_partition(blocks: Iterable[Iterable[int]], size: int, sort: int) -> list[int]:
+    """Partition blocks -> class index per element, classes ordered by min."""
+    block_list = [sorted(set(int(x) for x in b)) for b in blocks]
+    flat = [x for b in block_list for x in b]
+    if sorted(flat) != list(range(size)) or any(not b for b in block_list):
+        raise StructureError(f"quotient: blocks for sort {sort} are not a partition")
+    block_list.sort(key=lambda b: b[0])
+    out = [-1] * size
+    for ci, b in enumerate(block_list):
+        for x in b:
+            out[x] = ci
+    return out
+
+
+def quotient(
+    s: SortedStructure, eq: Sequence[Iterable[Iterable[int]]]
+) -> tuple[SortedStructure, SortedMap]:
+    """Quotient a relational structure by a per-sort congruence.
+
+    ``eq`` gives one partition (iterable of blocks) per sort.  The partition
+    must actually be a congruence: relation membership of a tuple may depend
+    only on the classes of its entries.  That is checked exhaustively and a
+    violation is a hard error.  Returns the quotient plus the projection map.
+    """
+    s.check_valid()
+    if s.signature.functions or s.signature.constants:
+        raise StructureError("quotient: structure must be relational (no functions or constants)")
+    if len(eq) != len(s.sort_sizes):
+        raise StructureError("quotient: need one partition per sort")
+    cls = [
+        _normalize_partition(blocks, s.sort_sizes[i], i) for i, blocks in enumerate(eq)
+    ]
+    n_classes = [max(c) + 1 if c else 0 for c in cls]
+
+    rels = []
+    for (name, rsig), rel in zip(s.signature.relations, s.relations):
+        membership: dict[tuple[int, ...], bool] = {}
+        for t in itertools.product(*(range(s.sort_sizes[i]) for i in rsig)):
+            ct = tuple(cls[rsig[i]][t[i]] for i in range(len(t)))
+            holds = t in rel
+            prev = membership.get(ct)
+            if prev is None:
+                membership[ct] = holds
+            elif prev != holds:
+                raise CongruenceError(
+                    f"relation {name!r}: membership differs within class tuple {ct}"
+                )
+        rels.append(frozenset(ct for ct, holds in membership.items() if holds))
+
+    qs = SortedStructure(s.signature, n_classes, rels, (), ())
+    projection = SortedMap(s, qs, tuple(tuple(c) for c in cls))
+    return qs, projection
+
+
+def graph_functions(s: SortedStructure) -> SortedStructure:
+    """``s`` with each function symbol replaced by its graph: a relation of
+    the same name on the argument sorts then the target sort, holding
+    (arguments, value).  A bijection preserves a function exactly when it
+    preserves its graph, so automorphisms and isomorphisms are unchanged."""
+    sig = s.signature
+    graphs = tuple((name, (*fsig, target)) for name, fsig, target in sig.functions)
+    rels = [*s.relations, *({(*args, v) for args, v in table.items()} for table in s.functions)]
+    graphed = SortedSignature(sig.sort_names, sig.relations + graphs, (), sig.constants)
+    return SortedStructure(graphed, s.sort_sizes, rels, (), s.constants)
 
 
 # ---------------------------------------------------------------------------
@@ -852,6 +961,56 @@ def naive_k_classes_claim(space):
             detail.append(f"element {a}: class collides with another element")
         seen.add(cid)
     return ok, "; ".join(detail)
+
+
+def k_class(space: TripleSpace, a: int) -> list[MatchedTriple]:
+    """The triples threading element a of the target, an index into
+    ``A.elements()`` (so the element itself when A has one sort); verified
+    to be exactly one class of E, after E is verified to be an equivalence."""
+    A = space.A
+    if not 0 <= a < A.total_elements:
+        raise StructureError(
+            f"element {a} is not in the target's {_ordinals(range(len(A.sort_sizes)))} sort "
+            f"of size {A.total_elements}"
+        )
+    space.require_equivalence()
+    tc = space.thread_classes()[a]
+    if not tc.triples:
+        raise VerificationError(f"no matched triple threads element {a}")
+    if tc.problem:
+        raise VerificationError(
+            f"thread set of element {a} is not a single equivalence class"
+        )
+    return [space.triples[i] for i in tc.triples]
+
+
+# ---------------------------------------------------------------------------
+# Relation membership of class tuples, evaluated in every frame
+
+
+def naive_membership(space):
+    """Per relation, every well-sorted class tuple's (exists, forall)
+    verdicts across family members, one entry per frame of
+    ``frame_threads()``: the tuple of the classes' threads at member s is
+    looked up in member s's relation, frame by frame.  Class tuples are
+    listed in product order."""
+    _, by_frame = space.frame_threads()
+    sort_of_class = space.class_sorts()
+    table = []
+    for ri, (_, rsig) in enumerate(space.fam.members[0].B.signature.relations):
+        rels = [member.B.relations[ri] for member in space.fam.members]
+        verdicts = {}
+        for ct in itertools.product(*(
+            [c for c in range(len(sort_of_class)) if sort_of_class[c] == sort] for sort in rsig
+        )):
+            exists, forall = [], []
+            for threads in by_frame:
+                held = [tuple(threads[c][s][1] for c in ct) in rel for s, rel in enumerate(rels)]
+                exists.append(any(held))
+                forall.append(all(held))
+            verdicts[ct] = (tuple(exists), tuple(forall))
+        table.append(verdicts)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from uniconstruct.structures import (
     isomorphisms,
     reduct,
     relabel,
-    restrict_signature,
 )
 from uniconstruct.ucp import assemble_ucp, derive_triple
 from uniconstruct.uniform import TripleSpace, build_family, uniform_F, verify_claims
@@ -58,6 +57,7 @@ from .oracles import (
     naive_isomorphisms,
     naive_section_census,
     naive_sections,
+    restrict_signature,
     solver_from_catalog,
 )
 

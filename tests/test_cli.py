@@ -1147,13 +1147,12 @@ class TestCatalogSearch:
 # the package's re-exports while `__init__` imported every submodule eagerly
 REEXPORTS = {
     "errors": (
-        "BoundExceededError", "CongruenceError", "GroupError", "SignatureMismatchError",
-        "StructureError", "UniconstructError", "VerificationError",
+        "BoundExceededError", "GroupError", "SignatureMismatchError", "StructureError",
+        "UniconstructError", "VerificationError",
     ),
     "structures": (
         "SortedMap", "SortedSignature", "SortedStructure", "automorphisms", "identity_map",
-        "isomorphisms", "quotient", "reduct", "relabel", "relabel_map", "restrict_signature",
-        "validate",
+        "isomorphisms", "reduct", "relabel", "relabel_map", "validate",
     ),
     "groups": (
         "AutomorphismGroup", "FiniteGroup", "GroupHom", "Section", "alternating", "aut_group",
@@ -1171,7 +1170,7 @@ REEXPORTS = {
     "encode": ("GroupTriple", "attach_skew", "encode_three_sorted", "theta", "verify_theta_iso"),
     "uniform": (
         "Family", "LiftedCopy", "MatchedTriple", "TripleSpace", "build_family",
-        "build_quotient", "k_class", "uniform_F", "verify_claims",
+        "build_quotient", "uniform_F", "verify_claims",
     ),
 }
 REPO = Path(__file__).resolve().parents[1]
@@ -1210,6 +1209,42 @@ class TestProcessStart:
             print("numpy" in sys.modules, {THREADS})
         """)
         assert out.splitlines()[-1] == "False 1"
+
+    def test_commands_import_no_dataclasses(self, tmp_path):
+        # the record classes are plain __slots__ classes, so no command
+        # imports dataclasses, nor inspect (and ast, dis, tokenize) through it
+        b = two_sorted((3, 1), [
+            ("E", (0, 0), [(0, 1), (1, 2), (2, 0)]),
+            ("R", (0, 1), [(0, 0), (1, 0), (2, 0)]),
+        ])
+        b_path = write(tmp_path, "b.json", dumps(b))
+        a_path = write(tmp_path, "a.json", dumps(reduct(b, (0,))))
+        triple_path = write(tmp_path, "triple.json", json.dumps({
+            "g1": group_to_json(cyclic(2)), "g2": group_to_json(cyclic(2)),
+            "g3": group_to_json(cyclic(4)), "phi12": [0, 1], "phi23": [0, 1, 0, 1],
+        }))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+        for argv in (
+            ["verify", "--structure", b_path, "--target", a_path, "--copies", "2"],
+            ["ucp-check", "--structure", b_path],
+            ["encode3", "--triple", triple_path],
+            ["cyclic-skew", "--k", "3", "--base", "c2"],
+            ["catalog-search", "--max-order", "8"],
+            ["skew", "--base", "s3", "--op", "laws", "--samples", "200"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-X", "importtime", "-m", "uniconstruct.cli", *argv, "--out", os.devnull],
+                env=env, cwd=tmp_path, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr[-500:]
+            imported = {
+                line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")
+            }
+            assert "uniconstruct.errors" in imported
+            assert not imported & {"dataclasses", "inspect"}, argv[0]
 
     # argv with "@name" for an input file -> the layers the command loads
     # and whether it loads numpy, which no command does

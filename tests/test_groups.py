@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from uniconstruct import config, groups, structures, ucp
-from uniconstruct.encode import GroupTriple, encode_three_sorted
+from uniconstruct.encode import encode_three_sorted
 from uniconstruct.errors import BoundExceededError, GroupError
 from uniconstruct.groups import (
     SECTION_ONLY,
@@ -49,7 +49,7 @@ from uniconstruct.groups import (
 )
 from uniconstruct.structures import SortedSignature, SortedStructure
 
-from .conftest import directed_cycle, free_points, two_sorted
+from .conftest import directed_cycle, free_points, s4_s3_c2, two_sorted
 from .oracles import (
     _naive_labelled_sections,
     cayley_table,
@@ -996,7 +996,7 @@ class TestAutGroup:
         # two 2-point blocks over a 2-point apex sort: Aut = C2 wr C2
         (lambda: two_sorted((4, 2), [("R", (0, 1), [(0, 0), (1, 0), (2, 1), (3, 1)])]), 8),
         # S4 -> S3 -> C2 encoded on 24 + 6 + 2 = 32 elements: Aut = G3
-        (lambda: encode_three_sorted(_s4_s3_c2()), 24),
+        (lambda: encode_three_sorted(s4_s3_c2()), 24),
     ], ids=["free5", "two-sorted", "encode3-s4-s3-c2"])
     def test_table_is_composition(self, make, order):
         ag = aut_group(make(), max_elements=32)
@@ -1015,7 +1015,7 @@ class TestAutGroup:
         lambda: free_points(4),
         lambda: free_points(5),
         lambda: two_sorted((4, 2), [("R", (0, 1), [(0, 0), (1, 0), (2, 1), (3, 1)])]),
-        lambda: encode_three_sorted(_s4_s3_c2()),
+        lambda: encode_three_sorted(s4_s3_c2()),
         lambda: four_triangles(),
     ], ids=["cycle3", "free3", "free4", "free5", "two-sorted", "encode3-s4-s3-c2", "four-triangles"])
     def test_maps_made_from_rows_are_the_search(self, make):
@@ -1196,11 +1196,6 @@ def four_triangles() -> SortedStructure:
     sig = SortedSignature(("p",), relations=(("E", (0, 0)),))
     cycles = [[3 * k, 3 * k + 1, 3 * k + 2] for k in range(4)]
     return SortedStructure(sig, (12,), [[(c[i], c[(i + 1) % 3]) for c in cycles for i in range(3)]])
-
-
-def _s4_s3_c2() -> GroupTriple:
-    s4, s3, c2 = symmetric(4), symmetric(3), cyclic(2)
-    return GroupTriple(c2, s3, s4, surjective_homs(s3, c2)[0], surjective_homs(s4, s3)[0])
 
 
 class TestSurjectiveHoms:

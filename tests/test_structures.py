@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import random
 import tracemalloc
 
@@ -8,12 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uniconstruct.errors import (
-    BoundExceededError,
-    CongruenceError,
-    SignatureMismatchError,
-    StructureError,
-)
+from uniconstruct.errors import BoundExceededError, SignatureMismatchError, StructureError
+from uniconstruct.groups import GroupHom, Section, SectionSearch, cyclic
 from uniconstruct.structures import (
     SortedMap,
     SortedSignature,
@@ -24,16 +22,16 @@ from uniconstruct.structures import (
     isomorphism_rows,
     isomorphisms,
     loads,
-    quotient,
     reduct,
     relabel,
     relabel_map,
-    restrict_signature,
     validate,
 )
+from uniconstruct.ucp import Report
+from uniconstruct.uniform import MatchedTriple, ThreadClass
 
 from .conftest import directed_cycle, free_points, linear_order, random_structure, two_sorted
-from .oracles import canonical_copies, naive_isomorphisms
+from .oracles import CongruenceError, canonical_copies, naive_isomorphisms, quotient, restrict_signature
 
 
 class TestValidate:
@@ -402,6 +400,44 @@ class TestQuotient:
                     assert ((x, y) in s.relations[0]) == (
                         (proj.maps[0][x], proj.maps[0][y]) in q.relations[0]
                     )
+
+
+class TestRecords:
+    """The record classes keep a dataclass's repr, field-wise equality and,
+    when frozen, hashing, immutability and copies."""
+
+    def test_frozen_records(self):
+        sig = SortedSignature(("p",), (("R", (0,)),))
+        triple = MatchedTriple((0,), (-1,), ((0, 1),))
+        thread = ThreadClass((1, 2), 0, "")
+        section = Section(GroupHom(cyclic(2), cyclic(1), [0, 0]), (0,), "splitting")
+        assert repr(sig) == (
+            "SortedSignature(sort_names=('p',), relations=(('R', (0,)),), functions=(), constants=())"
+        )
+        assert repr(triple) == "MatchedTriple(pi_idx=(0,), g_idx=(-1,), b=((0, 1),))"
+        assert repr(thread) == "ThreadClass(triples=(1, 2), cid=0, problem='')"
+        assert hash(triple) == hash(((0,), (-1,), ((0, 1),)))
+        assert triple != ((0,), (-1,), ((0, 1),))
+        assert section == Section(section.of, (0,), "splitting") != Section(section.of, (1,), "splitting")
+        for record in (sig, triple, thread, section):
+            assert record == copy.copy(record)
+            if record is not section:  # a FiniteGroup does not pickle
+                assert record == pickle.loads(pickle.dumps(record))
+            with pytest.raises(AttributeError, match="cannot assign to field"):
+                record.cid = 1
+        with pytest.raises(StructureError, match="sort names must be unique"):
+            SortedSignature(("p", "p"))
+
+    def test_mutable_records(self):
+        phi = GroupHom(cyclic(2), cyclic(1), [0, 0])
+        first, second = Report("claim"), Report("claim")
+        first.add("x", True)
+        assert second.entries == [] and first != second
+        assert repr(second) == "Report(key='claim', entries=[])"
+        search = SectionSearch(phi, 2)
+        assert search.splittings == search.weak_splittings == [] and search.splittings is not search.weak_splittings
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(search)
 
 
 class TestSerialization:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import random
@@ -27,16 +26,23 @@ from uniconstruct.uniform import (
     TripleSpace,
     build_family,
     build_quotient,
-    k_class,
     uniform_F,
     verify_claims,
 )
 
-from .conftest import matched_three_sorted, random_structure, rigid_three_sorted, two_sorted
+from .conftest import (
+    matched_three_sorted,
+    random_structure,
+    rigid_three_sorted,
+    s4_s3_c2,
+    two_sorted,
+)
 from .oracles import (
     canonical_copies,
     cayley_table,
     g_map,
+    graph_functions,
+    k_class,
     naive_classes,
     naive_cocycle_holds,
     naive_e_matrix,
@@ -44,6 +50,7 @@ from .oracles import (
     naive_frame_threads,
     naive_k_classes_claim,
     naive_matched_triples,
+    naive_membership,
     naive_relation_verdicts,
     naive_representative_structure,
     naive_thread_classes,
@@ -359,25 +366,6 @@ class TestQuotient:
                     assert ok["cla4_congruence_frame_independent"]
                     assert isomorphisms(build_quotient(space).structure, b, limit=1)
 
-    def test_frame_dependent_membership_names_the_earliest_frame(self, b_rich):
-        # 'S' varies from frame 2 on and 'R' from frame 1 on; exists and
-        # forall agree, so only cla4 fails, and its message names 'R'
-        space = triple_space(b_rich, [0, 1, 2], 2)
-        table = space.membership()
-        varied = []
-        for ri, frame in ((1, 2), (2, 1)):
-            ct, (exists, _) = next(iter(table[ri].items()))
-            exists = exists[:frame] + tuple(not e for e in exists[frame:])
-            table[ri][ct] = (exists, exists)
-            varied.append(f"{space.fam.members[0].B.signature.relations[ri][0]}{ct}")
-        report = {entry[0]: entry[1:] for entry in verify_claims(space).entries}
-        assert report["cla3_exists_forall_agreement"] == (True, "")
-        assert report["cla4_congruence_frame_independent"] == (False, "; ".join(varied))
-        assert report["quotient_constructible"] == (False, "")
-        with pytest.raises(VerificationError) as refused:
-            build_quotient(space)
-        assert str(refused.value) == "relation 'R': membership is not constant across frames"
-
 
 class TestUniformF:
     def test_reduct_is_target_verbatim(self, b_cycle3):
@@ -411,22 +399,24 @@ class TestUniformF:
             uniform_F(space)
 
     def test_membership_pass_runs_once_per_space(self, b_cycle3, monkeypatch):
-        calls = []
+        builds = []
 
-        def counted(*args):
-            calls.append(args[2])
-            return frame_membership(*args)
+        def counted(self):
+            builds.append(self._membership is None)
+            return membership(self)
 
-        frame_membership = uniform._frame_membership
-        monkeypatch.setattr(uniform, "_frame_membership", counted)
+        membership = uniform.TripleSpace.membership
+        monkeypatch.setattr(uniform.TripleSpace, "membership", counted)
         space = triple_space(b_cycle3, [0, 1, 2], 3)
         assert verify_claims(space).all_pass
         res = uniform_F(space)
         assert build_quotient(space) is res.quotient
-        frames, _ = space.frame_threads()
-        n_tuples = sum(len(by_tuple) for by_tuple in space.membership())
-        assert len(frames) == 27 and n_tuples == 12
-        assert len(calls) == len(frames) * n_tuples
+        table = space.membership()
+        assert builds.count(True) == 1 and len(builds) > 2
+        # one set per relation and member, read off that member's tuples
+        assert [[len(p) for p in sets] for sets in table] == [
+            [len(m.B.relations[ri]) for m in space.fam] for ri in range(len(table))
+        ] == [[3] * 3, [3] * 3]
 
     def test_deterministic_bytes(self, b_cycle3):
         fam, A = family_and_target(b_cycle3, [0, 1, 2], 2)
@@ -633,7 +623,8 @@ class TestConjugatedFamily:
         fam = build_family(assemble_ucp(b_rich), [0, 1, 2], 3)
         space = TripleSpace(fam.members[0].A, fam)
         for member in fam:
-            assert sorted(vars(member)) == ["A", "B", "relabel", "tag"]
+            assert not hasattr(member, "__dict__")
+            assert sorted(type(member).__slots__) == ["A", "B", "relabel", "tag"]
         # the base's transports are the problem's own rows
         rows = {id(row) for row in fam.problem.H.perms}
         assert all(
@@ -803,6 +794,8 @@ class TestKeyedClasses:
                     assert e_claims == naive_relation_verdicts(naive_e_matrix(space)), (b, section, n)
                     if not space.cocycle_holds():
                         assert_transitivity_breaks(space)
+                    elif claims.get("classes_have_unique_frame_threads"):
+                        assert_membership_equals_oracle(space)
         assert verdicts.count(True) == 96 and verdicts.count(False) == 18
 
     def test_classes_equal_pairwise_union_find(self, e_space):
@@ -849,6 +842,50 @@ class TestKeyedClasses:
         assert reduct(res.structure, (0,)) == A
         assert isomorphisms(res.structure, b_cycle3)
 
+
+
+def assert_membership_equals_oracle(space):
+    """exists and forall, read off the members' sets, equal the per-frame
+    evaluation in every frame, and the cla3 list holds exactly the class
+    tuples where they differ, in product order."""
+    table, naive = space.membership(), naive_membership(space)
+    assert len(table) == len(naive)
+    for sets, verdicts in zip(table, naive):
+        union, common = set.union(*sets), set.intersection(*sets)
+        assert union <= verdicts.keys()
+        for ct, (exists, forall) in verdicts.items():
+            assert set(exists) == {ct in union} and set(forall) == {ct in common}, ct
+    assert space.congruence() == [
+        (ri, ct)
+        for ri, verdicts in enumerate(naive)
+        for ct, (exists, forall) in verdicts.items()
+        if exists != forall
+    ]
+
+
+class TestMembership:
+    """Membership decided once per member in frame 0 (the proof in
+    ``TripleSpace.membership``) against its evaluation in every frame."""
+
+    def test_keyed_spaces_agree_in_every_frame(self, keyed_space):
+        _, space = keyed_space
+        assert_membership_equals_oracle(space)
+
+    @pytest.mark.parametrize(
+        "name,psi,sizes", CLAIMS_PASS_FIXTURES, ids=[f[0][2:] for f in CLAIMS_PASS_FIXTURES]
+    )
+    def test_claims_pass_families_agree_on_every_target(self, request, name, psi, sizes):
+        for n in sizes:
+            fam = build_family(assemble_ucp(request.getfixturevalue(name)), psi, n)
+            for A_copy in canonical_copies(fam.members[0].A):
+                assert_membership_equals_oracle(TripleSpace(A_copy, fam))
+
+    def test_kernel_control_lists_its_disagreements(self, b_kernel):
+        space = triple_space(b_kernel, [0], 2)
+        assert_membership_equals_oracle(space)
+        report = {name: (ok, detail) for name, ok, detail in verify_claims(space).entries}
+        assert report["cla3_exists_forall_agreement"] == (False, "Eq(1, 3); Eq(1, 4); Eq(2, 3); Eq(2, 4)")
+        assert report["cla4_congruence_frame_independent"] == (True, "")
 
 
 def assert_transitivity_breaks(space):
@@ -990,7 +1027,7 @@ class TestDerivedIsomorphisms:
     def test_relabellings_must_carry_the_base_onto_each_member(self, b_cycle3, maps):
         fam = build_family(assemble_ucp(b_cycle3), [0, 1, 2], 2)
         base, member = fam.members
-        bad = dataclasses.replace(member, relabel=SortedMap(base.B, member.B, maps))
+        bad = uniform.LiftedCopy(member.tag, member.B, member.A, SortedMap(base.B, member.B, maps))
         with pytest.raises(StructureError, match="family members are not pairwise isomorphic"):
             uniform.Family(fam.problem, (base, bad))
 
@@ -1048,3 +1085,53 @@ class TestKeptSorts:
         assert isomorphisms(result, kept_space.fam.members[0].B, limit=1)
         for a, (sort, _) in enumerate(kept_space.A.elements()):
             assert {entry[0] for x in k_class(kept_space, a) for entry in x.b} == {sort}
+
+
+# the claims every graphed-tower problem fails with two members
+GRAPHED_FAILS_AT_TWO = {
+    "cla3_exists_forall_agreement",
+    "quotient_constructible",
+    "cla6_rho_injective_across_classes",
+    "cla6_quotient_isomorphic_to_member",
+    "cla6_explicit_rho_witness",
+}
+
+
+class TestGraphedTower:
+    """``derive_triple``'s three problems on the S4 -> S3 -> C2 tower, each
+    function symbol replaced by its graph, through the uniform layer."""
+
+    @pytest.fixture(scope="class")
+    def derivation(self):
+        return derive_triple(graph_functions(encode.encode_three_sorted(s4_s3_c2())), max_elements=64)
+
+    @staticmethod
+    def space(problem, n):
+        fam = build_family(problem, groups.first_weak_splitting(problem.phi), n)
+        return TripleSpace(fam.members[0].A, fam, max_elements=64)
+
+    def test_graphs_keep_the_automorphisms(self):
+        tower = encode.encode_three_sorted(s4_s3_c2())
+        graphed = graph_functions(tower)
+        assert not graphed.signature.functions
+        assert aut_group(graphed, max_elements=32).perms == aut_group(tower, max_elements=32).perms
+
+    @pytest.mark.parametrize("name", ["c12", "c23", "c13"])
+    def test_one_member_passes_and_two_fail_the_congruence(self, derivation, name):
+        problem = getattr(derivation, name)
+        assert verify_claims(self.space(problem, 1)).all_pass
+        report = verify_claims(self.space(problem, 2))
+        assert {claim for claim, ok, _ in report.entries if not ok} == GRAPHED_FAILS_AT_TWO
+
+    def test_c13_with_two_members_keeps_memory_small(self, derivation):
+        # 1,536 triples in 308 classes over 34 binary graph relations; one
+        # evaluation per class tuple and frame peaked at 640 MiB of RSS
+        tracemalloc.start()
+        try:
+            space = self.space(derivation.c13, 2)
+            assert not verify_claims(space).all_pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(space.triples) == 1536 and len(space.classes()[1]) == 308
+        assert peak < 50 * 2**20, f"peak {peak / 2**20:.2f} MiB"
