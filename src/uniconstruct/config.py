@@ -42,7 +42,8 @@ DEFAULT = Bounds(
     aut_elements=_env_int("AUT_BOUND", 12),
     # nodes the section search (classify_sections) may visit
     section_candidates=_env_int("SECTION_BOUND", 10**6),
-    # matched-triple enumeration cap
+    # matched triples built: only frame 0's, |K|^(n-1) * |B| for n copies
+    # (|X| itself is a closed form, uniform.TripleSpace.size)
     matched_triples=_env_int("TRIPLES_BOUND", 10**5),
     # cells of any n x n Cayley table, checked before it is allocated
     table_cells=_env_int("TABLE_CELLS_BOUND", 10**7),

@@ -130,6 +130,10 @@ class FiniteGroup:
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("FiniteGroup is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the checked constructor
+        return FiniteGroup, (self.table, self.names, self.name)
+
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
@@ -233,6 +237,9 @@ class GroupHom:
 
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("GroupHom is immutable")
+
+    def __reduce__(self):
+        return GroupHom, (self.domain, self.codomain, self.map)
 
     def __call__(self, a: int) -> int:
         return self.map[a]

@@ -137,6 +137,10 @@ class SortedStructure:
     def __setattr__(self, name, value):  # pragma: no cover - guards misuse
         raise AttributeError("SortedStructure is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, past the guard
+        return SortedStructure, (self.signature, self.sort_sizes, self.relations, self.functions, self.constants)
+
     @property
     def total_elements(self) -> int:
         return sum(self.sort_sizes)

@@ -7,11 +7,12 @@ over every pair, homomorphisms by extending every tuple of generator images
 along words, skew projection defects by sampling pairs, random skew
 elements through ``Random.randrange`` and ``Random.sample``, sections by raw
 fiber products, the section search and its labeller on whole Cayley tables
-made through ``mul``, matched triples by enumerating full commutative matrices,
-twist-equivalence classes by pairwise comparison, thread sets by scanning
-every triple once per element, the uniform construction's output by
-relabelling the base member along one isomorphism, restriction maps by
-looking each cut-down automorphism up as a map.  The family oracle
+made through ``mul``, matched triples by enumerating full commutative matrices
+and by listing every frame of a triple space, twist-equivalence classes by
+pairwise comparison, thread sets by scanning every triple once per
+element, the uniform construction's output by relabelling the base member
+along one isomorphism, restriction maps by looking each cut-down
+automorphism up as a map.  The family oracle
 assembles each relabelled copy's problem again and carries the weak
 splitting across map by map.  The catalog
 oracle keeps the library's isomorphism search but re-tries every ordered
@@ -33,6 +34,7 @@ import numpy as np
 
 from uniconstruct import config
 from uniconstruct.errors import (
+    BoundExceededError,
     SignatureMismatchError,
     StructureError,
     UniconstructError,
@@ -45,6 +47,7 @@ from uniconstruct.groups import (
     FiniteGroup,
     GroupHom,
     _NodeBudget,
+    _compose_rows,
     alternating,
     center,
     cyclic,
@@ -752,35 +755,57 @@ def _commutative(g, n):
 
 
 # ---------------------------------------------------------------------------
-# The twist equivalence on a matched-triple space, decided pairwise
+# Every matched triple of a space, and the twist equivalence on them
+
+
+def explicit_triples(space: TripleSpace) -> list[MatchedTriple]:
+    """Every matched triple of the space, frame by frame in the order the
+    frames' product lists them, capped by the ``matched_triples`` bound:
+    the enumeration whose frame-0 prefix :class:`TripleSpace` keeps."""
+    bound = config.DEFAULT.matched_triples
+    if any(not lst for lst in space.iso):
+        return []
+    elements = space._elements
+    out: list[MatchedTriple] = []
+    n = len(space.fam.members)
+
+    for pi_idx in itertools.product(*(range(len(lst)) for lst in space.iso)):
+        ext_choices: list[Sequence[int]] = [(-1,)]
+        pi0 = space.iso[0][pi_idx[0]]
+        for t in range(1, n):
+            positions = space.extend[t].get(_compose_rows(space.iso_inv[t][pi_idx[t]], pi0))
+            if positions is None:
+                break
+            ext_choices.append(positions)
+        if len(ext_choices) < n:  # some member has no extension in this frame
+            continue
+        for g_idx in itertools.product(*ext_choices):
+            rows = [space.biso[t][g] for t, g in enumerate(g_idx) if t]
+            for p, b0 in enumerate(elements):
+                out.append(MatchedTriple(pi_idx, g_idx, (b0, *(elements[row[p]] for row in rows))))
+                if len(out) > bound:
+                    raise BoundExceededError(
+                        f"matched-triple enumeration exceeds bound {bound}"
+                    )
+    return out
 
 
 def naive_classes(space):
-    """(class_of, members) of the equivalence e_equiv generates, by pairwise
-    union-find over all triples related in either direction, classes
-    numbered by their first triple, members ascending."""
-    xs = space.triples
-    parent = list(range(len(xs)))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            if find(i) != find(j) and (
-                space.e_equiv(xs[i], xs[j]) or space.e_equiv(xs[j], xs[i])
-            ):
-                parent[find(j)] = find(i)
-    roots, class_of, members = {}, [], []
-    for i in range(len(xs)):
-        r = find(i)
-        if r not in roots:
-            roots[r] = len(members)
-            members.append([])
-        class_of.append(roots[r])
-        members[roots[r]].append(i)
+    """(class_of, members) of E over every matched triple
+    (:func:`explicit_triples`), classes numbered by their first triple,
+    members ascending: each triple in no class yet opens one, holding every
+    triple it relates to, compared pair by pair.  That is its class when E
+    is an equivalence; a triple that would join two classes, which only an
+    E that is not one can make, fails an assertion."""
+    xs = explicit_triples(space)
+    class_of, members = [-1] * len(xs), []
+    for i, x in enumerate(xs):
+        if class_of[i] < 0:
+            group = [j for j, y in enumerate(xs) if space.e_equiv(x, y)]
+            assert i in group and all(class_of[j] < 0 for j in group), "E is not an equivalence"
+            for j in group:
+                class_of[j] = len(members)
+            members.append(group)
     return class_of, members
 
 
@@ -794,8 +819,9 @@ def g_map(space: TripleSpace, x: MatchedTriple, t: int) -> SortedMap:
 
 def naive_e_matrix(space):
     """The |X| x |X| matrix of x1 E x2, straight from the definition: for every
-    member s, x2.b[s] is psi_tilde(s, x1.pi[s], x2.pi[s]) applied to x1.b[s]."""
-    xs = space.triples
+    member s, x2.b[s] is psi_tilde(s, x1.pi[s], x2.pi[s]) applied to x1.b[s],
+    over every matched triple (:func:`explicit_triples`)."""
+    xs = explicit_triples(space)
     mat = np.ones((len(xs), len(xs)), dtype=bool)
     for s, iso in enumerate(space.iso):
         sizes = space.fam.members[s].B.sort_sizes
@@ -834,18 +860,20 @@ def naive_cocycle_holds(space):
 
 
 def naive_frame_threads(space):
-    """Per frame, class id -> thread, by scanning every triple once per frame.
+    """Per frame, class id -> thread, by scanning every matched triple of the
+    frame, classes from :func:`naive_classes`.
 
     Returns the error message instead when a class has two threads in a frame
     or misses one."""
-    class_of, members = space.classes()
+    class_of, members = naive_classes(space)
+    in_frame = {}
+    for i, x in enumerate(explicit_triples(space)):
+        in_frame.setdefault(x.pi_idx, []).append((i, x))
     frames = list(itertools.product(*(range(len(iso)) for iso in space.iso)))
     by_frame = []
     for frame in frames:
         threads = {}
-        for i, x in enumerate(space.triples):
-            if x.pi_idx != frame:
-                continue
+        for i, x in in_frame.get(frame, ()):
             if class_of[i] in threads and threads[class_of[i]] != x.b:
                 return "a class carries two different threads in one frame"
             threads[class_of[i]] = x.b
@@ -853,6 +881,32 @@ def naive_frame_threads(space):
             return "a class misses a frame entirely"
         by_frame.append(threads)
     return frames, by_frame
+
+
+def naive_rho_claims(space):
+    """The three cla6 verdicts on rho, over every matched triple: Y is the
+    triples whose pi_0 is the first isomorphism, rho reads b_0 on Y, and
+    the claims are that it is constant on each class, that Y meets every
+    class, and that its values on the classes are distinct."""
+    class_of, members = naive_classes(space)
+    xs = explicit_triples(space)
+    y_set = {i for i, x in enumerate(xs) if x.pi_idx[0] == 0}
+    rho_const = meets_all = True
+    rho_values = {}
+    for cid, group in enumerate(members):
+        inter = [i for i in group if i in y_set]
+        if not inter:
+            meets_all = False
+            continue
+        values = {xs[i].b[0] for i in inter}
+        if len(values) != 1:
+            rho_const = False
+        rho_values[cid] = values.pop()
+    return {
+        "cla6_rho_constant_on_classes": rho_const,
+        "cla6_y_meets_every_class": meets_all,
+        "cla6_rho_injective_across_classes": len(set(rho_values.values())) == len(rho_values) == len(members),
+    }
 
 
 def naive_representative_structure(A, fam):
@@ -906,24 +960,26 @@ def naive_transport(problem, pi_i: SortedMap, pi_j: SortedMap) -> SortedMap:
 # Thread sets of target elements, one scan per element
 
 
-def _naive_thread_set(space, a):
-    """Indices of the triples whose every b_s is the element that pi_s^-1
-    sends a to, a being an index into the target's ``elements()``."""
+def _naive_thread_set(space, xs, a):
+    """Indices of the triples of ``xs`` whose every b_s is the element that
+    pi_s^-1 sends a to, a being an index into the target's ``elements()``."""
     elements = space.A.elements()
     return [
         idx
-        for idx, x in enumerate(space.triples)
+        for idx, x in enumerate(xs)
         if all(x.b[s] == elements[space.iso[s][pi].index(a)] for s, pi in enumerate(x.pi_idx))
     ]
 
 
 def naive_thread_classes(space):
-    """Per target element, (thread set, its class or None, problem), the
-    problem empty exactly when the thread set is one whole class."""
-    class_of, members = space.classes()
+    """Per target element, (thread set, its class or None, problem), over
+    every matched triple, the problem empty exactly when the thread set is
+    one whole class."""
+    class_of, members = naive_classes(space)
+    xs = explicit_triples(space)
     out = []
     for a in range(space.A.total_elements):
-        idxs = _naive_thread_set(space, a)
+        idxs = _naive_thread_set(space, xs, a)
         cids = {class_of[i] for i in idxs}
         if not idxs:
             out.append(((), None, "empty thread set"))
@@ -939,23 +995,13 @@ def naive_thread_classes(space):
 
 def naive_k_classes_claim(space):
     """(ok, detail) of the cla5_k_classes claim, element by element."""
-    class_of, members = space.classes()
     ok, detail, seen = True, [], set()
-    for a in range(space.A.total_elements):
-        idxs = set(_naive_thread_set(space, a))
-        if not idxs:
+    for a, (idxs, cid, problem) in enumerate(naive_thread_classes(space)):
+        if problem:
             ok = False
-            detail.append(f"element {a}: empty thread set")
+            detail.append(f"element {a}: {problem}")
+        if cid is None:
             continue
-        cids = {class_of[i] for i in idxs}
-        if len(cids) != 1:
-            ok = False
-            detail.append(f"element {a}: spans {len(cids)} classes")
-            continue
-        cid = cids.pop()
-        if set(members[cid]) != idxs:
-            ok = False
-            detail.append(f"element {a}: thread set is a strict part of its class")
         if cid in seen:
             ok = False
             detail.append(f"element {a}: class collides with another element")
@@ -964,9 +1010,10 @@ def naive_k_classes_claim(space):
 
 
 def k_class(space: TripleSpace, a: int) -> list[MatchedTriple]:
-    """The triples threading element a of the target, an index into
-    ``A.elements()`` (so the element itself when A has one sort); verified
-    to be exactly one class of E, after E is verified to be an equivalence."""
+    """The matched triples threading element a of the target, an index into
+    ``A.elements()`` (so the element itself when A has one sort), over every
+    frame; verified to be exactly one class of E, after E is verified to be
+    an equivalence."""
     A = space.A
     if not 0 <= a < A.total_elements:
         raise StructureError(
@@ -974,14 +1021,16 @@ def k_class(space: TripleSpace, a: int) -> list[MatchedTriple]:
             f"of size {A.total_elements}"
         )
     space.require_equivalence()
-    tc = space.thread_classes()[a]
-    if not tc.triples:
+    xs = explicit_triples(space)
+    idxs = _naive_thread_set(space, xs, a)
+    if not idxs:
         raise VerificationError(f"no matched triple threads element {a}")
-    if tc.problem:
+    class_of, members = naive_classes(space)
+    if members[class_of[idxs[0]]] != idxs:
         raise VerificationError(
             f"thread set of element {a} is not a single equivalence class"
         )
-    return [space.triples[i] for i in tc.triples]
+    return [xs[i] for i in idxs]
 
 
 # ---------------------------------------------------------------------------
@@ -991,11 +1040,18 @@ def k_class(space: TripleSpace, a: int) -> list[MatchedTriple]:
 def naive_membership(space):
     """Per relation, every well-sorted class tuple's (exists, forall)
     verdicts across family members, one entry per frame of
-    ``frame_threads()``: the tuple of the classes' threads at member s is
-    looked up in member s's relation, frame by frame.  Class tuples are
+    :func:`naive_frame_threads`: the tuple of the classes' threads at member
+    s is looked up in member s's relation, frame by frame.  Class tuples are
     listed in product order."""
-    _, by_frame = space.frame_threads()
-    sort_of_class = space.class_sorts()
+    frame_threads = naive_frame_threads(space)
+    assert not isinstance(frame_threads, str), frame_threads
+    _, by_frame = frame_threads
+    xs = explicit_triples(space)
+    sort_of_class = []
+    for group in naive_classes(space)[1]:
+        sorts = {sort for i in group for sort, _ in xs[i].b}
+        assert len(sorts) == 1, "equivalence class mixes sorts"
+        sort_of_class.append(sorts.pop())
     table = []
     for ri, (_, rsig) in enumerate(space.fam.members[0].B.signature.relations):
         rels = [member.B.relations[ri] for member in space.fam.members]

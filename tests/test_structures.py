@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uniconstruct.errors import BoundExceededError, SignatureMismatchError, StructureError
-from uniconstruct.groups import GroupHom, Section, SectionSearch, cyclic
+from uniconstruct.groups import (
+    GroupHom,
+    Section,
+    SectionSearch,
+    catalog,
+    classify_sections,
+    cyclic,
+    direct_product,
+)
 from uniconstruct.structures import (
     SortedMap,
     SortedSignature,
@@ -28,7 +36,7 @@ from uniconstruct.structures import (
     validate,
 )
 from uniconstruct.ucp import Report
-from uniconstruct.uniform import MatchedTriple, ThreadClass
+from uniconstruct.uniform import MatchedTriple
 
 from .conftest import directed_cycle, free_points, linear_order, random_structure, two_sorted
 from .oracles import CongruenceError, canonical_copies, naive_isomorphisms, quotient, restrict_signature
@@ -409,20 +417,16 @@ class TestRecords:
     def test_frozen_records(self):
         sig = SortedSignature(("p",), (("R", (0,)),))
         triple = MatchedTriple((0,), (-1,), ((0, 1),))
-        thread = ThreadClass((1, 2), 0, "")
         section = Section(GroupHom(cyclic(2), cyclic(1), [0, 0]), (0,), "splitting")
         assert repr(sig) == (
             "SortedSignature(sort_names=('p',), relations=(('R', (0,)),), functions=(), constants=())"
         )
         assert repr(triple) == "MatchedTriple(pi_idx=(0,), g_idx=(-1,), b=((0, 1),))"
-        assert repr(thread) == "ThreadClass(triples=(1, 2), cid=0, problem='')"
         assert hash(triple) == hash(((0,), (-1,), ((0, 1),)))
         assert triple != ((0,), (-1,), ((0, 1),))
         assert section == Section(section.of, (0,), "splitting") != Section(section.of, (1,), "splitting")
-        for record in (sig, triple, thread, section):
-            assert record == copy.copy(record)
-            if record is not section:  # a FiniteGroup does not pickle
-                assert record == pickle.loads(pickle.dumps(record))
+        for record in (sig, triple, section):
+            assert record == copy.copy(record) == pickle.loads(pickle.dumps(record))
             with pytest.raises(AttributeError, match="cannot assign to field"):
                 record.cid = 1
         with pytest.raises(StructureError, match="sort names must be unique"):
@@ -438,6 +442,43 @@ class TestRecords:
         assert search.splittings == search.weak_splittings == [] and search.splittings is not search.weak_splittings
         with pytest.raises(TypeError, match="unhashable"):
             hash(search)
+
+
+ROUND_TRIPS = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestCopies:
+    """Immutable structures and groups rebuild through their constructors
+    under pickle and copy, as the frozen records do."""
+
+    @pytest.mark.parametrize("how", ROUND_TRIPS)
+    def test_structure_with_every_kind_of_symbol(self, how):
+        sig = SortedSignature(
+            ("p", "q"), relations=(("R", (0, 1)),), functions=(("f", (0,), 1),), constants=(("c", 1),)
+        )
+        s = SortedStructure(sig, (2, 3), [[(0, 1), (1, 2)]], [{(0,): 2, (1,): 0}], [1])
+        t = ROUND_TRIPS[how](s)
+        assert t == s and t.canonical_key() == s.canonical_key()
+        assert t.functions == s.functions and t.constants == (1,)
+
+    @pytest.mark.parametrize("how", ROUND_TRIPS)
+    def test_catalog_group(self, how):
+        g = next(g for g in catalog(8) if g.order == 8 and not g.is_abelian())
+        h = ROUND_TRIPS[how](g)
+        assert h == g and h.table == g.table and h.name == g.name and h.names == g.names
+        assert h.gens == g.gens and hash(h) == hash(g)
+
+    @pytest.mark.parametrize("how", ROUND_TRIPS)
+    def test_section(self, how):
+        v4 = direct_product(cyclic(2), cyclic(2))
+        section = classify_sections(GroupHom(v4, cyclic(2), [0, 0, 1, 1])).splittings[0]
+        copied = ROUND_TRIPS[how](section)
+        assert copied == section and copied.of.map == section.of.map
+        assert copied.of.domain == section.of.domain and copied.classification == section.classification
 
 
 class TestSerialization:

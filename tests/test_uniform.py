@@ -40,6 +40,7 @@ from .conftest import (
 from .oracles import (
     canonical_copies,
     cayley_table,
+    explicit_triples,
     g_map,
     graph_functions,
     k_class,
@@ -53,6 +54,7 @@ from .oracles import (
     naive_membership,
     naive_relation_verdicts,
     naive_representative_structure,
+    naive_rho_claims,
     naive_thread_classes,
     naive_transport,
 )
@@ -76,8 +78,9 @@ def triple_keys(triples):
 
 
 def triple_summaries(space):
-    """Each triple as :func:`naive_matched_triples` summarises it: its
-    isomorphisms, its full matrix of member isomorphisms and its thread."""
+    """Each matched triple, in every frame, as :func:`naive_matched_triples`
+    summarises it: its isomorphisms, its full matrix of member isomorphisms
+    and its thread."""
     members = space.fam.members
     n = len(members)
     pairs = [(s, t) for s in range(n) for t in range(n)]
@@ -87,7 +90,7 @@ def triple_summaries(space):
             tuple(g_map(space, x, t).compose(g_map(space, x, s).inverse()).maps for s, t in pairs),
             x.b,
         )
-        for x in space.triples
+        for x in explicit_triples(space)
     }
 
 
@@ -176,7 +179,8 @@ class TestMatchedTriples:
     def test_non_isomorphic_target_empty(self, b_two_free):
         fam = build_family(assemble_ucp(b_two_free), [0, 1], 1)
         other = SortedStructure(SortedSignature(("p",)), (3,))
-        assert TripleSpace(other, fam).triples == []
+        space = TripleSpace(other, fam)
+        assert space.triples == [] and space.size() == 0
 
     def test_wrong_signature_target_raises(self, b_two_free):
         fam = build_family(assemble_ucp(b_two_free), [0, 1], 1)
@@ -187,8 +191,10 @@ class TestMatchedTriples:
             TripleSpace(target, fam)
 
     def test_counts_factor(self, b_two_free):
-        # |iso|^2 frames, kernel trivial so one family each, |B| threads
-        assert len(triple_space(b_two_free, [0, 1], 2).triples) == 4 * 3
+        # |iso|^2 frames, kernel trivial so one family each, |B| threads;
+        # the space holds frame 0's
+        space = triple_space(b_two_free, [0, 1], 2)
+        assert space.size() == 4 * 3 and len(space.triples) == 3
 
     def test_matches_naive_full_matrix_enumeration(self, b_two_free):
         for n in (1, 2):
@@ -201,13 +207,13 @@ class TestMatchedTriples:
 
     def test_kernel_family_matches_naive(self, b_kernel):
         fam, A = family_and_target(b_kernel, [0], 2)
-        assert len(TripleSpace(A, fam).triples) == len(naive_matched_triples(A, fam))
+        assert TripleSpace(A, fam).size() == len(naive_matched_triples(A, fam))
 
 
 class TestEquivalence:
     def test_reflexive(self, b_cycle3):
         space = triple_space(b_cycle3, [0, 1, 2], 2)
-        for x in space.triples:
+        for x in explicit_triples(space):
             assert space.e_equiv(x, x)
 
     def test_distinct_threads_same_frame_not_equivalent(self, b_two_free):
@@ -245,7 +251,7 @@ class TestKClass:
             assert cls and len(set(cls)) == len(cls)
             assert not set(cls) & seen
             seen |= set(cls)
-        first_sort = [x for x in space.triples if all(sort == 0 for sort, _ in x.b)]
+        first_sort = [x for x in explicit_triples(space) if all(sort == 0 for sort, _ in x.b)]
         assert seen == set(triple_keys(first_sort))
 
     def test_closure_under_equivalence(self, b_two_free):
@@ -253,7 +259,7 @@ class TestKClass:
         for a in range(space.A.sort_sizes[0]):
             members = k_class(space, a)
             member_set = set(triple_keys(members))
-            for x in space.triples:
+            for x in explicit_triples(space):
                 for m in members:
                     if space.e_equiv(m, x):
                         assert (x.pi_idx, x.g_idx, x.b) in member_set
@@ -463,6 +469,16 @@ class TestVerifyClaims:
         # the ordered second sort survives the round trip
         assert len(res.structure.relations[1]) == 1
 
+    def test_rich_twelve_copies_pass_every_claim(self, b_rich):
+        # |X| = 3**12 * 5 = 2,657,205 matched triples, of which the space
+        # holds frame 0's five
+        fam, A = family_and_target(b_rich, [0, 1, 2], 12)
+        space = TripleSpace(A, fam)
+        assert space.size() == 3**12 * 5 and len(space.triples) == 5
+        report = verify_claims(space)
+        assert report.all_pass, [e for e in report.entries if not e[1]]
+        assert uniform_F(space).structure == b_rich
+
     def test_kernel_singleton_passes(self, b_kernel):
         fam, A = family_and_target(b_kernel, [0], 1)
         assert verify_claims(TripleSpace(A, fam)).all_pass
@@ -644,7 +660,7 @@ class TestConjugatedFamily:
             # the space and its decisions hold rows, never maps
             no_maps.setattr(SortedMap, "__init__", refuse)
             space = TripleSpace(fam.members[0].A, fam)
-            space.thread_classes()
+            space.classes()
             assert space.membership()
         assert verify_claims(space).all_pass
         assert uniform_F(space).structure == b_rich
@@ -660,36 +676,27 @@ class TestConjugatedFamily:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(space.triples) == 3645
+        assert space.size() == 3645 and len(space.triples) == 5
         assert peak < 2.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
-def _renumbered(keys):
-    """(class_of, members) of a partition given by one key per triple,
-    classes numbered by first occurrence."""
-    ids: dict = {}
-    class_of = [ids.setdefault(k, len(ids)) for k in keys]
-    members = [[] for _ in ids]
-    for i, cid in enumerate(class_of):
-        members[cid].append(i)
-    return class_of, members
-
-
-def _with_classes(space, class_of_members):
-    """Install a partition on the space, dropping every cache built on it."""
-    space._classes = class_of_members
-    space._thread_classes = space._frame_threads = space._membership = space._quotient = None
-    space._class_sorts = space._congruence = None
+def assert_thread_sets_are_keyed_classes(space):
+    """(d) of ``uniform_F``'s proof against every frame: each target
+    element's thread set, scanned over every matched triple, is one whole
+    class, the one whose frame-0 thread is (iso_s[0]^-1(a))_s, and
+    cla5_k_classes reports what the scan finds."""
+    threads = space.threads()
+    for a, (idxs, cid, problem) in enumerate(naive_thread_classes(space)):
+        assert idxs and problem == "", (a, problem)
+        assert threads[cid] == tuple(space._elements[inv[0][a]] for inv in space.iso_inv)
+    claim = next(entry for entry in verify_claims(space).entries if entry[0] == "cla5_k_classes")
+    assert claim[1:] == naive_k_classes_claim(space) == (True, "")
 
 
 class TestThreadClasses:
     def test_one_pass_equals_per_element_scan(self, keyed_space):
-        fam, space = keyed_space
-        got = [(tc.triples, tc.cid, tc.problem) for tc in space.thread_classes()]
-        assert got == naive_thread_classes(space)
-        report = verify_claims(space)
-        claim = next(entry for entry in report.entries if entry[0] == "cla5_k_classes")
-        assert claim[1:] == naive_k_classes_claim(space)
+        _, space = keyed_space
+        assert_thread_sets_are_keyed_classes(space)
 
     def test_weak_only_lifting_equals_per_element_scan(self):
         # E is not transitive there, so there are no classes to thread
@@ -697,40 +704,8 @@ class TestThreadClasses:
         fam = build_family(assemble_ucp(b), search.weak_splittings[0], 1)
         space = TripleSpace(fam.members[0].A, fam)
         with pytest.raises(VerificationError, match="E_transitive fails"):
-            space.thread_classes()
-
-    @pytest.mark.parametrize("defect,detail", [
-        ("merge", "element 0: thread set is a strict part of its class; "
-                  "element 1: thread set is a strict part of its class; "
-                  "element 1: class collides with another element"),
-        ("split", "element 0: spans 2 classes"),
-        ("drop", "element 0: empty thread set"),
-    ], ids=["merge", "split", "drop"])
-    def test_broken_partitions_keep_claim_details(self, b_cycle3, defect, detail):
-        fam, A = family_and_target(b_cycle3, [0, 1, 2], 2)
-        space = TripleSpace(A, fam)
-        class_of, _ = space.classes()
-        tcs = space.thread_classes()
-        if defect == "merge":
-            _with_classes(space, _renumbered(
-                [tcs[0].cid if c == tcs[1].cid else c for c in class_of]
-            ))
-        elif defect == "split":
-            _with_classes(space, _renumbered(
-                [-1 if i == tcs[0].triples[0] else c for i, c in enumerate(class_of)]
-            ))
-        else:
-            space.triples = [x for i, x in enumerate(space.triples) if i not in tcs[0].triples]
-            _with_classes(space, None)
-        got = [(tc.triples, tc.cid, tc.problem) for tc in space.thread_classes()]
-        assert got == naive_thread_classes(space)
-        report = verify_claims(space)
-        claim = next(entry for entry in report.entries if entry[0] == "cla5_k_classes")
-        assert claim[1:] == naive_k_classes_claim(space) == (False, detail)
-        with pytest.raises(VerificationError):
             k_class(space, 0)
-        with pytest.raises(VerificationError):
-            uniform_F(space)
+        assert "cla5_k_classes" not in {entry[0] for entry in verify_claims(space).entries}
 
 
 class TestKeyedClasses:
@@ -773,7 +748,7 @@ class TestKeyedClasses:
         # |Aut A| <= 24 and the cube has at most 24**3 compositions per
         # member), up to three splittings and three weak-only sections each
         rng = random.Random(1)
-        verdicts = []
+        verdicts, rho_failures = [], 0
         for _ in range(400):
             b = random_structure(rng, max_total=5)
             if len(b.sort_sizes) != 2 or b.signature.functions or b.signature.constants:
@@ -792,16 +767,24 @@ class TestKeyedClasses:
                     claims = {name: ok for name, ok, _ in verify_claims(space).entries}
                     e_claims = tuple(claims[name] for name in uniform.E_PROPERTIES)
                     assert e_claims == naive_relation_verdicts(naive_e_matrix(space)), (b, section, n)
+                    assert_frame0_facts(space)
                     if not space.cocycle_holds():
                         assert_transitivity_breaks(space)
-                    elif claims.get("classes_have_unique_frame_threads"):
-                        assert_membership_equals_oracle(space)
+                        continue
+                    assert_membership_equals_oracle(space)
+                    # the rho dichotomy in verify_claims' docstring
+                    problem = space.fam.problem
+                    kernel = problem.H.order > problem.G.order
+                    rho = claims["cla6_rho_injective_across_classes"]
+                    assert rho is not (n >= 2 and kernel), (b, section, n)
+                    rho_failures += not rho
         assert verdicts.count(True) == 96 and verdicts.count(False) == 18
+        assert rho_failures == 19
 
     def test_classes_equal_pairwise_union_find(self, e_space):
         _, space = e_space
         if space.cocycle_holds():
-            assert space.classes() == naive_classes(space)
+            assert_classes_are_the_frame0_prefix(space)
         else:  # E is not an equivalence, so it has no classes
             with pytest.raises(VerificationError, match="E_transitive fails"):
                 space.classes()
@@ -814,12 +797,25 @@ class TestKeyedClasses:
         assert got == naive_relation_verdicts(naive_e_matrix(space))
 
     def test_frame_threads_equal_per_frame_scan(self, keyed_space):
+        # (c): in frame pi, a class's thread at member s is T_s(0, pi_s)
+        # applied to its frame-0 thread
         _, space = keyed_space
-        try:
-            single_pass = space.frame_threads()
-        except VerificationError as exc:
-            single_pass = str(exc)
-        assert single_pass == naive_frame_threads(space)
+        frames, by_frame = naive_frame_threads(space)
+        elements, position = space._elements, space._position
+        for frame, found in zip(frames, by_frame):
+            assert found == {
+                cid: tuple(
+                    elements[space.psi_tilde(s, 0, p)[position[entry]]]
+                    for s, (p, entry) in enumerate(zip(frame, thread))
+                )
+                for cid, thread in enumerate(space.threads())
+            }
+        claim = next(e for e in verify_claims(space).entries if e[0] == "classes_have_unique_frame_threads")
+        assert claim[1:] == (True, f"{len(frames)} frames, one thread per class in each")
+
+    def test_frame0_facts_hold_in_every_frame(self, e_space):
+        _, space = e_space
+        assert_frame0_facts(space)
 
     def test_weak_only_lifting_falls_back_to_pairwise(self):
         b, search = weak_only_lifting()
@@ -835,7 +831,7 @@ class TestKeyedClasses:
     def test_cycle3_six_copies_beyond_pairwise_bound(self, b_cycle3):
         fam, A = family_and_target(b_cycle3, [0, 1, 2], 6)
         space = TripleSpace(A, fam)
-        assert len(space.triples) == 2916
+        assert space.size() == 2916
         report = verify_claims(space)
         assert report.all_pass, [e for e in report.entries if not e[1]]
         res = uniform_F(space)
@@ -844,9 +840,41 @@ class TestKeyedClasses:
 
 
 
+def assert_classes_are_the_frame0_prefix(space):
+    """(b) and (c): the space's classes, on its frame-0 triples, are the
+    oracle's classes over every frame cut down to the frame-0 prefix, with
+    the same ids."""
+    m = len(space.triples)
+    class_of, members = naive_classes(space)
+    assert space.classes() == (class_of[:m], [[i for i in group if i < m] for group in members])
+
+
+def assert_frame0_facts(space):
+    """The proofs in ``uniform`` against every frame: the space holds the
+    frame-0 prefix of :func:`explicit_triples`, |X| is that list's length
+    and the full-matrix count, and where E is an equivalence, each claim
+    that (c)-(e) prove equals its oracle verdict."""
+    xs = explicit_triples(space)
+    m = len(space.triples)
+    frame0 = (0,) * len(space.fam)
+    assert triple_keys(xs[:m]) == triple_keys(space.triples)
+    assert all(x.pi_idx == frame0 for x in xs[:m]) and all(x.pi_idx != frame0 for x in xs[m:])
+    naive = naive_matched_triples(space.A, space.fam, max_elements=space.max_elements)
+    assert space.size() == len(xs) == len(naive)
+    if not space.cocycle_holds():
+        return
+    assert_classes_are_the_frame0_prefix(space)
+    claims = {name: (ok, detail) for name, ok, detail in verify_claims(space).entries}
+    frames, _ = naive_frame_threads(space)
+    assert claims["classes_have_unique_frame_threads"] == (True, f"{len(frames)} frames, one thread per class in each")
+    assert claims["cla5_k_classes"] == naive_k_classes_claim(space) == (True, "")
+    for name, ok in naive_rho_claims(space).items():
+        assert claims[name][0] == ok, name
+
+
 def assert_membership_equals_oracle(space):
     """exists and forall, read off the members' sets, equal the per-frame
-    evaluation in every frame, and the cla3 list holds exactly the class
+    evaluation in every frame, and the cla3 list holds the first four class
     tuples where they differ, in product order."""
     table, naive = space.membership(), naive_membership(space)
     assert len(table) == len(naive)
@@ -860,7 +888,7 @@ def assert_membership_equals_oracle(space):
         for ri, verdicts in enumerate(naive)
         for ct, (exists, forall) in verdicts.items()
         if exists != forall
-    ]
+    ][:4]
 
 
 class TestMembership:
@@ -902,14 +930,15 @@ def assert_transitivity_breaks(space):
         for e in range(len(elements))
         if T(0, j, l)[T(0, i, j)[e]] != T(0, i, l)[e]
     )
-    by_key = {(x.pi_idx, x.b): x for x in space.triples}
+    xs = explicit_triples(space)
+    by_key = {(x.pi_idx, x.b): x for x in xs}
 
     def partner(x, frame):
         b = tuple(elements[T(s, x.pi_idx[s], p)[position[x.b[s]]]] for s, p in enumerate(frame))
         return by_key.get((frame, b))
 
     frames = list(itertools.product(*(range(len(lst)) for lst in space.iso)))
-    x1 = next(x for x in space.triples if x.pi_idx[0] == i and x.b[0] == elements[e])
+    x1 = next(x for x in xs if x.pi_idx[0] == i and x.b[0] == elements[e])
     assert all(partner(x1, frame) is not None for frame in frames)
     x2 = partner(x1, next(frame for frame in frames if frame[0] == j))
     x3 = partner(x2, next(frame for frame in reversed(frames) if frame[0] == l))
@@ -937,16 +966,18 @@ class TestSectionDecidesE:
         assert verdicts == (True, True, section == "splittings")
         assert verdicts == naive_relation_verdicts(naive_e_matrix(space))
         if section == "splittings":
-            assert space.classes() == naive_classes(space)
+            assert_classes_are_the_frame0_prefix(space)
         else:
             with pytest.raises(VerificationError, match="E_transitive fails"):
                 space.classes()
 
-    @pytest.mark.parametrize("n,size", [(4, 5832), (5, 34992)])
+    @pytest.mark.parametrize("n,size", [(4, 5832), (5, 34992), (6, 209952)])
     def test_verify_answers_past_two_thousand_triples(self, n, size):
+        # |X| = 3**n frames * 2**(n - 1) extensions * 9 elements; frame 0's
+        # 2**(n - 1) * 9 are built
         b, search = weak_only_lifting()
         space = triple_space(b, search.weak_splittings[0], n)
-        assert len(space.triples) == size
+        assert space.size() == size and len(space.triples) == 2 ** (n - 1) * 9
         entries = {name: (ok, detail) for name, ok, detail in verify_claims(space).entries}
         detail = "proved from psi: a weak splitting that is not a splitting"
         assert [entries[name] for name in uniform.E_PROPERTIES] == [
@@ -1014,7 +1045,7 @@ class TestDerivedIsomorphisms:
         monkeypatch.setattr(uniform, "isomorphism_rows", counted)
         space = TripleSpace(fam.members[0].A, fam)
         assert calls == [fam.members[0].A]
-        assert len(space.triples) == 1215
+        assert space.size() == 1215
 
     def test_families_are_built_with_no_isomorphism_search(self, b_rich, monkeypatch):
         for name in ("isomorphisms", "isomorphism_rows"):  # any search would fail
@@ -1071,11 +1102,8 @@ class TestKeptSorts:
         assert triple_summaries(kept_space) == naive_matched_triples(kept_space.A, kept_space.fam)
 
     def test_thread_classes_equal_per_element_scan(self, kept_space):
-        got = [(tc.triples, tc.cid, tc.problem) for tc in kept_space.thread_classes()]
-        assert got == naive_thread_classes(kept_space)
-        assert len(got) == kept_space.A.total_elements
-        claim = next(e for e in verify_claims(kept_space).entries if e[0] == "cla5_k_classes")
-        assert claim[1:] == naive_k_classes_claim(kept_space) == (True, "")
+        assert_thread_sets_are_keyed_classes(kept_space)
+        assert len(naive_thread_classes(kept_space)) == kept_space.A.total_elements
 
     def test_construction_keeps_the_target(self, kept_space):
         assert verify_claims(kept_space).all_pass
@@ -1123,6 +1151,11 @@ class TestGraphedTower:
         report = verify_claims(self.space(problem, 2))
         assert {claim for claim, ok, _ in report.entries if not ok} == GRAPHED_FAILS_AT_TWO
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("name", ["c12", "c23", "c13"])
+    def test_frame0_facts_hold_in_every_frame(self, derivation, name, n):
+        assert_frame0_facts(self.space(getattr(derivation, name), n))
+
     def test_c13_with_two_members_keeps_memory_small(self, derivation):
         # 1,536 triples in 308 classes over 34 binary graph relations; one
         # evaluation per class tuple and frame peaked at 640 MiB of RSS
@@ -1133,5 +1166,5 @@ class TestGraphedTower:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(space.triples) == 1536 and len(space.classes()[1]) == 308
+        assert space.size() == 1536 and len(space.classes()[1]) == 308
         assert peak < 50 * 2**20, f"peak {peak / 2**20:.2f} MiB"
