@@ -737,9 +737,14 @@ def main(argv=None) -> int:
     except UniconstructError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    doc["exit_code"] = code
-    _emit(args, doc, lines)
-    return code
+    except MemoryError:
+        pass  # reported below, once the command's frames are freed
+    else:
+        doc["exit_code"] = code
+        _emit(args, doc, lines)
+        return code
+    print(f"error: out of memory in {args.command}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -408,14 +408,18 @@ def _labeller(phi: GroupHom) -> Callable[[Sequence[int]], str]:
     then every defect psi(x) psi(y) psi(xy)^-1 lies in the kernel Z(H).
     A defect is 1 (central) when its sides psi(x) psi(q), column psi(q) of H
     read through psi, and psi(xq), psi read through column q of G, are equal
-    (in one Z(H)-coset, :func:`_center_cosets`).
+    (in one Z(H)-coset, :func:`_center_cosets`).  The cosets and both
+    inverse tables are built on the first psi that is not a splitting.
     """
     h, g = phi.domain, phi.codomain
-    coset = _center_cosets(h)
     h_right = functools.cache(h.right)
-    h_coset_right = functools.cache(lambda v: list(map(coset.__getitem__, h_right(v))))
     gens, through_g = g.gens, [_getter(g.right(q)) for q in g.gens]
-    g_inv, h_inv = _getter(g.inverses()), h.inverses()
+
+    @functools.cache
+    def weak_tables():
+        coset = _center_cosets(h)
+        coset_right = functools.cache(lambda v: list(map(coset.__getitem__, h_right(v))))
+        return coset, coset_right, _getter(g.inverses()), h.inverses()
 
     def label(psi: Sequence[int]) -> str:
         if psi[0] != 0:
@@ -423,6 +427,7 @@ def _labeller(phi: GroupHom) -> Callable[[Sequence[int]], str]:
         through_psi = _getter(psi)
         if [through_psi(h_right(psi[q])) for q in gens] == [t(psi) for t in through_g]:
             return SPLITTING
+        coset, h_coset_right, g_inv, h_inv = weak_tables()
         cosets = through_psi(coset)
         weak = [through_psi(h_coset_right(psi[q])) for q in gens] == [t(cosets) for t in through_g]
         return WEAK_SPLITTING if weak and g_inv(psi) == through_psi(h_inv) else SECTION_ONLY

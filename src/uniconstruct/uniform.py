@@ -172,11 +172,13 @@ def build_family(
 
 
 class MatchedTriple(FrozenRecord):
-    """(pi, g, b): indices into the owning TripleSpace's row lists.
+    """(pi, g, b), named by group elements of the owning TripleSpace.
 
-    ``pi_idx[s]`` picks the isomorphism A_s -> A; ``g_idx[t]`` picks the
-    base-row structure isomorphism B_0 -> B_t (entry 0 is -1, the identity);
-    ``b[s]`` is the (sort, element) thread entry in B_s.
+    ``pi_idx[s]`` names the frame's isomorphism A_s -> A by an element a of
+    G = Aut(A_0): it is first[s] . f_s a f_s^-1 (:class:`TripleSpace`), so
+    0, the identity, names first[s]; ``g_idx[t]`` names the element h of H
+    whose row f_t . h is the structure isomorphism B_0 -> B_t (entry 0 is
+    -1, the identity); ``b[s]`` is the (sort, element) thread entry in B_s.
     """
 
     __slots__ = _fields = ("pi_idx", "g_idx", "b")
@@ -193,25 +195,32 @@ class TripleSpace:
     each isomorphism search made for the space, the result checks of
     :func:`verify_claims` and :func:`uniform_F` included.
 
-    Notation: members s = 0 ... n-1; a frame pi picks pi_s in iso_s, the
-    isomorphisms A_s -> A, and frame 0 is the one where every pi_s is
-    iso_s[0].  ext_t(pi) is the set of isomorphisms B_0 -> B_t restricting
-    to pi_t^-1 pi_0 on the kept sorts; a triple (pi, g, b) has each g_t in
-    ext_t(pi) and b_t = g_t(b_0).  K is the kernel of Aut B -> Aut A, so
-    |K| = |H| / |G|.  T_s(i, j) = psi_s(pi_j^-1 pi_i) is the transport
-    between frames i and j at member s (:meth:`psi_tilde`); it restricts to
-    pi_j^-1 pi_i, because phi psi = 1.
+    Notation: members s = 0 ... n-1, member s the base relabelled along f_s
+    (f_0 the identity); a frame pi picks pi_s in iso_s, the isomorphisms
+    A_s -> A.  iso_s is a torsor under Aut(A_s) = f_s G f_s^-1, so a frame
+    is named by one element a_s of G per member, pi_s = first[s] . f_s a_s
+    f_s^-1, and |iso_s| = |G| (or 0).  first[s] is the least row of iso_s,
+    and frame 0, the identity at every member, picks it.  ext_t(pi) is the
+    set of isomorphisms B_0 -> B_t restricting to pi_t^-1 pi_0 on the kept
+    sorts; a triple (pi, g, b) has each g_t in ext_t(pi) and b_t = g_t(b_0).
+    K is the kernel of Aut B -> Aut A, so |K| = |H| / |G|.  T_s(i, j) =
+    psi_s(pi_j^-1 pi_i) is the transport between frames i and j at member s
+    (:meth:`psi_tilde`); it restricts to pi_j^-1 pi_i, because phi psi = 1.
 
     (a) Every frame holds as many triples as frame 0.  psi is a section
         (:class:`Family` refuses any other map), so restriction is onto, and
         each ext_t(pi) is a nonempty coset of K.  g -> T_t(pi_t, 0) . g .
         T_0(0, pi_0) maps ext_t(pi) one-to-one onto ext_t(0): the image
-        restricts to iso_t[0]^-1 pi_t . pi_t^-1 pi_0 . pi_0^-1 iso_0[0], and
-        both sets have |K| elements.  The iso_s are equally long (each is
-        iso_0 carried along a relabelling), so |X| = |iso_0|^n times the
-        number of frame-0 triples (:meth:`size`).  Only frame 0's triples
-        are built, in the order of the all-frame enumeration, which lists
-        frame 0 first, and ``config.matched_triples`` caps their number.
+        restricts to first[t]^-1 pi_t . pi_t^-1 pi_0 . pi_0^-1 first[0], and
+        both sets have |K| elements.  So |X| = |G|^n times the number of
+        frame-0 triples (:meth:`size`), and the space holds one isomorphism
+        and one coset of K per member.  Only one isomorphism is searched,
+        first[0]: first[t] is the least of first[0] . a . f_t^-1 over a in
+        G, at a = a*, so ext_t(0), the rows restricting to f_t a*^-1, is
+        f_t . h for h in the fibre of the restriction over a*^-1.  Only
+        frame 0's triples are built, in the order of the all-frame
+        enumeration, which lists frame 0 first, and
+        ``config.matched_triples`` caps their number.
     """
 
     def __init__(
@@ -226,38 +235,15 @@ class TripleSpace:
         self.fam = fam
         self.max_elements = max_elements
         # every isomorphism, extension and transport is a row
-        # (:meth:`SortedMap.row`), and only the base is searched: member t is
-        # the base relabelled along f_t, so its isomorphisms onto A are the
-        # base's after f_t^-1 on the kept sorts, sorted, and base_index[t][i]
-        # is the base isomorphism that iso[t][i] came from; B_0 -> B_t are
-        # f_t after each automorphism row of B_0, sorted.  A triple's
-        # g_idx[t] is a position in biso[t]; extend[t] lists those positions
-        # by their prefix over the kept sorts, which is their restriction.
+        # (:meth:`SortedMap.row`); first[s] is member s's first isomorphism
+        # onto A, and only the base's is searched
         problem = fam.problem
-        width = problem.A.total_elements
-        self.iso = [isomorphism_rows(problem.A, A, max_elements=max_elements)]
-        self.base_index: list[Sequence[int]] = [range(len(self.iso[0]))]
-        self.biso: list[list[tuple[int, ...]]] = [[]]
-        self._relabel_rows: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None]
-        for member in fam.members[1:]:
-            f = member.relabel.row()
-            f_inv = _invert_row(f)
-            carried = [_compose_rows(pi, f_inv[:width]) for pi in self.iso[0]]
-            order = sorted(range(len(carried)), key=carried.__getitem__)
-            self.iso.append([carried[i] for i in order])
-            self.base_index.append(order)
-            self.biso.append(sorted(_compose_rows(f, h) for h in problem.H.perms))
-            self._relabel_rows.append((f, f_inv))
-        self.iso_inv = [[_invert_row(pi) for pi in lst] for lst in self.iso]
-        self.extend: list[dict[tuple[int, ...], list[int]]] = [{} for _ in self.biso]
-        for rows, positions in zip(self.biso, self.extend):
-            for pos, row in enumerate(rows):
-                positions.setdefault(row[:width], []).append(pos)
+        self._relabel_rows = [None] + [(f, _invert_row(f)) for f in (m.relabel.row() for m in fam.members[1:])]
         # thread entries are read from one list, so equal entries are one object
         self._elements = problem.B.elements()
         self._position = {entry: p for p, entry in enumerate(self._elements)}
-        self._psi_tilde_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self.triples = self._frame0()
+        self.first = isomorphism_rows(problem.A, A, max_elements=max_elements, limit=1)
+        self.triples = self._frame0() if self.first else []
         self._cocycle: bool | None = None
         self._classes: tuple[list[int], list[list[int]]] | None = None
         self._threads: list[tuple[tuple[int, int], ...]] = []
@@ -268,52 +254,53 @@ class TripleSpace:
     # -- enumeration ------------------------------------------------------
 
     def _frame0(self) -> list[MatchedTriple]:
-        """The triples of frame 0: every extension choice, then every b_0."""
-        if not self.iso[0]:
-            return []
-        n, elements = len(self.fam.members), self._elements
-        frame, pi0 = (0,) * n, self.iso[0][0]
-        ext_choices = [(-1,), *(self.extend[t][_compose_rows(self.iso_inv[t][0], pi0)] for t in range(1, n))]
+        """The triples of frame 0: every extension choice, then every b_0.
+        Each member's first isomorphism joins ``first`` on the way, and its
+        extensions are f_t . h over the fibre at a*^-1 of (a), by row."""
+        problem, elements = self.fam.problem, self._elements
+        G, H, width = problem.G, problem.H, problem.A.total_elements
+        ext_choices: list[list[tuple[tuple[int, ...] | None, int]]] = [[(None, -1)]]
+        for f, f_inv in self._relabel_rows[1:]:
+            row, a = min(
+                (_compose_rows(self.first[0], _compose_rows(m, f_inv[:width])), i) for i, m in enumerate(G.perms)
+            )
+            self.first.append(row)
+            a_inv = G.row_index[_invert_row(G.perms[a])]
+            fibre = (h for h, g in enumerate(problem.restriction) if g == a_inv)
+            ext_choices.append(sorted((_compose_rows(f, H.perms[h]), h) for h in fibre))
         bound = config.DEFAULT.matched_triples
         if math.prod(map(len, ext_choices)) * len(elements) > bound:
             raise BoundExceededError(f"matched-triple enumeration exceeds bound {bound}")
-        out: list[MatchedTriple] = []
-        for g_idx in itertools.product(*ext_choices):
-            rows = [self.biso[t][g] for t, g in enumerate(g_idx) if t]
+        frame, out = (0,) * len(ext_choices), []
+        for choice in itertools.product(*ext_choices):
+            g_idx, rows = tuple(h for _, h in choice), [row for row, _ in choice[1:]]
             for p, b0 in enumerate(elements):
                 out.append(MatchedTriple(frame, g_idx, (b0, *(elements[row[p]] for row in rows))))
         return out
 
     def size(self) -> int:
         """|X|, the number of matched triples over all frames, by (a)."""
-        return len(self.iso[0]) ** len(self.fam.members) * len(self.triples)
+        return self.fam.problem.G.order ** len(self.fam.members) * len(self.triples)
 
     # -- equivalence ------------------------------------------------------
 
     def psi_tilde(self, s: int, i: int, j: int) -> tuple[int, ...]:
-        """psi_s applied to the inverse of pi_i^-1 . pi_j, as a row on B_s.
+        """T_s(i, j), psi_s applied to pi_j^-1 . pi_i, as a row on B_s, for
+        the frames at member s named by the elements i and j of G.
 
-        Let f be member s's relabelling, f_A its restriction to the kept
-        sorts, and i0, j0 the base indices of i and j, so that
-        iso_s[i] = iso_0[i0] . f_A^-1 and likewise for j.  Then
-        (pi_i^-1 . pi_j)^-1 = pi_j^-1 . pi_i = f_A . a . f_A^-1 with
-        a = iso_0[j0]^-1 . iso_0[i0], an automorphism of the base's reduct
-        looked up with no inverse taken.  Member s's section is the base's
-        carried along f, psi_s(f_A . a . f_A^-1) = f . psi_0(a) . f^-1, so
-        the transport is f . psi_0(a) . f^-1.
+        With f member s's relabelling and f_A its restriction to the kept
+        sorts, pi_i = first[s] . f_A a_i f_A^-1, so pi_j^-1 . pi_i =
+        f_A . a_j^-1 a_i . f_A^-1.  Member s's section is the base's carried
+        along f, psi_s(f_A . a . f_A^-1) = f . psi_0(a) . f^-1, so the
+        transport is f . psi_0(a_j^-1 a_i) . f^-1: at member 0, the base
+        problem's own row.
         """
-        key = (s, i, j)
-        cached = self._psi_tilde_cache.get(key)
-        if cached is None:
-            problem = self.fam.problem
-            i0, j0 = self.base_index[s][i], self.base_index[s][j]
-            a = problem.G.row_index[_compose_rows(self.iso_inv[0][j0], self.iso[0][i0])]
-            cached = problem.H.perms[problem.psi.map[a]]
-            if s:
-                f, f_inv = self._relabel_rows[s]
-                cached = _compose_rows(f, _compose_rows(cached, f_inv))
-            self._psi_tilde_cache[key] = cached
-        return cached
+        problem, G = self.fam.problem, self.fam.problem.G
+        row = problem.H.perms[problem.psi.map[G.mul(G.inverses()[j], i)]]
+        if s:
+            f, f_inv = self._relabel_rows[s]
+            row = _compose_rows(f, _compose_rows(row, f_inv))
+        return row
 
     def e_equiv(self, x1: MatchedTriple, x2: MatchedTriple) -> bool:
         elements, position = self._elements, self._position
@@ -329,16 +316,16 @@ class TripleSpace:
         family's psi is a splitting (each member's is psi carried along its
         relabelling).
 
-        Write T_s(i, j) for ``psi_tilde(s, i, j)`` and a_i for the i-th
-        isomorphism A_s -> A.  The law is T_s(j, l) . T_s(i, j) = T_s(i, l)
-        for every member s and every i, j, l.  iso_s is a torsor under
-        Aut(A_s), so T_s(i, j) = psi_s(a_j^-1 a_i), and with a = a_l^-1 a_j,
-        b = a_j^-1 a_i the law reads psi_s(a) . psi_s(b) = psi_s(ab).  As
+        Write T_s(i, j) for ``psi_tilde(s, i, j)`` and c_i for f_s a_i
+        f_s^-1, frame i's element of Aut(A_s).  The law is T_s(j, l) .
+        T_s(i, j) = T_s(i, l) for every member s and every i, j, l.  T_s(i,
+        j) = psi_s(c_j^-1 c_i), and with a = c_l^-1 c_j, b = c_j^-1 c_i the
+        law reads psi_s(a) . psi_s(b) = psi_s(ab).  As
         (i, j, l) range, (a, b) covers Aut(A_s)^2: the law is psi_s's hom law
         in ``compose`` order, the order its group tables encode.
         """
         if self._cocycle is None:
-            self._cocycle = not all(self.iso) or self.fam.problem.psi.is_splitting()
+            self._cocycle = not self.first or self.fam.problem.psi.is_splitting()
         return self._cocycle
 
     def equivalence(self) -> tuple[tuple[bool, bool, bool], str]:
@@ -540,11 +527,11 @@ def uniform_F(space: TripleSpace) -> UniformResult:
 
     (d) Kept-sort classes are one per target element.  A triple in frame pi
         threads a (every b_s lies in a kept sort and pi_s sends it to a)
-        exactly when its key is (iso_s[0]^-1(a))_s, since T_s(pi_s, 0)
-        restricts to iso_s[0]^-1 pi_s.  That key is a class: the frame-0
-        triple with b_0 = iso_0[0]^-1(a) has b_t = iso_t[0]^-1(a), since
-        g_t restricts to iso_t[0]^-1 iso_0[0].  Every kept-sort class is
-        one of these (take a = iso_0[0](b_0)), and distinct elements have
+        exactly when its key is (first[s]^-1(a))_s, since T_s(pi_s, 0)
+        restricts to first[s]^-1 pi_s.  That key is a class: the frame-0
+        triple with b_0 = first[0]^-1(a) has b_t = first[t]^-1(a), since
+        g_t restricts to first[t]^-1 first[0].  Every kept-sort class is
+        one of these (take a = first[0](b_0)), and distinct elements have
         distinct keys.  So ``cla5_k_classes`` always holds, and a's class
         is found by that key.
 
@@ -558,8 +545,9 @@ def uniform_F(space: TripleSpace) -> UniformResult:
     class_of_thread = {thread: cid for cid, thread in enumerate(space.threads())}
     # element_of[s][label]: the element whose class carries that label of kept sort s
     element_of = [[0] * n for n in A.sort_sizes]
+    inverses = [_invert_row(pi) for pi in space.first]
     for a, (_, e) in enumerate(A.elements()):
-        thread = tuple(space._elements[inv[0][a]] for inv in space.iso_inv)
+        thread = tuple(space._elements[inv[a]] for inv in inverses)
         s, label = quot.class_label[class_of_thread[thread]]
         element_of[s][label] = e
 
@@ -590,7 +578,7 @@ def verify_claims(space: TripleSpace) -> Report:
     :func:`uniform_F`; and the two below.
 
     (e) rho is constant on classes, and Y meets every class.  Y is the
-        triples with pi_0 = iso_0[0].  A triple of Y in class k has b_0 =
+        triples with pi_0 = first[0].  A triple of Y in class k has b_0 =
         T_0(0, 0)^-1 . k_0 = k_0, so rho, which reads b_0 on Y, is k_0 on
         the class.  By (c) the class meets every frame, so it meets Y.
 
@@ -634,7 +622,7 @@ def verify_claims(space: TripleSpace) -> Report:
         return report
     threads = space.threads()
 
-    frames = len(space.iso[0]) ** len(fam)
+    frames = fam.problem.G.order ** len(fam)
     report.add("classes_have_unique_frame_threads", True, f"{frames} frames, one thread per class in each")
     agree = space.congruence()
     names = [name for name, _ in base.B.signature.relations]

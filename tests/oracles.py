@@ -24,6 +24,7 @@ Expected values in the tests are frozen from these.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -48,6 +49,7 @@ from uniconstruct.groups import (
     GroupHom,
     _NodeBudget,
     _compose_rows,
+    _invert_row,
     alternating,
     center,
     cyclic,
@@ -758,29 +760,64 @@ def _commutative(g, n):
 # Every matched triple of a space, and the twist equivalence on them
 
 
+def frame_isomorphisms(space: TripleSpace) -> list[list[tuple[int, ...]]]:
+    """Per member s, every isomorphism A_s -> A as a row, the one of frame
+    a at position a: first[s] . f_A a f_A^-1 for the a-th automorphism of
+    the base's reduct and f_A, member s's relabelling on the kept sorts.
+    Empty when the target is not isomorphic."""
+    G, width = space.fam.problem.G, space.A.total_elements
+    out = []
+    for first, member in zip(space.first, space.fam.members):
+        f = member.relabel.row()[:width]
+        f_inv = _invert_row(f)
+        out.append([_compose_rows(first, _compose_rows(f, _compose_rows(a, f_inv))) for a in G.perms])
+    return out
+
+
+def extension_row(space: TripleSpace, t: int, h: int) -> tuple[int, ...]:
+    """The isomorphism B_0 -> B_t named by the element h of H: f_t . h."""
+    return _compose_rows(space.fam.members[t].relabel.row(), space.fam.problem.H.perms[h])
+
+
 def explicit_triples(space: TripleSpace) -> list[MatchedTriple]:
     """Every matched triple of the space, frame by frame in the order the
-    frames' product lists them, capped by the ``matched_triples`` bound:
-    the enumeration whose frame-0 prefix :class:`TripleSpace` keeps."""
+    frames' product lists them, each frame's extension choices in the order
+    of their rows, capped by the ``matched_triples`` bound: the enumeration
+    whose frame-0 prefix :class:`TripleSpace` keeps.  Every frame's
+    isomorphisms (:func:`frame_isomorphisms`) and every extension f_t . h
+    over all of H are listed."""
     bound = config.DEFAULT.matched_triples
-    if any(not lst for lst in space.iso):
+    isos = frame_isomorphisms(space)
+    if not isos:
         return []
-    elements = space._elements
+    elements, width = space._elements, space.A.total_elements
+    inverses = [[_invert_row(pi) for pi in iso] for iso in isos]
     out: list[MatchedTriple] = []
     n = len(space.fam.members)
+    # ext_rows[t][h]: the row f_t . h; extend[t]: H's elements h by the
+    # restriction of that row, in row order
+    ext_rows = [[]] + [
+        [extension_row(space, t, h) for h in range(space.fam.problem.H.order)] for t in range(1, n)
+    ]
+    extend: list[dict[tuple[int, ...], list[int]]] = [{}]
+    for rows in ext_rows[1:]:
+        positions: dict[tuple[int, ...], list[int]] = {}
+        for row, h in sorted(zip(rows, itertools.count())):
+            positions.setdefault(row[:width], []).append(h)
+        extend.append(positions)
 
-    for pi_idx in itertools.product(*(range(len(lst)) for lst in space.iso)):
+    for pi_idx in itertools.product(*(range(len(iso)) for iso in isos)):
         ext_choices: list[Sequence[int]] = [(-1,)]
-        pi0 = space.iso[0][pi_idx[0]]
+        pi0 = isos[0][pi_idx[0]]
         for t in range(1, n):
-            positions = space.extend[t].get(_compose_rows(space.iso_inv[t][pi_idx[t]], pi0))
-            if positions is None:
+            hs = extend[t].get(_compose_rows(inverses[t][pi_idx[t]], pi0))
+            if hs is None:
                 break
-            ext_choices.append(positions)
+            ext_choices.append(hs)
         if len(ext_choices) < n:  # some member has no extension in this frame
             continue
         for g_idx in itertools.product(*ext_choices):
-            rows = [space.biso[t][g] for t, g in enumerate(g_idx) if t]
+            rows = [ext_rows[t][h] for t, h in enumerate(g_idx) if t]
             for p, b0 in enumerate(elements):
                 out.append(MatchedTriple(pi_idx, g_idx, (b0, *(elements[row[p]] for row in rows))))
                 if len(out) > bound:
@@ -790,18 +827,42 @@ def explicit_triples(space: TripleSpace) -> list[MatchedTriple]:
     return out
 
 
+def transports(space):
+    """``space.psi_tilde``, each transport T_s(i, j) read once and kept: the
+    oracles below read the same transports many times over."""
+    return functools.cache(space.psi_tilde)
+
+
+def e_relation(space):
+    """x1 E x2 from the definition: at every member s, x2's b_s is
+    T_s(x1's pi_s, x2's pi_s) applied to x1's b_s (:func:`transports`)."""
+    T, elements, position = transports(space), space._elements, space._position
+    n = len(space.fam.members)
+
+    def related(x1, x2):
+        for s in range(n):
+            if x2.b[s] != elements[T(s, x1.pi_idx[s], x2.pi_idx[s])[position[x1.b[s]]]]:
+                return False
+        return True
+
+    return related
+
+
 def naive_classes(space):
     """(class_of, members) of E over every matched triple
     (:func:`explicit_triples`), classes numbered by their first triple,
     members ascending: each triple in no class yet opens one, holding every
-    triple it relates to, compared pair by pair.  That is its class when E
-    is an equivalence; a triple that would join two classes, which only an
-    E that is not one can make, fails an assertion."""
+    triple it relates to (:func:`e_relation`), compared pair by pair, and
+    ``space.e_equiv`` agrees on each.  That is its class when E is an
+    equivalence; a triple that would join two classes, which only an E
+    that is not one can make, fails an assertion."""
     xs = explicit_triples(space)
+    related = e_relation(space)
     class_of, members = [-1] * len(xs), []
     for i, x in enumerate(xs):
         if class_of[i] < 0:
-            group = [j for j, y in enumerate(xs) if space.e_equiv(x, y)]
+            group = [j for j, y in enumerate(xs) if related(x, y)]
+            assert all(space.e_equiv(x, xs[j]) for j in group)
             assert i in group and all(class_of[j] < 0 for j in group), "E is not an equivalence"
             for j in group:
                 class_of[j] = len(members)
@@ -810,11 +871,11 @@ def naive_classes(space):
 
 
 def g_map(space: TripleSpace, x: MatchedTriple, t: int) -> SortedMap:
-    """The base-row isomorphism B_0 -> B_t chosen by the triple, as a map."""
+    """The isomorphism B_0 -> B_t chosen by the triple, as a map."""
     members = space.fam.members
     if t == 0 or x.g_idx[t] == -1:
         return identity_map(members[0].B)
-    return SortedMap.from_row(members[0].B, members[t].B, space.biso[t][x.g_idx[t]])
+    return SortedMap.from_row(members[0].B, members[t].B, extension_row(space, t, x.g_idx[t]))
 
 
 def naive_e_matrix(space):
@@ -823,7 +884,7 @@ def naive_e_matrix(space):
     over every matched triple (:func:`explicit_triples`)."""
     xs = explicit_triples(space)
     mat = np.ones((len(xs), len(xs)), dtype=bool)
-    for s, iso in enumerate(space.iso):
+    for s, iso in enumerate(frame_isomorphisms(space)):
         sizes = space.fam.members[s].B.sort_sizes
         offset = [sum(sizes[:k]) for k in range(len(sizes))]
         # image[i, j, g]: global index of psi_tilde(s, i, j) applied to element g
@@ -851,10 +912,10 @@ def naive_relation_verdicts(mat):
 def naive_cocycle_holds(space):
     """psi_tilde(s,j,l) . psi_tilde(s,i,j) == psi_tilde(s,i,l) over the whole
     cube, each transport a row composed position by position."""
+    T = transports(space)
     return all(
-        [space.psi_tilde(s, j, l)[p] for p in space.psi_tilde(s, i, j)]
-        == list(space.psi_tilde(s, i, l))
-        for s, iso in enumerate(space.iso)
+        [T(s, j, l)[p] for p in T(s, i, j)] == list(T(s, i, l))
+        for s, iso in enumerate(frame_isomorphisms(space))
         for i, j, l in itertools.product(range(len(iso)), repeat=3)
     )
 
@@ -869,7 +930,7 @@ def naive_frame_threads(space):
     in_frame = {}
     for i, x in enumerate(explicit_triples(space)):
         in_frame.setdefault(x.pi_idx, []).append((i, x))
-    frames = list(itertools.product(*(range(len(iso)) for iso in space.iso)))
+    frames = list(itertools.product(*(range(len(iso)) for iso in frame_isomorphisms(space))))
     by_frame = []
     for frame in frames:
         threads = {}
@@ -960,14 +1021,15 @@ def naive_transport(problem, pi_i: SortedMap, pi_j: SortedMap) -> SortedMap:
 # Thread sets of target elements, one scan per element
 
 
-def _naive_thread_set(space, xs, a):
+def _naive_thread_set(space, isos, xs, a):
     """Indices of the triples of ``xs`` whose every b_s is the element that
-    pi_s^-1 sends a to, a being an index into the target's ``elements()``."""
+    pi_s^-1 sends a to, a being an index into the target's ``elements()``
+    and ``isos`` the space's :func:`frame_isomorphisms`."""
     elements = space.A.elements()
     return [
         idx
         for idx, x in enumerate(xs)
-        if all(x.b[s] == elements[space.iso[s][pi].index(a)] for s, pi in enumerate(x.pi_idx))
+        if all(x.b[s] == elements[isos[s][pi].index(a)] for s, pi in enumerate(x.pi_idx))
     ]
 
 
@@ -976,10 +1038,10 @@ def naive_thread_classes(space):
     every matched triple, the problem empty exactly when the thread set is
     one whole class."""
     class_of, members = naive_classes(space)
-    xs = explicit_triples(space)
+    xs, isos = explicit_triples(space), frame_isomorphisms(space)
     out = []
     for a in range(space.A.total_elements):
-        idxs = _naive_thread_set(space, xs, a)
+        idxs = _naive_thread_set(space, isos, xs, a)
         cids = {class_of[i] for i in idxs}
         if not idxs:
             out.append(((), None, "empty thread set"))
@@ -1022,7 +1084,7 @@ def k_class(space: TripleSpace, a: int) -> list[MatchedTriple]:
         )
     space.require_equivalence()
     xs = explicit_triples(space)
-    idxs = _naive_thread_set(space, xs, a)
+    idxs = _naive_thread_set(space, frame_isomorphisms(space), xs, a)
     if not idxs:
         raise VerificationError(f"no matched triple threads element {a}")
     class_of, members = naive_classes(space)

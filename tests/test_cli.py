@@ -662,6 +662,18 @@ class TestDispatch:
         for argv in argvs:
             assert parser.parse_args(argv).command == argv[0]
 
+    def test_out_of_memory_is_one_line(self, monkeypatch, capsys):
+        # a command that runs out of memory (10 free points over an apex
+        # under an address-space cap) ends in one stderr line and exit 1,
+        # not a traceback
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._HANDLERS, "verify", exhausted)
+        assert main(["verify", "--structure", "b.json", "--target", "a.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: out of memory in verify\n"
+
 
 class TestEncodeAttach:
     def test_encode3(self, tmp_path):

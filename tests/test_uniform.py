@@ -41,6 +41,8 @@ from .oracles import (
     canonical_copies,
     cayley_table,
     explicit_triples,
+    extension_row,
+    frame_isomorphisms,
     g_map,
     graph_functions,
     k_class,
@@ -57,6 +59,7 @@ from .oracles import (
     naive_rho_claims,
     naive_thread_classes,
     naive_transport,
+    transports,
 )
 
 
@@ -81,12 +84,12 @@ def triple_summaries(space):
     """Each matched triple, in every frame, as :func:`naive_matched_triples`
     summarises it: its isomorphisms, its full matrix of member isomorphisms
     and its thread."""
-    members = space.fam.members
+    members, isos = space.fam.members, frame_isomorphisms(space)
     n = len(members)
     pairs = [(s, t) for s in range(n) for t in range(n)]
     return {
         (
-            tuple(SortedMap.from_row(members[s].A, space.A, space.iso[s][x.pi_idx[s]]).maps for s in range(n)),
+            tuple(SortedMap.from_row(members[s].A, space.A, isos[s][x.pi_idx[s]]).maps for s in range(n)),
             tuple(g_map(space, x, t).compose(g_map(space, x, s).inverse()).maps for s, t in pairs),
             x.b,
         )
@@ -613,23 +616,26 @@ class TestConjugatedFamily:
             f = member.relabel
             conjugated = {f.compose(H.map(j).compose(f.inverse())).row() for j in range(H.order)}
             assert conjugated == set(naive.H.perms)
-            isos = [SortedMap.from_row(member.A, space.A, row) for row in space.iso[s]]
+            isos = [SortedMap.from_row(member.A, space.A, row) for row in frame_isomorphisms(space)[s]]
             for i, j in itertools.product(range(len(isos)), repeat=2):
                 assert space.psi_tilde(s, i, j) == naive_transport(naive, isos[i], isos[j]).row()
 
     def test_copy_rows_are_conjugates_composed_as_maps(self, keyed_space):
-        # T_s(i, j) = f . T_0(i0, j0) . f^-1, where iso_s[i] = iso_0[i0] . f_A^-1
+        # T_s(i, j) = f . T_0(i0, j0) . f^-1, where iso_s[i] = iso_0[i0] . f_A^-1,
+        # and member s's first isomorphism is the least of the carried ones
         fam, space = keyed_space
         base = fam.members[0]
         k = len(base.A.sort_sizes)
         as_map = SortedMap.from_row
-        base_isos = [as_map(base.A, space.A, row) for row in space.iso[0]]
+        isos = frame_isomorphisms(space)
+        base_isos = [as_map(base.A, space.A, row) for row in isos[0]]
         for s, member in enumerate(fam.members[1:], start=1):
             f = member.relabel
             f_a_inv = SortedMap(base.A, member.A, f.maps[:k]).inverse()
             carried = [pi.compose(f_a_inv).row() for pi in base_isos]
-            to_base = [carried.index(row) for row in space.iso[s]]
-            assert to_base == list(space.base_index[s])
+            to_base = [carried.index(row) for row in isos[s]]
+            assert sorted(to_base) == list(range(len(carried)))
+            assert space.first[s] == isos[s][0] == min(carried)
             for (i, i0), (j, j0) in itertools.product(enumerate(to_base), repeat=2):
                 t0 = as_map(base.B, base.B, space.psi_tilde(0, i0, j0))
                 want = f.compose(t0.compose(f.inverse()))
@@ -645,7 +651,7 @@ class TestConjugatedFamily:
         rows = {id(row) for row in fam.problem.H.perms}
         assert all(
             id(space.psi_tilde(0, i, j)) in rows
-            for i, j in itertools.product(range(len(space.iso[0])), repeat=2)
+            for i, j in itertools.product(range(len(frame_isomorphisms(space)[0])), repeat=2)
         )
 
     def test_builds_no_automorphism_group(self, b_rich, monkeypatch):
@@ -688,7 +694,7 @@ def assert_thread_sets_are_keyed_classes(space):
     threads = space.threads()
     for a, (idxs, cid, problem) in enumerate(naive_thread_classes(space)):
         assert idxs and problem == "", (a, problem)
-        assert threads[cid] == tuple(space._elements[inv[0][a]] for inv in space.iso_inv)
+        assert threads[cid] == tuple(space._elements[iso[0].index(a)] for iso in frame_isomorphisms(space))
     claim = next(entry for entry in verify_claims(space).entries if entry[0] == "cla5_k_classes")
     assert claim[1:] == naive_k_classes_claim(space) == (True, "")
 
@@ -737,7 +743,7 @@ class TestKeyedClasses:
         _, members = space.classes()
         assert verdicts == (True, True, True) and len(members) == 7
         assert detail == "proved from the cocycle law: every member's psi is a splitting"
-        assert len(space.iso[0]) == 720 and len(calls) <= 720
+        assert len(frame_isomorphisms(space)[0]) == 720 and len(calls) <= 720
 
     def test_law_equals_the_full_cube(self, e_space):
         _, space = e_space
@@ -923,10 +929,10 @@ def assert_transitivity_breaks(space):
     x1 a triple at (i, e), x2 its partner in a frame at j, and x3 the partner
     of x2 in a frame at l.  Asserts on the way that x1's partner in every
     frame is a triple."""
-    T, elements, position = space.psi_tilde, space._elements, space._position
+    T, elements, position = transports(space), space._elements, space._position
     i, j, l, e = next(
         (i, j, l, e)
-        for i, j, l in itertools.product(range(len(space.iso[0])), repeat=3)
+        for i, j, l in itertools.product(range(len(frame_isomorphisms(space)[0])), repeat=3)
         for e in range(len(elements))
         if T(0, j, l)[T(0, i, j)[e]] != T(0, i, l)[e]
     )
@@ -937,7 +943,7 @@ def assert_transitivity_breaks(space):
         b = tuple(elements[T(s, x.pi_idx[s], p)[position[x.b[s]]]] for s, p in enumerate(frame))
         return by_key.get((frame, b))
 
-    frames = list(itertools.product(*(range(len(lst)) for lst in space.iso)))
+    frames = list(itertools.product(*(range(len(lst)) for lst in frame_isomorphisms(space))))
     x1 = next(x for x in xs if x.pi_idx[0] == i and x.b[0] == elements[e])
     assert all(partner(x1, frame) is not None for frame in frames)
     x2 = partner(x1, next(frame for frame in frames if frame[0] == j))
@@ -1021,31 +1027,63 @@ class TestDerivedIsomorphisms:
     def test_member_lists_equal_the_search(self, keyed_space):
         fam, space = keyed_space
         A, base = space.A, fam.members[0]
+        H = fam.problem.H
+        isos = frame_isomorphisms(space)
         for t, member in enumerate(fam.members):
-            searched = isomorphisms(member.A, A)
-            assert space.iso[t] == [m.row() for m in searched]
-            # each entry carries the base isomorphism it came from
+            searched = [m.row() for m in isomorphisms(member.A, A)]
+            assert sorted(isos[t]) == searched and space.first[t] == isos[t][0] == searched[0]
+            # each frame's isomorphism is a base isomorphism carried along f_A^-1
             k = len(A.sort_sizes)
             f_a_inv = SortedMap(base.A, member.A, member.relabel.maps[:k]).inverse()
-            for row, i0 in zip(space.iso[t], space.base_index[t]):
-                base_iso = SortedMap.from_row(base.A, A, space.iso[0][i0])
-                assert row == base_iso.compose(f_a_inv).row()
+            carried = sorted(SortedMap.from_row(base.A, A, row).compose(f_a_inv).row() for row in isos[0])
+            assert carried == sorted(isos[t])
             if t:
                 searched_b = sorted(isomorphisms(base.B, member.B), key=lambda m: m.maps[0])
-                assert space.biso[t] == [m.row() for m in searched_b]
+                assert sorted(extension_row(space, t, h) for h in range(H.order)) == [m.row() for m in searched_b]
 
-    def test_only_the_base_is_searched(self, b_rich, monkeypatch):
-        fam = build_family(assemble_ucp(b_rich), [0, 1, 2], 5)
+    @staticmethod
+    def _targets(A: SortedStructure, rng: random.Random) -> list[tuple[SortedStructure, bool]]:
+        """(target, isomorphic) pairs: A, A randomly relabelled, and a target
+        that is not isomorphic, A less one relation tuple or, where A has
+        none, A with one more element in its first sort."""
+        perms = [rng.sample(range(n), n) for n in A.sort_sizes]
+        rels = [set(rel) for rel in A.relations]
+        ri = next((i for i, rel in enumerate(rels) if rel), None)
+        if ri is None:
+            other = SortedStructure(A.signature, (A.sort_sizes[0] + 1, *A.sort_sizes[1:]), rels)
+        else:
+            rels[ri].remove(min(rels[ri]))
+            other = SortedStructure(A.signature, A.sort_sizes, rels)
+        return [(A, True), (relabel(A, perms), True), (other, False)]
+
+    def test_only_the_base_is_searched(self, request, monkeypatch):
+        # one search, limit 1, per space: |iso_s| = |G| is read off the torsor
+        # and |X| = |G|^n |K|^(n-1) |B| off (a), on every keyed family
+        rng = random.Random(36)
         calls = []
 
         def counted(s1, s2, **kwargs):
-            calls.append(s1)
+            calls.append((s1, s2, kwargs))
             return isomorphism_rows(s1, s2, **kwargs)
 
-        monkeypatch.setattr(uniform, "isomorphism_rows", counted)
-        space = TripleSpace(fam.members[0].A, fam)
-        assert calls == [fam.members[0].A]
-        assert space.size() == 1215
+        for name, psi, n in KEYED_FIXTURES:
+            fam = build_family(assemble_ucp(request.getfixturevalue(name)), psi, n)
+            problem = fam.problem
+            kernel = problem.H.order // problem.G.order
+            for target, isomorphic in self._targets(problem.A, rng):
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(uniform, "isomorphism_rows", counted)
+                    space = TripleSpace(target, fam)
+                assert calls == [(problem.A, target, {"max_elements": None, "limit": 1})], (name, n)
+                searched = isomorphism_rows(problem.A, target)
+                if isomorphic:
+                    assert len(searched) == problem.G.order and len(space.first) == n
+                    assert space.size() == problem.G.order ** n * kernel ** (n - 1) * problem.B.total_elements
+                else:
+                    assert searched == [] and space.first == [] and space.size() == 0
+        fam = build_family(assemble_ucp(request.getfixturevalue("b_rich")), [0, 1, 2], 5)
+        assert TripleSpace(fam.members[0].A, fam).size() == 1215
 
     def test_families_are_built_with_no_isomorphism_search(self, b_rich, monkeypatch):
         for name in ("isomorphisms", "isomorphism_rows"):  # any search would fail
